@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,13 +55,6 @@ class SynthConfig:
             raise ValueError(f"unknown q_mode {self.q_mode!r}")
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    id: int
-    x_local: np.ndarray
-    y: np.ndarray
-
-
 class GlobalStore:
     """Mapping id -> global feature row, with vectorized row gathering."""
 
@@ -75,6 +68,9 @@ class GlobalStore:
         self._index = {int(i): k for k, i in enumerate(self._ids)}
         if len(self._index) != len(self._ids):
             raise ValueError("duplicate ids in global store")
+        # sorted ids and their row positions, for gathering with one searchsorted
+        self._order = np.argsort(self._ids, kind="stable")
+        self._sorted = self._ids[self._order]
 
     def __contains__(self, sample_id: int) -> bool:
         return int(sample_id) in self._index
@@ -97,11 +93,13 @@ class GlobalStore:
             raise KeyError(f"no global features for id {sample_id}") from None
 
     def rows(self, ids: Iterable[int]) -> np.ndarray:
-        try:
-            idx = [self._index[int(i)] for i in ids]
-        except KeyError as err:
-            raise KeyError(f"no global features for id {err.args[0]}") from None
-        return self._features[idx]
+        wanted = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64)
+        pos = np.searchsorted(self._sorted, wanted)
+        hit = pos < len(self._sorted)
+        hit[hit] = self._sorted[pos[hit]] == wanted[hit]
+        if not hit.all():
+            raise KeyError(f"no global features for id {int(wanted[~hit][0])}")
+        return self._features[self._order[pos]]
 
 
 @dataclass(frozen=True)
@@ -119,16 +117,13 @@ class ClientShard:
             raise ValueError("ids, features and labels must align")
         if len(set(int(i) for i in self.ids)) != len(self.ids):
             raise ValueError(f"duplicate ids within client {self.client_id}")
+        # training reads these rows unchecked, so they are checked here, once
+        if not (np.all(np.isfinite(self.x_local)) and np.all(np.isfinite(self.y))):
+            raise ValueError(f"client {self.client_id} has non-finite features or labels")
 
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def samples(self) -> list[SampleRecord]:
-        return [
-            SampleRecord(id=int(i), x_local=self.x_local[k], y=self.y[k])
-            for k, i in enumerate(self.ids)
-        ]
 
 
 @dataclass(frozen=True)
@@ -291,50 +286,39 @@ class Batch:
     x_local: np.ndarray
     x_side: np.ndarray | None
     y: np.ndarray
-
-
-def _side_rows(
-    side: GlobalStore | Mapping[int, np.ndarray] | None,
-    ids: np.ndarray,
-) -> np.ndarray | None:
-    if side is None:
-        return None
-    if isinstance(side, GlobalStore):
-        return side.rows(ids)
-    try:
-        return np.vstack([np.asarray(side[int(i)], dtype=np.float64) for i in ids])
-    except KeyError as err:
-        raise KeyError(f"no side features for id {err.args[0]}") from None
+    index: np.ndarray  # positions of the batch's samples within the shard
 
 
 def batches(
     shard: ClientShard,
-    side: GlobalStore | Mapping[int, np.ndarray] | None,
+    side: GlobalStore | np.ndarray | None,
     batch_size: int,
     seed: int | np.random.Generator,
 ) -> list[Batch]:
     """Seeded shuffled mini-batches with id-aligned local/side/label rows.
 
-    ``side`` maps id -> row (global features or centrally processed
-    features); pass None when the client trains on local features alone.
-    The final short batch is kept.
+    ``side`` gives each sample's side row (global features or centrally
+    processed features): a store looked up by id, or an array with one row
+    per shard sample in shard order. Pass None when the client trains on
+    local features alone. The final short batch is kept.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if isinstance(side, np.ndarray) and side.shape[0] != shard.n:
+        raise ValueError(f"side has {side.shape[0]} rows, shard has {shard.n} samples")
     rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), "batches")
     order = rng.permutation(shard.n)
     out = []
     for start in range(0, shard.n, batch_size):
         idx = order[start : start + batch_size]
         ids = shard.ids[idx]
-        out.append(
-            Batch(
-                ids=ids,
-                x_local=shard.x_local[idx],
-                x_side=_side_rows(side, ids),
-                y=shard.y[idx],
-            )
-        )
+        if side is None:
+            x_side = None
+        elif isinstance(side, GlobalStore):
+            x_side = side.rows(ids)
+        else:
+            x_side = side[idx]
+        out.append(Batch(ids=ids, x_local=shard.x_local[idx], x_side=x_side, y=shard.y[idx], index=idx))
     return out
 
 

@@ -11,6 +11,22 @@ with or without the global features.
 All randomness flows through named substreams of (seed, tag, ...), so a
 trace is a pure function of (config, dataset): client updates may run in
 any order without changing results.
+
+Validate at the edges, run unchecked kernels inside the loop, build nets
+once per phase. Data is checked where it enters (``ClientShard``,
+``GlobalStore``, config parsing, checkpoint loading). A client update
+copies its net's arrays once, runs its first step through the validating
+public ``nnet`` API, which checks the shapes every later step reuses, and
+its later steps through the unchecked ``nnet`` kernels, which update the
+copies in place. A cloud round does the same with every step on the
+kernels, as it trains nets it built itself from the config. The central
+step is a single step and runs through the public API, where the uploads
+enter the center. When a phase ends, a guard raises if any
+parameter or vertical gradient is non-finite, naming the phase, global
+epoch and client; a value that turns inf or nan stays non-finite under
+later steps, so this catches what per-step checks would. Then one
+validated net is built. Vertical gradients travel as one ``(n_j,
+u0_dim)`` array per client in shard order.
 """
 
 from __future__ import annotations
@@ -19,7 +35,7 @@ import csv
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -122,17 +138,11 @@ class CenterState:
 
 
 @dataclass(frozen=True)
-class ClientState:
-    client_id: int
-    shard: ClientShard
-
-
-@dataclass(frozen=True)
 class Upload:
     client_id: int
     q: float
     net: nnet.DenseNet
-    vgrads: dict[int, np.ndarray]
+    vgrads: np.ndarray | None  # (n_j, u0_dim) in shard order; None without a global model
 
 
 @dataclass(frozen=True)
@@ -194,20 +204,56 @@ def select_clients(n_clients: int, k: int, seed: int, t_g: int) -> tuple[int, ..
     return tuple(sorted(int(i) for i in picks))
 
 
+def _check_finite(
+    arrays: Iterable[np.ndarray],
+    phase: str,
+    global_epoch: int,
+    clients: Sequence[int],
+) -> None:
+    """The phase-edge guard: raise if any of the phase's results is inf or nan."""
+    if not all(np.all(np.isfinite(arr)) for arr in arrays):
+        raise ValueError(_non_finite(phase, global_epoch, clients))
+
+
+def _non_finite(phase: str, global_epoch: int, clients: Sequence[int]) -> str:
+    who = f"client {clients[0]}" if len(clients) == 1 else f"clients {list(clients)}"
+    return f"non-finite values after {phase} at global epoch {global_epoch}, {who}"
+
+
+def _arrays(params: nnet.Params) -> list[np.ndarray]:
+    return [arr for w, b, _ in params for arr in (w, b)]
+
+
+def _global_rows(
+    center: CenterState,
+    shards: Sequence[ClientShard],
+    global_store: GlobalStore | None,
+) -> list[np.ndarray | None]:
+    """Each shard's global rows in shard order, gathered with one store lookup;
+    all None for a center without a global model."""
+    if center.w0 is None:
+        return [None] * len(shards)
+    if global_store is None:
+        raise ValueError("global store required in a global-aware mode")
+    if not shards:
+        return []
+    rows = global_store.rows(np.concatenate([shard.ids for shard in shards]))
+    ends = np.cumsum([shard.n for shard in shards])
+    return [rows[end - shard.n : end] for shard, end in zip(shards, ends)]
+
+
 def center_broadcast(
     center: CenterState,
     global_store: GlobalStore,
     clients: Sequence[ClientShard],
-) -> dict[int, dict[int, np.ndarray]]:
-    """Per-client tables id -> centrally processed feature row u0 = w0(x0)."""
+) -> dict[int, np.ndarray]:
+    """Per client, the centrally processed rows u0 = w0(x0) in shard order."""
     if center.w0 is None:
         raise ValueError("center has no global model to broadcast from")
-    tables: dict[int, dict[int, np.ndarray]] = {}
-    for shard in clients:
-        rows = global_store.rows(shard.ids)
-        u0, _ = nnet.forward(center.w0, rows)
-        tables[shard.client_id] = {int(i): u0[k] for k, i in enumerate(shard.ids)}
-    return tables
+    return {
+        shard.client_id: nnet._output(center.w0, rows)
+        for shard, rows in zip(clients, _global_rows(center, clients, global_store))
+    }
 
 
 def _combined_step(
@@ -216,73 +262,97 @@ def _combined_step(
     batch_side: np.ndarray | None,
     batch_y: np.ndarray,
     combine: str,
-) -> tuple[float, nnet.Gradients, np.ndarray | None]:
-    """One forward/backward; returns loss, local-model grads, and the gradient
-    of the batch-mean loss with respect to the side (centrally processed) rows."""
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray | None]:
+    """One forward/backward through the validating public API; returns the
+    local model's weight and bias grads, and the gradient of the batch-mean
+    loss with respect to the side (centrally processed) rows."""
     if batch_side is None:
         out, trace = nnet.forward(net, batch_x)
-        loss, lgrad = nnet.mse_loss(out, batch_y)
-        return loss, nnet.backward(net, trace, lgrad), None
+        _, lgrad = nnet.mse_loss(out, batch_y)
+        grads = nnet.backward(net, trace, lgrad)
+        return grads.weights, grads.biases, None
     if combine == "concat":
         inp = np.hstack([batch_side, batch_x])
         out, trace = nnet.forward(net, inp)
-        loss, lgrad = nnet.mse_loss(out, batch_y)
+        _, lgrad = nnet.mse_loss(out, batch_y)
         grads = nnet.backward(net, trace, lgrad, want_input_grad=True)
-        side_grad = grads.input_grad[:, : batch_side.shape[1]]
-        return loss, grads, side_grad
+        return grads.weights, grads.biases, grads.input_grad[:, : batch_side.shape[1]]
     out, trace = nnet.forward(net, batch_x)
-    loss, lgrad = nnet.mse_loss(batch_side + out, batch_y)
+    _, lgrad = nnet.mse_loss(batch_side + out, batch_y)
     grads = nnet.backward(net, trace, lgrad)
-    return loss, grads, lgrad
+    return grads.weights, grads.biases, lgrad
+
+
+def _kernel_step(
+    params: nnet.Params,
+    batch_x: np.ndarray,
+    batch_side: np.ndarray | None,
+    batch_y: np.ndarray,
+    combine: str,
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
+    """:func:`_combined_step` on raw per-layer arrays, with nothing checked."""
+    concat = batch_side is not None and combine == "concat"
+    inp = np.hstack([batch_side, batch_x]) if concat else batch_x
+    pre, post = nnet._forward(params, inp)
+    out = post[-1] if batch_side is None or concat else batch_side + post[-1]
+    lgrad = nnet._mse_grad(out, batch_y)
+    wgrads, bgrads, input_grad = nnet._backward(params, inp, pre, post, lgrad, concat)
+    if concat:
+        return wgrads, bgrads, input_grad[:, : batch_side.shape[1]]
+    return wgrads, bgrads, None if batch_side is None else lgrad
 
 
 def client_update(
-    client: ClientState,
+    shard: ClientShard,
     wbar: nnet.DenseNet,
-    u0_table: Mapping[int, np.ndarray] | None,
+    u0: np.ndarray | None,
     local_epochs: int,
     batch_size: int,
     eta: Schedule,
     *,
     combine: str = "concat",
     batch_rng: np.random.Generator | int = 0,
-    slot_offset: int = 0,
-) -> tuple[nnet.DenseNet, dict[int, np.ndarray]]:
+    global_epoch: int = 0,
+) -> tuple[nnet.DenseNet, np.ndarray | None]:
     """Local training from the downloaded federal weights.
 
     The client initializes at ``wbar``, splits its samples (with the
-    fixed centrally processed rows) into batches once, then runs
-    ``local_epochs`` passes of mini-batch SGD. For every sample the
+    fixed centrally processed rows ``u0``, one per sample in shard order)
+    into batches once, then runs ``local_epochs`` passes of mini-batch SGD
+    at the learning-rate slots of ``global_epoch``. For every sample the
     gradient of the client loss with respect to its central row is
-    recorded each epoch and averaged over epochs; the result is returned
-    alongside the updated weights.
+    recorded each epoch and averaged over epochs; the result, an
+    ``(n_j, u0_dim)`` array in shard order (None without ``u0``), is
+    returned alongside the updated weights.
     """
-    shard = client.shard
     if shard.n == 0:
-        raise ValueError(f"client {client.client_id} has no samples")
+        raise ValueError(f"client {shard.client_id} has no samples")
     if local_epochs < 1:
         raise ValueError("local_epochs must be >= 1")
-    net = wbar
-    batch_list = batches(shard, u0_table, batch_size, batch_rng)
-    vgrad_sum: dict[int, np.ndarray] = {}
+    params = nnet._params(wbar)
+    batch_list = batches(shard, u0, batch_size, batch_rng)
+    vgrad_sum = None if u0 is None else np.empty((shard.n, u0.shape[1]))
     for epoch in range(local_epochs):
-        for b in batch_list:
-            loss, grads, side_grad = _combined_step(net, b.x_local, b.x_side, b.y, combine)
+        eta_t = eta.value(global_epoch * local_epochs + epoch)
+        for i, b in enumerate(batch_list):
+            if epoch == 0 and i == 0:
+                wgrads, bgrads, side_grad = _combined_step(wbar, b.x_local, b.x_side, b.y, combine)
+            else:
+                wgrads, bgrads, side_grad = _kernel_step(params, b.x_local, b.x_side, b.y, combine)
             if side_grad is not None:
-                # rescale batch-mean rows to client-mean units
-                scale = b.ids.shape[0] / shard.n
-                for k, sample_id in enumerate(b.ids):
-                    key = int(sample_id)
-                    row = side_grad[k] * scale
-                    if key in vgrad_sum:
-                        vgrad_sum[key] = vgrad_sum[key] + row
-                    else:
-                        vgrad_sum[key] = row
-            eta_t = eta.value(slot_offset + epoch)
+                # rescale batch-mean rows to client-mean units; each epoch
+                # visits every sample once, so epoch 0 writes every row
+                rows = side_grad * (b.ids.shape[0] / shard.n)
+                if epoch == 0:
+                    vgrad_sum[b.index] = rows
+                else:
+                    vgrad_sum[b.index] += rows
             if eta_t > 0.0:
-                net = nnet.sgd_step(net, grads, eta_t)
-    vgrads = {key: row / local_epochs for key, row in vgrad_sum.items()}
-    return net, vgrads
+                nnet._sgd(params, wgrads, bgrads, eta_t)
+    vgrads = None if vgrad_sum is None else vgrad_sum / local_epochs
+    checked = _arrays(params) + ([] if vgrads is None else [vgrads])
+    _check_finite(checked, "client_update", global_epoch, (shard.client_id,))
+    return nnet._net(params), vgrads
 
 
 def aggregate_weights(
@@ -290,12 +360,16 @@ def aggregate_weights(
     k: int,
     n_clients: int | None = None,
     aggregator: str = "renormalized",
+    *,
+    global_epoch: int = 0,
+    client_ids: Sequence[int] = (),
 ) -> nnet.DenseNet:
     """Layer-wise weighted sum of the received nets.
 
     ``renormalized`` rescales the received coefficients to sum to 1 (a
     convex combination even when uploads were lost); ``paper_unbiased``
-    uses (n_clients / k) * q_j, the unbiased estimator.
+    uses (n_clients / k) * q_j, the unbiased estimator. ``global_epoch``
+    and ``client_ids`` name the round in the error for a non-finite sum.
     """
     if not uploads:
         raise ValueError("cannot aggregate an empty upload set")
@@ -309,7 +383,7 @@ def aggregate_weights(
     else:
         raise ValueError(f"unknown aggregator {aggregator!r}")
     reference = uploads[0][1]
-    layers = []
+    params = []
     for idx, ref_layer in enumerate(reference.layers):
         w = np.zeros_like(ref_layer.weights)
         b = np.zeros_like(ref_layer.bias)
@@ -319,39 +393,56 @@ def aggregate_weights(
                 raise ValueError("uploaded nets have mismatched shapes")
             w += coeff * layer.weights
             b += coeff * layer.bias
-        layers.append(nnet.DenseLayer(weights=w, bias=b, activation=ref_layer.activation))
-    return nnet.DenseNet(layers=tuple(layers))
+        params.append((w, b, ref_layer.activation))
+    _check_finite(_arrays(params), "aggregate_weights", global_epoch, client_ids)
+    return nnet._net(params)
 
 
 def central_update(
     w0: nnet.DenseNet,
-    vgrad_tables: Sequence[Mapping[int, np.ndarray]],
+    vgrads: Sequence[tuple[ClientShard, np.ndarray]],
     global_store: GlobalStore,
     eta0: float,
+    *,
+    global_epoch: int = 0,
 ) -> nnet.DenseNet:
-    """One SGD step on the global model from the returned per-sample gradients.
+    """One SGD step on the global model from the returned vertical gradients.
 
-    The stacked rows are back-propagated through w0 as the output
-    gradient, which sums the chain rule over every received sample.
+    ``vgrads`` pairs each delivered client's shard with its ``(n_j,
+    u0_dim)`` gradient rows in shard order. The rows of all clients are
+    ordered by sample id and back-propagated through w0 as the output
+    gradient, which sums the chain rule over every received sample. The
+    step runs through the validating public ``nnet`` API, as the uploads
+    enter the center here.
     """
-    merged: dict[int, np.ndarray] = {}
-    for table in vgrad_tables:
-        for sample_id, row in table.items():
-            if sample_id in merged:
-                raise ValueError(f"duplicate vertical-gradient row for id {sample_id}")
-            merged[int(sample_id)] = row
-    if not merged:
+    for shard, rows in vgrads:
+        if rows.ndim != 2 or rows.shape[0] != shard.n:
+            raise ValueError(
+                f"vertical gradients of client {shard.client_id} have shape {rows.shape}, "
+                f"expected {shard.n} rows"
+            )
+    if not vgrads:
         return w0
-    ids = sorted(merged)
-    rows = np.vstack([merged[i] for i in ids])
-    x0 = global_store.rows(ids)
-    out, trace = nnet.forward(w0, x0)
+    ids = np.concatenate([shard.ids for shard, _ in vgrads])
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise ValueError(f"duplicate vertical-gradient row for id {int(repeated[0])}")
+    rows = np.concatenate([r for _, r in vgrads])[order]
+    x_global = global_store.rows(ids)
+    out, trace = nnet.forward(w0, x_global)
     if rows.shape != out.shape:
         raise ValueError(f"vertical gradients have shape {rows.shape}, expected {out.shape}")
     grads = nnet.backward(w0, trace, rows)
     if eta0 <= 0.0:
         return w0
-    return nnet.sgd_step(w0, grads, eta0)
+    try:
+        return nnet.sgd_step(w0, grads, eta0)
+    except ValueError as err:
+        # backward fixed the shapes, so the stepped net failed its finite check
+        clients = [shard.client_id for shard, _ in vgrads]
+        raise ValueError(_non_finite("central_update", global_epoch, clients)) from err
 
 
 def predict(
@@ -360,17 +451,33 @@ def predict(
     x_local: np.ndarray,
 ) -> np.ndarray:
     """Model output y_hat for a batch; global features are required iff w0 exists."""
+    x_local = nnet._as_batch(x_local, "batch")
+    local_in = x_local.shape[1]
+    if center.w0 is not None:
+        if x_global is None:
+            raise ValueError("global features required for a center with a global model")
+        x_global = nnet._as_batch(x_global, "batch")
+        if x_global.shape[1] != center.w0.in_dim:
+            raise ValueError(f"batch has {x_global.shape[1]} columns, net expects {center.w0.in_dim}")
+        if center.combine == "concat":
+            local_in += center.w0.out_dim
+    if local_in != center.wbar.in_dim:
+        raise ValueError(f"batch has {local_in} columns, net expects {center.wbar.in_dim}")
+    return _predict(center, x_global, x_local)
+
+
+def _predict(
+    center: CenterState,
+    x_global: np.ndarray | None,
+    x_local: np.ndarray,
+) -> np.ndarray:
+    """:func:`predict` on validated rows, with the unchecked forward pass."""
     if center.w0 is None:
-        out, _ = nnet.forward(center.wbar, x_local)
-        return out
-    if x_global is None:
-        raise ValueError("global features required for a center with a global model")
-    u0, _ = nnet.forward(center.w0, x_global)
+        return nnet._output(center.wbar, x_local)
+    u0 = nnet._output(center.w0, x_global)
     if center.combine == "concat":
-        out, _ = nnet.forward(center.wbar, np.hstack([u0, x_local]))
-        return out
-    out, _ = nnet.forward(center.wbar, x_local)
-    return u0 + out
+        return nnet._output(center.wbar, np.hstack([u0, x_local]))
+    return u0 + nnet._output(center.wbar, x_local)
 
 
 def evaluate(
@@ -382,11 +489,8 @@ def evaluate(
     sq_sum = 0.0
     ratio_sum = 0.0
     count = 0
-    for shard in shards:
-        x_global = global_store.rows(shard.ids) if center.w0 is not None else None
-        if center.w0 is not None and global_store is None:
-            raise ValueError("global store required in a global-aware mode")
-        pred = predict(center, x_global, shard.x_local)
+    for shard, x_global in zip(shards, _global_rows(center, shards, global_store)):
+        pred = _predict(center, x_global, shard.x_local)
         diff = pred - shard.y
         sq_sum += float(np.sum(diff * diff))
         norms = np.linalg.norm(diff, axis=1)
@@ -405,9 +509,8 @@ def weighted_train_loss(
 ) -> float:
     """Global objective: q-weighted sum of per-client mean losses."""
     total = 0.0
-    for shard in shards:
-        x_global = global_store.rows(shard.ids) if center.w0 is not None else None
-        pred = predict(center, x_global, shard.x_local)
+    for shard, x_global in zip(shards, _global_rows(center, shards, global_store)):
+        pred = _predict(center, x_global, shard.x_local)
         diff = pred - shard.y
         total += shard.q * float(np.sum(diff * diff)) / shard.n
     return total
@@ -458,19 +561,19 @@ def run_vhfl(
     for t_g in range(config.global_epochs):
         started = time.perf_counter()
         selected = select_clients(config.n_clients, config.k, config.seed, t_g)
-        tables = center_broadcast(center, store, [shards[j] for j in selected])
+        u0 = center_broadcast(center, store, [shards[j] for j in selected])
         uploads = []
         for j in selected:
             net_j, vgrads = client_update(
-                ClientState(j, shards[j]),
+                shards[j],
                 center.wbar,
-                tables[j],
+                u0[j],
                 config.local_epochs,
                 config.batch_size,
                 config.eta,
                 combine=config.combine,
                 batch_rng=substream(config.seed, "batches", j, t_g),
-                slot_offset=t_g * config.local_epochs,
+                global_epoch=t_g,
             )
             uploads.append(Upload(client_id=j, q=shards[j].q, net=net_j, vgrads=vgrads))
         delivered = _deliver(config.deadline_channel, uploads, t_g)
@@ -480,13 +583,16 @@ def run_vhfl(
                 config.k,
                 config.n_clients,
                 config.aggregator,
+                global_epoch=t_g,
+                client_ids=[u.client_id for u in delivered],
             )
             if not config.center_frozen:
                 center.w0 = central_update(
                     center.w0,
-                    [u.vgrads for u in delivered],
+                    [(shards[u.client_id], u.vgrads) for u in delivered],
                     store,
                     config.eta0.value(t_g),
+                    global_epoch=t_g,
                 )
                 center.central_updates += 1
         center.epoch += 1
@@ -529,7 +635,7 @@ def run_hfl(
         uploads = []
         for j in selected:
             net_j, _ = client_update(
-                ClientState(j, shards[j]),
+                shards[j],
                 center.wbar,
                 None,
                 config.local_epochs,
@@ -537,9 +643,9 @@ def run_hfl(
                 config.eta,
                 combine=config.combine,
                 batch_rng=substream(config.seed, "batches", j, t_g),
-                slot_offset=t_g * config.local_epochs,
+                global_epoch=t_g,
             )
-            uploads.append(Upload(client_id=j, q=shards[j].q, net=net_j, vgrads={}))
+            uploads.append(Upload(client_id=j, q=shards[j].q, net=net_j, vgrads=None))
         delivered = _deliver(config.deadline_channel, uploads, t_g)
         if delivered:
             center.wbar = aggregate_weights(
@@ -547,6 +653,8 @@ def run_hfl(
                 config.k,
                 config.n_clients,
                 config.aggregator,
+                global_epoch=t_g,
+                client_ids=[u.client_id for u in delivered],
             )
         center.epoch += 1
         train = weighted_train_loss(center, dataset.clients, None)
@@ -580,6 +688,8 @@ def run_cloud(
 
     With ``use_global`` the composed model (global net feeding the local
     net) is trained end-to-end; otherwise only local features are used.
+    Each round is one phase: it steps copies of the center's nets with the
+    unchecked kernels and builds them once at its end.
     """
     _check_dims_hfl(config, dataset)
     store = dataset.global_store
@@ -599,31 +709,34 @@ def run_cloud(
             wbar=nnet.random_net(dims, acts, substream(config.seed, "init", "wbar")),
             combine=config.combine,
         )
+    x0_pooled = store.rows(pooled.ids) if use_global else None
     mode = "cloud" if use_global else "cloud_local"
     trace = TrainingTrace(mode=mode, seed=config.seed)
     for t_g in range(config.global_epochs):
         started = time.perf_counter()
         batch_rng = substream(config.seed, "batches", 0, t_g)
-        batch_list = batches(pooled, None, config.batch_size, batch_rng)
+        batch_list = batches(pooled, x0_pooled, config.batch_size, batch_rng)
+        wbar = nnet._params(center.wbar)
+        w0 = nnet._params(center.w0) if use_global else []
         for epoch in range(config.local_epochs):
             eta_t = config.eta.value(t_g * config.local_epochs + epoch)
             for b in batch_list:
                 if use_global:
-                    x0 = store.rows(b.ids)
-                    u0, trace0 = nnet.forward(center.w0, x0)
-                    loss, grads, side_grad = _combined_step(
-                        center.wbar, b.x_local, u0, b.y, config.combine
-                    )
-                    g0 = nnet.backward(center.w0, trace0, side_grad)
-                    if eta_t > 0.0:
-                        center.wbar = nnet.sgd_step(center.wbar, grads, eta_t)
-                        center.w0 = nnet.sgd_step(center.w0, g0, eta_t)
+                    pre0, post0 = nnet._forward(w0, b.x_side)
+                    gw, gb, side_grad = _kernel_step(wbar, b.x_local, post0[-1], b.y, config.combine)
+                    g0w, g0b, _ = nnet._backward(w0, b.x_side, pre0, post0, side_grad, False)
                 else:
-                    loss, grads, _ = _combined_step(center.wbar, b.x_local, None, b.y, config.combine)
-                    if eta_t > 0.0:
-                        center.wbar = nnet.sgd_step(center.wbar, grads, eta_t)
+                    gw, gb, _ = _kernel_step(wbar, b.x_local, None, b.y, config.combine)
+                if eta_t > 0.0:
+                    nnet._sgd(wbar, gw, gb, eta_t)
+                    if use_global:
+                        nnet._sgd(w0, g0w, g0b, eta_t)
+        _check_finite(_arrays(wbar) + _arrays(w0), "run_cloud", t_g, (0,))
+        center.wbar = nnet._net(wbar)
+        if use_global:
+            center.w0 = nnet._net(w0)
         center.epoch += 1
-        train = weighted_train_loss(center, dataset.clients, store if use_global else None)
-        test_mse, err = evaluate(center, dataset.test_clients, store if use_global else None)
+        train = weighted_train_loss(center, dataset.clients, store)
+        test_mse, err = evaluate(center, dataset.test_clients, store)
         trace.append(TraceRow(t_g, train, test_mse, err, 0, time.perf_counter() - started))
     return center, trace

@@ -2,9 +2,18 @@
 
 Exact forward/backward passes over a fixed stack of affine+activation
 layers, MSE loss, plain SGD, and gradients with respect to the batch
-inputs (the quantity exchanged in vertical training). Everything is a
-pure function of its arguments; nets are immutable and all arithmetic is
-float64.
+inputs (the quantity exchanged in vertical training). The public
+functions are pure; nets are immutable and all arithmetic is float64.
+
+Validate at the edges, run unchecked kernels inside the loop. The public
+``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument
+and then call the private kernels ``_forward``/``_mse_grad``/
+``_backward``/``_sgd``, which work on plain per-layer ``(W, b,
+activation)`` tuples (see ``_params``) and check nothing. A training loop
+copies a net's arrays once with ``_params``, steps them in place with the
+kernels, and builds one validated net with ``_net`` when its phase ends.
+Both paths run the same float64 operations in the same order, so their
+results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -35,16 +44,6 @@ def _activate(tag: str, z: np.ndarray) -> np.ndarray:
     if tag == "relu":
         return np.maximum(z, 0.0)
     return np.tanh(z)
-
-
-def _activate_grad(tag: str, z: np.ndarray) -> np.ndarray:
-    if tag == "identity":
-        return np.ones_like(z)
-    if tag == "relu":
-        # subgradient at 0 fixed to 0
-        return (z > 0.0).astype(np.float64)
-    t = np.tanh(z)
-    return 1.0 - t * t
 
 
 @dataclass(frozen=True)
@@ -131,20 +130,92 @@ class Gradients:
     input_grad: np.ndarray | None = None
 
 
+# One layer's parameters as the kernels see them: (weights, bias, activation).
+Params = list[tuple[np.ndarray, np.ndarray, str]]
+
+
+def _params(net: DenseNet) -> Params:
+    """Private copies of a net's arrays, for a loop that steps them in place."""
+    return [(layer.weights.copy(), layer.bias.copy(), layer.activation) for layer in net.layers]
+
+
+def _view(net: DenseNet) -> Params:
+    """A net's own arrays, for kernels that only read them."""
+    return [(layer.weights, layer.bias, layer.activation) for layer in net.layers]
+
+
+def _net(params: Params) -> DenseNet:
+    """Build (and validate) a net that holds the given arrays without copying."""
+    return DenseNet(tuple(DenseLayer(w, b, act) for w, b, act in params))
+
+
+def _forward(params: Params, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer pre- and post-activations; the output is ``post[-1]``."""
+    pre: list[np.ndarray] = []
+    post: list[np.ndarray] = []
+    a = x
+    for w, b, act in params:
+        z = a @ w.T + b
+        a = _activate(act, z)
+        pre.append(z)
+        post.append(a)
+    return pre, post
+
+
+def _output(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """Unchecked forward pass of a validated net on validated rows."""
+    return _forward(_view(net), x)[1][-1]
+
+
+def _mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """d(mean squared L2 error)/d(pred)."""
+    return (2.0 / pred.shape[0]) * (pred - target)
+
+
+def _backward(
+    params: Params,
+    x: np.ndarray,
+    pre: Sequence[np.ndarray],
+    post: Sequence[np.ndarray],
+    da: np.ndarray,
+    want_input_grad: bool,
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
+    """Parameter gradients, and d(loss)/d(x) if wanted, given d(loss)/d(outputs)."""
+    n = len(params)
+    wgrads: list[np.ndarray] = [np.empty(0)] * n
+    bgrads: list[np.ndarray] = [np.empty(0)] * n
+    for i in range(n - 1, -1, -1):
+        w, _, act = params[i]
+        if act == "identity":
+            dz = da  # the derivative is 1, and x * 1.0 == x bit for bit
+        elif act == "relu":
+            # subgradient at 0 fixed to 0
+            dz = da * (pre[i] > 0.0)
+        else:
+            # post[i] is tanh(pre[i]), and np.tanh is deterministic
+            dz = da * (1.0 - post[i] * post[i])
+        layer_in = x if i == 0 else post[i - 1]
+        wgrads[i] = dz.T @ layer_in
+        bgrads[i] = dz.sum(axis=0)
+        if i > 0 or want_input_grad:
+            da = dz @ w
+    return wgrads, bgrads, da if want_input_grad else None
+
+
+def _sgd(params: Params, wgrads: Sequence[np.ndarray], bgrads: Sequence[np.ndarray], eta: float) -> None:
+    """p <- p - eta*g in place; bit for bit the same as the out-of-place step."""
+    for (w, b, _), gw, gb in zip(params, wgrads, bgrads):
+        w -= eta * gw
+        b -= eta * gb
+
+
 def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, ForwardTrace]:
     """Run the net on a (batch, in_dim) matrix; returns outputs and a trace."""
     x = _as_batch(batch, "batch")
     if x.shape[1] != net.in_dim:
         raise ValueError(f"batch has {x.shape[1]} columns, net expects {net.in_dim}")
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = []
-    a = x
-    for layer in net.layers:
-        z = a @ layer.weights.T + layer.bias
-        a = _activate(layer.activation, z)
-        pre.append(z)
-        post.append(a)
-    return a, ForwardTrace(inputs=x, pre=tuple(pre), post=tuple(post))
+    pre, post = _forward(_view(net), x)
+    return post[-1], ForwardTrace(inputs=x, pre=tuple(pre), post=tuple(post))
 
 
 def mse_loss(pred: object, target: object) -> tuple[float, np.ndarray]:
@@ -154,10 +225,8 @@ def mse_loss(pred: object, target: object) -> tuple[float, np.ndarray]:
     if p.shape != t.shape:
         raise ValueError(f"pred shape {p.shape} != target shape {t.shape}")
     diff = p - t
-    n = p.shape[0]
-    loss = float(np.sum(diff * diff) / n)
-    grad = (2.0 / n) * diff
-    return loss, grad
+    loss = float(np.sum(diff * diff) / p.shape[0])
+    return loss, _mse_grad(p, t)
 
 
 def _check_trace(net: DenseNet, trace: ForwardTrace) -> None:
@@ -181,22 +250,10 @@ def backward(
     da = _as_batch(loss_grad, "loss_grad")
     if da.shape != trace.post[-1].shape:
         raise ValueError(f"loss_grad shape {da.shape} does not match outputs {trace.post[-1].shape}")
-    n = net.n_layers
-    wgrads: list[np.ndarray] = [np.empty(0)] * n
-    bgrads: list[np.ndarray] = [np.empty(0)] * n
-    for i in range(n - 1, -1, -1):
-        layer = net.layers[i]
-        dz = da * _activate_grad(layer.activation, trace.pre[i])
-        layer_in = trace.inputs if i == 0 else trace.post[i - 1]
-        wgrads[i] = dz.T @ layer_in
-        bgrads[i] = dz.sum(axis=0)
-        if i > 0 or want_input_grad:
-            da = dz @ layer.weights
-    return Gradients(
-        weights=tuple(wgrads),
-        biases=tuple(bgrads),
-        input_grad=da if want_input_grad else None,
+    wgrads, bgrads, input_grad = _backward(
+        _view(net), trace.inputs, trace.pre, trace.post, da, want_input_grad
     )
+    return Gradients(weights=tuple(wgrads), biases=tuple(bgrads), input_grad=input_grad)
 
 
 def sgd_step(net: DenseNet, grads: Gradients, eta: float) -> DenseNet:
@@ -205,18 +262,12 @@ def sgd_step(net: DenseNet, grads: Gradients, eta: float) -> DenseNet:
         raise ValueError(f"eta must be positive, got {eta}")
     if len(grads.weights) != net.n_layers or len(grads.biases) != net.n_layers:
         raise ValueError("gradients do not match net layer count")
-    layers = []
     for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
         if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
             raise ValueError("gradient shapes do not match layer shapes")
-        layers.append(
-            DenseLayer(
-                weights=layer.weights - eta * gw,
-                bias=layer.bias - eta * gb,
-                activation=layer.activation,
-            )
-        )
-    return DenseNet(layers=tuple(layers))
+    params = _params(net)
+    _sgd(params, grads.weights, grads.biases, eta)
+    return _net(params)
 
 
 def random_net(

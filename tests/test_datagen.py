@@ -206,9 +206,24 @@ def test_batches_deterministic_and_keeps_short_tail():
 def test_batches_missing_global_entry():
     ds = generate(SMALL)
     shard = ds.clients[0]
-    table = {int(i): np.zeros(2) for i in shard.ids[:-1]}
+    store = datagen.GlobalStore(shard.ids[:-1], np.zeros((shard.n - 1, 2)))
     with pytest.raises(KeyError):
-        batches(shard, table, batch_size=8, seed=0)
+        batches(shard, store, batch_size=8, seed=0)
+
+
+def test_global_store_rows_gather_by_id():
+    features = np.arange(12.0).reshape(4, 3)
+    store = datagen.GlobalStore([30, 10, 40, 20], features)
+    wanted = [20, 30, 20, 40]
+    assert np.array_equal(store.rows(wanted), np.vstack([store.get(i) for i in wanted]))
+    assert np.array_equal(store.rows(iter(np.array(wanted))), store.rows(wanted))
+    assert store.rows(np.array([], dtype=np.int64)).shape == (0, 3)
+    for ids, first_missing in (([10, 25, 5], 25), ([50], 50), ([0, 10], 0)):
+        with pytest.raises(KeyError, match=f"no global features for id {first_missing}"):
+            store.rows(ids)
+    empty = datagen.GlobalStore([], np.zeros((0, 3)))
+    with pytest.raises(KeyError, match="no global features for id 7"):
+        empty.rows([7])
 
 
 def test_export_import_roundtrip(tmp_path):
@@ -217,6 +232,32 @@ def test_export_import_roundtrip(tmp_path):
     loaded = datagen.load_dataset(tmp_path)
     assert dataset_equal(ds, loaded)
     assert [s.q for s in loaded.clients] == [s.q for s in ds.clients]
+
+
+def test_shard_rejects_non_finite_rows():
+    ids = np.arange(3)
+    good = np.zeros((3, 2))
+    datagen.ClientShard(0, ids, good, good, 1.0)
+    bad_x = good.copy()
+    bad_x[1, 0] = np.nan
+    with pytest.raises(ValueError, match="client 4 has non-finite"):
+        datagen.ClientShard(4, ids, bad_x, good, 1.0)
+    bad_y = good.copy()
+    bad_y[2, 1] = -np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        datagen.ClientShard(0, ids, good, bad_y, 1.0)
+
+
+def test_load_dataset_rejects_nan_in_client_csv(tmp_path):
+    datagen.save_dataset(generate(SMALL), tmp_path)
+    path = tmp_path / "client_1.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    cells[1] = "nan"
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="client 1 has non-finite"):
+        datagen.load_dataset(tmp_path)
 
 
 def test_config_validation():

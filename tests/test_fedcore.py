@@ -9,7 +9,6 @@ from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, generate
 from vhfl_lab.fedcore import (
     CenterState,
-    ClientState,
     FederationConfig,
     Schedule,
     aggregate_weights,
@@ -124,8 +123,8 @@ def test_broadcast_identity_center():
     tables = center_broadcast(center, ds.global_store, ds.clients[:2])
     for shard in ds.clients[:2]:
         table = tables[shard.client_id]
-        for sample_id in shard.ids:
-            assert np.array_equal(table[int(sample_id)], ds.global_store.get(int(sample_id)))
+        for k, sample_id in enumerate(shard.ids):
+            assert np.array_equal(table[k], ds.global_store.get(int(sample_id)))
 
 
 def test_broadcast_matches_per_sample_forward():
@@ -136,29 +135,32 @@ def test_broadcast_matches_per_sample_forward():
         wbar=nnet.zeros_net([7, 2], ["identity"]),
     )
     tables = center_broadcast(center, ds.global_store, ds.clients)
+    assert set(tables) == {shard.client_id for shard in ds.clients}
     for shard in ds.clients:
-        for sample_id in shard.ids:
+        assert tables[shard.client_id].shape == (shard.n, 3)
+        for k, sample_id in enumerate(shard.ids):
             row = ds.global_store.get(int(sample_id))[None, :]
             single, _ = nnet.forward(center.w0, row)
-            assert np.allclose(tables[shard.client_id][int(sample_id)], single[0], atol=1e-12)
-    # disjoint clients receive disjoint id sets
+            assert np.allclose(tables[shard.client_id][k], single[0], atol=1e-12)
+    # disjoint clients receive disjoint id sets, one row per sample in shard order
     seen: set[int] = set()
-    for table in tables.values():
-        assert not (seen & set(table))
-        seen |= set(table)
+    for shard in ds.clients:
+        table_ids = set(int(i) for i in shard.ids)
+        assert tables[shard.client_id].shape[0] == len(table_ids)
+        assert not (seen & table_ids)
+        seen |= table_ids
 
 
 # ------------------------------------------------------------ client update
 
 
-def manual_full_batch_vgrads(net, shard, table, u0_dim):
-    """Gradient of the client's mean loss wrt each sample's central row."""
-    u0 = np.vstack([table[int(i)] for i in shard.ids])
+def manual_full_batch_vgrads(net, shard, u0, u0_dim):
+    """Gradient of the client's mean loss wrt each sample's central row, in shard order."""
     inp = np.hstack([u0, shard.x_local])
     out, trace = nnet.forward(net, inp)
     _, lgrad = nnet.mse_loss(out, shard.y)
     grads = nnet.backward(net, trace, lgrad, want_input_grad=True)
-    return {int(i): grads.input_grad[k, :u0_dim] for k, i in enumerate(shard.ids)}
+    return grads.input_grad[:, :u0_dim]
 
 
 def test_client_update_zero_eta_keeps_weights_and_initial_vgrad():
@@ -166,11 +168,11 @@ def test_client_update_zero_eta_keeps_weights_and_initial_vgrad():
     shard = ds.clients[0]
     rng = substream(3, "cu")
     wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
-    table = {int(i): rng.standard_normal(3) for i in shard.ids}
+    u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     net, vgrads = client_update(
-        ClientState(0, shard),
+        shard,
         wbar,
-        table,
+        u0,
         local_epochs=4,
         batch_size=8,
         eta=Schedule("constant", 0.0),
@@ -178,9 +180,9 @@ def test_client_update_zero_eta_keeps_weights_and_initial_vgrad():
         batch_rng=substream(3, "b"),
     )
     assert nets_equal(net, wbar)
-    expected = manual_full_batch_vgrads(wbar, shard, table, u0_dim=3)
-    for sample_id, row in expected.items():
-        assert np.allclose(vgrads[sample_id], row, atol=1e-12)
+    expected = manual_full_batch_vgrads(wbar, shard, u0, u0_dim=3)
+    for k, row in enumerate(expected):
+        assert np.allclose(vgrads[k], row, atol=1e-12)
 
 
 def test_client_update_perfect_fit_returns_zero_vgrads():
@@ -188,16 +190,15 @@ def test_client_update_perfect_fit_returns_zero_vgrads():
     shard = ds.clients[1]
     rng = substream(4, "cu2")
     wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
-    table = {int(i): rng.standard_normal(3) for i in shard.ids}
-    u0 = np.vstack([table[int(i)] for i in shard.ids])
+    u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     fitted_y, _ = nnet.forward(wbar, np.hstack([u0, shard.x_local]))
     fitted = ClientShard(
         client_id=shard.client_id, ids=shard.ids, x_local=shard.x_local, y=fitted_y, q=shard.q
     )
     net, vgrads = client_update(
-        ClientState(1, fitted),
+        fitted,
         wbar,
-        table,
+        u0,
         local_epochs=3,
         batch_size=16,
         eta=Schedule("constant", 0.05),
@@ -205,7 +206,7 @@ def test_client_update_perfect_fit_returns_zero_vgrads():
         batch_rng=substream(4, "b"),
     )
     assert nets_equal(net, wbar)
-    for row in vgrads.values():
+    for row in vgrads:
         assert np.array_equal(row, np.zeros_like(row))
 
 
@@ -214,11 +215,11 @@ def test_client_vertical_gradient_matches_finite_differences():
     shard = ds.clients[2]
     rng = substream(5, "cu3")
     wbar = nnet.random_net([3 + 4, 10, 2], ["tanh", "identity"], rng)
-    table = {int(i): rng.standard_normal(3) for i in shard.ids}
+    u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     _, vgrads = client_update(
-        ClientState(2, shard),
+        shard,
         wbar,
-        table,
+        u0,
         local_epochs=1,
         batch_size=10_000,
         eta=Schedule("constant", 0.05),
@@ -226,18 +227,17 @@ def test_client_vertical_gradient_matches_finite_differences():
         batch_rng=substream(5, "b"),
     )
 
-    def client_loss(tbl):
-        u0 = np.vstack([tbl[int(i)] for i in shard.ids])
-        out, _ = nnet.forward(wbar, np.hstack([u0, shard.x_local]))
+    def client_loss(rows):
+        out, _ = nnet.forward(wbar, np.hstack([rows, shard.x_local]))
         return nnet.mse_loss(out, shard.y)[0]
 
     step = 1e-5
-    probe = int(shard.ids[3])
+    probe = 3
     fd = np.zeros(3)
     for d in range(3):
         for sign in (+1.0, -1.0):
-            bumped = {k: v.copy() for k, v in table.items()}
-            bumped[probe][d] += sign * step
+            bumped = u0.copy()
+            bumped[probe, d] += sign * step
             fd[d] += sign * client_loss(bumped)
     fd /= 2.0 * step
     rel = np.abs(fd - vgrads[probe]) / np.maximum(np.abs(fd), 1e-6)
@@ -306,8 +306,8 @@ def test_central_update_zero_vgrads_no_change():
     rng = substream(10, "cen")
     w0 = nnet.random_net([3, 5, 3], ["tanh", "identity"], rng)
     ds = generate(SYNTH)
-    table = {int(i): np.zeros(3) for i in ds.clients[0].ids}
-    out = central_update(w0, [table], ds.global_store, eta0=0.05)
+    shard = ds.clients[0]
+    out = central_update(w0, [(shard, np.zeros((shard.n, 3)))], ds.global_store, eta0=0.05)
     assert nets_equal(out, w0)
 
 
@@ -316,9 +316,10 @@ def test_central_update_identity_layer_outer_product():
     ids = np.array([11])
     x0 = np.array([[0.5, -1.0, 2.0]])
     store = GlobalStore(ids, x0)
+    shard = ClientShard(0, ids, np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
     vrow = np.array([1.0, -2.0, 0.25])
     eta0 = 0.1
-    out = central_update(w0, [{11: vrow}], store, eta0=eta0)
+    out = central_update(w0, [(shard, vrow[None, :])], store, eta0=eta0)
     expected_grad = np.outer(vrow, x0[0])
     assert np.allclose(out.layers[0].weights, np.eye(3) - eta0 * expected_grad, atol=1e-14)
     assert np.allclose(out.layers[0].bias, -eta0 * vrow, atol=1e-14)
@@ -335,7 +336,7 @@ def test_central_update_matches_finite_differences_of_composed_loss():
     vgrad_tables = []
     for shard in ds.clients:
         _, vg = client_update(
-            ClientState(shard.client_id, shard),
+            shard,
             wbar,
             tables[shard.client_id],
             local_epochs=1,
@@ -344,7 +345,7 @@ def test_central_update_matches_finite_differences_of_composed_loss():
             combine="concat",
             batch_rng=substream(11, "b", shard.client_id),
         )
-        vgrad_tables.append(vg)
+        vgrad_tables.append((shard, vg))
 
     eta0 = 1e-2
     stepped = central_update(w0, vgrad_tables, ds.global_store, eta0=eta0)
@@ -376,8 +377,8 @@ def test_central_update_matches_finite_differences_of_composed_loss():
 def test_central_update_rejects_duplicate_ids():
     w0 = nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),))
     store = GlobalStore(np.array([1]), np.ones((1, 2)))
-    row = {1: np.ones(2)}
-    with pytest.raises(ValueError):
+    row = (ClientShard(0, np.array([1]), np.zeros((1, 1)), np.zeros((1, 1)), 1.0), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="duplicate vertical-gradient row for id 1"):
         central_update(w0, [row, row], store, eta0=0.1)
 
 
@@ -502,20 +503,18 @@ def test_run_cloud_global_fits_linear_realizable_task():
     assert trace.final.train_mse < 1e-3
 
     # vertical gradients vanish at the converged fit
-    table = {
-        int(i): u for i, u in zip(ids, nnet.forward(center.w0, x0)[0])
-    }
+    u0 = nnet.forward(center.w0, x0)[0]
     _, vgrads = client_update(
-        ClientState(0, ds.clients[0]),
+        ds.clients[0],
         center.wbar,
-        table,
+        u0,
         local_epochs=1,
         batch_size=10_000,
         eta=Schedule("constant", 0.0),
         combine="concat",
         batch_rng=substream(3, "post"),
     )
-    assert max(float(np.linalg.norm(v)) for v in vgrads.values()) < 1e-4
+    assert max(float(np.linalg.norm(v)) for v in vgrads) < 1e-4
 
 
 def test_run_cloud_deterministic():
@@ -614,6 +613,26 @@ def test_predict_requires_global_features_when_center_has_w0():
     )
     with pytest.raises(ValueError):
         predict(center, None, np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("combine", ["concat", "additive"])
+def test_predict_checks_its_inputs(combine):
+    w0 = nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),))
+    wbar = nnet.zeros_net([5 if combine == "concat" else 3, 2], ["identity"])
+    for center in (CenterState(w0=w0, wbar=wbar, combine=combine), CenterState(w0=None, wbar=wbar)):
+        x_global = np.zeros((1, 2)) if center.w0 is not None else None
+        local_in = wbar.in_dim - (2 if center.w0 is not None and combine == "concat" else 0)
+        assert predict(center, x_global, np.zeros((1, local_in))).shape == (1, 2)
+        with pytest.raises(ValueError, match="columns"):
+            predict(center, x_global, np.zeros((1, local_in + 1)))
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(center, x_global, np.full((1, local_in), np.nan))
+    center = CenterState(w0=w0, wbar=wbar, combine=combine)
+    local_in = 3
+    with pytest.raises(ValueError, match="columns"):
+        predict(center, np.zeros((1, 3)), np.zeros((1, local_in)))
+    with pytest.raises(ValueError, match="non-finite"):
+        predict(center, np.full((1, 2), np.inf), np.zeros((1, local_in)))
 
 
 # ----------------------------------------------------------- configuration
