@@ -11,10 +11,8 @@ divergence of client gradients is measured by ``estimate_lambda``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,10 +29,10 @@ class SynthConfig:
     d_local: int
     d_global: int
     d_label: int
-    noise_std: float
-    global_strength: float
-    noniid_shift: float
-    seed: int
+    noise_std: float = 0.1
+    global_strength: float = 0.8
+    noniid_shift: float = 0.0
+    seed: int = 0
     public_fraction: float = 0.0
     q_mode: str = "proportional"
 
@@ -321,102 +319,3 @@ def batches(
         out.append(Batch(ids=ids, x_local=shard.x_local[idx], x_side=x_side, y=shard.y[idx], index=idx))
     return out
 
-
-def _write_rows(path: Path, comment: str, header: list[str], rows: Iterable[list[str]]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(comment + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def save_dataset(dataset: FederationDataset, out_dir: str | Path) -> None:
-    """Write one csv per client (train rows first) plus the global-feature csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    test_by_id = {shard.client_id: shard for shard in dataset.test_clients}
-    for shard in dataset.clients:
-        test = test_by_id.get(shard.client_id)
-        n_test = test.n if test is not None else 0
-        header = (
-            ["id"]
-            + [f"xl_{k}" for k in range(dataset.d_local)]
-            + [f"y_{k}" for k in range(dataset.d_label)]
-        )
-        rows = []
-        for part in ([shard, test] if test is not None else [shard]):
-            for k in range(part.n):
-                rows.append(
-                    [str(int(part.ids[k]))]
-                    + [_fmt(v) for v in part.x_local[k]]
-                    + [_fmt(v) for v in part.y[k]]
-                )
-        comment = (
-            f"# client={shard.client_id} q={_fmt(shard.q)} "
-            f"n_train={shard.n} n_test={n_test}"
-        )
-        _write_rows(out / f"client_{shard.client_id}.csv", comment, header, rows)
-
-    store = dataset.global_store
-    header = ["id"] + [f"xg_{k}" for k in range(store.dim)]
-    rows = [
-        [str(int(i))] + [_fmt(v) for v in store.get(int(i))]
-        for i in store.ids
-    ]
-    _write_rows(out / "global.csv", f"# n={len(store)}", header, rows)
-
-
-def _read_rows(path: Path) -> tuple[dict[str, str], list[list[str]]]:
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        comment = fh.readline().strip()
-        if not comment.startswith("#"):
-            raise ValueError(f"{path}: missing comment header")
-        meta = dict(part.split("=", 1) for part in comment[1:].split())
-        reader = csv.reader(fh)
-        next(reader)  # header row
-        return meta, [row for row in reader if row]
-
-
-def load_dataset(in_dir: str | Path) -> FederationDataset:
-    """Inverse of :func:`save_dataset`; round-trips values bit-exactly."""
-    base = Path(in_dir)
-    client_paths = sorted(
-        base.glob("client_*.csv"), key=lambda p: int(p.stem.split("_")[1])
-    )
-    if not client_paths:
-        raise ValueError(f"no client files found under {base}")
-    clients = []
-    test_clients = []
-    for path in client_paths:
-        meta, rows = _read_rows(path)
-        client_id = int(meta["client"])
-        q = float(meta["q"])
-        n_train, n_test = int(meta["n_train"]), int(meta["n_test"])
-        ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        values = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
-        # the local/label column split is recovered from the header names
-        with path.open("r", encoding="utf-8") as fh:
-            fh.readline()
-            names = fh.readline().strip().split(",")
-        d_local = sum(1 for name in names if name.startswith("xl_"))
-        x = values[:, :d_local]
-        y = values[:, d_local:]
-        clients.append(
-            ClientShard(client_id=client_id, ids=ids[:n_train], x_local=x[:n_train], y=y[:n_train], q=q)
-        )
-        if n_test > 0:
-            test_clients.append(
-                ClientShard(client_id=client_id, ids=ids[n_train:], x_local=x[n_train:], y=y[n_train:], q=q)
-            )
-    meta, rows = _read_rows(base / "global.csv")
-    ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    features = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
-    return FederationDataset(
-        clients=tuple(clients),
-        test_clients=tuple(test_clients),
-        global_store=GlobalStore(ids, features),
-    )

@@ -1,12 +1,15 @@
 """Training engines: vertical-horizontal FL, FedAvg-style HFL, and cloud baselines.
 
-One global epoch of the vertical-horizontal mode runs
-select -> broadcast centrally processed features -> parallel local
-updates (which also record gradients with respect to the central
-features) -> optional lossy-channel filtering -> weight aggregation ->
-one central model step -> evaluation. The HFL baseline is the same loop
-without the central model; the cloud baselines train on pooled data,
-with or without the global features.
+Every mode runs one round loop: each global epoch is one training phase,
+then evaluation and a trace row. The federated phase runs
+select -> broadcast centrally processed features -> local updates (which
+also record gradients with respect to the central features) -> optional
+lossy-channel filtering -> weight aggregation -> one central model step.
+HFL is that round on a center without the global model w0: nothing is
+broadcast and no central step runs. The cloud modes instead run one pooled
+phase, mini-batch SGD on all clients' training rows, through w0 as well
+when the center has it (``cloud``) and on local features alone
+(``cloud_local``).
 
 All randomness flows through named substreams of (seed, tag, ...), so a
 trace is a pure function of (config, dataset): client updates may run in
@@ -18,20 +21,23 @@ once per phase. Data is checked where it enters (``ClientShard``,
 copies its net's arrays once, runs its first step through the validating
 public ``nnet`` API, which checks the shapes every later step reuses, and
 its later steps through the unchecked ``nnet`` kernels, which update the
-copies in place. A cloud round does the same with every step on the
+copies in place. A pooled phase does the same with every step on the
 kernels, as it trains nets it built itself from the config. The central
 step is a single step and runs through the public API, where the uploads
 enter the center. When a phase ends, a guard raises if any
 parameter or vertical gradient is non-finite, naming the phase, global
 epoch and client; a value that turns inf or nan stays non-finite under
 later steps, so this catches what per-step checks would. Then one
-validated net is built. Vertical gradients travel as one ``(n_j,
-u0_dim)`` array per client in shard order.
+validated net is built. Evaluation has the same guard on its losses, so
+the loop runs with numpy's overflow and invalid-value warnings off.
+Vertical gradients travel as one ``(n_j, u0_dim)`` array per client in
+shard order.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,7 +50,6 @@ from .datagen import ClientShard, FederationDataset, GlobalStore, batches
 from .netqueue import ChannelModel, apply_channel
 from .rng import substream
 
-MODES = ("vhfl", "hfl", "cloud", "cloud_local")
 COMBINES = ("concat", "additive")
 AGGREGATORS = ("renormalized", "paper_unbiased")
 
@@ -516,28 +521,148 @@ def weighted_train_loss(
     return total
 
 
-def _build_wbar(config: FederationConfig, d_local: int, d_label: int) -> nnet.DenseNet:
-    local_in = config.u0_dim + d_local if config.combine == "concat" else d_local
-    dims = [local_in, *config.local_hidden, d_label]
-    acts = [config.activation] * len(config.local_hidden) + ["identity"]
-    return nnet.random_net(dims, acts, substream(config.seed, "init", "wbar"))
+def _new_center(config: FederationConfig, dataset: FederationDataset, use_global: bool) -> CenterState:
+    """The initial nets, drawn from the config seed: w0 (built first) only with
+    ``use_global``, and a wbar that also takes w0's output under concat."""
+
+    def net(dims: list[int], name: str) -> nnet.DenseNet:
+        acts = [config.activation] * (len(dims) - 2) + ["identity"]
+        return nnet.random_net(dims, acts, substream(config.seed, "init", name))
+
+    w0 = net([dataset.d_global, *config.w0_hidden, config.u0_dim], "w0") if use_global else None
+    local_in = dataset.d_local + (config.u0_dim if use_global and config.combine == "concat" else 0)
+    wbar = net([local_in, *config.local_hidden, dataset.d_label], "wbar")
+    return CenterState(w0=w0, wbar=wbar, combine=config.combine)
 
 
-def _build_w0(config: FederationConfig, d_global: int) -> nnet.DenseNet:
-    dims = [d_global, *config.w0_hidden, config.u0_dim]
-    acts = [config.activation] * len(config.w0_hidden) + ["identity"]
-    return nnet.random_net(dims, acts, substream(config.seed, "init", "w0"))
+def _federated_round(
+    config: FederationConfig,
+    center: CenterState,
+    shards: dict[int, ClientShard],
+    store: GlobalStore,
+    t_g: int,
+) -> int:
+    """Select, broadcast (with w0), local updates, channel, aggregation and the
+    central step (with an unfrozen w0); returns the number of delivered uploads."""
+    selected = [shards[j] for j in select_clients(config.n_clients, config.k, config.seed, t_g)]
+    u0 = {} if center.w0 is None else center_broadcast(center, store, selected)
+    uploads = []
+    for shard in selected:
+        net, vgrads = client_update(
+            shard,
+            center.wbar,
+            u0.get(shard.client_id),
+            config.local_epochs,
+            config.batch_size,
+            config.eta,
+            combine=config.combine,
+            batch_rng=substream(config.seed, "batches", shard.client_id, t_g),
+            global_epoch=t_g,
+        )
+        uploads.append(Upload(client_id=shard.client_id, q=shard.q, net=net, vgrads=vgrads))
+    if config.deadline_channel is not None:
+        sent = [u.client_id for u in uploads]
+        kept = set(apply_channel(config.deadline_channel, sent, epoch=t_g))
+        uploads = [u for u in uploads if u.client_id in kept]
+    if uploads:
+        center.wbar = aggregate_weights(
+            [(u.q, u.net) for u in uploads],
+            config.k,
+            config.n_clients,
+            config.aggregator,
+            global_epoch=t_g,
+            client_ids=[u.client_id for u in uploads],
+        )
+        if center.w0 is not None and not config.center_frozen:
+            center.w0 = central_update(
+                center.w0,
+                [(shards[u.client_id], u.vgrads) for u in uploads],
+                store,
+                config.eta0.value(t_g),
+                global_epoch=t_g,
+            )
+            center.central_updates += 1
+    return len(uploads)
 
 
-def _check_dims(config: FederationConfig, dataset: FederationDataset) -> None:
+def _cloud_round(
+    config: FederationConfig,
+    center: CenterState,
+    pooled: ClientShard,
+    x0: np.ndarray | None,
+    t_g: int,
+) -> int:
+    """``local_epochs`` passes of mini-batch SGD on the pooled shard, through w0
+    too when it exists, on copies of the nets stepped with the unchecked
+    kernels; ``x0`` holds the pooled global rows. Nothing is uploaded: returns 0."""
+    batch_list = batches(pooled, x0, config.batch_size, substream(config.seed, "batches", 0, t_g))
+    wbar = nnet._params(center.wbar)
+    w0 = [] if center.w0 is None else nnet._params(center.w0)
+    for epoch in range(config.local_epochs):
+        eta_t = config.eta.value(t_g * config.local_epochs + epoch)
+        for b in batch_list:
+            if w0:
+                pre0, post0 = nnet._forward(w0, b.x_side)
+                gw, gb, side_grad = _kernel_step(wbar, b.x_local, post0[-1], b.y, config.combine)
+                g0w, g0b, _ = nnet._backward(w0, b.x_side, pre0, post0, side_grad, False)
+            else:
+                gw, gb, _ = _kernel_step(wbar, b.x_local, None, b.y, config.combine)
+            if eta_t > 0.0:
+                nnet._sgd(wbar, gw, gb, eta_t)
+                if w0:
+                    nnet._sgd(w0, g0w, g0b, eta_t)
+    _check_finite(_arrays(wbar) + _arrays(w0), "run_cloud", t_g, (0,))
+    center.wbar = nnet._net(wbar)
+    if w0:
+        center.w0 = nnet._net(w0)
+    return 0
+
+
+def _run(
+    config: FederationConfig,
+    dataset: FederationDataset,
+    center: CenterState,
+    mode: str,
+) -> tuple[CenterState, TrainingTrace]:
+    """The round loop of every mode: one training phase per global epoch, then
+    evaluation and a trace row. The cloud modes train on the pooled shard, the
+    others run federated rounds."""
     if dataset.n_clients != config.n_clients:
         raise ValueError(
             f"config expects {config.n_clients} clients, dataset has {dataset.n_clients}"
         )
-    if config.combine == "additive" and config.u0_dim != dataset.d_label:
+    if center.w0 is not None and config.combine == "additive" and config.u0_dim != dataset.d_label:
         raise ValueError(
             f"additive combining needs u0_dim == d_label, got {config.u0_dim} != {dataset.d_label}"
         )
+    store = dataset.global_store
+    if mode.startswith("cloud"):
+        pooled = _pooled(dataset)
+        x0 = None if center.w0 is None else store.rows(pooled.ids)
+        train_round = functools.partial(_cloud_round, config, center, pooled, x0)
+    else:
+        shards = {shard.client_id: shard for shard in dataset.clients}
+        train_round = functools.partial(_federated_round, config, center, shards, store)
+    trace = TrainingTrace(mode=mode, seed=config.seed)
+    for t_g in range(config.global_epochs):
+        started = time.perf_counter()
+        # a diverging phase ends in its guard, not in numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_received = train_round(t_g)
+            center.epoch += 1
+            train = weighted_train_loss(center, dataset.clients, store)
+            test_mse, err = evaluate(center, dataset.test_clients, store)
+        if not (np.isfinite(train) and np.isfinite(test_mse)):
+            raise ValueError(f"non-finite values after evaluate at global epoch {t_g}")
+        trace.append(TraceRow(t_g, train, test_mse, err, k_received, time.perf_counter() - started))
+    return center, trace
+
+
+def _pooled(dataset: FederationDataset) -> ClientShard:
+    ids = np.concatenate([shard.ids for shard in dataset.clients])
+    x = np.vstack([shard.x_local for shard in dataset.clients])
+    y = np.vstack([shard.y for shard in dataset.clients])
+    return ClientShard(client_id=0, ids=ids, x_local=x, y=y, q=1.0)
 
 
 def run_vhfl(
@@ -546,73 +671,11 @@ def run_vhfl(
     center: CenterState | None = None,
 ) -> tuple[CenterState, TrainingTrace]:
     """Train with vertical gradient exchange for ``global_epochs`` rounds."""
-    _check_dims(config, dataset)
-    store = dataset.global_store
     if center is None:
-        center = CenterState(
-            w0=_build_w0(config, dataset.d_global),
-            wbar=_build_wbar(config, dataset.d_local, dataset.d_label),
-            combine=config.combine,
-        )
+        center = _new_center(config, dataset, use_global=True)
     if center.w0 is None:
         raise ValueError("vertical-horizontal training needs a global model")
-    shards = {shard.client_id: shard for shard in dataset.clients}
-    trace = TrainingTrace(mode="vhfl", seed=config.seed)
-    for t_g in range(config.global_epochs):
-        started = time.perf_counter()
-        selected = select_clients(config.n_clients, config.k, config.seed, t_g)
-        u0 = center_broadcast(center, store, [shards[j] for j in selected])
-        uploads = []
-        for j in selected:
-            net_j, vgrads = client_update(
-                shards[j],
-                center.wbar,
-                u0[j],
-                config.local_epochs,
-                config.batch_size,
-                config.eta,
-                combine=config.combine,
-                batch_rng=substream(config.seed, "batches", j, t_g),
-                global_epoch=t_g,
-            )
-            uploads.append(Upload(client_id=j, q=shards[j].q, net=net_j, vgrads=vgrads))
-        delivered = _deliver(config.deadline_channel, uploads, t_g)
-        if delivered:
-            center.wbar = aggregate_weights(
-                [(u.q, u.net) for u in delivered],
-                config.k,
-                config.n_clients,
-                config.aggregator,
-                global_epoch=t_g,
-                client_ids=[u.client_id for u in delivered],
-            )
-            if not config.center_frozen:
-                center.w0 = central_update(
-                    center.w0,
-                    [(shards[u.client_id], u.vgrads) for u in delivered],
-                    store,
-                    config.eta0.value(t_g),
-                    global_epoch=t_g,
-                )
-                center.central_updates += 1
-        center.epoch += 1
-        train = weighted_train_loss(center, dataset.clients, store)
-        test_mse, err = evaluate(center, dataset.test_clients, store)
-        trace.append(
-            TraceRow(t_g, train, test_mse, err, len(delivered), time.perf_counter() - started)
-        )
-    return center, trace
-
-
-def _deliver(
-    channel: ChannelModel | None,
-    uploads: list[Upload],
-    t_g: int,
-) -> list[Upload]:
-    if channel is None:
-        return uploads
-    delivered_ids = set(apply_channel(channel, [u.client_id for u in uploads], epoch=t_g))
-    return [u for u in uploads if u.client_id in delivered_ids]
+    return _run(config, dataset, center, "vhfl")
 
 
 def run_hfl(
@@ -620,63 +683,12 @@ def run_hfl(
     dataset: FederationDataset,
     center: CenterState | None = None,
 ) -> tuple[CenterState, TrainingTrace]:
-    """FedAvg baseline: local SGD on local features plus periodic aggregation."""
-    _check_dims_hfl(config, dataset)
+    """FedAvg baseline: the vertical-horizontal round without a global model."""
     if center is None:
-        dims = [dataset.d_local, *config.local_hidden, dataset.d_label]
-        acts = [config.activation] * len(config.local_hidden) + ["identity"]
-        wbar = nnet.random_net(dims, acts, substream(config.seed, "init", "wbar"))
-        center = CenterState(w0=None, wbar=wbar, combine=config.combine)
-    shards = {shard.client_id: shard for shard in dataset.clients}
-    trace = TrainingTrace(mode="hfl", seed=config.seed)
-    for t_g in range(config.global_epochs):
-        started = time.perf_counter()
-        selected = select_clients(config.n_clients, config.k, config.seed, t_g)
-        uploads = []
-        for j in selected:
-            net_j, _ = client_update(
-                shards[j],
-                center.wbar,
-                None,
-                config.local_epochs,
-                config.batch_size,
-                config.eta,
-                combine=config.combine,
-                batch_rng=substream(config.seed, "batches", j, t_g),
-                global_epoch=t_g,
-            )
-            uploads.append(Upload(client_id=j, q=shards[j].q, net=net_j, vgrads=None))
-        delivered = _deliver(config.deadline_channel, uploads, t_g)
-        if delivered:
-            center.wbar = aggregate_weights(
-                [(u.q, u.net) for u in delivered],
-                config.k,
-                config.n_clients,
-                config.aggregator,
-                global_epoch=t_g,
-                client_ids=[u.client_id for u in delivered],
-            )
-        center.epoch += 1
-        train = weighted_train_loss(center, dataset.clients, None)
-        test_mse, err = evaluate(center, dataset.test_clients, None)
-        trace.append(
-            TraceRow(t_g, train, test_mse, err, len(delivered), time.perf_counter() - started)
-        )
-    return center, trace
-
-
-def _check_dims_hfl(config: FederationConfig, dataset: FederationDataset) -> None:
-    if dataset.n_clients != config.n_clients:
-        raise ValueError(
-            f"config expects {config.n_clients} clients, dataset has {dataset.n_clients}"
-        )
-
-
-def _pooled(dataset: FederationDataset) -> ClientShard:
-    ids = np.concatenate([shard.ids for shard in dataset.clients])
-    x = np.vstack([shard.x_local for shard in dataset.clients])
-    y = np.vstack([shard.y for shard in dataset.clients])
-    return ClientShard(client_id=0, ids=ids, x_local=x, y=y, q=1.0)
+        center = _new_center(config, dataset, use_global=False)
+    if center.w0 is not None:
+        raise ValueError("horizontal training takes a center without a global model")
+    return _run(config, dataset, center, "hfl")
 
 
 def run_cloud(
@@ -688,55 +700,6 @@ def run_cloud(
 
     With ``use_global`` the composed model (global net feeding the local
     net) is trained end-to-end; otherwise only local features are used.
-    Each round is one phase: it steps copies of the center's nets with the
-    unchecked kernels and builds them once at its end.
     """
-    _check_dims_hfl(config, dataset)
-    store = dataset.global_store
-    pooled = _pooled(dataset)
-    if use_global:
-        _check_dims(config, dataset)
-        center = CenterState(
-            w0=_build_w0(config, dataset.d_global),
-            wbar=_build_wbar(config, dataset.d_local, dataset.d_label),
-            combine=config.combine,
-        )
-    else:
-        dims = [dataset.d_local, *config.local_hidden, dataset.d_label]
-        acts = [config.activation] * len(config.local_hidden) + ["identity"]
-        center = CenterState(
-            w0=None,
-            wbar=nnet.random_net(dims, acts, substream(config.seed, "init", "wbar")),
-            combine=config.combine,
-        )
-    x0_pooled = store.rows(pooled.ids) if use_global else None
-    mode = "cloud" if use_global else "cloud_local"
-    trace = TrainingTrace(mode=mode, seed=config.seed)
-    for t_g in range(config.global_epochs):
-        started = time.perf_counter()
-        batch_rng = substream(config.seed, "batches", 0, t_g)
-        batch_list = batches(pooled, x0_pooled, config.batch_size, batch_rng)
-        wbar = nnet._params(center.wbar)
-        w0 = nnet._params(center.w0) if use_global else []
-        for epoch in range(config.local_epochs):
-            eta_t = config.eta.value(t_g * config.local_epochs + epoch)
-            for b in batch_list:
-                if use_global:
-                    pre0, post0 = nnet._forward(w0, b.x_side)
-                    gw, gb, side_grad = _kernel_step(wbar, b.x_local, post0[-1], b.y, config.combine)
-                    g0w, g0b, _ = nnet._backward(w0, b.x_side, pre0, post0, side_grad, False)
-                else:
-                    gw, gb, _ = _kernel_step(wbar, b.x_local, None, b.y, config.combine)
-                if eta_t > 0.0:
-                    nnet._sgd(wbar, gw, gb, eta_t)
-                    if use_global:
-                        nnet._sgd(w0, g0w, g0b, eta_t)
-        _check_finite(_arrays(wbar) + _arrays(w0), "run_cloud", t_g, (0,))
-        center.wbar = nnet._net(wbar)
-        if use_global:
-            center.w0 = nnet._net(w0)
-        center.epoch += 1
-        train = weighted_train_loss(center, dataset.clients, store)
-        test_mse, err = evaluate(center, dataset.test_clients, store)
-        trace.append(TraceRow(t_g, train, test_mse, err, 0, time.perf_counter() - started))
-    return center, trace
+    center = _new_center(config, dataset, use_global)
+    return _run(config, dataset, center, "cloud" if use_global else "cloud_local")

@@ -1,22 +1,29 @@
 """Experiment orchestration: config parsing, runs, and CSV/plot-data emission.
 
-Configs are JSON documents with one section per subsystem; unknown keys
-fail fast. Every run is a pure function of (config, seed): re-running
-with the same config and seeds rewrites byte-identical artifacts. Each
-output file carries the config hash in a header comment and the resolved
-config itself is written next to the artifacts, so any output can be
-traced back to, and reproduced from, its generating configuration.
+Configs are JSON documents with one section per subsystem. Each section
+is read from its dataclass (``_SECTIONS``): the field names are its keys,
+the field annotations their types, and the field defaults make a key
+optional; the dataclass's own checks reject out-of-range values. Unknown
+keys, missing keys, mistyped values and range faults all fail fast as a
+``ConfigError`` naming the section and key. Every run is a pure function
+of (config, seed): re-running with the same config and seeds rewrites
+byte-identical artifacts. Each output file carries the config hash in a
+header comment and the resolved config itself is written next to the
+artifacts, so any output can be traced back to, and reproduced from, its
+generating configuration.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -53,17 +60,50 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class QueueSpec:
-    params: netqueue.He2Params
-    t_p_grid: tuple[float, ...]
-    n_jobs: int
-    seed: int
+class Grid:
+    """``count`` evenly spaced values from ``start`` to ``stop``."""
+
+    start: float
+    stop: float
+    count: int
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+
+
+@dataclass(frozen=True)
+class QueueSpec(netqueue.He2Params):
+    """The queue section: the network's He2 parameters, the deadline grid
+    (a list or a start/stop/count object), and the simulated job count."""
+
+    t_p_grid: tuple[float, ...] | Grid = Grid(0.1, 4.0, 20)
+    n_jobs: int = 100_000
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if isinstance(self.t_p_grid, Grid):
+            grid = self.t_p_grid
+            values = np.linspace(grid.start, grid.stop, grid.count)
+            object.__setattr__(self, "t_p_grid", tuple(float(v) for v in values))
+        if not self.t_p_grid:
+            raise ValueError("t_p_grid is empty")
+        if self.n_jobs < 1:
+            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
 
 @dataclass(frozen=True)
 class DelayPlanSpec:
     gamma_targets: tuple[float, ...]
-    tol: float
+    tol: float = 1e-6
+
+    def __post_init__(self) -> None:
+        if not self.gamma_targets:
+            raise ValueError("gamma_targets is empty")
+        for g in self.gamma_targets:
+            if not 0.0 < g < 1.0:
+                raise ValueError(f"gamma target {g} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -71,19 +111,54 @@ class BoundsSweepSpec:
     param: str
     values: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if not self.values:
+            raise ValueError("values is empty")
+        if self.param not in {f.name for f in dataclasses.fields(bounds_mod.BoundParams)}:
+            raise ValueError(f"unknown bound parameter {self.param!r}")
+
 
 @dataclass(frozen=True)
 class KElSweepSpec:
-    k_values: tuple[int, ...]
-    el_values: tuple[int, ...]
     loss_threshold: float
+    k_values: tuple[int, ...] = ()
+    el_values: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.k_values and not self.el_values:
+            raise ValueError("provide k_values and/or el_values")
+        if self.loss_threshold <= 0.0:
+            raise ValueError("loss_threshold must be positive")
+        for el in self.el_values:
+            if el < 1:
+                raise ValueError(f"local_epochs={el} must be >= 1")
 
 
 @dataclass(frozen=True)
-class ChannelSpec:
-    params: netqueue.He2Params
+class ChannelSpec(netqueue.He2Params):
+    """The channel section: the network's He2 parameters, the upload deadline
+    and the channel seed, which each run offsets by its own seed."""
+
     t_p: float
-    seed: int
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.t_p < 0.0:
+            raise ValueError("t_p must be non-negative")
+
+
+# section name -> its dataclass and the fields the config does not set
+_SECTIONS: dict[str, tuple[type, dict[str, Any]]] = {
+    "federation": (fedcore.FederationConfig, {"seed": 0, "deadline_channel": None}),
+    "synth": (SynthConfig, {}),
+    "channel": (ChannelSpec, {}),
+    "queue": (QueueSpec, {}),
+    "delay_plan": (DelayPlanSpec, {}),
+    "bounds": (bounds_mod.BoundParams, {}),
+    "bounds_sweep": (BoundsSweepSpec, {}),
+    "k_el_sweep": (KElSweepSpec, {}),
+}
 
 
 @dataclass(frozen=True)
@@ -100,7 +175,6 @@ class ExperimentConfig:
     bounds: bounds_mod.BoundParams | None = None
     bounds_sweep: BoundsSweepSpec | None = None
     k_el_sweep: KElSweepSpec | None = None
-    workers: int = 1
 
     @property
     def config_hash(self) -> str:
@@ -108,8 +182,8 @@ class ExperimentConfig:
 
 
 def config_hash(raw: dict[str, Any]) -> str:
-    # out_dir and workers do not influence results, so they stay out of the hash
-    semantic = {k: v for k, v in raw.items() if k not in ("out_dir", "workers")}
+    # out_dir does not influence results, so it stays out of the hash
+    semantic = {k: v for k, v in raw.items() if k != "out_dir"}
     canonical = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -126,179 +200,55 @@ def _need(obj: dict[str, Any], key: str, where: str) -> Any:
     return obj[key]
 
 
-def _parse_schedule(obj: Any, where: str) -> fedcore.Schedule:
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+# resolving a dataclass's annotations compiles each one; there are few classes
+_hints = functools.cache(typing.get_type_hints)
+
+
+def _value(tp: Any, value: Any, where: str) -> Any:
+    """The JSON ``value`` as the field type ``tp``, or a ConfigError naming ``where``."""
+    if isinstance(tp, types.UnionType):  # a list or an object, told apart by the value
+        is_list = isinstance(value, list)
+        tp = next(t for t in typing.get_args(tp) if (typing.get_origin(t) is tuple) == is_list)
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    kind = type(value)
+    if not (
+        kind is tp
+        or (tp is float and kind is int)
+        or (tp is int and kind is float and value.is_integer())
+    ):
+        raise ConfigError(f"{where}: expected {_KINDS[tp]}, got {value!r}")
+    return tp(value)
+
+
+def _build(cls: type, obj: Any, where: str, **fixed: Any) -> Any:
+    """Read a ``cls`` from the config section ``obj`` at ``where``.
+
+    Every field of the dataclass except the ``fixed`` ones, which the
+    caller supplies, is a key of the section: typed as the field is
+    annotated, and required unless the field has a default.
+    """
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: schedule must be an object")
-    _section(obj, ("kind", "c", "t0"), where)
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
+    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    _section(obj, [f.name for f in fields], where)
+    hints = _hints(cls)
+    kwargs = dict(fixed)
+    for f in fields:
+        if f.name in obj:
+            kwargs[f.name] = _value(hints[f.name], obj[f.name], f"{where}.{f.name}")
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{where}: missing required key {f.name!r}")
     try:
-        return fedcore.Schedule(
-            kind=str(_need(obj, "kind", where)),
-            c=float(_need(obj, "c", where)),
-            t0=float(obj.get("t0", 1.0)),
-        )
+        return cls(**kwargs)
     except ValueError as err:
         raise ConfigError(f"{where}: {err}") from None
-
-
-def _parse_federation(obj: dict[str, Any], where: str) -> fedcore.FederationConfig:
-    allowed = (
-        "n_clients", "k", "local_epochs", "batch_size", "global_epochs",
-        "eta", "eta0", "selection", "combine", "aggregator",
-        "w0_hidden", "u0_dim", "local_hidden", "activation", "l_est",
-        "center_frozen",
-    )
-    _section(obj, allowed, where)
-    try:
-        return fedcore.FederationConfig(
-            n_clients=int(_need(obj, "n_clients", where)),
-            k=int(_need(obj, "k", where)),
-            local_epochs=int(_need(obj, "local_epochs", where)),
-            batch_size=int(_need(obj, "batch_size", where)),
-            global_epochs=int(_need(obj, "global_epochs", where)),
-            eta=_parse_schedule(_need(obj, "eta", where), f"{where}.eta"),
-            eta0=_parse_schedule(_need(obj, "eta0", where), f"{where}.eta0"),
-            seed=0,
-            selection=str(obj.get("selection", "uniform_without_replacement")),
-            combine=str(obj.get("combine", "concat")),
-            aggregator=str(obj.get("aggregator", "renormalized")),
-            w0_hidden=tuple(int(h) for h in obj.get("w0_hidden", [16])),
-            u0_dim=int(obj.get("u0_dim", 4)),
-            local_hidden=tuple(int(h) for h in obj.get("local_hidden", [16])),
-            activation=str(obj.get("activation", "tanh")),
-            l_est=float(obj.get("l_est", 1.0)),
-            center_frozen=bool(obj.get("center_frozen", False)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from None
-
-
-def _parse_synth(obj: dict[str, Any], where: str) -> SynthConfig:
-    allowed = (
-        "n_clients", "samples_per_client", "d_local", "d_global", "d_label",
-        "noise_std", "global_strength", "noniid_shift", "seed",
-        "public_fraction", "q_mode",
-    )
-    _section(obj, allowed, where)
-    try:
-        return SynthConfig(
-            n_clients=int(_need(obj, "n_clients", where)),
-            samples_per_client=int(_need(obj, "samples_per_client", where)),
-            d_local=int(_need(obj, "d_local", where)),
-            d_global=int(_need(obj, "d_global", where)),
-            d_label=int(_need(obj, "d_label", where)),
-            noise_std=float(obj.get("noise_std", 0.1)),
-            global_strength=float(obj.get("global_strength", 0.8)),
-            noniid_shift=float(obj.get("noniid_shift", 0.0)),
-            seed=int(obj.get("seed", 0)),
-            public_fraction=float(obj.get("public_fraction", 0.0)),
-            q_mode=str(obj.get("q_mode", "proportional")),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from None
-
-
-def _parse_he2(obj: dict[str, Any], where: str) -> netqueue.He2Params:
-    try:
-        return netqueue.He2Params(
-            lambda_n=float(_need(obj, "lambda_n", where)),
-            alpha1=float(_need(obj, "alpha1", where)),
-            alpha2=float(_need(obj, "alpha2", where)),
-            mu1=float(_need(obj, "mu1", where)),
-            mu2=float(_need(obj, "mu2", where)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from None
-
-
-def _parse_grid(obj: Any, where: str) -> tuple[float, ...]:
-    if isinstance(obj, list):
-        grid = tuple(float(v) for v in obj)
-    elif isinstance(obj, dict):
-        _section(obj, ("start", "stop", "count"), where)
-        grid = tuple(
-            float(v)
-            for v in np.linspace(
-                float(_need(obj, "start", where)),
-                float(_need(obj, "stop", where)),
-                int(_need(obj, "count", where)),
-            )
-        )
-    else:
-        raise ConfigError(f"{where}: grid must be a list or start/stop/count object")
-    if not grid:
-        raise ConfigError(f"{where}: grid is empty")
-    return grid
-
-
-def _parse_queue(obj: dict[str, Any], where: str) -> QueueSpec:
-    allowed = ("lambda_n", "alpha1", "alpha2", "mu1", "mu2", "t_p_grid", "n_jobs", "seed")
-    _section(obj, allowed, where)
-    return QueueSpec(
-        params=_parse_he2(obj, where),
-        t_p_grid=_parse_grid(obj.get("t_p_grid", {"start": 0.1, "stop": 4.0, "count": 20}), f"{where}.t_p_grid"),
-        n_jobs=int(obj.get("n_jobs", 100_000)),
-        seed=int(obj.get("seed", 0)),
-    )
-
-
-def _parse_delay_plan(obj: dict[str, Any], where: str) -> DelayPlanSpec:
-    _section(obj, ("gamma_targets", "tol"), where)
-    targets = tuple(float(v) for v in _need(obj, "gamma_targets", where))
-    if not targets:
-        raise ConfigError(f"{where}: gamma_targets is empty")
-    for g in targets:
-        if not 0.0 < g < 1.0:
-            raise ConfigError(f"{where}: gamma target {g} outside (0, 1)")
-    return DelayPlanSpec(gamma_targets=targets, tol=float(obj.get("tol", 1e-6)))
-
-
-def _parse_bounds(obj: dict[str, Any], where: str) -> bounds_mod.BoundParams:
-    allowed = (
-        "l_smooth", "mu_pl", "sigma2", "sigma0_2", "g2", "lambda_niid",
-        "f_init", "f_star", "f0", "local_epochs", "k", "global_epochs", "gamma",
-    )
-    _section(obj, allowed, where)
-    try:
-        return bounds_mod.BoundParams(
-            l_smooth=float(_need(obj, "l_smooth", where)),
-            mu_pl=float(_need(obj, "mu_pl", where)),
-            sigma2=float(_need(obj, "sigma2", where)),
-            sigma0_2=float(_need(obj, "sigma0_2", where)),
-            g2=float(_need(obj, "g2", where)),
-            lambda_niid=float(_need(obj, "lambda_niid", where)),
-            f_init=float(_need(obj, "f_init", where)),
-            f_star=float(_need(obj, "f_star", where)),
-            f0=float(_need(obj, "f0", where)),
-            local_epochs=int(_need(obj, "local_epochs", where)),
-            k=int(_need(obj, "k", where)),
-            global_epochs=int(_need(obj, "global_epochs", where)),
-            gamma=float(obj.get("gamma", 1.0)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from None
-
-
-def _parse_channel(obj: dict[str, Any], where: str) -> ChannelSpec:
-    allowed = ("lambda_n", "alpha1", "alpha2", "mu1", "mu2", "t_p", "seed")
-    _section(obj, allowed, where)
-    t_p = float(_need(obj, "t_p", where))
-    if t_p < 0.0:
-        raise ConfigError(f"{where}: t_p must be non-negative")
-    return ChannelSpec(params=_parse_he2(obj, where), t_p=t_p, seed=int(obj.get("seed", 0)))
-
-
-def _parse_k_el_sweep(obj: dict[str, Any], where: str) -> KElSweepSpec:
-    _section(obj, ("k_values", "el_values", "loss_threshold"), where)
-    spec = KElSweepSpec(
-        k_values=tuple(int(v) for v in obj.get("k_values", [])),
-        el_values=tuple(int(v) for v in obj.get("el_values", [])),
-        loss_threshold=float(_need(obj, "loss_threshold", where)),
-    )
-    if not spec.k_values and not spec.el_values:
-        raise ConfigError(f"{where}: provide k_values and/or el_values")
-    if spec.loss_threshold <= 0.0:
-        raise ConfigError(f"{where}: loss_threshold must be positive")
-    return spec
 
 
 def parse_config(
@@ -309,12 +259,7 @@ def parse_config(
 ) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed = (
-        "mode", "seeds", "out_dir", "workers",
-        "federation", "synth", "channel", "queue", "delay_plan",
-        "bounds", "bounds_sweep", "k_el_sweep",
-    )
-    _section(raw, allowed, "config")
+    _section(raw, ("mode", "seeds", "out_dir", *_SECTIONS), "config")
 
     raw = dict(raw)
     if mode_override is not None:
@@ -328,43 +273,26 @@ def parse_config(
     if out_override is not None:
         raw["out_dir"] = str(out_override)
 
-    mode = str(_need(raw, "mode", "config"))
+    mode = _value(str, _need(raw, "mode", "config"), "config.mode")
     if mode not in MODES:
         raise ConfigError(f"config: unknown mode {mode!r}, expected one of {sorted(MODES)}")
-    seeds = tuple(int(s) for s in _need(raw, "seeds", "config"))
+    seeds = _value(tuple[int, ...], _need(raw, "seeds", "config"), "config.seeds")
     if not seeds:
         raise ConfigError("config: seeds must be non-empty")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("config: seeds must be distinct")
-    out_dir = Path(str(_need(raw, "out_dir", "config")))
-    workers = int(raw.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("config: workers must be >= 1")
+    out_dir = Path(_value(str, _need(raw, "out_dir", "config"), "config.out_dir"))
 
     for needed in _REQUIRED_SECTIONS[mode]:
         if needed not in raw:
             raise ConfigError(f"config: mode {mode!r} requires section {needed!r}")
+    sections = {
+        name: _build(cls, raw[name], name, **fixed)
+        for name, (cls, fixed) in _SECTIONS.items()
+        if name in raw
+    }
 
-    federation = _parse_federation(raw["federation"], "federation") if "federation" in raw else None
-    synth = _parse_synth(raw["synth"], "synth") if "synth" in raw else None
-    channel = _parse_channel(raw["channel"], "channel") if "channel" in raw else None
-    queue = _parse_queue(raw["queue"], "queue") if "queue" in raw else None
-    delay_plan = _parse_delay_plan(raw["delay_plan"], "delay_plan") if "delay_plan" in raw else None
-    bounds = _parse_bounds(raw["bounds"], "bounds") if "bounds" in raw else None
-    bounds_sweep = None
-    if "bounds_sweep" in raw:
-        obj = raw["bounds_sweep"]
-        _section(obj, ("param", "values"), "bounds_sweep")
-        bounds_sweep = BoundsSweepSpec(
-            param=str(_need(obj, "param", "bounds_sweep")),
-            values=tuple(float(v) for v in _need(obj, "values", "bounds_sweep")),
-        )
-        if not bounds_sweep.values:
-            raise ConfigError("bounds_sweep: values is empty")
-        if bounds_sweep.param not in {f.name for f in dataclasses.fields(bounds_mod.BoundParams)}:
-            raise ConfigError(f"bounds_sweep: unknown bound parameter {bounds_sweep.param!r}")
-    k_el = _parse_k_el_sweep(raw["k_el_sweep"], "k_el_sweep") if "k_el_sweep" in raw else None
-
+    federation, synth, k_el = (sections.get(name) for name in ("federation", "synth", "k_el_sweep"))
     if federation is not None and synth is not None:
         if federation.n_clients != synth.n_clients:
             raise ConfigError(
@@ -374,25 +302,8 @@ def parse_config(
         for k in k_el.k_values:
             if not 1 <= k <= federation.n_clients:
                 raise ConfigError(f"k_el_sweep: k={k} outside 1..{federation.n_clients}")
-        for el in k_el.el_values:
-            if el < 1:
-                raise ConfigError(f"k_el_sweep: local_epochs={el} must be >= 1")
 
-    return ExperimentConfig(
-        mode=mode,
-        seeds=seeds,
-        out_dir=out_dir,
-        raw=raw,
-        federation=federation,
-        synth=synth,
-        channel=channel,
-        queue=queue,
-        delay_plan=delay_plan,
-        bounds=bounds,
-        bounds_sweep=bounds_sweep,
-        k_el_sweep=k_el,
-        workers=workers,
-    )
+    return ExperimentConfig(mode=mode, seeds=seeds, out_dir=out_dir, raw=raw, **sections)
 
 
 def load_config(
@@ -460,7 +371,7 @@ def _channel_for(config: ExperimentConfig, seed: int) -> netqueue.ChannelModel |
     if config.channel is None:
         return None
     return netqueue.ChannelModel(
-        params=config.channel.params,
+        params=config.channel,
         t_p=config.channel.t_p,
         seed=config.channel.seed + seed,
     )
@@ -492,30 +403,11 @@ def run_single(
     raise ValueError(f"not a training mode: {mode!r}")
 
 
-def _map_jobs(
-    worker: Callable[[Any], Any],
-    jobs: Sequence[Any],
-    workers: int,
-) -> list[Any]:
-    if workers <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs))
-
-
 def _run_training(config: ExperimentConfig, artifacts: _Artifacts, modes: Sequence[str]) -> None:
-    jobs = [(mode, seed) for mode in modes for seed in config.seeds]
-
-    def worker(job: tuple[str, int]) -> tuple[str, int, fedcore.CenterState, fedcore.TrainingTrace]:
-        mode, seed = job
-        center, trace = run_single(config, mode, seed)
-        return mode, seed, center, trace
-
-    results = _map_jobs(worker, jobs, config.workers)
-    results.sort(key=lambda r: (r[0], r[1]))
-
     hash_line = artifacts.header
-    for mode, seed, center, trace in results:
+    finals = []
+    for mode, seed in sorted((mode, seed) for mode in modes for seed in config.seeds):
+        center, trace = run_single(config, mode, seed)
         trace_path = artifacts.open_path(f"trace_{mode}_seed{seed}.csv")
         trace.to_csv(trace_path, config_hash=config.config_hash)
         wbar_path = artifacts.open_path(f"wbar_{mode}_seed{seed}.txt")
@@ -523,10 +415,11 @@ def _run_training(config: ExperimentConfig, artifacts: _Artifacts, modes: Sequen
         if center.w0 is not None:
             w0_path = artifacts.open_path(f"w0_{mode}_seed{seed}.txt")
             w0_path.write_text(hash_line + "\n" + nnet.dumps_net(center.w0), encoding="utf-8")
+        finals.append((mode, seed, trace.final))
 
     summary_rows = [
-        (mode, seed, trace.final.train_mse, trace.final.test_mse, trace.final.test_error_ratio)
-        for mode, seed, _, trace in results
+        (mode, seed, final.train_mse, final.test_mse, final.test_error_ratio)
+        for mode, seed, final in finals
     ]
     artifacts.write_csv(
         "summary.csv",
@@ -568,7 +461,7 @@ def _queue_report(config: ExperimentConfig, analysis: netqueue.QueueAnalysis) ->
 def _run_queue_analyze(config: ExperimentConfig, artifacts: _Artifacts) -> None:
     spec = config.queue
     assert spec is not None
-    analysis = netqueue.analyze(spec.params)
+    analysis = netqueue.analyze(spec)
     artifacts.write_text("queue_report.txt", _queue_report(config, analysis))
     rows = [(t_p, netqueue.success_rate(analysis, t_p)) for t_p in spec.t_p_grid]
     artifacts.write_csv("gamma_table.csv", ["t_p", "gamma_formula"], rows)
@@ -577,8 +470,8 @@ def _run_queue_analyze(config: ExperimentConfig, artifacts: _Artifacts) -> None:
 def _run_queue_simulate(config: ExperimentConfig, artifacts: _Artifacts) -> None:
     spec = config.queue
     assert spec is not None
-    analysis = netqueue.analyze(spec.params)
-    samples = netqueue.simulate_mg1(spec.params, spec.n_jobs, spec.seed)
+    analysis = netqueue.analyze(spec)
+    samples = netqueue.simulate_mg1(spec, spec.n_jobs, spec.seed)
     rows = [
         (t_p, netqueue.success_rate(analysis, t_p), netqueue.empirical_gamma(samples, t_p))
         for t_p in spec.t_p_grid
@@ -591,7 +484,7 @@ def _run_queue_simulate(config: ExperimentConfig, artifacts: _Artifacts) -> None
 def _run_delay_plan(config: ExperimentConfig, artifacts: _Artifacts) -> None:
     spec, plan = config.queue, config.delay_plan
     assert spec is not None and plan is not None
-    analysis = netqueue.analyze(spec.params)
+    analysis = netqueue.analyze(spec)
     rows = [
         (g, netqueue.required_deadline(analysis, g, plan.tol))
         for g in plan.gamma_targets
@@ -603,10 +496,7 @@ def _run_delay_plan(config: ExperimentConfig, artifacts: _Artifacts) -> None:
 def _run_bounds_sweep(config: ExperimentConfig, artifacts: _Artifacts) -> None:
     base, sweep_spec = config.bounds, config.bounds_sweep
     assert base is not None and sweep_spec is not None
-    try:
-        rows = bounds_mod.sweep(base, sweep_spec.param, sweep_spec.values)
-    except ValueError as err:
-        raise ConfigError(f"bounds_sweep: {err}") from None
+    rows = bounds_mod.sweep(base, sweep_spec.param, sweep_spec.values)
     table = [(sweep_spec.param, value, nc, cv) for value, nc, cv in rows]
     artifacts.write_csv(
         "bounds_sweep.csv",
@@ -626,23 +516,15 @@ def epochs_to_threshold(trace: fedcore.TrainingTrace, threshold: float) -> int:
 def _run_k_el_sweep(config: ExperimentConfig, artifacts: _Artifacts) -> None:
     spec = config.k_el_sweep
     assert spec is not None and config.federation is not None
-    jobs: list[tuple[str, int, int]] = []
-    jobs += [("k", value, seed) for value in spec.k_values for seed in config.seeds]
+    jobs = [("k", value, seed) for value in spec.k_values for seed in config.seeds]
     jobs += [("local_epochs", value, seed) for value in spec.el_values for seed in config.seeds]
-
-    def worker(job: tuple[str, int, int]) -> tuple[str, int, int, int, float, float]:
-        param, value, seed = job
+    rows = []
+    for param, value, seed in sorted(jobs):
         fed = dataclasses.replace(config.federation, **{param: value})
         _, trace = run_single(config, "vhfl", seed, federation=fed)
         reached = epochs_to_threshold(trace, spec.loss_threshold)
-        return param, value, seed, reached, trace.final.train_mse, trace.final.test_mse
-
-    results = _map_jobs(worker, jobs, config.workers)
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
-    rows = [
-        (param, value, seed, reached, int(reached > 0), train, test)
-        for param, value, seed, reached, train, test in results
-    ]
+        final = trace.final
+        rows.append((param, value, seed, reached, int(reached > 0), final.train_mse, final.test_mse))
     artifacts.write_csv(
         "k_el_sweep.csv",
         ["sweep", "value", "seed", "epochs_to_threshold", "reached", "final_train_mse", "final_test_mse"],

@@ -226,14 +226,6 @@ def test_global_store_rows_gather_by_id():
         empty.rows([7])
 
 
-def test_export_import_roundtrip(tmp_path):
-    ds = generate(SMALL)
-    datagen.save_dataset(ds, tmp_path)
-    loaded = datagen.load_dataset(tmp_path)
-    assert dataset_equal(ds, loaded)
-    assert [s.q for s in loaded.clients] == [s.q for s in ds.clients]
-
-
 def test_shard_rejects_non_finite_rows():
     ids = np.arange(3)
     good = np.zeros((3, 2))
@@ -246,18 +238,6 @@ def test_shard_rejects_non_finite_rows():
     bad_y[2, 1] = -np.inf
     with pytest.raises(ValueError, match="non-finite"):
         datagen.ClientShard(0, ids, good, bad_y, 1.0)
-
-
-def test_load_dataset_rejects_nan_in_client_csv(tmp_path):
-    datagen.save_dataset(generate(SMALL), tmp_path)
-    path = tmp_path / "client_1.csv"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    cells = lines[2].split(",")
-    cells[1] = "nan"
-    lines[2] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="client 1 has non-finite"):
-        datagen.load_dataset(tmp_path)
 
 
 def test_config_validation():

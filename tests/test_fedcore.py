@@ -479,6 +479,32 @@ def test_run_hfl_single_step_equals_pooled_sgd():
     assert nets_equal(center.wbar, manual, atol=1e-10)
 
 
+@pytest.mark.parametrize("use_global", [True, False])
+def test_full_batch_round_with_every_client_equals_pooled_step(use_global):
+    # K=N, one local epoch of full batches, no channel, renormalized weights
+    # and equal shards: the aggregated wbar takes the pooled gradient step
+    ds = generate(SYNTH)
+    assert len({shard.n for shard in ds.clients}) == 1
+    fed = dataclasses.replace(FED, k=FED.n_clients, local_epochs=1, batch_size=10_000, global_epochs=1)
+    run = fedcore.run_vhfl if use_global else fedcore.run_hfl
+    federated, _ = run(fed, ds)
+    cloud, _ = fedcore.run_cloud(fed, ds, use_global=use_global)
+    assert nets_equal(federated.wbar, cloud.wbar, atol=1e-12)
+    assert not nets_equal(federated.wbar, fedcore._new_center(fed, ds, use_global).wbar, atol=1e-6)
+
+
+def test_evaluation_guard_names_the_epoch():
+    # client updates stay finite, but the aggregated net's predictions overflow
+    synth = SynthConfig(n_clients=3, samples_per_client=20, d_local=3, d_global=2, d_label=1, seed=6)
+    fed = FederationConfig(
+        n_clients=3, k=3, local_epochs=2, batch_size=8, global_epochs=30,
+        eta=Schedule("constant", 900.0), eta0=Schedule("constant", 0.02), seed=1,
+        u0_dim=3, w0_hidden=(8,), local_hidden=(8,), activation="identity", l_est=0.001,
+    )
+    with pytest.raises(ValueError, match=r"^non-finite values after evaluate at global epoch 0$"):
+        fedcore.run_vhfl(fed, generate(synth))
+
+
 def test_run_cloud_global_fits_linear_realizable_task():
     rng = substream(0, "linear-task")
     n, d_l, d_g = 80, 2, 2

@@ -313,15 +313,42 @@ def test_cli_seed_override(tmp_path):
     assert not (out_dir / "trace_hfl_seed1.csv").exists()
 
 
-def test_workers_do_not_change_results(tmp_path):
-    serial = config_with(tmp_path, BASE_CONFIG)
-    serial["out_dir"] = str(tmp_path / "serial")
-    threaded = copy.deepcopy(serial)
-    threaded["out_dir"] = str(tmp_path / "threaded")
-    threaded["workers"] = 4
-    run(parse_config(serial))
-    run(parse_config(threaded))
-    for name in ("summary.csv", "trace_vhfl_seed1.csv", "trace_cloud_seed2.csv"):
-        a = (tmp_path / "serial" / name).read_text().splitlines()[1:]
-        b = (tmp_path / "threaded" / name).read_text().splitlines()[1:]
-        assert a == b
+def _set(data: dict, path: str, value) -> dict:
+    *sections, key = path.split(".")
+    obj = data
+    for name in sections:
+        obj = obj[name]
+    obj[key] = value
+    return data
+
+
+CONFIG_FAULTS = [
+    (BASE_CONFIG, "seeds", 5, "config.seeds"),
+    (QUEUE_CONFIG, "queue.n_jobs", "many", "queue.n_jobs"),
+    (QUEUE_CONFIG, "queue.n_jobs", 0, "queue: n_jobs"),
+    (QUEUE_CONFIG, "delay_plan.gamma_targets", 0.5, "delay_plan.gamma_targets"),
+    (QUEUE_CONFIG, "queue.t_p_grid.count", -1, "queue.t_p_grid: count"),
+    (BASE_CONFIG, "federation.center_frozen", "false", "federation.center_frozen"),
+    (BASE_CONFIG, "federation.k", 2.7, "federation.k"),
+]
+
+
+@pytest.mark.parametrize(
+    ("base", "path", "value", "named"), CONFIG_FAULTS, ids=[f"{p}={v!r}" for _, p, v, _ in CONFIG_FAULTS]
+)
+def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, base, path, value, named):
+    data = _set(config_with(tmp_path, base), path, value)
+    config_path = write_config(tmp_path, data)
+    assert main([data["mode"], "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+def test_shipped_configs_parse(path):
+    mode = json.loads(path.read_text(encoding="utf-8"))["mode"]
+    assert load_config(path, mode_override=mode).mode == mode
