@@ -37,8 +37,11 @@ class SynthConfig:
     q_mode: str = "proportional"
 
     def __post_init__(self) -> None:
-        if min(self.n_clients, self.samples_per_client) < 1:
-            raise ValueError("need at least one client and one sample per client")
+        if self.n_clients < 1:
+            raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
+        if self.samples_per_client < 3:
+            # fewer leave the 80/20 split without a test sample
+            raise ValueError(f"samples_per_client must be >= 3, got {self.samples_per_client}")
         if min(self.d_local, self.d_global, self.d_label) < 1:
             raise ValueError("feature and label dimensions must be >= 1")
         if self.noise_std < 0.0:
@@ -53,6 +56,11 @@ class SynthConfig:
             raise ValueError(f"unknown q_mode {self.q_mode!r}")
 
 
+def _has_repeats(ids: np.ndarray) -> bool:
+    ids = np.sort(ids, kind="stable")
+    return bool(np.any(ids[1:] == ids[:-1]))
+
+
 class GlobalStore:
     """Mapping id -> global feature row, with vectorized row gathering."""
 
@@ -63,15 +71,11 @@ class GlobalStore:
             raise ValueError("features must be one row per id")
         if not np.all(np.isfinite(self._features)):
             raise ValueError("global features must be finite")
-        self._index = {int(i): k for k, i in enumerate(self._ids)}
-        if len(self._index) != len(self._ids):
-            raise ValueError("duplicate ids in global store")
-        # sorted ids and their row positions, for gathering with one searchsorted
+        # sorted ids and their row positions, for lookups with one searchsorted
         self._order = np.argsort(self._ids, kind="stable")
         self._sorted = self._ids[self._order]
-
-    def __contains__(self, sample_id: int) -> bool:
-        return int(sample_id) in self._index
+        if _has_repeats(self._sorted):
+            raise ValueError("duplicate ids in global store")
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -84,17 +88,20 @@ class GlobalStore:
     def dim(self) -> int:
         return self._features.shape[1]
 
-    def get(self, sample_id: int) -> np.ndarray:
-        try:
-            return self._features[self._index[int(sample_id)]]
-        except KeyError:
-            raise KeyError(f"no global features for id {sample_id}") from None
-
-    def rows(self, ids: Iterable[int]) -> np.ndarray:
+    def _find(self, ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``ids`` as an array, their positions in the sorted ids, and which are held."""
         wanted = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64)
         pos = np.searchsorted(self._sorted, wanted)
         hit = pos < len(self._sorted)
         hit[hit] = self._sorted[pos[hit]] == wanted[hit]
+        return wanted, pos, hit
+
+    def has(self, ids: Iterable[int]) -> np.ndarray:
+        """Whether the store holds a row for each of ``ids``."""
+        return self._find(ids)[2]
+
+    def rows(self, ids: Iterable[int]) -> np.ndarray:
+        wanted, pos, hit = self._find(ids)
         if not hit.all():
             raise KeyError(f"no global features for id {int(wanted[~hit][0])}")
         return self._features[self._order[pos]]
@@ -113,7 +120,7 @@ class ClientShard:
     def __post_init__(self) -> None:
         if not (len(self.ids) == self.x_local.shape[0] == self.y.shape[0]):
             raise ValueError("ids, features and labels must align")
-        if len(set(int(i) for i in self.ids)) != len(self.ids):
+        if _has_repeats(self.ids):
             raise ValueError(f"duplicate ids within client {self.client_id}")
         # training reads these rows unchecked, so they are checked here, once
         if not (np.all(np.isfinite(self.x_local)) and np.all(np.isfinite(self.y))):
@@ -136,15 +143,13 @@ class FederationDataset:
             raise ValueError("client weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"client weights must sum to 1, got {sum(weights)}")
-        seen: set[int] = set()
-        for shard in (*self.clients, *self.test_clients):
-            ids = {int(i) for i in shard.ids}
-            if seen & ids:
-                raise ValueError("sample id spaces overlap across shards")
-            seen |= ids
-        missing = [i for i in seen if i not in self.global_store]
-        if missing:
-            raise ValueError(f"global store misses {len(missing)} ids, e.g. {sorted(missing)[:3]}")
+        # ids are distinct within each shard, so a repeat is an overlap across shards
+        ids = np.concatenate([shard.ids for shard in (*self.clients, *self.test_clients)])
+        if _has_repeats(ids):
+            raise ValueError("sample id spaces overlap across shards")
+        missing = np.sort(ids[~self.global_store.has(ids)])
+        if missing.size:
+            raise ValueError(f"global store misses {missing.size} ids, e.g. {missing[:3].tolist()}")
 
     @property
     def d_local(self) -> int:
@@ -217,7 +222,7 @@ def generate(config: SynthConfig) -> FederationDataset:
         noise = rng.standard_normal((n, config.d_label)) * config.noise_std
         y = g_map(x_local) + config.global_strength * h_map(x_global) + noise
 
-        n_train = max(1, int(round(0.8 * n))) if n > 1 else 1
+        n_train = int(round(0.8 * n))
         perm = rng.permutation(n)
         train_idx = np.sort(perm[:n_train])
         test_idx = np.sort(perm[n_train:])
@@ -240,7 +245,6 @@ def generate(config: SynthConfig) -> FederationDataset:
     test_clients = tuple(
         ClientShard(client_id=j, ids=i, x_local=x, y=y, q=float(weights[j]))
         for (j, i, x, y) in test_shards
-        if i.shape[0] > 0
     )
     store = GlobalStore(np.concatenate(all_ids), np.vstack(all_global))
     return FederationDataset(clients=clients, test_clients=test_clients, global_store=store)
@@ -289,33 +293,29 @@ class Batch:
 
 def batches(
     shard: ClientShard,
-    side: GlobalStore | np.ndarray | None,
+    side: np.ndarray | None,
     batch_size: int,
     seed: int | np.random.Generator,
 ) -> list[Batch]:
     """Seeded shuffled mini-batches with id-aligned local/side/label rows.
 
     ``side`` gives each sample's side row (global features or centrally
-    processed features): a store looked up by id, or an array with one row
-    per shard sample in shard order. Pass None when the client trains on
-    local features alone. The final short batch is kept.
+    processed features), one row per shard sample in shard order. Pass None
+    when the client trains on local features alone. The final short batch
+    is kept.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if isinstance(side, np.ndarray) and side.shape[0] != shard.n:
+    if side is not None and side.shape[0] != shard.n:
         raise ValueError(f"side has {side.shape[0]} rows, shard has {shard.n} samples")
     rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), "batches")
     order = rng.permutation(shard.n)
     out = []
     for start in range(0, shard.n, batch_size):
         idx = order[start : start + batch_size]
-        ids = shard.ids[idx]
-        if side is None:
-            x_side = None
-        elif isinstance(side, GlobalStore):
-            x_side = side.rows(ids)
-        else:
-            x_side = side[idx]
-        out.append(Batch(ids=ids, x_local=shard.x_local[idx], x_side=x_side, y=shard.y[idx], index=idx))
+        x_side = None if side is None else side[idx]
+        out.append(
+            Batch(ids=shard.ids[idx], x_local=shard.x_local[idx], x_side=x_side, y=shard.y[idx], index=idx)
+        )
     return out
 

@@ -36,11 +36,9 @@ shard order.
 
 from __future__ import annotations
 
-import csv
 import functools
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,7 +89,6 @@ class FederationConfig:
     eta: Schedule
     eta0: Schedule
     seed: int
-    selection: str = "uniform_without_replacement"
     combine: str = "concat"
     aggregator: str = "renormalized"
     w0_hidden: tuple[int, ...] = (16,)
@@ -109,8 +106,6 @@ class FederationConfig:
             raise ValueError("local_epochs and global_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.selection != "uniform_without_replacement":
-            raise ValueError(f"unknown selection rule {self.selection!r}")
         if self.combine not in COMBINES:
             raise ValueError(f"unknown combine mode {self.combine!r}")
         if self.aggregator not in AGGREGATORS:
@@ -177,27 +172,6 @@ class TrainingTrace:
 
     def column(self, name: str) -> list[float]:
         return [getattr(row, name) for row in self.rows]
-
-    def to_csv(self, path: str | Path, config_hash: str | None = None) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            if config_hash is not None:
-                fh.write(f"# config_hash={config_hash}\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["epoch", "mode", "train_mse", "test_mse", "test_error_ratio", "k_received", "seed"]
-            )
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.epoch,
-                        self.mode,
-                        repr(row.train_mse),
-                        repr(row.test_mse),
-                        repr(row.test_error_ratio),
-                        row.k_received,
-                        self.seed,
-                    ]
-                )
 
 
 def select_clients(n_clients: int, k: int, seed: int, t_g: int) -> tuple[int, ...]:

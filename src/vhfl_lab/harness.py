@@ -19,11 +19,12 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,27 +33,6 @@ from . import fedcore, netqueue, nnet
 from .datagen import SynthConfig, generate
 
 TRAINING_MODES = ("vhfl", "hfl", "cloud", "cloud_local")
-MODES = TRAINING_MODES + (
-    "queue_analyze",
-    "queue_simulate",
-    "delay_plan",
-    "bounds_sweep",
-    "compare",
-    "k_el_sweep",
-)
-
-_REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
-    "vhfl": ("federation", "synth"),
-    "hfl": ("federation", "synth"),
-    "cloud": ("federation", "synth"),
-    "cloud_local": ("federation", "synth"),
-    "compare": ("federation", "synth"),
-    "queue_analyze": ("queue",),
-    "queue_simulate": ("queue",),
-    "delay_plan": ("queue", "delay_plan"),
-    "bounds_sweep": ("bounds", "bounds_sweep"),
-    "k_el_sweep": ("federation", "synth", "k_el_sweep"),
-}
 
 
 class ConfigError(Exception):
@@ -114,8 +94,6 @@ class BoundsSweepSpec:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("values is empty")
-        if self.param not in {f.name for f in dataclasses.fields(bounds_mod.BoundParams)}:
-            raise ValueError(f"unknown bound parameter {self.param!r}")
 
 
 @dataclass(frozen=True)
@@ -134,25 +112,11 @@ class KElSweepSpec:
                 raise ValueError(f"local_epochs={el} must be >= 1")
 
 
-@dataclass(frozen=True)
-class ChannelSpec(netqueue.He2Params):
-    """The channel section: the network's He2 parameters, the upload deadline
-    and the channel seed, which each run offsets by its own seed."""
-
-    t_p: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.t_p < 0.0:
-            raise ValueError("t_p must be non-negative")
-
-
 # section name -> its dataclass and the fields the config does not set
 _SECTIONS: dict[str, tuple[type, dict[str, Any]]] = {
     "federation": (fedcore.FederationConfig, {"seed": 0, "deadline_channel": None}),
     "synth": (SynthConfig, {}),
-    "channel": (ChannelSpec, {}),
+    "channel": (netqueue.ChannelModel, {}),
     "queue": (QueueSpec, {}),
     "delay_plan": (DelayPlanSpec, {}),
     "bounds": (bounds_mod.BoundParams, {}),
@@ -169,7 +133,7 @@ class ExperimentConfig:
     raw: dict[str, Any]
     federation: fedcore.FederationConfig | None = None
     synth: SynthConfig | None = None
-    channel: ChannelSpec | None = None
+    channel: netqueue.ChannelModel | None = None
     queue: QueueSpec | None = None
     delay_plan: DelayPlanSpec | None = None
     bounds: bounds_mod.BoundParams | None = None
@@ -218,6 +182,8 @@ def _value(tp: Any, value: Any, where: str) -> Any:
         item = typing.get_args(tp)[0]
         return tuple(_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     kind = type(value)
+    if kind is float and math.isnan(value):  # json reads NaN; Infinity stays valid
+        raise ConfigError(f"{where}: expected {_KINDS[tp]}, got NaN")
     if not (
         kind is tp
         or (tp is float and kind is int)
@@ -274,8 +240,8 @@ def parse_config(
         raw["out_dir"] = str(out_override)
 
     mode = _value(str, _need(raw, "mode", "config"), "config.mode")
-    if mode not in MODES:
-        raise ConfigError(f"config: unknown mode {mode!r}, expected one of {sorted(MODES)}")
+    if mode not in _MODES:
+        raise ConfigError(f"config: unknown mode {mode!r}, expected one of {sorted(_MODES)}")
     seeds = _value(tuple[int, ...], _need(raw, "seeds", "config"), "config.seeds")
     if not seeds:
         raise ConfigError("config: seeds must be non-empty")
@@ -283,7 +249,7 @@ def parse_config(
         raise ConfigError("config: seeds must be distinct")
     out_dir = Path(_value(str, _need(raw, "out_dir", "config"), "config.out_dir"))
 
-    for needed in _REQUIRED_SECTIONS[mode]:
+    for needed in _MODES[mode][0]:
         if needed not in raw:
             raise ConfigError(f"config: mode {mode!r} requires section {needed!r}")
     sections = {
@@ -292,7 +258,9 @@ def parse_config(
         if name in raw
     }
 
-    federation, synth, k_el = (sections.get(name) for name in ("federation", "synth", "k_el_sweep"))
+    federation, synth, k_el, bounds, sweep = (
+        sections.get(name) for name in ("federation", "synth", "k_el_sweep", "bounds", "bounds_sweep")
+    )
     if federation is not None and synth is not None:
         if federation.n_clients != synth.n_clients:
             raise ConfigError(
@@ -302,6 +270,11 @@ def parse_config(
         for k in k_el.k_values:
             if not 1 <= k <= federation.n_clients:
                 raise ConfigError(f"k_el_sweep: k={k} outside 1..{federation.n_clients}")
+    if bounds is not None and sweep is not None:
+        try:  # every swept value must make valid bounds
+            bounds_mod.sweep(bounds, sweep.param, sweep.values)
+        except ValueError as err:
+            raise ConfigError(f"bounds_sweep: {err}") from None
 
     return ExperimentConfig(mode=mode, seeds=seeds, out_dir=out_dir, raw=raw, **sections)
 
@@ -367,16 +340,6 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _channel_for(config: ExperimentConfig, seed: int) -> netqueue.ChannelModel | None:
-    if config.channel is None:
-        return None
-    return netqueue.ChannelModel(
-        params=config.channel,
-        t_p=config.channel.t_p,
-        seed=config.channel.seed + seed,
-    )
-
-
 def run_single(
     config: ExperimentConfig,
     mode: str,
@@ -386,11 +349,10 @@ def run_single(
     """Run one training mode for one seed; datasets and nets derive from the seed."""
     assert config.federation is not None and config.synth is not None
     fed = federation if federation is not None else config.federation
-    fed = dataclasses.replace(
-        fed,
-        seed=seed,
-        deadline_channel=_channel_for(config, seed) if mode in ("vhfl", "hfl") else None,
-    )
+    channel = config.channel if mode in ("vhfl", "hfl") else None
+    if channel is not None:
+        channel = dataclasses.replace(channel, seed=channel.seed + seed)
+    fed = dataclasses.replace(fed, seed=seed, deadline_channel=channel)
     dataset = generate(dataclasses.replace(config.synth, seed=config.synth.seed + seed))
     if mode == "vhfl":
         return fedcore.run_vhfl(fed, dataset)
@@ -404,17 +366,20 @@ def run_single(
 
 
 def _run_training(config: ExperimentConfig, artifacts: _Artifacts, modes: Sequence[str]) -> None:
-    hash_line = artifacts.header
     finals = []
     for mode, seed in sorted((mode, seed) for mode in modes for seed in config.seeds):
         center, trace = run_single(config, mode, seed)
-        trace_path = artifacts.open_path(f"trace_{mode}_seed{seed}.csv")
-        trace.to_csv(trace_path, config_hash=config.config_hash)
-        wbar_path = artifacts.open_path(f"wbar_{mode}_seed{seed}.txt")
-        wbar_path.write_text(hash_line + "\n" + nnet.dumps_net(center.wbar), encoding="utf-8")
-        if center.w0 is not None:
-            w0_path = artifacts.open_path(f"w0_{mode}_seed{seed}.txt")
-            w0_path.write_text(hash_line + "\n" + nnet.dumps_net(center.w0), encoding="utf-8")
+        artifacts.write_csv(
+            f"trace_{mode}_seed{seed}.csv",
+            ["epoch", "mode", "train_mse", "test_mse", "test_error_ratio", "k_received", "seed"],
+            [
+                (r.epoch, mode, r.train_mse, r.test_mse, r.test_error_ratio, r.k_received, seed)
+                for r in trace.rows
+            ],
+        )
+        for name, net in (("wbar", center.wbar), ("w0", center.w0)):
+            if net is not None:
+                artifacts.write_text(f"{name}_{mode}_seed{seed}.txt", nnet.dumps_net(net))
         finals.append((mode, seed, trace.final))
 
     summary_rows = [
@@ -545,23 +510,25 @@ def run(config: ExperimentConfig) -> list[Path]:
         resolved.write_text(
             json.dumps(config.raw, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        if config.mode in TRAINING_MODES:
-            _run_training(config, artifacts, [config.mode])
-        elif config.mode == "compare":
-            _run_training(config, artifacts, list(TRAINING_MODES))
-        elif config.mode == "queue_analyze":
-            _run_queue_analyze(config, artifacts)
-        elif config.mode == "queue_simulate":
-            _run_queue_simulate(config, artifacts)
-        elif config.mode == "delay_plan":
-            _run_delay_plan(config, artifacts)
-        elif config.mode == "bounds_sweep":
-            _run_bounds_sweep(config, artifacts)
-        elif config.mode == "k_el_sweep":
-            _run_k_el_sweep(config, artifacts)
-        else:  # pragma: no cover - parse_config forbids this
-            raise ConfigError(f"unknown mode {config.mode!r}")
+        _MODES[config.mode][1](config, artifacts)
     except BaseException:
         artifacts.cleanup()
         raise
     return artifacts.created
+
+
+_TRAINING_SECTIONS = ("federation", "synth")
+# mode -> the config sections it requires and the function that runs it
+_MODES: dict[str, tuple[tuple[str, ...], Callable[[ExperimentConfig, _Artifacts], None]]] = {
+    **{
+        mode: (_TRAINING_SECTIONS, functools.partial(_run_training, modes=(mode,)))
+        for mode in TRAINING_MODES
+    },
+    "compare": (_TRAINING_SECTIONS, functools.partial(_run_training, modes=TRAINING_MODES)),
+    "queue_analyze": (("queue",), _run_queue_analyze),
+    "queue_simulate": (("queue",), _run_queue_simulate),
+    "delay_plan": (("queue", "delay_plan"), _run_delay_plan),
+    "bounds_sweep": (("bounds", "bounds_sweep"), _run_bounds_sweep),
+    "k_el_sweep": ((*_TRAINING_SECTIONS, "k_el_sweep"), _run_k_el_sweep),
+}
+MODES = tuple(_MODES)

@@ -70,9 +70,6 @@ class QueueAnalysis:
 def analyze(params: He2Params) -> QueueAnalysis:
     """Evaluate rho, mu12 = alpha1*mu1 + alpha2*mu2 and the roots s1, s2."""
     lam, mu1, mu2 = params.lambda_n, params.mu1, params.mu2
-    rho = params.rho
-    if rho >= 1.0:
-        raise ValueError(f"unstable queue: utilization rho = {rho:.6g} >= 1")
     mu12 = params.alpha1 * mu1 + params.alpha2 * mu2
     disc = (
         mu1**2 + mu2**2 + lam**2
@@ -82,7 +79,7 @@ def analyze(params: He2Params) -> QueueAnalysis:
     root = math.sqrt(disc)
     s1 = 0.5 * ((lam - mu1 - mu2) + root)
     s2 = 0.5 * ((lam - mu1 - mu2) - root)
-    return QueueAnalysis(params=params, rho=rho, mu12=mu12, s1=s1, s2=s2)
+    return QueueAnalysis(params=params, rho=params.rho, mu12=mu12, s1=s1, s2=s2)
 
 
 def _mixture_coeffs(analysis: QueueAnalysis) -> tuple[float, float]:
@@ -216,14 +213,15 @@ def sample_sojourn(analysis: QueueAnalysis, rng: np.random.Generator, n: int) ->
 
 
 @dataclass(frozen=True)
-class ChannelModel:
-    """Lossy upload channel: sojourns beyond the deadline ``t_p`` are dropped."""
+class ChannelModel(He2Params):
+    """Lossy upload channel: the network's He2 parameters, the upload deadline
+    ``t_p`` and the seed of the delay draws; sojourns beyond ``t_p`` are dropped."""
 
-    params: He2Params
     t_p: float
     seed: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.t_p < 0.0:
             raise ValueError(f"t_p must be non-negative, got {self.t_p}")
 
@@ -241,7 +239,7 @@ def apply_channel(
     """
     if math.isinf(channel.t_p):
         return list(uploads)
-    analysis = analyze(channel.params)
+    analysis = analyze(channel)
     delivered = []
     for key in uploads:
         rng = substream(channel.seed, "channel", epoch, key)

@@ -53,8 +53,7 @@ def test_generate_structure_invariants():
         ids = {int(i) for i in shard.ids}
         assert not (seen & ids)
         seen |= ids
-        for i in ids:
-            assert i in ds.global_store
+        assert ds.global_store.has(shard.ids).all()
     # 80/20 split by id
     for train, test in zip(ds.clients, ds.test_clients):
         assert train.n == 24 and test.n == 6
@@ -176,7 +175,7 @@ def test_lambda_validation():
 def test_batches_single_batch_when_large():
     ds = generate(SMALL)
     shard = ds.clients[0]
-    out = batches(shard, ds.global_store, batch_size=1000, seed=3)
+    out = batches(shard, ds.global_store.rows(shard.ids), batch_size=1000, seed=3)
     assert len(out) == 1
     assert set(int(i) for i in out[0].ids) == set(int(i) for i in shard.ids)
 
@@ -185,12 +184,12 @@ def test_batches_alignment_by_id():
     ds = generate(SMALL)
     shard = ds.clients[1]
     by_id = {int(i): k for k, i in enumerate(shard.ids)}
-    for batch in batches(shard, ds.global_store, batch_size=7, seed=3):
+    for batch in batches(shard, ds.global_store.rows(shard.ids), batch_size=7, seed=3):
         for row, sample_id in enumerate(batch.ids):
             k = by_id[int(sample_id)]
             assert np.array_equal(batch.x_local[row], shard.x_local[k])
             assert np.array_equal(batch.y[row], shard.y[k])
-            assert np.array_equal(batch.x_side[row], ds.global_store.get(int(sample_id)))
+            assert np.array_equal(batch.x_side[row], ds.global_store.rows([sample_id])[0])
 
 
 def test_batches_deterministic_and_keeps_short_tail():
@@ -207,15 +206,18 @@ def test_batches_missing_global_entry():
     ds = generate(SMALL)
     shard = ds.clients[0]
     store = datagen.GlobalStore(shard.ids[:-1], np.zeros((shard.n - 1, 2)))
-    with pytest.raises(KeyError):
-        batches(shard, store, batch_size=8, seed=0)
+    with pytest.raises(KeyError, match=f"no global features for id {shard.ids[-1]}"):
+        store.rows(shard.ids)
+    with pytest.raises(ValueError, match="side has"):
+        batches(shard, np.zeros((shard.n - 1, 2)), batch_size=8, seed=0)
 
 
 def test_global_store_rows_gather_by_id():
     features = np.arange(12.0).reshape(4, 3)
     store = datagen.GlobalStore([30, 10, 40, 20], features)
     wanted = [20, 30, 20, 40]
-    assert np.array_equal(store.rows(wanted), np.vstack([store.get(i) for i in wanted]))
+    assert np.array_equal(store.rows(wanted), features[[3, 0, 3, 2]])
+    assert store.has([20, 25, 40, 0]).tolist() == [True, False, True, False]
     assert np.array_equal(store.rows(iter(np.array(wanted))), store.rows(wanted))
     assert store.rows(np.array([], dtype=np.int64)).shape == (0, 3)
     for ids, first_missing in (([10, 25, 5], 25), ([50], 50), ([0, 10], 0)):
@@ -224,6 +226,25 @@ def test_global_store_rows_gather_by_id():
     empty = datagen.GlobalStore([], np.zeros((0, 3)))
     with pytest.raises(KeyError, match="no global features for id 7"):
         empty.rows([7])
+    assert empty.has([7]).tolist() == [False]
+
+
+def test_id_checks_of_store_shard_and_dataset():
+    with pytest.raises(ValueError, match="duplicate ids in global store"):
+        datagen.GlobalStore([3, 1, 3], np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="duplicate ids within client 0"):
+        datagen.ClientShard(0, np.array([2, 0, 2]), np.zeros((3, 2)), np.zeros((3, 1)), 1.0)
+
+    def shard(j: int, ids: list[int]) -> datagen.ClientShard:
+        n = len(ids)
+        return datagen.ClientShard(j, np.array(ids), np.zeros((n, 2)), np.zeros((n, 1)), 0.5)
+
+    store = datagen.GlobalStore(np.arange(6), np.zeros((6, 2)))
+    datagen.FederationDataset((shard(0, [0, 1]), shard(1, [2, 3])), (shard(0, [4]),), store)
+    with pytest.raises(ValueError, match="overlap"):
+        datagen.FederationDataset((shard(0, [0, 1]), shard(1, [2, 3])), (shard(0, [1]),), store)
+    with pytest.raises(ValueError, match=r"global store misses 2 ids, e\.g\. \[6, 7\]"):
+        datagen.FederationDataset((shard(0, [7, 0]), shard(1, [6, 3])), (), store)
 
 
 def test_shard_rejects_non_finite_rows():
@@ -249,3 +270,6 @@ def test_config_validation():
         dataclasses.replace(SMALL, d_local=0)
     with pytest.raises(ValueError):
         dataclasses.replace(SMALL, q_mode="sizes")
+    # fewer than 3 samples leave a client without a test sample
+    with pytest.raises(ValueError, match="samples_per_client"):
+        dataclasses.replace(SMALL, samples_per_client=2)

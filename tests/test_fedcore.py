@@ -122,9 +122,7 @@ def test_broadcast_identity_center():
     )
     tables = center_broadcast(center, ds.global_store, ds.clients[:2])
     for shard in ds.clients[:2]:
-        table = tables[shard.client_id]
-        for k, sample_id in enumerate(shard.ids):
-            assert np.array_equal(table[k], ds.global_store.get(int(sample_id)))
+        assert np.array_equal(tables[shard.client_id], ds.global_store.rows(shard.ids))
 
 
 def test_broadcast_matches_per_sample_forward():
@@ -139,7 +137,7 @@ def test_broadcast_matches_per_sample_forward():
     for shard in ds.clients:
         assert tables[shard.client_id].shape == (shard.n, 3)
         for k, sample_id in enumerate(shard.ids):
-            row = ds.global_store.get(int(sample_id))[None, :]
+            row = ds.global_store.rows([sample_id])
             single, _ = nnet.forward(center.w0, row)
             assert np.allclose(tables[shard.client_id][k], single[0], atol=1e-12)
     # disjoint clients receive disjoint id sets, one row per sample in shard order
@@ -553,9 +551,7 @@ def test_run_cloud_deterministic():
 
 def test_channel_zero_deadline_keeps_previous_weights():
     ds = generate(SYNTH)
-    channel = netqueue.ChannelModel(
-        params=netqueue.He2Params(2.0, 0.5, 0.5, 8.0, 2.0), t_p=0.0, seed=2
-    )
+    channel = netqueue.ChannelModel(2.0, 0.5, 0.5, 8.0, 2.0, t_p=0.0, seed=2)
     fed = dataclasses.replace(FED, deadline_channel=channel, global_epochs=4)
     center, trace = fedcore.run_vhfl(fed, ds)
     assert all(row.k_received == 0 for row in trace.rows)
@@ -570,10 +566,9 @@ def test_channel_zero_deadline_keeps_previous_weights():
 
 def test_channel_partial_delivery_counts():
     ds = generate(SYNTH)
-    params = netqueue.He2Params(2.0, 0.5, 0.5, 8.0, 2.0)
-    analysis = netqueue.analyze(params)
+    analysis = netqueue.analyze(netqueue.He2Params(2.0, 0.5, 0.5, 8.0, 2.0))
     t_p = netqueue.required_deadline(analysis, 0.7)
-    channel = netqueue.ChannelModel(params=params, t_p=t_p, seed=3)
+    channel = netqueue.ChannelModel(2.0, 0.5, 0.5, 8.0, 2.0, t_p=t_p, seed=3)
     fed = dataclasses.replace(FED, k=5, deadline_channel=channel, global_epochs=30)
     _, trace = fedcore.run_vhfl(fed, ds)
     ks = [row.k_received for row in trace.rows]
@@ -625,7 +620,7 @@ def test_evaluate_equals_mean_of_per_sample_losses():
         for k, sample_id in enumerate(shard.ids):
             pred = predict(
                 center,
-                ds.global_store.get(int(sample_id))[None, :],
+                ds.global_store.rows([sample_id]),
                 shard.x_local[k : k + 1],
             )
             losses.append(float(np.sum((pred[0] - shard.y[k]) ** 2)))
@@ -693,18 +688,3 @@ def test_federation_config_validation():
     bad = dataclasses.replace(FED, combine="additive", u0_dim=3)
     with pytest.raises(ValueError):
         fedcore.run_vhfl(bad, ds)
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    ds = generate(SYNTH)
-    fed = dataclasses.replace(FED, global_epochs=3)
-    _, trace = fedcore.run_vhfl(fed, ds)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path, config_hash="deadbeef")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# config_hash=deadbeef"
-    assert lines[1] == "epoch,mode,train_mse,test_mse,test_error_ratio,k_received,seed"
-    assert len(lines) == 2 + 3
-    first = lines[2].split(",")
-    assert first[0] == "0" and first[1] == "vhfl" and first[6] == str(fed.seed)
-    assert float(first[2]) == trace.rows[0].train_mse

@@ -6,7 +6,9 @@ configs: ``vhfl``, ``hfl`` behind a He2 channel that drops uploads,
 that changes any step of training, changes them. They were computed
 before the training loop moved to in-place kernels, with Python 3.11.7,
 numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
-x86-64). Another BLAS build or CPU kernel may round differently; there,
+x86-64). The trace digests were renewed when trace rows stopped ending in
+CRLF: each is the digest of the old file's bytes with every CRLF replaced
+by LF. Another BLAS build or CPU kernel may round differently; there,
 recompute the digests at a trusted commit before reading a failure as a
 regression.
 """
@@ -62,21 +64,21 @@ CONFIGS = {
 
 DIGESTS = {
     "vhfl": {
-        "trace_vhfl_seed3.csv": "86bdf458bc81a3a9d6c78e4798419c16d14cebfc819ea42bc42cd593144f2eca",
+        "trace_vhfl_seed3.csv": "2c97c0581097fb419fd246069940beb532481947f6ec333effc5104e4c827259",
         "w0_vhfl_seed3.txt": "b7e42f813271e4677e03932977ac3ead7c03e10f1602e8810632bfee10f785ee",
         "wbar_vhfl_seed3.txt": "1c217360eefb87b8b5c18a7a5e3726d9cdae262abd3d3dd4ad03437f739d1d1d",
     },
     "hfl": {
-        "trace_hfl_seed3.csv": "de91ac9cecae02bb648b4e59a79546669e3ddf272d9b6fd1eaa368bfa540affb",
+        "trace_hfl_seed3.csv": "f3b77f46cad00edc55218acf28aadea7db8c0e4f7b803a51e099b896ac114c87",
         "wbar_hfl_seed3.txt": "cd6c7a64d6e41252165c3714fc15796a103cab20f56a55bb1c7ee0b7b9d807e4",
     },
     "cloud": {
-        "trace_cloud_seed3.csv": "7158111510621ccd5363aa503c6c8aa2817fbd183fad0d2ec2e18b03a42617c5",
+        "trace_cloud_seed3.csv": "7364c8e5968fc6e29a6785e4b31c1366fb15ecca7e70b92fb46a6333d83acf64",
         "w0_cloud_seed3.txt": "36598ea701b8286400d4a107717dbd10d470a0817809d9fc46e36021ad67fa4b",
         "wbar_cloud_seed3.txt": "7d0d8e7522f014bdd64a24119ee88aa1615e343ff3d759399e188569fa84d3e9",
     },
     "cloud_local": {
-        "trace_cloud_local_seed3.csv": "84f19d9f238db45737b1c042b34537aed9f96a19361ac7be9786f2f37c5d154b",
+        "trace_cloud_local_seed3.csv": "d0d9b59a91a42a955c475a59efd28f20388694002c7ae4bbe6577f1068bb2026",
         "wbar_cloud_local_seed3.txt": "066acee0b8904f66add97da6e5b6461b2503be0e5cd8e2b8af5c38052bb900c8",
     },
 }

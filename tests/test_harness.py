@@ -9,7 +9,7 @@ import pytest
 
 from vhfl_lab import netqueue
 from vhfl_lab.cli import main
-from vhfl_lab.harness import ConfigError, epochs_to_threshold, load_config, parse_config, run
+from vhfl_lab.harness import ConfigError, epochs_to_threshold, load_config, parse_config, run, run_single
 
 BASE_CONFIG = {
     "mode": "compare",
@@ -57,6 +57,22 @@ QUEUE_CONFIG = {
     },
     "delay_plan": {"gamma_targets": [0.5, 0.9, 0.99], "tol": 1e-6},
 }
+
+BOUNDS_CONFIG = {
+    "mode": "bounds_sweep",
+    "seeds": [1],
+    "out_dir": "",
+    "bounds": {
+        "l_smooth": 1.0, "mu_pl": 0.5, "sigma2": 0.4, "sigma0_2": 0.2,
+        "g2": 1.0, "lambda_niid": 2.0, "f_init": 3.0, "f_star": 0.5,
+        "f0": 1.0, "local_epochs": 5, "k": 10, "global_epochs": 100,
+    },
+    "bounds_sweep": {"param": "k", "values": [1, 2, 4, 8]},
+}
+
+# gamma(1.0) is about 0.64 for this He2 network
+CHANNEL = {"lambda_n": 2.0, "alpha1": 0.5, "alpha2": 0.5, "mu1": 8.0, "mu2": 2.0, "t_p": 1.0, "seed": 4}
+LOSSY_CONFIG = {**BASE_CONFIG, "mode": "hfl", "channel": CHANNEL}
 
 
 def write_config(tmp_path: Path, data: dict, name: str = "config.json") -> Path:
@@ -136,6 +152,37 @@ def test_compare_emits_one_summary_row_per_mode_and_seed(tmp_path):
             assert (config.out_dir / f"wbar_{mode}_seed{seed}.txt").exists()
     assert (config.out_dir / "w0_vhfl_seed1.txt").exists()
     assert (config.out_dir / "summary_stats.csv").exists()
+    # every artifact ends its lines in a bare newline
+    for path in created:
+        assert b"\r" not in path.read_bytes(), path.name
+
+
+def test_written_trace_holds_the_run(tmp_path):
+    config = parse_config(config_with(tmp_path, LOSSY_CONFIG, seeds=[2]))
+    run(config)
+    _, trace = run_single(config, "hfl", 2)
+    lines = (config.out_dir / "trace_hfl_seed2.csv").read_text().splitlines()
+    assert lines[0] == f"# config_hash={config.config_hash}"
+    assert lines[1] == "epoch,mode,train_mse,test_mse,test_error_ratio,k_received,seed"
+    assert len(lines) == 2 + 3
+    for line, row in zip(lines[2:], trace.rows):
+        cells = line.split(",")
+        assert cells[:2] == [str(row.epoch), "hfl"] and cells[6] == "2"
+        assert [float(v) for v in cells[2:5]] == [row.train_mse, row.test_mse, row.test_error_ratio]
+        assert int(cells[5]) == row.k_received <= 3
+    assert sum(row.k_received for row in trace.rows) < 3 * 3  # the channel drops uploads
+
+
+def test_channel_section_reads_into_the_channel_model(tmp_path):
+    config = parse_config(config_with(tmp_path, LOSSY_CONFIG))
+    assert config.channel == netqueue.ChannelModel(2.0, 0.5, 0.5, 8.0, 2.0, t_p=1.0, seed=4)
+    # the JSON literal Infinity means no deadline: every upload arrives
+    data = config_with(tmp_path, LOSSY_CONFIG, seeds=[1])
+    data["channel"]["t_p"] = float("inf")
+    path = write_config(tmp_path, data)
+    assert '"t_p": Infinity' in path.read_text()
+    _, trace = run_single(load_config(path), "hfl", 1)
+    assert [row.k_received for row in trace.rows] == [3, 3, 3]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -202,21 +249,7 @@ def test_queue_analyze_report(tmp_path):
 
 
 def test_bounds_sweep_csv(tmp_path):
-    data = config_with(
-        tmp_path,
-        {
-            "mode": "bounds_sweep",
-            "seeds": [1],
-            "out_dir": "",
-            "bounds": {
-                "l_smooth": 1.0, "mu_pl": 0.5, "sigma2": 0.4, "sigma0_2": 0.2,
-                "g2": 1.0, "lambda_niid": 2.0, "f_init": 3.0, "f_star": 0.5,
-                "f0": 1.0, "local_epochs": 5, "k": 10, "global_epochs": 100,
-            },
-            "bounds_sweep": {"param": "k", "values": [1, 2, 4, 8]},
-        },
-    )
-    config = parse_config(data)
+    config = parse_config(config_with(tmp_path, BOUNDS_CONFIG))
     run(config)
     lines = (config.out_dir / "bounds_sweep.csv").read_text().splitlines()
     assert lines[1] == "swept_param,value,nonconvex_bound,convex_bound"
@@ -227,21 +260,8 @@ def test_bounds_sweep_csv(tmp_path):
 
 
 def test_bounds_sweep_unknown_param_is_config_error(tmp_path):
-    data = config_with(
-        tmp_path,
-        {
-            "mode": "bounds_sweep",
-            "seeds": [1],
-            "out_dir": "",
-            "bounds": {
-                "l_smooth": 1.0, "mu_pl": 0.5, "sigma2": 0.4, "sigma0_2": 0.2,
-                "g2": 1.0, "lambda_niid": 2.0, "f_init": 3.0, "f_star": 0.5,
-                "f0": 1.0, "local_epochs": 5, "k": 10, "global_epochs": 100,
-            },
-            "bounds_sweep": {"param": "clients", "values": [1.0]},
-        },
-    )
-    with pytest.raises(ConfigError, match="clients"):
+    data = config_with(tmp_path, BOUNDS_CONFIG, bounds_sweep={"param": "clients", "values": [1.0]})
+    with pytest.raises(ConfigError, match="bounds_sweep: unknown bound parameter 'clients'"):
         parse_config(data)
 
 
@@ -330,6 +350,14 @@ CONFIG_FAULTS = [
     (QUEUE_CONFIG, "queue.t_p_grid.count", -1, "queue.t_p_grid: count"),
     (BASE_CONFIG, "federation.center_frozen", "false", "federation.center_frozen"),
     (BASE_CONFIG, "federation.k", 2.7, "federation.k"),
+    (BASE_CONFIG, "federation.selection", "uniform_without_replacement", "federation: unknown keys ['selection']"),
+    (BASE_CONFIG, "synth.noise_std", float("nan"), "synth.noise_std"),
+    (BASE_CONFIG, "synth.samples_per_client", 2, "synth: samples_per_client"),
+    (BOUNDS_CONFIG, "bounds_sweep.param", "gamma", "bounds_sweep: gamma must lie in (0, 1], got 2.0"),
+    (BOUNDS_CONFIG, "bounds_sweep.values", [0.4, 4.0], "bounds_sweep: epoch and client counts"),
+    (LOSSY_CONFIG, "channel.t_p", -1.0, "channel: t_p"),
+    (LOSSY_CONFIG, "channel.lambda_n", 10.0, "channel: unstable queue"),
+    (LOSSY_CONFIG, "channel.params", {"lambda_n": 2.0}, "channel: unknown keys ['params']"),
 ]
 
 

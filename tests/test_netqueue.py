@@ -210,20 +210,20 @@ def test_sample_sojourn_matches_distribution():
 
 
 def test_apply_channel_edges_and_mean_count():
-    none = nq.ChannelModel(params=BENCH, t_p=0.0, seed=1)
+    none = nq.ChannelModel(**vars(BENCH), t_p=0.0, seed=1)
     assert nq.apply_channel(none, list(range(10)), epoch=0) == []
-    everything = nq.ChannelModel(params=BENCH, t_p=math.inf, seed=1)
+    everything = nq.ChannelModel(**vars(BENCH), t_p=math.inf, seed=1)
     assert nq.apply_channel(everything, list(range(10)), epoch=0) == list(range(10))
 
     a = nq.analyze(BENCH)
     t_p = nq.required_deadline(a, 0.7, tol=1e-9)
-    channel = nq.ChannelModel(params=BENCH, t_p=t_p, seed=9)
+    channel = nq.ChannelModel(**vars(BENCH), t_p=t_p, seed=9)
     counts = [len(nq.apply_channel(channel, list(range(10)), epoch=e)) for e in range(4000)]
     assert abs(float(np.mean(counts)) - 7.0) < 0.1
 
 
 def test_apply_channel_deterministic_and_order_independent():
-    channel = nq.ChannelModel(params=BENCH, t_p=1.0, seed=4)
+    channel = nq.ChannelModel(**vars(BENCH), t_p=1.0, seed=4)
     first = nq.apply_channel(channel, [3, 1, 4, 1 + 1, 5], epoch=7)
     second = nq.apply_channel(channel, [5, 2, 4, 1, 3], epoch=7)
     assert sorted(first) == sorted(second)
