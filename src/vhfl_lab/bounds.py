@@ -1,16 +1,17 @@
 """Convergence-bound calculators.
 
-Descriptive evaluators for the analytic bounds on federated training
-with a central vertical model: the non-convex rate in terms of averaged
-gradient norms and the convex-case (PL condition) loss gap, plus the
-lossy-network variants where the collected-model count K is deflated to
-K*gamma. No constants are estimated from runs; callers supply them.
+One evaluator, :func:`evaluate`, gives both analytic bounds on federated
+training with a central vertical model: the non-convex rate in terms of
+averaged gradient norms and the convex-case (PL condition) loss gap. Both
+take the collected-model count at K*gamma, the count a lossy network
+leaves; the lossless bounds are the gamma = 1 case, where K*1.0 equals
+float(K) exactly. No constants are estimated from runs; callers supply them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 
@@ -22,7 +23,9 @@ class BoundParams:
     ``sigma2``/``sigma0_2``: local and central stochastic-gradient
     variances; ``g2``: gradient-norm bound; ``lambda_niid``: gradient
     divergence ratio (>= 1); ``f_init``/``f_star``: initial and optimal
-    loss; ``f0``: initial-gradient factor in the convex bound.
+    loss; ``f0``: initial-gradient factor in the convex bound. The counts
+    ``local_epochs``, ``k`` and ``global_epochs`` must be integral and are
+    stored as ints.
     """
 
     l_smooth: float
@@ -40,6 +43,11 @@ class BoundParams:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("local_epochs", "k", "global_epochs"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value}")
+            object.__setattr__(self, name, int(value))
         if self.l_smooth <= 0.0 or self.mu_pl <= 0.0:
             raise ValueError("smoothness and PL constants must be positive")
         if min(self.sigma2, self.sigma0_2, self.g2, self.f0) < 0.0:
@@ -54,43 +62,23 @@ class BoundParams:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
 
 
-def _noise_term(p: BoundParams, k_eff: float) -> float:
-    el, l = p.local_epochs, p.l_smooth
-    return (
+def evaluate(p: BoundParams) -> tuple[float, float]:
+    """The (nonconvex, convex) bounds with the collected-model count at K*gamma.
+
+    ``nonconvex`` bounds the averaged gradient norm over the global epochs,
+    ``convex`` the expected loss gap under the PL condition.
+    """
+    el, tg, l = p.local_epochs, p.global_epochs, p.l_smooth
+    k_eff = p.k * p.gamma
+    noise = (
         el * p.sigma0_2
         + (p.sigma2 / k_eff) * (1.0 / el + (p.lambda_niid - 1.0) * l)
         + (p.lambda_niid - 1.0) * l * el * p.g2
     )
-
-
-def _nonconvex(p: BoundParams, k_eff: float) -> float:
-    el, tg = p.local_epochs, p.global_epochs
     head = 2.0 * (p.f_init - p.f_star) / (math.sqrt(tg) * math.sqrt(el))
-    return head + (p.l_smooth * math.sqrt(el) / math.sqrt(tg)) * _noise_term(p, k_eff)
-
-
-def _convex(p: BoundParams, k_eff: float) -> float:
-    el, tg = p.local_epochs, p.global_epochs
-    bracket = _noise_term(p, k_eff) + p.f0 * p.g2 / (4.0 * el)
-    return (1.0 / tg) * (2.0 * p.l_smooth / p.mu_pl**2) * bracket
-
-
-def nonconvex_bound(p: BoundParams) -> float:
-    """Bound on the averaged gradient norm over the global epochs (lossless)."""
-    return _nonconvex(p, float(p.k))
-
-
-def convex_bound(p: BoundParams) -> float:
-    """Bound on the expected loss gap under the PL condition (lossless)."""
-    return _convex(p, float(p.k))
-
-
-def lossy_bounds(p: BoundParams) -> tuple[float, float]:
-    """Both bounds with the collected-model count deflated to K*gamma."""
-    if p.gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    k_eff = p.k * p.gamma
-    return _nonconvex(p, k_eff), _convex(p, k_eff)
+    nonconvex = head + (l * math.sqrt(el) / math.sqrt(tg)) * noise
+    convex = (1.0 / tg) * (2.0 * l / p.mu_pl**2) * (noise + p.f0 * p.g2 / (4.0 * el))
+    return nonconvex, convex
 
 
 def sweep(
@@ -100,18 +88,9 @@ def sweep(
 ) -> list[tuple[float, float, float]]:
     """Evaluate (value, nonconvex, convex) along a one-parameter sweep.
 
-    Integer fields are swept with rounded values; the lossy variants are
-    used throughout so a gamma sweep is just another column.
+    Each value replaces ``param`` in ``p``, so ``BoundParams`` rejects a
+    non-integral count; a gamma sweep is just another column.
     """
-    import dataclasses
-
-    if param not in {f.name for f in dataclasses.fields(BoundParams)}:
+    if param not in {f.name for f in fields(BoundParams)}:
         raise ValueError(f"unknown bound parameter {param!r}")
-    rows = []
-    for value in values:
-        field_type = BoundParams.__dataclass_fields__[param].type
-        cast = int(round(value)) if field_type == "int" else float(value)
-        q = dataclasses.replace(p, **{param: cast})
-        nc, cv = lossy_bounds(q)
-        rows.append((float(value), nc, cv))
-    return rows
+    return [(float(value), *evaluate(replace(p, **{param: value}))) for value in values]

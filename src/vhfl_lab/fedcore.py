@@ -161,11 +161,6 @@ class TrainingTrace:
     seed: int
     rows: list[TraceRow] = field(default_factory=list)
 
-    def append(self, row: TraceRow) -> None:
-        if not (np.isfinite(row.train_mse) and np.isfinite(row.test_mse)):
-            raise ValueError(f"non-finite loss at epoch {row.epoch}")
-        self.rows.append(row)
-
     @property
     def final(self) -> TraceRow:
         return self.rows[-1]
@@ -605,6 +600,10 @@ def _run(
         raise ValueError(
             f"config expects {config.n_clients} clients, dataset has {dataset.n_clients}"
         )
+    if center.w0 is not None and center.combine != config.combine:
+        raise ValueError(
+            f"center combines with {center.combine!r}, config with {config.combine!r}"
+        )
     if center.w0 is not None and config.combine == "additive" and config.u0_dim != dataset.d_label:
         raise ValueError(
             f"additive combining needs u0_dim == d_label, got {config.u0_dim} != {dataset.d_label}"
@@ -628,7 +627,7 @@ def _run(
             test_mse, err = evaluate(center, dataset.test_clients, store)
         if not (np.isfinite(train) and np.isfinite(test_mse)):
             raise ValueError(f"non-finite values after evaluate at global epoch {t_g}")
-        trace.append(TraceRow(t_g, train, test_mse, err, k_received, time.perf_counter() - started))
+        trace.rows.append(TraceRow(t_g, train, test_mse, err, k_received, time.perf_counter() - started))
     return center, trace
 
 

@@ -86,6 +86,10 @@ class DelayPlanSpec:
                 raise ValueError(f"gamma target {g} outside (0, 1)")
 
 
+# the deadline plan a queue report lists when the config has no delay_plan
+_DEFAULT_PLAN = DelayPlanSpec((0.5, 0.9, 0.99))
+
+
 @dataclass(frozen=True)
 class BoundsSweepSpec:
     param: str
@@ -400,11 +404,17 @@ def _run_training(config: ExperimentConfig, artifacts: _Artifacts, modes: Sequen
     artifacts.write_csv("summary_stats.csv", ["mode", "metric", "mean", "sd"], stats_rows)
 
 
-def _queue_report(config: ExperimentConfig, analysis: netqueue.QueueAnalysis) -> str:
+def _queue_tables(
+    config: ExperimentConfig,
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]], str]:
+    """The gamma(t_p) rows over the deadline grid, the (gamma target, deadline)
+    plan, and the queue report listing both."""
     spec = config.queue
     assert spec is not None
-    targets = config.delay_plan.gamma_targets if config.delay_plan else (0.5, 0.9, 0.99)
-    tol = config.delay_plan.tol if config.delay_plan else 1e-6
+    plan = config.delay_plan or _DEFAULT_PLAN
+    analysis = netqueue.analyze(spec)
+    gammas = [(t_p, netqueue.success_rate(analysis, t_p)) for t_p in spec.t_p_grid]
+    deadlines = [(g, netqueue.required_deadline(analysis, g, plan.tol)) for g in plan.gamma_targets]
     lines = [
         "queue analysis",
         f"rho {analysis.rho!r}",
@@ -413,49 +423,34 @@ def _queue_report(config: ExperimentConfig, analysis: netqueue.QueueAnalysis) ->
         f"s2 {analysis.s2!r}",
         "",
         "t_p gamma",
+        *(f"{t_p!r} {gamma!r}" for t_p, gamma in gammas),
+        "",
+        "gamma_target required_t_p",
+        *(f"{g!r} {t_p!r}" for g, t_p in deadlines),
     ]
-    for t_p in spec.t_p_grid:
-        lines.append(f"{t_p!r} {netqueue.success_rate(analysis, t_p)!r}")
-    lines.append("")
-    lines.append("gamma_target required_t_p")
-    for g in targets:
-        lines.append(f"{g!r} {netqueue.required_deadline(analysis, g, tol)!r}")
-    return "\n".join(lines) + "\n"
+    return gammas, deadlines, "\n".join(lines) + "\n"
 
 
 def _run_queue_analyze(config: ExperimentConfig, artifacts: _Artifacts) -> None:
-    spec = config.queue
-    assert spec is not None
-    analysis = netqueue.analyze(spec)
-    artifacts.write_text("queue_report.txt", _queue_report(config, analysis))
-    rows = [(t_p, netqueue.success_rate(analysis, t_p)) for t_p in spec.t_p_grid]
-    artifacts.write_csv("gamma_table.csv", ["t_p", "gamma_formula"], rows)
+    gammas, _, report = _queue_tables(config)
+    artifacts.write_text("queue_report.txt", report)
+    artifacts.write_csv("gamma_table.csv", ["t_p", "gamma_formula"], gammas)
 
 
 def _run_queue_simulate(config: ExperimentConfig, artifacts: _Artifacts) -> None:
     spec = config.queue
     assert spec is not None
-    analysis = netqueue.analyze(spec)
+    gammas, _, report = _queue_tables(config)
     samples = netqueue.simulate_mg1(spec, spec.n_jobs, spec.seed)
-    rows = [
-        (t_p, netqueue.success_rate(analysis, t_p), netqueue.empirical_gamma(samples, t_p))
-        for t_p in spec.t_p_grid
-    ]
+    rows = [(t_p, gamma, netqueue.empirical_gamma(samples, t_p)) for t_p, gamma in gammas]
     artifacts.write_csv("gamma_vs_tp.csv", ["t_p", "gamma_formula", "gamma_mc"], rows)
-    body = _queue_report(config, analysis) + f"\nmean_sojourn_mc {float(np.mean(samples))!r}\n"
-    artifacts.write_text("queue_report.txt", body)
+    artifacts.write_text("queue_report.txt", report + f"\nmean_sojourn_mc {float(np.mean(samples))!r}\n")
 
 
 def _run_delay_plan(config: ExperimentConfig, artifacts: _Artifacts) -> None:
-    spec, plan = config.queue, config.delay_plan
-    assert spec is not None and plan is not None
-    analysis = netqueue.analyze(spec)
-    rows = [
-        (g, netqueue.required_deadline(analysis, g, plan.tol))
-        for g in plan.gamma_targets
-    ]
-    artifacts.write_csv("deadline_plan.csv", ["gamma_target", "t_p"], rows)
-    artifacts.write_text("queue_report.txt", _queue_report(config, analysis))
+    _, deadlines, report = _queue_tables(config)
+    artifacts.write_csv("deadline_plan.csv", ["gamma_target", "t_p"], deadlines)
+    artifacts.write_text("queue_report.txt", report)
 
 
 def _run_bounds_sweep(config: ExperimentConfig, artifacts: _Artifacts) -> None:

@@ -58,45 +58,47 @@ class He2Params:
 
 @dataclass(frozen=True)
 class QueueAnalysis:
-    """Derived quantities: utilization, mixed rate, and transform roots s2 < s1 < 0."""
+    """Derived quantities: utilization, mixed rate, the transform roots
+    s2 < s1 < 0, and the coefficients of the sojourn density
+    W(t) = a*e^{s1 t} - b*e^{s2 t}."""
 
     params: He2Params
     rho: float
     mu12: float
     s1: float
     s2: float
+    a: float
+    b: float
 
 
 def analyze(params: He2Params) -> QueueAnalysis:
-    """Evaluate rho, mu12 = alpha1*mu1 + alpha2*mu2 and the roots s1, s2."""
+    """Evaluate rho, mu12 = alpha1*mu1 + alpha2*mu2, the roots s1, s2 and the
+    mixture coefficients a, b."""
     lam, mu1, mu2 = params.lambda_n, params.mu1, params.mu2
     mu12 = params.alpha1 * mu1 + params.alpha2 * mu2
-    disc = (
-        mu1**2 + mu2**2 + lam**2
-        - 2.0 * mu1 * mu2 + 2.0 * lam * mu1 + 2.0 * lam * mu2
-        - 4.0 * mu12 * lam
-    )
+    if params.alpha2 == 0.0:
+        # Exp(mu1) service: the sojourn is Exp(mu1 - lam), and the root -mu2
+        # cancels in the transform, also when it equals lam - mu1
+        s1, s2 = max(lam - mu1, -mu2), min(lam - mu1, -mu2)
+        a, b = (mu1 - lam, 0.0) if s1 == lam - mu1 else (0.0, lam - mu1)
+        return QueueAnalysis(params=params, rho=params.rho, mu12=mu12, s1=s1, s2=s2, a=a, b=b)
+    # the discriminant as a sum of squares, which cannot round below zero
+    shift = mu1 - mu2 + (params.alpha2 - params.alpha1) * lam
+    disc = shift**2 + 4.0 * params.alpha1 * params.alpha2 * lam**2
     root = math.sqrt(disc)
     s1 = 0.5 * ((lam - mu1 - mu2) + root)
     s2 = 0.5 * ((lam - mu1 - mu2) - root)
-    return QueueAnalysis(params=params, rho=params.rho, mu12=mu12, s1=s1, s2=s2)
-
-
-def _mixture_coeffs(analysis: QueueAnalysis) -> tuple[float, float]:
-    """Coefficients a, b with sojourn density W(t) = a*e^{s1 t} - b*e^{s2 t}."""
-    p = analysis.params
-    scale = (1.0 - analysis.rho) / (analysis.s1 - analysis.s2)
-    a = scale * (analysis.mu12 * analysis.s1 + p.mu1 * p.mu2)
-    b = scale * (analysis.mu12 * analysis.s2 + p.mu1 * p.mu2)
-    return a, b
+    scale = (1.0 - params.rho) / (s1 - s2)
+    a = scale * (mu12 * s1 + mu1 * mu2)
+    b = scale * (mu12 * s2 + mu1 * mu2)
+    return QueueAnalysis(params=params, rho=params.rho, mu12=mu12, s1=s1, s2=s2, a=a, b=b)
 
 
 def sojourn_pdf(analysis: QueueAnalysis, t: float) -> float:
     """Stationary sojourn-time density W(t) for t >= 0."""
     if t < 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
-    a, b = _mixture_coeffs(analysis)
-    return a * math.exp(analysis.s1 * t) - b * math.exp(analysis.s2 * t)
+    return analysis.a * math.exp(analysis.s1 * t) - analysis.b * math.exp(analysis.s2 * t)
 
 
 def success_rate(analysis: QueueAnalysis, t_p: float) -> float:
@@ -105,11 +107,10 @@ def success_rate(analysis: QueueAnalysis, t_p: float) -> float:
         raise ValueError(f"t_p must be non-negative, got {t_p}")
     if math.isinf(t_p):
         return 1.0
-    a, b = _mixture_coeffs(analysis)
     gamma = (
         1.0
-        + (a / analysis.s1) * math.exp(analysis.s1 * t_p)
-        - (b / analysis.s2) * math.exp(analysis.s2 * t_p)
+        + (analysis.a / analysis.s1) * math.exp(analysis.s1 * t_p)
+        - (analysis.b / analysis.s2) * math.exp(analysis.s2 * t_p)
     )
     return min(1.0, max(0.0, gamma))
 
@@ -193,7 +194,7 @@ def sample_sojourn(analysis: QueueAnalysis, rng: np.random.Generator, n: int) ->
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    a, b = _mixture_coeffs(analysis)
+    a, b = analysis.a, analysis.b
     rate = -analysis.s1
     w0 = a - b
     envelope = max(w0 / rate, a / rate)

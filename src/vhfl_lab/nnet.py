@@ -19,7 +19,6 @@ results agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -354,11 +353,3 @@ def loads_net(text: str) -> DenseNet:
         pos += 1
         layers.append(DenseLayer(weights=np.vstack(rows), bias=bias, activation=act))
     return DenseNet(layers=tuple(layers))
-
-
-def save_net(net: DenseNet, path: str | Path) -> None:
-    Path(path).write_text(dumps_net(net), encoding="utf-8")
-
-
-def load_net(path: str | Path) -> DenseNet:
-    return loads_net(Path(path).read_text(encoding="utf-8"))

@@ -413,6 +413,20 @@ def test_run_vhfl_collapses_to_hfl_with_frozen_zero_center():
     assert traces_equal(vhfl_trace, hfl_trace, tol=1e-10)
 
 
+def test_run_rejects_a_center_that_combines_otherwise():
+    ds = generate(SYNTH)
+    center = fedcore._new_center(FED, ds, use_global=True)
+    center.combine = "additive"
+    with pytest.raises(ValueError, match="center combines with 'additive', config with 'concat'"):
+        fedcore.run_vhfl(FED, ds, center=center)
+    assert center.epoch == 0
+    # without w0 nothing is combined, so the center's setting is unused
+    fed = dataclasses.replace(FED, global_epochs=1)
+    local = CenterState(w0=None, wbar=fedcore._new_center(fed, ds, use_global=False).wbar, combine="additive")
+    _, trace = fedcore.run_hfl(fed, ds, center=local)
+    assert len(trace.rows) == 1
+
+
 def test_run_vhfl_loss_trend_over_seeds():
     synth = dataclasses.replace(
         SYNTH, n_clients=5, d_global=4, d_label=1, global_strength=0.8, noniid_shift=0.0, seed=50

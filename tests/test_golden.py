@@ -1,9 +1,13 @@
-"""Golden artifacts: tiny training runs must rewrite the same bytes.
+"""Golden artifacts: tiny runs must rewrite the same bytes.
 
-The digests pin the trace CSV and the checkpoint files of four tiny
-configs: ``vhfl``, ``hfl`` behind a He2 channel that drops uploads,
+The training digests pin the trace CSV and the checkpoint files of four
+tiny configs: ``vhfl``, ``hfl`` behind a He2 channel that drops uploads,
 ``cloud`` and ``cloud_local``. A change that reorders a float64 sum, or
-that changes any step of training, changes them. They were computed
+that changes any step of training, changes them. The analytic digests pin
+every artifact of tiny ``queue_analyze``, ``queue_simulate``,
+``delay_plan`` and ``bounds_sweep`` runs: the gamma tables, the deadline
+plan, the queue report and the bound sweeps over an integer and a float
+parameter. They were computed
 before the training loop moved to in-place kernels, with Python 3.11.7,
 numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
 x86-64). The trace digests were renewed when trace rows stopped ending in
@@ -94,3 +98,76 @@ def test_tiny_run_rewrites_golden_artifacts(tmp_path, name):
         if path.name.startswith(("trace_", "wbar_", "w0_"))
     }
     assert written == DIGESTS[name]
+
+
+QUEUE = {
+    "lambda_n": 2.0,
+    "alpha1": 0.5,
+    "alpha2": 0.5,
+    "mu1": 8.0,
+    "mu2": 2.0,
+    "t_p_grid": [0.0, 0.25, 1.0, 3.0],
+    "n_jobs": 20_000,
+    "seed": 2,
+}
+BOUNDS = {
+    "l_smooth": 1.0, "mu_pl": 0.5, "sigma2": 0.4, "sigma0_2": 0.2,
+    "g2": 1.0, "lambda_niid": 2.0, "f_init": 3.0, "f_star": 0.5,
+    "f0": 1.0, "local_epochs": 5, "k": 10, "global_epochs": 100, "gamma": 0.8,
+}
+
+ANALYTIC_CONFIGS = {
+    "queue_analyze": {"mode": "queue_analyze", "seeds": [1], "queue": QUEUE},
+    "queue_simulate": {"mode": "queue_simulate", "seeds": [1], "queue": QUEUE},
+    "delay_plan": {
+        "mode": "delay_plan",
+        "seeds": [1],
+        "queue": QUEUE,
+        "delay_plan": {"gamma_targets": [0.3, 0.75, 0.95], "tol": 1e-8},
+    },
+    "bounds_sweep_k": {
+        "mode": "bounds_sweep",
+        "seeds": [1],
+        "bounds": BOUNDS,
+        "bounds_sweep": {"param": "k", "values": [1, 3, 10]},
+    },
+    "bounds_sweep_gamma": {
+        "mode": "bounds_sweep",
+        "seeds": [1],
+        "bounds": BOUNDS,
+        "bounds_sweep": {"param": "gamma", "values": [0.1, 0.55, 1.0]},
+    },
+}
+
+ANALYTIC_DIGESTS = {
+    "queue_analyze": {
+        "gamma_table.csv": "dd699bb6b19414d44945836240943e43bea8ae5a07d28eab51a7fddd749561fa",
+        "queue_report.txt": "38478e4bdef85c8086d1ebf29cb349b062ef4c3cd9b59ffd6753839727ca6ba3",
+    },
+    "queue_simulate": {
+        "gamma_vs_tp.csv": "d162e5e341a892a79856213a8ca75f5cefc41ad55a53c03f2a28f28a9b3a8d25",
+        "queue_report.txt": "570ae4cff532b9704b959959b881d99e60e3309d8da75429b538517063590dfa",
+    },
+    "delay_plan": {
+        "deadline_plan.csv": "3232265a219550fa69370f47443d500d14263d4dc428d038b267539a406ae7ff",
+        "queue_report.txt": "ec3b7beadf92752716a1df76b733c6789264df362f21f018ada63da0183ab238",
+    },
+    "bounds_sweep_k": {
+        "bounds_sweep.csv": "d5584cc303015b9c38d292bcaef5e0ae23a837ff204ef799d6ef923ec3bcb47f",
+    },
+    "bounds_sweep_gamma": {
+        "bounds_sweep.csv": "2adef63522f401bfaf81edd3e79116eb62483a744b7a5af06db659d3d7556bf5",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_CONFIGS))
+def test_tiny_analytic_run_rewrites_golden_artifacts(tmp_path, name):
+    config = parse_config({**copy.deepcopy(ANALYTIC_CONFIGS[name]), "out_dir": str(tmp_path)})
+    run(config)
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+        if path.name != "resolved_config.json"
+    }
+    assert written == ANALYTIC_DIGESTS[name]

@@ -284,9 +284,8 @@ def test_k_el_sweep_csv_and_threshold_sentinel(tmp_path):
 def test_epochs_to_threshold_helper():
     from vhfl_lab.fedcore import TraceRow, TrainingTrace
 
-    trace = TrainingTrace(mode="vhfl", seed=0)
-    for epoch, loss in enumerate([0.9, 0.5, 0.2, 0.1]):
-        trace.append(TraceRow(epoch, loss, loss, loss, 1, 0.0))
+    rows = [TraceRow(epoch, loss, loss, loss, 1, 0.0) for epoch, loss in enumerate([0.9, 0.5, 0.2, 0.1])]
+    trace = TrainingTrace(mode="vhfl", seed=0, rows=rows)
     assert epochs_to_threshold(trace, 0.5) == 2
     assert epochs_to_threshold(trace, 0.05) == -1
 
@@ -354,7 +353,9 @@ CONFIG_FAULTS = [
     (BASE_CONFIG, "synth.noise_std", float("nan"), "synth.noise_std"),
     (BASE_CONFIG, "synth.samples_per_client", 2, "synth: samples_per_client"),
     (BOUNDS_CONFIG, "bounds_sweep.param", "gamma", "bounds_sweep: gamma must lie in (0, 1], got 2.0"),
-    (BOUNDS_CONFIG, "bounds_sweep.values", [0.4, 4.0], "bounds_sweep: epoch and client counts"),
+    (BOUNDS_CONFIG, "bounds_sweep.values", [0.4, 4.0], "bounds_sweep: k must be an integer, got 0.4"),
+    (BOUNDS_CONFIG, "bounds_sweep.values", [2.0, 2.5], "bounds_sweep: k must be an integer, got 2.5"),
+    (BOUNDS_CONFIG, "bounds_sweep.values", [0.0, 4.0], "bounds_sweep: epoch and client counts"),
     (LOSSY_CONFIG, "channel.t_p", -1.0, "channel: t_p"),
     (LOSSY_CONFIG, "channel.lambda_n", 10.0, "channel: unstable queue"),
     (LOSSY_CONFIG, "channel.params", {"lambda_n": 2.0}, "channel: unknown keys ['params']"),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhfl_lab import netqueue as nq
 from vhfl_lab.rng import substream
@@ -60,6 +62,19 @@ def test_alpha1_one_reduces_to_mm1_transform():
     w_expected = [(p.mu1 - p.lambda_n) * math.exp(-(p.mu1 - p.lambda_n) * t) for t in (0.0, 0.3, 1.0)]
     w_actual = [nq.sojourn_pdf(a, t) for t in (0.0, 0.3, 1.0)]
     assert np.allclose(w_actual, w_expected, rtol=1e-9)
+
+
+def test_coinciding_roots_reduce_to_mm1():
+    # with alpha1 = 1 and mu1 - mu2 = lambda_n the two roots coincide, and
+    # a vanishing alpha2 puts them a rounding error apart
+    for p in (
+        nq.He2Params(lambda_n=0.5, alpha1=1.0, alpha2=0.0, mu1=1.0, mu2=0.5),
+        nq.He2Params(lambda_n=0.14, alpha1=1.0 - 2.0**-53, alpha2=2.0**-53, mu1=4.696, mu2=4.556),
+    ):
+        a = nq.analyze(p)
+        for t in (0.0, 0.5, 2.0):
+            mm1 = 1.0 - math.exp(-(p.mu1 - p.lambda_n) * t)
+            assert abs(nq.success_rate(a, t) - mm1) < 1e-6
 
 
 def test_roots_negative_for_random_stable_params():
@@ -236,3 +251,31 @@ def test_analysis_purity():
     assert (a1.rho, a1.mu12, a1.s1, a1.s2) == (a2.rho, a2.mu12, a2.s1, a2.s2)
     assert nq.success_rate(a1, 1.234) == nq.success_rate(a2, 1.234)
     assert nq.sojourn_pdf(a1, 0.777) == nq.sojourn_pdf(a2, 0.777)
+
+
+@st.composite
+def stable_he2(draw) -> nq.He2Params:
+    """He2 parameters with mu1 >= mu2 and utilization in [0.05, 0.95]."""
+    mu2 = draw(st.floats(0.5, 5.0))
+    mu1 = mu2 + draw(st.floats(0.0, 10.0))
+    alpha1 = draw(st.floats(0.0, 1.0))
+    rho = draw(st.floats(0.05, 0.95))
+    lambda_n = rho / (alpha1 / mu1 + (1.0 - alpha1) / mu2)
+    return nq.He2Params(lambda_n, alpha1, 1.0 - alpha1, mu1, mu2)
+
+
+@settings(deadline=None)
+@given(stable_he2(), st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2))
+def test_success_rate_non_decreasing_and_one_at_infinity(params, deadlines):
+    a = nq.analyze(params)
+    early, late = sorted(deadlines)
+    assert nq.success_rate(a, early) <= nq.success_rate(a, late)
+    assert nq.success_rate(a, math.inf) == 1.0
+
+
+@settings(deadline=None)
+@given(stable_he2(), st.floats(0.01, 0.99), st.sampled_from((1e-3, 1e-6, 1e-9)))
+def test_required_deadline_meets_its_target_within_tol(params, target, tol):
+    a = nq.analyze(params)
+    t_p = nq.required_deadline(a, target, tol)
+    assert abs(nq.success_rate(a, t_p) - target) <= tol

@@ -280,15 +280,13 @@ def test_net_dimension_chaining():
         nnet.DenseNet((a, b))
 
 
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
+def test_checkpoint_roundtrip_bit_exact():
     rng = substream(12, "ckpt")
     for _ in range(5):
         dims = [int(rng.integers(1, 7)) for _ in range(int(rng.integers(2, 5)))]
         acts = [str(rng.choice(nnet.ACTIVATIONS)) for _ in range(len(dims) - 1)]
         net = nnet.random_net(dims, acts, rng)
-        path = tmp_path / "net.txt"
-        nnet.save_net(net, path)
-        loaded = nnet.load_net(path)
+        loaded = nnet.loads_net(nnet.dumps_net(net))
         assert loaded.n_layers == net.n_layers
         for a, b in zip(net.layers, loaded.layers):
             assert a.activation == b.activation
