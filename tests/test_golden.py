@@ -3,18 +3,23 @@
 The training digests pin the trace CSV and the checkpoint files of four
 tiny configs: ``vhfl``, ``hfl`` behind a He2 channel that drops uploads,
 ``cloud`` and ``cloud_local``. A change that reorders a float64 sum, or
-that changes any step of training, changes them. The analytic digests pin
-every artifact of tiny ``queue_analyze``, ``queue_simulate``,
-``delay_plan`` and ``bounds_sweep`` runs: the gamma tables, the deadline
-plan, the queue report and the bound sweeps over an integer and a float
-parameter. They were computed
+that changes any step of training, changes them. They were computed
 before the training loop moved to in-place kernels, with Python 3.11.7,
 numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
 x86-64). The trace digests were renewed when trace rows stopped ending in
 CRLF: each is the digest of the old file's bytes with every CRLF replaced
-by LF. Another BLAS build or CPU kernel may round differently; there,
-recompute the digests at a trusted commit before reading a failure as a
-regression.
+by LF.
+
+The analytic digests pin every artifact of tiny ``queue_analyze``,
+``queue_simulate``, ``delay_plan`` and ``bounds_sweep`` runs: the gamma
+tables, the deadline plan, the queue report and the bound sweeps over an
+integer and a float parameter. They were computed at commit e1d5ead,
+before the bound evaluators were merged into ``bounds.evaluate`` and the
+mixture coefficients moved onto ``QueueAnalysis``, with the same Python,
+numpy and OpenBLAS.
+
+Another BLAS build or CPU kernel may round differently; there, recompute
+the digests at a trusted commit before reading a failure as a regression.
 """
 
 from __future__ import annotations

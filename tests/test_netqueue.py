@@ -94,13 +94,20 @@ def test_roots_negative_for_random_stable_params():
         checked += 1
 
 
+# Exp(mu1) service (alpha2 = 0): the sojourn root lam - mu1 lies below -mu2,
+# above it, or on it
+MM1_POINTS = (
+    nq.He2Params(lambda_n=2.0, alpha1=1.0, alpha2=0.0, mu1=8.0, mu2=2.0),
+    nq.He2Params(lambda_n=0.5, alpha1=1.0, alpha2=0.0, mu1=1.0, mu2=0.8),
+    nq.He2Params(lambda_n=0.5, alpha1=1.0, alpha2=0.0, mu1=1.0, mu2=0.5),
+)
+
+
 def test_sojourn_pdf_normalizes():
-    for p in (BENCH, nq.He2Params(2.0, 0.25, 0.75, 8.0, 2.0), nq.He2Params(2.0, 0.75, 0.25, 8.0, 2.0)):
+    he2 = (BENCH, nq.He2Params(2.0, 0.25, 0.75, 8.0, 2.0), nq.He2Params(2.0, 0.75, 0.25, 8.0, 2.0))
+    for p in he2 + MM1_POINTS:
         a = nq.analyze(p)
-        scale = (1.0 - a.rho) / (a.s1 - a.s2)
-        coeff1 = scale * (a.mu12 * a.s1 + p.mu1 * p.mu2)
-        coeff2 = scale * (a.mu12 * a.s2 + p.mu1 * p.mu2)
-        integral = coeff1 / (-a.s1) - coeff2 / (-a.s2)
+        integral = a.a / (-a.s1) - a.b / (-a.s2)
         assert abs(integral - 1.0) < 1e-9
 
 
@@ -114,15 +121,13 @@ def test_sojourn_pdf_nonnegative_on_grid():
 
 
 def test_sojourn_mean_matches_waiting_formula():
-    a = nq.analyze(BENCH)
-    scale = (1.0 - a.rho) / (a.s1 - a.s2)
-    coeff1 = scale * (a.mu12 * a.s1 + BENCH.mu1 * BENCH.mu2)
-    coeff2 = scale * (a.mu12 * a.s2 + BENCH.mu1 * BENCH.mu2)
-    mean_from_pdf = coeff1 / a.s1**2 - coeff2 / a.s2**2
     expected = pk_mean_sojourn(BENCH)
     assert abs(expected - (0.3125 + 0.53125 / 0.75)) < 1e-12
-    assert abs(mean_from_pdf - expected) < 1e-6
     assert abs(expected - 1.0208333333) < 1e-6
+    for p in (BENCH,) + MM1_POINTS:
+        a = nq.analyze(p)
+        mean_from_pdf = a.a / a.s1**2 - a.b / a.s2**2
+        assert abs(mean_from_pdf - pk_mean_sojourn(p)) < 1e-6
 
 
 def test_success_rate_limits_and_benchmark_point():
