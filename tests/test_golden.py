@@ -1,14 +1,18 @@
 """Golden artifacts: tiny runs must rewrite the same bytes.
 
-The training digests pin the trace CSV and the checkpoint files of four
+The training digests pin the trace CSV and the checkpoint files of five
 tiny configs: ``vhfl``, ``hfl`` behind a He2 channel that drops uploads,
-``cloud`` and ``cloud_local``. A change that reorders a float64 sum, or
+``cloud``, ``cloud_local``, and ``off_default``, a ``compare`` run of all
+four modes with unbiased aggregation, additive combining and inverse
+learning-rate schedules behind the same channel. A change that reorders a float64 sum, or
 that changes any step of training, changes them. They were computed
 before the training loop moved to in-place kernels, with Python 3.11.7,
 numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
 x86-64). The trace digests were renewed when trace rows stopped ending in
 CRLF: each is the digest of the old file's bytes with every CRLF replaced
-by LF.
+by LF. The ``off_default`` digests were computed at commit fda1205,
+before the training phases took their settings from the federation
+config, with the same Python, numpy and OpenBLAS.
 
 The analytic digests pin every artifact of tiny ``queue_analyze``,
 ``queue_simulate``, ``delay_plan`` and ``bounds_sweep`` runs: the gamma
@@ -90,6 +94,39 @@ DIGESTS = {
         "trace_cloud_local_seed3.csv": "d0d9b59a91a42a955c475a59efd28f20388694002c7ae4bbe6577f1068bb2026",
         "wbar_cloud_local_seed3.txt": "066acee0b8904f66add97da6e5b6461b2503be0e5cd8e2b8af5c38052bb900c8",
     },
+}
+
+
+# the branches the default configs leave off: unbiased aggregation, additive
+# combining and decaying learning rates, in every mode, behind the channel
+OFF_DEFAULT = {
+    "mode": "compare",
+    "seeds": [3],
+    "federation": {
+        **FEDERATION,
+        "k": 3,
+        "aggregator": "paper_unbiased",
+        "combine": "additive",
+        "u0_dim": 2,
+        "eta": {"kind": "inverse", "c": 0.5, "t0": 10.0},
+        "eta0": {"kind": "inverse", "c": 0.2, "t0": 10.0},
+    },
+    "synth": SYNTH,
+    "channel": CHANNEL,
+}
+CONFIGS["off_default"] = OFF_DEFAULT
+
+DIGESTS["off_default"] = {
+    "trace_cloud_local_seed3.csv": "fa8715327188b13fcb103806f4977ca5ab9ce73a9e19da80676d22330343cff1",
+    "trace_cloud_seed3.csv": "5ee62df75112d76d2760c7f8786a5c0feaf538bb1f564bd38b2c5c53f2e3f646",
+    "trace_hfl_seed3.csv": "b0cb22979e6e4cf02f80abbd5823b2fc080c35bd043d610f9b9d771a3ecec14b",
+    "trace_vhfl_seed3.csv": "e4649df4052bee04bb6ef88da15af6b5c865d354ffb2b228f47de69fd3322fe0",
+    "w0_cloud_seed3.txt": "6dc64c5e774df7e898a8a584bacc2581212f0755432abc0fcab07e6663d32f3c",
+    "w0_vhfl_seed3.txt": "2a3842d4d7f1624c4008b8c5d290db22b68982efd7f2ae93ace18f66bd738efc",
+    "wbar_cloud_local_seed3.txt": "91c9abe2e64e53f56a480dea8941589e7033f509ca0d5c0889978fc8cb516c04",
+    "wbar_cloud_seed3.txt": "b78db65de2d5fcfe9af5476147ebc00d81602c69de3ae141c20c01ac3f75ba37",
+    "wbar_hfl_seed3.txt": "c8fd129ef0123ab38500477f6c7fb2943d17fc3e6756dffbd421ab2837b18d22",
+    "wbar_vhfl_seed3.txt": "8d075d22696484041bb481e791a69459d5d450657d5c1ca94f559d51e722fdd1",
 }
 
 
