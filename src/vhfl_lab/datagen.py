@@ -34,7 +34,6 @@ class SynthConfig:
     noniid_shift: float = 0.0
     seed: int = 0
     public_fraction: float = 0.0
-    q_mode: str = "proportional"
 
     def __post_init__(self) -> None:
         if self.n_clients < 1:
@@ -52,8 +51,6 @@ class SynthConfig:
             raise ValueError(f"noniid_shift must be >= 0, got {self.noniid_shift}")
         if not 0.0 <= self.public_fraction <= 1.0:
             raise ValueError(f"public_fraction must lie in [0, 1], got {self.public_fraction}")
-        if self.q_mode not in ("proportional", "uniform"):
-            raise ValueError(f"unknown q_mode {self.q_mode!r}")
 
 
 def _has_repeats(ids: np.ndarray) -> bool:
@@ -233,10 +230,7 @@ def generate(config: SynthConfig) -> FederationDataset:
         test_shards.append((j, ids[test_idx], x_local[test_idx], y[test_idx]))
 
     counts = np.array([shard[1].shape[0] for shard in train_shards], dtype=np.float64)
-    if config.q_mode == "proportional":
-        weights = counts / counts.sum()
-    else:
-        weights = np.full(config.n_clients, 1.0 / config.n_clients)
+    weights = counts / counts.sum()
 
     clients = tuple(
         ClientShard(client_id=j, ids=i, x_local=x, y=y, q=float(weights[j]))

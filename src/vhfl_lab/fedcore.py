@@ -32,19 +32,24 @@ validated net is built. Evaluation has the same guard on its losses, so
 the loop runs with numpy's overflow and invalid-value warnings off.
 Vertical gradients travel as one ``(n_j, u0_dim)`` array per client in
 shard order.
+
+``FederationConfig`` is the one home of the round settings (K, E_L, B, the
+eta and eta0 schedules, the aggregator, the combine mode, the seed), and
+it validates them once. Every training phase takes the config as its
+first argument and the global epoch ``t_g`` last, and reads its settings
+from it; no phase takes a setting as an argument or re-checks one.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import nnet
-from .datagen import ClientShard, FederationDataset, GlobalStore, batches
+from .datagen import Batch, ClientShard, FederationDataset, GlobalStore, batches
 from .netqueue import ChannelModel, apply_channel
 from .rng import substream
 
@@ -125,6 +130,16 @@ class FederationConfig:
         object.__setattr__(self, "w0_hidden", tuple(int(h) for h in self.w0_hidden))
         object.__setattr__(self, "local_hidden", tuple(int(h) for h in self.local_hidden))
 
+    def local_plan(
+        self, shard: ClientShard, side: np.ndarray | None, t_g: int
+    ) -> tuple[list[Batch], list[float]]:
+        """The shard's mini-batches in round ``t_g``, shuffled by the substream
+        (seed, "batches", client_id, t_g), and the learning rate of each local
+        epoch e, read at the schedule slot t_g * local_epochs + e."""
+        stream = substream(self.seed, "batches", shard.client_id, t_g)
+        etas = [self.eta.value(t_g * self.local_epochs + e) for e in range(self.local_epochs)]
+        return batches(shard, side, self.batch_size, stream), etas
+
 
 @dataclass
 class CenterState:
@@ -132,15 +147,13 @@ class CenterState:
 
     w0: nnet.DenseNet | None
     wbar: nnet.DenseNet
-    combine: str = "concat"
     epoch: int = 0
     central_updates: int = 0
 
 
 @dataclass(frozen=True)
 class Upload:
-    client_id: int
-    q: float
+    shard: ClientShard
     net: nnet.DenseNet
     vgrads: np.ndarray | None  # (n_j, u0_dim) in shard order; None without a global model
 
@@ -152,7 +165,6 @@ class TraceRow:
     test_mse: float
     test_error_ratio: float
     k_received: int
-    wall_clock: float
 
 
 @dataclass
@@ -169,12 +181,10 @@ class TrainingTrace:
         return [getattr(row, name) for row in self.rows]
 
 
-def select_clients(n_clients: int, k: int, seed: int, t_g: int) -> tuple[int, ...]:
+def select_clients(config: FederationConfig, t_g: int) -> tuple[int, ...]:
     """K distinct client ids, uniform without replacement, keyed by (seed, t_g)."""
-    if not 1 <= k <= n_clients:
-        raise ValueError(f"need 1 <= k <= n_clients, got k={k}, n={n_clients}")
-    rng = substream(seed, "select", t_g)
-    picks = rng.choice(n_clients, size=k, replace=False)
+    rng = substream(config.seed, "select", t_g)
+    picks = rng.choice(config.n_clients, size=config.k, replace=False)
     return tuple(sorted(int(i) for i in picks))
 
 
@@ -277,42 +287,34 @@ def _kernel_step(
 
 
 def client_update(
+    config: FederationConfig,
     shard: ClientShard,
     wbar: nnet.DenseNet,
     u0: np.ndarray | None,
-    local_epochs: int,
-    batch_size: int,
-    eta: Schedule,
-    *,
-    combine: str = "concat",
-    batch_rng: np.random.Generator | int = 0,
-    global_epoch: int = 0,
-) -> tuple[nnet.DenseNet, np.ndarray | None]:
+    t_g: int,
+) -> Upload:
     """Local training from the downloaded federal weights.
 
     The client initializes at ``wbar``, splits its samples (with the
     fixed centrally processed rows ``u0``, one per sample in shard order)
     into batches once, then runs ``local_epochs`` passes of mini-batch SGD
-    at the learning-rate slots of ``global_epoch``. For every sample the
+    at the learning rates of round ``t_g``. For every sample the
     gradient of the client loss with respect to its central row is
     recorded each epoch and averaged over epochs; the result, an
     ``(n_j, u0_dim)`` array in shard order (None without ``u0``), is
-    returned alongside the updated weights.
+    uploaded alongside the updated weights.
     """
     if shard.n == 0:
         raise ValueError(f"client {shard.client_id} has no samples")
-    if local_epochs < 1:
-        raise ValueError("local_epochs must be >= 1")
     params = nnet._params(wbar)
-    batch_list = batches(shard, u0, batch_size, batch_rng)
+    batch_list, etas = config.local_plan(shard, u0, t_g)
     vgrad_sum = None if u0 is None else np.empty((shard.n, u0.shape[1]))
-    for epoch in range(local_epochs):
-        eta_t = eta.value(global_epoch * local_epochs + epoch)
+    for epoch, eta_t in enumerate(etas):
         for i, b in enumerate(batch_list):
             if epoch == 0 and i == 0:
-                wgrads, bgrads, side_grad = _combined_step(wbar, b.x_local, b.x_side, b.y, combine)
+                wgrads, bgrads, side_grad = _combined_step(wbar, b.x_local, b.x_side, b.y, config.combine)
             else:
-                wgrads, bgrads, side_grad = _kernel_step(params, b.x_local, b.x_side, b.y, combine)
+                wgrads, bgrads, side_grad = _kernel_step(params, b.x_local, b.x_side, b.y, config.combine)
             if side_grad is not None:
                 # rescale batch-mean rows to client-mean units; each epoch
                 # visits every sample once, so epoch 0 writes every row
@@ -321,140 +323,105 @@ def client_update(
                     vgrad_sum[b.index] = rows
                 else:
                     vgrad_sum[b.index] += rows
-            if eta_t > 0.0:
-                nnet._sgd(params, wgrads, bgrads, eta_t)
-    vgrads = None if vgrad_sum is None else vgrad_sum / local_epochs
+            nnet._sgd(params, wgrads, bgrads, eta_t)
+    vgrads = None if vgrad_sum is None else vgrad_sum / config.local_epochs
     checked = _arrays(params) + ([] if vgrads is None else [vgrads])
-    _check_finite(checked, "client_update", global_epoch, (shard.client_id,))
-    return nnet._net(params), vgrads
+    _check_finite(checked, "client_update", t_g, (shard.client_id,))
+    return Upload(shard=shard, net=nnet._net(params), vgrads=vgrads)
 
 
-def aggregate_weights(
-    uploads: Sequence[tuple[float, nnet.DenseNet]],
-    k: int,
-    n_clients: int | None = None,
-    aggregator: str = "renormalized",
-    *,
-    global_epoch: int = 0,
-    client_ids: Sequence[int] = (),
-) -> nnet.DenseNet:
+def aggregate_weights(config: FederationConfig, uploads: Sequence[Upload], t_g: int) -> nnet.DenseNet:
     """Layer-wise weighted sum of the received nets.
 
     ``renormalized`` rescales the received coefficients to sum to 1 (a
     convex combination even when uploads were lost); ``paper_unbiased``
-    uses (n_clients / k) * q_j, the unbiased estimator. ``global_epoch``
-    and ``client_ids`` name the round in the error for a non-finite sum.
+    uses (n_clients / k) * q_j, the unbiased estimator.
     """
     if not uploads:
         raise ValueError("cannot aggregate an empty upload set")
-    if aggregator == "renormalized":
-        total = sum(q for q, _ in uploads)
-        coeffs = [q / total for q, _ in uploads]
-    elif aggregator == "paper_unbiased":
-        if n_clients is None:
-            raise ValueError("paper_unbiased aggregation needs n_clients")
-        coeffs = [(n_clients / k) * q for q, _ in uploads]
+    if config.aggregator == "renormalized":
+        total = sum(u.shard.q for u in uploads)
+        coeffs = [u.shard.q / total for u in uploads]
     else:
-        raise ValueError(f"unknown aggregator {aggregator!r}")
-    reference = uploads[0][1]
+        coeffs = [(config.n_clients / config.k) * u.shard.q for u in uploads]
+    reference = uploads[0].net
     params = []
     for idx, ref_layer in enumerate(reference.layers):
         w = np.zeros_like(ref_layer.weights)
         b = np.zeros_like(ref_layer.bias)
-        for coeff, (_, net) in zip(coeffs, uploads):
-            layer = net.layers[idx]
+        for coeff, upload in zip(coeffs, uploads):
+            layer = upload.net.layers[idx]
             if layer.weights.shape != ref_layer.weights.shape:
                 raise ValueError("uploaded nets have mismatched shapes")
             w += coeff * layer.weights
             b += coeff * layer.bias
         params.append((w, b, ref_layer.activation))
-    _check_finite(_arrays(params), "aggregate_weights", global_epoch, client_ids)
+    _check_finite(_arrays(params), "aggregate_weights", t_g, [u.shard.client_id for u in uploads])
     return nnet._net(params)
 
 
 def central_update(
+    config: FederationConfig,
     w0: nnet.DenseNet,
-    vgrads: Sequence[tuple[ClientShard, np.ndarray]],
+    uploads: Sequence[Upload],
     global_store: GlobalStore,
-    eta0: float,
-    *,
-    global_epoch: int = 0,
+    t_g: int,
 ) -> nnet.DenseNet:
     """One SGD step on the global model from the returned vertical gradients.
 
-    ``vgrads`` pairs each delivered client's shard with its ``(n_j,
-    u0_dim)`` gradient rows in shard order. The rows of all clients are
+    Each delivered upload carries its shard and the ``(n_j, u0_dim)``
+    gradient rows in shard order. The rows of all clients are
     ordered by sample id and back-propagated through w0 as the output
     gradient, which sums the chain rule over every received sample. The
     step runs through the validating public ``nnet`` API, as the uploads
     enter the center here.
     """
-    for shard, rows in vgrads:
-        if rows.ndim != 2 or rows.shape[0] != shard.n:
+    for u in uploads:
+        if u.vgrads.ndim != 2 or u.vgrads.shape[0] != u.shard.n:
             raise ValueError(
-                f"vertical gradients of client {shard.client_id} have shape {rows.shape}, "
-                f"expected {shard.n} rows"
+                f"vertical gradients of client {u.shard.client_id} have shape {u.vgrads.shape}, "
+                f"expected {u.shard.n} rows"
             )
-    if not vgrads:
+    if not uploads:
         return w0
-    ids = np.concatenate([shard.ids for shard, _ in vgrads])
+    ids = np.concatenate([u.shard.ids for u in uploads])
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
     repeated = ids[1:][ids[1:] == ids[:-1]]
     if repeated.size:
         raise ValueError(f"duplicate vertical-gradient row for id {int(repeated[0])}")
-    rows = np.concatenate([r for _, r in vgrads])[order]
+    rows = np.concatenate([u.vgrads for u in uploads])[order]
     x_global = global_store.rows(ids)
     out, trace = nnet.forward(w0, x_global)
     if rows.shape != out.shape:
         raise ValueError(f"vertical gradients have shape {rows.shape}, expected {out.shape}")
     grads = nnet.backward(w0, trace, rows)
-    if eta0 <= 0.0:
-        return w0
     try:
-        return nnet.sgd_step(w0, grads, eta0)
+        return nnet.sgd_step(w0, grads, config.eta0.value(t_g))
     except ValueError as err:
         # backward fixed the shapes, so the stepped net failed its finite check
-        clients = [shard.client_id for shard, _ in vgrads]
-        raise ValueError(_non_finite("central_update", global_epoch, clients)) from err
-
-
-def predict(
-    center: CenterState,
-    x_global: np.ndarray | None,
-    x_local: np.ndarray,
-) -> np.ndarray:
-    """Model output y_hat for a batch; global features are required iff w0 exists."""
-    x_local = nnet._as_batch(x_local, "batch")
-    local_in = x_local.shape[1]
-    if center.w0 is not None:
-        if x_global is None:
-            raise ValueError("global features required for a center with a global model")
-        x_global = nnet._as_batch(x_global, "batch")
-        if x_global.shape[1] != center.w0.in_dim:
-            raise ValueError(f"batch has {x_global.shape[1]} columns, net expects {center.w0.in_dim}")
-        if center.combine == "concat":
-            local_in += center.w0.out_dim
-    if local_in != center.wbar.in_dim:
-        raise ValueError(f"batch has {local_in} columns, net expects {center.wbar.in_dim}")
-    return _predict(center, x_global, x_local)
+        clients = [u.shard.client_id for u in uploads]
+        raise ValueError(_non_finite("central_update", t_g, clients)) from err
 
 
 def _predict(
+    config: FederationConfig,
     center: CenterState,
     x_global: np.ndarray | None,
     x_local: np.ndarray,
 ) -> np.ndarray:
-    """:func:`predict` on validated rows, with the unchecked forward pass."""
+    """Model output y_hat for validated rows, with the unchecked forward pass;
+    ``x_global`` is used iff the center has w0."""
     if center.w0 is None:
         return nnet._output(center.wbar, x_local)
     u0 = nnet._output(center.w0, x_global)
-    if center.combine == "concat":
+    if config.combine == "concat":
         return nnet._output(center.wbar, np.hstack([u0, x_local]))
     return u0 + nnet._output(center.wbar, x_local)
 
 
 def evaluate(
+    config: FederationConfig,
     center: CenterState,
     shards: Sequence[ClientShard],
     global_store: GlobalStore | None,
@@ -464,7 +431,7 @@ def evaluate(
     ratio_sum = 0.0
     count = 0
     for shard, x_global in zip(shards, _global_rows(center, shards, global_store)):
-        pred = _predict(center, x_global, shard.x_local)
+        pred = _predict(config, center, x_global, shard.x_local)
         diff = pred - shard.y
         sq_sum += float(np.sum(diff * diff))
         norms = np.linalg.norm(diff, axis=1)
@@ -477,6 +444,7 @@ def evaluate(
 
 
 def weighted_train_loss(
+    config: FederationConfig,
     center: CenterState,
     shards: Sequence[ClientShard],
     global_store: GlobalStore | None,
@@ -484,7 +452,7 @@ def weighted_train_loss(
     """Global objective: q-weighted sum of per-client mean losses."""
     total = 0.0
     for shard, x_global in zip(shards, _global_rows(center, shards, global_store)):
-        pred = _predict(center, x_global, shard.x_local)
+        pred = _predict(config, center, x_global, shard.x_local)
         diff = pred - shard.y
         total += shard.q * float(np.sum(diff * diff)) / shard.n
     return total
@@ -501,7 +469,7 @@ def _new_center(config: FederationConfig, dataset: FederationDataset, use_global
     w0 = net([dataset.d_global, *config.w0_hidden, config.u0_dim], "w0") if use_global else None
     local_in = dataset.d_local + (config.u0_dim if use_global and config.combine == "concat" else 0)
     wbar = net([local_in, *config.local_hidden, dataset.d_label], "wbar")
-    return CenterState(w0=w0, wbar=wbar, combine=config.combine)
+    return CenterState(w0=w0, wbar=wbar)
 
 
 def _federated_round(
@@ -513,43 +481,17 @@ def _federated_round(
 ) -> int:
     """Select, broadcast (with w0), local updates, channel, aggregation and the
     central step (with an unfrozen w0); returns the number of delivered uploads."""
-    selected = [shards[j] for j in select_clients(config.n_clients, config.k, config.seed, t_g)]
+    selected = [shards[j] for j in select_clients(config, t_g)]
     u0 = {} if center.w0 is None else center_broadcast(center, store, selected)
-    uploads = []
-    for shard in selected:
-        net, vgrads = client_update(
-            shard,
-            center.wbar,
-            u0.get(shard.client_id),
-            config.local_epochs,
-            config.batch_size,
-            config.eta,
-            combine=config.combine,
-            batch_rng=substream(config.seed, "batches", shard.client_id, t_g),
-            global_epoch=t_g,
-        )
-        uploads.append(Upload(client_id=shard.client_id, q=shard.q, net=net, vgrads=vgrads))
+    uploads = [client_update(config, shard, center.wbar, u0.get(shard.client_id), t_g) for shard in selected]
     if config.deadline_channel is not None:
-        sent = [u.client_id for u in uploads]
+        sent = [u.shard.client_id for u in uploads]
         kept = set(apply_channel(config.deadline_channel, sent, epoch=t_g))
-        uploads = [u for u in uploads if u.client_id in kept]
+        uploads = [u for u in uploads if u.shard.client_id in kept]
     if uploads:
-        center.wbar = aggregate_weights(
-            [(u.q, u.net) for u in uploads],
-            config.k,
-            config.n_clients,
-            config.aggregator,
-            global_epoch=t_g,
-            client_ids=[u.client_id for u in uploads],
-        )
+        center.wbar = aggregate_weights(config, uploads, t_g)
         if center.w0 is not None and not config.center_frozen:
-            center.w0 = central_update(
-                center.w0,
-                [(shards[u.client_id], u.vgrads) for u in uploads],
-                store,
-                config.eta0.value(t_g),
-                global_epoch=t_g,
-            )
+            center.w0 = central_update(config, center.w0, uploads, store, t_g)
             center.central_updates += 1
     return len(uploads)
 
@@ -564,11 +506,10 @@ def _cloud_round(
     """``local_epochs`` passes of mini-batch SGD on the pooled shard, through w0
     too when it exists, on copies of the nets stepped with the unchecked
     kernels; ``x0`` holds the pooled global rows. Nothing is uploaded: returns 0."""
-    batch_list = batches(pooled, x0, config.batch_size, substream(config.seed, "batches", 0, t_g))
+    batch_list, etas = config.local_plan(pooled, x0, t_g)
     wbar = nnet._params(center.wbar)
     w0 = [] if center.w0 is None else nnet._params(center.w0)
-    for epoch in range(config.local_epochs):
-        eta_t = config.eta.value(t_g * config.local_epochs + epoch)
+    for eta_t in etas:
         for b in batch_list:
             if w0:
                 pre0, post0 = nnet._forward(w0, b.x_side)
@@ -576,10 +517,9 @@ def _cloud_round(
                 g0w, g0b, _ = nnet._backward(w0, b.x_side, pre0, post0, side_grad, False)
             else:
                 gw, gb, _ = _kernel_step(wbar, b.x_local, None, b.y, config.combine)
-            if eta_t > 0.0:
-                nnet._sgd(wbar, gw, gb, eta_t)
-                if w0:
-                    nnet._sgd(w0, g0w, g0b, eta_t)
+            nnet._sgd(wbar, gw, gb, eta_t)
+            if w0:
+                nnet._sgd(w0, g0w, g0b, eta_t)
     _check_finite(_arrays(wbar) + _arrays(w0), "run_cloud", t_g, (0,))
     center.wbar = nnet._net(wbar)
     if w0:
@@ -600,10 +540,6 @@ def _run(
         raise ValueError(
             f"config expects {config.n_clients} clients, dataset has {dataset.n_clients}"
         )
-    if center.w0 is not None and center.combine != config.combine:
-        raise ValueError(
-            f"center combines with {center.combine!r}, config with {config.combine!r}"
-        )
     if center.w0 is not None and config.combine == "additive" and config.u0_dim != dataset.d_label:
         raise ValueError(
             f"additive combining needs u0_dim == d_label, got {config.u0_dim} != {dataset.d_label}"
@@ -618,16 +554,15 @@ def _run(
         train_round = functools.partial(_federated_round, config, center, shards, store)
     trace = TrainingTrace(mode=mode, seed=config.seed)
     for t_g in range(config.global_epochs):
-        started = time.perf_counter()
         # a diverging phase ends in its guard, not in numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             k_received = train_round(t_g)
             center.epoch += 1
-            train = weighted_train_loss(center, dataset.clients, store)
-            test_mse, err = evaluate(center, dataset.test_clients, store)
+            train = weighted_train_loss(config, center, dataset.clients, store)
+            test_mse, err = evaluate(config, center, dataset.test_clients, store)
         if not (np.isfinite(train) and np.isfinite(test_mse)):
             raise ValueError(f"non-finite values after evaluate at global epoch {t_g}")
-        trace.rows.append(TraceRow(t_g, train, test_mse, err, k_received, time.perf_counter() - started))
+        trace.rows.append(TraceRow(t_g, train, test_mse, err, k_received))
     return center, trace
 
 
@@ -638,30 +573,14 @@ def _pooled(dataset: FederationDataset) -> ClientShard:
     return ClientShard(client_id=0, ids=ids, x_local=x, y=y, q=1.0)
 
 
-def run_vhfl(
-    config: FederationConfig,
-    dataset: FederationDataset,
-    center: CenterState | None = None,
-) -> tuple[CenterState, TrainingTrace]:
+def run_vhfl(config: FederationConfig, dataset: FederationDataset) -> tuple[CenterState, TrainingTrace]:
     """Train with vertical gradient exchange for ``global_epochs`` rounds."""
-    if center is None:
-        center = _new_center(config, dataset, use_global=True)
-    if center.w0 is None:
-        raise ValueError("vertical-horizontal training needs a global model")
-    return _run(config, dataset, center, "vhfl")
+    return _run(config, dataset, _new_center(config, dataset, use_global=True), "vhfl")
 
 
-def run_hfl(
-    config: FederationConfig,
-    dataset: FederationDataset,
-    center: CenterState | None = None,
-) -> tuple[CenterState, TrainingTrace]:
+def run_hfl(config: FederationConfig, dataset: FederationDataset) -> tuple[CenterState, TrainingTrace]:
     """FedAvg baseline: the vertical-horizontal round without a global model."""
-    if center is None:
-        center = _new_center(config, dataset, use_global=False)
-    if center.w0 is not None:
-        raise ValueError("horizontal training takes a center without a global model")
-    return _run(config, dataset, center, "hfl")
+    return _run(config, dataset, _new_center(config, dataset, use_global=False), "hfl")
 
 
 def run_cloud(

@@ -94,11 +94,11 @@ def analyze(params: He2Params) -> QueueAnalysis:
     return QueueAnalysis(params=params, rho=params.rho, mu12=mu12, s1=s1, s2=s2, a=a, b=b)
 
 
-def sojourn_pdf(analysis: QueueAnalysis, t: float) -> float:
-    """Stationary sojourn-time density W(t) for t >= 0."""
-    if t < 0.0:
+def sojourn_pdf(analysis: QueueAnalysis, t: float | np.ndarray) -> float | np.ndarray:
+    """Stationary sojourn-time density W(t) for t >= 0, elementwise on an array."""
+    if np.any(np.less(t, 0.0)):
         raise ValueError(f"t must be non-negative, got {t}")
-    return analysis.a * math.exp(analysis.s1 * t) - analysis.b * math.exp(analysis.s2 * t)
+    return analysis.a * np.exp(analysis.s1 * t) - analysis.b * np.exp(analysis.s2 * t)
 
 
 def success_rate(analysis: QueueAnalysis, t_p: float) -> float:
@@ -204,7 +204,7 @@ def sample_sojourn(analysis: QueueAnalysis, rng: np.random.Generator, n: int) ->
         want = n - filled
         draw = max(16, int(1.5 * want * envelope) + 1)
         proposals = rng.exponential(1.0 / rate, size=draw)
-        density = a * np.exp(analysis.s1 * proposals) - b * np.exp(analysis.s2 * proposals)
+        density = sojourn_pdf(analysis, proposals)
         bound = envelope * rate * np.exp(-rate * proposals)
         accept = rng.random(draw) * bound <= density
         accepted = proposals[accept][:want]

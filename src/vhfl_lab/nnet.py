@@ -292,23 +292,6 @@ def random_net(
     return DenseNet(layers=tuple(layers))
 
 
-def zeros_net(dims: Sequence[int], activations: Sequence[str]) -> DenseNet:
-    """Net with all parameters zero; its output is identically zero."""
-    if len(dims) < 2:
-        raise ValueError("dims must list at least input and output sizes")
-    if len(activations) != len(dims) - 1:
-        raise ValueError("need one activation per layer")
-    layers = [
-        DenseLayer(
-            weights=np.zeros((int(dims[i + 1]), int(dims[i]))),
-            bias=np.zeros(int(dims[i + 1])),
-            activation=act,
-        )
-        for i, act in enumerate(activations)
-    ]
-    return DenseNet(layers=tuple(layers))
-
-
 def dumps_net(net: DenseNet) -> str:
     """Serialize to the text checkpoint format (17 significant digits)."""
     lines = [_CHECKPOINT_MAGIC, f"layers {net.n_layers}"]

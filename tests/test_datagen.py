@@ -48,6 +48,8 @@ def test_generate_structure_invariants():
     ds = generate(SMALL)
     assert ds.n_clients == 4
     assert abs(sum(s.q for s in ds.clients) - 1.0) <= 1e-12
+    # equal shards, so q is 1/N for every client
+    assert all(s.q == 0.25 for s in ds.clients)
     seen = set()
     for shard in (*ds.clients, *ds.test_clients):
         ids = {int(i) for i in shard.ids}
@@ -110,11 +112,6 @@ def test_public_fraction_keeps_a_common_block():
     full = generate(dataclasses.replace(config, public_fraction=0.0))
     for a, b in zip(ds.clients, full.clients):
         assert np.linalg.norm(a.x_local.mean(axis=0)) < np.linalg.norm(b.x_local.mean(axis=0))
-
-
-def test_uniform_q_mode():
-    ds = generate(dataclasses.replace(SMALL, q_mode="uniform"))
-    assert all(s.q == 0.25 for s in ds.clients)
 
 
 def test_lambda_identical_gradients_is_one():
@@ -268,8 +265,6 @@ def test_config_validation():
         dataclasses.replace(SMALL, global_strength=1.5)
     with pytest.raises(ValueError):
         dataclasses.replace(SMALL, d_local=0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(SMALL, q_mode="sizes")
     # fewer than 3 samples leave a client without a test sample
     with pytest.raises(ValueError, match="samples_per_client"):
         dataclasses.replace(SMALL, samples_per_client=2)

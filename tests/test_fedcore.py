@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, generate
@@ -11,12 +13,12 @@ from vhfl_lab.fedcore import (
     CenterState,
     FederationConfig,
     Schedule,
+    Upload,
     aggregate_weights,
     center_broadcast,
     central_update,
     client_update,
     evaluate,
-    predict,
     select_clients,
 )
 from vhfl_lab.rng import substream
@@ -47,6 +49,23 @@ FED = FederationConfig(
     local_hidden=(12,),
     activation="tanh",
 )
+
+
+def zero_layer(in_dim: int, out_dim: int, activation: str = "identity") -> nnet.DenseLayer:
+    return nnet.DenseLayer(np.zeros((out_dim, in_dim)), np.zeros(out_dim), activation)
+
+
+def one_row_shard(client_id: int, q: float = 1.0) -> ClientShard:
+    return ClientShard(client_id, np.array([client_id]), np.zeros((1, 1)), np.zeros((1, 1)), q)
+
+
+def weight_uploads(qs, nets) -> list[Upload]:
+    """Uploads of the given nets from one-row shards weighted by ``qs``."""
+    return [Upload(one_row_shard(j, q), net, None) for j, (q, net) in enumerate(zip(qs, nets))]
+
+
+# central_update reads only an upload's shard and vertical gradients
+STUB_NET = nnet.DenseNet((zero_layer(1, 1),))
 
 
 def nets_equal(a: nnet.DenseNet, b: nnet.DenseNet, atol: float = 0.0) -> bool:
@@ -85,30 +104,25 @@ def traces_equal(a: fedcore.TrainingTrace, b: fedcore.TrainingTrace, tol: float 
 
 
 def test_select_all_when_k_equals_n():
-    assert select_clients(6, 6, seed=0, t_g=3) == tuple(range(6))
+    assert select_clients(dataclasses.replace(FED, n_clients=6, k=6, seed=0), t_g=3) == tuple(range(6))
 
 
 def test_select_deterministic():
-    first = select_clients(5, 1, seed=4, t_g=9)
-    assert all(select_clients(5, 1, seed=4, t_g=9) == first for _ in range(5))
-    assert select_clients(5, 1, seed=4, t_g=10) != first or True  # other epochs may differ
+    fed = dataclasses.replace(FED, k=1, seed=4)
+    first = select_clients(fed, t_g=9)
+    assert all(select_clients(fed, t_g=9) == first for _ in range(5))
+    assert select_clients(fed, t_g=10) != first or True  # other epochs may differ
 
 
 def test_select_uniform_frequencies():
+    fed = dataclasses.replace(FED, k=2, seed=1)
     counts = np.zeros(5)
     draws = 100_000
     for t in range(draws):
-        for j in select_clients(5, 2, seed=1, t_g=t):
+        for j in select_clients(fed, t_g=t):
             counts[j] += 1
     freq = counts / draws
     assert np.all(np.abs(freq - 0.4) < 0.01)
-
-
-def test_select_rejects_bad_k():
-    with pytest.raises(ValueError):
-        select_clients(5, 6, seed=0, t_g=0)
-    with pytest.raises(ValueError):
-        select_clients(5, 0, seed=0, t_g=0)
 
 
 # ---------------------------------------------------------------- broadcast
@@ -118,7 +132,7 @@ def test_broadcast_identity_center():
     ds = generate(SYNTH)
     center = CenterState(
         w0=nnet.DenseNet((nnet.DenseLayer(np.eye(3), np.zeros(3)),)),
-        wbar=nnet.zeros_net([7, 2], ["identity"]),
+        wbar=nnet.DenseNet((zero_layer(7, 2),)),
     )
     tables = center_broadcast(center, ds.global_store, ds.clients[:2])
     for shard in ds.clients[:2]:
@@ -130,7 +144,7 @@ def test_broadcast_matches_per_sample_forward():
     rng = substream(2, "bc")
     center = CenterState(
         w0=nnet.random_net([3, 6, 3], ["tanh", "identity"], rng),
-        wbar=nnet.zeros_net([7, 2], ["identity"]),
+        wbar=nnet.DenseNet((zero_layer(7, 2),)),
     )
     tables = center_broadcast(center, ds.global_store, ds.clients)
     assert set(tables) == {shard.client_id for shard in ds.clients}
@@ -161,26 +175,21 @@ def manual_full_batch_vgrads(net, shard, u0, u0_dim):
     return grads.input_grad[:, :u0_dim]
 
 
-def test_client_update_zero_eta_keeps_weights_and_initial_vgrad():
+def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
     ds = generate(SYNTH)
     shard = ds.clients[0]
     rng = substream(3, "cu")
     wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
     u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
-    net, vgrads = client_update(
-        shard,
-        wbar,
-        u0,
-        local_epochs=4,
-        batch_size=8,
-        eta=Schedule("constant", 0.0),
-        combine="concat",
-        batch_rng=substream(3, "b"),
-    )
-    assert nets_equal(net, wbar)
+    fed = dataclasses.replace(FED, local_epochs=1, batch_size=10_000)
+    upload = client_update(fed, shard, wbar, u0, 0)
+    assert upload.shard is shard
     expected = manual_full_batch_vgrads(wbar, shard, u0, u0_dim=3)
     for k, row in enumerate(expected):
-        assert np.allclose(vgrads[k], row, atol=1e-12)
+        assert np.allclose(upload.vgrads[k], row, atol=1e-12)
+    out, trace = nnet.forward(wbar, np.hstack([u0, shard.x_local]))
+    grads = nnet.backward(wbar, trace, nnet.mse_loss(out, shard.y)[1])
+    assert nets_equal(upload.net, nnet.sgd_step(wbar, grads, FED.eta.value(0)), atol=1e-12)
 
 
 def test_client_update_perfect_fit_returns_zero_vgrads():
@@ -193,18 +202,9 @@ def test_client_update_perfect_fit_returns_zero_vgrads():
     fitted = ClientShard(
         client_id=shard.client_id, ids=shard.ids, x_local=shard.x_local, y=fitted_y, q=shard.q
     )
-    net, vgrads = client_update(
-        fitted,
-        wbar,
-        u0,
-        local_epochs=3,
-        batch_size=16,
-        eta=Schedule("constant", 0.05),
-        combine="concat",
-        batch_rng=substream(4, "b"),
-    )
-    assert nets_equal(net, wbar)
-    for row in vgrads:
+    upload = client_update(dataclasses.replace(FED, batch_size=16), fitted, wbar, u0, 0)
+    assert nets_equal(upload.net, wbar)
+    for row in upload.vgrads:
         assert np.array_equal(row, np.zeros_like(row))
 
 
@@ -214,16 +214,8 @@ def test_client_vertical_gradient_matches_finite_differences():
     rng = substream(5, "cu3")
     wbar = nnet.random_net([3 + 4, 10, 2], ["tanh", "identity"], rng)
     u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
-    _, vgrads = client_update(
-        shard,
-        wbar,
-        u0,
-        local_epochs=1,
-        batch_size=10_000,
-        eta=Schedule("constant", 0.05),
-        combine="concat",
-        batch_rng=substream(5, "b"),
-    )
+    fed = dataclasses.replace(FED, local_epochs=1, batch_size=10_000)
+    vgrads = client_update(fed, shard, wbar, u0, 0).vgrads
 
     def client_loss(rows):
         out, _ = nnet.forward(wbar, np.hstack([rows, shard.x_local]))
@@ -248,7 +240,7 @@ def test_client_vertical_gradient_matches_finite_differences():
 def test_aggregate_identical_uploads():
     rng = substream(6, "agg")
     net = nnet.random_net([4, 3], ["identity"], rng)
-    out = aggregate_weights([(0.2, net), (0.5, net), (0.3, net)], k=3)
+    out = aggregate_weights(FED, weight_uploads([0.2, 0.5, 0.3], [net] * 3), 0)
     assert nets_equal(out, net, atol=1e-15)
 
 
@@ -260,7 +252,7 @@ def test_aggregate_opposite_uploads_cancel():
             nnet.DenseLayer(-l.weights, -l.bias, l.activation) for l in net.layers
         )
     )
-    out = aggregate_weights([(0.5, net), (0.5, negated)], k=2)
+    out = aggregate_weights(FED, weight_uploads([0.5, 0.5], [net, negated]), 0)
     for layer in out.layers:
         assert np.allclose(layer.weights, 0.0, atol=1e-15)
         assert np.allclose(layer.bias, 0.0, atol=1e-15)
@@ -271,29 +263,73 @@ def test_aggregate_uniform_weights_is_plain_mean():
     n = 5
     nets = [nnet.random_net([3, 2], ["identity"], rng) for _ in range(n)]
     received = nets[:3]
-    out = aggregate_weights([(1.0 / n, net) for net in received], k=3)
+    uploads = weight_uploads([1.0 / n] * 3, received)
+    out = aggregate_weights(FED, uploads, 0)
     mean_w = sum(net.layers[0].weights for net in received) / 3
     assert np.allclose(out.layers[0].weights, mean_w, atol=1e-12, rtol=0.0)
-    # the unbiased variant keeps the (n/k) q_j scaling instead
-    unbiased = aggregate_weights(
-        [(1.0 / n, net) for net in received], k=3, n_clients=n, aggregator="paper_unbiased"
-    )
+    # the unbiased variant keeps the (n/k) q_j scaling instead, with FED's n = 5, k = 3
+    unbiased = aggregate_weights(dataclasses.replace(FED, aggregator="paper_unbiased"), uploads, 0)
     scaled = sum(net.layers[0].weights for net in received) * (n / 3) * (1 / n)
     assert np.allclose(unbiased.layers[0].weights, scaled, atol=1e-12, rtol=0.0)
 
 
 def test_aggregate_empty_set_rejected():
     with pytest.raises(ValueError):
-        aggregate_weights([], k=3)
+        aggregate_weights(FED, [], 0)
 
 
 def test_aggregate_multiset_permutation_invariance():
     rng = substream(9, "agg4")
     nets = [nnet.random_net([4, 4, 2], ["tanh", "identity"], rng) for _ in range(4)]
     qs = [0.1, 0.2, 0.3, 0.4]
-    a = aggregate_weights(list(zip(qs, nets)), k=4)
-    order = [2, 0, 3, 1]
-    b = aggregate_weights([(qs[i], nets[i]) for i in order], k=4)
+    uploads = weight_uploads(qs, nets)
+    a = aggregate_weights(FED, uploads, 0)
+    b = aggregate_weights(FED, [uploads[i] for i in (2, 0, 3, 1)], 0)
+    assert nets_equal(a, b, atol=1e-12)
+
+
+@st.composite
+def upload_sets(draw):
+    """Two to six uploads of random nets of one shape, with random weights q."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    count = draw(st.integers(2, 6))
+    qs = draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count))
+    rng = substream(draw(st.integers(0, 2**16)), "agg-prop")
+    nets = [
+        nnet.DenseNet(
+            tuple(
+                nnet.DenseLayer(rng.normal(0.0, 3.0, (o, i)), rng.normal(0.0, 3.0, o), "tanh")
+                for i, o in zip(dims, dims[1:])
+            )
+        )
+        for _ in range(count)
+    ]
+    return weight_uploads(qs, nets), draw(st.permutations(range(count)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(upload_sets())
+def test_renormalized_aggregate_is_a_convex_combination(problem):
+    uploads, _ = problem
+    out = aggregate_weights(FED, uploads, 0)
+    total = sum(u.shard.q for u in uploads)
+    for idx, layer in enumerate(out.layers):
+        for name in ("weights", "bias"):
+            stacked = np.stack([getattr(u.net.layers[idx], name) for u in uploads])
+            combined = sum((u.shard.q / total) * p for u, p in zip(uploads, stacked))
+            got = getattr(layer, name)
+            assert np.allclose(got, combined, atol=1e-12, rtol=0.0)
+            assert np.all(stacked.min(axis=0) - 1e-12 <= got)
+            assert np.all(got <= stacked.max(axis=0) + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(upload_sets(), st.sampled_from(fedcore.AGGREGATORS))
+def test_aggregate_is_permutation_invariant(problem, aggregator):
+    uploads, order = problem
+    fed = dataclasses.replace(FED, aggregator=aggregator)
+    a = aggregate_weights(fed, uploads, 0)
+    b = aggregate_weights(fed, [uploads[i] for i in order], 0)
     assert nets_equal(a, b, atol=1e-12)
 
 
@@ -305,7 +341,8 @@ def test_central_update_zero_vgrads_no_change():
     w0 = nnet.random_net([3, 5, 3], ["tanh", "identity"], rng)
     ds = generate(SYNTH)
     shard = ds.clients[0]
-    out = central_update(w0, [(shard, np.zeros((shard.n, 3)))], ds.global_store, eta0=0.05)
+    fed = dataclasses.replace(FED, eta0=Schedule("constant", 0.05))
+    out = central_update(fed, w0, [Upload(shard, STUB_NET, np.zeros((shard.n, 3)))], ds.global_store, 0)
     assert nets_equal(out, w0)
 
 
@@ -317,7 +354,8 @@ def test_central_update_identity_layer_outer_product():
     shard = ClientShard(0, ids, np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
     vrow = np.array([1.0, -2.0, 0.25])
     eta0 = 0.1
-    out = central_update(w0, [(shard, vrow[None, :])], store, eta0=eta0)
+    fed = dataclasses.replace(FED, eta0=Schedule("constant", eta0))
+    out = central_update(fed, w0, [Upload(shard, STUB_NET, vrow[None, :])], store, 0)
     expected_grad = np.outer(vrow, x0[0])
     assert np.allclose(out.layers[0].weights, np.eye(3) - eta0 * expected_grad, atol=1e-14)
     assert np.allclose(out.layers[0].bias, -eta0 * vrow, atol=1e-14)
@@ -331,22 +369,12 @@ def test_central_update_matches_finite_differences_of_composed_loss():
     wbar = nnet.random_net([3 + 4, 8, 2], ["tanh", "identity"], rng)
     center = CenterState(w0=w0, wbar=wbar)
     tables = center_broadcast(center, ds.global_store, ds.clients)
-    vgrad_tables = []
-    for shard in ds.clients:
-        _, vg = client_update(
-            shard,
-            wbar,
-            tables[shard.client_id],
-            local_epochs=1,
-            batch_size=10_000,
-            eta=Schedule("constant", 0.05),
-            combine="concat",
-            batch_rng=substream(11, "b", shard.client_id),
-        )
-        vgrad_tables.append((shard, vg))
-
     eta0 = 1e-2
-    stepped = central_update(w0, vgrad_tables, ds.global_store, eta0=eta0)
+    fed = dataclasses.replace(
+        FED, n_clients=2, k=2, local_epochs=1, batch_size=10_000, eta0=Schedule("constant", eta0)
+    )
+    uploads = [client_update(fed, shard, wbar, tables[shard.client_id], 0) for shard in ds.clients]
+    stepped = central_update(fed, w0, uploads, ds.global_store, 0)
 
     def composed_loss(w0_variant):
         total = 0.0
@@ -375,9 +403,9 @@ def test_central_update_matches_finite_differences_of_composed_loss():
 def test_central_update_rejects_duplicate_ids():
     w0 = nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),))
     store = GlobalStore(np.array([1]), np.ones((1, 2)))
-    row = (ClientShard(0, np.array([1]), np.zeros((1, 1)), np.zeros((1, 1)), 1.0), np.ones((1, 2)))
+    row = Upload(one_row_shard(1), STUB_NET, np.ones((1, 2)))
     with pytest.raises(ValueError, match="duplicate vertical-gradient row for id 1"):
-        central_update(w0, [row, row], store, eta0=0.1)
+        central_update(FED, w0, [row, row], store, 0)
 
 
 # ------------------------------------------------------------------ engines
@@ -405,26 +433,11 @@ def test_run_vhfl_collapses_to_hfl_with_frozen_zero_center():
     fed = dataclasses.replace(
         FED, combine="additive", u0_dim=2, center_frozen=True, k=4, global_epochs=8
     )
-    w0 = nnet.zeros_net([3, 8, 2], ["tanh", "identity"])
+    w0 = nnet.DenseNet((zero_layer(3, 8, "tanh"), zero_layer(8, 2)))
     wbar = nnet.random_net([4, 12, 2], ["tanh", "identity"], substream(FED.seed, "init", "wbar"))
-    center = CenterState(w0=w0, wbar=wbar, combine="additive")
-    _, vhfl_trace = fedcore.run_vhfl(fed, ds, center=center)
+    _, vhfl_trace = fedcore._run(fed, ds, CenterState(w0=w0, wbar=wbar), "vhfl")
     _, hfl_trace = fedcore.run_hfl(fed, ds)
     assert traces_equal(vhfl_trace, hfl_trace, tol=1e-10)
-
-
-def test_run_rejects_a_center_that_combines_otherwise():
-    ds = generate(SYNTH)
-    center = fedcore._new_center(FED, ds, use_global=True)
-    center.combine = "additive"
-    with pytest.raises(ValueError, match="center combines with 'additive', config with 'concat'"):
-        fedcore.run_vhfl(FED, ds, center=center)
-    assert center.epoch == 0
-    # without w0 nothing is combined, so the center's setting is unused
-    fed = dataclasses.replace(FED, global_epochs=1)
-    local = CenterState(w0=None, wbar=fedcore._new_center(fed, ds, use_global=False).wbar, combine="additive")
-    _, trace = fedcore.run_hfl(fed, ds, center=local)
-    assert len(trace.rows) == 1
 
 
 def test_run_vhfl_loss_trend_over_seeds():
@@ -541,17 +554,10 @@ def test_run_cloud_global_fits_linear_realizable_task():
     assert trace.final.train_mse < 1e-3
 
     # vertical gradients vanish at the converged fit
+    # one full batch: the gradients are taken before the step
     u0 = nnet.forward(center.w0, x0)[0]
-    _, vgrads = client_update(
-        ds.clients[0],
-        center.wbar,
-        u0,
-        local_epochs=1,
-        batch_size=10_000,
-        eta=Schedule("constant", 0.0),
-        combine="concat",
-        batch_rng=substream(3, "post"),
-    )
+    fed = dataclasses.replace(fed, local_epochs=1, batch_size=10_000)
+    vgrads = client_update(fed, ds.clients[0], center.wbar, u0, 0).vgrads
     assert max(float(np.linalg.norm(v)) for v in vgrads) < 1e-4
 
 
@@ -599,11 +605,11 @@ def test_predict_and_evaluate_perfect_model():
     xl = substream(13, "ev").standard_normal((6, 3))
     w0 = nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),))
     wbar = nnet.random_net([5, 2], ["identity"], substream(14, "ev"))
-    center = CenterState(w0=w0, wbar=wbar, combine="concat")
-    y = predict(center, x0, xl)
+    center = CenterState(w0=w0, wbar=wbar)
+    y = fedcore._predict(FED, center, x0, xl)
     shard = ClientShard(0, ids, xl, y, 1.0)
     store = GlobalStore(ids, x0)
-    mse, ratio = evaluate(center, [shard], store)
+    mse, ratio = evaluate(FED, center, [shard], store)
     assert mse == 0.0
     assert ratio == 0.0
 
@@ -613,9 +619,9 @@ def test_evaluate_constant_zero_predictor_unit_labels():
     xl = substream(15, "ev2").standard_normal((8, 3))
     y = substream(16, "ev2").standard_normal((8, 2))
     y /= np.linalg.norm(y, axis=1, keepdims=True)
-    center = CenterState(w0=None, wbar=nnet.zeros_net([3, 2], ["identity"]))
+    center = CenterState(w0=None, wbar=nnet.DenseNet((zero_layer(3, 2),)))
     shard = ClientShard(0, ids, xl, y, 1.0)
-    mse, ratio = evaluate(center, [shard], None)
+    mse, ratio = evaluate(FED, center, [shard], None)
     assert abs(ratio - 1.0) < 1e-12
     assert abs(mse - 1.0) < 1e-12
 
@@ -626,48 +632,19 @@ def test_evaluate_equals_mean_of_per_sample_losses():
     center = CenterState(
         w0=nnet.random_net([3, 5, 3], ["tanh", "identity"], rng),
         wbar=nnet.random_net([7, 9, 2], ["tanh", "identity"], rng),
-        combine="concat",
     )
-    mse, _ = evaluate(center, ds.test_clients, ds.global_store)
+    mse, _ = evaluate(FED, center, ds.test_clients, ds.global_store)
     losses = []
     for shard in ds.test_clients:
         for k, sample_id in enumerate(shard.ids):
-            pred = predict(
+            pred = fedcore._predict(
+                FED,
                 center,
                 ds.global_store.rows([sample_id]),
                 shard.x_local[k : k + 1],
             )
             losses.append(float(np.sum((pred[0] - shard.y[k]) ** 2)))
     assert abs(mse - float(np.mean(losses))) < 1e-12
-
-
-def test_predict_requires_global_features_when_center_has_w0():
-    center = CenterState(
-        w0=nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),)),
-        wbar=nnet.zeros_net([5, 1], ["identity"]),
-    )
-    with pytest.raises(ValueError):
-        predict(center, None, np.zeros((1, 3)))
-
-
-@pytest.mark.parametrize("combine", ["concat", "additive"])
-def test_predict_checks_its_inputs(combine):
-    w0 = nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),))
-    wbar = nnet.zeros_net([5 if combine == "concat" else 3, 2], ["identity"])
-    for center in (CenterState(w0=w0, wbar=wbar, combine=combine), CenterState(w0=None, wbar=wbar)):
-        x_global = np.zeros((1, 2)) if center.w0 is not None else None
-        local_in = wbar.in_dim - (2 if center.w0 is not None and combine == "concat" else 0)
-        assert predict(center, x_global, np.zeros((1, local_in))).shape == (1, 2)
-        with pytest.raises(ValueError, match="columns"):
-            predict(center, x_global, np.zeros((1, local_in + 1)))
-        with pytest.raises(ValueError, match="non-finite"):
-            predict(center, x_global, np.full((1, local_in), np.nan))
-    center = CenterState(w0=w0, wbar=wbar, combine=combine)
-    local_in = 3
-    with pytest.raises(ValueError, match="columns"):
-        predict(center, np.zeros((1, 3)), np.zeros((1, local_in)))
-    with pytest.raises(ValueError, match="non-finite"):
-        predict(center, np.full((1, 2), np.inf), np.zeros((1, local_in)))
 
 
 # ----------------------------------------------------------- configuration
@@ -689,6 +666,8 @@ def test_schedule_values():
 def test_federation_config_validation():
     with pytest.raises(ValueError):
         dataclasses.replace(FED, k=6)
+    with pytest.raises(ValueError):
+        dataclasses.replace(FED, k=0)
     with pytest.raises(ValueError):
         dataclasses.replace(FED, eta=Schedule("constant", 1.5))
     with pytest.raises(ValueError):

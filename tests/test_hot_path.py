@@ -21,6 +21,7 @@ from vhfl_lab.fedcore import (
     CenterState,
     FederationConfig,
     Schedule,
+    Upload,
     aggregate_weights,
     center_broadcast,
     central_update,
@@ -84,14 +85,15 @@ def unchanged(net: nnet.DenseNet, snap: list[tuple[np.ndarray, np.ndarray]]) -> 
 # ------------------------------------------------- bit-exact client update
 
 
-def reference_client_update(shard, wbar, u0, local_epochs, batch_size, eta, combine, seed, global_epoch):
+def reference_client_update(fed, shard, wbar, u0, global_epoch):
     """Local SGD as a plain loop over the public nnet functions, with the
     vertical gradients accumulated per sample in an id-keyed dict."""
     table = None if u0 is None else {int(i): u0[k] for k, i in enumerate(shard.ids)}
     net = wbar
-    batch_list = batches(shard, None, batch_size, substream(seed, "prop-batches"))
+    stream = substream(fed.seed, "batches", shard.client_id, global_epoch)
+    batch_list = batches(shard, None, fed.batch_size, stream)
     vgrad_sum: dict[int, np.ndarray] = {}
-    for epoch in range(local_epochs):
+    for epoch in range(fed.local_epochs):
         for b in batch_list:
             side = None if table is None else np.vstack([table[int(i)] for i in b.ids])
             if side is None:
@@ -99,7 +101,7 @@ def reference_client_update(shard, wbar, u0, local_epochs, batch_size, eta, comb
                 _, lgrad = nnet.mse_loss(out, b.y)
                 grads = nnet.backward(net, trace, lgrad)
                 side_grad = None
-            elif combine == "concat":
+            elif fed.combine == "concat":
                 out, trace = nnet.forward(net, np.hstack([side, b.x_local]))
                 _, lgrad = nnet.mse_loss(out, b.y)
                 grads = nnet.backward(net, trace, lgrad, want_input_grad=True)
@@ -115,10 +117,8 @@ def reference_client_update(shard, wbar, u0, local_epochs, batch_size, eta, comb
                     key = int(sample_id)
                     row = side_grad[k] * scale
                     vgrad_sum[key] = vgrad_sum[key] + row if key in vgrad_sum else row
-            eta_t = eta.value(global_epoch * local_epochs + epoch)
-            if eta_t > 0.0:
-                net = nnet.sgd_step(net, grads, eta_t)
-    vgrads = {key: row / local_epochs for key, row in vgrad_sum.items()}
+            net = nnet.sgd_step(net, grads, fed.eta.value(global_epoch * fed.local_epochs + epoch))
+    vgrads = {key: row / fed.local_epochs for key, row in vgrad_sum.items()}
     return net, vgrads
 
 
@@ -172,24 +172,30 @@ def test_client_update_matches_public_api_loop_bit_for_bit(problem):
     in_dim = problem["d_local"] + (problem["u0_dim"] if combine == "concat" else 0)
     dims = [in_dim, *problem["hidden"], problem["d_label"]]
     wbar = nnet.random_net(dims, problem["acts"], rng)
-    args = (shard, wbar, u0, problem["local_epochs"], problem["batch_size"], problem["eta"])
-    kwargs = dict(
+    fed = FederationConfig(
+        n_clients=8,
+        k=1,
+        local_epochs=problem["local_epochs"],
+        batch_size=problem["batch_size"],
+        global_epochs=4,
+        eta=problem["eta"],
+        eta0=Schedule("constant", 0.02),
+        seed=problem["seed"],
         combine=combine or "concat",
-        batch_rng=substream(problem["seed"], "prop-batches"),
-        global_epoch=problem["global_epoch"],
+        u0_dim=problem["u0_dim"],
     )
+    args = (fed, shard, wbar, u0, problem["global_epoch"])
     with np.errstate(all="ignore"):
         try:
-            ref_net, ref_vgrads = reference_client_update(
-                *args, combine, problem["seed"], problem["global_epoch"]
-            )
+            ref_net, ref_vgrads = reference_client_update(*args)
         except ValueError:  # a public step met non-finite values: the run diverged
             ref_net, ref_vgrads = None, {}
         if ref_net is None or not all(np.all(np.isfinite(row)) for row in ref_vgrads.values()):
             with pytest.raises(ValueError, match="^non-finite values after client_update"):
-                client_update(*args, **kwargs)
+                client_update(*args)
             return
-    net, vgrads = client_update(*args, **kwargs)
+    upload = client_update(*args)
+    net, vgrads = upload.net, upload.vgrads
     assert nets_same_bits(net, ref_net)
     if u0 is None:
         assert vgrads is None and ref_vgrads == {}
@@ -209,17 +215,17 @@ def test_client_and_central_update_leave_caller_arrays_unchanged():
     w0_snap, wbar_snap = snapshot(w0), snapshot(wbar)
     u0 = center_broadcast(center, ds.global_store, ds.clients)
     u0_snap = {j: rows.copy() for j, rows in u0.items()}
+    fed = dataclasses.replace(
+        FED, local_epochs=3, eta=Schedule("constant", 0.1), eta0=Schedule("constant", 0.1)
+    )
     uploads = []
     for shard in ds.clients:
-        net, vgrads = client_update(
-            shard, wbar, u0[shard.client_id], 3, 6, Schedule("constant", 0.1),
-            batch_rng=substream(8, "b", shard.client_id),
-        )
-        assert not any(np.shares_memory(a.weights, b.weights) for a, b in zip(net.layers, wbar.layers))
-        uploads.append((shard, vgrads))
+        upload = client_update(fed, shard, wbar, u0[shard.client_id], 0)
+        assert not any(np.shares_memory(a.weights, b.weights) for a, b in zip(upload.net.layers, wbar.layers))
+        uploads.append(upload)
     assert unchanged(wbar, wbar_snap)
     assert all(same_bits(u0[j], u0_snap[j]) for j in u0)
-    stepped = central_update(w0, uploads, ds.global_store, eta0=0.1)
+    stepped = central_update(fed, w0, uploads, ds.global_store, 0)
     assert not nets_same_bits(stepped, w0)
     assert unchanged(w0, w0_snap)
 
@@ -250,7 +256,7 @@ def test_run_vhfl_leaves_caller_arrays_unchanged():
     w0 = nnet.random_net([2, 5, 3], ["tanh", "identity"], rng)
     wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
     w0_snap, wbar_snap = snapshot(w0), snapshot(wbar)
-    fedcore.run_vhfl(FED, ds, center=CenterState(w0=w0, wbar=wbar))
+    fedcore._run(FED, ds, CenterState(w0=w0, wbar=wbar), "vhfl")
     assert unchanged(w0, w0_snap) and unchanged(wbar, wbar_snap)
 
 
@@ -269,14 +275,12 @@ def test_guard_names_client_update_epoch_and_client():
     u0 = substream(11, "u0").standard_normal((shard.n, 3))
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"non-finite values after client_update at global epoch 7, client 2$"):
-            client_update(
-                shard, wbar, u0, 3, 4, DIVERGING.eta, batch_rng=0, global_epoch=7
-            )
+            client_update(dataclasses.replace(DIVERGING, local_epochs=3, batch_size=4), shard, wbar, u0, 7)
 
 
 def test_guard_stops_a_diverging_run_at_its_first_client():
     ds = generate(SYNTH)
-    first = fedcore.select_clients(FED.n_clients, FED.k, FED.seed, 0)[0]
+    first = fedcore.select_clients(FED, 0)[0]
     for run in (fedcore.run_vhfl, fedcore.run_hfl):
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match=rf"client_update at global epoch 0, client {first}$"):
@@ -288,14 +292,17 @@ def test_guard_stops_a_diverging_run_at_its_first_client():
 
 def test_guard_names_aggregation_and_central_step():
     big = nnet.DenseNet((nnet.DenseLayer(np.full((2, 2), 1e308), np.zeros(2)),))
+    unbiased = dataclasses.replace(FED, k=1, aggregator="paper_unbiased")
+    uploads = [
+        Upload(ClientShard(j, np.array([j]), np.zeros((1, 1)), np.zeros((1, 1)), 0.5), big, None)
+        for j in (1, 3)
+    ]
     with pytest.raises(ValueError, match=r"after aggregate_weights at global epoch 4, clients \[1, 3\]$"):
         with np.errstate(all="ignore"):
-            aggregate_weights(
-                [(0.5, big), (0.5, big)], k=1, n_clients=4, aggregator="paper_unbiased",
-                global_epoch=4, client_ids=[1, 3],
-            )
+            aggregate_weights(unbiased, uploads, 4)
     store = GlobalStore(np.array([5]), np.ones((1, 2)))
     shard = ClientShard(3, np.array([5]), np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
+    fed = dataclasses.replace(FED, eta0=Schedule("constant", 1.0))
     with pytest.raises(ValueError, match=r"after central_update at global epoch 2, client 3$"):
         with np.errstate(all="ignore"):
-            central_update(big, [(shard, np.full((1, 2), -1e308))], store, eta0=1.0, global_epoch=2)
+            central_update(fed, big, [Upload(shard, big, np.full((1, 2), -1e308))], store, 2)

@@ -120,6 +120,17 @@ def test_sojourn_pdf_nonnegative_on_grid():
         nq.sojourn_pdf(a, -0.1)
 
 
+def test_sojourn_pdf_on_an_array_matches_the_pointwise_formula():
+    a = nq.analyze(BENCH)
+    grid = np.linspace(0.0, 20.0 * pk_mean_sojourn(BENCH), 500)
+    values = nq.sojourn_pdf(a, grid)
+    assert values.shape == grid.shape
+    pointwise = [a.a * math.exp(a.s1 * t) - a.b * math.exp(a.s2 * t) for t in grid]
+    assert np.allclose(values, pointwise, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        nq.sojourn_pdf(a, np.array([0.0, -0.1]))
+
+
 def test_sojourn_mean_matches_waiting_formula():
     expected = pk_mean_sojourn(BENCH)
     assert abs(expected - (0.3125 + 0.53125 / 0.75)) < 1e-12

@@ -299,9 +299,3 @@ def test_checkpoint_ignores_comment_lines():
     text = "# provenance comment\n" + nnet.dumps_net(net)
     loaded = nnet.loads_net(text)
     assert np.array_equal(loaded.layers[0].weights, net.layers[0].weights)
-
-
-def test_zeros_net_outputs_zero():
-    net = nnet.zeros_net([3, 5, 2], ["tanh", "identity"])
-    out, _ = nnet.forward(net, np.random.default_rng(0).standard_normal((4, 3)))
-    assert np.array_equal(out, np.zeros((4, 2)))
