@@ -23,9 +23,9 @@ class BoundParams:
     ``sigma2``/``sigma0_2``: local and central stochastic-gradient
     variances; ``g2``: gradient-norm bound; ``lambda_niid``: gradient
     divergence ratio (>= 1); ``f_init``/``f_star``: initial and optimal
-    loss; ``f0``: initial-gradient factor in the convex bound. The counts
-    ``local_epochs``, ``k`` and ``global_epochs`` must be integral and are
-    stored as ints.
+    loss; ``f0``: initial-gradient factor in the convex bound. Every value
+    must be finite; the counts ``local_epochs``, ``k`` and ``global_epochs``
+    must also be integral, and are stored as ints.
     """
 
     l_smooth: float
@@ -48,6 +48,9 @@ class BoundParams:
             if not float(value).is_integer():
                 raise ValueError(f"{name} must be an integer, got {value}")
             object.__setattr__(self, name, int(value))
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.l_smooth <= 0.0 or self.mu_pl <= 0.0:
             raise ValueError("smoothness and PL constants must be positive")
         if min(self.sigma2, self.sigma0_2, self.g2, self.f0) < 0.0:

@@ -43,12 +43,12 @@ class SynthConfig:
             raise ValueError(f"samples_per_client must be >= 3, got {self.samples_per_client}")
         if min(self.d_local, self.d_global, self.d_label) < 1:
             raise ValueError("feature and label dimensions must be >= 1")
-        if self.noise_std < 0.0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not 0.0 <= self.global_strength <= 1.0:
             raise ValueError(f"global_strength must lie in [0, 1], got {self.global_strength}")
-        if self.noniid_shift < 0.0:
-            raise ValueError(f"noniid_shift must be >= 0, got {self.noniid_shift}")
+        if not (math.isfinite(self.noniid_shift) and self.noniid_shift >= 0.0):
+            raise ValueError(f"noniid_shift must be finite and >= 0, got {self.noniid_shift}")
         if not 0.0 <= self.public_fraction <= 1.0:
             raise ValueError(f"public_fraction must lie in [0, 1], got {self.public_fraction}")
 
@@ -73,9 +73,6 @@ class GlobalStore:
         self._sorted = self._ids[self._order]
         if _has_repeats(self._sorted):
             raise ValueError("duplicate ids in global store")
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
     @property
     def ids(self) -> np.ndarray:

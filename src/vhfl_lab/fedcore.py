@@ -17,19 +17,20 @@ any order without changing results.
 
 Validate at the edges, run unchecked kernels inside the loop, build nets
 once per phase. Data is checked where it enters (``ClientShard``,
-``GlobalStore``, config parsing, checkpoint loading). A client update
+``GlobalStore``, config parsing). A client update
 copies its net's arrays once, runs its first step through the validating
 public ``nnet`` API, which checks the shapes every later step reuses, and
 its later steps through the unchecked ``nnet`` kernels, which update the
 copies in place. A pooled phase does the same with every step on the
 kernels, as it trains nets it built itself from the config. The central
 step is a single step and runs through the public API, where the uploads
-enter the center. When a phase ends, a guard raises if any
-parameter or vertical gradient is non-finite, naming the phase, global
-epoch and client; a value that turns inf or nan stays non-finite under
-later steps, so this catches what per-step checks would. Then one
-validated net is built. Evaluation has the same guard on its losses, so
-the loop runs with numpy's overflow and invalid-value warnings off.
+enter the center. When a phase ends, it builds one validated net, and
+the net's own finite check is the phase-edge guard: ``_guard`` turns the
+build's ValueError, or a non-finite vertical gradient, into an error
+naming the phase, global epoch and client. A value that turns inf or nan
+stays non-finite under later steps, so this catches what per-step checks
+would. Evaluation has the same guard on its losses, so the loop runs with
+numpy's overflow and invalid-value warnings off.
 Vertical gradients travel as one ``(n_j, u0_dim)`` array per client in
 shard order.
 
@@ -42,9 +43,10 @@ from it; no phase takes a setting as an argument or re-checks one.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -147,8 +149,6 @@ class CenterState:
 
     w0: nnet.DenseNet | None
     wbar: nnet.DenseNet
-    epoch: int = 0
-    central_updates: int = 0
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,6 @@ class TrainingTrace:
     def final(self) -> TraceRow:
         return self.rows[-1]
 
-    def column(self, name: str) -> list[float]:
-        return [getattr(row, name) for row in self.rows]
-
 
 def select_clients(config: FederationConfig, t_g: int) -> tuple[int, ...]:
     """K distinct client ids, uniform without replacement, keyed by (seed, t_g)."""
@@ -188,24 +185,16 @@ def select_clients(config: FederationConfig, t_g: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in picks))
 
 
-def _check_finite(
-    arrays: Iterable[np.ndarray],
-    phase: str,
-    global_epoch: int,
-    clients: Sequence[int],
-) -> None:
-    """The phase-edge guard: raise if any of the phase's results is inf or nan."""
-    if not all(np.all(np.isfinite(arr)) for arr in arrays):
-        raise ValueError(_non_finite(phase, global_epoch, clients))
-
-
-def _non_finite(phase: str, global_epoch: int, clients: Sequence[int]) -> str:
-    who = f"client {clients[0]}" if len(clients) == 1 else f"clients {list(clients)}"
-    return f"non-finite values after {phase} at global epoch {global_epoch}, {who}"
-
-
-def _arrays(params: nnet.Params) -> list[np.ndarray]:
-    return [arr for w, b, _ in params for arr in (w, b)]
+@contextlib.contextmanager
+def _guard(phase: str, global_epoch: int, clients: Sequence[int]) -> Iterator[None]:
+    """The phase-edge guard around building a phase's results: a net built from
+    non-finite parameters fails its layer check, and that ValueError becomes
+    one naming the phase, the global epoch and the clients."""
+    try:
+        yield
+    except ValueError as err:
+        who = f"client {clients[0]}" if len(clients) == 1 else f"clients {list(clients)}"
+        raise ValueError(f"non-finite values after {phase} at global epoch {global_epoch}, {who}") from err
 
 
 def _global_rows(
@@ -214,11 +203,9 @@ def _global_rows(
     global_store: GlobalStore | None,
 ) -> list[np.ndarray | None]:
     """Each shard's global rows in shard order, gathered with one store lookup;
-    all None for a center without a global model."""
+    all None for a center without a global model, which needs no store."""
     if center.w0 is None:
         return [None] * len(shards)
-    if global_store is None:
-        raise ValueError("global store required in a global-aware mode")
     if not shards:
         return []
     rows = global_store.rows(np.concatenate([shard.ids for shard in shards]))
@@ -231,9 +218,8 @@ def center_broadcast(
     global_store: GlobalStore,
     clients: Sequence[ClientShard],
 ) -> dict[int, np.ndarray]:
-    """Per client, the centrally processed rows u0 = w0(x0) in shard order."""
-    if center.w0 is None:
-        raise ValueError("center has no global model to broadcast from")
+    """Per client, the centrally processed rows u0 = w0(x0) in shard order;
+    the center must hold w0."""
     return {
         shard.client_id: nnet._output(center.w0, rows)
         for shard, rows in zip(clients, _global_rows(center, clients, global_store))
@@ -325,9 +311,11 @@ def client_update(
                     vgrad_sum[b.index] += rows
             nnet._sgd(params, wgrads, bgrads, eta_t)
     vgrads = None if vgrad_sum is None else vgrad_sum / config.local_epochs
-    checked = _arrays(params) + ([] if vgrads is None else [vgrads])
-    _check_finite(checked, "client_update", t_g, (shard.client_id,))
-    return Upload(shard=shard, net=nnet._net(params), vgrads=vgrads)
+    with _guard("client_update", t_g, (shard.client_id,)):
+        net = nnet._net(params)
+        if vgrads is not None and not np.all(np.isfinite(vgrads)):
+            raise ValueError("non-finite vertical gradients")
+    return Upload(shard=shard, net=net, vgrads=vgrads)
 
 
 def aggregate_weights(config: FederationConfig, uploads: Sequence[Upload], t_g: int) -> nnet.DenseNet:
@@ -335,7 +323,9 @@ def aggregate_weights(config: FederationConfig, uploads: Sequence[Upload], t_g: 
 
     ``renormalized`` rescales the received coefficients to sum to 1 (a
     convex combination even when uploads were lost); ``paper_unbiased``
-    uses (n_clients / k) * q_j, the unbiased estimator.
+    uses (n_clients / k_received) * q_j over the k_received delivered
+    uploads, the unbiased estimator, which is (n_clients / K) * q_j when
+    every upload arrives and does not shrink wbar when some are lost.
     """
     if not uploads:
         raise ValueError("cannot aggregate an empty upload set")
@@ -343,7 +333,7 @@ def aggregate_weights(config: FederationConfig, uploads: Sequence[Upload], t_g: 
         total = sum(u.shard.q for u in uploads)
         coeffs = [u.shard.q / total for u in uploads]
     else:
-        coeffs = [(config.n_clients / config.k) * u.shard.q for u in uploads]
+        coeffs = [(config.n_clients / len(uploads)) * u.shard.q for u in uploads]
     reference = uploads[0].net
     params = []
     for idx, ref_layer in enumerate(reference.layers):
@@ -356,8 +346,8 @@ def aggregate_weights(config: FederationConfig, uploads: Sequence[Upload], t_g: 
             w += coeff * layer.weights
             b += coeff * layer.bias
         params.append((w, b, ref_layer.activation))
-    _check_finite(_arrays(params), "aggregate_weights", t_g, [u.shard.client_id for u in uploads])
-    return nnet._net(params)
+    with _guard("aggregate_weights", t_g, [u.shard.client_id for u in uploads]):
+        return nnet._net(params)
 
 
 def central_update(
@@ -396,12 +386,9 @@ def central_update(
     if rows.shape != out.shape:
         raise ValueError(f"vertical gradients have shape {rows.shape}, expected {out.shape}")
     grads = nnet.backward(w0, trace, rows)
-    try:
+    # backward fixed the shapes, so only the stepped net's finite check can fail
+    with _guard("central_update", t_g, [u.shard.client_id for u in uploads]):
         return nnet.sgd_step(w0, grads, config.eta0.value(t_g))
-    except ValueError as err:
-        # backward fixed the shapes, so the stepped net failed its finite check
-        clients = [u.shard.client_id for u in uploads]
-        raise ValueError(_non_finite("central_update", t_g, clients)) from err
 
 
 def _predict(
@@ -492,7 +479,6 @@ def _federated_round(
         center.wbar = aggregate_weights(config, uploads, t_g)
         if center.w0 is not None and not config.center_frozen:
             center.w0 = central_update(config, center.w0, uploads, store, t_g)
-            center.central_updates += 1
     return len(uploads)
 
 
@@ -520,10 +506,9 @@ def _cloud_round(
             nnet._sgd(wbar, gw, gb, eta_t)
             if w0:
                 nnet._sgd(w0, g0w, g0b, eta_t)
-    _check_finite(_arrays(wbar) + _arrays(w0), "run_cloud", t_g, (0,))
-    center.wbar = nnet._net(wbar)
-    if w0:
-        center.w0 = nnet._net(w0)
+    with _guard("run_cloud", t_g, (0,)):
+        # both nets are built before either is assigned
+        center.wbar, center.w0 = nnet._net(wbar), (nnet._net(w0) if w0 else None)
     return 0
 
 
@@ -557,7 +542,6 @@ def _run(
         # a diverging phase ends in its guard, not in numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             k_received = train_round(t_g)
-            center.epoch += 1
             train = weighted_train_loss(config, center, dataset.clients, store)
             test_mse, err = evaluate(config, center, dataset.test_clients, store)
         if not (np.isfinite(train) and np.isfinite(test_mse)):

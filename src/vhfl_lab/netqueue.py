@@ -31,29 +31,21 @@ class He2Params:
     mu2: float
 
     def __post_init__(self) -> None:
-        if self.lambda_n <= 0.0:
-            raise ValueError(f"arrival rate must be positive, got {self.lambda_n}")
+        if not (math.isfinite(self.lambda_n) and self.lambda_n > 0.0):
+            raise ValueError(f"arrival rate must be finite and positive, got {self.lambda_n}")
         if self.alpha1 < 0.0 or self.alpha2 < 0.0:
             raise ValueError("state probabilities must be non-negative")
         if abs(self.alpha1 + self.alpha2 - 1.0) > 1e-12:
             raise ValueError(f"alpha1 + alpha2 must be 1, got {self.alpha1 + self.alpha2}")
-        if not (self.mu1 >= self.mu2 > 0.0):
+        if not (math.isfinite(self.mu1) and self.mu1 >= self.mu2 > 0.0):
             # mu1 == mu2 collapses to M/M/1 and is kept valid for cross-checks
-            raise ValueError(f"service rates need mu1 >= mu2 > 0, got {self.mu1}, {self.mu2}")
+            raise ValueError(f"service rates need finite mu1 >= mu2 > 0, got {self.mu1}, {self.mu2}")
         if self.rho >= 1.0:
             raise ValueError(f"unstable queue: utilization rho = {self.rho:.6g} >= 1")
 
     @property
     def rho(self) -> float:
         return self.alpha1 * self.lambda_n / self.mu1 + self.alpha2 * self.lambda_n / self.mu2
-
-    @property
-    def mean_service(self) -> float:
-        return self.alpha1 / self.mu1 + self.alpha2 / self.mu2
-
-    @property
-    def second_moment_service(self) -> float:
-        return 2.0 * (self.alpha1 / self.mu1**2 + self.alpha2 / self.mu2**2)
 
 
 @dataclass(frozen=True)

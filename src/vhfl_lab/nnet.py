@@ -25,8 +25,6 @@ import numpy as np
 
 ACTIVATIONS = ("identity", "relu", "tanh")
 
-_CHECKPOINT_MAGIC = "densenet 1"
-
 
 def _as_batch(x: object, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
@@ -294,7 +292,7 @@ def random_net(
 
 def dumps_net(net: DenseNet) -> str:
     """Serialize to the text checkpoint format (17 significant digits)."""
-    lines = [_CHECKPOINT_MAGIC, f"layers {net.n_layers}"]
+    lines = ["densenet 1", f"layers {net.n_layers}"]
     for layer in net.layers:
         lines.append(f"layer {layer.in_dim} {layer.out_dim} {layer.activation}")
         for row in layer.weights:
@@ -302,37 +300,3 @@ def dumps_net(net: DenseNet) -> str:
         lines.append(" ".join(f"{v:.17g}" for v in layer.bias))
     return "\n".join(lines) + "\n"
 
-
-def loads_net(text: str) -> DenseNet:
-    """Parse the text checkpoint format; round-trips bit-exactly.
-
-    Blank lines and '#' comment lines are ignored.
-    """
-    lines = [
-        ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not lines or lines[0].strip() != _CHECKPOINT_MAGIC:
-        raise ValueError("not a dense-net checkpoint")
-    head = lines[1].split()
-    if len(head) != 2 or head[0] != "layers":
-        raise ValueError("malformed layer count")
-    n_layers = int(head[1])
-    pos = 2
-    layers = []
-    for _ in range(n_layers):
-        fields = lines[pos].split()
-        if len(fields) != 4 or fields[0] != "layer":
-            raise ValueError(f"malformed layer header: {lines[pos]!r}")
-        in_dim, out_dim, act = int(fields[1]), int(fields[2]), fields[3]
-        pos += 1
-        rows = []
-        for _ in range(out_dim):
-            row = np.array([float(v) for v in lines[pos].split()], dtype=np.float64)
-            if row.shape != (in_dim,):
-                raise ValueError("weight row length does not match in_dim")
-            rows.append(row)
-            pos += 1
-        bias = np.array([float(v) for v in lines[pos].split()], dtype=np.float64)
-        pos += 1
-        layers.append(DenseLayer(weights=np.vstack(rows), bias=bias, activation=act))
-    return DenseNet(layers=tuple(layers))

@@ -1,0 +1,25 @@
+"""The artifact digest tool (``tools/artifact_digests.py``) on the shipped bounds sweep."""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+from vhfl_lab.harness import load_config, run
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("artifact_digests", ROOT / "tools" / "artifact_digests.py")
+artifact_digests = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(artifact_digests)
+
+
+def test_digests_list_every_artifact_but_the_resolved_config(tmp_path):
+    config = ROOT / "configs" / "bounds_sweep.json"
+    lines = artifact_digests.digests([(config, "bounds_sweep")], tmp_path / "tool")
+    out = tmp_path / "cli"
+    run(load_config(config, out_override=str(out)))
+    assert sorted(p.name for p in out.iterdir()) == ["bounds_sweep.csv", "resolved_config.json"]
+    digest = hashlib.sha256((out / "bounds_sweep.csv").read_bytes()).hexdigest()
+    assert lines == [f"{digest}  bounds_sweep/bounds_sweep.csv"]
+    assert (config, "bounds_sweep") in artifact_digests.shipped_runs()

@@ -12,7 +12,10 @@ x86-64). The trace digests were renewed when trace rows stopped ending in
 CRLF: each is the digest of the old file's bytes with every CRLF replaced
 by LF. The ``off_default`` digests were computed at commit fda1205,
 before the training phases took their settings from the federation
-config, with the same Python, numpy and OpenBLAS.
+config, with the same Python, numpy and OpenBLAS. Its five vhfl and hfl
+digests were renewed when ``paper_unbiased`` began to scale by the number
+of delivered uploads instead of K; as the clients weigh the same, the
+renewed traces hold the rows the config gives under ``renormalized``.
 
 The analytic digests pin every artifact of tiny ``queue_analyze``,
 ``queue_simulate``, ``delay_plan`` and ``bounds_sweep`` runs: the gamma
@@ -119,14 +122,14 @@ CONFIGS["off_default"] = OFF_DEFAULT
 DIGESTS["off_default"] = {
     "trace_cloud_local_seed3.csv": "fa8715327188b13fcb103806f4977ca5ab9ce73a9e19da80676d22330343cff1",
     "trace_cloud_seed3.csv": "5ee62df75112d76d2760c7f8786a5c0feaf538bb1f564bd38b2c5c53f2e3f646",
-    "trace_hfl_seed3.csv": "b0cb22979e6e4cf02f80abbd5823b2fc080c35bd043d610f9b9d771a3ecec14b",
-    "trace_vhfl_seed3.csv": "e4649df4052bee04bb6ef88da15af6b5c865d354ffb2b228f47de69fd3322fe0",
+    "trace_hfl_seed3.csv": "b81ae5c0fc849b793aed4bfb89c07f38f0b58d32884437b154a4ad08608ba901",
+    "trace_vhfl_seed3.csv": "a3afa1f98c4d51c6afaa0610024d938b6c69c35aecc2ba532f01357983ad9a42",
     "w0_cloud_seed3.txt": "6dc64c5e774df7e898a8a584bacc2581212f0755432abc0fcab07e6663d32f3c",
-    "w0_vhfl_seed3.txt": "2a3842d4d7f1624c4008b8c5d290db22b68982efd7f2ae93ace18f66bd738efc",
+    "w0_vhfl_seed3.txt": "93a1f605be11f78716cabee097083f39399b343190bf19c0fa3404a3ad0488a4",
     "wbar_cloud_local_seed3.txt": "91c9abe2e64e53f56a480dea8941589e7033f509ca0d5c0889978fc8cb516c04",
     "wbar_cloud_seed3.txt": "b78db65de2d5fcfe9af5476147ebc00d81602c69de3ae141c20c01ac3f75ba37",
-    "wbar_hfl_seed3.txt": "c8fd129ef0123ab38500477f6c7fb2943d17fc3e6756dffbd421ab2837b18d22",
-    "wbar_vhfl_seed3.txt": "8d075d22696484041bb481e791a69459d5d450657d5c1ca94f559d51e722fdd1",
+    "wbar_hfl_seed3.txt": "bd92ab2aca17db8be18f2379f774df17dd8a1e57f4f7961175bf8422c82b5dc8",
+    "wbar_vhfl_seed3.txt": "3659e95da5ffd2963ea5cfc50748a33836c44badb80fae8b6c90e743df48f2ec",
 }
 
 

@@ -352,12 +352,15 @@ CONFIG_FAULTS = [
     (BASE_CONFIG, "federation.selection", "uniform_without_replacement", "federation: unknown keys ['selection']"),
     (BASE_CONFIG, "synth.noise_std", float("nan"), "synth.noise_std"),
     (BASE_CONFIG, "synth.samples_per_client", 2, "synth: samples_per_client"),
+    (BASE_CONFIG, "synth.noise_std", float("inf"), "synth: noise_std must be finite"),
     (BOUNDS_CONFIG, "bounds_sweep.param", "gamma", "bounds_sweep: gamma must lie in (0, 1], got 2.0"),
     (BOUNDS_CONFIG, "bounds_sweep.values", [0.4, 4.0], "bounds_sweep: k must be an integer, got 0.4"),
     (BOUNDS_CONFIG, "bounds_sweep.values", [2.0, 2.5], "bounds_sweep: k must be an integer, got 2.5"),
     (BOUNDS_CONFIG, "bounds_sweep.values", [0.0, 4.0], "bounds_sweep: epoch and client counts"),
+    (BOUNDS_CONFIG, "bounds.sigma2", float("inf"), "bounds: sigma2 must be finite"),
     (LOSSY_CONFIG, "channel.t_p", -1.0, "channel: t_p"),
     (LOSSY_CONFIG, "channel.lambda_n", 10.0, "channel: unstable queue"),
+    (LOSSY_CONFIG, "channel.mu1", float("inf"), "channel: service rates need finite"),
     (LOSSY_CONFIG, "channel.params", {"lambda_n": 2.0}, "channel: unknown keys ['params']"),
 ]
 

