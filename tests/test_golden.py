@@ -25,6 +25,12 @@ before the bound evaluators were merged into ``bounds.evaluate`` and the
 mixture coefficients moved onto ``QueueAnalysis``, with the same Python,
 numpy and OpenBLAS.
 
+The unequal-shard digests pin ``run_vhfl`` and ``run_hfl`` on a dataset built
+by hand, whose shards differ in size, so a cohort trains and evaluates in
+several size groups and singletons. They were computed at commit 3de557e,
+while each client still trained alone, with the same Python, numpy and
+OpenBLAS.
+
 Another BLAS build or CPU kernel may round differently; there, recompute
 the digests at a trusted commit before reading a failure as a regression.
 """
@@ -32,11 +38,17 @@ the digests at a trusted commit before reading a failure as a regression.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
+from vhfl_lab import fedcore, nnet
+from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore
+from vhfl_lab.fedcore import FederationConfig, Schedule
 from vhfl_lab.harness import parse_config, run
+from vhfl_lab.rng import substream
 
 FEDERATION = {
     "n_clients": 4,
@@ -216,3 +228,73 @@ def test_tiny_analytic_run_rewrites_golden_artifacts(tmp_path, name):
         if path.name != "resolved_config.json"
     }
     assert written == ANALYTIC_DIGESTS[name]
+
+
+# Hand-built shards of unequal sizes, 7, 12, 12 and 5 training rows, where
+# ``datagen.generate`` always makes equal ones: a cohort of all four clients
+# trains as a group of two and two singletons, and every batch size of 5 leaves a
+# short last batch but on the 5-row shard.
+MIXED_TRAIN = (7, 12, 12, 5)
+MIXED_TEST = (3, 2, 2, 4)
+
+
+def mixed_dataset() -> FederationDataset:
+    rng = substream(17, "mixed-shards")
+    sizes = MIXED_TRAIN + MIXED_TEST
+    ids = rng.permutation(200)[: sum(sizes)]
+    x_local = rng.standard_normal((len(ids), 3))
+    x_global = rng.standard_normal((len(ids), 2))
+    y = np.tanh(x_local @ rng.standard_normal((3, 2))) + 0.8 * np.tanh(x_global @ rng.standard_normal((2, 2)))
+    ends = np.cumsum(sizes)
+    parts = [slice(end - n, end) for n, end in zip(sizes, ends)]
+    total = sum(MIXED_TRAIN)
+    shards = [
+        ClientShard(j % 4, ids[part], x_local[part], y[part], MIXED_TRAIN[j % 4] / total)
+        for j, part in enumerate(parts)
+    ]
+    return FederationDataset(tuple(shards[:4]), tuple(shards[4:]), GlobalStore(ids, x_global))
+
+
+MIXED_FED = FederationConfig(
+    n_clients=4,
+    k=4,
+    local_epochs=2,
+    batch_size=5,
+    global_epochs=3,
+    eta=Schedule("constant", 0.05),
+    eta0=Schedule("constant", 0.02),
+    seed=9,
+    u0_dim=3,
+    w0_hidden=(5,),
+    local_hidden=(6,),
+    activation="tanh",
+)
+MIXED_RUNS = {
+    "vhfl": (fedcore.run_vhfl, MIXED_FED),
+    "hfl": (fedcore.run_hfl, dataclasses.replace(MIXED_FED, k=3, activation="relu")),
+    "vhfl_additive": (
+        fedcore.run_vhfl,
+        dataclasses.replace(MIXED_FED, k=3, combine="additive", u0_dim=2, aggregator="paper_unbiased"),
+    ),
+}
+MIXED_DIGESTS = {
+    "vhfl": "cde78168d22ab2fb9a59b967ca8f901d54716223f94c07b512d105822076de7e",
+    "hfl": "bf827af372a8d61555865a75a17bfd9581d1299ca10e076390fd222922965354",
+    "vhfl_additive": "55b4f5ac9116e04b3d78618244f5c3b04e53946402cfb4cdc90561948d4637b3",
+}
+
+
+def run_digest(center: fedcore.CenterState, trace: fedcore.TrainingTrace) -> str:
+    """sha256 over the trace rows, every float in hex, and the final nets' checkpoints."""
+    rows = [
+        f"{r.epoch},{r.train_mse.hex()},{r.test_mse.hex()},{r.test_error_ratio.hex()},{r.k_received}"
+        for r in trace.rows
+    ]
+    nets = [nnet.dumps_net(net) for net in (center.w0, center.wbar) if net is not None]
+    return hashlib.sha256("\n".join(rows + nets).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_RUNS))
+def test_unequal_shards_rewrite_golden_run(name):
+    train, config = MIXED_RUNS[name]
+    assert run_digest(*train(config, mixed_dataset())) == MIXED_DIGESTS[name]
