@@ -17,22 +17,37 @@ any order without changing results.
 
 Validate at the edges, run unchecked kernels inside the loop, build nets
 once per phase. Data is checked where it enters (``ClientShard``,
-``GlobalStore``, config parsing). A client update
-copies its net's arrays once, runs its first step through the validating
-public ``nnet`` API, which checks the shapes every later step reuses, and
-its later steps through the unchecked ``nnet`` kernels, which update the
-copies in place. A pooled phase does the same with every step on the
-kernels, as it trains nets it built itself from the config. The central
-step is a single step and runs through the public API, where the uploads
-enter the center. When a phase ends, it builds one validated net, and
-the net's own finite check is the phase-edge guard: ``_guard`` turns the
-build's ValueError, or a non-finite vertical gradient, into an error
-naming the phase, global epoch and client. A value that turns inf or nan
-stays non-finite under later steps, so this catches what per-step checks
-would. Evaluation has the same guard on its losses, so the loop runs with
-numpy's overflow and invalid-value warnings off.
-Vertical gradients travel as one ``(n_j, u0_dim)`` array per client in
-shard order.
+``GlobalStore``, config parsing). The local phase trains the round's whole
+cohort in one ``client_update`` call. It groups the selected shards by
+size, and each group of G clients with n rows apiece trains as one stack:
+the clients' copies of ``wbar`` become per-layer arrays with a leading
+client axis, and every step runs the unchecked ``nnet`` kernels on ``(G,
+b, in)`` batches, updating the stack in place. Equal sizes give every
+client the same batch sizes, so the stack needs no padding or mask, and a
+group of one is a client trained alone. Each client still draws its own
+batch permutation from ``FederationConfig.local_plan``, and still takes its
+first step through the validating public ``nnet`` API, which checks the
+shapes every later step reuses. The stacked kernels issue one BLAS call
+and one reduction per client slice, with the slice's own shape, so a
+client gets the bits it would get alone. Pooling the rows of different
+clients into one matrix would not: a BLAS kernel rounds the tail rows of
+an ``(M, 16) @ (16, 1)`` product differently as M changes. Evaluation and
+the broadcast group the shards by size in the same way, with one stacked
+forward pass per group, and sum each shard over its own slice, adding the
+shards up in their original order.
+
+A pooled phase steps the kernels on 2-d batches, as it trains nets it
+built itself from the config. The central step is a single step and runs
+through the public API, where the uploads enter the center. When a phase
+ends, it builds one validated net per client, and the net's own finite
+check is the phase-edge guard: ``_guard`` turns the build's ValueError, or
+a non-finite vertical gradient, into an error naming the phase, global
+epoch and client; the local phase builds its uploads in cohort order, so
+the first diverged client is named. A value that turns inf or nan stays
+non-finite under later steps, so this catches what per-step checks would.
+Evaluation has the same guard on its losses, so the loop runs with numpy's
+overflow and invalid-value warnings off. Vertical gradients travel as one
+``(n_j, u0_dim)`` array per client in shard order.
 
 ``FederationConfig`` is the one home of the round settings (K, E_L, B, the
 eta and eta0 schedules, the aggregator, the combine mode, the seed), and
@@ -46,7 +61,7 @@ from __future__ import annotations
 import contextlib
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -197,20 +212,27 @@ def _guard(phase: str, global_epoch: int, clients: Sequence[int]) -> Iterator[No
         raise ValueError(f"non-finite values after {phase} at global epoch {global_epoch}, {who}") from err
 
 
-def _global_rows(
+def _size_groups(shards: Sequence[ClientShard]) -> list[list[int]]:
+    """Positions in ``shards`` grouped by shard size: groups in the order of
+    their first member, positions ascending within a group."""
+    groups: dict[int, list[int]] = {}
+    for pos, shard in enumerate(shards):
+        groups.setdefault(shard.n, []).append(pos)
+    return list(groups.values())
+
+
+def _group_global_rows(
     center: CenterState,
     shards: Sequence[ClientShard],
     global_store: GlobalStore | None,
-) -> list[np.ndarray | None]:
-    """Each shard's global rows in shard order, gathered with one store lookup;
-    all None for a center without a global model, which needs no store."""
+) -> np.ndarray | None:
+    """The ``(G, n, d_global)`` global rows of equal-size shards, in shard
+    order, gathered with one store lookup; None for a center without a
+    global model, which needs no store."""
     if center.w0 is None:
-        return [None] * len(shards)
-    if not shards:
-        return []
+        return None
     rows = global_store.rows(np.concatenate([shard.ids for shard in shards]))
-    ends = np.cumsum([shard.n for shard in shards])
-    return [rows[end - shard.n : end] for shard, end in zip(shards, ends)]
+    return rows.reshape(len(shards), shards[0].n, rows.shape[1])
 
 
 def center_broadcast(
@@ -218,12 +240,14 @@ def center_broadcast(
     global_store: GlobalStore,
     clients: Sequence[ClientShard],
 ) -> dict[int, np.ndarray]:
-    """Per client, the centrally processed rows u0 = w0(x0) in shard order;
-    the center must hold w0."""
-    return {
-        shard.client_id: nnet._output(center.w0, rows)
-        for shard, rows in zip(clients, _global_rows(center, clients, global_store))
-    }
+    """Per client, the centrally processed rows u0 = w0(x0) in shard order,
+    one stacked forward pass per size group; the center must hold w0."""
+    u0 = {}
+    for group in _size_groups(clients):
+        members = [clients[pos] for pos in group]
+        rows = nnet._output(center.w0, _group_global_rows(center, members, global_store))
+        u0.update(zip((shard.client_id for shard in members), rows))
+    return {shard.client_id: u0[shard.client_id] for shard in clients}
 
 
 def _combined_step(
@@ -260,62 +284,122 @@ def _kernel_step(
     batch_y: np.ndarray,
     combine: str,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
-    """:func:`_combined_step` on raw per-layer arrays, with nothing checked."""
+    """:func:`_combined_step` on raw per-layer arrays, with nothing checked;
+    the arrays may carry a leading stack axis (see ``nnet``)."""
     concat = batch_side is not None and combine == "concat"
-    inp = np.hstack([batch_side, batch_x]) if concat else batch_x
+    inp = np.concatenate([batch_side, batch_x], axis=-1) if concat else batch_x
     pre, post = nnet._forward(params, inp)
     out = post[-1] if batch_side is None or concat else batch_side + post[-1]
     lgrad = nnet._mse_grad(out, batch_y)
     wgrads, bgrads, input_grad = nnet._backward(params, inp, pre, post, lgrad, concat)
     if concat:
-        return wgrads, bgrads, input_grad[:, : batch_side.shape[1]]
+        return wgrads, bgrads, input_grad[..., : batch_side.shape[-1]]
     return wgrads, bgrads, None if batch_side is None else lgrad
+
+
+def _checked_steps(
+    wbar: nnet.DenseNet,
+    batch_x: np.ndarray,
+    batch_side: np.ndarray | None,
+    batch_y: np.ndarray,
+    combine: str,
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
+    """:func:`_combined_step` from ``wbar`` for each client of a stacked
+    batch, with the clients' results stacked as :func:`_kernel_step` gives them."""
+    steps = [
+        _combined_step(wbar, batch_x[k], None if batch_side is None else batch_side[k], batch_y[k], combine)
+        for k in range(batch_x.shape[0])
+    ]
+    wgrads, bgrads, side_grads = zip(*steps)
+    return (
+        [np.stack(layer) for layer in zip(*wgrads)],
+        [np.stack(layer) for layer in zip(*bgrads)],
+        None if batch_side is None else np.stack(side_grads),
+    )
+
+
+def _train_group(
+    config: FederationConfig,
+    shards: Sequence[ClientShard],
+    wbar: nnet.DenseNet,
+    u0: Mapping[int, np.ndarray] | None,
+    t_g: int,
+) -> tuple[nnet.Params, np.ndarray | None]:
+    """Local SGD of equal-size shards as one stack: the trained per-layer
+    arrays, with a leading client axis, and the ``(G, n, u0_dim)`` vertical
+    gradients (None without ``u0``)."""
+    n = shards[0].n
+    plans = [config.local_plan(shard, None if u0 is None else u0[shard.client_id], t_g) for shard in shards]
+    etas = plans[0][1]
+    # per batch position, the clients' rows and sample positions, stacked once
+    stacked = [
+        (
+            np.stack([b.x_local for b in column]),
+            None if u0 is None else np.stack([b.x_side for b in column]),
+            np.stack([b.y for b in column]),
+            np.stack([b.index for b in column]),
+        )
+        for column in zip(*(batch_list for batch_list, _ in plans))
+    ]
+    size = len(shards)
+    params = [(np.stack([w] * size), np.stack([b] * size), act) for w, b, act in nnet._view(wbar)]
+    clients = np.arange(size)[:, None]
+    vgrad_sum = None if u0 is None else np.empty((size, n, stacked[0][1].shape[-1]))
+    for epoch, eta_t in enumerate(etas):
+        for i, (x, side, y, index) in enumerate(stacked):
+            if epoch == 0 and i == 0:
+                wgrads, bgrads, side_grad = _checked_steps(wbar, x, side, y, config.combine)
+            else:
+                wgrads, bgrads, side_grad = _kernel_step(params, x, side, y, config.combine)
+            if side_grad is not None:
+                # rescale batch-mean rows to client-mean units; each epoch
+                # visits every sample once, so epoch 0 writes every row
+                rows = side_grad * (index.shape[1] / n)
+                if epoch == 0:
+                    vgrad_sum[clients, index] = rows
+                else:
+                    vgrad_sum[clients, index] += rows
+            nnet._sgd(params, wgrads, bgrads, eta_t)
+    return params, None if vgrad_sum is None else vgrad_sum / config.local_epochs
 
 
 def client_update(
     config: FederationConfig,
-    shard: ClientShard,
+    shards: Sequence[ClientShard],
     wbar: nnet.DenseNet,
-    u0: np.ndarray | None,
+    u0: Mapping[int, np.ndarray] | None,
     t_g: int,
-) -> Upload:
-    """Local training from the downloaded federal weights.
+) -> list[Upload]:
+    """Local training of a round's cohort from the downloaded federal weights.
 
-    The client initializes at ``wbar``, splits its samples (with the
-    fixed centrally processed rows ``u0``, one per sample in shard order)
-    into batches once, then runs ``local_epochs`` passes of mini-batch SGD
-    at the learning rates of round ``t_g``. For every sample the
-    gradient of the client loss with respect to its central row is
+    Each client initializes at ``wbar``, splits its samples (with its fixed
+    centrally processed rows ``u0[client_id]``, one per sample in shard
+    order) into batches once, then runs ``local_epochs`` passes of
+    mini-batch SGD at the learning rates of round ``t_g``. For every sample
+    the gradient of the client loss with respect to its central row is
     recorded each epoch and averaged over epochs; the result, an
     ``(n_j, u0_dim)`` array in shard order (None without ``u0``), is
-    uploaded alongside the updated weights.
+    uploaded alongside the updated weights. Clients of equal shard size
+    train as one stack; the uploads come in cohort order, and the first
+    client whose results are not finite is named by the guard.
     """
-    if shard.n == 0:
-        raise ValueError(f"client {shard.client_id} has no samples")
-    params = nnet._params(wbar)
-    batch_list, etas = config.local_plan(shard, u0, t_g)
-    vgrad_sum = None if u0 is None else np.empty((shard.n, u0.shape[1]))
-    for epoch, eta_t in enumerate(etas):
-        for i, b in enumerate(batch_list):
-            if epoch == 0 and i == 0:
-                wgrads, bgrads, side_grad = _combined_step(wbar, b.x_local, b.x_side, b.y, config.combine)
-            else:
-                wgrads, bgrads, side_grad = _kernel_step(params, b.x_local, b.x_side, b.y, config.combine)
-            if side_grad is not None:
-                # rescale batch-mean rows to client-mean units; each epoch
-                # visits every sample once, so epoch 0 writes every row
-                rows = side_grad * (b.ids.shape[0] / shard.n)
-                if epoch == 0:
-                    vgrad_sum[b.index] = rows
-                else:
-                    vgrad_sum[b.index] += rows
-            nnet._sgd(params, wgrads, bgrads, eta_t)
-    vgrads = None if vgrad_sum is None else vgrad_sum / config.local_epochs
-    with _guard("client_update", t_g, (shard.client_id,)):
-        net = nnet._net(params)
-        if vgrads is not None and not np.all(np.isfinite(vgrads)):
-            raise ValueError("non-finite vertical gradients")
-    return Upload(shard=shard, net=net, vgrads=vgrads)
+    for shard in shards:
+        if shard.n == 0:
+            raise ValueError(f"client {shard.client_id} has no samples")
+    trained: list[tuple[nnet.Params, np.ndarray | None]] = [([], None)] * len(shards)
+    for group in _size_groups(shards):
+        params, vgrads = _train_group(config, [shards[pos] for pos in group], wbar, u0, t_g)
+        for k, pos in enumerate(group):
+            net_params = [(w[k], b[k], act) for w, b, act in params]
+            trained[pos] = (net_params, None if vgrads is None else vgrads[k])
+    uploads = []
+    for shard, (params, vgrads) in zip(shards, trained):
+        with _guard("client_update", t_g, (shard.client_id,)):
+            net = nnet._net(params)
+            if vgrads is not None and not np.all(np.isfinite(vgrads)):
+                raise ValueError("non-finite vertical gradients")
+        uploads.append(Upload(shard=shard, net=net, vgrads=vgrads))
+    return uploads
 
 
 def aggregate_weights(config: FederationConfig, uploads: Sequence[Upload], t_g: int) -> nnet.DenseNet:
@@ -398,13 +482,29 @@ def _predict(
     x_local: np.ndarray,
 ) -> np.ndarray:
     """Model output y_hat for validated rows, with the unchecked forward pass;
-    ``x_global`` is used iff the center has w0."""
+    ``x_global`` is used iff the center has w0. The rows may carry a leading
+    stack axis."""
     if center.w0 is None:
         return nnet._output(center.wbar, x_local)
     u0 = nnet._output(center.w0, x_global)
     if config.combine == "concat":
-        return nnet._output(center.wbar, np.hstack([u0, x_local]))
+        return nnet._output(center.wbar, np.concatenate([u0, x_local], axis=-1))
     return u0 + nnet._output(center.wbar, x_local)
+
+
+def _residuals(
+    config: FederationConfig,
+    center: CenterState,
+    shards: Sequence[ClientShard],
+    global_store: GlobalStore | None,
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Per size group: the shards' positions, and their ``(G, n, d_label)``
+    residuals y_hat - y and labels y, from one stacked forward pass."""
+    for group in _size_groups(shards):
+        members = [shards[pos] for pos in group]
+        x_global = _group_global_rows(center, members, global_store)
+        y = np.stack([shard.y for shard in members])
+        yield group, _predict(config, center, x_global, np.stack([shard.x_local for shard in members])) - y, y
 
 
 def evaluate(
@@ -413,17 +513,20 @@ def evaluate(
     shards: Sequence[ClientShard],
     global_store: GlobalStore | None,
 ) -> tuple[float, float]:
-    """Pooled (mse, error_ratio) of the center's predictor over the given shards."""
+    """Pooled (mse, error_ratio) of the center's predictor over the given shards;
+    the per-shard sums are added up in shard order."""
+    sq = np.empty(len(shards))
+    ratios = np.empty(len(shards))
+    for group, diff, y in _residuals(config, center, shards, global_store):
+        sq[group] = np.sum(diff * diff, axis=(1, 2))
+        scales = np.maximum(np.linalg.norm(y, axis=2), 1e-8)
+        ratios[group] = np.sum(np.linalg.norm(diff, axis=2) / scales, axis=1)
     sq_sum = 0.0
     ratio_sum = 0.0
     count = 0
-    for shard, x_global in zip(shards, _global_rows(center, shards, global_store)):
-        pred = _predict(config, center, x_global, shard.x_local)
-        diff = pred - shard.y
-        sq_sum += float(np.sum(diff * diff))
-        norms = np.linalg.norm(diff, axis=1)
-        scales = np.maximum(np.linalg.norm(shard.y, axis=1), 1e-8)
-        ratio_sum += float(np.sum(norms / scales))
+    for shard, shard_sq, shard_ratio in zip(shards, sq.tolist(), ratios.tolist()):
+        sq_sum += shard_sq
+        ratio_sum += shard_ratio
         count += shard.n
     if count == 0:
         raise ValueError("no samples to evaluate")
@@ -436,12 +539,13 @@ def weighted_train_loss(
     shards: Sequence[ClientShard],
     global_store: GlobalStore | None,
 ) -> float:
-    """Global objective: q-weighted sum of per-client mean losses."""
+    """Global objective: q-weighted sum of per-client mean losses, in shard order."""
+    sq = np.empty(len(shards))
+    for group, diff, _ in _residuals(config, center, shards, global_store):
+        sq[group] = np.sum(diff * diff, axis=(1, 2))
     total = 0.0
-    for shard, x_global in zip(shards, _global_rows(center, shards, global_store)):
-        pred = _predict(config, center, x_global, shard.x_local)
-        diff = pred - shard.y
-        total += shard.q * float(np.sum(diff * diff)) / shard.n
+    for shard, shard_sq in zip(shards, sq.tolist()):
+        total += shard.q * shard_sq / shard.n
     return total
 
 
@@ -469,8 +573,8 @@ def _federated_round(
     """Select, broadcast (with w0), local updates, channel, aggregation and the
     central step (with an unfrozen w0); returns the number of delivered uploads."""
     selected = [shards[j] for j in select_clients(config, t_g)]
-    u0 = {} if center.w0 is None else center_broadcast(center, store, selected)
-    uploads = [client_update(config, shard, center.wbar, u0.get(shard.client_id), t_g) for shard in selected]
+    u0 = None if center.w0 is None else center_broadcast(center, store, selected)
+    uploads = client_update(config, selected, center.wbar, u0, t_g)
     if config.deadline_channel is not None:
         sent = [u.shard.client_id for u in uploads]
         kept = set(apply_channel(config.deadline_channel, sent, epoch=t_g))

@@ -50,6 +50,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"start and stop must be finite, got {self.start} and {self.stop}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,10 @@ class QueueSpec(netqueue.He2Params):
             object.__setattr__(self, "t_p_grid", tuple(float(v) for v in values))
         if not self.t_p_grid:
             raise ValueError("t_p_grid is empty")
+        # an infinite deadline is valid: no upload is late
+        for t_p in self.t_p_grid:
+            if t_p < 0.0:
+                raise ValueError(f"t_p_grid values must be non-negative, got {t_p}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
@@ -84,6 +90,8 @@ class DelayPlanSpec:
         for g in self.gamma_targets:
             if not 0.0 < g < 1.0:
                 raise ValueError(f"gamma target {g} outside (0, 1)")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 # the deadline plan a queue report lists when the config has no delay_plan

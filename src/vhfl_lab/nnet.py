@@ -14,6 +14,13 @@ copies a net's arrays once with ``_params``, steps them in place with the
 kernels, and builds one validated net with ``_net`` when its phase ends.
 Both paths run the same float64 operations in the same order, so their
 results agree bit for bit.
+
+The kernels also step a stack of G nets at once: batches of shape
+``(G, b, in)``, weights ``(G, out, in)`` and biases ``(G, out)``. np.matmul
+issues one BLAS call per slice with the slice's own shape, and every
+reduction runs over one slice's rows, so each net of the stack gets the
+bits it would get alone. Rows of different nets are never pooled into one
+matrix: a BLAS kernel may round a row differently with the row count.
 """
 
 from __future__ import annotations
@@ -152,7 +159,7 @@ def _forward(params: Params, x: np.ndarray) -> tuple[list[np.ndarray], list[np.n
     post: list[np.ndarray] = []
     a = x
     for w, b, act in params:
-        z = a @ w.T + b
+        z = a @ w.mT + b[..., None, :]
         a = _activate(act, z)
         pre.append(z)
         post.append(a)
@@ -166,7 +173,7 @@ def _output(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 def _mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d(mean squared L2 error)/d(pred)."""
-    return (2.0 / pred.shape[0]) * (pred - target)
+    return (2.0 / pred.shape[-2]) * (pred - target)
 
 
 def _backward(
@@ -192,8 +199,8 @@ def _backward(
             # post[i] is tanh(pre[i]), and np.tanh is deterministic
             dz = da * (1.0 - post[i] * post[i])
         layer_in = x if i == 0 else post[i - 1]
-        wgrads[i] = dz.T @ layer_in
-        bgrads[i] = dz.sum(axis=0)
+        wgrads[i] = dz.mT @ layer_in
+        bgrads[i] = dz.sum(axis=-2)
         if i > 0 or want_input_grad:
             da = dz @ w
     return wgrads, bgrads, da if want_input_grad else None

@@ -183,7 +183,7 @@ def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
     wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
     u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     fed = dataclasses.replace(FED, local_epochs=1, batch_size=10_000)
-    upload = client_update(fed, shard, wbar, u0, 0)
+    (upload,) = client_update(fed, [shard], wbar, {shard.client_id: u0}, 0)
     assert upload.shard is shard
     expected = manual_full_batch_vgrads(wbar, shard, u0, u0_dim=3)
     for k, row in enumerate(expected):
@@ -203,7 +203,8 @@ def test_client_update_perfect_fit_returns_zero_vgrads():
     fitted = ClientShard(
         client_id=shard.client_id, ids=shard.ids, x_local=shard.x_local, y=fitted_y, q=shard.q
     )
-    upload = client_update(dataclasses.replace(FED, batch_size=16), fitted, wbar, u0, 0)
+    fed = dataclasses.replace(FED, batch_size=16)
+    (upload,) = client_update(fed, [fitted], wbar, {fitted.client_id: u0}, 0)
     assert nets_equal(upload.net, wbar)
     for row in upload.vgrads:
         assert np.array_equal(row, np.zeros_like(row))
@@ -216,7 +217,7 @@ def test_client_vertical_gradient_matches_finite_differences():
     wbar = nnet.random_net([3 + 4, 10, 2], ["tanh", "identity"], rng)
     u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     fed = dataclasses.replace(FED, local_epochs=1, batch_size=10_000)
-    vgrads = client_update(fed, shard, wbar, u0, 0).vgrads
+    vgrads = client_update(fed, [shard], wbar, {shard.client_id: u0}, 0)[0].vgrads
 
     def client_loss(rows):
         out, _ = nnet.forward(wbar, np.hstack([rows, shard.x_local]))
@@ -382,7 +383,7 @@ def test_central_update_matches_finite_differences_of_composed_loss():
     fed = dataclasses.replace(
         FED, n_clients=2, k=2, local_epochs=1, batch_size=10_000, eta0=Schedule("constant", eta0)
     )
-    uploads = [client_update(fed, shard, wbar, tables[shard.client_id], 0) for shard in ds.clients]
+    uploads = client_update(fed, ds.clients, wbar, tables, 0)
     stepped = central_update(fed, w0, uploads, ds.global_store, 0)
 
     def composed_loss(w0_variant):
@@ -579,7 +580,7 @@ def test_run_cloud_global_fits_linear_realizable_task():
     # one full batch: the gradients are taken before the step
     u0 = nnet.forward(center.w0, x0)[0]
     fed = dataclasses.replace(fed, local_epochs=1, batch_size=10_000)
-    vgrads = client_update(fed, ds.clients[0], center.wbar, u0, 0).vgrads
+    vgrads = client_update(fed, ds.clients[:1], center.wbar, {0: u0}, 0)[0].vgrads
     assert max(float(np.linalg.norm(v)) for v in vgrads) < 1e-4
 
 
@@ -668,6 +669,84 @@ def test_evaluate_equals_mean_of_per_sample_losses():
             )
             losses.append(float(np.sum((pred[0] - shard.y[k]) ** 2)))
     assert abs(mse - float(np.mean(losses))) < 1e-12
+
+
+def plain_output(net: nnet.DenseNet, x: np.ndarray) -> np.ndarray:
+    """A net's output on 2-d rows, layer by layer, as a reference."""
+    a = x
+    for layer in net.layers:
+        z = a @ layer.weights.T + layer.bias
+        if layer.activation == "tanh":
+            a = np.tanh(z)
+        elif layer.activation == "relu":
+            a = np.maximum(z, 0.0)
+        else:
+            a = z
+    return a
+
+
+def reference_residuals(fed, center, shard, store) -> np.ndarray:
+    """One shard's y_hat - y from its own forward pass."""
+    if center.w0 is None:
+        return plain_output(center.wbar, shard.x_local) - shard.y
+    u0 = plain_output(center.w0, store.rows(shard.ids))
+    if fed.combine == "concat":
+        return plain_output(center.wbar, np.hstack([u0, shard.x_local])) - shard.y
+    return u0 + plain_output(center.wbar, shard.x_local) - shard.y
+
+
+def reference_evaluate(fed, center, shards, store) -> tuple[float, float]:
+    sq_sum = ratio_sum = 0.0
+    count = 0
+    for shard in shards:
+        diff = reference_residuals(fed, center, shard, store)
+        sq_sum += float(np.sum(diff * diff))
+        scales = np.maximum(np.linalg.norm(shard.y, axis=1), 1e-8)
+        ratio_sum += float(np.sum(np.linalg.norm(diff, axis=1) / scales))
+        count += shard.n
+    return sq_sum / count, ratio_sum / count
+
+
+def reference_train_loss(fed, center, shards, store) -> float:
+    total = 0.0
+    for shard in shards:
+        diff = reference_residuals(fed, center, shard, store)
+        total += shard.q * float(np.sum(diff * diff)) / shard.n
+    return total
+
+
+# sizes repeat out of order, so groups interleave in shard order
+UNEQUAL_SIZES = (5, 9, 2, 5, 17, 9, 9, 1)
+
+
+@pytest.mark.parametrize("combine", ["concat", "additive", None])
+def test_grouped_evaluation_matches_per_shard_reference(combine):
+    rng = substream(18, "grouped-eval")
+    ids = rng.permutation(500)[: sum(UNEQUAL_SIZES)]
+    store = GlobalStore(ids, rng.standard_normal((len(ids), 3)))
+    ends = np.cumsum(UNEQUAL_SIZES)
+    shards = [
+        ClientShard(j, ids[end - n : end], rng.standard_normal((n, 4)), rng.standard_normal((n, 1)), 0.1 + j)
+        for j, (n, end) in enumerate(zip(UNEQUAL_SIZES, ends))
+    ]
+    u0_dim = 1 if combine == "additive" else 3
+    fed = dataclasses.replace(FED, combine=combine or "concat", u0_dim=u0_dim)
+    w0 = None if combine is None else nnet.random_net([3, 16, u0_dim], ["tanh", "identity"], rng)
+    in_dim = 4 + (u0_dim if combine == "concat" else 0)
+    # a one-column output over 16 hidden units: one pooled (M, 16) @ (16, 1)
+    # pass over all shards' rows would round some rows differently
+    center = CenterState(w0=w0, wbar=nnet.random_net([in_dim, 16, 1], ["relu", "identity"], rng))
+    mse, ratio = evaluate(fed, center, shards, store)
+    assert (mse, ratio) == reference_evaluate(fed, center, shards, store)
+    loss = fedcore.weighted_train_loss(fed, center, shards, store)
+    assert loss == reference_train_loss(fed, center, shards, store)
+    if combine is not None:
+        u0 = center_broadcast(center, store, shards)
+        assert list(u0) == [shard.client_id for shard in shards]
+        for shard in shards:
+            assert u0[shard.client_id].tobytes() == plain_output(w0, store.rows(shard.ids)).tobytes()
+    with pytest.raises(ValueError, match="^no samples to evaluate$"):
+        evaluate(fed, center, [], store)
 
 
 # ----------------------------------------------------------- configuration

@@ -347,6 +347,10 @@ CONFIG_FAULTS = [
     (QUEUE_CONFIG, "queue.n_jobs", 0, "queue: n_jobs"),
     (QUEUE_CONFIG, "delay_plan.gamma_targets", 0.5, "delay_plan.gamma_targets"),
     (QUEUE_CONFIG, "queue.t_p_grid.count", -1, "queue.t_p_grid: count"),
+    (QUEUE_CONFIG, "queue.t_p_grid.stop", float("inf"), "queue.t_p_grid: start and stop must be finite"),
+    (QUEUE_CONFIG, "queue.t_p_grid.start", -1.0, "queue: t_p_grid values must be non-negative"),
+    (QUEUE_CONFIG, "queue.t_p_grid", [-1.0, 0.5], "queue: t_p_grid values must be non-negative, got -1.0"),
+    (QUEUE_CONFIG, "delay_plan.tol", 0.0, "delay_plan: tol must be positive"),
     (BASE_CONFIG, "federation.center_frozen", "false", "federation.center_frozen"),
     (BASE_CONFIG, "federation.k", 2.7, "federation.k"),
     (BASE_CONFIG, "federation.selection", "uniform_without_replacement", "federation: unknown keys ['selection']"),

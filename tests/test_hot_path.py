@@ -1,9 +1,11 @@
 """The unchecked training loop against the validating public API.
 
 ``client_update``, ``central_update`` and ``run_cloud`` step private copies
-of their nets with the ``nnet`` kernels. These tests pin that this gives
-the same bits as stepping with the public functions, that the caller's
-arrays are never written, and that a diverging phase is reported by name.
+of their nets with the ``nnet`` kernels; ``client_update`` steps a cohort's
+clients of equal shard size as one stack. These tests pin that this gives
+each client the same bits as stepping it alone with the public functions,
+that the caller's arrays are never written, and that a diverging phase is
+reported by name.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ def unchanged(net: nnet.DenseNet, snap: list[tuple[np.ndarray, np.ndarray]]) -> 
 
 
 def reference_client_update(fed, shard, wbar, u0, global_epoch):
-    """Local SGD as a plain loop over the public nnet functions, with the
-    vertical gradients accumulated per sample in an id-keyed dict."""
+    """One client's local SGD as a plain loop over the public nnet functions,
+    with the vertical gradients accumulated per sample in an id-keyed dict."""
     table = None if u0 is None else {int(i): u0[k] for k, i in enumerate(shard.ids)}
     net = wbar
     stream = substream(fed.seed, "batches", shard.client_id, global_epoch)
@@ -129,8 +131,10 @@ def local_problems(draw):
     combine = draw(st.sampled_from(("concat", "additive", None)))
     hidden = draw(st.lists(st.integers(1, 5), max_size=2))
     batch_size = draw(st.integers(2, 6))
-    # full batches, then a short last one
-    n = batch_size * draw(st.integers(0, 3)) + draw(st.integers(1, batch_size - 1))
+    # a cohort whose sizes repeat, so it trains as stacks and singletons:
+    # full batches then a short last one, one full batch, or one short batch
+    short = batch_size * draw(st.integers(0, 3)) + draw(st.integers(1, batch_size - 1))
+    sizes = draw(st.lists(st.sampled_from((short, batch_size, 1)), min_size=1, max_size=5))
     d_local = draw(st.integers(1, 3))
     d_label = draw(st.integers(1, 3))
     u0_dim = d_label if combine == "additive" else draw(st.integers(1, 3))
@@ -144,12 +148,12 @@ def local_problems(draw):
         "hidden": hidden,
         "combine": combine,
         "batch_size": batch_size,
-        "n": n,
+        "sizes": sizes,
         "d_local": d_local,
         "d_label": d_label,
         "u0_dim": u0_dim,
         "eta": eta,
-        "local_epochs": draw(st.integers(2, 4)),
+        "local_epochs": draw(st.integers(1, 4)),
         "global_epoch": draw(st.integers(0, 3)),
         "seed": draw(st.integers(0, 2**16)),
     }
@@ -158,22 +162,32 @@ def local_problems(draw):
 @settings(max_examples=80, deadline=None)
 @given(local_problems())
 def test_client_update_matches_public_api_loop_bit_for_bit(problem):
+    """Each upload of a cohort equals its client trained alone by the
+    reference; where some client diverges, the first in cohort order is named."""
     rng = substream(problem["seed"], "prop")
-    n, combine = problem["n"], problem["combine"]
-    ids = rng.permutation(1000)[:n]
-    shard = ClientShard(
-        client_id=7,
-        ids=ids,
-        x_local=rng.standard_normal((n, problem["d_local"])),
-        y=rng.standard_normal((n, problem["d_label"])),
-        q=1.0,
-    )
-    u0 = None if combine is None else rng.standard_normal((n, problem["u0_dim"]))
+    combine, sizes = problem["combine"], problem["sizes"]
+    ids = rng.permutation(1000)
+    ends = np.cumsum(sizes)
+    # client ids out of order, so cohort order is not sorted order
+    client_ids = rng.permutation(20)[: len(sizes)]
+    shards = [
+        ClientShard(
+            client_id=int(j),
+            ids=ids[end - n : end],
+            x_local=rng.standard_normal((n, problem["d_local"])),
+            y=rng.standard_normal((n, problem["d_label"])),
+            q=1.0 / len(sizes),
+        )
+        for j, n, end in zip(client_ids, sizes, ends)
+    ]
+    u0 = None if combine is None else {
+        shard.client_id: rng.standard_normal((shard.n, problem["u0_dim"])) for shard in shards
+    }
     in_dim = problem["d_local"] + (problem["u0_dim"] if combine == "concat" else 0)
     dims = [in_dim, *problem["hidden"], problem["d_label"]]
     wbar = nnet.random_net(dims, problem["acts"], rng)
     fed = FederationConfig(
-        n_clients=8,
+        n_clients=20,
         k=1,
         local_epochs=problem["local_epochs"],
         batch_size=problem["batch_size"],
@@ -184,23 +198,39 @@ def test_client_update_matches_public_api_loop_bit_for_bit(problem):
         combine=combine or "concat",
         u0_dim=problem["u0_dim"],
     )
-    args = (fed, shard, wbar, u0, problem["global_epoch"])
+    global_epoch = problem["global_epoch"]
     with np.errstate(all="ignore"):
-        try:
-            ref_net, ref_vgrads = reference_client_update(*args)
-        except ValueError:  # a public step met non-finite values: the run diverged
-            ref_net, ref_vgrads = None, {}
-        if ref_net is None or not all(np.all(np.isfinite(row)) for row in ref_vgrads.values()):
-            with pytest.raises(ValueError, match="^non-finite values after client_update"):
-                client_update(*args)
+        refs = [
+            reference_or_none(fed, shard, wbar, None if u0 is None else u0[shard.client_id], global_epoch)
+            for shard in shards
+        ]
+        diverged = [shard.client_id for shard, ref in zip(shards, refs) if ref is None]
+        if diverged:
+            named = rf"after client_update at global epoch {global_epoch}, client {diverged[0]}$"
+            with pytest.raises(ValueError, match=named):
+                client_update(fed, shards, wbar, u0, global_epoch)
             return
-    upload = client_update(*args)
-    net, vgrads = upload.net, upload.vgrads
-    assert nets_same_bits(net, ref_net)
-    if u0 is None:
-        assert vgrads is None and ref_vgrads == {}
-    else:
-        assert same_bits(vgrads, np.vstack([ref_vgrads[int(i)] for i in shard.ids]))
+    uploads = client_update(fed, shards, wbar, u0, global_epoch)
+    assert [upload.shard for upload in uploads] == shards
+    for upload, (ref_net, ref_vgrads) in zip(uploads, refs):
+        assert nets_same_bits(upload.net, ref_net)
+        if u0 is None:
+            assert upload.vgrads is None and ref_vgrads == {}
+        else:
+            rows = np.vstack([ref_vgrads[int(i)] for i in upload.shard.ids])
+            assert same_bits(upload.vgrads, rows)
+
+
+def reference_or_none(fed, shard, wbar, u0, global_epoch):
+    """The reference update, or None where it diverges: a public step met
+    non-finite values, or a vertical gradient is not finite."""
+    try:
+        net, vgrads = reference_client_update(fed, shard, wbar, u0, global_epoch)
+    except ValueError:
+        return None
+    if not all(np.all(np.isfinite(row)) for row in vgrads.values()):
+        return None
+    return net, vgrads
 
 
 # --------------------------------------------------------------- no aliasing
@@ -218,11 +248,9 @@ def test_client_and_central_update_leave_caller_arrays_unchanged():
     fed = dataclasses.replace(
         FED, local_epochs=3, eta=Schedule("constant", 0.1), eta0=Schedule("constant", 0.1)
     )
-    uploads = []
-    for shard in ds.clients:
-        upload = client_update(fed, shard, wbar, u0[shard.client_id], 0)
+    uploads = client_update(fed, ds.clients, wbar, u0, 0)
+    for upload in uploads:
         assert not any(np.shares_memory(a.weights, b.weights) for a, b in zip(upload.net.layers, wbar.layers))
-        uploads.append(upload)
     assert unchanged(wbar, wbar_snap)
     assert all(same_bits(u0[j], u0_snap[j]) for j in u0)
     stepped = central_update(fed, w0, uploads, ds.global_store, 0)
@@ -275,7 +303,27 @@ def test_guard_names_client_update_epoch_and_client():
     u0 = substream(11, "u0").standard_normal((shard.n, 3))
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"non-finite values after client_update at global epoch 7, client 2$"):
-            client_update(dataclasses.replace(DIVERGING, local_epochs=3, batch_size=4), shard, wbar, u0, 7)
+            fed = dataclasses.replace(DIVERGING, local_epochs=3, batch_size=4)
+            client_update(fed, [shard], wbar, {2: u0}, 7)
+
+
+def test_guard_names_the_first_diverging_client_in_cohort_order():
+    # clients 5 and 9 share a size and train as one stack; client 4 trains
+    # alone, after them. Huge features make clients 4 and 9 diverge, and
+    # client 5, first in the cohort, must stay finite beside client 9
+    rng = substream(12, "cohort-guard")
+
+    def shard(client_id, ids, scale):
+        x = scale * rng.standard_normal((len(ids), 2))
+        return ClientShard(client_id, np.array(ids), x, rng.standard_normal((len(ids), 1)), 0.25)
+
+    shards = [shard(5, [0, 1, 2, 3], 1.0), shard(4, [4, 5, 6], 1e6), shard(9, [7, 8, 9, 10], 1e6)]
+    assert fedcore._size_groups(shards) == [[0, 2], [1]]
+    wbar = nnet.random_net([2, 3, 1], ["identity", "identity"], rng)
+    fed = dataclasses.replace(FED, activation="identity", batch_size=2, local_epochs=3)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=r"after client_update at global epoch 1, client 4$"):
+            client_update(fed, shards, wbar, None, 1)
 
 
 def test_guard_stops_a_diverging_run_at_its_first_client():
