@@ -16,10 +16,12 @@ _SPEC.loader.exec_module(artifact_digests)
 
 def test_digests_list_every_artifact_but_the_resolved_config(tmp_path):
     config = ROOT / "configs" / "bounds_sweep.json"
-    lines = artifact_digests.digests([(config, "bounds_sweep")], tmp_path / "tool")
+    lines = artifact_digests.digests([(config, "bounds_sweep", {})], tmp_path / "tool")
     out = tmp_path / "cli"
     run(load_config(config, out_override=str(out)))
     assert sorted(p.name for p in out.iterdir()) == ["bounds_sweep.csv", "resolved_config.json"]
     digest = hashlib.sha256((out / "bounds_sweep.csv").read_bytes()).hexdigest()
     assert lines == [f"{digest}  bounds_sweep/bounds_sweep.csv"]
-    assert (config, "bounds_sweep") in artifact_digests.shipped_runs()
+    runs = artifact_digests.shipped_runs()
+    assert (config, "bounds_sweep", {}) in runs
+    assert any("channel" in extra for _, mode, extra in runs if mode in ("vhfl", "hfl", "compare"))

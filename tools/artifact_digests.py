@@ -2,10 +2,14 @@
 
 Runs each config in ``configs/`` in its own mode, plus the ``queue_analyze``
 mode of ``queue_benchmark.json`` and ``delay_plan.json`` (the only way the
-shipped configs reach it), each into its own temporary directory, with the
+shipped configs reach it), and ``compare_default.json`` behind a lossy He2
+upload channel (no shipped config has a ``channel`` section, so this run is
+the only one that reaches ``netqueue.apply_channel`` and aggregation over
+partial deliveries), each into its own temporary directory, with the
 ``vhfl_lab`` of this checkout. Prints one ``sha256  label/relpath`` line per
 artifact, sorted by path; the label is the config's name, followed by
-``@mode`` when the mode is not the config's own. ``resolved_config.json`` is
+``@mode`` when the mode is not the config's own and by ``+section`` for
+each section the run adds to the config. ``resolved_config.json`` is
 left out, as it records the output directory. Every other artifact is a pure function of
 its config, so two checkouts that print the same lines write the same bytes:
 
@@ -32,25 +36,35 @@ sys.path.insert(0, str(ROOT / "src"))
 from vhfl_lab.harness import parse_config, run  # noqa: E402
 
 CONFIGS = ROOT / "configs"
-EXTRA_MODES = (("queue_benchmark.json", "queue_analyze"), ("delay_plan.json", "queue_analyze"))
+# The He2 channel of the benchmark's lossy_wide workload; gamma(1.5) is about 0.76.
+LOSSY_CHANNEL = {"lambda_n": 2.0, "alpha1": 0.5, "alpha2": 0.5, "mu1": 8.0, "mu2": 2.0, "t_p": 1.5, "seed": 0}
+EXTRA_RUNS = (
+    ("queue_benchmark.json", "queue_analyze", {}),
+    ("delay_plan.json", "queue_analyze", {}),
+    ("compare_default.json", "compare", {"channel": LOSSY_CHANNEL}),
+)
+
+Run = tuple[Path, str, dict]
 
 
-def shipped_runs() -> list[tuple[Path, str]]:
-    """(config path, mode) of every run the tool makes by default."""
+def shipped_runs() -> list[Run]:
+    """(config path, mode, added sections) of every run the tool makes by default."""
     paths = sorted(CONFIGS.glob("*.json"))
-    own = [(path, json.loads(path.read_text(encoding="utf-8"))["mode"]) for path in paths]
-    return own + [(CONFIGS / name, mode) for name, mode in EXTRA_MODES]
+    own = [(path, json.loads(path.read_text(encoding="utf-8"))["mode"], {}) for path in paths]
+    return own + [(CONFIGS / name, mode, extra) for name, mode, extra in EXTRA_RUNS]
 
 
-def digests(runs: Sequence[tuple[Path, str]], work: Path) -> list[str]:
-    """Run each (config, mode) into a directory under ``work``; the
-    ``sha256  label/relpath`` lines of what the runs wrote, sorted by path."""
+def digests(runs: Sequence[Run], work: Path) -> list[str]:
+    """Run each (config, mode, added sections) into a directory under
+    ``work``; the ``sha256  label/relpath`` lines of what the runs wrote,
+    sorted by path."""
     found = {}
-    for path, mode in runs:
+    for path, mode, extra in runs:
         raw = json.loads(path.read_text(encoding="utf-8"))
         label = path.stem if mode == raw["mode"] else f"{path.stem}@{mode}"
+        label += "".join(f"+{section}" for section in sorted(extra))
         out = work / label
-        run(parse_config({**raw, "mode": mode}, out_override=str(out)))
+        run(parse_config({**raw, **extra, "mode": mode}, out_override=str(out)))
         for artifact in sorted(out.rglob("*")):
             if artifact.is_file() and artifact.name != "resolved_config.json":
                 name = f"{label}/{artifact.relative_to(out).as_posix()}"
