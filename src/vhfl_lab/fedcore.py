@@ -31,22 +31,26 @@ shapes every later step reuses. The stacked kernels issue one BLAS call
 and one reduction per client slice, with the slice's own shape, so a
 client gets the bits it would get alone. Pooling the rows of different
 clients into one matrix would not: a BLAS kernel rounds the tail rows of
-an ``(M, 16) @ (16, 1)`` product differently as M changes. Evaluation and
-the broadcast group the shards by size in the same way, with one stacked
-forward pass per group, and sum each shard over its own slice, adding the
-shards up in their original order.
+an ``(M, 16) @ (16, 1)`` product differently as M changes. The broadcast
+groups the round's selected shards by size in the same way. The evaluation
+shards are fixed, so ``_run`` stacks the train and test splits by size once
+per run (``build_split``), with their global rows when the center has w0;
+each evaluation then runs one stacked forward pass per group and sums each
+shard over its own slice, adding the shards up in their original order.
 
 A pooled phase steps the kernels on 2-d batches, as it trains nets it
 built itself from the config. The central step is a single step and runs
-through the public API, where the uploads enter the center. When a phase
-ends, it builds one validated net per client, and the net's own finite
-check is the phase-edge guard: ``_guard`` turns the build's ValueError, or
-a non-finite vertical gradient, into an error naming the phase, global
-epoch and client; the local phase builds its uploads in cohort order, so
-the first diverged client is named. A value that turns inf or nan stays
-non-finite under later steps, so this catches what per-step checks would.
-Evaluation has the same guard on its losses, so the loop runs with numpy's
-overflow and invalid-value warnings off. Vertical gradients travel as one
+through the public API, where the uploads enter the center. Each phase
+checks its results once, when it ends. The local phase scans each size
+group's weight, bias and vertical-gradient stacks in one ``isfinite`` pass
+and names the first diverged client in cohort order; its uploads hold
+views of the stacks, and no net is built per client. The other phases
+build one validated net, whose own finite check is the guard: ``_guard``
+turns the build's ValueError into an error naming the phase, the global
+epoch and the clients (the pooled phase trains no client and names none).
+A value that turns inf or nan stays non-finite under later steps, so this
+catches what per-step checks would. Evaluation is guarded on its losses,
+so the loop runs with numpy's overflow and invalid-value warnings off. Vertical gradients travel as one
 ``(n_j, u0_dim)`` array per client in shard order.
 
 ``FederationConfig`` is the one home of the round settings (K, E_L, B, the
@@ -169,8 +173,27 @@ class CenterState:
 @dataclass(frozen=True)
 class Upload:
     shard: ClientShard
-    net: nnet.DenseNet
+    params: nnet.Params  # the trained per-layer arrays, views of the cohort's stack
     vgrads: np.ndarray | None  # (n_j, u0_dim) in shard order; None without a global model
+
+
+@dataclass(frozen=True)
+class SizeGroup:
+    """The shards of one size in a :class:`Split`: their positions, and their
+    rows stacked as ``(G, n, d)`` arrays in that order."""
+
+    positions: list[int]
+    x_global: np.ndarray | None  # None when the split was built without a store
+    x_local: np.ndarray
+    y: np.ndarray
+
+
+@dataclass(frozen=True)
+class Split:
+    """Fixed evaluation shards, grouped by size and stacked once per run."""
+
+    shards: tuple[ClientShard, ...]
+    groups: tuple[SizeGroup, ...]
 
 
 @dataclass(frozen=True)
@@ -200,16 +223,26 @@ def select_clients(config: FederationConfig, t_g: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in picks))
 
 
+def _diverged(phase: str, global_epoch: int, clients: Sequence[int] = ()) -> ValueError:
+    """The error of a phase whose results are not finite, naming the phase,
+    the global epoch and the clients; a phase of no client names none."""
+    message = f"non-finite values after {phase} at global epoch {global_epoch}"
+    if len(clients) == 1:
+        message += f", client {clients[0]}"
+    elif clients:
+        message += f", clients {list(clients)}"
+    return ValueError(message)
+
+
 @contextlib.contextmanager
-def _guard(phase: str, global_epoch: int, clients: Sequence[int]) -> Iterator[None]:
+def _guard(phase: str, global_epoch: int, clients: Sequence[int] = ()) -> Iterator[None]:
     """The phase-edge guard around building a phase's results: a net built from
     non-finite parameters fails its layer check, and that ValueError becomes
-    one naming the phase, the global epoch and the clients."""
+    :func:`_diverged`."""
     try:
         yield
     except ValueError as err:
-        who = f"client {clients[0]}" if len(clients) == 1 else f"clients {list(clients)}"
-        raise ValueError(f"non-finite values after {phase} at global epoch {global_epoch}, {who}") from err
+        raise _diverged(phase, global_epoch, clients) from err
 
 
 def _size_groups(shards: Sequence[ClientShard]) -> list[list[int]]:
@@ -221,18 +254,29 @@ def _size_groups(shards: Sequence[ClientShard]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _group_global_rows(
-    center: CenterState,
-    shards: Sequence[ClientShard],
-    global_store: GlobalStore | None,
-) -> np.ndarray | None:
+def _group_global_rows(shards: Sequence[ClientShard], global_store: GlobalStore) -> np.ndarray:
     """The ``(G, n, d_global)`` global rows of equal-size shards, in shard
-    order, gathered with one store lookup; None for a center without a
-    global model, which needs no store."""
-    if center.w0 is None:
-        return None
+    order, gathered with one store lookup."""
     rows = global_store.rows(np.concatenate([shard.ids for shard in shards]))
     return rows.reshape(len(shards), shards[0].n, rows.shape[1])
+
+
+def build_split(shards: Sequence[ClientShard], global_store: GlobalStore | None) -> Split:
+    """Stack the shards by size for :func:`evaluate` and
+    :func:`weighted_train_loss`; their global rows are gathered from
+    ``global_store``, which is None for a center without w0."""
+    groups = []
+    for positions in _size_groups(shards):
+        members = [shards[pos] for pos in positions]
+        groups.append(
+            SizeGroup(
+                positions=positions,
+                x_global=None if global_store is None else _group_global_rows(members, global_store),
+                x_local=np.stack([shard.x_local for shard in members]),
+                y=np.stack([shard.y for shard in members]),
+            )
+        )
+    return Split(shards=tuple(shards), groups=tuple(groups))
 
 
 def center_broadcast(
@@ -245,7 +289,7 @@ def center_broadcast(
     u0 = {}
     for group in _size_groups(clients):
         members = [clients[pos] for pos in group]
-        rows = nnet._output(center.w0, _group_global_rows(center, members, global_store))
+        rows = nnet._output(center.w0, _group_global_rows(members, global_store))
         u0.update(zip((shard.client_id for shard in members), rows))
     return {shard.client_id: u0[shard.client_id] for shard in clients}
 
@@ -380,26 +424,30 @@ def client_update(
     recorded each epoch and averaged over epochs; the result, an
     ``(n_j, u0_dim)`` array in shard order (None without ``u0``), is
     uploaded alongside the updated weights. Clients of equal shard size
-    train as one stack; the uploads come in cohort order, and the first
-    client whose results are not finite is named by the guard.
+    train as one stack, and each upload holds views of its client's slice.
+    The uploads come in cohort order; the guard scans each group's stacks
+    once and names the first client, in cohort order, whose results are
+    not finite.
     """
     for shard in shards:
         if shard.n == 0:
             raise ValueError(f"client {shard.client_id} has no samples")
-    trained: list[tuple[nnet.Params, np.ndarray | None]] = [([], None)] * len(shards)
+    uploads: dict[int, Upload] = {}
+    finite = np.empty(len(shards), dtype=bool)
     for group in _size_groups(shards):
         params, vgrads = _train_group(config, [shards[pos] for pos in group], wbar, u0, t_g)
+        stacks = [array for w, b, _ in params for array in (w, b)] + ([] if vgrads is None else [vgrads])
+        rows = np.concatenate([stack.reshape(len(group), -1) for stack in stacks], axis=1)
+        finite[group] = np.isfinite(rows).all(axis=1)
         for k, pos in enumerate(group):
-            net_params = [(w[k], b[k], act) for w, b, act in params]
-            trained[pos] = (net_params, None if vgrads is None else vgrads[k])
-    uploads = []
-    for shard, (params, vgrads) in zip(shards, trained):
-        with _guard("client_update", t_g, (shard.client_id,)):
-            net = nnet._net(params)
-            if vgrads is not None and not np.all(np.isfinite(vgrads)):
-                raise ValueError("non-finite vertical gradients")
-        uploads.append(Upload(shard=shard, net=net, vgrads=vgrads))
-    return uploads
+            uploads[pos] = Upload(
+                shard=shards[pos],
+                params=[(w[k], b[k], act) for w, b, act in params],
+                vgrads=None if vgrads is None else vgrads[k],
+            )
+    if not finite.all():
+        raise _diverged("client_update", t_g, (shards[int(np.argmin(finite))].client_id,))
+    return [uploads[pos] for pos in range(len(shards))]
 
 
 def aggregate_weights(config: FederationConfig, uploads: Sequence[Upload], t_g: int) -> nnet.DenseNet:
@@ -418,18 +466,17 @@ def aggregate_weights(config: FederationConfig, uploads: Sequence[Upload], t_g: 
         coeffs = [u.shard.q / total for u in uploads]
     else:
         coeffs = [(config.n_clients / len(uploads)) * u.shard.q for u in uploads]
-    reference = uploads[0].net
     params = []
-    for idx, ref_layer in enumerate(reference.layers):
-        w = np.zeros_like(ref_layer.weights)
-        b = np.zeros_like(ref_layer.bias)
+    for idx, (ref_w, ref_b, activation) in enumerate(uploads[0].params):
+        w = np.zeros_like(ref_w)
+        b = np.zeros_like(ref_b)
         for coeff, upload in zip(coeffs, uploads):
-            layer = upload.net.layers[idx]
-            if layer.weights.shape != ref_layer.weights.shape:
+            up_w, up_b, _ = upload.params[idx]
+            if up_w.shape != ref_w.shape:
                 raise ValueError("uploaded nets have mismatched shapes")
-            w += coeff * layer.weights
-            b += coeff * layer.bias
-        params.append((w, b, ref_layer.activation))
+            w += coeff * up_w
+            b += coeff * up_b
+        params.append((w, b, activation))
     with _guard("aggregate_weights", t_g, [u.shard.client_id for u in uploads]):
         return nnet._net(params)
 
@@ -492,35 +539,17 @@ def _predict(
     return u0 + nnet._output(center.wbar, x_local)
 
 
-def _residuals(
-    config: FederationConfig,
-    center: CenterState,
-    shards: Sequence[ClientShard],
-    global_store: GlobalStore | None,
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
-    """Per size group: the shards' positions, and their ``(G, n, d_label)``
-    residuals y_hat - y and labels y, from one stacked forward pass."""
-    for group in _size_groups(shards):
-        members = [shards[pos] for pos in group]
-        x_global = _group_global_rows(center, members, global_store)
-        y = np.stack([shard.y for shard in members])
-        yield group, _predict(config, center, x_global, np.stack([shard.x_local for shard in members])) - y, y
-
-
-def evaluate(
-    config: FederationConfig,
-    center: CenterState,
-    shards: Sequence[ClientShard],
-    global_store: GlobalStore | None,
-) -> tuple[float, float]:
-    """Pooled (mse, error_ratio) of the center's predictor over the given shards;
-    the per-shard sums are added up in shard order."""
+def evaluate(config: FederationConfig, center: CenterState, split: Split) -> tuple[float, float]:
+    """Pooled (mse, error_ratio) of the center's predictor over the split's
+    shards; the per-shard sums are added up in shard order."""
+    shards = split.shards
     sq = np.empty(len(shards))
     ratios = np.empty(len(shards))
-    for group, diff, y in _residuals(config, center, shards, global_store):
-        sq[group] = np.sum(diff * diff, axis=(1, 2))
-        scales = np.maximum(np.linalg.norm(y, axis=2), 1e-8)
-        ratios[group] = np.sum(np.linalg.norm(diff, axis=2) / scales, axis=1)
+    for group in split.groups:
+        diff = _predict(config, center, group.x_global, group.x_local) - group.y
+        sq[group.positions] = np.sum(diff * diff, axis=(1, 2))
+        scales = np.maximum(np.linalg.norm(group.y, axis=2), 1e-8)
+        ratios[group.positions] = np.sum(np.linalg.norm(diff, axis=2) / scales, axis=1)
     sq_sum = 0.0
     ratio_sum = 0.0
     count = 0
@@ -533,18 +562,14 @@ def evaluate(
     return sq_sum / count, ratio_sum / count
 
 
-def weighted_train_loss(
-    config: FederationConfig,
-    center: CenterState,
-    shards: Sequence[ClientShard],
-    global_store: GlobalStore | None,
-) -> float:
+def weighted_train_loss(config: FederationConfig, center: CenterState, split: Split) -> float:
     """Global objective: q-weighted sum of per-client mean losses, in shard order."""
-    sq = np.empty(len(shards))
-    for group, diff, _ in _residuals(config, center, shards, global_store):
-        sq[group] = np.sum(diff * diff, axis=(1, 2))
+    sq = np.empty(len(split.shards))
+    for group in split.groups:
+        diff = _predict(config, center, group.x_global, group.x_local) - group.y
+        sq[group.positions] = np.sum(diff * diff, axis=(1, 2))
     total = 0.0
-    for shard, shard_sq in zip(shards, sq.tolist()):
+    for shard, shard_sq in zip(split.shards, sq.tolist()):
         total += shard.q * shard_sq / shard.n
     return total
 
@@ -610,7 +635,7 @@ def _cloud_round(
             nnet._sgd(wbar, gw, gb, eta_t)
             if w0:
                 nnet._sgd(w0, g0w, g0b, eta_t)
-    with _guard("run_cloud", t_g, (0,)):
+    with _guard("run_cloud", t_g):
         # both nets are built before either is assigned
         center.wbar, center.w0 = nnet._net(wbar), (nnet._net(w0) if w0 else None)
     return 0
@@ -634,6 +659,10 @@ def _run(
             f"additive combining needs u0_dim == d_label, got {config.u0_dim} != {dataset.d_label}"
         )
     store = dataset.global_store
+    # the evaluation shards are fixed, so they are stacked once per run
+    eval_store = None if center.w0 is None else store
+    train_split = build_split(dataset.clients, eval_store)
+    test_split = build_split(dataset.test_clients, eval_store)
     if mode.startswith("cloud"):
         pooled = _pooled(dataset)
         x0 = None if center.w0 is None else store.rows(pooled.ids)
@@ -646,10 +675,10 @@ def _run(
         # a diverging phase ends in its guard, not in numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             k_received = train_round(t_g)
-            train = weighted_train_loss(config, center, dataset.clients, store)
-            test_mse, err = evaluate(config, center, dataset.test_clients, store)
+            train = weighted_train_loss(config, center, train_split)
+            test_mse, err = evaluate(config, center, test_split)
         if not (np.isfinite(train) and np.isfinite(test_mse)):
-            raise ValueError(f"non-finite values after evaluate at global epoch {t_g}")
+            raise _diverged("evaluate", t_g)
         trace.rows.append(TraceRow(t_g, train, test_mse, err, k_received))
     return center, trace
 

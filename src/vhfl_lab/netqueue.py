@@ -88,14 +88,14 @@ def analyze(params: He2Params) -> QueueAnalysis:
 
 def sojourn_pdf(analysis: QueueAnalysis, t: float | np.ndarray) -> float | np.ndarray:
     """Stationary sojourn-time density W(t) for t >= 0, elementwise on an array."""
-    if np.any(np.less(t, 0.0)):
+    if not np.all(np.greater_equal(t, 0.0)):
         raise ValueError(f"t must be non-negative, got {t}")
     return analysis.a * np.exp(analysis.s1 * t) - analysis.b * np.exp(analysis.s2 * t)
 
 
 def success_rate(analysis: QueueAnalysis, t_p: float) -> float:
     """Probability gamma(t_p) that a sojourn does not exceed the deadline."""
-    if t_p < 0.0:
+    if not t_p >= 0.0:
         raise ValueError(f"t_p must be non-negative, got {t_p}")
     if math.isinf(t_p):
         return 1.0
@@ -169,7 +169,7 @@ def simulate_mg1(params: He2Params, n_jobs: int, seed: int) -> np.ndarray:
 
 def empirical_gamma(samples: np.ndarray, t_p: float) -> float:
     """Fraction of sojourn samples within the deadline."""
-    if t_p < 0.0:
+    if not t_p >= 0.0:
         raise ValueError(f"t_p must be non-negative, got {t_p}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
@@ -177,12 +177,19 @@ def empirical_gamma(samples: np.ndarray, t_p: float) -> float:
     return float(np.mean(samples <= t_p))
 
 
-def sample_sojourn(analysis: QueueAnalysis, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw i.i.d. sojourn times by acceptance-rejection against W(t).
+def sample_sojourn(
+    analysis: QueueAnalysis, rngs: Sequence[np.random.Generator], n: int
+) -> np.ndarray:
+    """Draw ``n`` i.i.d. sojourn times from each generator by
+    acceptance-rejection against W(t); row i holds the draws of ``rngs[i]``.
 
     Proposals come from the dominant exponential Exp(-s1); the envelope
     constant is max(W(0)/(-s1), a/(-s1)), covering both signs of the
-    second mixture coefficient.
+    second mixture coefficient. In each pass, every stream still short of
+    ``n`` draws takes ``exponential(draw)`` and then ``random(draw)`` from
+    its own generator, so its draws do not depend on the other streams; the
+    density, envelope and acceptance test then run once over the proposals
+    of all streams, elementwise.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -190,18 +197,27 @@ def sample_sojourn(analysis: QueueAnalysis, rng: np.random.Generator, n: int) ->
     rate = -analysis.s1
     w0 = a - b
     envelope = max(w0 / rate, a / rate)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        want = n - filled
-        draw = max(16, int(1.5 * want * envelope) + 1)
-        proposals = rng.exponential(1.0 / rate, size=draw)
-        density = sojourn_pdf(analysis, proposals)
-        bound = envelope * rate * np.exp(-rate * proposals)
-        accept = rng.random(draw) * bound <= density
-        accepted = proposals[accept][:want]
-        out[filled : filled + accepted.size] = accepted
-        filled += accepted.size
+    out = np.empty((len(rngs), n))
+    filled = [0] * len(rngs)
+    pending = list(range(len(rngs)))
+    while pending:
+        draws = [max(16, int(1.5 * (n - filled[i]) * envelope) + 1) for i in pending]
+        proposals = []
+        uniforms = []
+        for i, draw in zip(pending, draws):
+            proposals.append(rngs[i].exponential(1.0 / rate, size=draw))
+            uniforms.append(rngs[i].random(draw))
+        pooled = np.concatenate(proposals)
+        density = sojourn_pdf(analysis, pooled)
+        bound = envelope * rate * np.exp(-rate * pooled)
+        accept = np.concatenate(uniforms) * bound <= density
+        start = 0
+        for i, draw in zip(pending, draws):
+            accepted = pooled[start : start + draw][accept[start : start + draw]][: n - filled[i]]
+            out[i, filled[i] : filled[i] + accepted.size] = accepted
+            filled[i] += accepted.size
+            start += draw
+        pending = [i for i in pending if filled[i] < n]
     return out
 
 
@@ -215,7 +231,7 @@ class ChannelModel(He2Params):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.t_p < 0.0:
+        if not self.t_p >= 0.0:
             raise ValueError(f"t_p must be non-negative, got {self.t_p}")
 
 
@@ -228,15 +244,11 @@ def apply_channel(
 
     Each upload gets one stationary sojourn draw from a stream keyed by
     (channel seed, epoch, upload key), so delivery is reproducible and
-    independent of iteration order.
+    independent of iteration order. All uploads are drawn in one
+    :func:`sample_sojourn` call.
     """
     if math.isinf(channel.t_p):
         return list(uploads)
-    analysis = analyze(channel)
-    delivered = []
-    for key in uploads:
-        rng = substream(channel.seed, "channel", epoch, key)
-        delay = float(sample_sojourn(analysis, rng, 1)[0])
-        if delay <= channel.t_p:
-            delivered.append(key)
-    return delivered
+    rngs = [substream(channel.seed, "channel", epoch, key) for key in uploads]
+    delays = sample_sojourn(analyze(channel), rngs, 1)[:, 0]
+    return [key for key, delay in zip(uploads, delays.tolist()) if delay <= channel.t_p]

@@ -61,11 +61,11 @@ def one_row_shard(client_id: int, q: float = 1.0) -> ClientShard:
 
 def weight_uploads(qs, nets) -> list[Upload]:
     """Uploads of the given nets from one-row shards weighted by ``qs``."""
-    return [Upload(one_row_shard(j, q), net, None) for j, (q, net) in enumerate(zip(qs, nets))]
+    return [Upload(one_row_shard(j, q), nnet._view(net), None) for j, (q, net) in enumerate(zip(qs, nets))]
 
 
 # central_update reads only an upload's shard and vertical gradients
-STUB_NET = nnet.DenseNet((zero_layer(1, 1),))
+STUB_PARAMS = nnet._view(nnet.DenseNet((zero_layer(1, 1),)))
 
 
 def nets_equal(a: nnet.DenseNet, b: nnet.DenseNet, atol: float = 0.0) -> bool:
@@ -190,7 +190,7 @@ def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
         assert np.allclose(upload.vgrads[k], row, atol=1e-12)
     out, trace = nnet.forward(wbar, np.hstack([u0, shard.x_local]))
     grads = nnet.backward(wbar, trace, nnet.mse_loss(out, shard.y)[1])
-    assert nets_equal(upload.net, nnet.sgd_step(wbar, grads, FED.eta.value(0)), atol=1e-12)
+    assert nets_equal(nnet._net(upload.params), nnet.sgd_step(wbar, grads, FED.eta.value(0)), atol=1e-12)
 
 
 def test_client_update_perfect_fit_returns_zero_vgrads():
@@ -205,7 +205,7 @@ def test_client_update_perfect_fit_returns_zero_vgrads():
     )
     fed = dataclasses.replace(FED, batch_size=16)
     (upload,) = client_update(fed, [fitted], wbar, {fitted.client_id: u0}, 0)
-    assert nets_equal(upload.net, wbar)
+    assert nets_equal(nnet._net(upload.params), wbar)
     for row in upload.vgrads:
         assert np.array_equal(row, np.zeros_like(row))
 
@@ -325,7 +325,7 @@ def test_renormalized_aggregate_is_a_convex_combination(problem):
     total = sum(u.shard.q for u in uploads)
     for idx, layer in enumerate(out.layers):
         for name in ("weights", "bias"):
-            stacked = np.stack([getattr(u.net.layers[idx], name) for u in uploads])
+            stacked = np.stack([getattr(nnet._net(u.params).layers[idx], name) for u in uploads])
             combined = sum((u.shard.q / total) * p for u, p in zip(uploads, stacked))
             got = getattr(layer, name)
             assert np.allclose(got, combined, atol=1e-12, rtol=0.0)
@@ -352,7 +352,7 @@ def test_central_update_zero_vgrads_no_change():
     ds = generate(SYNTH)
     shard = ds.clients[0]
     fed = dataclasses.replace(FED, eta0=Schedule("constant", 0.05))
-    out = central_update(fed, w0, [Upload(shard, STUB_NET, np.zeros((shard.n, 3)))], ds.global_store, 0)
+    out = central_update(fed, w0, [Upload(shard, STUB_PARAMS, np.zeros((shard.n, 3)))], ds.global_store, 0)
     assert nets_equal(out, w0)
 
 
@@ -365,7 +365,7 @@ def test_central_update_identity_layer_outer_product():
     vrow = np.array([1.0, -2.0, 0.25])
     eta0 = 0.1
     fed = dataclasses.replace(FED, eta0=Schedule("constant", eta0))
-    out = central_update(fed, w0, [Upload(shard, STUB_NET, vrow[None, :])], store, 0)
+    out = central_update(fed, w0, [Upload(shard, STUB_PARAMS, vrow[None, :])], store, 0)
     expected_grad = np.outer(vrow, x0[0])
     assert np.allclose(out.layers[0].weights, np.eye(3) - eta0 * expected_grad, atol=1e-14)
     assert np.allclose(out.layers[0].bias, -eta0 * vrow, atol=1e-14)
@@ -413,7 +413,7 @@ def test_central_update_matches_finite_differences_of_composed_loss():
 def test_central_update_rejects_duplicate_ids():
     w0 = nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),))
     store = GlobalStore(np.array([1]), np.ones((1, 2)))
-    row = Upload(one_row_shard(1), STUB_NET, np.ones((1, 2)))
+    row = Upload(one_row_shard(1), STUB_PARAMS, np.ones((1, 2)))
     with pytest.raises(ValueError, match="duplicate vertical-gradient row for id 1"):
         central_update(FED, w0, [row, row], store, 0)
 
@@ -633,7 +633,7 @@ def test_predict_and_evaluate_perfect_model():
     y = fedcore._predict(FED, center, x0, xl)
     shard = ClientShard(0, ids, xl, y, 1.0)
     store = GlobalStore(ids, x0)
-    mse, ratio = evaluate(FED, center, [shard], store)
+    mse, ratio = evaluate(FED, center, fedcore.build_split([shard], store))
     assert mse == 0.0
     assert ratio == 0.0
 
@@ -645,7 +645,7 @@ def test_evaluate_constant_zero_predictor_unit_labels():
     y /= np.linalg.norm(y, axis=1, keepdims=True)
     center = CenterState(w0=None, wbar=nnet.DenseNet((zero_layer(3, 2),)))
     shard = ClientShard(0, ids, xl, y, 1.0)
-    mse, ratio = evaluate(FED, center, [shard], None)
+    mse, ratio = evaluate(FED, center, fedcore.build_split([shard], None))
     assert abs(ratio - 1.0) < 1e-12
     assert abs(mse - 1.0) < 1e-12
 
@@ -657,7 +657,7 @@ def test_evaluate_equals_mean_of_per_sample_losses():
         w0=nnet.random_net([3, 5, 3], ["tanh", "identity"], rng),
         wbar=nnet.random_net([7, 9, 2], ["tanh", "identity"], rng),
     )
-    mse, _ = evaluate(FED, center, ds.test_clients, ds.global_store)
+    mse, _ = evaluate(FED, center, fedcore.build_split(ds.test_clients, ds.global_store))
     losses = []
     for shard in ds.test_clients:
         for k, sample_id in enumerate(shard.ids):
@@ -736,9 +736,10 @@ def test_grouped_evaluation_matches_per_shard_reference(combine):
     # a one-column output over 16 hidden units: one pooled (M, 16) @ (16, 1)
     # pass over all shards' rows would round some rows differently
     center = CenterState(w0=w0, wbar=nnet.random_net([in_dim, 16, 1], ["relu", "identity"], rng))
-    mse, ratio = evaluate(fed, center, shards, store)
+    split = fedcore.build_split(shards, store)
+    mse, ratio = evaluate(fed, center, split)
     assert (mse, ratio) == reference_evaluate(fed, center, shards, store)
-    loss = fedcore.weighted_train_loss(fed, center, shards, store)
+    loss = fedcore.weighted_train_loss(fed, center, split)
     assert loss == reference_train_loss(fed, center, shards, store)
     if combine is not None:
         u0 = center_broadcast(center, store, shards)
@@ -746,7 +747,7 @@ def test_grouped_evaluation_matches_per_shard_reference(combine):
         for shard in shards:
             assert u0[shard.client_id].tobytes() == plain_output(w0, store.rows(shard.ids)).tobytes()
     with pytest.raises(ValueError, match="^no samples to evaluate$"):
-        evaluate(fed, center, [], store)
+        evaluate(fed, center, fedcore.build_split([], store))
 
 
 # ----------------------------------------------------------- configuration

@@ -213,7 +213,7 @@ def test_client_update_matches_public_api_loop_bit_for_bit(problem):
     uploads = client_update(fed, shards, wbar, u0, global_epoch)
     assert [upload.shard for upload in uploads] == shards
     for upload, (ref_net, ref_vgrads) in zip(uploads, refs):
-        assert nets_same_bits(upload.net, ref_net)
+        assert nets_same_bits(nnet._net(upload.params), ref_net)
         if u0 is None:
             assert upload.vgrads is None and ref_vgrads == {}
         else:
@@ -250,7 +250,7 @@ def test_client_and_central_update_leave_caller_arrays_unchanged():
     )
     uploads = client_update(fed, ds.clients, wbar, u0, 0)
     for upload in uploads:
-        assert not any(np.shares_memory(a.weights, b.weights) for a, b in zip(upload.net.layers, wbar.layers))
+        assert not any(np.shares_memory(a.weights, b.weights) for a, b in zip(nnet._net(upload.params).layers, wbar.layers))
     assert unchanged(wbar, wbar_snap)
     assert all(same_bits(u0[j], u0_snap[j]) for j in u0)
     stepped = central_update(fed, w0, uploads, ds.global_store, 0)
@@ -334,7 +334,7 @@ def test_guard_stops_a_diverging_run_at_its_first_client():
             with pytest.raises(ValueError, match=rf"client_update at global epoch 0, client {first}$"):
                 run(DIVERGING, ds)
     with np.errstate(all="ignore"):
-        with pytest.raises(ValueError, match=r"non-finite values after run_cloud at global epoch 0, client 0$"):
+        with pytest.raises(ValueError, match=r"non-finite values after run_cloud at global epoch 0$"):
             fedcore.run_cloud(DIVERGING, ds, use_global=True)
 
 
@@ -342,7 +342,7 @@ def test_guard_names_aggregation_and_central_step():
     big = nnet.DenseNet((nnet.DenseLayer(np.full((2, 2), 1e308), np.zeros(2)),))
     unbiased = dataclasses.replace(FED, k=1, aggregator="paper_unbiased")
     uploads = [
-        Upload(ClientShard(j, np.array([j]), np.zeros((1, 1)), np.zeros((1, 1)), 0.5), big, None)
+        Upload(ClientShard(j, np.array([j]), np.zeros((1, 1)), np.zeros((1, 1)), 0.5), nnet._view(big), None)
         for j in (1, 3)
     ]
     with pytest.raises(ValueError, match=r"after aggregate_weights at global epoch 4, clients \[1, 3\]$"):
@@ -353,4 +353,4 @@ def test_guard_names_aggregation_and_central_step():
     fed = dataclasses.replace(FED, eta0=Schedule("constant", 1.0))
     with pytest.raises(ValueError, match=r"after central_update at global epoch 2, client 3$"):
         with np.errstate(all="ignore"):
-            central_update(fed, big, [Upload(shard, big, np.full((1, 2), -1e308))], store, 2)
+            central_update(fed, big, [Upload(shard, nnet._view(big), np.full((1, 2), -1e308))], store, 2)

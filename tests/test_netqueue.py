@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vhfl_lab import netqueue as nq
@@ -232,7 +232,7 @@ def test_empirical_gamma_edges():
 def test_sample_sojourn_matches_distribution():
     a = nq.analyze(BENCH)
     rng = substream(3, "ar")
-    samples = nq.sample_sojourn(a, rng, 400_000)
+    (samples,) = nq.sample_sojourn(a, [rng], 400_000)
     assert abs(float(samples.mean()) - pk_mean_sojourn(BENCH)) < 0.01
     for t_p in (0.5, 1.0, 2.0):
         assert abs(float(np.mean(samples <= t_p)) - nq.success_rate(a, t_p)) < 0.005
@@ -257,6 +257,33 @@ def test_apply_channel_deterministic_and_order_independent():
     second = nq.apply_channel(channel, [5, 2, 4, 1, 3], epoch=7)
     assert sorted(first) == sorted(second)
     assert first == nq.apply_channel(channel, [3, 1, 4, 2, 5], epoch=7)
+
+
+def test_channel_rejects_a_nan_deadline_and_keeps_infinity():
+    with pytest.raises(ValueError, match="t_p must be non-negative, got nan"):
+        nq.ChannelModel(**vars(BENCH), t_p=math.nan)
+    assert nq.ChannelModel(**vars(BENCH), t_p=math.inf).t_p == math.inf
+
+
+def test_success_rate_rejects_a_nan_deadline():
+    a = nq.analyze(BENCH)
+    with pytest.raises(ValueError, match="t_p must be non-negative, got nan"):
+        nq.success_rate(a, math.nan)
+    assert nq.success_rate(a, math.inf) == 1.0
+
+
+def test_empirical_gamma_rejects_a_nan_deadline():
+    with pytest.raises(ValueError, match="t_p must be non-negative, got nan"):
+        nq.empirical_gamma(np.array([0.5, 1.0]), math.nan)
+    assert nq.empirical_gamma(np.array([0.5, 1.0]), math.inf) == 1.0
+
+
+def test_sojourn_pdf_rejects_nan():
+    a = nq.analyze(BENCH)
+    for t in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="t must be non-negative"):
+            nq.sojourn_pdf(a, t)
+    assert nq.sojourn_pdf(a, math.inf) == 0.0
 
 
 def test_analysis_purity():
@@ -293,3 +320,88 @@ def test_required_deadline_meets_its_target_within_tol(params, target, tol):
     a = nq.analyze(params)
     t_p = nq.required_deadline(a, target, tol)
     assert abs(nq.success_rate(a, t_p) - target) <= tol
+
+
+def reference_sojourns(analysis: nq.QueueAnalysis, rng: np.random.Generator, n: int) -> tuple[np.ndarray, int]:
+    """``n`` sojourn draws by the one-stream acceptance-rejection loop that
+    ``sample_sojourn`` ran before it took many generators, and the number of
+    passes after the first."""
+    a, b = analysis.a, analysis.b
+    rate = -analysis.s1
+    envelope = max((a - b) / rate, a / rate)
+    out = np.empty(n)
+    filled = 0
+    passes = -1
+    while filled < n:
+        passes += 1
+        want = n - filled
+        draw = max(16, int(1.5 * want * envelope) + 1)
+        proposals = rng.exponential(1.0 / rate, size=draw)
+        density = a * np.exp(analysis.s1 * proposals) - b * np.exp(analysis.s2 * proposals)
+        bound = envelope * rate * np.exp(-rate * proposals)
+        accept = rng.random(draw) * bound <= density
+        accepted = proposals[accept][:want]
+        out[filled : filled + accepted.size] = accepted
+        filled += accepted.size
+    return out, passes
+
+
+def reference_apply_channel(channel: nq.ChannelModel, keys, epoch: int) -> tuple[list, int]:
+    """The per-upload loop: one stream and one sojourn draw per key; also
+    the number of redraw passes taken."""
+    if math.isinf(channel.t_p):
+        return list(keys), 0
+    analysis = nq.analyze(channel)
+    delivered = []
+    redraws = 0
+    for key in keys:
+        delays, passes = reference_sojourns(analysis, substream(channel.seed, "channel", epoch, key), 1)
+        redraws += passes
+        if float(delays[0]) <= channel.t_p:
+            delivered.append(key)
+    return delivered, redraws
+
+
+@st.composite
+def high_envelope_he2(draw) -> nq.He2Params:
+    """Mostly fast service with a rare slow mode at low load: the sojourn
+    density peaks far above the Exp(-s1) proposal, so the acceptance rate
+    1/envelope is low and about a fifth of the streams need a second pass."""
+    mu2 = draw(st.floats(0.2, 1.0))
+    mu1 = draw(st.floats(20.0, 200.0))
+    alpha1 = draw(st.floats(0.9, 0.99))
+    rho = draw(st.floats(0.001, 0.05))
+    lambda_n = rho / (alpha1 / mu1 + (1.0 - alpha1) / mu2)
+    return nq.He2Params(lambda_n, alpha1, 1.0 - alpha1, mu1, mu2)
+
+
+def test_apply_channel_matches_the_per_upload_loop():
+    redraws = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(stable_he2(), high_envelope_he2()),
+        st.one_of(st.sampled_from((0.0, math.inf)), st.floats(0.0, 10.0)),
+        st.lists(st.integers(0, 10_000), max_size=30),
+        st.integers(0, 2**32),
+        st.integers(0, 1000),
+        st.integers(1, 40),
+    )
+    @example(nq.He2Params(0.1, 0.9, 0.1, 15.0, 0.5), 2.0, list(range(40)), 3, 5, 7)
+    def check(params, t_p, keys, seed, epoch, n):
+        channel = nq.ChannelModel(**vars(params), t_p=t_p, seed=seed)
+        delivered, passes = reference_apply_channel(channel, keys, epoch)
+        assert nq.apply_channel(channel, keys, epoch=epoch) == delivered
+        redraws.append(passes)
+        # n draws per stream from fresh generators, stream by stream
+        analysis = nq.analyze(params)
+        streams = [substream(seed, "draws", key) for key in keys]
+        rows = nq.sample_sojourn(analysis, streams, n)
+        assert rows.shape == (len(keys), n)
+        for key, row in zip(keys, rows):
+            expected, passes = reference_sojourns(analysis, substream(seed, "draws", key), n)
+            assert row.tobytes() == expected.tobytes()
+            redraws.append(passes)
+
+    check()
+    assert sum(redraws) > 0
