@@ -20,37 +20,46 @@ once per phase. Data is checked where it enters (``ClientShard``,
 ``GlobalStore``, config parsing). The local phase trains the round's whole
 cohort in one ``client_update`` call. It groups the selected shards by
 size, and each group of G clients with n rows apiece trains as one stack:
-the clients' copies of ``wbar`` become per-layer arrays with a leading
-client axis, and every step runs the unchecked ``nnet`` kernels on ``(G,
-b, in)`` batches, updating the stack in place. Equal sizes give every
-client the same batch sizes, so the stack needs no padding or mask, and a
-group of one is a client trained alone. Each client still draws its own
-batch permutation from ``FederationConfig.local_plan``, and still takes its
-first step through the validating public ``nnet`` API, which checks the
-shapes every later step reuses. The stacked kernels issue one BLAS call
-and one reduction per client slice, with the slice's own shape, so a
-client gets the bits it would get alone. Pooling the rows of different
-clients into one matrix would not: a BLAS kernel rounds the tail rows of
-an ``(M, 16) @ (16, 1)`` product differently as M changes. The broadcast
-groups the round's selected shards by size in the same way. The evaluation
-shards are fixed, so ``_run`` stacks the train and test splits by size once
-per run (``build_split``), with their global rows when the center has w0;
-each evaluation then runs one stacked forward pass per group and sums each
+the clients' copies of ``wbar`` become the rows of one ``(G, P)`` flat
+buffer (see ``nnet``), filled by one broadcast assignment, and every step
+runs the unchecked ``nnet`` kernels on ``(G, b, in)`` batches, writing the
+gradients into the group's gradient buffer and updating the stack with one
+in-place SGD step. Equal sizes give every client the same batch sizes, so
+the stack needs no padding or mask, and a group of one is a client trained
+alone. Each client still draws its own batch permutation from
+``FederationConfig.local_plan``, and still takes its first step through
+the validating public ``nnet`` API, which checks the shapes every later
+step reuses; that step's gradients are copied into the client's row of the
+gradient buffer. The stacked kernels issue one BLAS call and one reduction
+per client slice, with the slice's own shape, so a client gets the bits it
+would get alone. Pooling the rows of different clients into one matrix
+would not: a BLAS kernel rounds the tail rows of an ``(M, 16) @ (16, 1)``
+product differently as M changes. The broadcast groups the round's
+selected shards by size in the same way. The evaluation shards are fixed,
+so ``_run`` stacks the train and test splits by size once per run
+(``build_split``), with their global rows when the center has w0; each
+evaluation then runs one stacked forward pass per group and sums each
 shard over its own slice, adding the shards up in their original order.
 
 A pooled phase steps the kernels on 2-d batches, as it trains nets it
-built itself from the config. The central step is a single step and runs
-through the public API, where the uploads enter the center. Each phase
-checks its results once, when it ends. The local phase scans each size
-group's weight, bias and vertical-gradient stacks in one ``isfinite`` pass
-and names the first diverged client in cohort order; its uploads hold
-views of the stacks, and no net is built per client. The other phases
-build one validated net, whose own finite check is the guard: ``_guard``
-turns the build's ValueError into an error naming the phase, the global
-epoch and the clients (the pooled phase trains no client and names none).
-A value that turns inf or nan stays non-finite under later steps, so this
-catches what per-step checks would. Evaluation is guarded on its losses,
-so the loop runs with numpy's overflow and invalid-value warnings off. Vertical gradients travel as one
+built itself from the config. It packs ``wbar`` and, when the center has
+it, ``w0`` into one fresh ``(P,)`` flat buffer each round, since both step
+at the same rate; each batch writes both nets' gradients into the one
+gradient buffer, and one SGD update steps them together. The round's nets
+hold views of that buffer, and the next round packs a new one, so no round
+rewrites a net an earlier round handed to the center. The central step is
+a single step and runs through the public API, where the uploads enter the
+center. Each phase checks its results once, when it ends. The local phase
+runs one ``isfinite`` pass over each size group's flat buffer and one over
+its vertical gradients, and names the first diverged client in cohort
+order; its uploads hold views of their rows of the buffer, and no net is
+built per client. The other phases build one validated net, whose own
+finite check is the guard: ``_guard`` turns the build's ValueError into an
+error naming the phase, the global epoch and the clients (the pooled phase
+trains no client and names none). A value that turns inf or nan stays
+non-finite under later steps, so this catches what per-step checks would.
+Evaluation is guarded on its losses, so the loop runs with numpy's
+overflow and invalid-value warnings off. Vertical gradients travel as one
 ``(n_j, u0_dim)`` array per client in shard order.
 
 ``FederationConfig`` is the one home of the round settings (K, E_L, B, the
@@ -173,7 +182,7 @@ class CenterState:
 @dataclass(frozen=True)
 class Upload:
     shard: ClientShard
-    params: nnet.Params  # the trained per-layer arrays, views of the cohort's stack
+    params: nnet.Params  # the trained per-layer arrays, views of the client's row of a flat buffer
     vgrads: np.ndarray | None  # (n_j, u0_dim) in shard order; None without a global model
 
 
@@ -322,44 +331,47 @@ def _combined_step(
 
 
 def _kernel_step(
-    params: nnet.Params,
+    layers: Sequence[nnet.Layer],
+    grads: nnet.Grads,
     batch_x: np.ndarray,
     batch_side: np.ndarray | None,
     batch_y: np.ndarray,
     combine: str,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
-    """:func:`_combined_step` on raw per-layer arrays, with nothing checked;
-    the arrays may carry a leading stack axis (see ``nnet``)."""
+) -> np.ndarray | None:
+    """:func:`_combined_step` on kernel layers, with nothing checked: writes
+    the local model's gradients into ``grads`` and returns the side-row
+    gradient. The arrays may carry a leading stack axis (see ``nnet``)."""
     concat = batch_side is not None and combine == "concat"
     inp = np.concatenate([batch_side, batch_x], axis=-1) if concat else batch_x
-    pre, post = nnet._forward(params, inp)
+    pre, post = nnet._forward(layers, inp)
     out = post[-1] if batch_side is None or concat else batch_side + post[-1]
     lgrad = nnet._mse_grad(out, batch_y)
-    wgrads, bgrads, input_grad = nnet._backward(params, inp, pre, post, lgrad, concat)
+    input_grad = nnet._backward(layers, grads, inp, pre, post, lgrad, concat)
     if concat:
-        return wgrads, bgrads, input_grad[..., : batch_side.shape[-1]]
-    return wgrads, bgrads, None if batch_side is None else lgrad
+        return input_grad[..., : batch_side.shape[-1]]
+    return None if batch_side is None else lgrad
 
 
 def _checked_steps(
     wbar: nnet.DenseNet,
+    grads: nnet.Grads,
     batch_x: np.ndarray,
     batch_side: np.ndarray | None,
     batch_y: np.ndarray,
     combine: str,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
+) -> np.ndarray | None:
     """:func:`_combined_step` from ``wbar`` for each client of a stacked
-    batch, with the clients' results stacked as :func:`_kernel_step` gives them."""
+    batch, with the clients' results placed as :func:`_kernel_step` places
+    them: the gradients stacked into the ``(G, ...)`` views of ``grads``."""
     steps = [
         _combined_step(wbar, batch_x[k], None if batch_side is None else batch_side[k], batch_y[k], combine)
         for k in range(batch_x.shape[0])
     ]
     wgrads, bgrads, side_grads = zip(*steps)
-    return (
-        [np.stack(layer) for layer in zip(*wgrads)],
-        [np.stack(layer) for layer in zip(*bgrads)],
-        None if batch_side is None else np.stack(side_grads),
-    )
+    for (gw, gb), w_layer, b_layer in zip(grads, zip(*wgrads), zip(*bgrads)):
+        np.stack(w_layer, out=gw)
+        np.stack(b_layer, out=gb)
+    return None if batch_side is None else np.stack(side_grads)
 
 
 def _train_group(
@@ -368,9 +380,9 @@ def _train_group(
     wbar: nnet.DenseNet,
     u0: Mapping[int, np.ndarray] | None,
     t_g: int,
-) -> tuple[nnet.Params, np.ndarray | None]:
-    """Local SGD of equal-size shards as one stack: the trained per-layer
-    arrays, with a leading client axis, and the ``(G, n, u0_dim)`` vertical
+) -> tuple[nnet.Flat, np.ndarray | None]:
+    """Local SGD of equal-size shards as one stack: the trained clients' nets
+    as rows of one ``(G, P)`` flat buffer, and the ``(G, n, u0_dim)`` vertical
     gradients (None without ``u0``)."""
     n = shards[0].n
     plans = [config.local_plan(shard, None if u0 is None else u0[shard.client_id], t_g) for shard in shards]
@@ -386,15 +398,16 @@ def _train_group(
         for column in zip(*(batch_list for batch_list, _ in plans))
     ]
     size = len(shards)
-    params = [(np.stack([w] * size), np.stack([b] * size), act) for w, b, act in nnet._view(wbar)]
+    flat = nnet._pack([wbar], copies=size)
+    (layers,), (grads,) = flat.nets, flat.grads
     clients = np.arange(size)[:, None]
     vgrad_sum = None if u0 is None else np.empty((size, n, stacked[0][1].shape[-1]))
     for epoch, eta_t in enumerate(etas):
         for i, (x, side, y, index) in enumerate(stacked):
             if epoch == 0 and i == 0:
-                wgrads, bgrads, side_grad = _checked_steps(wbar, x, side, y, config.combine)
+                side_grad = _checked_steps(wbar, grads, x, side, y, config.combine)
             else:
-                wgrads, bgrads, side_grad = _kernel_step(params, x, side, y, config.combine)
+                side_grad = _kernel_step(layers, grads, x, side, y, config.combine)
             if side_grad is not None:
                 # rescale batch-mean rows to client-mean units; each epoch
                 # visits every sample once, so epoch 0 writes every row
@@ -403,8 +416,8 @@ def _train_group(
                     vgrad_sum[clients, index] = rows
                 else:
                     vgrad_sum[clients, index] += rows
-            nnet._sgd(params, wgrads, bgrads, eta_t)
-    return params, None if vgrad_sum is None else vgrad_sum / config.local_epochs
+            nnet._sgd(flat, eta_t)
+    return flat, None if vgrad_sum is None else vgrad_sum / config.local_epochs
 
 
 def client_update(
@@ -435,14 +448,14 @@ def client_update(
     uploads: dict[int, Upload] = {}
     finite = np.empty(len(shards), dtype=bool)
     for group in _size_groups(shards):
-        params, vgrads = _train_group(config, [shards[pos] for pos in group], wbar, u0, t_g)
-        stacks = [array for w, b, _ in params for array in (w, b)] + ([] if vgrads is None else [vgrads])
-        rows = np.concatenate([stack.reshape(len(group), -1) for stack in stacks], axis=1)
-        finite[group] = np.isfinite(rows).all(axis=1)
+        flat, vgrads = _train_group(config, [shards[pos] for pos in group], wbar, u0, t_g)
+        finite[group] = np.isfinite(flat.data).all(axis=1)
+        if vgrads is not None:
+            finite[group] &= np.isfinite(vgrads).all(axis=(1, 2))
         for k, pos in enumerate(group):
             uploads[pos] = Upload(
                 shard=shards[pos],
-                params=[(w[k], b[k], act) for w, b, act in params],
+                params=[(layer.w[k], layer.b[k], layer.act) for layer in flat.nets[0]],
                 vgrads=None if vgrads is None else vgrads[k],
             )
     if not finite.all():
@@ -619,25 +632,26 @@ def _cloud_round(
     t_g: int,
 ) -> int:
     """``local_epochs`` passes of mini-batch SGD on the pooled shard, through w0
-    too when it exists, on copies of the nets stepped with the unchecked
-    kernels; ``x0`` holds the pooled global rows. Nothing is uploaded: returns 0."""
+    too when it exists, on one flat copy of the nets stepped with the
+    unchecked kernels; ``x0`` holds the pooled global rows. Nothing is
+    uploaded: returns 0."""
     batch_list, etas = config.local_plan(pooled, x0, t_g)
-    wbar = nnet._params(center.wbar)
-    w0 = [] if center.w0 is None else nnet._params(center.w0)
+    # a fresh buffer every round: the nets of the last round hold views of theirs
+    flat = nnet._pack([center.wbar] if center.w0 is None else [center.wbar, center.w0])
+    wbar, wbar_grads = flat.nets[0], flat.grads[0]
+    w0, w0_grads = (None, None) if center.w0 is None else (flat.nets[1], flat.grads[1])
     for eta_t in etas:
         for b in batch_list:
-            if w0:
+            if w0 is not None:
                 pre0, post0 = nnet._forward(w0, b.x_side)
-                gw, gb, side_grad = _kernel_step(wbar, b.x_local, post0[-1], b.y, config.combine)
-                g0w, g0b, _ = nnet._backward(w0, b.x_side, pre0, post0, side_grad, False)
+                side_grad = _kernel_step(wbar, wbar_grads, b.x_local, post0[-1], b.y, config.combine)
+                nnet._backward(w0, w0_grads, b.x_side, pre0, post0, side_grad, False)
             else:
-                gw, gb, _ = _kernel_step(wbar, b.x_local, None, b.y, config.combine)
-            nnet._sgd(wbar, gw, gb, eta_t)
-            if w0:
-                nnet._sgd(w0, g0w, g0b, eta_t)
+                _kernel_step(wbar, wbar_grads, b.x_local, None, b.y, config.combine)
+            nnet._sgd(flat, eta_t)
     with _guard("run_cloud", t_g):
         # both nets are built before either is assigned
-        center.wbar, center.w0 = nnet._net(wbar), (nnet._net(w0) if w0 else None)
+        center.wbar, center.w0 = nnet._net(wbar), (None if w0 is None else nnet._net(w0))
     return 0
 
 

@@ -33,9 +33,10 @@ class He2Params:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lambda_n) and self.lambda_n > 0.0):
             raise ValueError(f"arrival rate must be finite and positive, got {self.lambda_n}")
-        if self.alpha1 < 0.0 or self.alpha2 < 0.0:
+        # written so that NaN fails the checks
+        if not (self.alpha1 >= 0.0 and self.alpha2 >= 0.0):
             raise ValueError("state probabilities must be non-negative")
-        if abs(self.alpha1 + self.alpha2 - 1.0) > 1e-12:
+        if not abs(self.alpha1 + self.alpha2 - 1.0) <= 1e-12:
             raise ValueError(f"alpha1 + alpha2 must be 1, got {self.alpha1 + self.alpha2}")
         if not (math.isfinite(self.mu1) and self.mu1 >= self.mu2 > 0.0):
             # mu1 == mu2 collapses to M/M/1 and is kept valid for cross-checks
@@ -115,7 +116,7 @@ def required_deadline(analysis: QueueAnalysis, gamma_target: float, tol: float =
     """
     if not 0.0 < gamma_target < 1.0:
         raise ValueError(f"gamma_target must lie in (0, 1), got {gamma_target}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     lo = 0.0
     hi = 1.0 / abs(analysis.s1)

@@ -8,12 +8,33 @@ functions are pure; nets are immutable and all arithmetic is float64.
 Validate at the edges, run unchecked kernels inside the loop. The public
 ``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument
 and then call the private kernels ``_forward``/``_mse_grad``/
-``_backward``/``_sgd``, which work on plain per-layer ``(W, b,
-activation)`` tuples (see ``_params``) and check nothing. A training loop
-copies a net's arrays once with ``_params``, steps them in place with the
-kernels, and builds one validated net with ``_net`` when its phase ends.
-Both paths run the same float64 operations in the same order, so their
-results agree bit for bit.
+``_backward``/``_sgd``, which check nothing. Both paths run the same
+float64 operations in the same order, so their results agree bit for bit.
+
+One parameter layout. A training phase copies the nets it trains into one
+contiguous float64 buffer with ``_pack``: net after net, layer after
+layer, each layer's weights row-major and then its bias, P values in all.
+The buffer has shape ``(P,)``, or ``(G, P)`` for a stack of G copies, and
+a gradient buffer of the same layout sits beside it (:class:`Flat`). The
+kernels see each layer as a :class:`Layer` of views into the buffer, with
+the forward pass's transposed weights and bias row taken once per phase;
+the views stay valid because every update writes the buffer in place.
+``_backward`` writes each layer's gradients into its views of the gradient
+buffer, and ``_sgd`` is the one update ``data -= eta * grad`` over the
+whole buffer. When the phase ends, ``_net`` builds one validated net that
+holds views of the buffer. A phase packs a fresh buffer, so it never
+rewrites a net an earlier phase handed out. A net's arrays are never
+written, so each net builds its own :class:`Layer` view once, for the
+public ``forward`` and ``backward``; ``backward`` writes into fresh
+arrays, and ``sgd_step`` steps a fresh packed copy of its net.
+
+The layout leaves every bit as the allocating code had it. The update is
+elementwise, so each parameter sees the same multiply and subtract
+whatever the buffer's shape. ``np.matmul(..., out=)`` and
+``np.add.reduce(..., out=)`` issue the same BLAS call and the same
+reduction per slice as their allocating forms, because a weight or bias
+view has the row-major strides of a fresh array of its shape; only where
+the result lands changes.
 
 The kernels also step a stack of G nets at once: batches of shape
 ``(G, b, in)``, weights ``(G, out, in)`` and biases ``(G, out)``. np.matmul
@@ -25,8 +46,9 @@ matrix: a BLAS kernel may round a row differently with the row count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,6 +133,12 @@ class DenseNet:
     def n_layers(self) -> int:
         return len(self.layers)
 
+    @functools.cached_property
+    def _kernel_layers(self) -> tuple[Layer, ...]:
+        """The kernels' view of the net's own arrays. A net's arrays are never
+        written, so it is built once per net."""
+        return tuple(_layer(layer.weights, layer.bias, layer.activation) for layer in self.layers)
+
 
 @dataclass(frozen=True)
 class ForwardTrace:
@@ -134,33 +162,91 @@ class Gradients:
     input_grad: np.ndarray | None = None
 
 
-# One layer's parameters as the kernels see them: (weights, bias, activation).
+# One layer's parameters as nets store them: (weights, bias, activation).
 Params = list[tuple[np.ndarray, np.ndarray, str]]
+# One layer's gradients as the kernels write them: (weights, bias).
+Grads = list[tuple[np.ndarray, np.ndarray]]
 
 
-def _params(net: DenseNet) -> Params:
-    """Private copies of a net's arrays, for a loop that steps them in place."""
-    return [(layer.weights.copy(), layer.bias.copy(), layer.activation) for layer in net.layers]
+class Layer(NamedTuple):
+    """One layer as the kernels see it: its parameters ``w``/``b``, with an
+    optional leading stack axis, and the forward pass's ``w_t = w.mT`` and
+    ``b_row = b[..., None, :]``, taken once."""
+
+    w: np.ndarray
+    b: np.ndarray
+    act: str
+    w_t: np.ndarray
+    b_row: np.ndarray
+
+
+def _layer(w: np.ndarray, b: np.ndarray, act: str) -> Layer:
+    return Layer(w, b, act, w.mT, b[..., None, :])
+
+
+@dataclass(frozen=True, eq=False)
+class Flat:
+    """Nets in the flat layout: parameters ``data`` and gradients ``grad`` of
+    shape ``(*lead, P)``, and per net its layers and their gradients, views
+    of ``data`` and of ``grad``."""
+
+    data: np.ndarray
+    grad: np.ndarray
+    nets: tuple[tuple[Layer, ...], ...]
+    grads: tuple[Grads, ...]
+
+
+def _views(buf: np.ndarray, nets: Sequence[DenseNet]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Per net and layer, the (weights, bias) views of a ``(*lead, P)`` buffer
+    in the flat layout of ``nets``: layer by layer, the weights row-major and
+    then the bias."""
+    lead = buf.shape[:-1]
+    views = []
+    start = 0
+    for net in nets:
+        layers = []
+        for layer in net.layers:
+            mid = start + layer.weights.size
+            stop = mid + layer.out_dim
+            layers.append((buf[..., start:mid].reshape(*lead, *layer.weights.shape), buf[..., mid:stop]))
+            start = stop
+        views.append(layers)
+    return views
+
+
+def _pack(nets: Sequence[DenseNet], copies: int | None = None) -> Flat:
+    """Fresh buffers in the flat layout of ``nets``: the data a copy of the
+    nets, or ``copies`` copies stacked as ``(copies, P)``; the gradients unset."""
+    values = np.concatenate([a.ravel() for net in nets for layer in net.layers for a in (layer.weights, layer.bias)])
+    data = np.empty(values.shape if copies is None else (copies, values.size))
+    data[...] = values
+    grad = np.empty_like(data)
+    nets_layers = tuple(
+        tuple(_layer(w, b, layer.activation) for layer, (w, b) in zip(net.layers, params))
+        for net, params in zip(nets, _views(data, nets))
+    )
+    return Flat(data, grad, nets_layers, tuple(_views(grad, nets)))
 
 
 def _view(net: DenseNet) -> Params:
-    """A net's own arrays, for kernels that only read them."""
+    """A net's own arrays, as :func:`_net` takes them."""
     return [(layer.weights, layer.bias, layer.activation) for layer in net.layers]
 
 
-def _net(params: Params) -> DenseNet:
-    """Build (and validate) a net that holds the given arrays without copying."""
-    return DenseNet(tuple(DenseLayer(w, b, act) for w, b, act in params))
+def _net(params: Sequence[Sequence]) -> DenseNet:
+    """Build (and validate) a net that holds the given arrays without copying;
+    each entry starts with (weights, bias, activation), as a :class:`Layer` does."""
+    return DenseNet(tuple(DenseLayer(w, b, act) for w, b, act, *_ in params))
 
 
-def _forward(params: Params, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _forward(layers: Sequence[Layer], x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer pre- and post-activations; the output is ``post[-1]``."""
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = []
     a = x
-    for w, b, act in params:
-        z = a @ w.mT + b[..., None, :]
-        a = _activate(act, z)
+    for layer in layers:
+        z = a @ layer.w_t + layer.b_row
+        a = _activate(layer.act, z)
         pre.append(z)
         post.append(a)
     return pre, post
@@ -168,7 +254,7 @@ def _forward(params: Params, x: np.ndarray) -> tuple[list[np.ndarray], list[np.n
 
 def _output(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Unchecked forward pass of a validated net on validated rows."""
-    return _forward(_view(net), x)[1][-1]
+    return _forward(net._kernel_layers, x)[1][-1]
 
 
 def _mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -177,40 +263,38 @@ def _mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _backward(
-    params: Params,
+    layers: Sequence[Layer],
+    grads: Grads,
     x: np.ndarray,
     pre: Sequence[np.ndarray],
     post: Sequence[np.ndarray],
     da: np.ndarray,
     want_input_grad: bool,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray | None]:
-    """Parameter gradients, and d(loss)/d(x) if wanted, given d(loss)/d(outputs)."""
-    n = len(params)
-    wgrads: list[np.ndarray] = [np.empty(0)] * n
-    bgrads: list[np.ndarray] = [np.empty(0)] * n
-    for i in range(n - 1, -1, -1):
-        w, _, act = params[i]
-        if act == "identity":
+) -> np.ndarray | None:
+    """Write each layer's parameter gradients into its entry of ``grads``,
+    given d(loss)/d(outputs); returns d(loss)/d(x) if wanted."""
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        if layer.act == "identity":
             dz = da  # the derivative is 1, and x * 1.0 == x bit for bit
-        elif act == "relu":
+        elif layer.act == "relu":
             # subgradient at 0 fixed to 0
             dz = da * (pre[i] > 0.0)
         else:
             # post[i] is tanh(pre[i]), and np.tanh is deterministic
             dz = da * (1.0 - post[i] * post[i])
-        layer_in = x if i == 0 else post[i - 1]
-        wgrads[i] = dz.mT @ layer_in
-        bgrads[i] = dz.sum(axis=-2)
+        gw, gb = grads[i]
+        np.matmul(dz.mT, x if i == 0 else post[i - 1], out=gw)
+        np.add.reduce(dz, axis=-2, out=gb)
         if i > 0 or want_input_grad:
-            da = dz @ w
-    return wgrads, bgrads, da if want_input_grad else None
+            da = dz @ layer.w
+    return da if want_input_grad else None
 
 
-def _sgd(params: Params, wgrads: Sequence[np.ndarray], bgrads: Sequence[np.ndarray], eta: float) -> None:
-    """p <- p - eta*g in place; bit for bit the same as the out-of-place step."""
-    for (w, b, _), gw, gb in zip(params, wgrads, bgrads):
-        w -= eta * gw
-        b -= eta * gb
+def _sgd(flat: Flat, eta: float) -> None:
+    """p <- p - eta*g over the whole buffer, in place; elementwise, so bit for
+    bit the per-layer out-of-place step."""
+    np.subtract(flat.data, eta * flat.grad, out=flat.data)
 
 
 def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, ForwardTrace]:
@@ -218,7 +302,7 @@ def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, ForwardTrace]:
     x = _as_batch(batch, "batch")
     if x.shape[1] != net.in_dim:
         raise ValueError(f"batch has {x.shape[1]} columns, net expects {net.in_dim}")
-    pre, post = _forward(_view(net), x)
+    pre, post = _forward(net._kernel_layers, x)
     return post[-1], ForwardTrace(inputs=x, pre=tuple(pre), post=tuple(post))
 
 
@@ -254,10 +338,10 @@ def backward(
     da = _as_batch(loss_grad, "loss_grad")
     if da.shape != trace.post[-1].shape:
         raise ValueError(f"loss_grad shape {da.shape} does not match outputs {trace.post[-1].shape}")
-    wgrads, bgrads, input_grad = _backward(
-        _view(net), trace.inputs, trace.pre, trace.post, da, want_input_grad
-    )
-    return Gradients(weights=tuple(wgrads), biases=tuple(bgrads), input_grad=input_grad)
+    grads = [(np.empty(layer.weights.shape), np.empty(layer.bias.shape)) for layer in net.layers]
+    input_grad = _backward(net._kernel_layers, grads, trace.inputs, trace.pre, trace.post, da, want_input_grad)
+    weights, biases = zip(*grads)
+    return Gradients(weights=weights, biases=biases, input_grad=input_grad)
 
 
 def sgd_step(net: DenseNet, grads: Gradients, eta: float) -> DenseNet:
@@ -269,9 +353,12 @@ def sgd_step(net: DenseNet, grads: Gradients, eta: float) -> DenseNet:
     for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
         if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
             raise ValueError("gradient shapes do not match layer shapes")
-    params = _params(net)
-    _sgd(params, grads.weights, grads.biases, eta)
-    return _net(params)
+    flat = _pack([net])
+    for (gw, gb), w_grad, b_grad in zip(flat.grads[0], grads.weights, grads.biases):
+        gw[...] = w_grad
+        gb[...] = b_grad
+    _sgd(flat, eta)
+    return _net(flat.nets[0])
 
 
 def random_net(

@@ -233,6 +233,68 @@ def reference_or_none(fed, shard, wbar, u0, global_epoch):
     return net, vgrads
 
 
+# ---------------------------------------------------- bit-exact pooled phase
+
+
+def reference_run_cloud(fed, ds, use_global):
+    """The pooled phase as a plain loop over the public nnet functions: every
+    training row in client order, batches shuffled by the substream
+    (seed, "batches", 0, t_g), the global rows looked up by id per batch, and
+    both nets stepped at the rate of the local epoch."""
+    center = fedcore._new_center(fed, ds, use_global)
+    wbar, w0 = center.wbar, center.w0
+    pooled = ClientShard(
+        client_id=0,
+        ids=np.concatenate([shard.ids for shard in ds.clients]),
+        x_local=np.vstack([shard.x_local for shard in ds.clients]),
+        y=np.vstack([shard.y for shard in ds.clients]),
+        q=1.0,
+    )
+    for t_g in range(fed.global_epochs):
+        batch_list = batches(pooled, None, fed.batch_size, substream(fed.seed, "batches", 0, t_g))
+        for epoch in range(fed.local_epochs):
+            eta = fed.eta.value(t_g * fed.local_epochs + epoch)
+            for b in batch_list:
+                if w0 is None:
+                    out, trace = nnet.forward(wbar, b.x_local)
+                    _, lgrad = nnet.mse_loss(out, b.y)
+                    wbar = nnet.sgd_step(wbar, nnet.backward(wbar, trace, lgrad), eta)
+                    continue
+                u0, trace0 = nnet.forward(w0, ds.global_store.rows(b.ids))
+                if fed.combine == "concat":
+                    out, trace = nnet.forward(wbar, np.hstack([u0, b.x_local]))
+                    _, lgrad = nnet.mse_loss(out, b.y)
+                    grads = nnet.backward(wbar, trace, lgrad, want_input_grad=True)
+                    side_grad = grads.input_grad[:, : u0.shape[1]]
+                else:
+                    out, trace = nnet.forward(wbar, b.x_local)
+                    _, lgrad = nnet.mse_loss(u0 + out, b.y)
+                    grads = nnet.backward(wbar, trace, lgrad)
+                    side_grad = lgrad
+                grads0 = nnet.backward(w0, trace0, side_grad)
+                wbar = nnet.sgd_step(wbar, grads, eta)
+                w0 = nnet.sgd_step(w0, grads0, eta)
+    return wbar, w0
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("combine", ["concat", "additive"])
+@pytest.mark.parametrize("use_global", [True, False])
+def test_run_cloud_matches_public_api_loop_bit_for_bit(use_global, combine, activation):
+    ds = generate(SYNTH)
+    # additive combining needs u0_dim == d_label
+    fed = dataclasses.replace(
+        FED, combine=combine, activation=activation, u0_dim=SYNTH.d_label if combine == "additive" else 3
+    )
+    center, _ = fedcore.run_cloud(fed, ds, use_global)
+    wbar, w0 = reference_run_cloud(fed, ds, use_global)
+    assert nets_same_bits(center.wbar, wbar)
+    if use_global:
+        assert nets_same_bits(center.w0, w0)
+    else:
+        assert center.w0 is None and w0 is None
+
+
 # --------------------------------------------------------------- no aliasing
 
 
@@ -276,6 +338,46 @@ def test_run_cloud_leaves_its_initial_nets_unchanged(use_global, monkeypatch):
     assert not nets_same_bits(out.wbar, built[-1][0])
     if use_global:
         assert not nets_same_bits(out.w0, built[0][0])
+
+
+@pytest.mark.parametrize("mode", ["cloud", "cloud_local", "vhfl", "hfl"])
+def test_no_round_rewrites_a_net_an_earlier_round_handed_to_the_center(mode, monkeypatch):
+    """The nets of a round hold views of that round's buffers, so a later
+    round must train on fresh ones."""
+    ds = generate(SYNTH)
+    handed = []
+    weighted_train_loss = fedcore.weighted_train_loss
+
+    def snapshotting_loss(config, center, split):
+        handed.extend((net, snapshot(net)) for net in (center.wbar, center.w0) if net is not None)
+        return weighted_train_loss(config, center, split)
+
+    started = []
+    client_update = fedcore.client_update
+
+    def recording_update(config, shards, wbar, u0, t_g):
+        uploads = client_update(config, shards, wbar, u0, t_g)
+        started.append((wbar, uploads))
+        return uploads
+
+    monkeypatch.setattr(fedcore, "weighted_train_loss", snapshotting_loss)
+    monkeypatch.setattr(fedcore, "client_update", recording_update)
+    runs = {
+        "cloud": lambda: fedcore.run_cloud(FED, ds, use_global=True),
+        "cloud_local": lambda: fedcore.run_cloud(FED, ds, use_global=False),
+        "vhfl": lambda: fedcore.run_vhfl(FED, ds),
+        "hfl": lambda: fedcore.run_hfl(FED, ds),
+    }
+    runs[mode]()
+    with_w0 = mode in ("cloud", "vhfl")
+    assert len(handed) == FED.global_epochs * (2 if with_w0 else 1)
+    assert all(unchanged(net, snap) for net, snap in handed)
+    assert len(started) == (0 if mode.startswith("cloud") else FED.global_epochs)
+    for wbar, uploads in started:
+        for upload in uploads:
+            for (w, b, _), layer in zip(upload.params, wbar.layers):
+                assert not np.shares_memory(w, layer.weights)
+                assert not np.shares_memory(b, layer.bias)
 
 
 def test_run_vhfl_leaves_caller_arrays_unchanged():

@@ -286,6 +286,21 @@ def test_sojourn_pdf_rejects_nan():
     assert nq.sojourn_pdf(a, math.inf) == 0.0
 
 
+def test_params_reject_nan_state_probabilities():
+    for alphas in ((math.nan, math.nan), (math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="state probabilities must be non-negative"):
+            nq.He2Params(2.0, *alphas, 8.0, 2.0)
+    with pytest.raises(ValueError, match="state probabilities must be non-negative"):
+        nq.ChannelModel(2.0, math.nan, math.nan, 8.0, 2.0, t_p=1.0)
+
+
+def test_required_deadline_rejects_a_nan_tolerance():
+    a = nq.analyze(BENCH)
+    for tol in (math.nan, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            nq.required_deadline(a, 0.9, tol=tol)
+
+
 def test_analysis_purity():
     a1 = nq.analyze(BENCH)
     a2 = nq.analyze(BENCH)

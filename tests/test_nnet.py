@@ -297,3 +297,101 @@ def test_checkpoint_roundtrip_bit_exact():
             assert np.array(rows[-1]).tobytes() == layer.bias.tobytes()
             pos += 2 + layer.out_dim
         assert pos == len(lines)
+
+
+# ------------------------------------------------------ flat-layout kernels
+
+# the layer widths of the shipped configs: wbar under concat and alone, and w0
+LAB_DIMS = ([8, 16, 1], [4, 16, 1], [4, 16, 4])
+
+
+def same_bits(a, b):
+    """Equal shapes and identical bytes, so -0.0 and 0.0 differ."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def allocating_backward(params, x, pre, post, da):
+    """The backward pass written with fresh arrays: ``dz.mT @ x`` and
+    ``dz.sum(axis=-2)`` per layer, and the input gradient."""
+    wgrads, bgrads = [None] * len(params), [None] * len(params)
+    for i in range(len(params) - 1, -1, -1):
+        w, act = params[i]
+        if act == "identity":
+            dz = da
+        elif act == "relu":
+            dz = da * (pre[i] > 0.0)
+        else:
+            dz = da * (1.0 - post[i] * post[i])
+        layer_in = x if i == 0 else post[i - 1]
+        wgrads[i] = dz.mT @ layer_in
+        bgrads[i] = dz.sum(axis=-2)
+        da = dz @ w
+    return wgrads, bgrads, da
+
+
+@pytest.mark.parametrize("rows", [1, 3, 14, 16])
+@pytest.mark.parametrize("copies", [None, 1, 3, 10, 25])
+def test_backward_into_flat_views_matches_allocating_reference(copies, rows):
+    rng = substream(13, "flat-backward", copies or 0, rows)
+    lead = () if copies is None else (copies,)
+    for dims in LAB_DIMS:
+        for acts in (["tanh", "identity"], ["relu", "tanh"], ["identity", "relu"]):
+            flat = nnet._pack([nnet.random_net(dims, acts, rng)], copies)
+            # a different net in every slice, so a mixed-up slice shows
+            flat.data[...] = rng.standard_normal(flat.data.shape)
+            (layers,), (grads,) = flat.nets, flat.grads
+            x = rng.standard_normal((*lead, rows, dims[0]))
+            pre, post = nnet._forward(layers, x)
+            da = rng.standard_normal(post[-1].shape)
+            input_grad = nnet._backward(layers, grads, x, pre, post, da, True)
+            wgrads, bgrads, ref_input = allocating_backward(
+                [(layer.w.copy(), layer.act) for layer in layers], x, pre, post, da
+            )
+            assert same_bits(input_grad, ref_input)
+            for (gw, gb), ref_gw, ref_gb in zip(grads, wgrads, bgrads):
+                assert np.shares_memory(gw, flat.grad) and np.shares_memory(gb, flat.grad)
+                assert same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
+            # the gradient views tile the buffer: every value was written
+            assert flat.grad.size == sum(gw.size + gb.size for gw, gb in zip(wgrads, bgrads))
+
+
+@pytest.mark.parametrize("copies", [None, 1, 3, 25])
+def test_flat_sgd_matches_per_layer_step(copies):
+    rng = substream(14, "flat-sgd", copies or 0)
+    # two nets in one buffer, as the pooled phase packs w0 and wbar
+    nets = [nnet.random_net(dims, ["tanh", "identity"], rng) for dims in LAB_DIMS[:2]]
+    flat = nnet._pack(nets, copies)
+    for net, layers in zip(nets, flat.nets):
+        for layer, own in zip(layers, net.layers):
+            # every slice holds a copy of the net, in memory of its own
+            assert np.array_equal(layer.w, np.broadcast_to(own.weights, layer.w.shape))
+            assert np.array_equal(layer.b, np.broadcast_to(own.bias, layer.b.shape))
+            assert not np.shares_memory(flat.data, own.weights)
+    flat.data[...] = rng.standard_normal(flat.data.shape)
+    layers = [layer for net_layers in flat.nets for layer in net_layers]
+    grads = [pair for net_grads in flat.grads for pair in net_grads]
+    for eta in (0.05, 0.3):
+        flat.grad[...] = rng.standard_normal(flat.grad.shape)
+        before = [(layer.w.copy(), layer.b.copy()) for layer in layers]
+        nnet._sgd(flat, eta)
+        for layer, (w, b), (gw, gb) in zip(layers, before, grads):
+            assert same_bits(layer.w, w - eta * gw) and same_bits(layer.b, b - eta * gb)
+
+
+def test_public_step_runs_the_flat_kernels_on_fresh_buffers():
+    rng = substream(15, "flat-public")
+    net = nnet.random_net([4, 16, 1], ["tanh", "identity"], rng)
+    x = rng.standard_normal((14, 4))
+    out, trace = nnet.forward(net, x)
+    _, lgrad = nnet.mse_loss(out, rng.standard_normal((14, 1)))
+    grads = nnet.backward(net, trace, lgrad)
+    wgrads, bgrads, _ = allocating_backward(
+        [(layer.weights, layer.activation) for layer in net.layers], x, trace.pre, trace.post, lgrad
+    )
+    assert all(same_bits(a, b) for a, b in zip(grads.weights, wgrads))
+    assert all(same_bits(a, b) for a, b in zip(grads.biases, bgrads))
+    stepped = nnet.sgd_step(net, grads, 0.05)
+    for new, old, gw, gb in zip(stepped.layers, net.layers, wgrads, bgrads):
+        assert same_bits(new.weights, old.weights - 0.05 * gw) and same_bits(new.bias, old.bias - 0.05 * gb)
+        assert not np.shares_memory(new.weights, old.weights)
+        assert not any(np.shares_memory(new.weights, g) for g in grads.weights)
