@@ -26,20 +26,25 @@ runs the unchecked ``nnet`` kernels on ``(G, b, in)`` batches, writing the
 gradients into the group's gradient buffer and updating the stack with one
 in-place SGD step. Equal sizes give every client the same batch sizes, so
 the stack needs no padding or mask, and a group of one is a client trained
-alone. Each client still draws its own batch permutation from
-``FederationConfig.local_plan``, and still takes its first step through
-the validating public ``nnet`` API, which checks the shapes every later
-step reuses; that step's gradients are copied into the client's row of the
-gradient buffer. The stacked kernels issue one BLAS call and one reduction
-per client slice, with the slice's own shape, so a client gets the bits it
+alone. Each client's sample order is the permutation ``datagen.batches``
+draws for it in ``FederationConfig.local_plan``, from the substream (seed,
+"batches", client_id, t_g). The group's orders form one ``(G, n)`` index,
+and each batch gathers every field once from the group's ``(G, n, d)``
+stacks, so the local phase builds no ``Batch``. One step per group
+validates: the group's first client takes its first step through the public
+``nnet`` API, which checks the shapes that every step of the group reuses,
+as all its clients share n and the batch sizes. The other clients take that
+step as one stacked kernel step on the ``[1:]`` views of the layers and
+gradients. The stacked kernels issue one BLAS call and one reduction per
+client slice, with the slice's own shape, so a client gets the bits it
 would get alone. Pooling the rows of different clients into one matrix
 would not: a BLAS kernel rounds the tail rows of an ``(M, 16) @ (16, 1)``
-product differently as M changes. The broadcast groups the round's
-selected shards by size in the same way. The evaluation shards are fixed,
-so ``_run`` stacks the train and test splits by size once per run
+product differently as M changes. The broadcast groups the round's selected
+shards by size in the same way. The evaluation shards are fixed, so
+``_run`` stacks the train and test splits by size once per run
 (``build_split``), with their global rows when the center has w0; each
-evaluation then runs one stacked forward pass per group and sums each
-shard over its own slice, adding the shards up in their original order.
+evaluation then runs one stacked forward pass per group and sums each shard
+over its own slice, adding the shards up in their original order.
 
 A pooled phase steps the kernels on 2-d batches, as it trains nets it
 built itself from the config. It packs ``wbar`` and, when the center has
@@ -98,9 +103,10 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "inverse"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.c < 0.0:
+        # written so that NaN fails the checks
+        if not self.c >= 0.0:
             raise ValueError(f"schedule coefficient must be >= 0, got {self.c}")
-        if self.kind == "inverse" and self.t0 <= 0.0:
+        if self.kind == "inverse" and not self.t0 > 0.0:
             raise ValueError(f"inverse schedule needs t0 > 0, got {self.t0}")
 
     def value(self, t: int) -> float:
@@ -149,7 +155,7 @@ class FederationConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.u0_dim < 1:
             raise ValueError(f"u0_dim must be >= 1, got {self.u0_dim}")
-        if self.l_est <= 0.0:
+        if not self.l_est > 0.0:
             raise ValueError(f"l_est must be positive, got {self.l_est}")
         for name, sched in (("eta", self.eta), ("eta0", self.eta0)):
             top = sched.max_value()
@@ -164,11 +170,14 @@ class FederationConfig:
         self, shard: ClientShard, side: np.ndarray | None, t_g: int
     ) -> tuple[list[Batch], list[float]]:
         """The shard's mini-batches in round ``t_g``, shuffled by the substream
-        (seed, "batches", client_id, t_g), and the learning rate of each local
-        epoch e, read at the schedule slot t_g * local_epochs + e."""
+        (seed, "batches", client_id, t_g), and the :meth:`local_etas`."""
         stream = substream(self.seed, "batches", shard.client_id, t_g)
-        etas = [self.eta.value(t_g * self.local_epochs + e) for e in range(self.local_epochs)]
-        return batches(shard, side, self.batch_size, stream), etas
+        return batches(shard, side, self.batch_size, stream), self.local_etas(t_g)
+
+    def local_etas(self, t_g: int) -> list[float]:
+        """The learning rate of each local epoch e of round ``t_g``, read at the
+        schedule slot t_g * local_epochs + e."""
+        return [self.eta.value(t_g * self.local_epochs + e) for e in range(self.local_epochs)]
 
 
 @dataclass
@@ -352,26 +361,36 @@ def _kernel_step(
     return None if batch_side is None else lgrad
 
 
-def _checked_steps(
+def _first_step(
     wbar: nnet.DenseNet,
+    layers: Sequence[nnet.Layer],
     grads: nnet.Grads,
     batch_x: np.ndarray,
     batch_side: np.ndarray | None,
     batch_y: np.ndarray,
     combine: str,
 ) -> np.ndarray | None:
-    """:func:`_combined_step` from ``wbar`` for each client of a stacked
-    batch, with the clients' results placed as :func:`_kernel_step` places
-    them: the gradients stacked into the ``(G, ...)`` views of ``grads``."""
-    steps = [
-        _combined_step(wbar, batch_x[k], None if batch_side is None else batch_side[k], batch_y[k], combine)
-        for k in range(batch_x.shape[0])
-    ]
-    wgrads, bgrads, side_grads = zip(*steps)
-    for (gw, gb), w_layer, b_layer in zip(grads, zip(*wgrads), zip(*bgrads)):
-        np.stack(w_layer, out=gw)
-        np.stack(b_layer, out=gb)
-    return None if batch_side is None else np.stack(side_grads)
+    """A size group's first step from ``wbar``, placed as :func:`_kernel_step`
+    places it: the first client through the validating :func:`_combined_step`,
+    which checks the shapes every step of the group reuses, and the others
+    as one stacked :func:`_kernel_step` on the ``[1:]`` views of ``layers``
+    and ``grads``. Returns the ``(G, b, u0_dim)`` side-row gradients."""
+    side = None if batch_side is None else batch_side[0]
+    wgrads, bgrads, side_grad = _combined_step(wbar, batch_x[0], side, batch_y[0], combine)
+    for (gw, gb), w_grad, b_grad in zip(grads, wgrads, bgrads):
+        gw[0] = w_grad
+        gb[0] = b_grad
+    if batch_x.shape[0] == 1:
+        return None if side_grad is None else side_grad[None]
+    rest = _kernel_step(
+        [nnet._layer(layer.w[1:], layer.b[1:], layer.act) for layer in layers],
+        [(gw[1:], gb[1:]) for gw, gb in grads],
+        batch_x[1:],
+        None if batch_side is None else batch_side[1:],
+        batch_y[1:],
+        combine,
+    )
+    return None if side_grad is None else np.concatenate([side_grad[None], rest])
 
 
 def _train_group(
@@ -383,31 +402,37 @@ def _train_group(
 ) -> tuple[nnet.Flat, np.ndarray | None]:
     """Local SGD of equal-size shards as one stack: the trained clients' nets
     as rows of one ``(G, P)`` flat buffer, and the ``(G, n, u0_dim)`` vertical
-    gradients (None without ``u0``)."""
+    gradients (None without ``u0``).
+
+    Each client's sample order is the permutation ``datagen.batches`` would
+    draw for it in :meth:`FederationConfig.local_plan`; the orders form one
+    ``(G, n)`` index, and each batch gathers every field once from the
+    group's ``(G, n, d)`` stacks with ``[clients, index[:, start:stop]]``.
+    The first step of the first epoch is :func:`_first_step`, one validating
+    step for the whole group; every other step is the stacked kernels."""
     n = shards[0].n
-    plans = [config.local_plan(shard, None if u0 is None else u0[shard.client_id], t_g) for shard in shards]
-    etas = plans[0][1]
-    # per batch position, the clients' rows and sample positions, stacked once
-    stacked = [
-        (
-            np.stack([b.x_local for b in column]),
-            None if u0 is None else np.stack([b.x_side for b in column]),
-            np.stack([b.y for b in column]),
-            np.stack([b.index for b in column]),
-        )
-        for column in zip(*(batch_list for batch_list, _ in plans))
-    ]
     size = len(shards)
+    orders = np.stack(
+        [substream(config.seed, "batches", shard.client_id, t_g).permutation(n) for shard in shards]
+    )
+    x_local = np.stack([shard.x_local for shard in shards])
+    y = np.stack([shard.y for shard in shards])
+    side = None if u0 is None else np.stack([u0[shard.client_id] for shard in shards])
+    clients = np.arange(size)[:, None]
+    stacked = []
+    for start in range(0, n, config.batch_size):
+        index = orders[:, start : start + config.batch_size]
+        batch_side = None if side is None else side[clients, index]
+        stacked.append((x_local[clients, index], batch_side, y[clients, index], index))
     flat = nnet._pack([wbar], copies=size)
     (layers,), (grads,) = flat.nets, flat.grads
-    clients = np.arange(size)[:, None]
-    vgrad_sum = None if u0 is None else np.empty((size, n, stacked[0][1].shape[-1]))
-    for epoch, eta_t in enumerate(etas):
-        for i, (x, side, y, index) in enumerate(stacked):
+    vgrad_sum = None if side is None else np.empty(side.shape)
+    for epoch, eta_t in enumerate(config.local_etas(t_g)):
+        for i, (x, batch_side, batch_y, index) in enumerate(stacked):
             if epoch == 0 and i == 0:
-                side_grad = _checked_steps(wbar, grads, x, side, y, config.combine)
+                side_grad = _first_step(wbar, layers, grads, x, batch_side, batch_y, config.combine)
             else:
-                side_grad = _kernel_step(layers, grads, x, side, y, config.combine)
+                side_grad = _kernel_step(layers, grads, x, batch_side, batch_y, config.combine)
             if side_grad is not None:
                 # rescale batch-mean rows to client-mean units; each epoch
                 # visits every sample once, so epoch 0 writes every row
@@ -445,6 +470,9 @@ def client_update(
     for shard in shards:
         if shard.n == 0:
             raise ValueError(f"client {shard.client_id} has no samples")
+        rows = None if u0 is None else len(u0[shard.client_id])
+        if rows is not None and rows != shard.n:
+            raise ValueError(f"u0 of client {shard.client_id} has {rows} rows, shard has {shard.n} samples")
     uploads: dict[int, Upload] = {}
     finite = np.empty(len(shards), dtype=bool)
     for group in _size_groups(shards):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -191,6 +192,18 @@ def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
     out, trace = nnet.forward(wbar, np.hstack([u0, shard.x_local]))
     grads = nnet.backward(wbar, trace, nnet.mse_loss(out, shard.y)[1])
     assert nets_equal(nnet._net(upload.params), nnet.sgd_step(wbar, grads, FED.eta.value(0)), atol=1e-12)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_client_update_rejects_u0_with_the_wrong_row_count(extra):
+    ds = generate(SYNTH)
+    shards = list(ds.clients[:2])
+    rng = substream(3, "cu-rows")
+    wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
+    u0 = {shard.client_id: rng.standard_normal((shard.n + extra, 3)) for shard in shards}
+    named = rf"^u0 of client {shards[0].client_id} has {shards[0].n + extra} rows, shard has {shards[0].n} samples$"
+    with pytest.raises(ValueError, match=named):
+        client_update(FED, shards, wbar, u0, 0)
 
 
 def test_client_update_perfect_fit_returns_zero_vgrads():
@@ -764,6 +777,21 @@ def test_schedule_values():
         Schedule("linear", 0.1)
     with pytest.raises(ValueError):
         Schedule("inverse", 1.0, t0=0.0)
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: Schedule("constant", math.nan), "schedule coefficient must be >= 0, got nan"),
+        (lambda: Schedule("inverse", math.nan, t0=1.0), "schedule coefficient must be >= 0, got nan"),
+        (lambda: Schedule("inverse", 0.1, t0=math.nan), "inverse schedule needs t0 > 0, got nan"),
+        (lambda: dataclasses.replace(FED, l_est=math.nan), "l_est must be positive, got nan"),
+    ],
+    ids=["constant_c", "inverse_c", "inverse_t0", "l_est"],
+)
+def test_nan_learning_rate_settings_are_rejected_by_name(build, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        build()
 
 
 def test_federation_config_validation():

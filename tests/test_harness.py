@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhfl_lab import netqueue
 from vhfl_lab.cli import main
@@ -207,6 +210,167 @@ def test_resolved_config_reproduces_run(tmp_path):
     run(config)
     replay = load_config(config.out_dir / "resolved_config.json")
     assert replay.raw == config.raw
+    assert replay.config_hash == config.config_hash
+
+
+def _fractions(lo: float = 0.01, hi: float = 0.99):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+@st.composite
+def _he2(draw):
+    """Stable He2 parameters: rho is a drawn fraction of 1."""
+    alpha1 = draw(_fractions(0.0, 1.0))
+    mu2 = draw(st.floats(0.5, 10.0))
+    mu1 = mu2 * draw(st.floats(1.0, 5.0))
+    load = alpha1 / mu1 + (1.0 - alpha1) / mu2
+    return {
+        "lambda_n": draw(_fractions(0.05, 0.95)) / load,
+        "alpha1": alpha1,
+        "alpha2": 1.0 - alpha1,
+        "mu1": mu1,
+        "mu2": mu2,
+    }
+
+
+@st.composite
+def _schedule(draw, peak: float):
+    """A schedule whose largest value stays below ``peak``."""
+    top = draw(_fractions()) * peak
+    if draw(st.booleans()):
+        return {"kind": "constant", "c": top}
+    t0 = draw(st.floats(0.5, 10.0))
+    return {"kind": "inverse", "c": top * t0 * 0.99, "t0": t0}
+
+
+@st.composite
+def _training_sections(draw, mode):
+    n_clients = draw(st.integers(1, 30))
+    l_est = draw(st.one_of(st.none(), st.just(1), st.floats(0.1, 10.0)))
+    peak = 1.0 / (1.0 if l_est is None else l_est)
+    federation = {
+        "n_clients": n_clients,
+        "k": draw(st.integers(1, n_clients)),
+        "local_epochs": draw(st.integers(1, 5)),
+        "batch_size": draw(st.integers(1, 64)),
+        "global_epochs": draw(st.integers(1, 100)),
+        "eta": draw(_schedule(peak)),
+        "eta0": draw(_schedule(peak)),
+    }
+    if l_est is not None:
+        federation["l_est"] = l_est
+    optional = {
+        "combine": st.sampled_from(("concat", "additive")),
+        "aggregator": st.sampled_from(("renormalized", "paper_unbiased")),
+        "w0_hidden": st.lists(st.integers(1, 32), max_size=2),
+        "local_hidden": st.lists(st.integers(1, 32), max_size=2),
+        "u0_dim": st.integers(1, 8),
+        "activation": st.sampled_from(("identity", "relu", "tanh")),
+        "center_frozen": st.booleans(),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        federation[key] = draw(optional[key])
+    synth = {
+        "n_clients": n_clients,
+        "samples_per_client": draw(st.integers(3, 100)),
+        "d_local": draw(st.integers(1, 5)),
+        "d_global": draw(st.integers(1, 5)),
+        "d_label": draw(st.integers(1, 3)),
+        "noise_std": draw(st.floats(0.0, 2.0)),
+        "global_strength": draw(st.floats(0.0, 1.0)),
+        "noniid_shift": draw(st.floats(0.0, 3.0)),
+        "seed": draw(st.integers(0, 2**31)),
+        "public_fraction": draw(st.floats(0.0, 1.0)),
+    }
+    sections = {"federation": federation, "synth": synth}
+    if draw(st.booleans()):
+        t_p = draw(st.one_of(st.just(math.inf), st.floats(0.0, 10.0)))
+        sections["channel"] = {**draw(_he2()), "t_p": t_p, "seed": draw(st.integers(0, 2**31))}
+    if mode == "k_el_sweep":
+        sections["k_el_sweep"] = {
+            "k_values": draw(st.lists(st.integers(1, n_clients), min_size=1, max_size=4)),
+            "el_values": draw(st.lists(st.integers(1, 20), max_size=4)),
+            "loss_threshold": draw(st.floats(1e-3, 10.0)),
+        }
+    return sections
+
+
+@st.composite
+def _queue_sections(draw, mode):
+    if draw(st.booleans()):
+        start = draw(st.floats(0.0, 5.0))
+        grid = {"start": start, "stop": start + draw(st.floats(0.0, 5.0)), "count": draw(st.integers(1, 30))}
+    else:
+        points = st.one_of(st.just(math.inf), st.floats(0.0, 10.0))
+        grid = draw(st.lists(points, min_size=1, max_size=6))
+    queue = {
+        **draw(_he2()),
+        "t_p_grid": grid,
+        "n_jobs": draw(st.integers(1, 10**6)),
+        "seed": draw(st.integers(0, 2**31)),
+    }
+    sections = {"queue": queue}
+    if mode == "delay_plan":
+        sections["delay_plan"] = {
+            "gamma_targets": draw(st.lists(_fractions(), min_size=1, max_size=4)),
+            "tol": draw(st.floats(1e-9, 1e-3)),
+        }
+    return sections
+
+
+@st.composite
+def _bounds_sections(draw, mode):
+    f_star = draw(st.floats(0.0, 2.0))
+    bounds = {
+        "l_smooth": draw(st.floats(0.1, 10.0)),
+        "mu_pl": draw(st.floats(0.1, 10.0)),
+        "sigma2": draw(st.floats(0.0, 2.0)),
+        "sigma0_2": draw(st.floats(0.0, 2.0)),
+        "g2": draw(st.floats(0.0, 2.0)),
+        "lambda_niid": draw(st.floats(1.0, 5.0)),
+        "f_init": f_star + draw(st.floats(0.0, 5.0)),
+        "f_star": f_star,
+        "f0": draw(st.floats(0.0, 2.0)),
+        "local_epochs": draw(st.integers(1, 20)),
+        "k": draw(st.integers(1, 50)),
+        "global_epochs": draw(st.integers(1, 500)),
+        "gamma": draw(_fractions(0.01, 1.0)),
+    }
+    sweeps = {
+        "gamma": _fractions(0.01, 1.0),
+        "k": st.integers(1, 50),
+        "sigma2": st.floats(0.0, 2.0),
+        "lambda_niid": st.floats(1.0, 5.0),
+    }
+    param = draw(st.sampled_from(sorted(sweeps)))
+    values = draw(st.lists(sweeps[param], min_size=1, max_size=5))
+    return {"bounds": bounds, "bounds_sweep": {"param": param, "values": values}}
+
+
+_SECTION_STRATEGIES = {
+    **{mode: _training_sections for mode in ("vhfl", "hfl", "cloud", "cloud_local", "compare", "k_el_sweep")},
+    **{mode: _queue_sections for mode in ("queue_analyze", "queue_simulate", "delay_plan")},
+    "bounds_sweep": _bounds_sections,
+}
+
+
+@st.composite
+def valid_configs(draw):
+    mode = draw(st.sampled_from(sorted(_SECTION_STRATEGIES)))
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=5, unique=True))
+    return {"mode": mode, "seeds": seeds, "out_dir": "results/property", **draw(_SECTION_STRATEGIES[mode](mode))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_configs())
+def test_resolved_config_text_reparses_to_the_same_config(raw):
+    """``run`` writes the parsed config's ``raw`` as ``resolved_config.json``;
+    that text must parse back to an equal config with the same hash, an
+    infinite ``t_p`` (JSON ``Infinity``) included."""
+    config = parse_config(raw)
+    text = json.dumps(config.raw, indent=2, sort_keys=True) + "\n"
+    replay = parse_config(json.loads(text))
+    assert replay == config
     assert replay.config_hash == config.config_hash
 
 

@@ -221,6 +221,32 @@ def test_client_update_matches_public_api_loop_bit_for_bit(problem):
             assert same_bits(upload.vgrads, rows)
 
 
+def test_client_update_takes_one_public_step_per_size_group(monkeypatch):
+    """Only the first client of each size group takes a step through the
+    validating public API, and the local phase gathers its own batches."""
+    ds = generate(SYNTH)
+    shards = list(ds.clients[:3])
+    cut = shards[1]
+    shards[1] = ClientShard(cut.client_id, cut.ids[:13], cut.x_local[:13], cut.y[:13], cut.q)
+    assert fedcore._size_groups(shards) == [[0, 2], [1]]
+    rng = substream(13, "counts")
+    wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
+    u0 = {shard.client_id: rng.standard_normal((shard.n, 3)) for shard in shards}
+    calls = {"mse_loss": 0, "batches": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(fedcore.nnet, "mse_loss", counting("mse_loss", nnet.mse_loss))
+    monkeypatch.setattr(fedcore, "batches", counting("batches", fedcore.batches))
+    client_update(FED, shards, wbar, u0, 0)
+    assert calls == {"mse_loss": 2, "batches": 0}
+
+
 def reference_or_none(fed, shard, wbar, u0, global_epoch):
     """The reference update, or None where it diverges: a public step met
     non-finite values, or a vertical gradient is not finite."""
