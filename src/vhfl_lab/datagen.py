@@ -279,7 +279,6 @@ class Batch:
     x_local: np.ndarray
     x_side: np.ndarray | None
     y: np.ndarray
-    index: np.ndarray  # positions of the batch's samples within the shard
 
 
 def batches(
@@ -305,8 +304,6 @@ def batches(
     for start in range(0, shard.n, batch_size):
         idx = order[start : start + batch_size]
         x_side = None if side is None else side[idx]
-        out.append(
-            Batch(ids=shard.ids[idx], x_local=shard.x_local[idx], x_side=x_side, y=shard.y[idx], index=idx)
-        )
+        out.append(Batch(ids=shard.ids[idx], x_local=shard.x_local[idx], x_side=x_side, y=shard.y[idx]))
     return out
 

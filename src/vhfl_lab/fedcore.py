@@ -15,56 +15,65 @@ All randomness flows through named substreams of (seed, tag, ...), so a
 trace is a pure function of (config, dataset): client updates may run in
 any order without changing results.
 
-Validate at the edges, run unchecked kernels inside the loop, build nets
-once per phase. Data is checked where it enters (``ClientShard``,
-``GlobalStore``, config parsing). The local phase trains the round's whole
-cohort in one ``client_update`` call. It groups the selected shards by
-size, and each group of G clients with n rows apiece trains as one stack:
-the clients' copies of ``wbar`` become the rows of one ``(G, P)`` flat
-buffer (see ``nnet``), filled by one broadcast assignment, and every step
-runs the unchecked ``nnet`` kernels on ``(G, b, in)`` batches, writing the
-gradients into the group's gradient buffer and updating the stack with one
-in-place SGD step. Equal sizes give every client the same batch sizes, so
-the stack needs no padding or mask, and a group of one is a client trained
-alone. Each client's sample order is the permutation ``datagen.batches``
-draws for it in ``FederationConfig.local_plan``, from the substream (seed,
-"batches", client_id, t_g). The group's orders form one ``(G, n)`` index,
-and each batch gathers every field once from the group's ``(G, n, d)``
-stacks, so the local phase builds no ``Batch``. One step per group
-validates: the group's first client takes its first step through the public
-``nnet`` API, which checks the shapes that every step of the group reuses,
-as all its clients share n and the batch sizes. The other clients take that
-step as one stacked kernel step on the ``[1:]`` views of the layers and
-gradients. The stacked kernels issue one BLAS call and one reduction per
-client slice, with the slice's own shape, so a client gets the bits it
-would get alone. Pooling the rows of different clients into one matrix
-would not: a BLAS kernel rounds the tail rows of an ``(M, 16) @ (16, 1)``
-product differently as M changes. The broadcast groups the round's selected
-shards by size in the same way. The evaluation shards are fixed, so
-``_run`` stacks the train and test splits by size once per run
-(``build_split``), with their global rows when the center has w0; each
-evaluation then runs one stacked forward pass per group and sums each shard
-over its own slice, adding the shards up in their original order.
+A net is its layer shapes plus one ``(P,)`` parameter vector (see
+``nnet``), and every phase acts on whole vectors. Validate at the edges,
+run unchecked kernels inside the loop. Data is checked where it enters
+(``ClientShard``, ``GlobalStore``, config parsing).
 
-A pooled phase steps the kernels on 2-d batches, as it trains nets it
-built itself from the config. It packs ``wbar`` and, when the center has
-it, ``w0`` into one fresh ``(P,)`` flat buffer each round, since both step
-at the same rate; each batch writes both nets' gradients into the one
-gradient buffer, and one SGD update steps them together. The round's nets
-hold views of that buffer, and the next round packs a new one, so no round
-rewrites a net an earlier round handed to the center. The central step is
-a single step and runs through the public API, where the uploads enter the
-center. Each phase checks its results once, when it ends. The local phase
-runs one ``isfinite`` pass over each size group's flat buffer and one over
+The local phase trains the round's whole cohort in one ``client_update``
+call. It groups the selected shards by size, and each group of G clients
+with n rows apiece trains as one stack: the rows of one ``(G, P)`` buffer,
+each filled with ``wbar.params``. Every step runs the unchecked ``nnet``
+kernels on ``(G, b, in)`` batches, writes the gradients into the group's
+``(G, P)`` gradient buffer, and updates the stack with one in-place SGD
+step. Equal sizes give every client the same batch sizes, so the stack
+needs no padding or mask, and a group of one is a client trained alone.
+Each client's sample order is the permutation ``datagen.batches`` draws for
+it in ``FederationConfig.local_plan``, from the substream (seed, "batches",
+client_id, t_g). The group's orders form one ``(G, n)`` index, and each
+batch gathers every field once from the group's ``(G, n, d)`` stacks, so
+the local phase builds no ``Batch``. One step per group validates: the
+group's first client takes its first step through the public ``nnet`` API,
+which checks the shapes that every step of the group reuses, as all its
+clients share n and the batch sizes. The other clients take that step as
+one stacked kernel step on the rows ``[1:]`` of the two buffers. The
+stacked kernels issue one BLAS call and one reduction per client slice,
+with the slice's own shape, so a client gets the bits it would get alone.
+Pooling the rows of different clients into one matrix would not: a BLAS
+kernel rounds the tail rows of an ``(M, 16) @ (16, 1)`` product
+differently as M changes. An upload's ``params`` is its client's row.
+
+Aggregation adds each upload's ``coeff * params`` into one ``(P,)``
+accumulator, in upload order; the central step is a single step and runs
+through the public API, where the uploads enter the center. The broadcast
+groups the round's selected shards by size as the local phase does. The
+evaluation shards are fixed, so ``_run`` stacks the train and test splits
+by size once per run (``build_split``), with their global rows when the
+center has w0; each evaluation then runs one stacked forward pass per group
+and sums each shard over its own slice, adding the shards up in their
+original order.
+
+The pooled phase steps the kernels on 2-d batches, as it trains nets it
+built itself from the config. Each round it concatenates ``wbar.params``
+and, when the center has it, ``w0.params`` into one fresh buffer, since
+both step at the same rate; each batch writes both nets' gradients into
+the one gradient buffer, and one SGD update steps them together. The
+round's nets are built from the buffer's two slices, and the next round
+concatenates a new one, so no round rewrites a net an earlier round handed
+to the center.
+
+Each phase checks its results once, when it ends, with one ``isfinite``
+pass over its vectors. The local phase scans each size group's buffer and
 its vertical gradients, and names the first diverged client in cohort
-order; its uploads hold views of their rows of the buffer, and no net is
-built per client. The other phases build one validated net, whose own
-finite check is the guard: ``_guard`` turns the build's ValueError into an
-error naming the phase, the global epoch and the clients (the pooled phase
-trains no client and names none). A value that turns inf or nan stays
-non-finite under later steps, so this catches what per-step checks would.
-Evaluation is guarded on its losses, so the loop runs with numpy's
-overflow and invalid-value warnings off. Vertical gradients travel as one
+order; a group's first client whose public first step meets non-finite
+values takes that step unchecked with the others, so it is named the same
+way. The other phases build a net, whose finite check is the guard:
+``_guard`` turns the build's ``nnet.NonFiniteError`` into an error naming
+the phase, the global epoch and the clients (the pooled phase trains no
+client and names none). A value that turns inf or nan stays non-finite
+under later steps, so this catches what per-step checks would. Evaluation
+is guarded on its losses, so the loop runs with numpy's overflow and
+invalid-value warnings off. Vertical gradients travel as one
 ``(n_j, u0_dim)`` array per client in shard order.
 
 ``FederationConfig`` is the one home of the round settings (K, E_L, B, the
@@ -191,7 +200,7 @@ class CenterState:
 @dataclass(frozen=True)
 class Upload:
     shard: ClientShard
-    params: nnet.Params  # the trained per-layer arrays, views of the client's row of a flat buffer
+    params: np.ndarray  # the trained (P,) vector, a view of the client's row of its group's buffer
     vgrads: np.ndarray | None  # (n_j, u0_dim) in shard order; None without a global model
 
 
@@ -255,11 +264,11 @@ def _diverged(phase: str, global_epoch: int, clients: Sequence[int] = ()) -> Val
 @contextlib.contextmanager
 def _guard(phase: str, global_epoch: int, clients: Sequence[int] = ()) -> Iterator[None]:
     """The phase-edge guard around building a phase's results: a net built from
-    non-finite parameters fails its layer check, and that ValueError becomes
+    non-finite parameters fails its finite check, and that error becomes
     :func:`_diverged`."""
     try:
         yield
-    except ValueError as err:
+    except nnet.NonFiniteError as err:
         raise _diverged(phase, global_epoch, clients) from err
 
 
@@ -318,25 +327,23 @@ def _combined_step(
     batch_side: np.ndarray | None,
     batch_y: np.ndarray,
     combine: str,
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """One forward/backward through the validating public API; returns the
-    local model's weight and bias grads, and the gradient of the batch-mean
-    loss with respect to the side (centrally processed) rows."""
+    local model's gradient vector, and the gradient of the batch-mean loss
+    with respect to the side (centrally processed) rows."""
     if batch_side is None:
         out, trace = nnet.forward(net, batch_x)
         _, lgrad = nnet.mse_loss(out, batch_y)
-        grads = nnet.backward(net, trace, lgrad)
-        return grads.weights, grads.biases, None
+        return nnet.backward(net, trace, lgrad).ravel(), None
     if combine == "concat":
         inp = np.hstack([batch_side, batch_x])
         out, trace = nnet.forward(net, inp)
         _, lgrad = nnet.mse_loss(out, batch_y)
         grads = nnet.backward(net, trace, lgrad, want_input_grad=True)
-        return grads.weights, grads.biases, grads.input_grad[:, : batch_side.shape[1]]
+        return grads.ravel(), grads.input_grad[:, : batch_side.shape[1]]
     out, trace = nnet.forward(net, batch_x)
     _, lgrad = nnet.mse_loss(batch_side + out, batch_y)
-    grads = nnet.backward(net, trace, lgrad)
-    return grads.weights, grads.biases, lgrad
+    return nnet.backward(net, trace, lgrad).ravel(), lgrad
 
 
 def _kernel_step(
@@ -363,8 +370,8 @@ def _kernel_step(
 
 def _first_step(
     wbar: nnet.DenseNet,
-    layers: Sequence[nnet.Layer],
-    grads: nnet.Grads,
+    data: np.ndarray,
+    grad: np.ndarray,
     batch_x: np.ndarray,
     batch_side: np.ndarray | None,
     batch_y: np.ndarray,
@@ -373,18 +380,21 @@ def _first_step(
     """A size group's first step from ``wbar``, placed as :func:`_kernel_step`
     places it: the first client through the validating :func:`_combined_step`,
     which checks the shapes every step of the group reuses, and the others
-    as one stacked :func:`_kernel_step` on the ``[1:]`` views of ``layers``
-    and ``grads``. Returns the ``(G, b, u0_dim)`` side-row gradients."""
+    as one stacked :func:`_kernel_step` on the layers and gradients of
+    ``data[1:]`` and ``grad[1:]``. A first client whose step is not finite
+    takes it with the others, unchecked, so that its results stay non-finite
+    and the phase guard names the first diverged client in cohort order.
+    Returns the ``(G, b, u0_dim)`` side-row gradients."""
     side = None if batch_side is None else batch_side[0]
-    wgrads, bgrads, side_grad = _combined_step(wbar, batch_x[0], side, batch_y[0], combine)
-    for (gw, gb), w_grad, b_grad in zip(grads, wgrads, bgrads):
-        gw[0] = w_grad
-        gb[0] = b_grad
+    try:
+        grad[0], side_grad = _combined_step(wbar, batch_x[0], side, batch_y[0], combine)
+    except nnet.NonFiniteError:
+        return _kernel_step(wbar.kernel_layers(data), wbar.views(grad), batch_x, batch_side, batch_y, combine)
     if batch_x.shape[0] == 1:
         return None if side_grad is None else side_grad[None]
     rest = _kernel_step(
-        [nnet._layer(layer.w[1:], layer.b[1:], layer.act) for layer in layers],
-        [(gw[1:], gb[1:]) for gw, gb in grads],
+        wbar.kernel_layers(data[1:]),
+        wbar.views(grad[1:]),
         batch_x[1:],
         None if batch_side is None else batch_side[1:],
         batch_y[1:],
@@ -399,10 +409,10 @@ def _train_group(
     wbar: nnet.DenseNet,
     u0: Mapping[int, np.ndarray] | None,
     t_g: int,
-) -> tuple[nnet.Flat, np.ndarray | None]:
-    """Local SGD of equal-size shards as one stack: the trained clients' nets
-    as rows of one ``(G, P)`` flat buffer, and the ``(G, n, u0_dim)`` vertical
-    gradients (None without ``u0``).
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Local SGD of equal-size shards as one stack: the trained clients'
+    parameter vectors as the rows of one ``(G, P)`` buffer, and the
+    ``(G, n, u0_dim)`` vertical gradients (None without ``u0``).
 
     Each client's sample order is the permutation ``datagen.batches`` would
     draw for it in :meth:`FederationConfig.local_plan`; the orders form one
@@ -424,13 +434,15 @@ def _train_group(
         index = orders[:, start : start + config.batch_size]
         batch_side = None if side is None else side[clients, index]
         stacked.append((x_local[clients, index], batch_side, y[clients, index], index))
-    flat = nnet._pack([wbar], copies=size)
-    (layers,), (grads,) = flat.nets, flat.grads
+    data = np.empty((size, wbar.params.size))
+    data[...] = wbar.params
+    grad = np.empty_like(data)
+    layers, grads = wbar.kernel_layers(data), wbar.views(grad)
     vgrad_sum = None if side is None else np.empty(side.shape)
     for epoch, eta_t in enumerate(config.local_etas(t_g)):
         for i, (x, batch_side, batch_y, index) in enumerate(stacked):
             if epoch == 0 and i == 0:
-                side_grad = _first_step(wbar, layers, grads, x, batch_side, batch_y, config.combine)
+                side_grad = _first_step(wbar, data, grad, x, batch_side, batch_y, config.combine)
             else:
                 side_grad = _kernel_step(layers, grads, x, batch_side, batch_y, config.combine)
             if side_grad is not None:
@@ -441,8 +453,8 @@ def _train_group(
                     vgrad_sum[clients, index] = rows
                 else:
                     vgrad_sum[clients, index] += rows
-            nnet._sgd(flat, eta_t)
-    return flat, None if vgrad_sum is None else vgrad_sum / config.local_epochs
+            nnet._sgd(data, grad, eta_t)
+    return data, None if vgrad_sum is None else vgrad_sum / config.local_epochs
 
 
 def client_update(
@@ -461,8 +473,8 @@ def client_update(
     the gradient of the client loss with respect to its central row is
     recorded each epoch and averaged over epochs; the result, an
     ``(n_j, u0_dim)`` array in shard order (None without ``u0``), is
-    uploaded alongside the updated weights. Clients of equal shard size
-    train as one stack, and each upload holds views of its client's slice.
+    uploaded alongside the updated parameter vector. Clients of equal shard
+    size train as one stack, and each upload holds views of its client's row.
     The uploads come in cohort order; the guard scans each group's stacks
     once and names the first client, in cohort order, whose results are
     not finite.
@@ -476,23 +488,26 @@ def client_update(
     uploads: dict[int, Upload] = {}
     finite = np.empty(len(shards), dtype=bool)
     for group in _size_groups(shards):
-        flat, vgrads = _train_group(config, [shards[pos] for pos in group], wbar, u0, t_g)
-        finite[group] = np.isfinite(flat.data).all(axis=1)
+        data, vgrads = _train_group(config, [shards[pos] for pos in group], wbar, u0, t_g)
+        finite[group] = np.isfinite(data).all(axis=1)
         if vgrads is not None:
             finite[group] &= np.isfinite(vgrads).all(axis=(1, 2))
         for k, pos in enumerate(group):
-            uploads[pos] = Upload(
-                shard=shards[pos],
-                params=[(layer.w[k], layer.b[k], layer.act) for layer in flat.nets[0]],
-                vgrads=None if vgrads is None else vgrads[k],
-            )
+            uploads[pos] = Upload(shards[pos], data[k], None if vgrads is None else vgrads[k])
     if not finite.all():
         raise _diverged("client_update", t_g, (shards[int(np.argmin(finite))].client_id,))
     return [uploads[pos] for pos in range(len(shards))]
 
 
-def aggregate_weights(config: FederationConfig, uploads: Sequence[Upload], t_g: int) -> nnet.DenseNet:
-    """Layer-wise weighted sum of the received nets.
+def aggregate_weights(
+    config: FederationConfig, wbar: nnet.DenseNet, uploads: Sequence[Upload], t_g: int
+) -> nnet.DenseNet:
+    """Weighted sum of the received parameter vectors, a net of ``wbar``'s layers.
+
+    The coefficient times each upload's vector is added into one ``(P,)``
+    accumulator, one upload at a time in upload order; the sum is
+    elementwise, so each parameter sees the operations a per-layer sum
+    would give it.
 
     ``renormalized`` rescales the received coefficients to sum to 1 (a
     convex combination even when uploads were lost); ``paper_unbiased``
@@ -507,19 +522,13 @@ def aggregate_weights(config: FederationConfig, uploads: Sequence[Upload], t_g: 
         coeffs = [u.shard.q / total for u in uploads]
     else:
         coeffs = [(config.n_clients / len(uploads)) * u.shard.q for u in uploads]
-    params = []
-    for idx, (ref_w, ref_b, activation) in enumerate(uploads[0].params):
-        w = np.zeros_like(ref_w)
-        b = np.zeros_like(ref_b)
-        for coeff, upload in zip(coeffs, uploads):
-            up_w, up_b, _ = upload.params[idx]
-            if up_w.shape != ref_w.shape:
-                raise ValueError("uploaded nets have mismatched shapes")
-            w += coeff * up_w
-            b += coeff * up_b
-        params.append((w, b, activation))
+    total = np.zeros_like(wbar.params)
+    for coeff, upload in zip(coeffs, uploads):
+        if upload.params.shape != total.shape:
+            raise ValueError("uploaded nets have mismatched shapes")
+        total += coeff * upload.params
     with _guard("aggregate_weights", t_g, [u.shard.client_id for u in uploads]):
-        return nnet._net(params)
+        return nnet.DenseNet(wbar.layers, total)
 
 
 def central_update(
@@ -646,7 +655,7 @@ def _federated_round(
         kept = set(apply_channel(config.deadline_channel, sent, epoch=t_g))
         uploads = [u for u in uploads if u.shard.client_id in kept]
     if uploads:
-        center.wbar = aggregate_weights(config, uploads, t_g)
+        center.wbar = aggregate_weights(config, center.wbar, uploads, t_g)
         if center.w0 is not None and not config.center_frozen:
             center.w0 = central_update(config, center.w0, uploads, store, t_g)
     return len(uploads)
@@ -660,26 +669,31 @@ def _cloud_round(
     t_g: int,
 ) -> int:
     """``local_epochs`` passes of mini-batch SGD on the pooled shard, through w0
-    too when it exists, on one flat copy of the nets stepped with the
-    unchecked kernels; ``x0`` holds the pooled global rows. Nothing is
-    uploaded: returns 0."""
+    too when it exists, on one buffer of both nets' parameter vectors stepped
+    with the unchecked kernels; ``x0`` holds the pooled global rows. Nothing
+    is uploaded: returns 0."""
     batch_list, etas = config.local_plan(pooled, x0, t_g)
     # a fresh buffer every round: the nets of the last round hold views of theirs
-    flat = nnet._pack([center.wbar] if center.w0 is None else [center.wbar, center.w0])
-    wbar, wbar_grads = flat.nets[0], flat.grads[0]
-    w0, w0_grads = (None, None) if center.w0 is None else (flat.nets[1], flat.grads[1])
+    data = np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None])
+    grad = np.empty_like(data)
+    split = center.wbar.params.size
+    wbar, wbar_grads = center.wbar.kernel_layers(data[:split]), center.wbar.views(grad[:split])
+    if center.w0 is not None:
+        w0, w0_grads = center.w0.kernel_layers(data[split:]), center.w0.views(grad[split:])
     for eta_t in etas:
         for b in batch_list:
-            if w0 is not None:
+            if center.w0 is not None:
                 pre0, post0 = nnet._forward(w0, b.x_side)
                 side_grad = _kernel_step(wbar, wbar_grads, b.x_local, post0[-1], b.y, config.combine)
                 nnet._backward(w0, w0_grads, b.x_side, pre0, post0, side_grad, False)
             else:
                 _kernel_step(wbar, wbar_grads, b.x_local, None, b.y, config.combine)
-            nnet._sgd(flat, eta_t)
+            nnet._sgd(data, grad, eta_t)
     with _guard("run_cloud", t_g):
         # both nets are built before either is assigned
-        center.wbar, center.w0 = nnet._net(wbar), (None if w0 is None else nnet._net(w0))
+        wbar_net = nnet.DenseNet(center.wbar.layers, data[:split])
+        w0_net = None if center.w0 is None else nnet.DenseNet(center.w0.layers, data[split:])
+    center.wbar, center.w0 = wbar_net, w0_net
     return 0
 
 

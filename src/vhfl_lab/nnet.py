@@ -1,35 +1,36 @@
 """Minimal dense neural-network engine.
 
-Exact forward/backward passes over a fixed stack of affine+activation
+Exact forward/backward passes over a fixed chain of affine+activation
 layers, MSE loss, plain SGD, and gradients with respect to the batch
 inputs (the quantity exchanged in vertical training). The public
 functions are pure; nets are immutable and all arithmetic is float64.
 
+A net is its layer shapes plus one parameter vector. A :class:`DenseLayer`
+is a layer's ``in_dim``, ``out_dim`` and activation; a :class:`DenseNet`
+chains its layers and holds ``params``, one finite float64 vector of shape
+``(P,)``: layer by layer, the weights row-major and then the bias. So every
+operation on parameters is one vector operation. A stack of G nets is a
+``(G, P)`` buffer, a gradient buffer of the same layout sits beside it, an
+SGD step is the one update ``data -= eta * grad`` (``_sgd``), and building
+a net from a vector checks it with one ``isfinite`` pass. The net gives the
+per-layer ``(w, b)`` views of any ``(*lead, P)`` buffer
+(:meth:`DenseNet.views`), and the kernels' :class:`Layer` views over one
+(:meth:`DenseNet.kernel_layers`), with the forward pass's transposed
+weights and bias row taken once. ``_backward`` writes each layer's
+gradients into its views of the gradient buffer. A net's ``params`` is
+never written: a training phase copies the vectors it trains into a fresh
+buffer, and the nets it hands out hold views of that buffer, which no later
+phase writes.
+
 Validate at the edges, run unchecked kernels inside the loop. The public
 ``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument
 and then call the private kernels ``_forward``/``_mse_grad``/
-``_backward``/``_sgd``, which check nothing. Both paths run the same
-float64 operations in the same order, so their results agree bit for bit.
+``_backward``, which check nothing. Both paths run the same float64
+operations in the same order, so their results agree bit for bit. An
+argument that must be finite and is not raises :class:`NonFiniteError`.
 
-One parameter layout. A training phase copies the nets it trains into one
-contiguous float64 buffer with ``_pack``: net after net, layer after
-layer, each layer's weights row-major and then its bias, P values in all.
-The buffer has shape ``(P,)``, or ``(G, P)`` for a stack of G copies, and
-a gradient buffer of the same layout sits beside it (:class:`Flat`). The
-kernels see each layer as a :class:`Layer` of views into the buffer, with
-the forward pass's transposed weights and bias row taken once per phase;
-the views stay valid because every update writes the buffer in place.
-``_backward`` writes each layer's gradients into its views of the gradient
-buffer, and ``_sgd`` is the one update ``data -= eta * grad`` over the
-whole buffer. When the phase ends, ``_net`` builds one validated net that
-holds views of the buffer. A phase packs a fresh buffer, so it never
-rewrites a net an earlier phase handed out. A net's arrays are never
-written, so each net builds its own :class:`Layer` view once, for the
-public ``forward`` and ``backward``; ``backward`` writes into fresh
-arrays, and ``sgd_step`` steps a fresh packed copy of its net.
-
-The layout leaves every bit as the allocating code had it. The update is
-elementwise, so each parameter sees the same multiply and subtract
+The layout leaves every bit as per-layer arrays would have it. The update
+is elementwise, so each parameter sees the same multiply and subtract
 whatever the buffer's shape. ``np.matmul(..., out=)`` and
 ``np.add.reduce(..., out=)`` issue the same BLAS call and the same
 reduction per slice as their allocating forms, because a weight or bias
@@ -55,12 +56,16 @@ import numpy as np
 ACTIVATIONS = ("identity", "relu", "tanh")
 
 
+class NonFiniteError(ValueError):
+    """An array that must be finite holds inf or nan."""
+
+
 def _as_batch(x: object, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+        raise NonFiniteError(f"{name} contains non-finite values")
     return arr
 
 
@@ -74,40 +79,42 @@ def _activate(tag: str, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenseLayer:
-    """One affine map plus pointwise activation; ``weights`` is (out_dim, in_dim)."""
+    """The shape of one affine map plus pointwise activation: its weights are
+    (out_dim, in_dim) and its bias out_dim values."""
 
-    weights: np.ndarray
-    bias: np.ndarray
+    in_dim: int
+    out_dim: int
     activation: str = "identity"
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
-            raise ValueError(f"weights must be a matrix with positive dims, got shape {w.shape}")
-        if b.shape != (w.shape[0],):
-            raise ValueError(f"bias shape {b.shape} does not match out_dim {w.shape[0]}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError("layer parameters must be finite")
+        if self.in_dim < 1 or self.out_dim < 1:
+            raise ValueError(f"a layer needs positive dims, got {self.in_dim} -> {self.out_dim}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
+class Layer(NamedTuple):
+    """One layer as the kernels see it: its parameters ``w``/``b``, with an
+    optional leading stack axis, and the forward pass's ``w_t = w.mT`` and
+    ``b_row = b[..., None, :]``, taken once."""
+
+    w: np.ndarray
+    b: np.ndarray
+    act: str
+    w_t: np.ndarray
+    b_row: np.ndarray
+
+
+# One layer's gradients as the kernels write them: (weights, bias).
+Grads = list[tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass(frozen=True, eq=False)
 class DenseNet:
-    """Ordered stack of dense layers with chained dimensions."""
+    """A chain of layer shapes and its ``(P,)`` parameter vector."""
 
     layers: tuple[DenseLayer, ...]
+    params: np.ndarray
 
     def __post_init__(self) -> None:
         layers = tuple(self.layers)
@@ -119,7 +126,14 @@ class DenseNet:
                     f"layer {i} out_dim {layers[i].out_dim} does not chain into "
                     f"layer {i + 1} in_dim {layers[i + 1].in_dim}"
                 )
+        params = np.asarray(self.params, dtype=np.float64)
+        size = sum(layer.out_dim * (layer.in_dim + 1) for layer in layers)
+        if params.shape != (size,):
+            raise ValueError(f"params have shape {params.shape}, the layers hold ({size},)")
+        if not np.isfinite(params).all():
+            raise NonFiniteError("net parameters must be finite")
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "params", params)
 
     @property
     def in_dim(self) -> int:
@@ -133,11 +147,31 @@ class DenseNet:
     def n_layers(self) -> int:
         return len(self.layers)
 
+    def views(self, buf: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per layer, the (weights, bias) views of a ``(*lead, P)`` buffer in
+        the net's layout."""
+        lead = buf.shape[:-1]
+        views = []
+        start = 0
+        for layer in self.layers:
+            mid = start + layer.out_dim * layer.in_dim
+            stop = mid + layer.out_dim
+            views.append((buf[..., start:mid].reshape(*lead, layer.out_dim, layer.in_dim), buf[..., mid:stop]))
+            start = stop
+        return views
+
+    def kernel_layers(self, buf: np.ndarray) -> tuple[Layer, ...]:
+        """The kernels' :class:`Layer` views of a ``(*lead, P)`` buffer."""
+        return tuple(
+            Layer(w, b, layer.activation, w.mT, b[..., None, :])
+            for layer, (w, b) in zip(self.layers, self.views(buf))
+        )
+
     @functools.cached_property
-    def _kernel_layers(self) -> tuple[Layer, ...]:
-        """The kernels' view of the net's own arrays. A net's arrays are never
-        written, so it is built once per net."""
-        return tuple(_layer(layer.weights, layer.bias, layer.activation) for layer in self.layers)
+    def _own_layers(self) -> tuple[Layer, ...]:
+        """The kernels' view of ``params``; they are never written, so it is
+        built once per net."""
+        return self.kernel_layers(self.params)
 
 
 @dataclass(frozen=True)
@@ -161,82 +195,9 @@ class Gradients:
     biases: tuple[np.ndarray, ...]
     input_grad: np.ndarray | None = None
 
-
-# One layer's parameters as nets store them: (weights, bias, activation).
-Params = list[tuple[np.ndarray, np.ndarray, str]]
-# One layer's gradients as the kernels write them: (weights, bias).
-Grads = list[tuple[np.ndarray, np.ndarray]]
-
-
-class Layer(NamedTuple):
-    """One layer as the kernels see it: its parameters ``w``/``b``, with an
-    optional leading stack axis, and the forward pass's ``w_t = w.mT`` and
-    ``b_row = b[..., None, :]``, taken once."""
-
-    w: np.ndarray
-    b: np.ndarray
-    act: str
-    w_t: np.ndarray
-    b_row: np.ndarray
-
-
-def _layer(w: np.ndarray, b: np.ndarray, act: str) -> Layer:
-    return Layer(w, b, act, w.mT, b[..., None, :])
-
-
-@dataclass(frozen=True, eq=False)
-class Flat:
-    """Nets in the flat layout: parameters ``data`` and gradients ``grad`` of
-    shape ``(*lead, P)``, and per net its layers and their gradients, views
-    of ``data`` and of ``grad``."""
-
-    data: np.ndarray
-    grad: np.ndarray
-    nets: tuple[tuple[Layer, ...], ...]
-    grads: tuple[Grads, ...]
-
-
-def _views(buf: np.ndarray, nets: Sequence[DenseNet]) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Per net and layer, the (weights, bias) views of a ``(*lead, P)`` buffer
-    in the flat layout of ``nets``: layer by layer, the weights row-major and
-    then the bias."""
-    lead = buf.shape[:-1]
-    views = []
-    start = 0
-    for net in nets:
-        layers = []
-        for layer in net.layers:
-            mid = start + layer.weights.size
-            stop = mid + layer.out_dim
-            layers.append((buf[..., start:mid].reshape(*lead, *layer.weights.shape), buf[..., mid:stop]))
-            start = stop
-        views.append(layers)
-    return views
-
-
-def _pack(nets: Sequence[DenseNet], copies: int | None = None) -> Flat:
-    """Fresh buffers in the flat layout of ``nets``: the data a copy of the
-    nets, or ``copies`` copies stacked as ``(copies, P)``; the gradients unset."""
-    values = np.concatenate([a.ravel() for net in nets for layer in net.layers for a in (layer.weights, layer.bias)])
-    data = np.empty(values.shape if copies is None else (copies, values.size))
-    data[...] = values
-    grad = np.empty_like(data)
-    nets_layers = tuple(
-        tuple(_layer(w, b, layer.activation) for layer, (w, b) in zip(net.layers, params))
-        for net, params in zip(nets, _views(data, nets))
-    )
-    return Flat(data, grad, nets_layers, tuple(_views(grad, nets)))
-
-
-def _view(net: DenseNet) -> Params:
-    """A net's own arrays, as :func:`_net` takes them."""
-    return [(layer.weights, layer.bias, layer.activation) for layer in net.layers]
-
-
-def _net(params: Sequence[Sequence]) -> DenseNet:
-    """Build (and validate) a net that holds the given arrays without copying;
-    each entry starts with (weights, bias, activation), as a :class:`Layer` does."""
-    return DenseNet(tuple(DenseLayer(w, b, act) for w, b, act, *_ in params))
+    def ravel(self) -> np.ndarray:
+        """The parameter gradients as one vector in the layout of ``DenseNet.params``."""
+        return np.concatenate([g.ravel() for pair in zip(self.weights, self.biases) for g in pair])
 
 
 def _forward(layers: Sequence[Layer], x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -254,7 +215,7 @@ def _forward(layers: Sequence[Layer], x: np.ndarray) -> tuple[list[np.ndarray], 
 
 def _output(net: DenseNet, x: np.ndarray) -> np.ndarray:
     """Unchecked forward pass of a validated net on validated rows."""
-    return _forward(net._kernel_layers, x)[1][-1]
+    return _forward(net._own_layers, x)[1][-1]
 
 
 def _mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -291,10 +252,9 @@ def _backward(
     return da if want_input_grad else None
 
 
-def _sgd(flat: Flat, eta: float) -> None:
-    """p <- p - eta*g over the whole buffer, in place; elementwise, so bit for
-    bit the per-layer out-of-place step."""
-    np.subtract(flat.data, eta * flat.grad, out=flat.data)
+def _sgd(data: np.ndarray, grad: np.ndarray, eta: float) -> None:
+    """p <- p - eta*g over a whole buffer, in place."""
+    np.subtract(data, eta * grad, out=data)
 
 
 def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, ForwardTrace]:
@@ -302,7 +262,7 @@ def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, ForwardTrace]:
     x = _as_batch(batch, "batch")
     if x.shape[1] != net.in_dim:
         raise ValueError(f"batch has {x.shape[1]} columns, net expects {net.in_dim}")
-    pre, post = _forward(net._kernel_layers, x)
+    pre, post = _forward(net._own_layers, x)
     return post[-1], ForwardTrace(inputs=x, pre=tuple(pre), post=tuple(post))
 
 
@@ -338,8 +298,8 @@ def backward(
     da = _as_batch(loss_grad, "loss_grad")
     if da.shape != trace.post[-1].shape:
         raise ValueError(f"loss_grad shape {da.shape} does not match outputs {trace.post[-1].shape}")
-    grads = [(np.empty(layer.weights.shape), np.empty(layer.bias.shape)) for layer in net.layers]
-    input_grad = _backward(net._kernel_layers, grads, trace.inputs, trace.pre, trace.post, da, want_input_grad)
+    grads = net.views(np.empty(net.params.shape))
+    input_grad = _backward(net._own_layers, grads, trace.inputs, trace.pre, trace.post, da, want_input_grad)
     weights, biases = zip(*grads)
     return Gradients(weights=weights, biases=biases, input_grad=input_grad)
 
@@ -351,14 +311,9 @@ def sgd_step(net: DenseNet, grads: Gradients, eta: float) -> DenseNet:
     if len(grads.weights) != net.n_layers or len(grads.biases) != net.n_layers:
         raise ValueError("gradients do not match net layer count")
     for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
-        if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
+        if gw.shape != (layer.out_dim, layer.in_dim) or gb.shape != (layer.out_dim,):
             raise ValueError("gradient shapes do not match layer shapes")
-    flat = _pack([net])
-    for (gw, gb), w_grad, b_grad in zip(flat.grads[0], grads.weights, grads.biases):
-        gw[...] = w_grad
-        gb[...] = b_grad
-    _sgd(flat, eta)
-    return _net(flat.nets[0])
+    return DenseNet(net.layers, net.params - eta * grads.ravel())
 
 
 def random_net(
@@ -376,21 +331,21 @@ def random_net(
     if len(activations) != len(dims) - 1:
         raise ValueError("need one activation per layer")
     layers = []
+    params = []
     for i, act in enumerate(activations):
         fan_in, fan_out = int(dims[i]), int(dims[i + 1])
+        layers.append(DenseLayer(fan_in, fan_out, act))
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(DenseLayer(weights=w, bias=np.zeros(fan_out), activation=act))
-    return DenseNet(layers=tuple(layers))
+        params += [rng.uniform(-limit, limit, size=fan_out * fan_in), np.zeros(fan_out)]
+    return DenseNet(tuple(layers), np.concatenate(params))
 
 
 def dumps_net(net: DenseNet) -> str:
     """Serialize to the text checkpoint format (17 significant digits)."""
     lines = ["densenet 1", f"layers {net.n_layers}"]
-    for layer in net.layers:
+    for layer, (weights, bias) in zip(net.layers, net.views(net.params)):
         lines.append(f"layer {layer.in_dim} {layer.out_dim} {layer.activation}")
-        for row in layer.weights:
+        for row in weights:
             lines.append(" ".join(f"{v:.17g}" for v in row))
-        lines.append(" ".join(f"{v:.17g}" for v in layer.bias))
+        lines.append(" ".join(f"{v:.17g}" for v in bias))
     return "\n".join(lines) + "\n"
-

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nets import arrays, net_of
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, generate
 from vhfl_lab.fedcore import (
@@ -52,8 +53,8 @@ FED = FederationConfig(
 )
 
 
-def zero_layer(in_dim: int, out_dim: int, activation: str = "identity") -> nnet.DenseLayer:
-    return nnet.DenseLayer(np.zeros((out_dim, in_dim)), np.zeros(out_dim), activation)
+def zero_layer(in_dim: int, out_dim: int, activation: str = "identity") -> tuple:
+    return np.zeros((out_dim, in_dim)), np.zeros(out_dim), activation
 
 
 def one_row_shard(client_id: int, q: float = 1.0) -> ClientShard:
@@ -62,27 +63,19 @@ def one_row_shard(client_id: int, q: float = 1.0) -> ClientShard:
 
 def weight_uploads(qs, nets) -> list[Upload]:
     """Uploads of the given nets from one-row shards weighted by ``qs``."""
-    return [Upload(one_row_shard(j, q), nnet._view(net), None) for j, (q, net) in enumerate(zip(qs, nets))]
+    return [Upload(one_row_shard(j, q), net.params, None) for j, (q, net) in enumerate(zip(qs, nets))]
 
 
 # central_update reads only an upload's shard and vertical gradients
-STUB_PARAMS = nnet._view(nnet.DenseNet((zero_layer(1, 1),)))
+STUB_PARAMS = np.zeros(2)
 
 
 def nets_equal(a: nnet.DenseNet, b: nnet.DenseNet, atol: float = 0.0) -> bool:
-    if a.n_layers != b.n_layers:
+    if a.layers != b.layers:
         return False
-    for la, lb in zip(a.layers, b.layers):
-        if atol == 0.0:
-            if not (np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)):
-                return False
-        else:
-            if not (
-                np.allclose(la.weights, lb.weights, atol=atol, rtol=0.0)
-                and np.allclose(la.bias, lb.bias, atol=atol, rtol=0.0)
-            ):
-                return False
-    return True
+    if atol == 0.0:
+        return np.array_equal(a.params, b.params)
+    return np.allclose(a.params, b.params, atol=atol, rtol=0.0)
 
 
 def traces_equal(a: fedcore.TrainingTrace, b: fedcore.TrainingTrace, tol: float = 0.0) -> bool:
@@ -133,8 +126,8 @@ def test_select_uniform_frequencies():
 def test_broadcast_identity_center():
     ds = generate(SYNTH)
     center = CenterState(
-        w0=nnet.DenseNet((nnet.DenseLayer(np.eye(3), np.zeros(3)),)),
-        wbar=nnet.DenseNet((zero_layer(7, 2),)),
+        w0=net_of((np.eye(3), np.zeros(3))),
+        wbar=net_of(zero_layer(7, 2)),
     )
     tables = center_broadcast(center, ds.global_store, ds.clients[:2])
     for shard in ds.clients[:2]:
@@ -146,7 +139,7 @@ def test_broadcast_matches_per_sample_forward():
     rng = substream(2, "bc")
     center = CenterState(
         w0=nnet.random_net([3, 6, 3], ["tanh", "identity"], rng),
-        wbar=nnet.DenseNet((zero_layer(7, 2),)),
+        wbar=net_of(zero_layer(7, 2)),
     )
     tables = center_broadcast(center, ds.global_store, ds.clients)
     assert set(tables) == {shard.client_id for shard in ds.clients}
@@ -191,7 +184,7 @@ def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
         assert np.allclose(upload.vgrads[k], row, atol=1e-12)
     out, trace = nnet.forward(wbar, np.hstack([u0, shard.x_local]))
     grads = nnet.backward(wbar, trace, nnet.mse_loss(out, shard.y)[1])
-    assert nets_equal(nnet._net(upload.params), nnet.sgd_step(wbar, grads, FED.eta.value(0)), atol=1e-12)
+    assert nets_equal(nnet.DenseNet(wbar.layers, upload.params), nnet.sgd_step(wbar, grads, FED.eta.value(0)), atol=1e-12)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -218,7 +211,7 @@ def test_client_update_perfect_fit_returns_zero_vgrads():
     )
     fed = dataclasses.replace(FED, batch_size=16)
     (upload,) = client_update(fed, [fitted], wbar, {fitted.client_id: u0}, 0)
-    assert nets_equal(nnet._net(upload.params), wbar)
+    assert nets_equal(nnet.DenseNet(wbar.layers, upload.params), wbar)
     for row in upload.vgrads:
         assert np.array_equal(row, np.zeros_like(row))
 
@@ -255,22 +248,18 @@ def test_client_vertical_gradient_matches_finite_differences():
 def test_aggregate_identical_uploads():
     rng = substream(6, "agg")
     net = nnet.random_net([4, 3], ["identity"], rng)
-    out = aggregate_weights(FED, weight_uploads([0.2, 0.5, 0.3], [net] * 3), 0)
+    out = aggregate_weights(FED, net, weight_uploads([0.2, 0.5, 0.3], [net] * 3), 0)
     assert nets_equal(out, net, atol=1e-15)
 
 
 def test_aggregate_opposite_uploads_cancel():
     rng = substream(7, "agg2")
     net = nnet.random_net([4, 3], ["identity"], rng)
-    negated = nnet.DenseNet(
-        tuple(
-            nnet.DenseLayer(-l.weights, -l.bias, l.activation) for l in net.layers
-        )
-    )
-    out = aggregate_weights(FED, weight_uploads([0.5, 0.5], [net, negated]), 0)
-    for layer in out.layers:
-        assert np.allclose(layer.weights, 0.0, atol=1e-15)
-        assert np.allclose(layer.bias, 0.0, atol=1e-15)
+    negated = net_of(*((-w, -b, layer.activation) for layer, (w, b) in zip(net.layers, arrays(net))))
+    out = aggregate_weights(FED, net, weight_uploads([0.5, 0.5], [net, negated]), 0)
+    for w, b in arrays(out):
+        assert np.allclose(w, 0.0, atol=1e-15)
+        assert np.allclose(b, 0.0, atol=1e-15)
 
 
 def test_aggregate_uniform_weights_is_plain_mean():
@@ -279,26 +268,26 @@ def test_aggregate_uniform_weights_is_plain_mean():
     nets = [nnet.random_net([3, 2], ["identity"], rng) for _ in range(n)]
     received = nets[:3]
     uploads = weight_uploads([1.0 / n] * 3, received)
-    out = aggregate_weights(FED, uploads, 0)
-    mean_w = sum(net.layers[0].weights for net in received) / 3
-    assert np.allclose(out.layers[0].weights, mean_w, atol=1e-12, rtol=0.0)
+    out = aggregate_weights(FED, nets[0], uploads, 0)
+    mean_w = sum(arrays(net)[0][0] for net in received) / 3
+    assert np.allclose(arrays(out)[0][0], mean_w, atol=1e-12, rtol=0.0)
     # the unbiased variant keeps the (n/k) q_j scaling instead, with FED's n = 5, k = 3
-    unbiased = aggregate_weights(dataclasses.replace(FED, aggregator="paper_unbiased"), uploads, 0)
-    scaled = sum(net.layers[0].weights for net in received) * (n / 3) * (1 / n)
-    assert np.allclose(unbiased.layers[0].weights, scaled, atol=1e-12, rtol=0.0)
+    unbiased = aggregate_weights(dataclasses.replace(FED, aggregator="paper_unbiased"), nets[0], uploads, 0)
+    scaled = sum(arrays(net)[0][0] for net in received) * (n / 3) * (1 / n)
+    assert np.allclose(arrays(unbiased)[0][0], scaled, atol=1e-12, rtol=0.0)
 
 
 def test_aggregate_unbiased_keeps_scale_when_uploads_are_lost():
     # of N = 5 clients of equal weight, K = 3 trained the same net and one was delivered
     net = nnet.random_net([3, 4, 2], ["tanh", "identity"], substream(8, "agg-lost"))
     fed = dataclasses.replace(FED, aggregator="paper_unbiased")
-    out = aggregate_weights(fed, weight_uploads([1.0 / FED.n_clients], [net]), 0)
+    out = aggregate_weights(fed, net, weight_uploads([1.0 / FED.n_clients], [net]), 0)
     assert nets_equal(out, net)
 
 
 def test_aggregate_empty_set_rejected():
     with pytest.raises(ValueError):
-        aggregate_weights(FED, [], 0)
+        aggregate_weights(FED, net_of(zero_layer(1, 1)), [], 0)
 
 
 def test_aggregate_multiset_permutation_invariance():
@@ -306,53 +295,46 @@ def test_aggregate_multiset_permutation_invariance():
     nets = [nnet.random_net([4, 4, 2], ["tanh", "identity"], rng) for _ in range(4)]
     qs = [0.1, 0.2, 0.3, 0.4]
     uploads = weight_uploads(qs, nets)
-    a = aggregate_weights(FED, uploads, 0)
-    b = aggregate_weights(FED, [uploads[i] for i in (2, 0, 3, 1)], 0)
+    a = aggregate_weights(FED, nets[0], uploads, 0)
+    b = aggregate_weights(FED, nets[0], [uploads[i] for i in (2, 0, 3, 1)], 0)
     assert nets_equal(a, b, atol=1e-12)
 
 
 @st.composite
 def upload_sets(draw):
-    """Two to six uploads of random nets of one shape, with random weights q."""
+    """Two to six uploads of random nets of one shape, with random weights q,
+    a permutation of them, and one of the nets."""
     dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
     count = draw(st.integers(2, 6))
     qs = draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count))
     rng = substream(draw(st.integers(0, 2**16)), "agg-prop")
     nets = [
-        nnet.DenseNet(
-            tuple(
-                nnet.DenseLayer(rng.normal(0.0, 3.0, (o, i)), rng.normal(0.0, 3.0, o), "tanh")
-                for i, o in zip(dims, dims[1:])
-            )
-        )
+        net_of(*((rng.normal(0.0, 3.0, (o, i)), rng.normal(0.0, 3.0, o), "tanh") for i, o in zip(dims, dims[1:])))
         for _ in range(count)
     ]
-    return weight_uploads(qs, nets), draw(st.permutations(range(count)))
+    return weight_uploads(qs, nets), draw(st.permutations(range(count))), nets[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(upload_sets())
 def test_renormalized_aggregate_is_a_convex_combination(problem):
-    uploads, _ = problem
-    out = aggregate_weights(FED, uploads, 0)
+    uploads, _, net = problem
+    out = aggregate_weights(FED, net, uploads, 0)
     total = sum(u.shard.q for u in uploads)
-    for idx, layer in enumerate(out.layers):
-        for name in ("weights", "bias"):
-            stacked = np.stack([getattr(nnet._net(u.params).layers[idx], name) for u in uploads])
-            combined = sum((u.shard.q / total) * p for u, p in zip(uploads, stacked))
-            got = getattr(layer, name)
-            assert np.allclose(got, combined, atol=1e-12, rtol=0.0)
-            assert np.all(stacked.min(axis=0) - 1e-12 <= got)
-            assert np.all(got <= stacked.max(axis=0) + 1e-12)
+    stacked = np.stack([u.params for u in uploads])
+    combined = sum((u.shard.q / total) * p for u, p in zip(uploads, stacked))
+    assert np.allclose(out.params, combined, atol=1e-12, rtol=0.0)
+    assert np.all(stacked.min(axis=0) - 1e-12 <= out.params)
+    assert np.all(out.params <= stacked.max(axis=0) + 1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(upload_sets(), st.sampled_from(fedcore.AGGREGATORS))
 def test_aggregate_is_permutation_invariant(problem, aggregator):
-    uploads, order = problem
+    uploads, order, net = problem
     fed = dataclasses.replace(FED, aggregator=aggregator)
-    a = aggregate_weights(fed, uploads, 0)
-    b = aggregate_weights(fed, [uploads[i] for i in order], 0)
+    a = aggregate_weights(fed, net, uploads, 0)
+    b = aggregate_weights(fed, net, [uploads[i] for i in order], 0)
     assert nets_equal(a, b, atol=1e-12)
 
 
@@ -370,7 +352,7 @@ def test_central_update_zero_vgrads_no_change():
 
 
 def test_central_update_identity_layer_outer_product():
-    w0 = nnet.DenseNet((nnet.DenseLayer(np.eye(3), np.zeros(3)),))
+    w0 = net_of((np.eye(3), np.zeros(3)))
     ids = np.array([11])
     x0 = np.array([[0.5, -1.0, 2.0]])
     store = GlobalStore(ids, x0)
@@ -380,8 +362,9 @@ def test_central_update_identity_layer_outer_product():
     fed = dataclasses.replace(FED, eta0=Schedule("constant", eta0))
     out = central_update(fed, w0, [Upload(shard, STUB_PARAMS, vrow[None, :])], store, 0)
     expected_grad = np.outer(vrow, x0[0])
-    assert np.allclose(out.layers[0].weights, np.eye(3) - eta0 * expected_grad, atol=1e-14)
-    assert np.allclose(out.layers[0].bias, -eta0 * vrow, atol=1e-14)
+    ((w, b),) = arrays(out)
+    assert np.allclose(w, np.eye(3) - eta0 * expected_grad, atol=1e-14)
+    assert np.allclose(b, -eta0 * vrow, atol=1e-14)
 
 
 def test_central_update_matches_finite_differences_of_composed_loss():
@@ -408,23 +391,21 @@ def test_central_update_matches_finite_differences_of_composed_loss():
         return total
 
     step = 1e-5
-    for li, layer in enumerate(w0.layers):
-        analytic = (layer.weights - stepped.layers[li].weights) / eta0
-        fd = np.zeros_like(layer.weights)
-        for (r, c), _ in np.ndenumerate(layer.weights):
+    analytic_grads = w0.views((w0.params - stepped.params) / eta0)
+    for li, ((weights, _), (analytic, _)) in enumerate(zip(arrays(w0), analytic_grads)):
+        fd = np.zeros_like(weights)
+        for (r, c), _ in np.ndenumerate(weights):
             for sign in (+1.0, -1.0):
-                w = layer.weights.copy()
-                w[r, c] += sign * step
-                layers = list(w0.layers)
-                layers[li] = nnet.DenseLayer(w, layer.bias, layer.activation)
-                fd[r, c] += sign * composed_loss(nnet.DenseNet(tuple(layers)))
+                params = w0.params.copy()
+                w0.views(params)[li][0][r, c] += sign * step
+                fd[r, c] += sign * composed_loss(nnet.DenseNet(w0.layers, params))
         fd /= 2.0 * step
         rel = np.abs(fd - analytic) / np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-3)
         assert np.max(rel) < 1e-3
 
 
 def test_central_update_rejects_duplicate_ids():
-    w0 = nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),))
+    w0 = net_of((np.eye(2), np.zeros(2)))
     store = GlobalStore(np.array([1]), np.ones((1, 2)))
     row = Upload(one_row_shard(1), STUB_PARAMS, np.ones((1, 2)))
     with pytest.raises(ValueError, match="duplicate vertical-gradient row for id 1"):
@@ -469,7 +450,7 @@ def test_run_vhfl_collapses_to_hfl_with_frozen_zero_center():
     fed = dataclasses.replace(
         FED, combine="additive", u0_dim=2, center_frozen=True, k=4, global_epochs=8
     )
-    w0 = nnet.DenseNet((zero_layer(3, 8, "tanh"), zero_layer(8, 2)))
+    w0 = net_of(zero_layer(3, 8, "tanh"), zero_layer(8, 2))
     wbar = nnet.random_net([4, 12, 2], ["tanh", "identity"], substream(FED.seed, "init", "wbar"))
     _, vhfl_trace = fedcore._run(fed, ds, CenterState(w0=w0, wbar=wbar), "vhfl")
     _, hfl_trace = fedcore.run_hfl(fed, ds)
@@ -527,8 +508,8 @@ def test_run_hfl_single_step_equals_pooled_sgd():
         [fed.activation] * len(fed.local_hidden) + ["identity"],
         substream(fed.seed, "init", "wbar"),
     )
-    gw = [np.zeros_like(l.weights) for l in start.layers]
-    gb = [np.zeros_like(l.bias) for l in start.layers]
+    gw = [np.zeros_like(w) for w, _ in arrays(start)]
+    gb = [np.zeros_like(b) for _, b in arrays(start)]
     for shard in ds.clients:
         out, trace = nnet.forward(start, shard.x_local)
         _, lgrad = nnet.mse_loss(out, shard.y)
@@ -640,7 +621,7 @@ def test_predict_and_evaluate_perfect_model():
     ids = np.arange(6)
     x0 = substream(12, "ev").standard_normal((6, 2))
     xl = substream(13, "ev").standard_normal((6, 3))
-    w0 = nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),))
+    w0 = net_of((np.eye(2), np.zeros(2)))
     wbar = nnet.random_net([5, 2], ["identity"], substream(14, "ev"))
     center = CenterState(w0=w0, wbar=wbar)
     y = fedcore._predict(FED, center, x0, xl)
@@ -656,7 +637,7 @@ def test_evaluate_constant_zero_predictor_unit_labels():
     xl = substream(15, "ev2").standard_normal((8, 3))
     y = substream(16, "ev2").standard_normal((8, 2))
     y /= np.linalg.norm(y, axis=1, keepdims=True)
-    center = CenterState(w0=None, wbar=nnet.DenseNet((zero_layer(3, 2),)))
+    center = CenterState(w0=None, wbar=net_of(zero_layer(3, 2)))
     shard = ClientShard(0, ids, xl, y, 1.0)
     mse, ratio = evaluate(FED, center, fedcore.build_split([shard], None))
     assert abs(ratio - 1.0) < 1e-12
@@ -687,8 +668,8 @@ def test_evaluate_equals_mean_of_per_sample_losses():
 def plain_output(net: nnet.DenseNet, x: np.ndarray) -> np.ndarray:
     """A net's output on 2-d rows, layer by layer, as a reference."""
     a = x
-    for layer in net.layers:
-        z = a @ layer.weights.T + layer.bias
+    for layer, (weights, bias) in zip(net.layers, arrays(net)):
+        z = a @ weights.T + bias
         if layer.activation == "tanh":
             a = np.tanh(z)
         elif layer.activation == "relu":

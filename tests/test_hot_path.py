@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nets import net_of
 from vhfl_lab import fedcore, nnet
 from vhfl_lab.datagen import ClientShard, GlobalStore, SynthConfig, batches, generate
 from vhfl_lab.fedcore import (
@@ -65,23 +66,15 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def nets_same_bits(a: nnet.DenseNet, b: nnet.DenseNet) -> bool:
-    return a.n_layers == b.n_layers and all(
-        la.activation == lb.activation
-        and same_bits(la.weights, lb.weights)
-        and same_bits(la.bias, lb.bias)
-        for la, lb in zip(a.layers, b.layers)
-    )
+    return a.layers == b.layers and same_bits(a.params, b.params)
 
 
-def snapshot(net: nnet.DenseNet) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(layer.weights.copy(), layer.bias.copy()) for layer in net.layers]
+def snapshot(net: nnet.DenseNet) -> np.ndarray:
+    return net.params.copy()
 
 
-def unchanged(net: nnet.DenseNet, snap: list[tuple[np.ndarray, np.ndarray]]) -> bool:
-    return all(
-        same_bits(layer.weights, w) and same_bits(layer.bias, b)
-        for layer, (w, b) in zip(net.layers, snap)
-    )
+def unchanged(net: nnet.DenseNet, snap: np.ndarray) -> bool:
+    return same_bits(net.params, snap)
 
 
 # ------------------------------------------------- bit-exact client update
@@ -213,7 +206,7 @@ def test_client_update_matches_public_api_loop_bit_for_bit(problem):
     uploads = client_update(fed, shards, wbar, u0, global_epoch)
     assert [upload.shard for upload in uploads] == shards
     for upload, (ref_net, ref_vgrads) in zip(uploads, refs):
-        assert nets_same_bits(nnet._net(upload.params), ref_net)
+        assert nets_same_bits(nnet.DenseNet(wbar.layers, upload.params), ref_net)
         if u0 is None:
             assert upload.vgrads is None and ref_vgrads == {}
         else:
@@ -338,7 +331,7 @@ def test_client_and_central_update_leave_caller_arrays_unchanged():
     )
     uploads = client_update(fed, ds.clients, wbar, u0, 0)
     for upload in uploads:
-        assert not any(np.shares_memory(a.weights, b.weights) for a, b in zip(nnet._net(upload.params).layers, wbar.layers))
+        assert not np.shares_memory(upload.params, wbar.params)
     assert unchanged(wbar, wbar_snap)
     assert all(same_bits(u0[j], u0_snap[j]) for j in u0)
     stepped = central_update(fed, w0, uploads, ds.global_store, 0)
@@ -401,9 +394,7 @@ def test_no_round_rewrites_a_net_an_earlier_round_handed_to_the_center(mode, mon
     assert len(started) == (0 if mode.startswith("cloud") else FED.global_epochs)
     for wbar, uploads in started:
         for upload in uploads:
-            for (w, b, _), layer in zip(upload.params, wbar.layers):
-                assert not np.shares_memory(w, layer.weights)
-                assert not np.shares_memory(b, layer.bias)
+            assert not np.shares_memory(upload.params, wbar.params)
 
 
 def test_run_vhfl_leaves_caller_arrays_unchanged():
@@ -454,6 +445,28 @@ def test_guard_names_the_first_diverging_client_in_cohort_order():
             client_update(fed, shards, wbar, None, 1)
 
 
+@pytest.mark.parametrize("diverged_first", [True, False], ids=["diverged_first", "diverged_second"])
+def test_guard_names_a_diverged_client_in_either_place_of_its_size_group(diverged_first):
+    # a 2 -> 1 identity net of ones sums each row's features, so rows of 1e308
+    # overflow on the first step. The two 2-row shards train as one stack,
+    # whose first client takes that step through the validating public API
+    wbar = net_of((np.ones((1, 2)), np.ones(1)))
+    diverging = ClientShard(7, np.array([0, 1]), np.full((2, 2), 1e308), np.zeros((2, 1)), 0.5)
+    finite = ClientShard(3, np.array([2, 3]), np.ones((2, 2)), np.zeros((2, 1)), 0.5)
+    shards = [diverging, finite] if diverged_first else [finite, diverging]
+    fed = dataclasses.replace(FED, activation="identity", batch_size=2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=r"^non-finite values after client_update at global epoch 0, client 7$"):
+            client_update(fed, shards, wbar, None, 0)
+
+
+def test_client_update_keeps_the_first_steps_shape_errors():
+    wbar = net_of((np.ones((1, 3)), np.ones(1)))
+    shards = [ClientShard(j, np.array([2 * j, 2 * j + 1]), np.ones((2, 2)), np.zeros((2, 1)), 0.5) for j in (0, 1)]
+    with pytest.raises(ValueError, match=r"^batch has 2 columns, net expects 3$"):
+        client_update(dataclasses.replace(FED, batch_size=2), shards, wbar, None, 0)
+
+
 def test_guard_stops_a_diverging_run_at_its_first_client():
     ds = generate(SYNTH)
     first = fedcore.select_clients(FED, 0)[0]
@@ -467,18 +480,18 @@ def test_guard_stops_a_diverging_run_at_its_first_client():
 
 
 def test_guard_names_aggregation_and_central_step():
-    big = nnet.DenseNet((nnet.DenseLayer(np.full((2, 2), 1e308), np.zeros(2)),))
+    big = net_of((np.full((2, 2), 1e308), np.zeros(2)))
     unbiased = dataclasses.replace(FED, k=1, aggregator="paper_unbiased")
     uploads = [
-        Upload(ClientShard(j, np.array([j]), np.zeros((1, 1)), np.zeros((1, 1)), 0.5), nnet._view(big), None)
+        Upload(ClientShard(j, np.array([j]), np.zeros((1, 1)), np.zeros((1, 1)), 0.5), big.params, None)
         for j in (1, 3)
     ]
     with pytest.raises(ValueError, match=r"after aggregate_weights at global epoch 4, clients \[1, 3\]$"):
         with np.errstate(all="ignore"):
-            aggregate_weights(unbiased, uploads, 4)
+            aggregate_weights(unbiased, big, uploads, 4)
     store = GlobalStore(np.array([5]), np.ones((1, 2)))
     shard = ClientShard(3, np.array([5]), np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
     fed = dataclasses.replace(FED, eta0=Schedule("constant", 1.0))
     with pytest.raises(ValueError, match=r"after central_update at global epoch 2, client 3$"):
         with np.errstate(all="ignore"):
-            central_update(fed, big, [Upload(shard, nnet._view(big), np.full((1, 2), -1e308))], store, 2)
+            central_update(fed, big, [Upload(shard, big.params, np.full((1, 2), -1e308))], store, 2)

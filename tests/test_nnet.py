@@ -3,38 +3,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from nets import arrays, net_of
 from vhfl_lab import nnet
 from vhfl_lab.rng import substream
 
 
 def finite_difference_grads(net, x, y, step=1e-5):
-    """Central finite differences of the MSE loss over every parameter."""
-
-    def loss_with(layers):
-        out, _ = nnet.forward(nnet.DenseNet(tuple(layers)), x)
-        return nnet.mse_loss(out, y)[0]
-
-    wgrads, bgrads = [], []
-    for li, layer in enumerate(net.layers):
-        gw = np.zeros_like(layer.weights)
-        for (r, c), _ in np.ndenumerate(layer.weights):
-            for sign in (+1.0, -1.0):
-                w = layer.weights.copy()
-                w[r, c] += sign * step
-                layers = list(net.layers)
-                layers[li] = nnet.DenseLayer(w, layer.bias, layer.activation)
-                gw[r, c] += sign * loss_with(layers)
-        wgrads.append(gw / (2.0 * step))
-        gb = np.zeros_like(layer.bias)
-        for (k,), _ in np.ndenumerate(layer.bias):
-            for sign in (+1.0, -1.0):
-                b = layer.bias.copy()
-                b[k] += sign * step
-                layers = list(net.layers)
-                layers[li] = nnet.DenseLayer(layer.weights, b, layer.activation)
-                gb[k] += sign * loss_with(layers)
-        bgrads.append(gb / (2.0 * step))
-    return wgrads, bgrads
+    """Central finite differences of the MSE loss over every parameter, as
+    per-layer weight and bias gradients."""
+    fd = np.zeros_like(net.params)
+    for k in range(fd.size):
+        for sign in (+1.0, -1.0):
+            params = net.params.copy()
+            params[k] += sign * step
+            out, _ = nnet.forward(nnet.DenseNet(net.layers, params), x)
+            fd[k] += sign * nnet.mse_loss(out, y)[0]
+    wgrads, bgrads = zip(*net.views(fd / (2.0 * step)))
+    return list(wgrads), list(bgrads)
 
 
 def rel_err(a, b, floor=1e-6):
@@ -42,15 +27,14 @@ def rel_err(a, b, floor=1e-6):
 
 
 def test_forward_identity_layer():
-    layer = nnet.DenseLayer(weights=np.eye(3), bias=np.zeros(3))
-    net = nnet.DenseNet((layer,))
+    net = net_of((np.eye(3), np.zeros(3)))
     x = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, 4.0]])
     out, _ = nnet.forward(net, x)
     assert np.array_equal(out, x)
 
 
 def test_forward_scalar_affine():
-    net = nnet.DenseNet((nnet.DenseLayer(np.array([[2.0]]), np.array([1.0])),))
+    net = net_of(([[2.0]], [1.0]))
     out, _ = nnet.forward(net, [[3.0]])
     assert out == np.array([[7.0]])
 
@@ -60,14 +44,13 @@ def test_forward_matches_straightline_oracle():
     net = nnet.random_net([4, 6, 3], ["tanh", "identity"], rng)
     x = rng.standard_normal((5, 4))
     out, _ = nnet.forward(net, x)
-    w1, b1 = net.layers[0].weights, net.layers[0].bias
-    w2, b2 = net.layers[1].weights, net.layers[1].bias
+    (w1, b1), (w2, b2) = arrays(net)
     expected = np.tanh(x @ w1.T + b1) @ w2.T + b2
     assert rel_err(out, expected) < 1e-12
 
 
 def test_forward_rejects_bad_input():
-    net = nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),))
+    net = net_of((np.eye(2), np.zeros(2)))
     with pytest.raises(ValueError):
         nnet.forward(net, np.ones((3, 5)))
     with pytest.raises(ValueError):
@@ -156,7 +139,7 @@ def test_backward_matches_finite_differences():
 def test_input_grad_identity_layer_is_chain_rule():
     rng = substream(6, "bw-input")
     w = rng.standard_normal((3, 5))
-    net = nnet.DenseNet((nnet.DenseLayer(w, np.zeros(3)),))
+    net = net_of((w, np.zeros(3)))
     x = rng.standard_normal((4, 5))
     out, trace = nnet.forward(net, x)
     lgrad = rng.standard_normal(out.shape)
@@ -198,20 +181,19 @@ def test_sgd_zero_grads_no_change():
     rng = substream(9, "sgd")
     net = nnet.random_net([2, 3, 1], ["relu", "identity"], rng)
     grads = nnet.Gradients(
-        weights=tuple(np.zeros_like(l.weights) for l in net.layers),
-        biases=tuple(np.zeros_like(l.bias) for l in net.layers),
+        weights=tuple(np.zeros_like(w) for w, _ in arrays(net)),
+        biases=tuple(np.zeros_like(b) for _, b in arrays(net)),
     )
     stepped = nnet.sgd_step(net, grads, 0.1)
-    for a, b in zip(net.layers, stepped.layers):
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.bias, b.bias)
+    assert stepped.layers == net.layers
+    assert np.array_equal(stepped.params, net.params)
 
 
 def test_sgd_scalar_arithmetic():
-    net = nnet.DenseNet((nnet.DenseLayer(np.array([[2.0]]), np.array([0.0])),))
+    net = net_of(([[2.0]], [0.0]))
     grads = nnet.Gradients(weights=(np.array([[0.5]]),), biases=(np.array([0.0]),))
     stepped = nnet.sgd_step(net, grads, 1.0)
-    assert stepped.layers[0].weights[0, 0] == 1.5
+    assert arrays(stepped)[0][0][0, 0] == 1.5
 
 
 def test_sgd_two_steps_equal_one_combined_step():
@@ -229,12 +211,13 @@ def test_sgd_two_steps_equal_one_combined_step():
         weights=(g1.weights[0] + g2.weights[0],), biases=(g1.biases[0] + g2.biases[0],)
     )
     one = nnet.sgd_step(net, combined, eta)
-    assert rel_err(two.layers[0].weights, one.layers[0].weights) < 1e-12
-    assert np.allclose(two.layers[0].bias, one.layers[0].bias, atol=1e-15)
+    (two_w, two_b), (one_w, one_b) = arrays(two)[0], arrays(one)[0]
+    assert rel_err(two_w, one_w) < 1e-12
+    assert np.allclose(two_b, one_b, atol=1e-15)
 
 
 def test_sgd_rejects_nonpositive_eta():
-    net = nnet.DenseNet((nnet.DenseLayer(np.eye(2), np.zeros(2)),))
+    net = net_of((np.eye(2), np.zeros(2)))
     grads = nnet.Gradients(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
     with pytest.raises(ValueError):
         nnet.sgd_step(net, grads, 0.0)
@@ -263,21 +246,19 @@ def test_gradient_exactness_random_nets():
 
 
 def test_dense_layer_validation():
-    with pytest.raises(ValueError):
-        nnet.DenseLayer(np.ones((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
-        nnet.DenseLayer(np.ones((2, 2)), np.zeros(3))
-    with pytest.raises(ValueError):
-        nnet.DenseLayer(np.array([[np.inf, 0.0]]), np.zeros(1))
-    with pytest.raises(ValueError):
-        nnet.DenseLayer(np.ones((1, 1)), np.zeros(1), activation="sigmoid")
+    with pytest.raises(ValueError, match="positive dims"):
+        net_of((np.ones((0, 2)), np.zeros(0)))
+    with pytest.raises(ValueError, match=r"params have shape \(7,\), the layers hold \(6,\)"):
+        net_of((np.ones((2, 2)), np.zeros(3)))
+    with pytest.raises(nnet.NonFiniteError):
+        net_of((np.array([[np.inf, 0.0]]), np.zeros(1)))
+    with pytest.raises(ValueError, match="unknown activation"):
+        net_of((np.ones((1, 1)), np.zeros(1), "sigmoid"))
 
 
 def test_net_dimension_chaining():
-    a = nnet.DenseLayer(np.ones((3, 2)), np.zeros(3))
-    b = nnet.DenseLayer(np.ones((1, 4)), np.zeros(1))
-    with pytest.raises(ValueError):
-        nnet.DenseNet((a, b))
+    with pytest.raises(ValueError, match="does not chain"):
+        net_of((np.ones((3, 2)), np.zeros(3)), (np.ones((1, 4)), np.zeros(1)))
 
 
 def test_checkpoint_roundtrip_bit_exact():
@@ -289,12 +270,12 @@ def test_checkpoint_roundtrip_bit_exact():
         lines = nnet.dumps_net(net).splitlines()
         assert lines[:2] == ["densenet 1", f"layers {net.n_layers}"]
         pos = 2
-        for layer in net.layers:
+        for layer, (weights, bias) in zip(net.layers, arrays(net)):
             assert lines[pos] == f"layer {layer.in_dim} {layer.out_dim} {layer.activation}"
             # one line per weight row, then the bias; every token reads back to the same bits
             rows = [[float(v) for v in line.split()] for line in lines[pos + 1 : pos + 2 + layer.out_dim]]
-            assert np.array(rows[:-1]).tobytes() == layer.weights.tobytes()
-            assert np.array(rows[-1]).tobytes() == layer.bias.tobytes()
+            assert np.array(rows[:-1]).tobytes() == weights.tobytes()
+            assert np.array(rows[-1]).tobytes() == bias.tobytes()
             pos += 2 + layer.out_dim
         assert pos == len(lines)
 
@@ -336,10 +317,11 @@ def test_backward_into_flat_views_matches_allocating_reference(copies, rows):
     lead = () if copies is None else (copies,)
     for dims in LAB_DIMS:
         for acts in (["tanh", "identity"], ["relu", "tanh"], ["identity", "relu"]):
-            flat = nnet._pack([nnet.random_net(dims, acts, rng)], copies)
+            net = nnet.random_net(dims, acts, rng)
             # a different net in every slice, so a mixed-up slice shows
-            flat.data[...] = rng.standard_normal(flat.data.shape)
-            (layers,), (grads,) = flat.nets, flat.grads
+            data = rng.standard_normal((*lead, net.params.size))
+            grad = np.empty_like(data)
+            layers, grads = net.kernel_layers(data), net.views(grad)
             x = rng.standard_normal((*lead, rows, dims[0]))
             pre, post = nnet._forward(layers, x)
             da = rng.standard_normal(post[-1].shape)
@@ -349,31 +331,37 @@ def test_backward_into_flat_views_matches_allocating_reference(copies, rows):
             )
             assert same_bits(input_grad, ref_input)
             for (gw, gb), ref_gw, ref_gb in zip(grads, wgrads, bgrads):
-                assert np.shares_memory(gw, flat.grad) and np.shares_memory(gb, flat.grad)
+                assert np.shares_memory(gw, grad) and np.shares_memory(gb, grad)
                 assert same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
             # the gradient views tile the buffer: every value was written
-            assert flat.grad.size == sum(gw.size + gb.size for gw, gb in zip(wgrads, bgrads))
+            assert grad.size == sum(gw.size + gb.size for gw, gb in zip(wgrads, bgrads))
 
 
 @pytest.mark.parametrize("copies", [None, 1, 3, 25])
 def test_flat_sgd_matches_per_layer_step(copies):
     rng = substream(14, "flat-sgd", copies or 0)
-    # two nets in one buffer, as the pooled phase packs w0 and wbar
+    # two nets in one buffer, as the pooled phase concatenates wbar and w0
     nets = [nnet.random_net(dims, ["tanh", "identity"], rng) for dims in LAB_DIMS[:2]]
-    flat = nnet._pack(nets, copies)
-    for net, layers in zip(nets, flat.nets):
-        for layer, own in zip(layers, net.layers):
+    values = np.concatenate([net.params for net in nets])
+    data = np.empty(values.shape if copies is None else (copies, values.size))
+    data[...] = values
+    grad = np.empty_like(data)
+    split = nets[0].params.size
+    parts = [(nets[0], slice(0, split)), (nets[1], slice(split, None))]
+    per_net = [net.kernel_layers(data[..., part]) for net, part in parts]
+    for net, net_layers in zip(nets, per_net):
+        for layer, (w, b) in zip(net_layers, arrays(net)):
             # every slice holds a copy of the net, in memory of its own
-            assert np.array_equal(layer.w, np.broadcast_to(own.weights, layer.w.shape))
-            assert np.array_equal(layer.b, np.broadcast_to(own.bias, layer.b.shape))
-            assert not np.shares_memory(flat.data, own.weights)
-    flat.data[...] = rng.standard_normal(flat.data.shape)
-    layers = [layer for net_layers in flat.nets for layer in net_layers]
-    grads = [pair for net_grads in flat.grads for pair in net_grads]
+            assert np.array_equal(layer.w, np.broadcast_to(w, layer.w.shape))
+            assert np.array_equal(layer.b, np.broadcast_to(b, layer.b.shape))
+            assert not np.shares_memory(data, w)
+    data[...] = rng.standard_normal(data.shape)
+    layers = [layer for net_layers in per_net for layer in net_layers]
+    grads = [pair for net, part in parts for pair in net.views(grad[..., part])]
     for eta in (0.05, 0.3):
-        flat.grad[...] = rng.standard_normal(flat.grad.shape)
+        grad[...] = rng.standard_normal(grad.shape)
         before = [(layer.w.copy(), layer.b.copy()) for layer in layers]
-        nnet._sgd(flat, eta)
+        nnet._sgd(data, grad, eta)
         for layer, (w, b), (gw, gb) in zip(layers, before, grads):
             assert same_bits(layer.w, w - eta * gw) and same_bits(layer.b, b - eta * gb)
 
@@ -386,12 +374,12 @@ def test_public_step_runs_the_flat_kernels_on_fresh_buffers():
     _, lgrad = nnet.mse_loss(out, rng.standard_normal((14, 1)))
     grads = nnet.backward(net, trace, lgrad)
     wgrads, bgrads, _ = allocating_backward(
-        [(layer.weights, layer.activation) for layer in net.layers], x, trace.pre, trace.post, lgrad
+        [(w, layer.activation) for layer, (w, _) in zip(net.layers, arrays(net))], x, trace.pre, trace.post, lgrad
     )
     assert all(same_bits(a, b) for a, b in zip(grads.weights, wgrads))
     assert all(same_bits(a, b) for a, b in zip(grads.biases, bgrads))
     stepped = nnet.sgd_step(net, grads, 0.05)
-    for new, old, gw, gb in zip(stepped.layers, net.layers, wgrads, bgrads):
-        assert same_bits(new.weights, old.weights - 0.05 * gw) and same_bits(new.bias, old.bias - 0.05 * gb)
-        assert not np.shares_memory(new.weights, old.weights)
-        assert not any(np.shares_memory(new.weights, g) for g in grads.weights)
+    for (new_w, new_b), (old_w, old_b), gw, gb in zip(arrays(stepped), arrays(net), wgrads, bgrads):
+        assert same_bits(new_w, old_w - 0.05 * gw) and same_bits(new_b, old_b - 0.05 * gb)
+    assert not np.shares_memory(stepped.params, net.params)
+    assert not any(np.shares_memory(stepped.params, g) for g in grads.weights)
