@@ -273,37 +273,30 @@ def estimate_lambda(
     return numerator / denominator
 
 
-@dataclass(frozen=True)
-class Batch:
-    ids: np.ndarray
-    x_local: np.ndarray
-    x_side: np.ndarray | None
-    y: np.ndarray
-
-
 def batches(
-    shard: ClientShard,
-    side: np.ndarray | None,
+    rngs: Sequence[np.random.Generator],
+    fields: Sequence[np.ndarray | None],
     batch_size: int,
-    seed: int | np.random.Generator,
-) -> list[Batch]:
-    """Seeded shuffled mini-batches with id-aligned local/side/label rows.
+) -> list[tuple[np.ndarray, list[np.ndarray | None]]]:
+    """Seeded shuffled mini-batches of G stacked shards of n rows each.
 
-    ``side`` gives each sample's side row (global features or centrally
-    processed features), one row per shard sample in shard order. Pass None
-    when the client trains on local features alone. The final short batch
-    is kept.
+    Each field is a ``(G, n, d)`` stack in shard order, or None (no side
+    rows). Generator g draws the permutation of shard g's rows, and the
+    orders form one ``(G, n)`` index. Each batch is that index's slice and
+    every field gathered once with it as ``(G, b, d)``, aligned by id. The
+    final short batch is kept.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if side is not None and side.shape[0] != shard.n:
-        raise ValueError(f"side has {side.shape[0]} rows, shard has {shard.n} samples")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), "batches")
-    order = rng.permutation(shard.n)
+    present = [f for f in fields if f is not None]
+    n = present[0].shape[1]
+    for f in present:
+        if f.shape[:2] != (len(rngs), n):
+            raise ValueError(f"a field has {f.shape[:2]} shards x rows, expected {(len(rngs), n)}")
+    orders = np.stack([rng.permutation(n) for rng in rngs])
+    shards = np.arange(len(rngs))[:, None]
     out = []
-    for start in range(0, shard.n, batch_size):
-        idx = order[start : start + batch_size]
-        x_side = None if side is None else side[idx]
-        out.append(Batch(ids=shard.ids[idx], x_local=shard.x_local[idx], x_side=x_side, y=shard.y[idx]))
+    for start in range(0, n, batch_size):
+        index = orders[:, start : start + batch_size]
+        out.append((index, [None if f is None else f[shards, index] for f in fields]))
     return out
-

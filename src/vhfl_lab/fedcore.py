@@ -20,40 +20,40 @@ A net is its layer shapes plus one ``(P,)`` parameter vector (see
 run unchecked kernels inside the loop. Data is checked where it enters
 (``ClientShard``, ``GlobalStore``, config parsing).
 
-The local phase trains the round's whole cohort in one ``client_update``
-call. It groups the selected shards by size, and each group of G clients
-with n rows apiece trains as one stack: the rows of one ``(G, P)`` buffer,
-each filled with ``wbar.params``. Every step runs the unchecked ``nnet``
-kernels on ``(G, b, in)`` batches, writes the gradients into the group's
-``(G, P)`` gradient buffer, and updates the stack with one in-place SGD
-step. Equal sizes give every client the same batch sizes, so the stack
-needs no padding or mask, and a group of one is a client trained alone.
-Each client's sample order is the permutation ``datagen.batches`` draws for
-it in ``FederationConfig.local_plan``, from the substream (seed, "batches",
-client_id, t_g). The group's orders form one ``(G, n)`` index, and each
-batch gathers every field once from the group's ``(G, n, d)`` stacks, so
-the local phase builds no ``Batch``. One step per group validates: the
-group's first client takes its first step through the public ``nnet`` API,
-which checks the shapes that every step of the group reuses, as all its
-clients share n and the batch sizes. The other clients take that step as
-one stacked kernel step on the rows ``[1:]`` of the two buffers. The
-stacked kernels issue one BLAS call and one reduction per client slice,
-with the slice's own shape, so a client gets the bits it would get alone.
-Pooling the rows of different clients into one matrix would not: a BLAS
-kernel rounds the tail rows of an ``(M, 16) @ (16, 1)`` product
-differently as M changes. An upload's ``params`` is its client's row.
+Each round stacks its cohort once with ``build_split``: the selected
+shards grouped by size, each group of G clients with n rows apiece as
+``(G, n, d)`` stacks, with their global rows when the center has w0. The
+broadcast sends u0 as one ``(G, n, u0_dim)`` stack per group, from one
+forward pass of w0. The local phase trains each group as one stack: the
+rows of one ``(G, P)`` buffer, each filled with ``wbar.params``. Every
+step runs the unchecked ``nnet`` kernels on ``(G, b, in)`` batches, writes
+the gradients into the group's ``(G, P)`` gradient buffer, and updates the
+stack with one in-place SGD step. Equal sizes give every client the same
+batch sizes, so the stack needs no padding or mask, and a group of one is
+a client trained alone. ``datagen.batches`` cuts every phase's batches:
+each client's sample order is the permutation of the substream (seed,
+"batches", client_id, t_g), and each batch gathers every field once from
+the stacks. One step per group validates: the group's first client takes
+its first step through the public ``nnet`` API, which checks the shapes
+that every step of the group reuses, as all its clients share n and the
+batch sizes. The other clients take that step as one stacked kernel step
+on the rows ``[1:]`` of the two buffers. The stacked kernels issue one
+BLAS call and one reduction per client slice, with the slice's own shape,
+so a client gets the bits it would get alone. Pooling the rows of
+different clients into one matrix would not: a BLAS kernel rounds the tail
+rows of an ``(M, 16) @ (16, 1)`` product differently as M changes. An
+upload's ``params`` is its client's row.
 
 Aggregation adds each upload's ``coeff * params`` into one ``(P,)``
 accumulator, in upload order; the central step is a single step and runs
-through the public API, where the uploads enter the center. The broadcast
-groups the round's selected shards by size as the local phase does. The
+through the public API, where the uploads enter the center. The
 evaluation shards are fixed, so ``_run`` stacks the train and test splits
-by size once per run (``build_split``), with their global rows when the
-center has w0; each evaluation then runs one stacked forward pass per group
-and sums each shard over its own slice, adding the shards up in their
-original order.
+once per run, with their global rows when the center has w0; each
+evaluation then runs one stacked forward pass per group and sums each
+shard over its own slice, adding the shards up in their original order.
 
-The pooled phase steps the kernels on 2-d batches, as it trains nets it
+The pooled phase cuts its batches from the pooled shard's one-shard
+stacks and steps the kernels on their 2-d views, as it trains nets it
 built itself from the config. Each round it concatenates ``wbar.params``
 and, when the center has it, ``w0.params`` into one fresh buffer, since
 both step at the same rate; each batch writes both nets' gradients into
@@ -88,12 +88,12 @@ from __future__ import annotations
 import contextlib
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import nnet
-from .datagen import Batch, ClientShard, FederationDataset, GlobalStore, batches
+from .datagen import ClientShard, FederationDataset, GlobalStore, batches
 from .netqueue import ChannelModel, apply_channel
 from .rng import substream
 
@@ -175,13 +175,9 @@ class FederationConfig:
         object.__setattr__(self, "w0_hidden", tuple(int(h) for h in self.w0_hidden))
         object.__setattr__(self, "local_hidden", tuple(int(h) for h in self.local_hidden))
 
-    def local_plan(
-        self, shard: ClientShard, side: np.ndarray | None, t_g: int
-    ) -> tuple[list[Batch], list[float]]:
-        """The shard's mini-batches in round ``t_g``, shuffled by the substream
-        (seed, "batches", client_id, t_g), and the :meth:`local_etas`."""
-        stream = substream(self.seed, "batches", shard.client_id, t_g)
-        return batches(shard, side, self.batch_size, stream), self.local_etas(t_g)
+    def batch_streams(self, client_ids: Sequence[int], t_g: int) -> list[np.random.Generator]:
+        """The substreams (seed, "batches", client_id, t_g) that shuffle the clients' samples."""
+        return [substream(self.seed, "batches", client_id, t_g) for client_id in client_ids]
 
     def local_etas(self, t_g: int) -> list[float]:
         """The learning rate of each local epoch e of round ``t_g``, read at the
@@ -217,7 +213,7 @@ class SizeGroup:
 
 @dataclass(frozen=True)
 class Split:
-    """Fixed evaluation shards, grouped by size and stacked once per run."""
+    """Shards grouped by size and stacked once: per run, or per round for a cohort."""
 
     shards: tuple[ClientShard, ...]
     groups: tuple[SizeGroup, ...]
@@ -281,24 +277,21 @@ def _size_groups(shards: Sequence[ClientShard]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _group_global_rows(shards: Sequence[ClientShard], global_store: GlobalStore) -> np.ndarray:
-    """The ``(G, n, d_global)`` global rows of equal-size shards, in shard
-    order, gathered with one store lookup."""
-    rows = global_store.rows(np.concatenate([shard.ids for shard in shards]))
-    return rows.reshape(len(shards), shards[0].n, rows.shape[1])
-
-
 def build_split(shards: Sequence[ClientShard], global_store: GlobalStore | None) -> Split:
-    """Stack the shards by size for :func:`evaluate` and
-    :func:`weighted_train_loss`; their global rows are gathered from
-    ``global_store``, which is None for a center without w0."""
+    """Stack the shards by size, for training and for :func:`evaluate` and
+    :func:`weighted_train_loss`. Each group's global rows are gathered from
+    ``global_store`` with one lookup; it is None for a center without w0."""
     groups = []
     for positions in _size_groups(shards):
         members = [shards[pos] for pos in positions]
+        x_global = None
+        if global_store is not None:
+            rows = global_store.rows(np.concatenate([shard.ids for shard in members]))
+            x_global = rows.reshape(len(members), members[0].n, rows.shape[1])
         groups.append(
             SizeGroup(
                 positions=positions,
-                x_global=None if global_store is None else _group_global_rows(members, global_store),
+                x_global=x_global,
                 x_local=np.stack([shard.x_local for shard in members]),
                 y=np.stack([shard.y for shard in members]),
             )
@@ -306,19 +299,11 @@ def build_split(shards: Sequence[ClientShard], global_store: GlobalStore | None)
     return Split(shards=tuple(shards), groups=tuple(groups))
 
 
-def center_broadcast(
-    center: CenterState,
-    global_store: GlobalStore,
-    clients: Sequence[ClientShard],
-) -> dict[int, np.ndarray]:
-    """Per client, the centrally processed rows u0 = w0(x0) in shard order,
-    one stacked forward pass per size group; the center must hold w0."""
-    u0 = {}
-    for group in _size_groups(clients):
-        members = [clients[pos] for pos in group]
-        rows = nnet._output(center.w0, _group_global_rows(members, global_store))
-        u0.update(zip((shard.client_id for shard in members), rows))
-    return {shard.client_id: u0[shard.client_id] for shard in clients}
+def center_broadcast(center: CenterState, cohort: Split) -> list[np.ndarray]:
+    """Per size group of the cohort, the centrally processed rows u0 = w0(x0)
+    as one ``(G, n, u0_dim)`` stack, from one stacked forward pass; the
+    cohort holds its global rows, and the center must hold w0."""
+    return [nnet._output(center.w0, group.x_global) for group in cohort.groups]
 
 
 def _combined_step(
@@ -405,42 +390,27 @@ def _first_step(
 
 def _train_group(
     config: FederationConfig,
-    shards: Sequence[ClientShard],
+    group: SizeGroup,
+    client_ids: Sequence[int],
     wbar: nnet.DenseNet,
-    u0: Mapping[int, np.ndarray] | None,
+    side: np.ndarray | None,
     t_g: int,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Local SGD of equal-size shards as one stack: the trained clients'
-    parameter vectors as the rows of one ``(G, P)`` buffer, and the
-    ``(G, n, u0_dim)`` vertical gradients (None without ``u0``).
-
-    Each client's sample order is the permutation ``datagen.batches`` would
-    draw for it in :meth:`FederationConfig.local_plan`; the orders form one
-    ``(G, n)`` index, and each batch gathers every field once from the
-    group's ``(G, n, d)`` stacks with ``[clients, index[:, start:stop]]``.
-    The first step of the first epoch is :func:`_first_step`, one validating
-    step for the whole group; every other step is the stacked kernels."""
-    n = shards[0].n
-    size = len(shards)
-    orders = np.stack(
-        [substream(config.seed, "batches", shard.client_id, t_g).permutation(n) for shard in shards]
-    )
-    x_local = np.stack([shard.x_local for shard in shards])
-    y = np.stack([shard.y for shard in shards])
-    side = None if u0 is None else np.stack([u0[shard.client_id] for shard in shards])
-    clients = np.arange(size)[:, None]
-    stacked = []
-    for start in range(0, n, config.batch_size):
-        index = orders[:, start : start + config.batch_size]
-        batch_side = None if side is None else side[clients, index]
-        stacked.append((x_local[clients, index], batch_side, y[clients, index], index))
-    data = np.empty((size, wbar.params.size))
+    """Local SGD of a size group's G clients as one stack, beside their rows
+    ``side`` of u0 (None without w0): the ``(G, P)`` buffer of the trained
+    parameter vectors, and the ``(G, n, u0_dim)`` vertical gradients. The
+    group's first step is :func:`_first_step`, one validating step for the
+    whole group; every other step is the stacked kernels."""
+    n = group.x_local.shape[1]
+    data = np.empty((len(client_ids), wbar.params.size))
     data[...] = wbar.params
     grad = np.empty_like(data)
     layers, grads = wbar.kernel_layers(data), wbar.views(grad)
     vgrad_sum = None if side is None else np.empty(side.shape)
+    clients = np.arange(len(client_ids))[:, None]
+    plan = batches(config.batch_streams(client_ids, t_g), (group.x_local, side, group.y), config.batch_size)
     for epoch, eta_t in enumerate(config.local_etas(t_g)):
-        for i, (x, batch_side, batch_y, index) in enumerate(stacked):
+        for i, (index, (x, batch_side, batch_y)) in enumerate(plan):
             if epoch == 0 and i == 0:
                 side_grad = _first_step(wbar, data, grad, x, batch_side, batch_y, config.combine)
             else:
@@ -459,40 +429,44 @@ def _train_group(
 
 def client_update(
     config: FederationConfig,
-    shards: Sequence[ClientShard],
+    cohort: Split,
     wbar: nnet.DenseNet,
-    u0: Mapping[int, np.ndarray] | None,
+    u0: Sequence[np.ndarray] | None,
     t_g: int,
 ) -> list[Upload]:
     """Local training of a round's cohort from the downloaded federal weights.
 
     Each client initializes at ``wbar``, splits its samples (with its fixed
-    centrally processed rows ``u0[client_id]``, one per sample in shard
-    order) into batches once, then runs ``local_epochs`` passes of
-    mini-batch SGD at the learning rates of round ``t_g``. For every sample
-    the gradient of the client loss with respect to its central row is
-    recorded each epoch and averaged over epochs; the result, an
+    centrally processed rows, one per sample) into batches once, then runs
+    ``local_epochs`` passes of mini-batch SGD at the learning rates of round
+    ``t_g``. ``u0`` holds those rows as :func:`center_broadcast` sends them
+    (None without w0), one ``(G, n, u0_dim)`` stack per size group. For every
+    sample the gradient of the client loss with respect to its central row
+    is recorded each epoch and averaged over epochs; the result, an
     ``(n_j, u0_dim)`` array in shard order (None without ``u0``), is
-    uploaded alongside the updated parameter vector. Clients of equal shard
-    size train as one stack, and each upload holds views of its client's row.
-    The uploads come in cohort order; the guard scans each group's stacks
-    once and names the first client, in cohort order, whose results are
-    not finite.
+    uploaded alongside the updated parameter vector. Each size group trains
+    as one stack, and each upload holds views of its client's row. The
+    uploads come in cohort order; the guard scans each group's stacks once
+    and names the first client, in cohort order, whose results are not
+    finite.
     """
+    shards = cohort.shards
     for shard in shards:
         if shard.n == 0:
             raise ValueError(f"client {shard.client_id} has no samples")
-        rows = None if u0 is None else len(u0[shard.client_id])
-        if rows is not None and rows != shard.n:
-            raise ValueError(f"u0 of client {shard.client_id} has {rows} rows, shard has {shard.n} samples")
+    expected = [(len(group.positions), group.x_local.shape[1], config.u0_dim) for group in cohort.groups]
+    if u0 is not None and [rows.shape for rows in u0] != expected:
+        raise ValueError(f"u0 stacks have shapes {[rows.shape for rows in u0]}, the cohort needs {expected}")
     uploads: dict[int, Upload] = {}
     finite = np.empty(len(shards), dtype=bool)
-    for group in _size_groups(shards):
-        data, vgrads = _train_group(config, [shards[pos] for pos in group], wbar, u0, t_g)
-        finite[group] = np.isfinite(data).all(axis=1)
+    for g, group in enumerate(cohort.groups):
+        side = None if u0 is None else u0[g]
+        client_ids = [shards[pos].client_id for pos in group.positions]
+        data, vgrads = _train_group(config, group, client_ids, wbar, side, t_g)
+        finite[group.positions] = np.isfinite(data).all(axis=1)
         if vgrads is not None:
-            finite[group] &= np.isfinite(vgrads).all(axis=(1, 2))
-        for k, pos in enumerate(group):
+            finite[group.positions] &= np.isfinite(vgrads).all(axis=(1, 2))
+        for k, pos in enumerate(group.positions):
             uploads[pos] = Upload(shards[pos], data[k], None if vgrads is None else vgrads[k])
     if not finite.all():
         raise _diverged("client_update", t_g, (shards[int(np.argmin(finite))].client_id,))
@@ -648,8 +622,10 @@ def _federated_round(
     """Select, broadcast (with w0), local updates, channel, aggregation and the
     central step (with an unfrozen w0); returns the number of delivered uploads."""
     selected = [shards[j] for j in select_clients(config, t_g)]
-    u0 = None if center.w0 is None else center_broadcast(center, store, selected)
-    uploads = client_update(config, selected, center.wbar, u0, t_g)
+    # the cohort is stacked once: the broadcast and the local phase share it
+    cohort = build_split(selected, None if center.w0 is None else store)
+    u0 = None if center.w0 is None else center_broadcast(center, cohort)
+    uploads = client_update(config, cohort, center.wbar, u0, t_g)
     if config.deadline_channel is not None:
         sent = [u.shard.client_id for u in uploads]
         kept = set(apply_channel(config.deadline_channel, sent, epoch=t_g))
@@ -664,15 +640,20 @@ def _federated_round(
 def _cloud_round(
     config: FederationConfig,
     center: CenterState,
-    pooled: ClientShard,
-    x0: np.ndarray | None,
+    pooled: SizeGroup,
     t_g: int,
 ) -> int:
-    """``local_epochs`` passes of mini-batch SGD on the pooled shard, through w0
-    too when it exists, on one buffer of both nets' parameter vectors stepped
-    with the unchecked kernels; ``x0`` holds the pooled global rows. Nothing
-    is uploaded: returns 0."""
-    batch_list, etas = config.local_plan(pooled, x0, t_g)
+    """``local_epochs`` passes of mini-batch SGD on the pooled shard's
+    one-shard stacks ``pooled``, through w0 too when it exists, on one buffer
+    of both nets' parameter vectors stepped with the unchecked kernels.
+    Nothing is uploaded: returns 0."""
+    # the kernels step the 2-d views [0]: on these shapes a stacked matmul
+    # or tanh costs more per call than a 2-d one
+    fields = (pooled.x_local, pooled.x_global, pooled.y)
+    plan = [
+        [None if f is None else f[0] for f in batch]
+        for _, batch in batches(config.batch_streams([0], t_g), fields, config.batch_size)
+    ]
     # a fresh buffer every round: the nets of the last round hold views of theirs
     data = np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None])
     grad = np.empty_like(data)
@@ -680,14 +661,14 @@ def _cloud_round(
     wbar, wbar_grads = center.wbar.kernel_layers(data[:split]), center.wbar.views(grad[:split])
     if center.w0 is not None:
         w0, w0_grads = center.w0.kernel_layers(data[split:]), center.w0.views(grad[split:])
-    for eta_t in etas:
-        for b in batch_list:
+    for eta_t in config.local_etas(t_g):
+        for x, x0, y in plan:
             if center.w0 is not None:
-                pre0, post0 = nnet._forward(w0, b.x_side)
-                side_grad = _kernel_step(wbar, wbar_grads, b.x_local, post0[-1], b.y, config.combine)
-                nnet._backward(w0, w0_grads, b.x_side, pre0, post0, side_grad, False)
+                pre0, post0 = nnet._forward(w0, x0)
+                side_grad = _kernel_step(wbar, wbar_grads, x, post0[-1], y, config.combine)
+                nnet._backward(w0, w0_grads, x0, pre0, post0, side_grad, False)
             else:
-                _kernel_step(wbar, wbar_grads, b.x_local, None, b.y, config.combine)
+                _kernel_step(wbar, wbar_grads, x, None, y, config.combine)
             nnet._sgd(data, grad, eta_t)
     with _guard("run_cloud", t_g):
         # both nets are built before either is assigned
@@ -720,9 +701,8 @@ def _run(
     train_split = build_split(dataset.clients, eval_store)
     test_split = build_split(dataset.test_clients, eval_store)
     if mode.startswith("cloud"):
-        pooled = _pooled(dataset)
-        x0 = None if center.w0 is None else store.rows(pooled.ids)
-        train_round = functools.partial(_cloud_round, config, center, pooled, x0)
+        (pooled,) = build_split([_pooled(dataset)], eval_store).groups
+        train_round = functools.partial(_cloud_round, config, center, pooled)
     else:
         shards = {shard.client_id: shard for shard in dataset.clients}
         train_round = functools.partial(_federated_round, config, center, shards, store)

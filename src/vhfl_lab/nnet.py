@@ -17,10 +17,10 @@ per-layer ``(w, b)`` views of any ``(*lead, P)`` buffer
 (:meth:`DenseNet.views`), and the kernels' :class:`Layer` views over one
 (:meth:`DenseNet.kernel_layers`), with the forward pass's transposed
 weights and bias row taken once. ``_backward`` writes each layer's
-gradients into its views of the gradient buffer. A net's ``params`` is
-never written: a training phase copies the vectors it trains into a fresh
-buffer, and the nets it hands out hold views of that buffer, which no later
-phase writes.
+gradients into its views of the gradient buffer. A net's ``params`` is a
+read-only view, so nothing writes it through the net: a training phase
+copies the vectors it trains into a fresh buffer, and the nets it hands
+out hold views of that buffer, which no later phase writes.
 
 Validate at the edges, run unchecked kernels inside the loop. The public
 ``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument
@@ -132,6 +132,10 @@ class DenseNet:
             raise ValueError(f"params have shape {params.shape}, the layers hold ({size},)")
         if not np.isfinite(params).all():
             raise NonFiniteError("net parameters must be finite")
+        # a read-only view, so no write through the net can undo the finite
+        # check; the buffer it views stays writable
+        params = params.view()
+        params.flags.writeable = False
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "params", params)
 

@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhfl_lab import datagen
 from vhfl_lab.datagen import SynthConfig, batches, estimate_lambda, generate, truth_maps
+from vhfl_lab.rng import substream
 
 SMALL = SynthConfig(
     n_clients=4,
@@ -169,34 +172,40 @@ def test_lambda_validation():
         estimate_lambda([g, np.ones(4)], [0.5, 0.5])
 
 
+def one_shard(shard, side=None):
+    """The shard's (x_local, side, y) as the one-shard stacks ``batches`` takes."""
+    return [shard.x_local[None], None if side is None else side[None], shard.y[None]]
+
+
 def test_batches_single_batch_when_large():
     ds = generate(SMALL)
     shard = ds.clients[0]
-    out = batches(shard, ds.global_store.rows(shard.ids), batch_size=1000, seed=3)
+    fields = one_shard(shard, ds.global_store.rows(shard.ids))
+    out = batches([substream(3, "batches")], fields, batch_size=1000)
     assert len(out) == 1
-    assert set(int(i) for i in out[0].ids) == set(int(i) for i in shard.ids)
+    index, _ = out[0]
+    assert set(int(i) for i in shard.ids[index[0]]) == set(int(i) for i in shard.ids)
 
 
 def test_batches_alignment_by_id():
     ds = generate(SMALL)
     shard = ds.clients[1]
-    by_id = {int(i): k for k, i in enumerate(shard.ids)}
-    for batch in batches(shard, ds.global_store.rows(shard.ids), batch_size=7, seed=3):
-        for row, sample_id in enumerate(batch.ids):
-            k = by_id[int(sample_id)]
-            assert np.array_equal(batch.x_local[row], shard.x_local[k])
-            assert np.array_equal(batch.y[row], shard.y[k])
-            assert np.array_equal(batch.x_side[row], ds.global_store.rows([sample_id])[0])
+    fields = one_shard(shard, ds.global_store.rows(shard.ids))
+    for index, (x_local, x_side, y) in batches([substream(3, "batches")], fields, batch_size=7):
+        for row, k in enumerate(index[0]):
+            assert np.array_equal(x_local[0, row], shard.x_local[k])
+            assert np.array_equal(y[0, row], shard.y[k])
+            assert np.array_equal(x_side[0, row], ds.global_store.rows([shard.ids[k]])[0])
 
 
 def test_batches_deterministic_and_keeps_short_tail():
     ds = generate(SMALL)
     shard = ds.clients[0]
-    a = batches(shard, None, batch_size=7, seed=11)
-    b = batches(shard, None, batch_size=7, seed=11)
-    assert all(np.array_equal(x.ids, y.ids) for x, y in zip(a, b))
-    assert [batch.ids.shape[0] for batch in a] == [7, 7, 7, 3]
-    assert a[0].x_side is None
+    a = batches([substream(11, "batches")], one_shard(shard), batch_size=7)
+    b = batches([substream(11, "batches")], one_shard(shard), batch_size=7)
+    assert all(np.array_equal(x, y) for (x, _), (y, _) in zip(a, b))
+    assert [index.shape[1] for index, _ in a] == [7, 7, 7, 3]
+    assert a[0][1][1] is None
 
 
 def test_batches_missing_global_entry():
@@ -205,8 +214,27 @@ def test_batches_missing_global_entry():
     store = datagen.GlobalStore(shard.ids[:-1], np.zeros((shard.n - 1, 2)))
     with pytest.raises(KeyError, match=f"no global features for id {shard.ids[-1]}"):
         store.rows(shard.ids)
-    with pytest.raises(ValueError, match="side has"):
-        batches(shard, np.zeros((shard.n - 1, 2)), batch_size=8, seed=0)
+    with pytest.raises(ValueError, match=r"^a field has \(1, 23\) shards x rows, expected \(1, 24\)$"):
+        batches([substream(0, "batches")], one_shard(shard, np.zeros((shard.n - 1, 2))), batch_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**16))
+def test_batches_of_a_stack_match_each_shard_alone(size, n, batch_size, seed):
+    """Each shard of a stack gets the index and rows of a one-shard call with
+    its own generator seed, bit for bit: no order is shared across shards."""
+    rng = substream(seed, "stack")
+    x, y = rng.standard_normal((size, n, 3)), rng.standard_normal((size, n, 1))
+    stacked = batches([substream(seed, "batches", j) for j in range(size)], [x, None, y], batch_size)
+    for j in range(size):
+        alone = batches([substream(seed, "batches", j)], [x[j : j + 1], None, y[j : j + 1]], batch_size)
+        assert len(alone) == len(stacked)
+        for (index, fields), (index_alone, fields_alone) in zip(stacked, alone):
+            assert index[j].tobytes() == index_alone[0].tobytes()
+            assert fields[1] is None and fields_alone[1] is None
+            for field, field_alone in ((fields[0], fields_alone[0]), (fields[2], fields_alone[2])):
+                assert field[j].shape == field_alone[0].shape
+                assert field[j].tobytes() == field_alone[0].tobytes()
 
 
 def test_global_store_rows_gather_by_id():

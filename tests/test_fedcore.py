@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohorts import by_client, cohort_of
 from nets import arrays, net_of
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, generate
@@ -129,7 +130,8 @@ def test_broadcast_identity_center():
         w0=net_of((np.eye(3), np.zeros(3))),
         wbar=net_of(zero_layer(7, 2)),
     )
-    tables = center_broadcast(center, ds.global_store, ds.clients[:2])
+    cohort = fedcore.build_split(ds.clients[:2], ds.global_store)
+    tables = by_client(cohort, center_broadcast(center, cohort))
     for shard in ds.clients[:2]:
         assert np.array_equal(tables[shard.client_id], ds.global_store.rows(shard.ids))
 
@@ -141,7 +143,13 @@ def test_broadcast_matches_per_sample_forward():
         w0=nnet.random_net([3, 6, 3], ["tanh", "identity"], rng),
         wbar=net_of(zero_layer(7, 2)),
     )
-    tables = center_broadcast(center, ds.global_store, ds.clients)
+    cohort = fedcore.build_split(ds.clients, ds.global_store)
+    stacks = center_broadcast(center, cohort)
+    # one (G, n, u0_dim) stack per size group
+    assert [stack.shape for stack in stacks] == [
+        (len(group.positions), group.x_local.shape[1], 3) for group in cohort.groups
+    ]
+    tables = by_client(cohort, stacks)
     assert set(tables) == {shard.client_id for shard in ds.clients}
     for shard in ds.clients:
         assert tables[shard.client_id].shape == (shard.n, 3)
@@ -177,7 +185,8 @@ def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
     wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
     u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     fed = dataclasses.replace(FED, local_epochs=1, batch_size=10_000)
-    (upload,) = client_update(fed, [shard], wbar, {shard.client_id: u0}, 0)
+    cohort, stacks = cohort_of([shard], {shard.client_id: u0})
+    (upload,) = client_update(fed, cohort, wbar, stacks, 0)
     assert upload.shard is shard
     expected = manual_full_batch_vgrads(wbar, shard, u0, u0_dim=3)
     for k, row in enumerate(expected):
@@ -193,10 +202,33 @@ def test_client_update_rejects_u0_with_the_wrong_row_count(extra):
     shards = list(ds.clients[:2])
     rng = substream(3, "cu-rows")
     wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
-    u0 = {shard.client_id: rng.standard_normal((shard.n + extra, 3)) for shard in shards}
-    named = rf"^u0 of client {shards[0].client_id} has {shards[0].n + extra} rows, shard has {shards[0].n} samples$"
+    n = shards[0].n
+    cohort, stacks = cohort_of(shards, {shard.client_id: rng.standard_normal((n + extra, 3)) for shard in shards})
+    named = rf"^u0 stacks have shapes \[\(2, {n + extra}, 3\)\], the cohort needs \[\(2, {n}, 3\)\]$"
     with pytest.raises(ValueError, match=named):
-        client_update(FED, shards, wbar, u0, 0)
+        client_update(FED, cohort, wbar, stacks, 0)
+
+
+def test_client_update_rejects_u0_stacks_that_do_not_match_the_cohort():
+    ds = generate(SYNTH)
+    shards = list(ds.clients[:2])
+    rng = substream(3, "cu-stacks")
+    wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
+    n = shards[0].n
+    cohort, stacks = cohort_of(shards, {shard.client_id: rng.standard_normal((n, 4)) for shard in shards})
+    with pytest.raises(ValueError, match=rf"^u0 stacks have shapes \[\(2, {n}, 4\)\], the cohort needs \[\(2, {n}, 3\)\]$"):
+        client_update(FED, cohort, wbar, stacks, 0)
+    with pytest.raises(ValueError, match=rf"shapes \[\(2, {n}, 3\), \(2, {n}, 3\)\], the cohort needs \[\(2, {n}, 3\)\]$"):
+        client_update(FED, cohort, wbar, [stacks[0][..., :3]] * 2, 0)
+
+
+def test_client_update_rejects_a_client_without_samples():
+    # the batcher cuts no batch from 0 rows, so only this check stops the
+    # client from uploading wbar unchanged
+    wbar = net_of(zero_layer(2, 1))
+    empty = ClientShard(3, np.array([], dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 1)), 1.0)
+    with pytest.raises(ValueError, match="^client 3 has no samples$"):
+        client_update(FED, fedcore.build_split([empty], None), wbar, None, 0)
 
 
 def test_client_update_perfect_fit_returns_zero_vgrads():
@@ -210,7 +242,8 @@ def test_client_update_perfect_fit_returns_zero_vgrads():
         client_id=shard.client_id, ids=shard.ids, x_local=shard.x_local, y=fitted_y, q=shard.q
     )
     fed = dataclasses.replace(FED, batch_size=16)
-    (upload,) = client_update(fed, [fitted], wbar, {fitted.client_id: u0}, 0)
+    cohort, stacks = cohort_of([fitted], {fitted.client_id: u0})
+    (upload,) = client_update(fed, cohort, wbar, stacks, 0)
     assert nets_equal(nnet.DenseNet(wbar.layers, upload.params), wbar)
     for row in upload.vgrads:
         assert np.array_equal(row, np.zeros_like(row))
@@ -223,7 +256,8 @@ def test_client_vertical_gradient_matches_finite_differences():
     wbar = nnet.random_net([3 + 4, 10, 2], ["tanh", "identity"], rng)
     u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     fed = dataclasses.replace(FED, local_epochs=1, batch_size=10_000)
-    vgrads = client_update(fed, [shard], wbar, {shard.client_id: u0}, 0)[0].vgrads
+    cohort, stacks = cohort_of([shard], {shard.client_id: u0})
+    vgrads = client_update(fed, cohort, wbar, stacks, 0)[0].vgrads
 
     def client_loss(rows):
         out, _ = nnet.forward(wbar, np.hstack([rows, shard.x_local]))
@@ -374,12 +408,13 @@ def test_central_update_matches_finite_differences_of_composed_loss():
     w0 = nnet.random_net([3, 4, 3], ["tanh", "identity"], rng)
     wbar = nnet.random_net([3 + 4, 8, 2], ["tanh", "identity"], rng)
     center = CenterState(w0=w0, wbar=wbar)
-    tables = center_broadcast(center, ds.global_store, ds.clients)
+    cohort = fedcore.build_split(ds.clients, ds.global_store)
+    tables = center_broadcast(center, cohort)
     eta0 = 1e-2
     fed = dataclasses.replace(
         FED, n_clients=2, k=2, local_epochs=1, batch_size=10_000, eta0=Schedule("constant", eta0)
     )
-    uploads = client_update(fed, ds.clients, wbar, tables, 0)
+    uploads = client_update(fed, cohort, wbar, tables, 0)
     stepped = central_update(fed, w0, uploads, ds.global_store, 0)
 
     def composed_loss(w0_variant):
@@ -574,7 +609,8 @@ def test_run_cloud_global_fits_linear_realizable_task():
     # one full batch: the gradients are taken before the step
     u0 = nnet.forward(center.w0, x0)[0]
     fed = dataclasses.replace(fed, local_epochs=1, batch_size=10_000)
-    vgrads = client_update(fed, ds.clients[:1], center.wbar, {0: u0}, 0)[0].vgrads
+    cohort, stacks = cohort_of(ds.clients[:1], {0: u0})
+    vgrads = client_update(fed, cohort, center.wbar, stacks, 0)[0].vgrads
     assert max(float(np.linalg.norm(v)) for v in vgrads) < 1e-4
 
 
@@ -736,8 +772,9 @@ def test_grouped_evaluation_matches_per_shard_reference(combine):
     loss = fedcore.weighted_train_loss(fed, center, split)
     assert loss == reference_train_loss(fed, center, shards, store)
     if combine is not None:
-        u0 = center_broadcast(center, store, shards)
-        assert list(u0) == [shard.client_id for shard in shards]
+        stacks = center_broadcast(center, split)
+        assert len(stacks) == len(split.groups)
+        u0 = by_client(split, stacks)
         for shard in shards:
             assert u0[shard.client_id].tobytes() == plain_output(w0, store.rows(shard.ids)).tobytes()
     with pytest.raises(ValueError, match="^no samples to evaluate$"):

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohorts import cohort_of
 from nets import net_of
 from vhfl_lab import fedcore, nnet
-from vhfl_lab.datagen import ClientShard, GlobalStore, SynthConfig, batches, generate
+from vhfl_lab.datagen import ClientShard, GlobalStore, SynthConfig, generate
 from vhfl_lab.fedcore import (
     CenterState,
     FederationConfig,
@@ -80,35 +81,43 @@ def unchanged(net: nnet.DenseNet, snap: np.ndarray) -> bool:
 # ------------------------------------------------- bit-exact client update
 
 
+def shuffled_batches(seed, client_id, t_g, n, batch_size):
+    """The row positions of each mini-batch of an n-row shard in round t_g:
+    the permutation of the substream (seed, "batches", client_id, t_g), cut
+    into batches with the short tail kept."""
+    order = substream(seed, "batches", client_id, t_g).permutation(n)
+    return [order[start : start + batch_size] for start in range(0, n, batch_size)]
+
+
 def reference_client_update(fed, shard, wbar, u0, global_epoch):
     """One client's local SGD as a plain loop over the public nnet functions,
     with the vertical gradients accumulated per sample in an id-keyed dict."""
     table = None if u0 is None else {int(i): u0[k] for k, i in enumerate(shard.ids)}
     net = wbar
-    stream = substream(fed.seed, "batches", shard.client_id, global_epoch)
-    batch_list = batches(shard, None, fed.batch_size, stream)
+    batch_list = shuffled_batches(fed.seed, shard.client_id, global_epoch, shard.n, fed.batch_size)
     vgrad_sum: dict[int, np.ndarray] = {}
     for epoch in range(fed.local_epochs):
-        for b in batch_list:
-            side = None if table is None else np.vstack([table[int(i)] for i in b.ids])
+        for idx in batch_list:
+            ids, x, y = shard.ids[idx], shard.x_local[idx], shard.y[idx]
+            side = None if table is None else np.vstack([table[int(i)] for i in ids])
             if side is None:
-                out, trace = nnet.forward(net, b.x_local)
-                _, lgrad = nnet.mse_loss(out, b.y)
+                out, trace = nnet.forward(net, x)
+                _, lgrad = nnet.mse_loss(out, y)
                 grads = nnet.backward(net, trace, lgrad)
                 side_grad = None
             elif fed.combine == "concat":
-                out, trace = nnet.forward(net, np.hstack([side, b.x_local]))
-                _, lgrad = nnet.mse_loss(out, b.y)
+                out, trace = nnet.forward(net, np.hstack([side, x]))
+                _, lgrad = nnet.mse_loss(out, y)
                 grads = nnet.backward(net, trace, lgrad, want_input_grad=True)
                 side_grad = grads.input_grad[:, : side.shape[1]]
             else:
-                out, trace = nnet.forward(net, b.x_local)
-                _, lgrad = nnet.mse_loss(side + out, b.y)
+                out, trace = nnet.forward(net, x)
+                _, lgrad = nnet.mse_loss(side + out, y)
                 grads = nnet.backward(net, trace, lgrad)
                 side_grad = lgrad
             if side_grad is not None:
-                scale = b.ids.shape[0] / shard.n
-                for k, sample_id in enumerate(b.ids):
+                scale = ids.shape[0] / shard.n
+                for k, sample_id in enumerate(ids):
                     key = int(sample_id)
                     row = side_grad[k] * scale
                     vgrad_sum[key] = vgrad_sum[key] + row if key in vgrad_sum else row
@@ -198,12 +207,13 @@ def test_client_update_matches_public_api_loop_bit_for_bit(problem):
             for shard in shards
         ]
         diverged = [shard.client_id for shard, ref in zip(shards, refs) if ref is None]
+        cohort, stacks = cohort_of(shards, u0)
         if diverged:
             named = rf"after client_update at global epoch {global_epoch}, client {diverged[0]}$"
             with pytest.raises(ValueError, match=named):
-                client_update(fed, shards, wbar, u0, global_epoch)
+                client_update(fed, cohort, wbar, stacks, global_epoch)
             return
-    uploads = client_update(fed, shards, wbar, u0, global_epoch)
+    uploads = client_update(fed, cohort, wbar, stacks, global_epoch)
     assert [upload.shard for upload in uploads] == shards
     for upload, (ref_net, ref_vgrads) in zip(uploads, refs):
         assert nets_same_bits(nnet.DenseNet(wbar.layers, upload.params), ref_net)
@@ -216,7 +226,8 @@ def test_client_update_matches_public_api_loop_bit_for_bit(problem):
 
 def test_client_update_takes_one_public_step_per_size_group(monkeypatch):
     """Only the first client of each size group takes a step through the
-    validating public API, and the local phase gathers its own batches."""
+    validating public API, and the local phase cuts one set of batches per
+    size group."""
     ds = generate(SYNTH)
     shards = list(ds.clients[:3])
     cut = shards[1]
@@ -224,7 +235,7 @@ def test_client_update_takes_one_public_step_per_size_group(monkeypatch):
     assert fedcore._size_groups(shards) == [[0, 2], [1]]
     rng = substream(13, "counts")
     wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
-    u0 = {shard.client_id: rng.standard_normal((shard.n, 3)) for shard in shards}
+    cohort, u0 = cohort_of(shards, {shard.client_id: rng.standard_normal((shard.n, 3)) for shard in shards})
     calls = {"mse_loss": 0, "batches": 0}
 
     def counting(name, fn):
@@ -236,8 +247,8 @@ def test_client_update_takes_one_public_step_per_size_group(monkeypatch):
 
     monkeypatch.setattr(fedcore.nnet, "mse_loss", counting("mse_loss", nnet.mse_loss))
     monkeypatch.setattr(fedcore, "batches", counting("batches", fedcore.batches))
-    client_update(FED, shards, wbar, u0, 0)
-    assert calls == {"mse_loss": 2, "batches": 0}
+    client_update(FED, cohort, wbar, u0, 0)
+    assert calls == {"mse_loss": 2, "batches": 2}
 
 
 def reference_or_none(fed, shard, wbar, u0, global_epoch):
@@ -270,24 +281,25 @@ def reference_run_cloud(fed, ds, use_global):
         q=1.0,
     )
     for t_g in range(fed.global_epochs):
-        batch_list = batches(pooled, None, fed.batch_size, substream(fed.seed, "batches", 0, t_g))
+        batch_list = shuffled_batches(fed.seed, 0, t_g, pooled.n, fed.batch_size)
         for epoch in range(fed.local_epochs):
             eta = fed.eta.value(t_g * fed.local_epochs + epoch)
-            for b in batch_list:
+            for idx in batch_list:
+                x, y = pooled.x_local[idx], pooled.y[idx]
                 if w0 is None:
-                    out, trace = nnet.forward(wbar, b.x_local)
-                    _, lgrad = nnet.mse_loss(out, b.y)
+                    out, trace = nnet.forward(wbar, x)
+                    _, lgrad = nnet.mse_loss(out, y)
                     wbar = nnet.sgd_step(wbar, nnet.backward(wbar, trace, lgrad), eta)
                     continue
-                u0, trace0 = nnet.forward(w0, ds.global_store.rows(b.ids))
+                u0, trace0 = nnet.forward(w0, ds.global_store.rows(pooled.ids[idx]))
                 if fed.combine == "concat":
-                    out, trace = nnet.forward(wbar, np.hstack([u0, b.x_local]))
-                    _, lgrad = nnet.mse_loss(out, b.y)
+                    out, trace = nnet.forward(wbar, np.hstack([u0, x]))
+                    _, lgrad = nnet.mse_loss(out, y)
                     grads = nnet.backward(wbar, trace, lgrad, want_input_grad=True)
                     side_grad = grads.input_grad[:, : u0.shape[1]]
                 else:
-                    out, trace = nnet.forward(wbar, b.x_local)
-                    _, lgrad = nnet.mse_loss(u0 + out, b.y)
+                    out, trace = nnet.forward(wbar, x)
+                    _, lgrad = nnet.mse_loss(u0 + out, y)
                     grads = nnet.backward(wbar, trace, lgrad)
                     side_grad = lgrad
                 grads0 = nnet.backward(w0, trace0, side_grad)
@@ -324,16 +336,20 @@ def test_client_and_central_update_leave_caller_arrays_unchanged():
     wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
     center = CenterState(w0=w0, wbar=wbar)
     w0_snap, wbar_snap = snapshot(w0), snapshot(wbar)
-    u0 = center_broadcast(center, ds.global_store, ds.clients)
-    u0_snap = {j: rows.copy() for j, rows in u0.items()}
+    cohort = fedcore.build_split(ds.clients, ds.global_store)
+    u0 = center_broadcast(center, cohort)
+    u0_snap = [rows.copy() for rows in u0]
+    cohort_snap = [(group.x_local.copy(), group.y.copy()) for group in cohort.groups]
     fed = dataclasses.replace(
         FED, local_epochs=3, eta=Schedule("constant", 0.1), eta0=Schedule("constant", 0.1)
     )
-    uploads = client_update(fed, ds.clients, wbar, u0, 0)
+    uploads = client_update(fed, cohort, wbar, u0, 0)
     for upload in uploads:
         assert not np.shares_memory(upload.params, wbar.params)
     assert unchanged(wbar, wbar_snap)
-    assert all(same_bits(u0[j], u0_snap[j]) for j in u0)
+    assert all(same_bits(rows, snap) for rows, snap in zip(u0, u0_snap))
+    for group, (x_local, y) in zip(cohort.groups, cohort_snap):
+        assert same_bits(group.x_local, x_local) and same_bits(group.y, y)
     stepped = central_update(fed, w0, uploads, ds.global_store, 0)
     assert not nets_same_bits(stepped, w0)
     assert unchanged(w0, w0_snap)
@@ -374,8 +390,8 @@ def test_no_round_rewrites_a_net_an_earlier_round_handed_to_the_center(mode, mon
     started = []
     client_update = fedcore.client_update
 
-    def recording_update(config, shards, wbar, u0, t_g):
-        uploads = client_update(config, shards, wbar, u0, t_g)
+    def recording_update(config, cohort, wbar, u0, t_g):
+        uploads = client_update(config, cohort, wbar, u0, t_g)
         started.append((wbar, uploads))
         return uploads
 
@@ -419,11 +435,11 @@ def test_guard_names_client_update_epoch_and_client():
     ds = generate(SYNTH)
     shard = ds.clients[2]
     wbar = nnet.random_net([3 + 3, 6, 2], ["identity", "identity"], substream(11, "guard"))
-    u0 = substream(11, "u0").standard_normal((shard.n, 3))
+    cohort, u0 = cohort_of([shard], {2: substream(11, "u0").standard_normal((shard.n, 3))})
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"non-finite values after client_update at global epoch 7, client 2$"):
             fed = dataclasses.replace(DIVERGING, local_epochs=3, batch_size=4)
-            client_update(fed, [shard], wbar, {2: u0}, 7)
+            client_update(fed, cohort, wbar, u0, 7)
 
 
 def test_guard_names_the_first_diverging_client_in_cohort_order():
@@ -442,7 +458,7 @@ def test_guard_names_the_first_diverging_client_in_cohort_order():
     fed = dataclasses.replace(FED, activation="identity", batch_size=2, local_epochs=3)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"after client_update at global epoch 1, client 4$"):
-            client_update(fed, shards, wbar, None, 1)
+            client_update(fed, fedcore.build_split(shards, None), wbar, None, 1)
 
 
 @pytest.mark.parametrize("diverged_first", [True, False], ids=["diverged_first", "diverged_second"])
@@ -457,14 +473,14 @@ def test_guard_names_a_diverged_client_in_either_place_of_its_size_group(diverge
     fed = dataclasses.replace(FED, activation="identity", batch_size=2)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"^non-finite values after client_update at global epoch 0, client 7$"):
-            client_update(fed, shards, wbar, None, 0)
+            client_update(fed, fedcore.build_split(shards, None), wbar, None, 0)
 
 
 def test_client_update_keeps_the_first_steps_shape_errors():
     wbar = net_of((np.ones((1, 3)), np.ones(1)))
     shards = [ClientShard(j, np.array([2 * j, 2 * j + 1]), np.ones((2, 2)), np.zeros((2, 1)), 0.5) for j in (0, 1)]
     with pytest.raises(ValueError, match=r"^batch has 2 columns, net expects 3$"):
-        client_update(dataclasses.replace(FED, batch_size=2), shards, wbar, None, 0)
+        client_update(dataclasses.replace(FED, batch_size=2), fedcore.build_split(shards, None), wbar, None, 0)
 
 
 def test_guard_stops_a_diverging_run_at_its_first_client():

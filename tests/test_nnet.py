@@ -256,6 +256,19 @@ def test_dense_layer_validation():
         net_of((np.ones((1, 1)), np.zeros(1), "sigmoid"))
 
 
+def test_net_params_are_read_only_so_the_finite_check_holds():
+    built = nnet.random_net([2, 3, 1], ["tanh", "identity"], substream(6, "read-only"))
+    buffer = np.zeros((2, built.params.size))
+    viewing = nnet.DenseNet(built.layers, buffer[1])
+    for net in (built, viewing):
+        with pytest.raises(ValueError, match="read-only"):
+            net.params[0] = np.inf
+        assert np.isfinite(net.params).all()
+    # the net's view is read-only, the buffer it views is not
+    buffer[1, 0] = 5.0
+    assert buffer.flags.writeable and viewing.params[0] == 5.0
+
+
 def test_net_dimension_chaining():
     with pytest.raises(ValueError, match="does not chain"):
         net_of((np.ones((3, 2)), np.zeros(3)), (np.ones((1, 4)), np.zeros(1)))
