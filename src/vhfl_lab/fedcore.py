@@ -33,7 +33,8 @@ batch sizes, so the stack needs no padding or mask, and a group of one is
 a client trained alone. ``datagen.batches`` cuts every phase's batches:
 each client's sample order is the permutation of the substream (seed,
 "batches", client_id, t_g), and each batch gathers every field once from
-the stacks. One step per group validates: the group's first client takes
+the stacks; a group's streams are seeded in one ``rng.substreams`` call.
+One step per group validates: the group's first client takes
 its first step through the public ``nnet`` API, which checks the shapes
 that every step of the group reuses, as all its clients share n and the
 batch sizes. The other clients take that step as one stacked kernel step
@@ -46,11 +47,11 @@ upload's ``params`` is its client's row.
 
 Aggregation adds each upload's ``coeff * params`` into one ``(P,)``
 accumulator, in upload order; the central step is a single step and runs
-through the public API, where the uploads enter the center. The
-evaluation shards are fixed, so ``_run`` stacks the train and test splits
-once per run, with their global rows when the center has w0; each
-evaluation then runs one stacked forward pass per group and sums each
-shard over its own slice, adding the shards up in their original order.
+through the public API, where the uploads enter the center. The shards
+are fixed, so ``_run`` gathers their global rows, when the center has w0,
+and stacks the train and test splits once per run; each evaluation then
+runs one stacked forward pass per group and sums each shard over its own
+slice, adding the shards up in their original order.
 
 The pooled phase cuts its batches from the pooled shard's one-shard
 stacks and steps the kernels on their 2-d views, as it trains nets it
@@ -95,7 +96,7 @@ import numpy as np
 from . import nnet
 from .datagen import ClientShard, FederationDataset, GlobalStore, batches
 from .netqueue import ChannelModel, apply_channel
-from .rng import substream
+from .rng import substream, substreams
 
 COMBINES = ("concat", "additive")
 AGGREGATORS = ("renormalized", "paper_unbiased")
@@ -177,7 +178,7 @@ class FederationConfig:
 
     def batch_streams(self, client_ids: Sequence[int], t_g: int) -> list[np.random.Generator]:
         """The substreams (seed, "batches", client_id, t_g) that shuffle the clients' samples."""
-        return [substream(self.seed, "batches", client_id, t_g) for client_id in client_ids]
+        return substreams([(self.seed, "batches", client_id, t_g) for client_id in client_ids])
 
     def local_etas(self, t_g: int) -> list[float]:
         """The learning rate of each local epoch e of round ``t_g``, read at the
@@ -277,21 +278,27 @@ def _size_groups(shards: Sequence[ClientShard]) -> list[list[int]]:
     return list(groups.values())
 
 
-def build_split(shards: Sequence[ClientShard], global_store: GlobalStore | None) -> Split:
+def _rows_by_client(shards: Sequence[ClientShard], store: GlobalStore | None) -> dict[int, np.ndarray] | None:
+    """Client id -> the shard's ``(n, d_global)`` global rows, from one lookup
+    in ``store`` over all the shards' ids; None without a store."""
+    if store is None:
+        return None
+    rows = store.rows(np.concatenate([shard.ids for shard in shards]) if shards else [])
+    parts = np.split(rows, np.cumsum([shard.n for shard in shards])[:-1])
+    return {shard.client_id: part for shard, part in zip(shards, parts)}
+
+
+def build_split(shards: Sequence[ClientShard], global_rows: dict[int, np.ndarray] | None) -> Split:
     """Stack the shards by size, for training and for :func:`evaluate` and
-    :func:`weighted_train_loss`. Each group's global rows are gathered from
-    ``global_store`` with one lookup; it is None for a center without w0."""
+    :func:`weighted_train_loss`, with their rows in ``global_rows`` (see
+    :func:`_rows_by_client`); it is None for a center without w0."""
     groups = []
     for positions in _size_groups(shards):
         members = [shards[pos] for pos in positions]
-        x_global = None
-        if global_store is not None:
-            rows = global_store.rows(np.concatenate([shard.ids for shard in members]))
-            x_global = rows.reshape(len(members), members[0].n, rows.shape[1])
         groups.append(
             SizeGroup(
                 positions=positions,
-                x_global=x_global,
+                x_global=None if global_rows is None else np.stack([global_rows[s.client_id] for s in members]),
                 x_local=np.stack([shard.x_local for shard in members]),
                 y=np.stack([shard.y for shard in members]),
             )
@@ -616,6 +623,7 @@ def _federated_round(
     config: FederationConfig,
     center: CenterState,
     shards: dict[int, ClientShard],
+    global_rows: dict[int, np.ndarray] | None,
     store: GlobalStore,
     t_g: int,
 ) -> int:
@@ -623,7 +631,7 @@ def _federated_round(
     central step (with an unfrozen w0); returns the number of delivered uploads."""
     selected = [shards[j] for j in select_clients(config, t_g)]
     # the cohort is stacked once: the broadcast and the local phase share it
-    cohort = build_split(selected, None if center.w0 is None else store)
+    cohort = build_split(selected, global_rows)
     u0 = None if center.w0 is None else center_broadcast(center, cohort)
     uploads = client_update(config, cohort, center.wbar, u0, t_g)
     if config.deadline_channel is not None:
@@ -696,16 +704,18 @@ def _run(
             f"additive combining needs u0_dim == d_label, got {config.u0_dim} != {dataset.d_label}"
         )
     store = dataset.global_store
-    # the evaluation shards are fixed, so they are stacked once per run
+    # the shards are fixed: their global rows are gathered once per run
     eval_store = None if center.w0 is None else store
-    train_split = build_split(dataset.clients, eval_store)
-    test_split = build_split(dataset.test_clients, eval_store)
+    train_rows = _rows_by_client(dataset.clients, eval_store)
+    train_split = build_split(dataset.clients, train_rows)
+    test_split = build_split(dataset.test_clients, _rows_by_client(dataset.test_clients, eval_store))
     if mode.startswith("cloud"):
-        (pooled,) = build_split([_pooled(dataset)], eval_store).groups
+        pooled_shards = [_pooled(dataset)]
+        (pooled,) = build_split(pooled_shards, _rows_by_client(pooled_shards, eval_store)).groups
         train_round = functools.partial(_cloud_round, config, center, pooled)
     else:
         shards = {shard.client_id: shard for shard in dataset.clients}
-        train_round = functools.partial(_federated_round, config, center, shards, store)
+        train_round = functools.partial(_federated_round, config, center, shards, train_rows, store)
     trace = TrainingTrace(mode=mode, seed=config.seed)
     for t_g in range(config.global_epochs):
         # a diverging phase ends in its guard, not in numpy warnings

@@ -17,7 +17,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .rng import substream
+from .rng import substream, substreams
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def empirical_gamma(samples: np.ndarray, t_p: float) -> float:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("no samples")
-    return float(np.mean(samples <= t_p))
+    return int(np.count_nonzero(samples <= t_p)) / samples.size
 
 
 def sample_sojourn(
@@ -245,11 +245,11 @@ def apply_channel(
 
     Each upload gets one stationary sojourn draw from a stream keyed by
     (channel seed, epoch, upload key), so delivery is reproducible and
-    independent of iteration order. All uploads are drawn in one
-    :func:`sample_sojourn` call.
+    independent of iteration order. The streams are seeded in one
+    ``substreams`` call, and all uploads drawn in one :func:`sample_sojourn` call.
     """
     if math.isinf(channel.t_p):
         return list(uploads)
-    rngs = [substream(channel.seed, "channel", epoch, key) for key in uploads]
+    rngs = substreams([(channel.seed, "channel", epoch, key) for key in uploads])
     delays = sample_sojourn(analyze(channel), rngs, 1)[:, 0]
     return [key for key, delay in zip(uploads, delays.tolist()) if delay <= channel.t_p]

@@ -270,6 +270,13 @@ def test_id_checks_of_store_shard_and_dataset():
         datagen.FederationDataset((shard(0, [0, 1]), shard(1, [2, 3])), (shard(0, [1]),), store)
     with pytest.raises(ValueError, match=r"global store misses 2 ids, e\.g\. \[6, 7\]"):
         datagen.FederationDataset((shard(0, [7, 0]), shard(1, [6, 3])), (), store)
+    for train, test in (([0, 0], [1]), ([0, 1], [1, 1])):
+        with pytest.raises(ValueError, match="client ids repeat within the training or the test shards"):
+            datagen.FederationDataset(
+                (shard(train[0], [0, 1]), shard(train[1], [2, 3])),
+                tuple(shard(j, [4 + k]) for k, j in enumerate(test)),
+                store,
+            )
 
 
 def test_shard_rejects_non_finite_rows():

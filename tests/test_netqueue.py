@@ -227,6 +227,8 @@ def test_empirical_gamma_edges():
     assert nq.empirical_gamma(samples, 0.0) == 0.0
     assert nq.empirical_gamma(samples, math.inf) == 1.0
     assert nq.empirical_gamma(samples, 1.0) == 0.5
+    # a Python float, which the queue tables write as a plain number
+    assert type(nq.empirical_gamma(samples, 2.5)) is float
 
 
 def test_sample_sojourn_matches_distribution():

@@ -1,4 +1,5 @@
-"""``rng.substream`` against the construction it replaced, written out here."""
+"""``rng.substream`` against the construction it replaced, written out here,
+and ``rng.substreams`` against ``substream``."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vhfl_lab.rng import substream
+from vhfl_lab.rng import substream, substreams
 
 MASK64 = (1 << 64) - 1
 
@@ -41,3 +42,30 @@ def test_substream_gives_the_bits_of_a_list_of_64_bit_words(seed, tags):
     got, want = substream(seed, *tags), reference_substream(seed, *tags)
     assert got.bit_generator.state == want.bit_generator.state
     assert got.integers(0, 2**63, size=3).tolist() == want.integers(0, 2**63, size=3).tolist()
+
+
+def same_streams(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.integers(0, 2**63, size=3).tolist() == b.integers(0, 2**63, size=3).tolist()
+
+
+# keys of one to nine entropy words, mixed within a call
+key_tuples = st.builds(lambda seed, tags: (seed, *tags), int_keys, st.lists(keys, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(key_tuples, max_size=8))
+def test_substreams_give_the_bits_of_substream(calls):
+    same_streams(substreams(calls), [substream(*key) for key in calls])
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_tuples, st.lists(key_tuples, max_size=4), st.lists(key_tuples, min_size=1, max_size=4))
+def test_a_keys_stream_does_not_depend_on_the_keys_sharing_its_call(key, before, others):
+    same_streams(substreams([*before, key])[-1:], substreams([key, *others])[:1])
+
+
+def test_substreams_of_no_keys():
+    assert substreams([]) == []
