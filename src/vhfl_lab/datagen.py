@@ -137,9 +137,8 @@ class FederationDataset:
             raise ValueError("client weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"client weights must sum to 1, got {sum(weights)}")
-        for split in (self.clients, self.test_clients):
-            if len({shard.client_id for shard in split}) != len(split):
-                raise ValueError("client ids repeat within the training or the test shards")
+        if any(len({s.client_id for s in split}) != len(split) for split in (self.clients, self.test_clients)):
+            raise ValueError("client ids repeat within the training or the test shards")
         # ids are distinct within each shard, so a repeat is an overlap across shards
         ids = np.concatenate([shard.ids for shard in (*self.clients, *self.test_clients)])
         if _has_repeats(ids):

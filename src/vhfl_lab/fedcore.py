@@ -33,17 +33,17 @@ batch sizes, so the stack needs no padding or mask, and a group of one is
 a client trained alone. ``datagen.batches`` cuts every phase's batches:
 each client's sample order is the permutation of the substream (seed,
 "batches", client_id, t_g), and each batch gathers every field once from
-the stacks; a group's streams are seeded in one ``rng.substreams`` call.
-One step per group validates: the group's first client takes
-its first step through the public ``nnet`` API, which checks the shapes
-that every step of the group reuses, as all its clients share n and the
-batch sizes. The other clients take that step as one stacked kernel step
-on the rows ``[1:]`` of the two buffers. The stacked kernels issue one
-BLAS call and one reduction per client slice, with the slice's own shape,
-so a client gets the bits it would get alone. Pooling the rows of
-different clients into one matrix would not: a BLAS kernel rounds the tail
-rows of an ``(M, 16) @ (16, 1)`` product differently as M changes. An
-upload's ``params`` is its client's row.
+the stacks; a cohort's streams are seeded in one ``rng.substreams`` call.
+One step per group validates: the group's first client takes its first
+step through the public ``nnet`` API, which checks the shapes that every
+step of the group reuses, as all its clients share n and the batch sizes.
+The other clients take that step as one stacked kernel step on the rows
+``[1:]`` of the two buffers. The stacked kernels issue one BLAS call and
+one reduction per client slice, with the slice's own shape, so a client
+gets the bits it would get alone. Pooling the rows of different clients
+into one matrix would not: a BLAS kernel rounds the tail rows of an
+``(M, 16) @ (16, 1)`` product differently as M changes. An upload's
+``params`` is its client's row.
 
 Aggregation adds each upload's ``coeff * params`` into one ``(P,)``
 accumulator, in upload order; the central step is a single step and runs
@@ -279,13 +279,9 @@ def _size_groups(shards: Sequence[ClientShard]) -> list[list[int]]:
 
 
 def _rows_by_client(shards: Sequence[ClientShard], store: GlobalStore | None) -> dict[int, np.ndarray] | None:
-    """Client id -> the shard's ``(n, d_global)`` global rows, from one lookup
-    in ``store`` over all the shards' ids; None without a store."""
-    if store is None:
-        return None
-    rows = store.rows(np.concatenate([shard.ids for shard in shards]) if shards else [])
-    parts = np.split(rows, np.cumsum([shard.n for shard in shards])[:-1])
-    return {shard.client_id: part for shard, part in zip(shards, parts)}
+    """Client id -> the shard's ``(n, d_global)`` rows in ``store``, None without
+    one; :func:`build_split` stacks copies of them, so both are held."""
+    return None if store is None else {shard.client_id: store.rows(shard.ids) for shard in shards}
 
 
 def build_split(shards: Sequence[ClientShard], global_rows: dict[int, np.ndarray] | None) -> Split:
@@ -398,24 +394,24 @@ def _first_step(
 def _train_group(
     config: FederationConfig,
     group: SizeGroup,
-    client_ids: Sequence[int],
+    rngs: Sequence[np.random.Generator],
     wbar: nnet.DenseNet,
     side: np.ndarray | None,
     t_g: int,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Local SGD of a size group's G clients as one stack, beside their rows
-    ``side`` of u0 (None without w0): the ``(G, P)`` buffer of the trained
-    parameter vectors, and the ``(G, n, u0_dim)`` vertical gradients. The
-    group's first step is :func:`_first_step`, one validating step for the
+    ``side`` of u0 (None without w0), shuffled by their streams ``rngs``: the
+    ``(G, P)`` buffer of the trained parameter vectors, and the
+    ``(G, n, u0_dim)`` vertical gradients. The group's first step is :func:`_first_step`, one validating step for the
     whole group; every other step is the stacked kernels."""
     n = group.x_local.shape[1]
-    data = np.empty((len(client_ids), wbar.params.size))
+    data = np.empty((len(rngs), wbar.params.size))
     data[...] = wbar.params
     grad = np.empty_like(data)
     layers, grads = wbar.kernel_layers(data), wbar.views(grad)
     vgrad_sum = None if side is None else np.empty(side.shape)
-    clients = np.arange(len(client_ids))[:, None]
-    plan = batches(config.batch_streams(client_ids, t_g), (group.x_local, side, group.y), config.batch_size)
+    clients = np.arange(len(rngs))[:, None]
+    plan = batches(rngs, (group.x_local, side, group.y), config.batch_size)
     for epoch, eta_t in enumerate(config.local_etas(t_g)):
         for i, (index, (x, batch_side, batch_y)) in enumerate(plan):
             if epoch == 0 and i == 0:
@@ -466,10 +462,10 @@ def client_update(
         raise ValueError(f"u0 stacks have shapes {[rows.shape for rows in u0]}, the cohort needs {expected}")
     uploads: dict[int, Upload] = {}
     finite = np.empty(len(shards), dtype=bool)
+    streams = config.batch_streams([shard.client_id for shard in shards], t_g)
     for g, group in enumerate(cohort.groups):
         side = None if u0 is None else u0[g]
-        client_ids = [shards[pos].client_id for pos in group.positions]
-        data, vgrads = _train_group(config, group, client_ids, wbar, side, t_g)
+        data, vgrads = _train_group(config, group, [streams[pos] for pos in group.positions], wbar, side, t_g)
         finite[group.positions] = np.isfinite(data).all(axis=1)
         if vgrads is not None:
             finite[group.positions] &= np.isfinite(vgrads).all(axis=(1, 2))

@@ -14,9 +14,8 @@ array as it is, and converts a list int by int in Python. That conversion,
 with the sha256 of each str tag, took about a third of a call: 25 against
 16 us on a 2-core x86 host.
 
-``substreams`` seeds many keys bit for bit as ``substream``, its reference,
-does: ``SeedSequence`` is O'Neill's ``seed_seq_fe`` hash of the words, so it
-runs as ``uint32`` array operations over all the keys of a call.
+``substreams`` seeds many keys bit for bit as ``substream``, its reference: it
+runs ``SeedSequence``, O'Neill's ``seed_seq_fe`` hash, as ``uint32`` array operations.
 """
 
 from __future__ import annotations
@@ -61,32 +60,30 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# a batched pass costs about 11 substream calls, nearly all fixed (2-core x86)
+_BATCHED_FROM = 11
 
 
 @functools.lru_cache(maxsize=32)
 def _chain(start: int, mult: int, calls: int) -> np.ndarray:
-    """The hash constant before the first of ``calls`` hashmix calls and after
-    each, ``start * mult**i`` modulo 2**32 for i = 0..calls, as a column."""
+    """``start * mult**i`` mod 2**32, i = 0..calls: the hash constant around each call."""
     consts = [start * pow(mult, i, 1 << 32) & _MASK32 for i in range(calls + 1)]
     return np.array(consts, dtype=np.uint32)[:, None]
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """hashmix of the k rows of ``values`` by k calls with the k + 1 ``consts``
-    of their chain; uint32 arrays wrap, where numpy scalars would warn."""
+    """hashmix of the k rows of ``values`` by k calls; uint32 arrays wrap, scalars warn."""
     mixed = (values ^ consts[:-1]) * consts[1:]
     return mixed ^ (mixed >> 16)
 
 
 def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(column).generate_state(4, np.uint64)`` of every column
-    of an ``(L, keys)`` uint32 entropy array, L >= 4, as one ``(keys, 4)``
-    array. SeedSequence pools a shorter entropy as if padded with zeros."""
+    """``SeedSequence(column).generate_state(4, np.uint64)`` of each column of an
+    ``(L, keys)`` uint32 array, L >= 4 (it pools shorter ones zero-padded)."""
     consts = _chain(_INIT_A, _MULT_A, _POOL * entropy.shape[0])
     pool = _hashmix(entropy[:_POOL], consts[: _POOL + 1])
     at = _POOL
-    # each pool word mixes into the other three, then each further entropy
-    # word into all four; the source word stays fixed while it mixes
+    # each pool word mixes into the other three, each further word into all four
     for src in range(entropy.shape[0]):
         dst = [d for d in range(_POOL) if d != src]
         word = pool[src] if src < _POOL else entropy[src]
@@ -98,34 +95,29 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
 
 
 class _SeedState:
-    """Precomputed ``generate_state(4, np.uint64)`` words, the one request
-    ``PCG64`` makes of its seed sequence; it cannot spawn. It is registered
-    as an ``ISeedSequence`` when used, so importing this module does not
-    load ``numpy.random``, which takes about 10 ms."""
+    """The ``generate_state(4, np.uint64)`` words, all ``PCG64`` asks of its
+    seed sequence, precomputed; it cannot spawn."""
 
     def __init__(self, state: np.ndarray) -> None:
         self._state = state
 
     def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+        if n_words != _POOL or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only generate_state(4, uint64) is precomputed, not ({n_words}, {dtype})")
         return self._state
 
 
 def substreams(keys: Sequence[tuple[object, ...]]) -> list[np.random.Generator]:
-    """``[substream(*key) for key in keys]``, bit for bit; the generators cannot
-    ``spawn``. A single key costs less on ``substream``."""
-    if len(keys) == 1:
-        return [substream(*keys[0])]
+    """``[substream(*key) for key in keys]``, bit for bit. Below 11 keys these
+    are ``substream``'s generators, which can ``spawn``; batched ones cannot."""
+    if len(keys) < _BATCHED_FROM:
+        return [substream(*key) for key in keys]
+    # registered on use: importing numpy.random takes about 10 ms
     np.random.bit_generator.ISeedSequence.register(_SeedState)
-    entropies = []
-    for seed, *tags in keys:
-        entropy = list(_words(int(seed) & _MASK64))
-        for tag in tags:
-            entropy += _tag_words(tag)
-        entropies.append(entropy + [0] * (_POOL - len(entropy)))
-    out: list[np.random.Generator] = [None] * len(keys)  # type: ignore[list-item]
+    entropies = [sum(map(_tag_words, tags), _words(int(seed) & _MASK64)) for seed, *tags in keys]
+    entropies = [entropy + (0,) * (_POOL - len(entropy)) for entropy in entropies]
+    states = np.empty((len(keys), _POOL), dtype=np.uint64)
     for length in {len(entropy) for entropy in entropies}:
         positions = [i for i, entropy in enumerate(entropies) if len(entropy) == length]
-        states = _seed_states(np.array([entropies[i] for i in positions], dtype=np.uint32).T)
-        for i, state in zip(positions, states):
-            out[i] = np.random.Generator(np.random.PCG64(_SeedState(state)))
-    return out
+        states[positions] = _seed_states(np.array([entropies[i] for i in positions], dtype=np.uint32).T)
+    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]

@@ -21,12 +21,6 @@ def cohort_of(shards, u0=None):
     return cohort, [np.stack([u0[shards[pos].client_id] for pos in group.positions]) for group in cohort.groups]
 
 
-def split_of(shards, store):
-    """``fedcore.build_split`` of ``shards``, with each shard's global rows
-    looked up in ``store``."""
-    return fedcore.build_split(shards, {shard.client_id: store.rows(shard.ids) for shard in shards})
-
-
 def by_client(cohort, stacks):
     """Per-group stacks read back per client: client id -> its rows."""
     return {

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohorts import by_client, cohort_of, split_of
+from cohorts import by_client, cohort_of
 from nets import arrays, net_of
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, generate
@@ -130,7 +130,7 @@ def test_broadcast_identity_center():
         w0=net_of((np.eye(3), np.zeros(3))),
         wbar=net_of(zero_layer(7, 2)),
     )
-    cohort = split_of(ds.clients[:2], ds.global_store)
+    cohort = fedcore.build_split(ds.clients[:2], fedcore._rows_by_client(ds.clients[:2], ds.global_store))
     tables = by_client(cohort, center_broadcast(center, cohort))
     for shard in ds.clients[:2]:
         assert np.array_equal(tables[shard.client_id], ds.global_store.rows(shard.ids))
@@ -143,7 +143,7 @@ def test_broadcast_matches_per_sample_forward():
         w0=nnet.random_net([3, 6, 3], ["tanh", "identity"], rng),
         wbar=net_of(zero_layer(7, 2)),
     )
-    cohort = split_of(ds.clients, ds.global_store)
+    cohort = fedcore.build_split(ds.clients, fedcore._rows_by_client(ds.clients, ds.global_store))
     stacks = center_broadcast(center, cohort)
     # one (G, n, u0_dim) stack per size group
     assert [stack.shape for stack in stacks] == [
@@ -408,7 +408,7 @@ def test_central_update_matches_finite_differences_of_composed_loss():
     w0 = nnet.random_net([3, 4, 3], ["tanh", "identity"], rng)
     wbar = nnet.random_net([3 + 4, 8, 2], ["tanh", "identity"], rng)
     center = CenterState(w0=w0, wbar=wbar)
-    cohort = split_of(ds.clients, ds.global_store)
+    cohort = fedcore.build_split(ds.clients, fedcore._rows_by_client(ds.clients, ds.global_store))
     tables = center_broadcast(center, cohort)
     eta0 = 1e-2
     fed = dataclasses.replace(
@@ -663,7 +663,7 @@ def test_predict_and_evaluate_perfect_model():
     y = fedcore._predict(FED, center, x0, xl)
     shard = ClientShard(0, ids, xl, y, 1.0)
     store = GlobalStore(ids, x0)
-    mse, ratio = evaluate(FED, center, split_of([shard], store))
+    mse, ratio = evaluate(FED, center, fedcore.build_split([shard], fedcore._rows_by_client([shard], store)))
     assert mse == 0.0
     assert ratio == 0.0
 
@@ -687,7 +687,8 @@ def test_evaluate_equals_mean_of_per_sample_losses():
         w0=nnet.random_net([3, 5, 3], ["tanh", "identity"], rng),
         wbar=nnet.random_net([7, 9, 2], ["tanh", "identity"], rng),
     )
-    mse, _ = evaluate(FED, center, split_of(ds.test_clients, ds.global_store))
+    split = fedcore.build_split(ds.test_clients, fedcore._rows_by_client(ds.test_clients, ds.global_store))
+    mse, _ = evaluate(FED, center, split)
     losses = []
     for shard in ds.test_clients:
         for k, sample_id in enumerate(shard.ids):
@@ -766,7 +767,7 @@ def test_grouped_evaluation_matches_per_shard_reference(combine):
     # a one-column output over 16 hidden units: one pooled (M, 16) @ (16, 1)
     # pass over all shards' rows would round some rows differently
     center = CenterState(w0=w0, wbar=nnet.random_net([in_dim, 16, 1], ["relu", "identity"], rng))
-    split = split_of(shards, store)
+    split = fedcore.build_split(shards, fedcore._rows_by_client(shards, store))
     mse, ratio = evaluate(fed, center, split)
     assert (mse, ratio) == reference_evaluate(fed, center, shards, store)
     loss = fedcore.weighted_train_loss(fed, center, split)
@@ -778,10 +779,10 @@ def test_grouped_evaluation_matches_per_shard_reference(combine):
         for shard in shards:
             assert u0[shard.client_id].tobytes() == plain_output(w0, store.rows(shard.ids)).tobytes()
     with pytest.raises(ValueError, match="^no samples to evaluate$"):
-        evaluate(fed, center, split_of([], store))
+        evaluate(fed, center, fedcore.build_split([], fedcore._rows_by_client([], store)))
 
 
-def test_rows_by_client_slices_one_lookup_per_shard():
+def test_rows_by_client_looks_up_each_shard():
     rng = substream(19, "rows-by-client")
     sizes = (*UNEQUAL_SIZES, 0)
     ids = rng.permutation(500)[: sum(sizes)]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohorts import cohort_of, split_of
+from cohorts import cohort_of
 from nets import net_of
 from vhfl_lab import fedcore, nnet
 from vhfl_lab.datagen import ClientShard, GlobalStore, SynthConfig, generate
@@ -336,7 +336,7 @@ def test_client_and_central_update_leave_caller_arrays_unchanged():
     wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
     center = CenterState(w0=w0, wbar=wbar)
     w0_snap, wbar_snap = snapshot(w0), snapshot(wbar)
-    cohort = split_of(ds.clients, ds.global_store)
+    cohort = fedcore.build_split(ds.clients, fedcore._rows_by_client(ds.clients, ds.global_store))
     u0 = center_broadcast(center, cohort)
     u0_snap = [rows.copy() for rows in u0]
     cohort_snap = [(group.x_local.copy(), group.y.copy()) for group in cohort.groups]

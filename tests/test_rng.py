@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,19 +54,30 @@ def same_streams(got, want):
 
 # keys of one to nine entropy words, mixed within a call
 key_tuples = st.builds(lambda seed, tags: (seed, *tags), int_keys, st.lists(keys, max_size=4))
+# calls of 11 keys or more take the batched pass, shorter ones substream
+BATCHED = 11
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(key_tuples, max_size=8))
+@given(st.one_of(st.lists(key_tuples, max_size=BATCHED), st.lists(key_tuples, min_size=BATCHED, max_size=30)))
 def test_substreams_give_the_bits_of_substream(calls):
     same_streams(substreams(calls), [substream(*key) for key in calls])
 
 
 @settings(max_examples=200, deadline=None)
-@given(key_tuples, st.lists(key_tuples, max_size=4), st.lists(key_tuples, min_size=1, max_size=4))
+@given(key_tuples, st.lists(key_tuples, max_size=BATCHED), st.lists(key_tuples, min_size=BATCHED, max_size=15))
 def test_a_keys_stream_does_not_depend_on_the_keys_sharing_its_call(key, before, others):
     same_streams(substreams([*before, key])[-1:], substreams([key, *others])[:1])
 
 
 def test_substreams_of_no_keys():
     assert substreams([]) == []
+
+
+def test_batched_seed_words_serve_only_pcg64s_request():
+    (gen,) = substreams([(7, "batches", c, 3) for c in range(BATCHED)])[:1]
+    seed_seq = gen.bit_generator.seed_seq
+    assert seed_seq.generate_state(4, np.uint64).shape == (4,)
+    for request in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="only generate_state"):
+            seed_seq.generate_state(*request)
