@@ -33,7 +33,7 @@ batch sizes, so the stack needs no padding or mask, and a group of one is
 a client trained alone. ``datagen.batches`` cuts every phase's batches:
 each client's sample order is the permutation of the substream (seed,
 "batches", client_id, t_g), and each batch gathers every field once from
-the stacks; a cohort's streams are seeded in one ``rng.substreams`` call.
+the stacks; :func:`plan_run` seeds every round's streams before the first.
 One step per group validates: the group's first client takes its first
 step through the public ``nnet`` API, which checks the shapes that every
 step of the group reuses, as all its clients share n and the batch sizes.
@@ -89,14 +89,14 @@ from __future__ import annotations
 import contextlib
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import nnet
 from .datagen import ClientShard, FederationDataset, GlobalStore, batches
 from .netqueue import ChannelModel, apply_channel
-from .rng import substream, substreams
+from .rng import generators, seed_states, substream
 
 COMBINES = ("concat", "additive")
 AGGREGATORS = ("renormalized", "paper_unbiased")
@@ -176,9 +176,9 @@ class FederationConfig:
         object.__setattr__(self, "w0_hidden", tuple(int(h) for h in self.w0_hidden))
         object.__setattr__(self, "local_hidden", tuple(int(h) for h in self.local_hidden))
 
-    def batch_streams(self, client_ids: Sequence[int], t_g: int) -> list[np.random.Generator]:
-        """The substreams (seed, "batches", client_id, t_g) that shuffle the clients' samples."""
-        return substreams([(self.seed, "batches", client_id, t_g) for client_id in client_ids])
+    def batch_keys(self, client_ids: Sequence[int], t_g: int) -> list[tuple[object, ...]]:
+        """The keys (seed, "batches", client_id, t_g) of the streams that shuffle the clients' samples."""
+        return [(self.seed, "batches", client_id, t_g) for client_id in client_ids]
 
     def local_etas(self, t_g: int) -> list[float]:
         """The learning rate of each local epoch e of round ``t_g``, read at the
@@ -218,6 +218,8 @@ class Split:
 
     shards: tuple[ClientShard, ...]
     groups: tuple[SizeGroup, ...]
+    q: np.ndarray  # the shards' weights and sample counts, in shard order
+    n: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -245,6 +247,34 @@ def select_clients(config: FederationConfig, t_g: int) -> tuple[int, ...]:
     rng = substream(config.seed, "select", t_g)
     picks = rng.choice(config.n_clients, size=config.k, replace=False)
     return tuple(sorted(int(i) for i in picks))
+
+
+class RunPlan(NamedTuple):
+    """Each round's cohort, and the ``rng.seed_states`` words of its clients'
+    batch streams and, behind a finite deadline, delay streams: ``(T, K, 4)``."""
+
+    cohorts: tuple[tuple[int, ...], ...]
+    batch_states: np.ndarray
+    channel_states: np.ndarray | None
+
+    def streams(self, t_g: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
+        """Round ``t_g``'s fresh batch and delay generators, in cohort order."""
+        channel = [] if self.channel_states is None else generators(self.channel_states[t_g])
+        return generators(self.batch_states[t_g]), channel
+
+
+def plan_run(config: FederationConfig, pooled: bool) -> RunPlan:
+    """A run's cohorts, from :func:`select_clients` or the pooled shard 0 of a
+    cloud mode, with the keys of all its rounds seeded in one pass per kind."""
+    cohorts = tuple((0,) if pooled else select_clients(config, t_g) for t_g in range(config.global_epochs))
+
+    def table(keys_of) -> np.ndarray:
+        keys = [key for t_g, cohort in enumerate(cohorts) for key in keys_of(cohort, t_g)]
+        return seed_states(keys).reshape(len(cohorts), -1, 4)
+
+    channel = None if pooled else config.deadline_channel
+    lossy = channel is not None and np.isfinite(channel.t_p)
+    return RunPlan(cohorts, table(config.batch_keys), table(channel.stream_keys) if lossy else None)
 
 
 def _diverged(phase: str, global_epoch: int, clients: Sequence[int] = ()) -> ValueError:
@@ -299,7 +329,8 @@ def build_split(shards: Sequence[ClientShard], global_rows: dict[int, np.ndarray
                 y=np.stack([shard.y for shard in members]),
             )
         )
-    return Split(shards=tuple(shards), groups=tuple(groups))
+    q, n = np.array([s.q for s in shards], dtype=np.float64), np.array([s.n for s in shards], dtype=np.int64)
+    return Split(shards=tuple(shards), groups=tuple(groups), q=q, n=n)
 
 
 def center_broadcast(center: CenterState, cohort: Split) -> list[np.ndarray]:
@@ -435,12 +466,14 @@ def client_update(
     cohort: Split,
     wbar: nnet.DenseNet,
     u0: Sequence[np.ndarray] | None,
+    rngs: Sequence[np.random.Generator],
     t_g: int,
 ) -> list[Upload]:
     """Local training of a round's cohort from the downloaded federal weights.
 
     Each client initializes at ``wbar``, splits its samples (with its fixed
-    centrally processed rows, one per sample) into batches once, then runs
+    centrally processed rows, one per sample) into batches once, shuffled by
+    its stream ``rngs[i]`` of :meth:`FederationConfig.batch_keys`, then runs
     ``local_epochs`` passes of mini-batch SGD at the learning rates of round
     ``t_g``. ``u0`` holds those rows as :func:`center_broadcast` sends them
     (None without w0), one ``(G, n, u0_dim)`` stack per size group. For every
@@ -462,10 +495,9 @@ def client_update(
         raise ValueError(f"u0 stacks have shapes {[rows.shape for rows in u0]}, the cohort needs {expected}")
     uploads: dict[int, Upload] = {}
     finite = np.empty(len(shards), dtype=bool)
-    streams = config.batch_streams([shard.client_id for shard in shards], t_g)
     for g, group in enumerate(cohort.groups):
         side = None if u0 is None else u0[g]
-        data, vgrads = _train_group(config, group, [streams[pos] for pos in group.positions], wbar, side, t_g)
+        data, vgrads = _train_group(config, group, [rngs[pos] for pos in group.positions], wbar, side, t_g)
         finite[group.positions] = np.isfinite(data).all(axis=1)
         if vgrads is not None:
             finite[group.positions] &= np.isfinite(vgrads).all(axis=(1, 2))
@@ -569,24 +601,18 @@ def _predict(
 def evaluate(config: FederationConfig, center: CenterState, split: Split) -> tuple[float, float]:
     """Pooled (mse, error_ratio) of the center's predictor over the split's
     shards; the per-shard sums are added up in shard order."""
-    shards = split.shards
-    sq = np.empty(len(shards))
-    ratios = np.empty(len(shards))
+    count = int(split.n.sum())
+    if count == 0:
+        raise ValueError("no samples to evaluate")
+    sq = np.empty(len(split.shards))
+    ratios = np.empty(len(split.shards))
     for group in split.groups:
         diff = _predict(config, center, group.x_global, group.x_local) - group.y
         sq[group.positions] = np.sum(diff * diff, axis=(1, 2))
         scales = np.maximum(np.linalg.norm(group.y, axis=2), 1e-8)
         ratios[group.positions] = np.sum(np.linalg.norm(diff, axis=2) / scales, axis=1)
-    sq_sum = 0.0
-    ratio_sum = 0.0
-    count = 0
-    for shard, shard_sq, shard_ratio in zip(shards, sq.tolist(), ratios.tolist()):
-        sq_sum += shard_sq
-        ratio_sum += shard_ratio
-        count += shard.n
-    if count == 0:
-        raise ValueError("no samples to evaluate")
-    return sq_sum / count, ratio_sum / count
+    # added one by one in shard order, as a loop adds; np.sum adds pairwise
+    return float(np.add.accumulate(sq)[-1]) / count, float(np.add.accumulate(ratios)[-1]) / count
 
 
 def weighted_train_loss(config: FederationConfig, center: CenterState, split: Split) -> float:
@@ -595,10 +621,7 @@ def weighted_train_loss(config: FederationConfig, center: CenterState, split: Sp
     for group in split.groups:
         diff = _predict(config, center, group.x_global, group.x_local) - group.y
         sq[group.positions] = np.sum(diff * diff, axis=(1, 2))
-    total = 0.0
-    for shard, shard_sq in zip(split.shards, sq.tolist()):
-        total += shard.q * shard_sq / shard.n
-    return total
+    return float(np.add.accumulate(split.q * sq / split.n)[-1])
 
 
 def _new_center(config: FederationConfig, dataset: FederationDataset, use_global: bool) -> CenterState:
@@ -621,18 +644,20 @@ def _federated_round(
     shards: dict[int, ClientShard],
     global_rows: dict[int, np.ndarray] | None,
     store: GlobalStore,
+    plan: RunPlan,
     t_g: int,
 ) -> int:
-    """Select, broadcast (with w0), local updates, channel, aggregation and the
-    central step (with an unfrozen w0); returns the number of delivered uploads."""
-    selected = [shards[j] for j in select_clients(config, t_g)]
+    """The planned cohort's broadcast (with w0), local updates, channel, aggregation
+    and the central step (with an unfrozen w0); returns the number of delivered uploads."""
     # the cohort is stacked once: the broadcast and the local phase share it
-    cohort = build_split(selected, global_rows)
+    cohort = build_split([shards[j] for j in plan.cohorts[t_g]], global_rows)
+    batch_rngs, channel_rngs = plan.streams(t_g)
     u0 = None if center.w0 is None else center_broadcast(center, cohort)
-    uploads = client_update(config, cohort, center.wbar, u0, t_g)
+    uploads = client_update(config, cohort, center.wbar, u0, batch_rngs, t_g)
     if config.deadline_channel is not None:
+        # the uploads come in cohort order, the order of the delay streams
         sent = [u.shard.client_id for u in uploads]
-        kept = set(apply_channel(config.deadline_channel, sent, epoch=t_g))
+        kept = set(apply_channel(config.deadline_channel, sent, channel_rngs))
         uploads = [u for u in uploads if u.shard.client_id in kept]
     if uploads:
         center.wbar = aggregate_weights(config, center.wbar, uploads, t_g)
@@ -645,6 +670,7 @@ def _cloud_round(
     config: FederationConfig,
     center: CenterState,
     pooled: SizeGroup,
+    plan: RunPlan,
     t_g: int,
 ) -> int:
     """``local_epochs`` passes of mini-batch SGD on the pooled shard's
@@ -654,9 +680,9 @@ def _cloud_round(
     # the kernels step the 2-d views [0]: on these shapes a stacked matmul
     # or tanh costs more per call than a 2-d one
     fields = (pooled.x_local, pooled.x_global, pooled.y)
-    plan = [
+    cut = [
         [None if f is None else f[0] for f in batch]
-        for _, batch in batches(config.batch_streams([0], t_g), fields, config.batch_size)
+        for _, batch in batches(plan.streams(t_g)[0], fields, config.batch_size)
     ]
     # a fresh buffer every round: the nets of the last round hold views of theirs
     data = np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None])
@@ -666,7 +692,7 @@ def _cloud_round(
     if center.w0 is not None:
         w0, w0_grads = center.w0.kernel_layers(data[split:]), center.w0.views(grad[split:])
     for eta_t in config.local_etas(t_g):
-        for x, x0, y in plan:
+        for x, x0, y in cut:
             if center.w0 is not None:
                 pre0, post0 = nnet._forward(w0, x0)
                 side_grad = _kernel_step(wbar, wbar_grads, x, post0[-1], y, config.combine)
@@ -705,13 +731,14 @@ def _run(
     train_rows = _rows_by_client(dataset.clients, eval_store)
     train_split = build_split(dataset.clients, train_rows)
     test_split = build_split(dataset.test_clients, _rows_by_client(dataset.test_clients, eval_store))
+    plan = plan_run(config, pooled=mode.startswith("cloud"))
     if mode.startswith("cloud"):
         pooled_shards = [_pooled(dataset)]
         (pooled,) = build_split(pooled_shards, _rows_by_client(pooled_shards, eval_store)).groups
-        train_round = functools.partial(_cloud_round, config, center, pooled)
+        train_round = functools.partial(_cloud_round, config, center, pooled, plan)
     else:
         shards = {shard.client_id: shard for shard in dataset.clients}
-        train_round = functools.partial(_federated_round, config, center, shards, train_rows, store)
+        train_round = functools.partial(_federated_round, config, center, shards, train_rows, store, plan)
     trace = TrainingTrace(mode=mode, seed=config.seed)
     for t_g in range(config.global_epochs):
         # a diverging phase ends in its guard, not in numpy warnings

@@ -17,7 +17,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .rng import substream, substreams
+from .rng import substream
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,8 @@ def sample_sojourn(
     second mixture coefficient. In each pass, every stream still short of
     ``n`` draws takes ``exponential(draw)`` and then ``random(draw)`` from
     its own generator, so its draws do not depend on the other streams; the
-    density, envelope and acceptance test then run once over the proposals
-    of all streams, elementwise.
+    density, envelope and acceptance test, and the placing of each stream's
+    first accepted draws, then run once over the proposals of all streams.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -199,26 +199,29 @@ def sample_sojourn(
     w0 = a - b
     envelope = max(w0 / rate, a / rate)
     out = np.empty((len(rngs), n))
-    filled = [0] * len(rngs)
-    pending = list(range(len(rngs)))
-    while pending:
-        draws = [max(16, int(1.5 * (n - filled[i]) * envelope) + 1) for i in pending]
+    filled = np.zeros(len(rngs), dtype=np.intp)
+    pending = np.arange(len(rngs))
+    while pending.size:
+        need = n - filled[pending]
+        draws = [max(16, int(1.5 * want * envelope) + 1) for want in need.tolist()]
         proposals = []
         uniforms = []
-        for i, draw in zip(pending, draws):
+        for i, draw in zip(pending.tolist(), draws):
             proposals.append(rngs[i].exponential(1.0 / rate, size=draw))
             uniforms.append(rngs[i].random(draw))
         pooled = np.concatenate(proposals)
         density = sojourn_pdf(analysis, pooled)
         bound = envelope * rate * np.exp(-rate * pooled)
         accept = np.concatenate(uniforms) * bound <= density
-        start = 0
-        for i, draw in zip(pending, draws):
-            accepted = pooled[start : start + draw][accept[start : start + draw]][: n - filled[i]]
-            out[i, filled[i] : filled[i] + accepted.size] = accepted
-            filled[i] += accepted.size
-            start += draw
-        pending = [i for i in pending if filled[i] < n]
+        # rank accepted proposals 1, 2, ... within their stream; keep the first `need`
+        stream = np.repeat(np.arange(pending.size), draws)
+        ranks = np.cumsum(accept)
+        rank = ranks - np.concatenate(([0], ranks[np.cumsum(draws)[:-1] - 1]))[stream]
+        keep = accept & (rank <= need[stream])
+        rows = pending[stream[keep]]
+        out[rows, filled[rows] + rank[keep] - 1] = pooled[keep]
+        filled[pending] += np.bincount(stream[keep], minlength=pending.size)
+        pending = pending[filled[pending] < n]
     return out
 
 
@@ -235,21 +238,25 @@ class ChannelModel(He2Params):
         if not self.t_p >= 0.0:
             raise ValueError(f"t_p must be non-negative, got {self.t_p}")
 
+    def stream_keys(self, uploads: Sequence[Hashable], epoch: int) -> list[tuple[object, ...]]:
+        """The keys (seed, "channel", epoch, upload key) of the uploads' delay streams."""
+        return [(self.seed, "channel", epoch, key) for key in uploads]
+
 
 def apply_channel(
     channel: ChannelModel,
     uploads: Sequence[Hashable],
-    epoch: int = 0,
+    rngs: Sequence[np.random.Generator],
 ) -> list[Hashable]:
     """Return the uploads whose sampled sojourn fits under the deadline.
 
-    Each upload gets one stationary sojourn draw from a stream keyed by
-    (channel seed, epoch, upload key), so delivery is reproducible and
-    independent of iteration order. The streams are seeded in one
-    ``substreams`` call, and all uploads drawn in one :func:`sample_sojourn` call.
+    Each upload gets one stationary sojourn draw from its stream ``rngs[i]``
+    of :meth:`ChannelModel.stream_keys` (channel seed, epoch, upload key), so
+    delivery is reproducible and independent of iteration order. A run seeds
+    all its rounds' streams before its first (see ``fedcore``); all uploads are
+    drawn in one :func:`sample_sojourn` call, and none under an infinite deadline.
     """
     if math.isinf(channel.t_p):
         return list(uploads)
-    rngs = substreams([(channel.seed, "channel", epoch, key) for key in uploads])
     delays = sample_sojourn(analyze(channel), rngs, 1)[:, 0]
-    return [key for key, delay in zip(uploads, delays.tolist()) if delay <= channel.t_p]
+    return [key for key, delay in zip(uploads, delays.tolist(), strict=True) if delay <= channel.t_p]

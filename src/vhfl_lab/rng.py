@@ -14,8 +14,10 @@ array as it is, and converts a list int by int in Python. That conversion,
 with the sha256 of each str tag, took about a third of a call: 25 against
 16 us on a 2-core x86 host.
 
-``substreams`` seeds many keys bit for bit as ``substream``, its reference: it
-runs ``SeedSequence``, O'Neill's ``seed_seq_fe`` hash, as ``uint32`` array operations.
+``seed_states`` seeds many keys bit for bit as ``substream``, its reference
+and the single-key API: it runs ``SeedSequence``, O'Neill's ``seed_seq_fe``
+hash, as ``uint32`` array operations, once for all the keys a run knows
+ahead. ``generators`` builds fresh generators from its rows where they draw.
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# a batched pass costs about 11 substream calls, nearly all fixed (2-core x86)
-_BATCHED_FROM = 11
 
 
 @functools.lru_cache(maxsize=32)
@@ -77,7 +77,7 @@ def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return mixed ^ (mixed >> 16)
 
 
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
+def _hash_states(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(column).generate_state(4, np.uint64)`` of each column of an
     ``(L, keys)`` uint32 array, L >= 4 (it pools shorter ones zero-padded)."""
     consts = _chain(_INIT_A, _MULT_A, _POOL * entropy.shape[0])
@@ -107,17 +107,21 @@ class _SeedState:
         return self._state
 
 
-def substreams(keys: Sequence[tuple[object, ...]]) -> list[np.random.Generator]:
-    """``[substream(*key) for key in keys]``, bit for bit. Below 11 keys these
-    are ``substream``'s generators, which can ``spawn``; batched ones cannot."""
-    if len(keys) < _BATCHED_FROM:
-        return [substream(*key) for key in keys]
-    # registered on use: importing numpy.random takes about 10 ms
-    np.random.bit_generator.ISeedSequence.register(_SeedState)
+def seed_states(keys: Sequence[tuple[object, ...]]) -> np.ndarray:
+    """The ``(len(keys), 4)`` uint64 words that ``substream(*key)`` seeds its
+    ``PCG64`` with, for each key, in one hash pass per entropy length."""
     entropies = [sum(map(_tag_words, tags), _words(int(seed) & _MASK64)) for seed, *tags in keys]
     entropies = [entropy + (0,) * (_POOL - len(entropy)) for entropy in entropies]
     states = np.empty((len(keys), _POOL), dtype=np.uint64)
     for length in {len(entropy) for entropy in entropies}:
         positions = [i for i, entropy in enumerate(entropies) if len(entropy) == length]
-        states[positions] = _seed_states(np.array([entropies[i] for i in positions], dtype=np.uint32).T)
+        states[positions] = _hash_states(np.array([entropies[i] for i in positions], dtype=np.uint32).T)
+    return states
+
+
+def generators(states: np.ndarray) -> list[np.random.Generator]:
+    """A fresh generator per row of :func:`seed_states`, bit for bit
+    ``substream(*key)``; it cannot ``spawn``."""
+    # registered on use: importing numpy.random takes about 10 ms
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
     return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]

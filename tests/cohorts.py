@@ -1,15 +1,34 @@
-"""A round's cohort for the tests.
+"""A round's cohort and streams for the tests.
 
 ``client_update`` takes the cohort as a ``fedcore.Split`` and the centrally
 processed rows u0 as one ``(G, n, u0_dim)`` stack per size group; a test
-writes u0 down per client, and reads stacks back the same way.
+writes u0 down per client, and reads stacks back the same way. A run seeds
+every round's streams before its first round and hands each phase its
+round's generators; ``update`` and ``deliver`` seed them from the same keys
+for a phase called alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from vhfl_lab import fedcore
+from vhfl_lab import fedcore, netqueue, rng
+
+
+def streams(keys):
+    """Fresh generators for ``keys``, seeded in one pass as a run seeds them."""
+    return rng.generators(rng.seed_states(keys))
+
+
+def update(config, cohort, wbar, u0, t_g):
+    """``fedcore.client_update`` with the cohort's batch streams of round ``t_g``."""
+    keys = config.batch_keys([shard.client_id for shard in cohort.shards], t_g)
+    return fedcore.client_update(config, cohort, wbar, u0, streams(keys), t_g)
+
+
+def deliver(channel, uploads, epoch):
+    """``netqueue.apply_channel`` with the uploads' delay streams of ``epoch``."""
+    return netqueue.apply_channel(channel, uploads, streams(channel.stream_keys(uploads, epoch)))
 
 
 def cohort_of(shards, u0=None):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohorts import by_client, cohort_of
+from cohorts import by_client, cohort_of, update
 from nets import arrays, net_of
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, generate
@@ -20,7 +20,6 @@ from vhfl_lab.fedcore import (
     aggregate_weights,
     center_broadcast,
     central_update,
-    client_update,
     evaluate,
     select_clients,
 )
@@ -121,6 +120,84 @@ def test_select_uniform_frequencies():
     assert np.all(np.abs(freq - 0.4) < 0.01)
 
 
+# ---------------------------------------------------------------- run plan
+
+
+def unequal_dataset(sizes, seed) -> FederationDataset:
+    """Hand-built shards of the given sizes, test shards of the same sizes."""
+    rng = substream(seed, "unequal-dataset")
+    ids = rng.permutation(10 * sum(sizes))[: 2 * sum(sizes)]
+    ends = np.cumsum((*sizes, *sizes))
+    shards = [
+        ClientShard(
+            j % len(sizes), ids[end - n : end], rng.standard_normal((n, 4)), rng.standard_normal((n, 2)), n / sum(sizes)
+        )
+        for j, (n, end) in enumerate(zip((*sizes, *sizes), ends))
+    ]
+    store = GlobalStore(ids, rng.standard_normal((len(ids), 3)))
+    return FederationDataset(tuple(shards[: len(sizes)]), tuple(shards[len(sizes) :]), store)
+
+
+LOSSY = netqueue.ChannelModel(2.0, 0.5, 0.5, 8.0, 2.0, t_p=0.4, seed=6)
+
+
+def same_state(got, key) -> bool:
+    return got.bit_generator.state == substream(*key).bit_generator.state
+
+
+def test_plan_seeds_every_rounds_streams_as_substream():
+    fed = dataclasses.replace(FED, n_clients=8, k=5, global_epochs=6, deadline_channel=LOSSY)
+    plan = fedcore.plan_run(fed, pooled=False)
+    assert plan.batch_states.shape == plan.channel_states.shape == (6, 5, 4)
+    for t_g, cohort in enumerate(plan.cohorts):
+        assert cohort == select_clients(fed, t_g)
+        batch_rngs, channel_rngs = plan.streams(t_g)
+        for client_id, batch_rng, channel_rng in zip(cohort, batch_rngs, channel_rngs, strict=True):
+            assert same_state(batch_rng, (fed.seed, "batches", client_id, t_g))
+            assert same_state(channel_rng, (LOSSY.seed, "channel", t_g, client_id))
+    # a generator holds state: each round's are built afresh from its rows
+    assert plan.streams(2)[0][0].random() == plan.streams(2)[0][0].random()
+    pooled = fedcore.plan_run(fed, pooled=True)
+    assert pooled.cohorts == ((0,),) * 6 and pooled.channel_states is None
+    assert all(same_state(pooled.streams(t_g)[0][0], (fed.seed, "batches", 0, t_g)) for t_g in range(6))
+    lossless = dataclasses.replace(fed, deadline_channel=dataclasses.replace(LOSSY, t_p=math.inf))
+    assert fedcore.plan_run(lossless, pooled=False).channel_states is None
+    assert fedcore.plan_run(lossless, pooled=False).streams(0)[1] == []
+
+
+def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
+    """Shards of unequal sizes train in size groups, out of cohort order; each
+    still draws from its own (round, client) streams, fresh at the round's start."""
+    ds = unequal_dataset((5, 9, 2, 5, 17, 9, 9, 1), 23)
+    fed = dataclasses.replace(FED, n_clients=8, k=5, global_epochs=4, batch_size=4, deadline_channel=LOSSY)
+    seen, rounds = [], []
+    client_update, apply_channel = fedcore.client_update, fedcore.apply_channel
+
+    def recording_update(config, cohort, wbar, u0, rngs, t_g):
+        assert len(fedcore._size_groups(cohort.shards)) > 1
+        ids = [shard.client_id for shard in cohort.shards]
+        assert tuple(ids) == select_clients(config, t_g)
+        rounds.append(t_g)
+        seen.extend(same_state(r, (config.seed, "batches", c, t_g)) for c, r in zip(ids, rngs, strict=True))
+        return client_update(config, cohort, wbar, u0, rngs, t_g)
+
+    def recording_channel(channel, uploads, rngs):
+        seen.extend(same_state(r, (channel.seed, "channel", rounds[-1], c)) for c, r in zip(uploads, rngs, strict=True))
+        return apply_channel(channel, uploads, rngs)
+
+    monkeypatch.setattr(fedcore, "client_update", recording_update)
+    monkeypatch.setattr(fedcore, "apply_channel", recording_channel)
+    _, trace = fedcore.run_vhfl(fed, ds)
+    assert len(seen) == 2 * fed.k * fed.global_epochs and all(seen)
+    assert any(row.k_received < fed.k for row in trace.rows)
+
+
+def test_apply_channel_rejects_a_short_list_of_delay_streams():
+    rngs = fedcore.plan_run(dataclasses.replace(FED, k=2, deadline_channel=LOSSY), pooled=False).streams(0)[1]
+    with pytest.raises(ValueError, match="shorter"):
+        netqueue.apply_channel(LOSSY, [1, 2, 3], rngs)
+
+
 # ---------------------------------------------------------------- broadcast
 
 
@@ -186,7 +263,7 @@ def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
     u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     fed = dataclasses.replace(FED, local_epochs=1, batch_size=10_000)
     cohort, stacks = cohort_of([shard], {shard.client_id: u0})
-    (upload,) = client_update(fed, cohort, wbar, stacks, 0)
+    (upload,) = update(fed, cohort, wbar, stacks, 0)
     assert upload.shard is shard
     expected = manual_full_batch_vgrads(wbar, shard, u0, u0_dim=3)
     for k, row in enumerate(expected):
@@ -206,7 +283,7 @@ def test_client_update_rejects_u0_with_the_wrong_row_count(extra):
     cohort, stacks = cohort_of(shards, {shard.client_id: rng.standard_normal((n + extra, 3)) for shard in shards})
     named = rf"^u0 stacks have shapes \[\(2, {n + extra}, 3\)\], the cohort needs \[\(2, {n}, 3\)\]$"
     with pytest.raises(ValueError, match=named):
-        client_update(FED, cohort, wbar, stacks, 0)
+        update(FED, cohort, wbar, stacks, 0)
 
 
 def test_client_update_rejects_u0_stacks_that_do_not_match_the_cohort():
@@ -217,9 +294,9 @@ def test_client_update_rejects_u0_stacks_that_do_not_match_the_cohort():
     n = shards[0].n
     cohort, stacks = cohort_of(shards, {shard.client_id: rng.standard_normal((n, 4)) for shard in shards})
     with pytest.raises(ValueError, match=rf"^u0 stacks have shapes \[\(2, {n}, 4\)\], the cohort needs \[\(2, {n}, 3\)\]$"):
-        client_update(FED, cohort, wbar, stacks, 0)
+        update(FED, cohort, wbar, stacks, 0)
     with pytest.raises(ValueError, match=rf"shapes \[\(2, {n}, 3\), \(2, {n}, 3\)\], the cohort needs \[\(2, {n}, 3\)\]$"):
-        client_update(FED, cohort, wbar, [stacks[0][..., :3]] * 2, 0)
+        update(FED, cohort, wbar, [stacks[0][..., :3]] * 2, 0)
 
 
 def test_client_update_rejects_a_client_without_samples():
@@ -228,7 +305,7 @@ def test_client_update_rejects_a_client_without_samples():
     wbar = net_of(zero_layer(2, 1))
     empty = ClientShard(3, np.array([], dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 1)), 1.0)
     with pytest.raises(ValueError, match="^client 3 has no samples$"):
-        client_update(FED, fedcore.build_split([empty], None), wbar, None, 0)
+        update(FED, fedcore.build_split([empty], None), wbar, None, 0)
 
 
 def test_client_update_perfect_fit_returns_zero_vgrads():
@@ -243,7 +320,7 @@ def test_client_update_perfect_fit_returns_zero_vgrads():
     )
     fed = dataclasses.replace(FED, batch_size=16)
     cohort, stacks = cohort_of([fitted], {fitted.client_id: u0})
-    (upload,) = client_update(fed, cohort, wbar, stacks, 0)
+    (upload,) = update(fed, cohort, wbar, stacks, 0)
     assert nets_equal(nnet.DenseNet(wbar.layers, upload.params), wbar)
     for row in upload.vgrads:
         assert np.array_equal(row, np.zeros_like(row))
@@ -257,7 +334,7 @@ def test_client_vertical_gradient_matches_finite_differences():
     u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     fed = dataclasses.replace(FED, local_epochs=1, batch_size=10_000)
     cohort, stacks = cohort_of([shard], {shard.client_id: u0})
-    vgrads = client_update(fed, cohort, wbar, stacks, 0)[0].vgrads
+    vgrads = update(fed, cohort, wbar, stacks, 0)[0].vgrads
 
     def client_loss(rows):
         out, _ = nnet.forward(wbar, np.hstack([rows, shard.x_local]))
@@ -414,7 +491,7 @@ def test_central_update_matches_finite_differences_of_composed_loss():
     fed = dataclasses.replace(
         FED, n_clients=2, k=2, local_epochs=1, batch_size=10_000, eta0=Schedule("constant", eta0)
     )
-    uploads = client_update(fed, cohort, wbar, tables, 0)
+    uploads = update(fed, cohort, wbar, tables, 0)
     stepped = central_update(fed, w0, uploads, ds.global_store, 0)
 
     def composed_loss(w0_variant):
@@ -610,7 +687,7 @@ def test_run_cloud_global_fits_linear_realizable_task():
     u0 = nnet.forward(center.w0, x0)[0]
     fed = dataclasses.replace(fed, local_epochs=1, batch_size=10_000)
     cohort, stacks = cohort_of(ds.clients[:1], {0: u0})
-    vgrads = client_update(fed, cohort, center.wbar, stacks, 0)[0].vgrads
+    vgrads = update(fed, cohort, center.wbar, stacks, 0)[0].vgrads
     assert max(float(np.linalg.norm(v)) for v in vgrads) < 1e-4
 
 
@@ -780,6 +857,43 @@ def test_grouped_evaluation_matches_per_shard_reference(combine):
             assert u0[shard.client_id].tobytes() == plain_output(w0, store.rows(shard.ids)).tobytes()
     with pytest.raises(ValueError, match="^no samples to evaluate$"):
         evaluate(fed, center, fedcore.build_split([], fedcore._rows_by_client([], store)))
+
+
+def test_evaluation_sums_shards_in_order_as_a_loop_does():
+    """Forty shards of unequal sizes whose terms span four orders of magnitude,
+    so the order of the additions shows in the last bits: both functions
+    must give the bits of a loop over the shards."""
+    # a seed whose data tells sequential from pairwise sums apart in all three
+    rng = substream(21, "sum-order")
+    sizes = [int(n) for n in rng.integers(1, 8, size=40)]
+    ends = np.cumsum(sizes)
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, size=len(sizes))
+    shards = [
+        ClientShard(
+            j, np.arange(end - n, end), rng.standard_normal((n, 2)), scale * rng.standard_normal((n, 1)), (j + 1) / 820
+        )
+        for j, (n, end, scale) in enumerate(zip(sizes, ends, scales))
+    ]
+    center = CenterState(w0=None, wbar=nnet.random_net([2, 1], ["identity"], rng))
+    split = fedcore.build_split(shards, None)
+    assert len(split.groups) > 1
+    sq, ratios, terms = [], [], []
+    for shard in shards:
+        diff = reference_residuals(FED, center, shard, None)
+        sq.append(float(np.sum(diff * diff)))
+        ratios.append(float(np.sum(np.linalg.norm(diff, axis=1) / np.maximum(np.linalg.norm(shard.y, axis=1), 1e-8))))
+        terms.append(shard.q * sq[-1] / shard.n)
+    sums = []
+    for values in (sq, ratios, terms):
+        total = 0.0
+        for value in values:
+            total += value
+        # the data tells the orders apart: a pairwise sum rounds differently
+        assert float(np.sum(values)) != total
+        sums.append(total)
+    count = sum(sizes)
+    assert evaluate(FED, center, split) == (sums[0] / count, sums[1] / count)
+    assert fedcore.weighted_train_loss(FED, center, split) == sums[2]
 
 
 def test_rows_by_client_looks_up_each_shard():

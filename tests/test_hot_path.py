@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohorts import cohort_of
+from cohorts import cohort_of, update
 from nets import net_of
 from vhfl_lab import fedcore, nnet
 from vhfl_lab.datagen import ClientShard, GlobalStore, SynthConfig, generate
@@ -29,7 +29,6 @@ from vhfl_lab.fedcore import (
     aggregate_weights,
     center_broadcast,
     central_update,
-    client_update,
 )
 from vhfl_lab.rng import substream
 
@@ -211,9 +210,9 @@ def test_client_update_matches_public_api_loop_bit_for_bit(problem):
         if diverged:
             named = rf"after client_update at global epoch {global_epoch}, client {diverged[0]}$"
             with pytest.raises(ValueError, match=named):
-                client_update(fed, cohort, wbar, stacks, global_epoch)
+                update(fed, cohort, wbar, stacks, global_epoch)
             return
-    uploads = client_update(fed, cohort, wbar, stacks, global_epoch)
+    uploads = update(fed, cohort, wbar, stacks, global_epoch)
     assert [upload.shard for upload in uploads] == shards
     for upload, (ref_net, ref_vgrads) in zip(uploads, refs):
         assert nets_same_bits(nnet.DenseNet(wbar.layers, upload.params), ref_net)
@@ -247,7 +246,7 @@ def test_client_update_takes_one_public_step_per_size_group(monkeypatch):
 
     monkeypatch.setattr(fedcore.nnet, "mse_loss", counting("mse_loss", nnet.mse_loss))
     monkeypatch.setattr(fedcore, "batches", counting("batches", fedcore.batches))
-    client_update(FED, cohort, wbar, u0, 0)
+    update(FED, cohort, wbar, u0, 0)
     assert calls == {"mse_loss": 2, "batches": 2}
 
 
@@ -343,7 +342,7 @@ def test_client_and_central_update_leave_caller_arrays_unchanged():
     fed = dataclasses.replace(
         FED, local_epochs=3, eta=Schedule("constant", 0.1), eta0=Schedule("constant", 0.1)
     )
-    uploads = client_update(fed, cohort, wbar, u0, 0)
+    uploads = update(fed, cohort, wbar, u0, 0)
     for upload in uploads:
         assert not np.shares_memory(upload.params, wbar.params)
     assert unchanged(wbar, wbar_snap)
@@ -390,8 +389,8 @@ def test_no_round_rewrites_a_net_an_earlier_round_handed_to_the_center(mode, mon
     started = []
     client_update = fedcore.client_update
 
-    def recording_update(config, cohort, wbar, u0, t_g):
-        uploads = client_update(config, cohort, wbar, u0, t_g)
+    def recording_update(config, cohort, wbar, u0, rngs, t_g):
+        uploads = client_update(config, cohort, wbar, u0, rngs, t_g)
         started.append((wbar, uploads))
         return uploads
 
@@ -439,7 +438,7 @@ def test_guard_names_client_update_epoch_and_client():
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"non-finite values after client_update at global epoch 7, client 2$"):
             fed = dataclasses.replace(DIVERGING, local_epochs=3, batch_size=4)
-            client_update(fed, cohort, wbar, u0, 7)
+            update(fed, cohort, wbar, u0, 7)
 
 
 def test_guard_names_the_first_diverging_client_in_cohort_order():
@@ -458,7 +457,7 @@ def test_guard_names_the_first_diverging_client_in_cohort_order():
     fed = dataclasses.replace(FED, activation="identity", batch_size=2, local_epochs=3)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"after client_update at global epoch 1, client 4$"):
-            client_update(fed, fedcore.build_split(shards, None), wbar, None, 1)
+            update(fed, fedcore.build_split(shards, None), wbar, None, 1)
 
 
 @pytest.mark.parametrize("diverged_first", [True, False], ids=["diverged_first", "diverged_second"])
@@ -473,14 +472,14 @@ def test_guard_names_a_diverged_client_in_either_place_of_its_size_group(diverge
     fed = dataclasses.replace(FED, activation="identity", batch_size=2)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"^non-finite values after client_update at global epoch 0, client 7$"):
-            client_update(fed, fedcore.build_split(shards, None), wbar, None, 0)
+            update(fed, fedcore.build_split(shards, None), wbar, None, 0)
 
 
 def test_client_update_keeps_the_first_steps_shape_errors():
     wbar = net_of((np.ones((1, 3)), np.ones(1)))
     shards = [ClientShard(j, np.array([2 * j, 2 * j + 1]), np.ones((2, 2)), np.zeros((2, 1)), 0.5) for j in (0, 1)]
     with pytest.raises(ValueError, match=r"^batch has 2 columns, net expects 3$"):
-        client_update(dataclasses.replace(FED, batch_size=2), fedcore.build_split(shards, None), wbar, None, 0)
+        update(dataclasses.replace(FED, batch_size=2), fedcore.build_split(shards, None), wbar, None, 0)
 
 
 def test_guard_stops_a_diverging_run_at_its_first_client():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cohorts import deliver
 from vhfl_lab import netqueue as nq
 from vhfl_lab.rng import substream
 
@@ -242,23 +243,23 @@ def test_sample_sojourn_matches_distribution():
 
 def test_apply_channel_edges_and_mean_count():
     none = nq.ChannelModel(**vars(BENCH), t_p=0.0, seed=1)
-    assert nq.apply_channel(none, list(range(10)), epoch=0) == []
+    assert deliver(none, list(range(10)), 0) == []
     everything = nq.ChannelModel(**vars(BENCH), t_p=math.inf, seed=1)
-    assert nq.apply_channel(everything, list(range(10)), epoch=0) == list(range(10))
+    assert deliver(everything, list(range(10)), 0) == list(range(10))
 
     a = nq.analyze(BENCH)
     t_p = nq.required_deadline(a, 0.7, tol=1e-9)
     channel = nq.ChannelModel(**vars(BENCH), t_p=t_p, seed=9)
-    counts = [len(nq.apply_channel(channel, list(range(10)), epoch=e)) for e in range(4000)]
+    counts = [len(deliver(channel, list(range(10)), e)) for e in range(4000)]
     assert abs(float(np.mean(counts)) - 7.0) < 0.1
 
 
 def test_apply_channel_deterministic_and_order_independent():
     channel = nq.ChannelModel(**vars(BENCH), t_p=1.0, seed=4)
-    first = nq.apply_channel(channel, [3, 1, 4, 1 + 1, 5], epoch=7)
-    second = nq.apply_channel(channel, [5, 2, 4, 1, 3], epoch=7)
+    first = deliver(channel, [3, 1, 4, 1 + 1, 5], 7)
+    second = deliver(channel, [5, 2, 4, 1, 3], 7)
     assert sorted(first) == sorted(second)
-    assert first == nq.apply_channel(channel, [3, 1, 4, 2, 5], epoch=7)
+    assert first == deliver(channel, [3, 1, 4, 2, 5], 7)
 
 
 def test_channel_rejects_a_nan_deadline_and_keeps_infinity():
@@ -425,7 +426,7 @@ def test_apply_channel_matches_the_per_upload_loop():
     def check(params, t_p, keys, seed, epoch, n):
         channel = nq.ChannelModel(**vars(params), t_p=t_p, seed=seed)
         delivered, passes = reference_apply_channel(channel, keys, epoch)
-        assert nq.apply_channel(channel, keys, epoch=epoch) == delivered
+        assert deliver(channel, keys, epoch) == delivered
         redraws.append(passes)
         # n draws per stream from fresh generators, stream by stream
         analysis = nq.analyze(params)

@@ -1,5 +1,5 @@
 """``rng.substream`` against the construction it replaced, written out here,
-and ``rng.substreams`` against ``substream``."""
+and the generators of ``rng.seed_states`` against ``substream``."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vhfl_lab.rng import substream, substreams
+from vhfl_lab.rng import generators, seed_states, substream
 
 MASK64 = (1 << 64) - 1
 
@@ -54,28 +54,31 @@ def same_streams(got, want):
 
 # keys of one to nine entropy words, mixed within a call
 key_tuples = st.builds(lambda seed, tags: (seed, *tags), int_keys, st.lists(keys, max_size=4))
-# calls of 11 keys or more take the batched pass, shorter ones substream
-BATCHED = 11
+
+
+def seeded(keys):
+    return generators(seed_states(keys))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.lists(key_tuples, max_size=BATCHED), st.lists(key_tuples, min_size=BATCHED, max_size=30)))
-def test_substreams_give_the_bits_of_substream(calls):
-    same_streams(substreams(calls), [substream(*key) for key in calls])
+@given(st.lists(key_tuples, max_size=30))
+def test_seeded_generators_give_the_bits_of_substream(calls):
+    same_streams(seeded(calls), [substream(*key) for key in calls])
 
 
 @settings(max_examples=200, deadline=None)
-@given(key_tuples, st.lists(key_tuples, max_size=BATCHED), st.lists(key_tuples, min_size=BATCHED, max_size=15))
+@given(key_tuples, st.lists(key_tuples, max_size=15), st.lists(key_tuples, max_size=15))
 def test_a_keys_stream_does_not_depend_on_the_keys_sharing_its_call(key, before, others):
-    same_streams(substreams([*before, key])[-1:], substreams([key, *others])[:1])
+    same_streams(seeded([*before, key])[-1:], seeded([key, *others])[:1])
 
 
-def test_substreams_of_no_keys():
-    assert substreams([]) == []
+def test_seed_states_of_no_keys():
+    assert seed_states([]).shape == (0, 4)
+    assert generators(seed_states([])) == []
 
 
 def test_batched_seed_words_serve_only_pcg64s_request():
-    (gen,) = substreams([(7, "batches", c, 3) for c in range(BATCHED)])[:1]
+    (gen,) = seeded([(7, "batches", 0, 3)])
     seed_seq = gen.bit_generator.seed_seq
     assert seed_seq.generate_state(4, np.uint64).shape == (4,)
     for request in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
