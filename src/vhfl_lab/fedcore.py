@@ -26,32 +26,34 @@ shards grouped by size, each group of G clients with n rows apiece as
 broadcast sends u0 as one ``(G, n, u0_dim)`` stack per group, from one
 forward pass of w0. The local phase trains each group as one stack: the
 rows of one ``(G, P)`` buffer, each filled with ``wbar.params``. Every
-step runs the unchecked ``nnet`` kernels on ``(G, b, in)`` batches, writes
-the gradients into the group's ``(G, P)`` gradient buffer, and updates the
-stack with one in-place SGD step. Equal sizes give every client the same
-batch sizes, so the stack needs no padding or mask, and a group of one is
-a client trained alone. ``datagen.batches`` cuts every phase's batches:
-each client's sample order is the permutation of the substream (seed,
-"batches", client_id, t_g), and each batch gathers every field once from
-the stacks; :func:`plan_run` seeds every round's streams before the first.
-One step per group validates: the group's first client takes its first
-step through the public ``nnet`` API, which checks the shapes that every
+step runs on ``(G, b, in)`` batches, writes the gradients into the group's
+``(G, P)`` gradient buffer, and updates the stack with one in-place SGD
+step; every step but the first runs the unchecked ``nnet`` kernels. Equal
+sizes give every client the same batch sizes, so the stack needs no
+padding or mask, and a group of one is a client trained alone.
+``datagen.batches`` cuts every phase's batches: each client's sample order
+is the permutation of the substream (seed, "batches", client_id, t_g), and
+each batch gathers every field once from the stacks; :func:`plan_run`
+seeds every round's streams before the first. One step per group
+validates: the group's first step, which every client takes from ``wbar``,
+runs through the public ``nnet`` API on the whole ``(G, b, ·)`` stack,
+with ``wbar``'s weights broadcast over it. It checks the shapes that every
 step of the group reuses, as all its clients share n and the batch sizes.
-The other clients take that step as one stacked kernel step on the rows
-``[1:]`` of the two buffers. The stacked kernels issue one BLAS call and
-one reduction per client slice, with the slice's own shape, so a client
-gets the bits it would get alone. Pooling the rows of different clients
-into one matrix would not: a BLAS kernel rounds the tail rows of an
-``(M, 16) @ (16, 1)`` product differently as M changes. An upload's
-``params`` is its client's row.
+The stacked kernels issue one BLAS call and one reduction per client
+slice, with the slice's own shape, so a client gets the bits it would get
+alone, whether its weights are its row of the buffer or ``wbar``'s own.
+Pooling the rows of different clients into one matrix would not: a BLAS
+kernel rounds the tail rows of an ``(M, 16) @ (16, 1)`` product
+differently as M changes. An upload's ``params`` is its client's row.
 
 Aggregation adds each upload's ``coeff * params`` into one ``(P,)``
 accumulator, in upload order; the central step is a single step and runs
-through the public API, where the uploads enter the center. The shards
-are fixed, so ``_run`` gathers their global rows, when the center has w0,
-and stacks the train and test splits once per run; each evaluation then
-runs one stacked forward pass per group and sums each shard over its own
-slice, adding the shards up in their original order.
+through the public API, where the uploads enter the center, stepping w0
+with its ``(P,)`` gradient vector. The shards are fixed, so ``_run``
+gathers their global rows, when the center has w0, and stacks the train
+and test splits once per run; each evaluation then runs one stacked
+forward pass per group and sums each shard over its own slice, adding the
+shards up in their original order.
 
 The pooled phase cuts its batches from the pooled shard's one-shard
 stacks and steps the kernels on their 2-d views, as it trains nets it
@@ -66,15 +68,14 @@ to the center.
 Each phase checks its results once, when it ends, with one ``isfinite``
 pass over its vectors. The local phase scans each size group's buffer and
 its vertical gradients, and names the first diverged client in cohort
-order; a group's first client whose public first step meets non-finite
-values takes that step unchecked with the others, so it is named the same
-way. The other phases build a net, whose finite check is the guard:
-``_guard`` turns the build's ``nnet.NonFiniteError`` into an error naming
-the phase, the global epoch and the clients (the pooled phase trains no
-client and names none). A value that turns inf or nan stays non-finite
-under later steps, so this catches what per-step checks would. Evaluation
-is guarded on its losses, so the loop runs with numpy's overflow and
-invalid-value warnings off. Vertical gradients travel as one
+order; a group whose public first step meets non-finite values takes that
+step unchecked, so its clients are named the same way. The other phases
+build a net, whose finite check is the guard: ``_guard`` turns the build's
+``nnet.NonFiniteError`` into an error naming the phase, the global epoch
+and the clients (the pooled phase trains no client and names none). A
+value that turns inf or nan stays non-finite under later steps, so this
+catches what per-step checks would. Evaluation is guarded on its losses,
+so the loop runs with numpy's overflow and invalid-value warnings off. Vertical gradients travel as one
 ``(n_j, u0_dim)`` array per client in shard order.
 
 ``FederationConfig`` is the one home of the round settings (K, E_L, B, the
@@ -233,8 +234,6 @@ class TraceRow:
 
 @dataclass
 class TrainingTrace:
-    mode: str
-    seed: int
     rows: list[TraceRow] = field(default_factory=list)
 
     @property
@@ -242,9 +241,9 @@ class TrainingTrace:
         return self.rows[-1]
 
 
-def select_clients(config: FederationConfig, t_g: int) -> tuple[int, ...]:
-    """K distinct client ids, uniform without replacement, keyed by (seed, t_g)."""
-    rng = substream(config.seed, "select", t_g)
+def select_clients(config: FederationConfig, rng: np.random.Generator) -> tuple[int, ...]:
+    """K distinct client ids, uniform without replacement, drawn from the
+    round's stream (seed, "select", t_g)."""
     picks = rng.choice(config.n_clients, size=config.k, replace=False)
     return tuple(sorted(int(i) for i in picks))
 
@@ -266,7 +265,12 @@ class RunPlan(NamedTuple):
 def plan_run(config: FederationConfig, pooled: bool) -> RunPlan:
     """A run's cohorts, from :func:`select_clients` or the pooled shard 0 of a
     cloud mode, with the keys of all its rounds seeded in one pass per kind."""
-    cohorts = tuple((0,) if pooled else select_clients(config, t_g) for t_g in range(config.global_epochs))
+    rounds = range(config.global_epochs)
+    if pooled:
+        cohorts = ((0,),) * len(rounds)
+    else:
+        select = generators(seed_states([(config.seed, "select", t_g) for t_g in rounds]))
+        cohorts = tuple(select_clients(config, rng) for rng in select)
 
     def table(keys_of) -> np.ndarray:
         keys = [key for t_g, cohort in enumerate(cohorts) for key in keys_of(cohort, t_g)]
@@ -340,31 +344,6 @@ def center_broadcast(center: CenterState, cohort: Split) -> list[np.ndarray]:
     return [nnet._output(center.w0, group.x_global) for group in cohort.groups]
 
 
-def _combined_step(
-    net: nnet.DenseNet,
-    batch_x: np.ndarray,
-    batch_side: np.ndarray | None,
-    batch_y: np.ndarray,
-    combine: str,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One forward/backward through the validating public API; returns the
-    local model's gradient vector, and the gradient of the batch-mean loss
-    with respect to the side (centrally processed) rows."""
-    if batch_side is None:
-        out, trace = nnet.forward(net, batch_x)
-        _, lgrad = nnet.mse_loss(out, batch_y)
-        return nnet.backward(net, trace, lgrad).ravel(), None
-    if combine == "concat":
-        inp = np.hstack([batch_side, batch_x])
-        out, trace = nnet.forward(net, inp)
-        _, lgrad = nnet.mse_loss(out, batch_y)
-        grads = nnet.backward(net, trace, lgrad, want_input_grad=True)
-        return grads.ravel(), grads.input_grad[:, : batch_side.shape[1]]
-    out, trace = nnet.forward(net, batch_x)
-    _, lgrad = nnet.mse_loss(batch_side + out, batch_y)
-    return nnet.backward(net, trace, lgrad).ravel(), lgrad
-
-
 def _kernel_step(
     layers: Sequence[nnet.Layer],
     grads: nnet.Grads,
@@ -373,9 +352,11 @@ def _kernel_step(
     batch_y: np.ndarray,
     combine: str,
 ) -> np.ndarray | None:
-    """:func:`_combined_step` on kernel layers, with nothing checked: writes
-    the local model's gradients into ``grads`` and returns the side-row
-    gradient. The arrays may carry a leading stack axis (see ``nnet``)."""
+    """One forward/backward of the local model on kernel layers, with nothing
+    checked: writes its gradients into ``grads`` and returns the gradient of
+    the batch-mean loss with respect to the side (centrally processed) rows,
+    None without them. The arrays may carry a leading stack axis (see
+    ``nnet``)."""
     concat = batch_side is not None and combine == "concat"
     inp = np.concatenate([batch_side, batch_x], axis=-1) if concat else batch_x
     pre, post = nnet._forward(layers, inp)
@@ -396,30 +377,23 @@ def _first_step(
     batch_y: np.ndarray,
     combine: str,
 ) -> np.ndarray | None:
-    """A size group's first step from ``wbar``, placed as :func:`_kernel_step`
-    places it: the first client through the validating :func:`_combined_step`,
-    which checks the shapes every step of the group reuses, and the others
-    as one stacked :func:`_kernel_step` on the layers and gradients of
-    ``data[1:]`` and ``grad[1:]``. A first client whose step is not finite
-    takes it with the others, unchecked, so that its results stay non-finite
-    and the phase guard names the first diverged client in cohort order.
-    Returns the ``(G, b, u0_dim)`` side-row gradients."""
-    side = None if batch_side is None else batch_side[0]
+    """A size group's first step from ``wbar``: :func:`_kernel_step` through the
+    validating public ``nnet`` API, on the whole stack and with ``wbar``'s
+    weights, which checks the shapes every step of the group reuses, writing
+    the gradient vectors into ``grad``. A stack whose step is not finite takes
+    it unchecked on the layers and gradients of ``data`` and ``grad``, so that
+    its results stay non-finite and the phase guard names the first diverged
+    client in cohort order. Returns the ``(G, b, u0_dim)`` side-row gradients."""
+    concat = batch_side is not None and combine == "concat"
     try:
-        grad[0], side_grad = _combined_step(wbar, batch_x[0], side, batch_y[0], combine)
+        out, trace = nnet.forward(wbar, np.concatenate([batch_side, batch_x], axis=-1) if concat else batch_x)
+        _, lgrad = nnet.mse_loss(out if batch_side is None or concat else batch_side + out, batch_y)
+        grad[...], input_grad = nnet.backward(wbar, trace, lgrad, concat)
     except nnet.NonFiniteError:
         return _kernel_step(wbar.kernel_layers(data), wbar.views(grad), batch_x, batch_side, batch_y, combine)
-    if batch_x.shape[0] == 1:
-        return None if side_grad is None else side_grad[None]
-    rest = _kernel_step(
-        wbar.kernel_layers(data[1:]),
-        wbar.views(grad[1:]),
-        batch_x[1:],
-        None if batch_side is None else batch_side[1:],
-        batch_y[1:],
-        combine,
-    )
-    return None if side_grad is None else np.concatenate([side_grad[None], rest])
+    if concat:
+        return input_grad[..., : batch_side.shape[-1]]
+    return None if batch_side is None else lgrad
 
 
 def _train_group(
@@ -433,8 +407,9 @@ def _train_group(
     """Local SGD of a size group's G clients as one stack, beside their rows
     ``side`` of u0 (None without w0), shuffled by their streams ``rngs``: the
     ``(G, P)`` buffer of the trained parameter vectors, and the
-    ``(G, n, u0_dim)`` vertical gradients. The group's first step is :func:`_first_step`, one validating step for the
-    whole group; every other step is the stacked kernels."""
+    ``(G, n, u0_dim)`` vertical gradients. The group's first step is
+    :func:`_first_step`, one validating step for the whole group; every other
+    step is the stacked kernels."""
     n = group.x_local.shape[1]
     data = np.empty((len(rngs), wbar.params.size))
     data[...] = wbar.params
@@ -575,10 +550,10 @@ def central_update(
     out, trace = nnet.forward(w0, x_global)
     if rows.shape != out.shape:
         raise ValueError(f"vertical gradients have shape {rows.shape}, expected {out.shape}")
-    grads = nnet.backward(w0, trace, rows)
-    # backward fixed the shapes, so only the stepped net's finite check can fail
+    grad, _ = nnet.backward(w0, trace, rows)
+    # backward fixed the shape, so only the stepped net's finite check can fail
     with _guard("central_update", t_g, [u.shard.client_id for u in uploads]):
-        return nnet.sgd_step(w0, grads, config.eta0.value(t_g))
+        return nnet.sgd_step(w0, grad, config.eta0.value(t_g))
 
 
 def _predict(
@@ -712,11 +687,11 @@ def _run(
     config: FederationConfig,
     dataset: FederationDataset,
     center: CenterState,
-    mode: str,
+    pooled: bool,
 ) -> tuple[CenterState, TrainingTrace]:
     """The round loop of every mode: one training phase per global epoch, then
-    evaluation and a trace row. The cloud modes train on the pooled shard, the
-    others run federated rounds."""
+    evaluation and a trace row. The cloud modes train on the ``pooled`` shard,
+    the others run federated rounds."""
     if dataset.n_clients != config.n_clients:
         raise ValueError(
             f"config expects {config.n_clients} clients, dataset has {dataset.n_clients}"
@@ -731,15 +706,15 @@ def _run(
     train_rows = _rows_by_client(dataset.clients, eval_store)
     train_split = build_split(dataset.clients, train_rows)
     test_split = build_split(dataset.test_clients, _rows_by_client(dataset.test_clients, eval_store))
-    plan = plan_run(config, pooled=mode.startswith("cloud"))
-    if mode.startswith("cloud"):
+    plan = plan_run(config, pooled)
+    if pooled:
         pooled_shards = [_pooled(dataset)]
         (pooled,) = build_split(pooled_shards, _rows_by_client(pooled_shards, eval_store)).groups
         train_round = functools.partial(_cloud_round, config, center, pooled, plan)
     else:
         shards = {shard.client_id: shard for shard in dataset.clients}
         train_round = functools.partial(_federated_round, config, center, shards, train_rows, store, plan)
-    trace = TrainingTrace(mode=mode, seed=config.seed)
+    trace = TrainingTrace()
     for t_g in range(config.global_epochs):
         # a diverging phase ends in its guard, not in numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -761,12 +736,12 @@ def _pooled(dataset: FederationDataset) -> ClientShard:
 
 def run_vhfl(config: FederationConfig, dataset: FederationDataset) -> tuple[CenterState, TrainingTrace]:
     """Train with vertical gradient exchange for ``global_epochs`` rounds."""
-    return _run(config, dataset, _new_center(config, dataset, use_global=True), "vhfl")
+    return _run(config, dataset, _new_center(config, dataset, use_global=True), pooled=False)
 
 
 def run_hfl(config: FederationConfig, dataset: FederationDataset) -> tuple[CenterState, TrainingTrace]:
     """FedAvg baseline: the vertical-horizontal round without a global model."""
-    return _run(config, dataset, _new_center(config, dataset, use_global=False), "hfl")
+    return _run(config, dataset, _new_center(config, dataset, use_global=False), pooled=False)
 
 
 def run_cloud(
@@ -779,5 +754,4 @@ def run_cloud(
     With ``use_global`` the composed model (global net feeding the local
     net) is trained end-to-end; otherwise only local features are used.
     """
-    center = _new_center(config, dataset, use_global)
-    return _run(config, dataset, center, "cloud" if use_global else "cloud_local")
+    return _run(config, dataset, _new_center(config, dataset, use_global), pooled=True)

@@ -26,8 +26,12 @@ Validate at the edges, run unchecked kernels inside the loop. The public
 ``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument
 and then call the private kernels ``_forward``/``_mse_grad``/
 ``_backward``, which check nothing. Both paths run the same float64
-operations in the same order, so their results agree bit for bit. An
-argument that must be finite and is not raises :class:`NonFiniteError`.
+operations in the same order, so their results agree bit for bit.
+``forward``, ``mse_loss`` and ``backward`` take a batch or a ``(*lead, b,
+in)`` stack of batches through the one net; ``backward`` returns the
+``(*lead, P)`` gradient vectors in the layout of ``params``, and
+``sgd_step`` takes one ``(P,)`` vector. An argument that must be finite
+and is not raises :class:`NonFiniteError`.
 
 The layout leaves every bit as per-layer arrays would have it. The update
 is elementwise, so each parameter sees the same multiply and subtract
@@ -38,11 +42,13 @@ view has the row-major strides of a fresh array of its shape; only where
 the result lands changes.
 
 The kernels also step a stack of G nets at once: batches of shape
-``(G, b, in)``, weights ``(G, out, in)`` and biases ``(G, out)``. np.matmul
-issues one BLAS call per slice with the slice's own shape, and every
-reduction runs over one slice's rows, so each net of the stack gets the
-bits it would get alone. Rows of different nets are never pooled into one
-matrix: a BLAS kernel may round a row differently with the row count.
+``(G, b, in)``, weights ``(G, out, in)`` and biases ``(G, out)``, or one
+net's 2-d weights broadcast over the stack. np.matmul issues one BLAS call
+per slice with the slice's own shape, and every reduction runs over one
+slice's rows, so each net of the stack, and each batch through one net,
+gets the bits it would get alone. Rows of different slices are never
+pooled into one matrix: a BLAS kernel may round a row differently with the
+row count.
 """
 
 from __future__ import annotations
@@ -62,8 +68,8 @@ class NonFiniteError(ValueError):
 
 def _as_batch(x: object, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got shape {arr.shape}")
+    if arr.ndim < 2:
+        raise ValueError(f"{name} must be a 2-d array or a stack of them, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite values")
     return arr
@@ -144,10 +150,6 @@ class DenseNet:
         return self.layers[0].in_dim
 
     @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
-
-    @property
     def n_layers(self) -> int:
         return len(self.layers)
 
@@ -180,28 +182,11 @@ class DenseNet:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Cached per-layer pre/post activations for one batch."""
+    """Cached per-layer pre/post activations for one batch or stack."""
 
     inputs: np.ndarray
     pre: tuple[np.ndarray, ...]
     post: tuple[np.ndarray, ...]
-
-    @property
-    def batch_size(self) -> int:
-        return self.inputs.shape[0]
-
-
-@dataclass(frozen=True)
-class Gradients:
-    """Per-layer parameter gradients; ``input_grad`` is present iff requested."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    input_grad: np.ndarray | None = None
-
-    def ravel(self) -> np.ndarray:
-        """The parameter gradients as one vector in the layout of ``DenseNet.params``."""
-        return np.concatenate([g.ravel() for pair in zip(self.weights, self.biases) for g in pair])
 
 
 def _forward(layers: Sequence[Layer], x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -262,32 +247,32 @@ def _sgd(data: np.ndarray, grad: np.ndarray, eta: float) -> None:
 
 
 def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the net on a (batch, in_dim) matrix; returns outputs and a trace."""
+    """Run the net on a (*lead, batch, in_dim) stack; returns outputs and a trace."""
     x = _as_batch(batch, "batch")
-    if x.shape[1] != net.in_dim:
-        raise ValueError(f"batch has {x.shape[1]} columns, net expects {net.in_dim}")
+    if x.shape[-1] != net.in_dim:
+        raise ValueError(f"batch has {x.shape[-1]} columns, net expects {net.in_dim}")
     pre, post = _forward(net._own_layers, x)
     return post[-1], ForwardTrace(inputs=x, pre=tuple(pre), post=tuple(post))
 
 
-def mse_loss(pred: object, target: object) -> tuple[float, np.ndarray]:
-    """Mean over the batch of squared L2 error; also returns d(loss)/d(pred)."""
+def mse_loss(pred: object, target: object) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean over each batch of squared L2 error, a float for one batch and an
+    array of the ``lead`` shape for a stack; also returns d(loss)/d(pred)."""
     p = _as_batch(pred, "pred")
     t = _as_batch(target, "target")
     if p.shape != t.shape:
         raise ValueError(f"pred shape {p.shape} != target shape {t.shape}")
     diff = p - t
-    loss = float(np.sum(diff * diff) / p.shape[0])
-    return loss, _mse_grad(p, t)
+    return np.sum(diff * diff, axis=(-2, -1)) / p.shape[-2], _mse_grad(p, t)
 
 
 def _check_trace(net: DenseNet, trace: ForwardTrace) -> None:
     if len(trace.pre) != net.n_layers or len(trace.post) != net.n_layers:
         raise ValueError("trace does not match net layer count")
-    if trace.inputs.shape[1] != net.in_dim:
+    if trace.inputs.shape[-1] != net.in_dim:
         raise ValueError("trace inputs do not match net input dim")
     for i, layer in enumerate(net.layers):
-        if trace.pre[i].shape != (trace.batch_size, layer.out_dim):
+        if trace.pre[i].shape != (*trace.inputs.shape[:-1], layer.out_dim):
             raise ValueError(f"trace pre-activation {i} has stale shape")
 
 
@@ -296,28 +281,28 @@ def backward(
     trace: ForwardTrace,
     loss_grad: object,
     want_input_grad: bool = False,
-) -> Gradients:
-    """Exact reverse-mode gradients of a scalar loss given d(loss)/d(outputs)."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact reverse-mode gradients of a scalar loss per batch given
+    d(loss)/d(outputs): the ``(*lead, P)`` parameter gradients in the layout
+    of ``params``, and d(loss)/d(inputs) if wanted, else None."""
     _check_trace(net, trace)
     da = _as_batch(loss_grad, "loss_grad")
     if da.shape != trace.post[-1].shape:
         raise ValueError(f"loss_grad shape {da.shape} does not match outputs {trace.post[-1].shape}")
-    grads = net.views(np.empty(net.params.shape))
-    input_grad = _backward(net._own_layers, grads, trace.inputs, trace.pre, trace.post, da, want_input_grad)
-    weights, biases = zip(*grads)
-    return Gradients(weights=weights, biases=biases, input_grad=input_grad)
+    grad = np.empty((*da.shape[:-2], net.params.size))
+    input_grad = _backward(net._own_layers, net.views(grad), trace.inputs, trace.pre, trace.post, da, want_input_grad)
+    return grad, input_grad
 
 
-def sgd_step(net: DenseNet, grads: Gradients, eta: float) -> DenseNet:
-    """Return the net after one step p <- p - eta*g; inputs are untouched."""
+def sgd_step(net: DenseNet, grad: object, eta: float) -> DenseNet:
+    """Return the net after one step p <- p - eta*g on a ``(P,)`` gradient;
+    inputs are untouched."""
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if len(grads.weights) != net.n_layers or len(grads.biases) != net.n_layers:
-        raise ValueError("gradients do not match net layer count")
-    for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
-        if gw.shape != (layer.out_dim, layer.in_dim) or gb.shape != (layer.out_dim,):
-            raise ValueError("gradient shapes do not match layer shapes")
-    return DenseNet(net.layers, net.params - eta * grads.ravel())
+    g = np.asarray(grad, dtype=np.float64)
+    if g.shape != net.params.shape:
+        raise ValueError(f"gradient has shape {g.shape}, the net's params {net.params.shape}")
+    return DenseNet(net.layers, net.params - eta * g)
 
 
 def random_net(

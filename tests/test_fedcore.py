@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohorts import by_client, cohort_of, update
+from cohorts import by_client, cohort_of, streams, update
 from nets import arrays, net_of
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, generate
@@ -97,25 +97,32 @@ def traces_equal(a: fedcore.TrainingTrace, b: fedcore.TrainingTrace, tol: float 
 # ---------------------------------------------------------------- selection
 
 
+def selected(config, t_g):
+    """Round ``t_g``'s cohort, drawn from a fresh stream (seed, "select", t_g)."""
+    return select_clients(config, substream(config.seed, "select", t_g))
+
+
 def test_select_all_when_k_equals_n():
-    assert select_clients(dataclasses.replace(FED, n_clients=6, k=6, seed=0), t_g=3) == tuple(range(6))
+    assert selected(dataclasses.replace(FED, n_clients=6, k=6, seed=0), t_g=3) == tuple(range(6))
 
 
 def test_select_deterministic():
     fed = dataclasses.replace(FED, k=1, seed=4)
-    first = select_clients(fed, t_g=9)
-    assert all(select_clients(fed, t_g=9) == first for _ in range(5))
+    first = selected(fed, t_g=9)
+    assert all(selected(fed, t_g=9) == first for _ in range(5))
     # the selection is keyed by the round, so rounds differ
-    assert len({select_clients(fed, t_g=t) for t in range(20)}) >= 2
+    assert len({selected(fed, t_g=t) for t in range(20)}) >= 2
 
 
 def test_select_uniform_frequencies():
     fed = dataclasses.replace(FED, k=2, seed=1)
     counts = np.zeros(5)
-    draws = 100_000
-    for t in range(draws):
-        for j in select_clients(fed, t_g=t):
-            counts[j] += 1
+    draws, chunk = 100_000, 10_000
+    for start in range(0, draws, chunk):
+        # the streams of `chunk` rounds, seeded in one pass as a run seeds them
+        for rng in streams([(fed.seed, "select", t) for t in range(start, start + chunk)]):
+            for j in select_clients(fed, rng):
+                counts[j] += 1
     freq = counts / draws
     assert np.all(np.abs(freq - 0.4) < 0.01)
 
@@ -145,12 +152,21 @@ def same_state(got, key) -> bool:
     return got.bit_generator.state == substream(*key).bit_generator.state
 
 
-def test_plan_seeds_every_rounds_streams_as_substream():
+def test_plan_seeds_every_rounds_streams_as_substream(monkeypatch):
     fed = dataclasses.replace(FED, n_clients=8, k=5, global_epochs=6, deadline_channel=LOSSY)
+    select_states = []
+
+    def recording_select(config, rng):
+        select_states.append(rng.bit_generator.state)
+        return select_clients(config, rng)
+
+    monkeypatch.setattr(fedcore, "select_clients", recording_select)
     plan = fedcore.plan_run(fed, pooled=False)
+    # every round selects from its fresh stream (seed, "select", t_g), in round order
+    assert select_states == [substream(fed.seed, "select", t_g).bit_generator.state for t_g in range(6)]
     assert plan.batch_states.shape == plan.channel_states.shape == (6, 5, 4)
     for t_g, cohort in enumerate(plan.cohorts):
-        assert cohort == select_clients(fed, t_g)
+        assert cohort == selected(fed, t_g)
         batch_rngs, channel_rngs = plan.streams(t_g)
         for client_id, batch_rng, channel_rng in zip(cohort, batch_rngs, channel_rngs, strict=True):
             assert same_state(batch_rng, (fed.seed, "batches", client_id, t_g))
@@ -159,6 +175,7 @@ def test_plan_seeds_every_rounds_streams_as_substream():
     assert plan.streams(2)[0][0].random() == plan.streams(2)[0][0].random()
     pooled = fedcore.plan_run(fed, pooled=True)
     assert pooled.cohorts == ((0,),) * 6 and pooled.channel_states is None
+    assert len(select_states) == 6  # the pooled shard is not selected
     assert all(same_state(pooled.streams(t_g)[0][0], (fed.seed, "batches", 0, t_g)) for t_g in range(6))
     lossless = dataclasses.replace(fed, deadline_channel=dataclasses.replace(LOSSY, t_p=math.inf))
     assert fedcore.plan_run(lossless, pooled=False).channel_states is None
@@ -176,7 +193,7 @@ def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
     def recording_update(config, cohort, wbar, u0, rngs, t_g):
         assert len(fedcore._size_groups(cohort.shards)) > 1
         ids = [shard.client_id for shard in cohort.shards]
-        assert tuple(ids) == select_clients(config, t_g)
+        assert tuple(ids) == selected(config, t_g)
         rounds.append(t_g)
         seen.extend(same_state(r, (config.seed, "batches", c, t_g)) for c, r in zip(ids, rngs, strict=True))
         return client_update(config, cohort, wbar, u0, rngs, t_g)
@@ -251,8 +268,8 @@ def manual_full_batch_vgrads(net, shard, u0, u0_dim):
     inp = np.hstack([u0, shard.x_local])
     out, trace = nnet.forward(net, inp)
     _, lgrad = nnet.mse_loss(out, shard.y)
-    grads = nnet.backward(net, trace, lgrad, want_input_grad=True)
-    return grads.input_grad[:, :u0_dim]
+    _, input_grad = nnet.backward(net, trace, lgrad, want_input_grad=True)
+    return input_grad[:, :u0_dim]
 
 
 def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
@@ -269,8 +286,8 @@ def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
     for k, row in enumerate(expected):
         assert np.allclose(upload.vgrads[k], row, atol=1e-12)
     out, trace = nnet.forward(wbar, np.hstack([u0, shard.x_local]))
-    grads = nnet.backward(wbar, trace, nnet.mse_loss(out, shard.y)[1])
-    assert nets_equal(nnet.DenseNet(wbar.layers, upload.params), nnet.sgd_step(wbar, grads, FED.eta.value(0)), atol=1e-12)
+    grad, _ = nnet.backward(wbar, trace, nnet.mse_loss(out, shard.y)[1])
+    assert nets_equal(nnet.DenseNet(wbar.layers, upload.params), nnet.sgd_step(wbar, grad, FED.eta.value(0)), atol=1e-12)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -564,7 +581,7 @@ def test_run_vhfl_collapses_to_hfl_with_frozen_zero_center():
     )
     w0 = net_of(zero_layer(3, 8, "tanh"), zero_layer(8, 2))
     wbar = nnet.random_net([4, 12, 2], ["tanh", "identity"], substream(FED.seed, "init", "wbar"))
-    _, vhfl_trace = fedcore._run(fed, ds, CenterState(w0=w0, wbar=wbar), "vhfl")
+    _, vhfl_trace = fedcore._run(fed, ds, CenterState(w0=w0, wbar=wbar), pooled=False)
     _, hfl_trace = fedcore.run_hfl(fed, ds)
     assert traces_equal(vhfl_trace, hfl_trace, tol=1e-10)
 
@@ -620,16 +637,12 @@ def test_run_hfl_single_step_equals_pooled_sgd():
         [fed.activation] * len(fed.local_hidden) + ["identity"],
         substream(fed.seed, "init", "wbar"),
     )
-    gw = [np.zeros_like(w) for w, _ in arrays(start)]
-    gb = [np.zeros_like(b) for _, b in arrays(start)]
+    total = np.zeros_like(start.params)
     for shard in ds.clients:
         out, trace = nnet.forward(start, shard.x_local)
         _, lgrad = nnet.mse_loss(out, shard.y)
-        grads = nnet.backward(start, trace, lgrad)
-        for i in range(len(gw)):
-            gw[i] += shard.q * grads.weights[i]
-            gb[i] += shard.q * grads.biases[i]
-    manual = nnet.sgd_step(start, nnet.Gradients(tuple(gw), tuple(gb)), fed.eta.value(0))
+        total += shard.q * nnet.backward(start, trace, lgrad)[0]
+    manual = nnet.sgd_step(start, total, fed.eta.value(0))
     assert nets_equal(center.wbar, manual, atol=1e-10)
 
 

@@ -449,7 +449,7 @@ def test_epochs_to_threshold_helper():
     from vhfl_lab.fedcore import TraceRow, TrainingTrace
 
     rows = [TraceRow(epoch, loss, loss, loss, 1) for epoch, loss in enumerate([0.9, 0.5, 0.2, 0.1])]
-    trace = TrainingTrace(mode="vhfl", seed=0, rows=rows)
+    trace = TrainingTrace(rows=rows)
     assert epochs_to_threshold(trace, 0.5) == 2
     assert epochs_to_threshold(trace, 0.05) == -1
 

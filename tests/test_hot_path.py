@@ -102,17 +102,17 @@ def reference_client_update(fed, shard, wbar, u0, global_epoch):
             if side is None:
                 out, trace = nnet.forward(net, x)
                 _, lgrad = nnet.mse_loss(out, y)
-                grads = nnet.backward(net, trace, lgrad)
+                grad, _ = nnet.backward(net, trace, lgrad)
                 side_grad = None
             elif fed.combine == "concat":
                 out, trace = nnet.forward(net, np.hstack([side, x]))
                 _, lgrad = nnet.mse_loss(out, y)
-                grads = nnet.backward(net, trace, lgrad, want_input_grad=True)
-                side_grad = grads.input_grad[:, : side.shape[1]]
+                grad, input_grad = nnet.backward(net, trace, lgrad, want_input_grad=True)
+                side_grad = input_grad[:, : side.shape[1]]
             else:
                 out, trace = nnet.forward(net, x)
                 _, lgrad = nnet.mse_loss(side + out, y)
-                grads = nnet.backward(net, trace, lgrad)
+                grad, _ = nnet.backward(net, trace, lgrad)
                 side_grad = lgrad
             if side_grad is not None:
                 scale = ids.shape[0] / shard.n
@@ -120,7 +120,7 @@ def reference_client_update(fed, shard, wbar, u0, global_epoch):
                     key = int(sample_id)
                     row = side_grad[k] * scale
                     vgrad_sum[key] = vgrad_sum[key] + row if key in vgrad_sum else row
-            net = nnet.sgd_step(net, grads, fed.eta.value(global_epoch * fed.local_epochs + epoch))
+            net = nnet.sgd_step(net, grad, fed.eta.value(global_epoch * fed.local_epochs + epoch))
     vgrads = {key: row / fed.local_epochs for key, row in vgrad_sum.items()}
     return net, vgrads
 
@@ -288,22 +288,22 @@ def reference_run_cloud(fed, ds, use_global):
                 if w0 is None:
                     out, trace = nnet.forward(wbar, x)
                     _, lgrad = nnet.mse_loss(out, y)
-                    wbar = nnet.sgd_step(wbar, nnet.backward(wbar, trace, lgrad), eta)
+                    wbar = nnet.sgd_step(wbar, nnet.backward(wbar, trace, lgrad)[0], eta)
                     continue
                 u0, trace0 = nnet.forward(w0, ds.global_store.rows(pooled.ids[idx]))
                 if fed.combine == "concat":
                     out, trace = nnet.forward(wbar, np.hstack([u0, x]))
                     _, lgrad = nnet.mse_loss(out, y)
-                    grads = nnet.backward(wbar, trace, lgrad, want_input_grad=True)
-                    side_grad = grads.input_grad[:, : u0.shape[1]]
+                    grad, input_grad = nnet.backward(wbar, trace, lgrad, want_input_grad=True)
+                    side_grad = input_grad[:, : u0.shape[1]]
                 else:
                     out, trace = nnet.forward(wbar, x)
                     _, lgrad = nnet.mse_loss(u0 + out, y)
-                    grads = nnet.backward(wbar, trace, lgrad)
+                    grad, _ = nnet.backward(wbar, trace, lgrad)
                     side_grad = lgrad
-                grads0 = nnet.backward(w0, trace0, side_grad)
-                wbar = nnet.sgd_step(wbar, grads, eta)
-                w0 = nnet.sgd_step(w0, grads0, eta)
+                grad0, _ = nnet.backward(w0, trace0, side_grad)
+                wbar = nnet.sgd_step(wbar, grad, eta)
+                w0 = nnet.sgd_step(w0, grad0, eta)
     return wbar, w0
 
 
@@ -418,7 +418,7 @@ def test_run_vhfl_leaves_caller_arrays_unchanged():
     w0 = nnet.random_net([2, 5, 3], ["tanh", "identity"], rng)
     wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
     w0_snap, wbar_snap = snapshot(w0), snapshot(wbar)
-    fedcore._run(FED, ds, CenterState(w0=w0, wbar=wbar), "vhfl")
+    fedcore._run(FED, ds, CenterState(w0=w0, wbar=wbar), pooled=False)
     assert unchanged(w0, w0_snap) and unchanged(wbar, wbar_snap)
 
 
@@ -484,7 +484,7 @@ def test_client_update_keeps_the_first_steps_shape_errors():
 
 def test_guard_stops_a_diverging_run_at_its_first_client():
     ds = generate(SYNTH)
-    first = fedcore.select_clients(FED, 0)[0]
+    first = fedcore.select_clients(FED, substream(FED.seed, "select", 0))[0]
     for run in (fedcore.run_vhfl, fedcore.run_hfl):
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match=rf"client_update at global epoch 0, client {first}$"):

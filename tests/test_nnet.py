@@ -9,8 +9,8 @@ from vhfl_lab.rng import substream
 
 
 def finite_difference_grads(net, x, y, step=1e-5):
-    """Central finite differences of the MSE loss over every parameter, as
-    per-layer weight and bias gradients."""
+    """Central finite differences of the MSE loss over every parameter, as one
+    vector in the layout of ``params``."""
     fd = np.zeros_like(net.params)
     for k in range(fd.size):
         for sign in (+1.0, -1.0):
@@ -18,8 +18,7 @@ def finite_difference_grads(net, x, y, step=1e-5):
             params[k] += sign * step
             out, _ = nnet.forward(nnet.DenseNet(net.layers, params), x)
             fd[k] += sign * nnet.mse_loss(out, y)[0]
-    wgrads, bgrads = zip(*net.views(fd / (2.0 * step)))
-    return list(wgrads), list(bgrads)
+    return fd / (2.0 * step)
 
 
 def rel_err(a, b, floor=1e-6):
@@ -114,11 +113,9 @@ def test_backward_zero_loss_grad():
     net = nnet.random_net([3, 4, 2], ["tanh", "identity"], rng)
     x = rng.standard_normal((5, 3))
     out, trace = nnet.forward(net, x)
-    grads = nnet.backward(net, trace, np.zeros_like(out), want_input_grad=True)
-    for gw, gb in zip(grads.weights, grads.biases):
-        assert np.array_equal(gw, np.zeros_like(gw))
-        assert np.array_equal(gb, np.zeros_like(gb))
-    assert np.array_equal(grads.input_grad, np.zeros_like(x))
+    grad, input_grad = nnet.backward(net, trace, np.zeros_like(out), want_input_grad=True)
+    assert np.array_equal(grad, np.zeros_like(net.params))
+    assert np.array_equal(input_grad, np.zeros_like(x))
 
 
 def test_backward_matches_finite_differences():
@@ -128,12 +125,10 @@ def test_backward_matches_finite_differences():
     y = rng.standard_normal((6, 2))
     out, trace = nnet.forward(net, x)
     _, lgrad = nnet.mse_loss(out, y)
-    grads = nnet.backward(net, trace, lgrad)
-    fd_w, fd_b = finite_difference_grads(net, x, y)
-    for gw, fw in zip(grads.weights, fd_w):
-        assert rel_err(gw, fw) < 1e-4
-    for gb, fb in zip(grads.biases, fd_b):
-        assert rel_err(gb, fb) < 1e-4
+    grad, input_grad = nnet.backward(net, trace, lgrad)
+    assert input_grad is None
+    # rel_err is a maximum over entries, so this bounds every layer's weights and bias
+    assert rel_err(grad, finite_difference_grads(net, x, y)) < 1e-4
 
 
 def test_input_grad_identity_layer_is_chain_rule():
@@ -143,8 +138,8 @@ def test_input_grad_identity_layer_is_chain_rule():
     x = rng.standard_normal((4, 5))
     out, trace = nnet.forward(net, x)
     lgrad = rng.standard_normal(out.shape)
-    grads = nnet.backward(net, trace, lgrad, want_input_grad=True)
-    assert rel_err(grads.input_grad, lgrad @ w) < 1e-12
+    _, input_grad = nnet.backward(net, trace, lgrad, want_input_grad=True)
+    assert rel_err(input_grad, lgrad @ w) < 1e-12
 
 
 def test_input_grad_matches_finite_differences():
@@ -154,7 +149,7 @@ def test_input_grad_matches_finite_differences():
     y = rng.standard_normal((4, 2))
     out, trace = nnet.forward(net, x)
     _, lgrad = nnet.mse_loss(out, y)
-    grads = nnet.backward(net, trace, lgrad, want_input_grad=True)
+    _, input_grad = nnet.backward(net, trace, lgrad, want_input_grad=True)
     step = 1e-5
     fd = np.zeros_like(x)
     for (r, c), _ in np.ndenumerate(x):
@@ -164,7 +159,7 @@ def test_input_grad_matches_finite_differences():
             o, _ = nnet.forward(net, xp)
             fd[r, c] += sign * nnet.mse_loss(o, y)[0]
     fd /= 2.0 * step
-    assert rel_err(grads.input_grad, fd) < 1e-4
+    assert rel_err(input_grad, fd) < 1e-4
 
 
 def test_backward_rejects_stale_trace():
@@ -180,37 +175,25 @@ def test_backward_rejects_stale_trace():
 def test_sgd_zero_grads_no_change():
     rng = substream(9, "sgd")
     net = nnet.random_net([2, 3, 1], ["relu", "identity"], rng)
-    grads = nnet.Gradients(
-        weights=tuple(np.zeros_like(w) for w, _ in arrays(net)),
-        biases=tuple(np.zeros_like(b) for _, b in arrays(net)),
-    )
-    stepped = nnet.sgd_step(net, grads, 0.1)
+    stepped = nnet.sgd_step(net, np.zeros_like(net.params), 0.1)
     assert stepped.layers == net.layers
     assert np.array_equal(stepped.params, net.params)
 
 
 def test_sgd_scalar_arithmetic():
     net = net_of(([[2.0]], [0.0]))
-    grads = nnet.Gradients(weights=(np.array([[0.5]]),), biases=(np.array([0.0]),))
-    stepped = nnet.sgd_step(net, grads, 1.0)
+    stepped = nnet.sgd_step(net, np.array([0.5, 0.0]), 1.0)
     assert arrays(stepped)[0][0][0, 0] == 1.5
 
 
 def test_sgd_two_steps_equal_one_combined_step():
     rng = substream(10, "sgd-linear")
     net = nnet.random_net([3, 2], ["identity"], rng)
-    g1 = nnet.Gradients(
-        weights=(rng.standard_normal((2, 3)),), biases=(rng.standard_normal(2),)
-    )
-    g2 = nnet.Gradients(
-        weights=(rng.standard_normal((2, 3)),), biases=(rng.standard_normal(2),)
-    )
+    g1 = rng.standard_normal(net.params.size)
+    g2 = rng.standard_normal(net.params.size)
     eta = 0.05
     two = nnet.sgd_step(nnet.sgd_step(net, g1, eta), g2, eta)
-    combined = nnet.Gradients(
-        weights=(g1.weights[0] + g2.weights[0],), biases=(g1.biases[0] + g2.biases[0],)
-    )
-    one = nnet.sgd_step(net, combined, eta)
+    one = nnet.sgd_step(net, g1 + g2, eta)
     (two_w, two_b), (one_w, one_b) = arrays(two)[0], arrays(one)[0]
     assert rel_err(two_w, one_w) < 1e-12
     assert np.allclose(two_b, one_b, atol=1e-15)
@@ -218,11 +201,18 @@ def test_sgd_two_steps_equal_one_combined_step():
 
 def test_sgd_rejects_nonpositive_eta():
     net = net_of((np.eye(2), np.zeros(2)))
-    grads = nnet.Gradients(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
+    grad = np.zeros(6)
     with pytest.raises(ValueError):
-        nnet.sgd_step(net, grads, 0.0)
+        nnet.sgd_step(net, grad, 0.0)
     with pytest.raises(ValueError):
-        nnet.sgd_step(net, grads, -0.1)
+        nnet.sgd_step(net, grad, -0.1)
+
+
+@pytest.mark.parametrize("shape", [(5,), (7,), (1, 6), (2, 3)])
+def test_sgd_rejects_a_gradient_of_another_shape(shape):
+    net = net_of((np.eye(2), np.zeros(2)))
+    with pytest.raises(ValueError, match=rf"^gradient has shape \({shape[0]},"):
+        nnet.sgd_step(net, np.zeros(shape), 0.1)
 
 
 def test_gradient_exactness_random_nets():
@@ -236,12 +226,8 @@ def test_gradient_exactness_random_nets():
         y = rng.standard_normal((3, dims[-1]))
         out, trace = nnet.forward(net, x)
         _, lgrad = nnet.mse_loss(out, y)
-        grads = nnet.backward(net, trace, lgrad)
-        fd_w, fd_b = finite_difference_grads(net, x, y)
-        worst = max(
-            max(rel_err(a, b) for a, b in zip(grads.weights, fd_w)),
-            max(rel_err(a, b) for a, b in zip(grads.biases, fd_b)),
-        )
+        grad, _ = nnet.backward(net, trace, lgrad)
+        worst = rel_err(grad, finite_difference_grads(net, x, y))
         assert worst < 1e-4, f"trial {trial}: {worst}"
 
 
@@ -385,14 +371,70 @@ def test_public_step_runs_the_flat_kernels_on_fresh_buffers():
     x = rng.standard_normal((14, 4))
     out, trace = nnet.forward(net, x)
     _, lgrad = nnet.mse_loss(out, rng.standard_normal((14, 1)))
-    grads = nnet.backward(net, trace, lgrad)
+    grad, _ = nnet.backward(net, trace, lgrad)
     wgrads, bgrads, _ = allocating_backward(
         [(w, layer.activation) for layer, (w, _) in zip(net.layers, arrays(net))], x, trace.pre, trace.post, lgrad
     )
-    assert all(same_bits(a, b) for a, b in zip(grads.weights, wgrads))
-    assert all(same_bits(a, b) for a, b in zip(grads.biases, bgrads))
-    stepped = nnet.sgd_step(net, grads, 0.05)
+    assert grad.shape == net.params.shape
+    for (gw, gb), ref_gw, ref_gb in zip(net.views(grad), wgrads, bgrads):
+        assert same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
+    stepped = nnet.sgd_step(net, grad, 0.05)
     for (new_w, new_b), (old_w, old_b), gw, gb in zip(arrays(stepped), arrays(net), wgrads, bgrads):
         assert same_bits(new_w, old_w - 0.05 * gw) and same_bits(new_b, old_b - 0.05 * gb)
     assert not np.shares_memory(stepped.params, net.params)
-    assert not any(np.shares_memory(stepped.params, g) for g in grads.weights)
+    assert not np.shares_memory(stepped.params, grad)
+
+
+# ------------------------------------------------------- the API on a stack
+
+
+@pytest.mark.parametrize("want_input_grad", [False, True])
+@pytest.mark.parametrize("activation", nnet.ACTIVATIONS)
+@pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
+def test_public_api_on_a_stack_gives_each_batch_its_bits_alone(lead, activation, want_input_grad):
+    rng = substream(16, "stacked-public", len(lead), lead[-1], activation)
+    for dims in LAB_DIMS:
+        net = nnet.random_net(dims, [activation, activation], rng)
+        x = rng.standard_normal((*lead, 14, dims[0]))
+        y = rng.standard_normal((*lead, 14, dims[-1]))
+        out, trace = nnet.forward(net, x)
+        loss, lgrad = nnet.mse_loss(out, y)
+        grad, input_grad = nnet.backward(net, trace, lgrad, want_input_grad)
+        assert loss.shape == lead and grad.shape == (*lead, net.params.size)
+        assert (input_grad is None) == (not want_input_grad)
+        for at in np.ndindex(lead):
+            out_alone, trace_alone = nnet.forward(net, x[at])
+            loss_alone, lgrad_alone = nnet.mse_loss(out_alone, y[at])
+            grad_alone, input_alone = nnet.backward(net, trace_alone, lgrad_alone, want_input_grad)
+            assert np.array_equal(out[at], out_alone)
+            for a, b in zip(trace.pre + trace.post, trace_alone.pre + trace_alone.post):
+                assert np.array_equal(a[at], b)
+            assert np.array_equal(loss[at], loss_alone) and np.array_equal(lgrad[at], lgrad_alone)
+            assert np.array_equal(grad[at], grad_alone)
+            if want_input_grad:
+                assert np.array_equal(input_grad[at], input_alone)
+
+
+def test_public_api_checks_hold_on_a_stack():
+    rng = substream(17, "stacked-checks")
+    net = nnet.random_net([3, 4, 2], ["tanh", "identity"], rng)
+    other = nnet.random_net([3, 5, 2], ["tanh", "identity"], rng)
+    x = rng.standard_normal((4, 2, 3))
+    with pytest.raises(ValueError, match="must be a 2-d array or a stack of them"):
+        nnet.forward(net, x[0, 0])
+    with pytest.raises(ValueError, match="^batch has 2 columns, net expects 3$"):
+        nnet.forward(net, x[..., :2])
+    with pytest.raises(nnet.NonFiniteError):
+        nnet.forward(net, np.where(np.arange(3) == 1, np.nan, x))
+    out, stale = nnet.forward(other, x)
+    with pytest.raises(ValueError, match="stale shape"):
+        nnet.backward(net, stale, np.zeros_like(out))
+    out, trace = nnet.forward(net, x)
+    with pytest.raises(ValueError, match=r"pred shape \(4, 2, 2\) != target shape \(2, 2\)"):
+        nnet.mse_loss(out, out[0])
+    # a loss gradient must match the outputs, stack axes included
+    for bad in (out[0], out[:3], out[:, :1], np.zeros((4, 2, 3))):
+        with pytest.raises(ValueError, match="does not match outputs"):
+            nnet.backward(net, trace, bad)
+    with pytest.raises(nnet.NonFiniteError):
+        nnet.backward(net, trace, np.full_like(out, np.inf))

@@ -6,7 +6,10 @@ shipped configs reach it), and ``compare_default.json`` behind a lossy He2
 upload channel (no shipped config has a ``channel`` section, so this run is
 the only one that reaches ``netqueue.apply_channel`` and aggregation over
 partial deliveries), each into its own temporary directory, with the
-``vhfl_lab`` of this checkout. Prints one ``sha256  label/relpath`` line per
+``vhfl_lab`` of this checkout. Prints a first line ``# numpy <version>,
+OpenBLAS <core>``, the BLAS kernel that numpy's bundled OpenBLAS picked on
+this host (the digests hold for that kernel; another one may round matrix
+products differently), then one ``sha256  label/relpath`` line per
 artifact, sorted by path; the label is the config's name, followed by
 ``@mode`` when the mode is not the config's own and by ``+section`` for
 each section the run adds to the config. ``resolved_config.json`` is
@@ -23,12 +26,15 @@ A full run takes about a minute on two cores, mostly ``k_el_sweep`` and
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -72,7 +78,28 @@ def digests(runs: Sequence[Run], work: Path) -> list[str]:
     return [f"{digest}  {name}" for name, digest in sorted(found.items())]
 
 
+def openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs on this host, as
+    ``scipy_openblas_get_corename64_`` names it; ``unknown`` when no bundled
+    library answers."""
+    numpy_dir = Path(np.__file__).parent
+    for lib in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def header() -> str:
+    """The first line printed: the numpy version and the OpenBLAS kernel."""
+    return f"# numpy {np.__version__}, OpenBLAS {openblas_core()}"
+
+
 def main() -> int:
+    print(header())
     with tempfile.TemporaryDirectory() as work:
         for line in digests(shipped_runs(), Path(work)):
             print(line)
