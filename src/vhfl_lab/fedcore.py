@@ -20,11 +20,12 @@ A net is its layer shapes plus one ``(P,)`` parameter vector (see
 run unchecked kernels inside the loop. Data is checked where it enters
 (``ClientShard``, ``GlobalStore``, config parsing).
 
-Each round stacks its cohort once with ``build_split``: the selected
-shards grouped by size, each group of G clients with n rows apiece as
-``(G, n, d)`` stacks, with their global rows when the center has w0. The
-broadcast sends u0 as one ``(G, n, u0_dim)`` stack per group, from one
-forward pass of w0. The local phase trains each group as one stack: the
+Each round gathers its cohort once from the run's train split
+(``Split.gather``): the selected shards grouped by size, each group of G
+clients with n rows apiece as ``(G, n, d)`` stacks, taken with one fancy
+index per field from the train split's group of that size, with their
+global rows when the center has w0. The broadcast sends u0 as one
+``(G, n, u0_dim)`` stack per group, from one forward pass of w0. The local phase trains each group as one stack: the
 rows of one ``(G, P)`` buffer, each filled with ``wbar.params``. Every
 step runs on ``(G, b, in)`` batches, writes the gradients into the group's
 ``(G, P)`` gradient buffer, and updates the stack with one in-place SGD
@@ -33,11 +34,13 @@ sizes give every client the same batch sizes, so the stack needs no
 padding or mask, and a group of one is a client trained alone.
 ``datagen.batches`` cuts every phase's batches: each client's sample order
 is the permutation of the substream (seed, "batches", client_id, t_g), and
-each batch gathers every field once from the stacks; :func:`plan_run`
-seeds every round's streams before the first. One step per group
-validates: the group's first step, which every client takes from ``wbar``,
-runs through the public ``nnet`` API on the whole ``(G, b, ·)`` stack,
-with ``wbar``'s weights broadcast over it. It checks the shapes that every
+each batch gathers every field once from the stacks. :func:`plan_run`
+seeds every round's streams before the first, and behind a finite deadline
+it draws every upload's delay there too, in blocks of whole rounds: a delay
+does not depend on training, so a round keeps the uploads its plan
+delivers. One step per group validates: the group's first step, which
+every client takes from ``wbar``, runs through the public ``nnet`` API on
+the whole ``(G, b, ·)`` stack, with ``wbar``'s weights broadcast over it. It checks the shapes that every
 step of the group reuses, as all its clients share n and the batch sizes.
 The stacked kernels issue one BLAS call and one reduction per client
 slice, with the slice's own shape, so a client gets the bits it would get
@@ -89,6 +92,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -215,12 +219,39 @@ class SizeGroup:
 
 @dataclass(frozen=True)
 class Split:
-    """Shards grouped by size and stacked once: per run, or per round for a cohort."""
+    """Shards grouped by size and stacked once per run; a round's cohort is
+    gathered from the train split's stacks (:meth:`gather`)."""
 
     shards: tuple[ClientShard, ...]
     groups: tuple[SizeGroup, ...]
     q: np.ndarray  # the shards' weights and sample counts, in shard order
     n: np.ndarray
+
+    @functools.cached_property
+    def _slots(self) -> dict[int, tuple[int, int, int]]:
+        """Client id -> the shard's position, its size group and its row there."""
+        return {
+            self.shards[pos].client_id: (pos, g, row)
+            for g, group in enumerate(self.groups)
+            for row, pos in enumerate(group.positions)
+        }
+
+    def gather(self, client_ids: Sequence[int]) -> Split:
+        """The split of the shards of ``client_ids``, in that order, bit for bit
+        :func:`build_split` of those shards and their global rows: each size
+        group takes its rows from this split's group of its size, with one
+        fancy index per field. The client ids must be distinct here, as they
+        are in a dataset's training shards."""
+        slots = [self._slots[client_id] for client_id in client_ids]
+        at = [pos for pos, _, _ in slots]
+        shards = [self.shards[pos] for pos in at]
+        groups = []
+        for positions in _size_groups(shards):
+            source = self.groups[slots[positions[0]][1]]
+            rows = [slots[pos][2] for pos in positions]
+            x_global = None if source.x_global is None else source.x_global[rows]
+            groups.append(SizeGroup(positions, x_global, source.x_local[rows], source.y[rows]))
+        return Split(shards=tuple(shards), groups=tuple(groups), q=self.q[at], n=self.n[at])
 
 
 @dataclass(frozen=True)
@@ -248,37 +279,56 @@ def select_clients(config: FederationConfig, rng: np.random.Generator) -> tuple[
     return tuple(sorted(int(i) for i in picks))
 
 
+# the most uploads one apply_channel call draws delays for, in whole rounds:
+# a call holds the generators of all its uploads at once
+_CHANNEL_BLOCK = 128
+
+
 class RunPlan(NamedTuple):
-    """Each round's cohort, and the ``rng.seed_states`` words of its clients'
-    batch streams and, behind a finite deadline, delay streams: ``(T, K, 4)``."""
+    """Each round's cohort, the ``rng.seed_states`` words of its clients' batch
+    streams, ``(T, K, 4)``, and which of their uploads the channel delivers,
+    ``(T, K)``, in cohort order."""
 
     cohorts: tuple[tuple[int, ...], ...]
     batch_states: np.ndarray
-    channel_states: np.ndarray | None
+    delivered: np.ndarray
 
-    def streams(self, t_g: int) -> tuple[list[np.random.Generator], list[np.random.Generator]]:
-        """Round ``t_g``'s fresh batch and delay generators, in cohort order."""
-        channel = [] if self.channel_states is None else generators(self.channel_states[t_g])
-        return generators(self.batch_states[t_g]), channel
+    def streams(self, t_g: int) -> list[np.random.Generator]:
+        """Round ``t_g``'s fresh batch generators, in cohort order."""
+        return generators(self.batch_states[t_g])
 
 
 def plan_run(config: FederationConfig, pooled: bool) -> RunPlan:
     """A run's cohorts, from :func:`select_clients` or the pooled shard 0 of a
-    cloud mode, with the keys of all its rounds seeded in one pass per kind."""
+    cloud mode, with the keys of all its rounds seeded in one pass per kind.
+    Behind a finite deadline the channel decides every upload's delivery here,
+    before round 0: a delay does not depend on training."""
     rounds = range(config.global_epochs)
     if pooled:
         cohorts = ((0,),) * len(rounds)
     else:
         select = generators(seed_states([(config.seed, "select", t_g) for t_g in rounds]))
         cohorts = tuple(select_clients(config, rng) for rng in select)
-
-    def table(keys_of) -> np.ndarray:
-        keys = [key for t_g, cohort in enumerate(cohorts) for key in keys_of(cohort, t_g)]
-        return seed_states(keys).reshape(len(cohorts), -1, 4)
-
+    keys = [key for t_g, cohort in enumerate(cohorts) for key in config.batch_keys(cohort, t_g)]
+    batch_states = seed_states(keys).reshape(len(cohorts), -1, 4)
     channel = None if pooled else config.deadline_channel
-    lossy = channel is not None and np.isfinite(channel.t_p)
-    return RunPlan(cohorts, table(config.batch_keys), table(channel.stream_keys) if lossy else None)
+    if channel is None or not np.isfinite(channel.t_p):
+        return RunPlan(cohorts, batch_states, np.ones(batch_states.shape[:2], dtype=bool))
+    return RunPlan(cohorts, batch_states, _plan_channel(channel, cohorts))
+
+
+def _plan_channel(channel: ChannelModel, cohorts: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The ``(T, K)`` delivery of every upload of a run, keyed ``(t_g,
+    client_id)`` and drawn from its stream of :meth:`ChannelModel.stream_keys`
+    by :func:`apply_channel`, over blocks of whole rounds of at most
+    ``_CHANNEL_BLOCK`` uploads (or one round)."""
+    uploads = [(t_g, client_id) for t_g, cohort in enumerate(cohorts) for client_id in cohort]
+    states = seed_states([key for t_g, cohort in enumerate(cohorts) for key in channel.stream_keys(cohort, t_g)])
+    block = max(1, _CHANNEL_BLOCK // len(cohorts[0])) * len(cohorts[0])
+    kept: set[tuple[int, int]] = set()
+    for start in range(0, len(uploads), block):
+        kept.update(apply_channel(channel, uploads[start : start + block], generators(states[start : start + block])))
+    return np.fromiter(map(kept.__contains__, uploads), dtype=bool, count=len(uploads)).reshape(len(cohorts), -1)
 
 
 def _diverged(phase: str, global_epoch: int, clients: Sequence[int] = ()) -> ValueError:
@@ -314,7 +364,7 @@ def _size_groups(shards: Sequence[ClientShard]) -> list[list[int]]:
 
 def _rows_by_client(shards: Sequence[ClientShard], store: GlobalStore | None) -> dict[int, np.ndarray] | None:
     """Client id -> the shard's ``(n, d_global)`` rows in ``store``, None without
-    one; :func:`build_split` stacks copies of them, so both are held."""
+    one, for :func:`build_split`."""
     return None if store is None else {shard.client_id: store.rows(shard.ids) for shard in shards}
 
 
@@ -616,24 +666,20 @@ def _new_center(config: FederationConfig, dataset: FederationDataset, use_global
 def _federated_round(
     config: FederationConfig,
     center: CenterState,
-    shards: dict[int, ClientShard],
-    global_rows: dict[int, np.ndarray] | None,
+    train: Split,
     store: GlobalStore,
     plan: RunPlan,
     t_g: int,
 ) -> int:
-    """The planned cohort's broadcast (with w0), local updates, channel, aggregation
-    and the central step (with an unfrozen w0); returns the number of delivered uploads."""
-    # the cohort is stacked once: the broadcast and the local phase share it
-    cohort = build_split([shards[j] for j in plan.cohorts[t_g]], global_rows)
-    batch_rngs, channel_rngs = plan.streams(t_g)
+    """The planned cohort's broadcast (with w0), local updates, the uploads the
+    plan delivers, aggregation and the central step (with an unfrozen w0);
+    returns the number of delivered uploads."""
+    # the cohort is gathered once: the broadcast and the local phase share it
+    cohort = train.gather(plan.cohorts[t_g])
     u0 = None if center.w0 is None else center_broadcast(center, cohort)
-    uploads = client_update(config, cohort, center.wbar, u0, batch_rngs, t_g)
-    if config.deadline_channel is not None:
-        # the uploads come in cohort order, the order of the delay streams
-        sent = [u.shard.client_id for u in uploads]
-        kept = set(apply_channel(config.deadline_channel, sent, channel_rngs))
-        uploads = [u for u in uploads if u.shard.client_id in kept]
+    uploads = client_update(config, cohort, center.wbar, u0, plan.streams(t_g), t_g)
+    # the uploads come in cohort order, the order of the planned deliveries
+    uploads = list(itertools.compress(uploads, plan.delivered[t_g]))
     if uploads:
         center.wbar = aggregate_weights(config, center.wbar, uploads, t_g)
         if center.w0 is not None and not config.center_frozen:
@@ -657,7 +703,7 @@ def _cloud_round(
     fields = (pooled.x_local, pooled.x_global, pooled.y)
     cut = [
         [None if f is None else f[0] for f in batch]
-        for _, batch in batches(plan.streams(t_g)[0], fields, config.batch_size)
+        for _, batch in batches(plan.streams(t_g), fields, config.batch_size)
     ]
     # a fresh buffer every round: the nets of the last round hold views of theirs
     data = np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None])
@@ -701,10 +747,9 @@ def _run(
             f"additive combining needs u0_dim == d_label, got {config.u0_dim} != {dataset.d_label}"
         )
     store = dataset.global_store
-    # the shards are fixed: their global rows are gathered once per run
+    # the shards are fixed: their global rows are gathered and stacked once per run
     eval_store = None if center.w0 is None else store
-    train_rows = _rows_by_client(dataset.clients, eval_store)
-    train_split = build_split(dataset.clients, train_rows)
+    train_split = build_split(dataset.clients, _rows_by_client(dataset.clients, eval_store))
     test_split = build_split(dataset.test_clients, _rows_by_client(dataset.test_clients, eval_store))
     plan = plan_run(config, pooled)
     if pooled:
@@ -712,8 +757,7 @@ def _run(
         (pooled,) = build_split(pooled_shards, _rows_by_client(pooled_shards, eval_store)).groups
         train_round = functools.partial(_cloud_round, config, center, pooled, plan)
     else:
-        shards = {shard.client_id: shard for shard in dataset.clients}
-        train_round = functools.partial(_federated_round, config, center, shards, train_rows, store, plan)
+        train_round = functools.partial(_federated_round, config, center, train_split, store, plan)
     trace = TrainingTrace()
     for t_g in range(config.global_epochs):
         # a diverging phase ends in its guard, not in numpy warnings

@@ -252,9 +252,10 @@ def apply_channel(
 
     Each upload gets one stationary sojourn draw from its stream ``rngs[i]``
     of :meth:`ChannelModel.stream_keys` (channel seed, epoch, upload key), so
-    delivery is reproducible and independent of iteration order. A run seeds
-    all its rounds' streams before its first (see ``fedcore``); all uploads are
-    drawn in one :func:`sample_sojourn` call, and none under an infinite deadline.
+    delivery is reproducible and independent of iteration order. A run draws
+    the delays of all its rounds before its first, in blocks of whole rounds
+    (see ``fedcore.plan_run``); all uploads of a call are drawn in one
+    :func:`sample_sojourn` call, and none under an infinite deadline.
     """
     if math.isinf(channel.t_p):
         return list(uploads)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohorts import by_client, cohort_of, streams, update
+from cohorts import by_client, cohort_of, deliver, streams, update
 from nets import arrays, net_of
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, generate
@@ -146,73 +146,145 @@ def unequal_dataset(sizes, seed) -> FederationDataset:
 
 
 LOSSY = netqueue.ChannelModel(2.0, 0.5, 0.5, 8.0, 2.0, t_p=0.4, seed=6)
+# shards of four sizes, so that most cohorts span several size groups
+UNEQUAL = unequal_dataset((5, 9, 2, 5, 17, 9, 9, 1), 23)
 
 
 def same_state(got, key) -> bool:
     return got.bit_generator.state == substream(*key).bit_generator.state
 
 
+def recording(monkeypatch, name, record):
+    """Patch ``fedcore.<name>`` with a wrapper that hands its arguments to
+    ``record`` and then calls the original."""
+    original = getattr(fedcore, name)
+
+    def wrapper(*args):
+        record(*args)
+        return original(*args)
+
+    monkeypatch.setattr(fedcore, name, wrapper)
+
+
+def reference_delivered(channel, cohorts) -> np.ndarray:
+    """Each round's deliveries, one ``apply_channel`` call per round over the
+    cohort's client ids, with the delay streams of that round."""
+    rows = []
+    for t_g, cohort in enumerate(cohorts):
+        kept = set(deliver(channel, list(cohort), t_g))
+        rows.append([client_id in kept for client_id in cohort])
+    return np.array(rows, dtype=bool)
+
+
 def test_plan_seeds_every_rounds_streams_as_substream(monkeypatch):
-    fed = dataclasses.replace(FED, n_clients=8, k=5, global_epochs=6, deadline_channel=LOSSY)
-    select_states = []
-
-    def recording_select(config, rng):
-        select_states.append(rng.bit_generator.state)
-        return select_clients(config, rng)
-
-    monkeypatch.setattr(fedcore, "select_clients", recording_select)
+    k = 5
+    # two full channel blocks and one round more
+    rounds = 2 * (fedcore._CHANNEL_BLOCK // k) + 1
+    fed = dataclasses.replace(FED, n_clients=8, k=k, global_epochs=rounds, deadline_channel=LOSSY)
+    select_states, calls = [], []
+    recording(monkeypatch, "select_clients", lambda config, rng: select_states.append(rng.bit_generator.state))
+    recording(
+        monkeypatch,
+        "apply_channel",
+        lambda channel, uploads, rngs: calls.append((list(uploads), [r.bit_generator.state for r in rngs])),
+    )
     plan = fedcore.plan_run(fed, pooled=False)
     # every round selects from its fresh stream (seed, "select", t_g), in round order
-    assert select_states == [substream(fed.seed, "select", t_g).bit_generator.state for t_g in range(6)]
-    assert plan.batch_states.shape == plan.channel_states.shape == (6, 5, 4)
+    assert select_states == [substream(fed.seed, "select", t_g).bit_generator.state for t_g in range(rounds)]
+    assert plan.batch_states.shape == (rounds, k, 4) and plan.delivered.shape == (rounds, k)
     for t_g, cohort in enumerate(plan.cohorts):
         assert cohort == selected(fed, t_g)
-        batch_rngs, channel_rngs = plan.streams(t_g)
-        for client_id, batch_rng, channel_rng in zip(cohort, batch_rngs, channel_rngs, strict=True):
+        batch_rngs = plan.streams(t_g)
+        for client_id, batch_rng in zip(cohort, batch_rngs, strict=True):
             assert same_state(batch_rng, (fed.seed, "batches", client_id, t_g))
-            assert same_state(channel_rng, (LOSSY.seed, "channel", t_g, client_id))
     # a generator holds state: each round's are built afresh from its rows
-    assert plan.streams(2)[0][0].random() == plan.streams(2)[0][0].random()
+    assert plan.streams(2)[0].random() == plan.streams(2)[0].random()
+    # the delays are drawn before round 0, in blocks of whole rounds, each
+    # upload (t_g, client_id) from a fresh stream (seed, "channel", t_g, client_id)
+    assert [len(uploads) for uploads, _ in calls] == [fedcore._CHANNEL_BLOCK // k * k] * 2 + [k]
+    uploads = [upload for block, _ in calls for upload in block]
+    assert uploads == [(t_g, client_id) for t_g, cohort in enumerate(plan.cohorts) for client_id in cohort]
+    states = [state for _, block in calls for state in block]
+    assert states == [substream(LOSSY.seed, "channel", *upload).bit_generator.state for upload in uploads]
+    assert np.array_equal(plan.delivered, reference_delivered(LOSSY, plan.cohorts))
+    assert 0 < plan.delivered.sum() < plan.delivered.size
+    calls.clear()
     pooled = fedcore.plan_run(fed, pooled=True)
-    assert pooled.cohorts == ((0,),) * 6 and pooled.channel_states is None
-    assert len(select_states) == 6  # the pooled shard is not selected
-    assert all(same_state(pooled.streams(t_g)[0][0], (fed.seed, "batches", 0, t_g)) for t_g in range(6))
+    assert pooled.cohorts == ((0,),) * rounds and pooled.delivered.shape == (rounds, 1) and pooled.delivered.all()
+    assert len(select_states) == rounds  # the pooled shard is not selected
+    assert all(same_state(pooled.streams(t_g)[0], (fed.seed, "batches", 0, t_g)) for t_g in range(rounds))
     lossless = dataclasses.replace(fed, deadline_channel=dataclasses.replace(LOSSY, t_p=math.inf))
-    assert fedcore.plan_run(lossless, pooled=False).channel_states is None
-    assert fedcore.plan_run(lossless, pooled=False).streams(0)[1] == []
+    assert fedcore.plan_run(lossless, pooled=False).delivered.all()
+    assert fedcore.plan_run(dataclasses.replace(fed, deadline_channel=None), pooled=False).delivered.all()
+    # no delay is drawn without a lossy channel or for a cloud mode
+    assert calls == []
 
 
 def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
     """Shards of unequal sizes train in size groups, out of cohort order; each
-    still draws from its own (round, client) streams, fresh at the round's start."""
-    ds = unequal_dataset((5, 9, 2, 5, 17, 9, 9, 1), 23)
+    still draws from its own (round, client) streams, fresh at the round's
+    start, and a round keeps the uploads its plan delivers."""
+    ds = UNEQUAL
     fed = dataclasses.replace(FED, n_clients=8, k=5, global_epochs=4, batch_size=4, deadline_channel=LOSSY)
-    seen, rounds = [], []
-    client_update, apply_channel = fedcore.client_update, fedcore.apply_channel
+    # a plan is a pure function of the config: this is the one the run makes
+    plan = fedcore.plan_run(fed, pooled=False)
+    seen, aggregated = [], []
 
-    def recording_update(config, cohort, wbar, u0, rngs, t_g):
+    def record_update(config, cohort, wbar, u0, rngs, t_g):
         assert len(fedcore._size_groups(cohort.shards)) > 1
         ids = [shard.client_id for shard in cohort.shards]
         assert tuple(ids) == selected(config, t_g)
-        rounds.append(t_g)
         seen.extend(same_state(r, (config.seed, "batches", c, t_g)) for c, r in zip(ids, rngs, strict=True))
-        return client_update(config, cohort, wbar, u0, rngs, t_g)
 
-    def recording_channel(channel, uploads, rngs):
-        seen.extend(same_state(r, (channel.seed, "channel", rounds[-1], c)) for c, r in zip(uploads, rngs, strict=True))
-        return apply_channel(channel, uploads, rngs)
+    def record_channel(channel, uploads, rngs):
+        seen.extend(same_state(r, (channel.seed, "channel", *upload)) for upload, r in zip(uploads, rngs, strict=True))
 
-    monkeypatch.setattr(fedcore, "client_update", recording_update)
-    monkeypatch.setattr(fedcore, "apply_channel", recording_channel)
+    recording(monkeypatch, "client_update", record_update)
+    recording(monkeypatch, "apply_channel", record_channel)
+    recording(
+        monkeypatch,
+        "aggregate_weights",
+        lambda config, wbar, uploads, t_g: aggregated.append((t_g, [u.shard.client_id for u in uploads])),
+    )
     _, trace = fedcore.run_vhfl(fed, ds)
     assert len(seen) == 2 * fed.k * fed.global_epochs and all(seen)
+    assert [row.k_received for row in trace.rows] == plan.delivered.sum(axis=1).tolist()
     assert any(row.k_received < fed.k for row in trace.rows)
+    kept = [(t_g, [c for c, d in zip(cohort, plan.delivered[t_g]) if d]) for t_g, cohort in enumerate(plan.cohorts)]
+    assert aggregated == [(t_g, ids) for t_g, ids in kept if ids]
 
 
-def test_apply_channel_rejects_a_short_list_of_delay_streams():
-    rngs = fedcore.plan_run(dataclasses.replace(FED, k=2, deadline_channel=LOSSY), pooled=False).streams(0)[1]
+def test_apply_channel_rejects_a_short_list_of_delay_streams(monkeypatch):
+    planned = []
+    recording(monkeypatch, "apply_channel", lambda channel, uploads, rngs: planned.append((list(uploads), rngs)))
+    fedcore.plan_run(dataclasses.replace(FED, k=2, global_epochs=1, deadline_channel=LOSSY), pooled=False)
+    ((uploads, rngs),) = planned
+    assert len(uploads) == len(rngs) == 2
     with pytest.raises(ValueError, match="shorter"):
-        netqueue.apply_channel(LOSSY, [1, 2, 3], rngs)
+        netqueue.apply_channel(LOSSY, [*uploads, (0, 99)], rngs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.permutations(range(8)), st.integers(1, 8), st.booleans())
+def test_gathered_cohort_is_the_stacked_cohort(order, k, with_store):
+    """A cohort gathered from the run's train split is, stack for stack,
+    the cohort stacked from its own shards."""
+    ds = UNEQUAL
+    store = ds.global_store if with_store else None
+    train = fedcore.build_split(ds.clients, fedcore._rows_by_client(ds.clients, store))
+    shards = [ds.clients[j] for j in order[:k]]
+    got = train.gather([shard.client_id for shard in shards])
+    want = fedcore.build_split(shards, fedcore._rows_by_client(shards, store))
+    assert all(a is b for a, b in zip(got.shards, want.shards, strict=True))
+    assert len(got.groups) == len(want.groups)
+    for a, b in zip(got.groups, want.groups):
+        assert a.positions == b.positions
+        for field in ("x_global", "x_local", "y"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None) == (y is None) == (field == "x_global" and store is None)
+            assert x is None or (x.dtype == y.dtype and x.flags.c_contiguous and np.array_equal(x, y))
+    assert np.array_equal(got.q, want.q) and got.q.dtype == want.q.dtype
+    assert np.array_equal(got.n, want.n) and got.n.dtype == want.n.dtype
 
 
 # ---------------------------------------------------------------- broadcast

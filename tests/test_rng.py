@@ -84,3 +84,61 @@ def test_batched_seed_words_serve_only_pcg64s_request():
     for request in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
         with pytest.raises(ValueError, match="only generate_state"):
             seed_seq.generate_state(*request)
+
+
+# the kinds of entry one key position may hold across the keys of a call:
+# seed_states converts a position of plain ints or of strs in one pass, and
+# any other position entry by entry
+edge_ints = st.sampled_from((0, 1, -1, -(2**31), 2**32 - 1, 2**32, 2**63 - 1, -(2**63), 2**64 - 1, 2**64, -(2**70)))
+seed_kinds = (
+    st.integers(-(2**63), 2**63 - 1),
+    edge_ints,
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.booleans(),
+    int_keys,
+)
+tag_kinds = (
+    *seed_kinds,
+    st.text(max_size=12),
+    st.sampled_from(("batches", "channel", "select", "7", "")),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e6, 1e6).map(np.float64),
+    st.one_of(keys, st.floats(), st.none(), st.tuples(st.integers(0, 9), st.integers(0, 9))),
+)
+
+
+@st.composite
+def key_columns(draw) -> list[tuple]:
+    """Keys of one tag count, each position drawn from one kind."""
+    n_tags, n_keys = draw(st.integers(0, 4)), draw(st.integers(1, 8))
+    kinds = [draw(st.sampled_from(seed_kinds))] + [draw(st.sampled_from(tag_kinds)) for _ in range(n_tags)]
+    columns = [draw(st.lists(kind, min_size=n_keys, max_size=n_keys)) for kind in kinds]
+    return list(zip(*columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(key_columns(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_seed_states_seeds_a_mixed_call_as_substream(groups, random):
+    """One call over keys of several tag counts and word counts, interleaved,
+    each position of each tag count of one kind: ints at the 32- and 64-bit
+    edges and negative, ``np.int64``, bools, strs, and floats, ``None`` and
+    tuples, which take the ``str`` path."""
+    calls = [key for group in groups for key in group]
+    random.shuffle(calls)
+    same_streams(seeded(calls), [substream(*key) for key in calls])
+
+
+def test_seed_states_seeds_each_kind_of_tag_as_substream():
+    calls = [
+        (0, "batches", 0, 0),
+        (2**32 - 1, "batches", 2**32, 2**64 - 1),
+        (-1, "channel", -5, -(2**63)),
+        (np.int64(7), np.int64(-3), True, False),
+        (2**64 + 3, 1.5, float("nan"), -0.0),
+        (3,),
+        (4, "select"),
+        (5, 2**70, -(2**70), np.uint64(2**64 - 1), "x", (1, 2), None),
+    ]
+    same_streams(seeded(calls), [substream(*key) for key in calls])
