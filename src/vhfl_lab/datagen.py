@@ -33,7 +33,6 @@ class SynthConfig:
     global_strength: float = 0.8
     noniid_shift: float = 0.0
     seed: int = 0
-    public_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_clients < 1:
@@ -49,8 +48,6 @@ class SynthConfig:
             raise ValueError(f"global_strength must lie in [0, 1], got {self.global_strength}")
         if not (math.isfinite(self.noniid_shift) and self.noniid_shift >= 0.0):
             raise ValueError(f"noniid_shift must be finite and >= 0, got {self.noniid_shift}")
-        if not 0.0 <= self.public_fraction <= 1.0:
-            raise ValueError(f"public_fraction must lie in [0, 1], got {self.public_fraction}")
 
 
 def _has_repeats(ids: np.ndarray) -> bool:
@@ -195,7 +192,6 @@ def generate(config: SynthConfig) -> FederationDataset:
     """Generate a seeded federation dataset with an 80/20 train/test split by id."""
     g_map, h_map = truth_maps(config)
     n = config.samples_per_client
-    n_public = int(round(config.public_fraction * n))
 
     all_ids: list[np.ndarray] = []
     all_global: list[np.ndarray] = []
@@ -211,9 +207,7 @@ def generate(config: SynthConfig) -> FederationDataset:
         if config.noniid_shift > 0.0:
             direction = rng.standard_normal(config.d_local)
             direction /= np.linalg.norm(direction)
-            shift = config.noniid_shift * direction
-            # public samples stay on the common distribution
-            x_local[n_public:] += shift
+            x_local += config.noniid_shift * direction
         x_global = rng.standard_normal((n, config.d_global))
         noise = rng.standard_normal((n, config.d_label)) * config.noise_std
         y = g_map(x_local) + config.global_strength * h_map(x_global) + noise

@@ -35,11 +35,11 @@ padding or mask, and a group of one is a client trained alone.
 ``datagen.batches`` cuts every phase's batches: each client's sample order
 is the permutation of the substream (seed, "batches", client_id, t_g), and
 each batch gathers every field once from the stacks. :func:`plan_run`
-seeds every round's streams before the first, and behind a finite deadline
-it draws every upload's delay there too, in blocks of whole rounds: a delay
-does not depend on training, so a round keeps the uploads its plan
-delivers. One step per group validates: the group's first step, which
-every client takes from ``wbar``, runs through the public ``nnet`` API on
+writes the keys of every round's streams and seeds them before round 0;
+behind a finite deadline it also takes the channel's ``(T, K)`` delivery
+mask there: a delay does not depend on training, so a round keeps the
+uploads its row of the mask delivers. One step per group validates: the
+group's first step, which every client takes from ``wbar``, runs through the public ``nnet`` API on
 the whole ``(G, b, ·)`` stack, with ``wbar``'s weights broadcast over it. It checks the shapes that every
 step of the group reuses, as all its clients share n and the batch sizes.
 The stacked kernels issue one BLAS call and one reduction per client
@@ -93,7 +93,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -152,7 +152,6 @@ class FederationConfig:
     local_hidden: tuple[int, ...] = (16,)
     activation: str = "tanh"
     l_est: float = 1.0
-    center_frozen: bool = False
     deadline_channel: ChannelModel | None = None
 
     def __post_init__(self) -> None:
@@ -180,10 +179,6 @@ class FederationConfig:
                 )
         object.__setattr__(self, "w0_hidden", tuple(int(h) for h in self.w0_hidden))
         object.__setattr__(self, "local_hidden", tuple(int(h) for h in self.local_hidden))
-
-    def batch_keys(self, client_ids: Sequence[int], t_g: int) -> list[tuple[object, ...]]:
-        """The keys (seed, "batches", client_id, t_g) of the streams that shuffle the clients' samples."""
-        return [(self.seed, "batches", client_id, t_g) for client_id in client_ids]
 
     def local_etas(self, t_g: int) -> list[float]:
         """The learning rate of each local epoch e of round ``t_g``, read at the
@@ -238,10 +233,10 @@ class Split:
 
     def gather(self, client_ids: Sequence[int]) -> Split:
         """The split of the shards of ``client_ids``, in that order, bit for bit
-        :func:`build_split` of those shards and their global rows: each size
-        group takes its rows from this split's group of its size, with one
-        fancy index per field. The client ids must be distinct here, as they
-        are in a dataset's training shards."""
+        :func:`build_split` of those shards and the store this split was built
+        from: each size group takes its rows from this split's group of its
+        size, with one fancy index per field. The client ids must be distinct
+        here, as they are in a dataset's training shards."""
         slots = [self._slots[client_id] for client_id in client_ids]
         at = [pos for pos, _, _ in slots]
         shards = [self.shards[pos] for pos in at]
@@ -263,15 +258,6 @@ class TraceRow:
     k_received: int
 
 
-@dataclass
-class TrainingTrace:
-    rows: list[TraceRow] = field(default_factory=list)
-
-    @property
-    def final(self) -> TraceRow:
-        return self.rows[-1]
-
-
 def select_clients(config: FederationConfig, rng: np.random.Generator) -> tuple[int, ...]:
     """K distinct client ids, uniform without replacement, drawn from the
     round's stream (seed, "select", t_g)."""
@@ -286,8 +272,8 @@ _CHANNEL_BLOCK = 128
 
 class RunPlan(NamedTuple):
     """Each round's cohort, the ``rng.seed_states`` words of its clients' batch
-    streams, ``(T, K, 4)``, and which of their uploads the channel delivers,
-    ``(T, K)``, in cohort order."""
+    streams, ``(T, K, 4)``, and the channel's ``(T, K)`` delivery mask of their
+    uploads, in cohort order."""
 
     cohorts: tuple[tuple[int, ...], ...]
     batch_states: np.ndarray
@@ -300,35 +286,33 @@ class RunPlan(NamedTuple):
 
 def plan_run(config: FederationConfig, pooled: bool) -> RunPlan:
     """A run's cohorts, from :func:`select_clients` or the pooled shard 0 of a
-    cloud mode, with the keys of all its rounds seeded in one pass per kind.
-    Behind a finite deadline the channel decides every upload's delivery here,
-    before round 0: a delay does not depend on training."""
+    cloud mode, with the streams of all its rounds seeded in one pass per kind
+    from the keys written here, and behind a finite deadline the channel's
+    delivery of every upload, decided before round 0."""
     rounds = range(config.global_epochs)
     if pooled:
         cohorts = ((0,),) * len(rounds)
     else:
         select = generators(seed_states([(config.seed, "select", t_g) for t_g in rounds]))
         cohorts = tuple(select_clients(config, rng) for rng in select)
-    keys = [key for t_g, cohort in enumerate(cohorts) for key in config.batch_keys(cohort, t_g)]
-    batch_states = seed_states(keys).reshape(len(cohorts), -1, 4)
+    uploads = [(t_g, client_id) for t_g, cohort in enumerate(cohorts) for client_id in cohort]
+    batch_states = seed_states([(config.seed, "batches", c, t_g) for t_g, c in uploads]).reshape(len(cohorts), -1, 4)
     channel = None if pooled else config.deadline_channel
     if channel is None or not np.isfinite(channel.t_p):
         return RunPlan(cohorts, batch_states, np.ones(batch_states.shape[:2], dtype=bool))
-    return RunPlan(cohorts, batch_states, _plan_channel(channel, cohorts))
+    delay_states = seed_states([(channel.seed, "channel", t_g, c) for t_g, c in uploads])
+    return RunPlan(cohorts, batch_states, _plan_channel(channel, delay_states.reshape(batch_states.shape)))
 
 
-def _plan_channel(channel: ChannelModel, cohorts: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """The ``(T, K)`` delivery of every upload of a run, keyed ``(t_g,
-    client_id)`` and drawn from its stream of :meth:`ChannelModel.stream_keys`
-    by :func:`apply_channel`, over blocks of whole rounds of at most
-    ``_CHANNEL_BLOCK`` uploads (or one round)."""
-    uploads = [(t_g, client_id) for t_g, cohort in enumerate(cohorts) for client_id in cohort]
-    states = seed_states([key for t_g, cohort in enumerate(cohorts) for key in channel.stream_keys(cohort, t_g)])
-    block = max(1, _CHANNEL_BLOCK // len(cohorts[0])) * len(cohorts[0])
-    kept: set[tuple[int, int]] = set()
-    for start in range(0, len(uploads), block):
-        kept.update(apply_channel(channel, uploads[start : start + block], generators(states[start : start + block])))
-    return np.fromiter(map(kept.__contains__, uploads), dtype=bool, count=len(uploads)).reshape(len(cohorts), -1)
+def _plan_channel(channel: ChannelModel, states: np.ndarray) -> np.ndarray:
+    """The ``(T, K)`` delivery mask of a run's uploads, from the ``(T, K, 4)``
+    seed words of their delay streams: :func:`apply_channel`'s masks over
+    blocks of whole rounds of at most ``_CHANNEL_BLOCK`` uploads (or one
+    round), concatenated."""
+    rounds, k = states.shape[:2]
+    step = max(1, _CHANNEL_BLOCK // k)
+    masks = [apply_channel(channel, generators(states[t : t + step].reshape(-1, 4))) for t in range(0, rounds, step)]
+    return np.concatenate(masks).reshape(rounds, k)
 
 
 def _diverged(phase: str, global_epoch: int, clients: Sequence[int] = ()) -> ValueError:
@@ -362,23 +346,17 @@ def _size_groups(shards: Sequence[ClientShard]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _rows_by_client(shards: Sequence[ClientShard], store: GlobalStore | None) -> dict[int, np.ndarray] | None:
-    """Client id -> the shard's ``(n, d_global)`` rows in ``store``, None without
-    one, for :func:`build_split`."""
-    return None if store is None else {shard.client_id: store.rows(shard.ids) for shard in shards}
-
-
-def build_split(shards: Sequence[ClientShard], global_rows: dict[int, np.ndarray] | None) -> Split:
+def build_split(shards: Sequence[ClientShard], store: GlobalStore | None) -> Split:
     """Stack the shards by size, for training and for :func:`evaluate` and
-    :func:`weighted_train_loss`, with their rows in ``global_rows`` (see
-    :func:`_rows_by_client`); it is None for a center without w0."""
+    :func:`weighted_train_loss`, with each shard's global rows read from
+    ``store``; it is None for a center without w0, and the split holds none."""
     groups = []
     for positions in _size_groups(shards):
         members = [shards[pos] for pos in positions]
         groups.append(
             SizeGroup(
                 positions=positions,
-                x_global=None if global_rows is None else np.stack([global_rows[s.client_id] for s in members]),
+                x_global=None if store is None else np.stack([store.rows(s.ids) for s in members]),
                 x_local=np.stack([shard.x_local for shard in members]),
                 y=np.stack([shard.y for shard in members]),
             )
@@ -498,7 +476,7 @@ def client_update(
 
     Each client initializes at ``wbar``, splits its samples (with its fixed
     centrally processed rows, one per sample) into batches once, shuffled by
-    its stream ``rngs[i]`` of :meth:`FederationConfig.batch_keys`, then runs
+    its stream ``rngs[i]`` (seed, "batches", client_id, t_g), then runs
     ``local_epochs`` passes of mini-batch SGD at the learning rates of round
     ``t_g``. ``u0`` holds those rows as :func:`center_broadcast` sends them
     (None without w0), one ``(G, n, u0_dim)`` stack per size group. For every
@@ -672,7 +650,7 @@ def _federated_round(
     t_g: int,
 ) -> int:
     """The planned cohort's broadcast (with w0), local updates, the uploads the
-    plan delivers, aggregation and the central step (with an unfrozen w0);
+    plan delivers, aggregation and the central step (with w0);
     returns the number of delivered uploads."""
     # the cohort is gathered once: the broadcast and the local phase share it
     cohort = train.gather(plan.cohorts[t_g])
@@ -682,7 +660,7 @@ def _federated_round(
     uploads = list(itertools.compress(uploads, plan.delivered[t_g]))
     if uploads:
         center.wbar = aggregate_weights(config, center.wbar, uploads, t_g)
-        if center.w0 is not None and not config.center_frozen:
+        if center.w0 is not None:
             center.w0 = central_update(config, center.w0, uploads, store, t_g)
     return len(uploads)
 
@@ -734,7 +712,7 @@ def _run(
     dataset: FederationDataset,
     center: CenterState,
     pooled: bool,
-) -> tuple[CenterState, TrainingTrace]:
+) -> tuple[CenterState, list[TraceRow]]:
     """The round loop of every mode: one training phase per global epoch, then
     evaluation and a trace row. The cloud modes train on the ``pooled`` shard,
     the others run federated rounds."""
@@ -749,16 +727,15 @@ def _run(
     store = dataset.global_store
     # the shards are fixed: their global rows are gathered and stacked once per run
     eval_store = None if center.w0 is None else store
-    train_split = build_split(dataset.clients, _rows_by_client(dataset.clients, eval_store))
-    test_split = build_split(dataset.test_clients, _rows_by_client(dataset.test_clients, eval_store))
+    train_split = build_split(dataset.clients, eval_store)
+    test_split = build_split(dataset.test_clients, eval_store)
     plan = plan_run(config, pooled)
     if pooled:
-        pooled_shards = [_pooled(dataset)]
-        (pooled,) = build_split(pooled_shards, _rows_by_client(pooled_shards, eval_store)).groups
+        (pooled,) = build_split([_pooled(dataset)], eval_store).groups
         train_round = functools.partial(_cloud_round, config, center, pooled, plan)
     else:
         train_round = functools.partial(_federated_round, config, center, train_split, store, plan)
-    trace = TrainingTrace()
+    trace: list[TraceRow] = []
     for t_g in range(config.global_epochs):
         # a diverging phase ends in its guard, not in numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -767,7 +744,7 @@ def _run(
             test_mse, err = evaluate(config, center, test_split)
         if not (np.isfinite(train) and np.isfinite(test_mse)):
             raise _diverged("evaluate", t_g)
-        trace.rows.append(TraceRow(t_g, train, test_mse, err, k_received))
+        trace.append(TraceRow(t_g, train, test_mse, err, k_received))
     return center, trace
 
 
@@ -778,12 +755,12 @@ def _pooled(dataset: FederationDataset) -> ClientShard:
     return ClientShard(client_id=0, ids=ids, x_local=x, y=y, q=1.0)
 
 
-def run_vhfl(config: FederationConfig, dataset: FederationDataset) -> tuple[CenterState, TrainingTrace]:
+def run_vhfl(config: FederationConfig, dataset: FederationDataset) -> tuple[CenterState, list[TraceRow]]:
     """Train with vertical gradient exchange for ``global_epochs`` rounds."""
     return _run(config, dataset, _new_center(config, dataset, use_global=True), pooled=False)
 
 
-def run_hfl(config: FederationConfig, dataset: FederationDataset) -> tuple[CenterState, TrainingTrace]:
+def run_hfl(config: FederationConfig, dataset: FederationDataset) -> tuple[CenterState, list[TraceRow]]:
     """FedAvg baseline: the vertical-horizontal round without a global model."""
     return _run(config, dataset, _new_center(config, dataset, use_global=False), pooled=False)
 
@@ -792,7 +769,7 @@ def run_cloud(
     config: FederationConfig,
     dataset: FederationDataset,
     use_global: bool,
-) -> tuple[CenterState, TrainingTrace]:
+) -> tuple[CenterState, list[TraceRow]]:
     """Centralized SGD on the pooled training split.
 
     With ``use_global`` the composed model (global net feeding the local

@@ -357,7 +357,7 @@ def run_single(
     mode: str,
     seed: int,
     federation: fedcore.FederationConfig | None = None,
-) -> tuple[fedcore.CenterState, fedcore.TrainingTrace]:
+) -> tuple[fedcore.CenterState, list[fedcore.TraceRow]]:
     """Run one training mode for one seed; datasets and nets derive from the seed."""
     assert config.federation is not None and config.synth is not None
     fed = federation if federation is not None else config.federation
@@ -386,13 +386,13 @@ def _run_training(config: ExperimentConfig, artifacts: _Artifacts, modes: Sequen
             ["epoch", "mode", "train_mse", "test_mse", "test_error_ratio", "k_received", "seed"],
             [
                 (r.epoch, mode, r.train_mse, r.test_mse, r.test_error_ratio, r.k_received, seed)
-                for r in trace.rows
+                for r in trace
             ],
         )
         for name, net in (("wbar", center.wbar), ("w0", center.w0)):
             if net is not None:
                 artifacts.write_text(f"{name}_{mode}_seed{seed}.txt", nnet.dumps_net(net))
-        finals.append((mode, seed, trace.final))
+        finals.append((mode, seed, trace[-1]))
 
     summary_rows = [
         (mode, seed, final.train_mse, final.test_mse, final.test_error_ratio)
@@ -473,9 +473,9 @@ def _run_bounds_sweep(config: ExperimentConfig, artifacts: _Artifacts) -> None:
     )
 
 
-def epochs_to_threshold(trace: fedcore.TrainingTrace, threshold: float) -> int:
+def epochs_to_threshold(trace: Sequence[fedcore.TraceRow], threshold: float) -> int:
     """Global epochs until train loss first reaches the threshold; -1 if never."""
-    for row in trace.rows:
+    for row in trace:
         if row.train_mse <= threshold:
             return row.epoch + 1
     return -1
@@ -491,7 +491,7 @@ def _run_k_el_sweep(config: ExperimentConfig, artifacts: _Artifacts) -> None:
         fed = dataclasses.replace(config.federation, **{param: value})
         _, trace = run_single(config, "vhfl", seed, federation=fed)
         reached = epochs_to_threshold(trace, spec.loss_threshold)
-        final = trace.final
+        final = trace[-1]
         rows.append((param, value, seed, reached, int(reached > 0), final.train_mse, final.test_mse))
     artifacts.write_csv(
         "k_el_sweep.csv",

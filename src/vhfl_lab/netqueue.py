@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,12 +157,9 @@ def simulate_mg1(params: He2Params, n_jobs: int, seed: int) -> np.ndarray:
     rng = substream(seed, "mg1")
     arrivals = rng.exponential(1.0 / params.lambda_n, size=n_jobs)
     service = _service_draws(params, n_jobs, rng)
-    if n_jobs == 1:
-        waits = np.zeros(1)
-    else:
-        increments = service[:-1] - arrivals[1:]
-        prefix = np.concatenate(([0.0], np.cumsum(increments)))
-        waits = prefix - np.minimum.accumulate(prefix)
+    increments = service[:-1] - arrivals[1:]
+    prefix = np.concatenate(([0.0], np.cumsum(increments)))
+    waits = prefix - np.minimum.accumulate(prefix)
     sojourn = waits + service
     warmup = n_jobs // 100
     return sojourn[warmup:]
@@ -238,26 +235,17 @@ class ChannelModel(He2Params):
         if not self.t_p >= 0.0:
             raise ValueError(f"t_p must be non-negative, got {self.t_p}")
 
-    def stream_keys(self, uploads: Sequence[Hashable], epoch: int) -> list[tuple[object, ...]]:
-        """The keys (seed, "channel", epoch, upload key) of the uploads' delay streams."""
-        return [(self.seed, "channel", epoch, key) for key in uploads]
 
+def apply_channel(channel: ChannelModel, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Whether each upload's sampled sojourn fits under the deadline, as a
+    ``(len(rngs),)`` bool array.
 
-def apply_channel(
-    channel: ChannelModel,
-    uploads: Sequence[Hashable],
-    rngs: Sequence[np.random.Generator],
-) -> list[Hashable]:
-    """Return the uploads whose sampled sojourn fits under the deadline.
-
-    Each upload gets one stationary sojourn draw from its stream ``rngs[i]``
-    of :meth:`ChannelModel.stream_keys` (channel seed, epoch, upload key), so
-    delivery is reproducible and independent of iteration order. A run draws
-    the delays of all its rounds before its first, in blocks of whole rounds
-    (see ``fedcore.plan_run``); all uploads of a call are drawn in one
-    :func:`sample_sojourn` call, and none under an infinite deadline.
+    Upload i gets one stationary sojourn draw from its own stream ``rngs[i]``,
+    so its delivery is reproducible and independent of the other uploads; all
+    draws come from one :func:`sample_sojourn` call, and none under an
+    infinite deadline, which delivers every upload. ``fedcore.plan_run``
+    seeds the streams and decides a run's deliveries before its first round.
     """
     if math.isinf(channel.t_p):
-        return list(uploads)
-    delays = sample_sojourn(analyze(channel), rngs, 1)[:, 0]
-    return [key for key, delay in zip(uploads, delays.tolist(), strict=True) if delay <= channel.t_p]
+        return np.ones(len(rngs), dtype=bool)
+    return sample_sojourn(analyze(channel), rngs, 1)[:, 0] <= channel.t_p

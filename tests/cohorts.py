@@ -5,7 +5,7 @@ processed rows u0 as one ``(G, n, u0_dim)`` stack per size group; a test
 writes u0 down per client, and reads stacks back the same way. A run seeds
 every round's streams before its first round and hands each phase its
 round's generators; ``update`` and ``deliver`` seed them from the same keys
-for a phase called alone.
+that ``fedcore.plan_run`` writes, for a phase called alone.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ def streams(keys):
 
 def update(config, cohort, wbar, u0, t_g):
     """``fedcore.client_update`` with the cohort's batch streams of round ``t_g``."""
-    keys = config.batch_keys([shard.client_id for shard in cohort.shards], t_g)
+    keys = [(config.seed, "batches", shard.client_id, t_g) for shard in cohort.shards]
     return fedcore.client_update(config, cohort, wbar, u0, streams(keys), t_g)
 
 
 def deliver(channel, uploads, epoch):
-    """``netqueue.apply_channel`` with the uploads' delay streams of ``epoch``."""
-    return netqueue.apply_channel(channel, uploads, streams(channel.stream_keys(uploads, epoch)))
+    """The upload keys ``netqueue.apply_channel`` delivers, each upload drawn
+    from its delay stream (channel seed, "channel", epoch, key)."""
+    mask = netqueue.apply_channel(channel, streams([(channel.seed, "channel", epoch, key) for key in uploads]))
+    return [key for key, kept in zip(uploads, mask, strict=True) if kept]
 
 
 def cohort_of(shards, u0=None):

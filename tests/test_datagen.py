@@ -106,17 +106,6 @@ def test_shift_moves_client_means():
     assert all(d > 1.0 for d in deltas)
 
 
-def test_public_fraction_keeps_a_common_block():
-    config = dataclasses.replace(
-        SMALL, samples_per_client=1000, noniid_shift=3.0, public_fraction=0.5
-    )
-    ds = generate(config)
-    # with half the samples unshifted the overall mean shrinks roughly in half
-    full = generate(dataclasses.replace(config, public_fraction=0.0))
-    for a, b in zip(ds.clients, full.clients):
-        assert np.linalg.norm(a.x_local.mean(axis=0)) < np.linalg.norm(b.x_local.mean(axis=0))
-
-
 def test_lambda_identical_gradients_is_one():
     g = np.array([1.0, -2.0, 3.0])
     value = estimate_lambda([g, g, g, g], [0.25, 0.25, 0.25, 0.25])

@@ -78,10 +78,10 @@ def nets_equal(a: nnet.DenseNet, b: nnet.DenseNet, atol: float = 0.0) -> bool:
     return np.allclose(a.params, b.params, atol=atol, rtol=0.0)
 
 
-def traces_equal(a: fedcore.TrainingTrace, b: fedcore.TrainingTrace, tol: float = 0.0) -> bool:
-    if len(a.rows) != len(b.rows):
+def traces_equal(a: list[fedcore.TraceRow], b: list[fedcore.TraceRow], tol: float = 0.0) -> bool:
+    if len(a) != len(b):
         return False
-    for ra, rb in zip(a.rows, b.rows):
+    for ra, rb in zip(a, b):
         metrics = (
             (ra.train_mse, rb.train_mse),
             (ra.test_mse, rb.test_mse),
@@ -183,11 +183,7 @@ def test_plan_seeds_every_rounds_streams_as_substream(monkeypatch):
     fed = dataclasses.replace(FED, n_clients=8, k=k, global_epochs=rounds, deadline_channel=LOSSY)
     select_states, calls = [], []
     recording(monkeypatch, "select_clients", lambda config, rng: select_states.append(rng.bit_generator.state))
-    recording(
-        monkeypatch,
-        "apply_channel",
-        lambda channel, uploads, rngs: calls.append((list(uploads), [r.bit_generator.state for r in rngs])),
-    )
+    recording(monkeypatch, "apply_channel", lambda channel, rngs: calls.append([r.bit_generator.state for r in rngs]))
     plan = fedcore.plan_run(fed, pooled=False)
     # every round selects from its fresh stream (seed, "select", t_g), in round order
     assert select_states == [substream(fed.seed, "select", t_g).bit_generator.state for t_g in range(rounds)]
@@ -201,10 +197,9 @@ def test_plan_seeds_every_rounds_streams_as_substream(monkeypatch):
     assert plan.streams(2)[0].random() == plan.streams(2)[0].random()
     # the delays are drawn before round 0, in blocks of whole rounds, each
     # upload (t_g, client_id) from a fresh stream (seed, "channel", t_g, client_id)
-    assert [len(uploads) for uploads, _ in calls] == [fedcore._CHANNEL_BLOCK // k * k] * 2 + [k]
-    uploads = [upload for block, _ in calls for upload in block]
-    assert uploads == [(t_g, client_id) for t_g, cohort in enumerate(plan.cohorts) for client_id in cohort]
-    states = [state for _, block in calls for state in block]
+    assert [len(block) for block in calls] == [fedcore._CHANNEL_BLOCK // k * k] * 2 + [k]
+    uploads = [(t_g, client_id) for t_g, cohort in enumerate(plan.cohorts) for client_id in cohort]
+    states = [state for block in calls for state in block]
     assert states == [substream(LOSSY.seed, "channel", *upload).bit_generator.state for upload in uploads]
     assert np.array_equal(plan.delivered, reference_delivered(LOSSY, plan.cohorts))
     assert 0 < plan.delivered.sum() < plan.delivered.size
@@ -236,7 +231,10 @@ def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
         assert tuple(ids) == selected(config, t_g)
         seen.extend(same_state(r, (config.seed, "batches", c, t_g)) for c, r in zip(ids, rngs, strict=True))
 
-    def record_channel(channel, uploads, rngs):
+    # the run decides every delivery in one block, in round and then cohort order
+    uploads = [(t_g, client_id) for t_g, cohort in enumerate(plan.cohorts) for client_id in cohort]
+
+    def record_channel(channel, rngs):
         seen.extend(same_state(r, (channel.seed, "channel", *upload)) for upload, r in zip(uploads, rngs, strict=True))
 
     recording(monkeypatch, "client_update", record_update)
@@ -248,20 +246,10 @@ def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
     )
     _, trace = fedcore.run_vhfl(fed, ds)
     assert len(seen) == 2 * fed.k * fed.global_epochs and all(seen)
-    assert [row.k_received for row in trace.rows] == plan.delivered.sum(axis=1).tolist()
-    assert any(row.k_received < fed.k for row in trace.rows)
+    assert [row.k_received for row in trace] == plan.delivered.sum(axis=1).tolist()
+    assert any(row.k_received < fed.k for row in trace)
     kept = [(t_g, [c for c, d in zip(cohort, plan.delivered[t_g]) if d]) for t_g, cohort in enumerate(plan.cohorts)]
     assert aggregated == [(t_g, ids) for t_g, ids in kept if ids]
-
-
-def test_apply_channel_rejects_a_short_list_of_delay_streams(monkeypatch):
-    planned = []
-    recording(monkeypatch, "apply_channel", lambda channel, uploads, rngs: planned.append((list(uploads), rngs)))
-    fedcore.plan_run(dataclasses.replace(FED, k=2, global_epochs=1, deadline_channel=LOSSY), pooled=False)
-    ((uploads, rngs),) = planned
-    assert len(uploads) == len(rngs) == 2
-    with pytest.raises(ValueError, match="shorter"):
-        netqueue.apply_channel(LOSSY, [*uploads, (0, 99)], rngs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,10 +259,10 @@ def test_gathered_cohort_is_the_stacked_cohort(order, k, with_store):
     the cohort stacked from its own shards."""
     ds = UNEQUAL
     store = ds.global_store if with_store else None
-    train = fedcore.build_split(ds.clients, fedcore._rows_by_client(ds.clients, store))
+    train = fedcore.build_split(ds.clients, store)
     shards = [ds.clients[j] for j in order[:k]]
     got = train.gather([shard.client_id for shard in shards])
-    want = fedcore.build_split(shards, fedcore._rows_by_client(shards, store))
+    want = fedcore.build_split(shards, store)
     assert all(a is b for a, b in zip(got.shards, want.shards, strict=True))
     assert len(got.groups) == len(want.groups)
     for a, b in zip(got.groups, want.groups):
@@ -296,7 +284,7 @@ def test_broadcast_identity_center():
         w0=net_of((np.eye(3), np.zeros(3))),
         wbar=net_of(zero_layer(7, 2)),
     )
-    cohort = fedcore.build_split(ds.clients[:2], fedcore._rows_by_client(ds.clients[:2], ds.global_store))
+    cohort = fedcore.build_split(ds.clients[:2], ds.global_store)
     tables = by_client(cohort, center_broadcast(center, cohort))
     for shard in ds.clients[:2]:
         assert np.array_equal(tables[shard.client_id], ds.global_store.rows(shard.ids))
@@ -309,7 +297,7 @@ def test_broadcast_matches_per_sample_forward():
         w0=nnet.random_net([3, 6, 3], ["tanh", "identity"], rng),
         wbar=net_of(zero_layer(7, 2)),
     )
-    cohort = fedcore.build_split(ds.clients, fedcore._rows_by_client(ds.clients, ds.global_store))
+    cohort = fedcore.build_split(ds.clients, ds.global_store)
     stacks = center_broadcast(center, cohort)
     # one (G, n, u0_dim) stack per size group
     assert [stack.shape for stack in stacks] == [
@@ -574,7 +562,7 @@ def test_central_update_matches_finite_differences_of_composed_loss():
     w0 = nnet.random_net([3, 4, 3], ["tanh", "identity"], rng)
     wbar = nnet.random_net([3 + 4, 8, 2], ["tanh", "identity"], rng)
     center = CenterState(w0=w0, wbar=wbar)
-    cohort = fedcore.build_split(ds.clients, fedcore._rows_by_client(ds.clients, ds.global_store))
+    cohort = fedcore.build_split(ds.clients, ds.global_store)
     tables = center_broadcast(center, cohort)
     eta0 = 1e-2
     fed = dataclasses.replace(
@@ -621,7 +609,7 @@ def test_run_vhfl_deterministic():
     _, a = fedcore.run_vhfl(FED, ds)
     _, b = fedcore.run_vhfl(FED, ds)
     assert traces_equal(a, b, tol=0.0)
-    assert len(a.rows) == FED.global_epochs
+    assert len(a) == FED.global_epochs
 
 
 def central_steps(monkeypatch) -> list[int]:
@@ -641,16 +629,16 @@ def test_run_vhfl_one_central_update_per_epoch(monkeypatch):
     steps = central_steps(monkeypatch)
     _, trace = fedcore.run_vhfl(FED, generate(SYNTH))
     assert steps == list(range(FED.global_epochs))
-    assert [row.epoch for row in trace.rows] == steps
-    assert all(row.k_received == FED.k for row in trace.rows)
+    assert [row.epoch for row in trace] == steps
+    assert all(row.k_received == FED.k for row in trace)
 
 
-def test_run_vhfl_collapses_to_hfl_with_frozen_zero_center():
+def test_run_vhfl_collapses_to_hfl_with_frozen_zero_center(monkeypatch):
     synth = dataclasses.replace(SYNTH, global_strength=0.0)
     ds = generate(synth)
-    fed = dataclasses.replace(
-        FED, combine="additive", u0_dim=2, center_frozen=True, k=4, global_epochs=8
-    )
+    fed = dataclasses.replace(FED, combine="additive", u0_dim=2, k=4, global_epochs=8)
+    # a frozen center: the central step hands w0 back unchanged
+    monkeypatch.setattr(fedcore, "central_update", lambda config, w0, uploads, store, t_g: w0)
     w0 = net_of(zero_layer(3, 8, "tanh"), zero_layer(8, 2))
     wbar = nnet.random_net([4, 12, 2], ["tanh", "identity"], substream(FED.seed, "init", "wbar"))
     _, vhfl_trace = fedcore._run(fed, ds, CenterState(w0=w0, wbar=wbar), pooled=False)
@@ -677,7 +665,7 @@ def test_run_vhfl_loss_trend_over_seeds():
     for seed in (1, 2, 3, 4, 5):
         ds = generate(dataclasses.replace(synth, seed=synth.seed + seed))
         _, trace = fedcore.run_vhfl(dataclasses.replace(fed, seed=seed), ds)
-        losses = [row.train_mse for row in trace.rows]
+        losses = [row.train_mse for row in trace]
         assert all(np.isfinite(losses))
         curves.append(losses)
     mean_curve = np.mean(curves, axis=0)
@@ -693,7 +681,7 @@ def test_run_hfl_deterministic_and_single_client_matches_cloud():
     _, b = fedcore.run_hfl(fed, ds)
     assert traces_equal(a, b, tol=0.0)
     _, cloud = fedcore.run_cloud(fed, ds, use_global=False)
-    for ra, rc in zip(a.rows, cloud.rows):
+    for ra, rc in zip(a, cloud):
         assert ra.train_mse == rc.train_mse
         assert ra.test_mse == rc.test_mse
         assert ra.test_error_ratio == rc.test_error_ratio
@@ -765,7 +753,7 @@ def test_run_cloud_global_fits_linear_realizable_task():
         u0_dim=2, w0_hidden=(), local_hidden=(), activation="identity",
     )
     center, trace = fedcore.run_cloud(fed, ds, use_global=True)
-    assert trace.final.train_mse < 1e-3
+    assert trace[-1].train_mse < 1e-3
 
     # vertical gradients vanish at the converged fit
     # one full batch: the gradients are taken before the step
@@ -790,7 +778,7 @@ def test_channel_zero_deadline_keeps_previous_weights(monkeypatch):
     fed = dataclasses.replace(FED, deadline_channel=channel, global_epochs=4)
     steps = central_steps(monkeypatch)
     center, trace = fedcore.run_vhfl(fed, ds)
-    assert all(row.k_received == 0 for row in trace.rows)
+    assert all(row.k_received == 0 for row in trace)
     assert steps == []
     initial = nnet.random_net(
         [3 + 4, *FED.local_hidden, 2],
@@ -807,7 +795,7 @@ def test_channel_partial_delivery_counts():
     channel = netqueue.ChannelModel(2.0, 0.5, 0.5, 8.0, 2.0, t_p=t_p, seed=3)
     fed = dataclasses.replace(FED, k=5, deadline_channel=channel, global_epochs=30)
     _, trace = fedcore.run_vhfl(fed, ds)
-    ks = [row.k_received for row in trace.rows]
+    ks = [row.k_received for row in trace]
     assert all(0 <= k <= 5 for k in ks)
     assert 0.4 < float(np.mean(ks)) / 5.0 < 0.95
 
@@ -825,7 +813,7 @@ def test_predict_and_evaluate_perfect_model():
     y = fedcore._predict(FED, center, x0, xl)
     shard = ClientShard(0, ids, xl, y, 1.0)
     store = GlobalStore(ids, x0)
-    mse, ratio = evaluate(FED, center, fedcore.build_split([shard], fedcore._rows_by_client([shard], store)))
+    mse, ratio = evaluate(FED, center, fedcore.build_split([shard], store))
     assert mse == 0.0
     assert ratio == 0.0
 
@@ -849,7 +837,7 @@ def test_evaluate_equals_mean_of_per_sample_losses():
         w0=nnet.random_net([3, 5, 3], ["tanh", "identity"], rng),
         wbar=nnet.random_net([7, 9, 2], ["tanh", "identity"], rng),
     )
-    split = fedcore.build_split(ds.test_clients, fedcore._rows_by_client(ds.test_clients, ds.global_store))
+    split = fedcore.build_split(ds.test_clients, ds.global_store)
     mse, _ = evaluate(FED, center, split)
     losses = []
     for shard in ds.test_clients:
@@ -929,7 +917,7 @@ def test_grouped_evaluation_matches_per_shard_reference(combine):
     # a one-column output over 16 hidden units: one pooled (M, 16) @ (16, 1)
     # pass over all shards' rows would round some rows differently
     center = CenterState(w0=w0, wbar=nnet.random_net([in_dim, 16, 1], ["relu", "identity"], rng))
-    split = fedcore.build_split(shards, fedcore._rows_by_client(shards, store))
+    split = fedcore.build_split(shards, store)
     mse, ratio = evaluate(fed, center, split)
     assert (mse, ratio) == reference_evaluate(fed, center, shards, store)
     loss = fedcore.weighted_train_loss(fed, center, split)
@@ -941,7 +929,7 @@ def test_grouped_evaluation_matches_per_shard_reference(combine):
         for shard in shards:
             assert u0[shard.client_id].tobytes() == plain_output(w0, store.rows(shard.ids)).tobytes()
     with pytest.raises(ValueError, match="^no samples to evaluate$"):
-        evaluate(fed, center, fedcore.build_split([], fedcore._rows_by_client([], store)))
+        evaluate(fed, center, fedcore.build_split([], store))
 
 
 def test_evaluation_sums_shards_in_order_as_a_loop_does():
@@ -981,7 +969,7 @@ def test_evaluation_sums_shards_in_order_as_a_loop_does():
     assert fedcore.weighted_train_loss(FED, center, split) == sums[2]
 
 
-def test_rows_by_client_looks_up_each_shard():
+def test_build_split_reads_each_shards_global_rows():
     rng = substream(19, "rows-by-client")
     sizes = (*UNEQUAL_SIZES, 0)
     ids = rng.permutation(500)[: sum(sizes)]
@@ -990,12 +978,13 @@ def test_rows_by_client_looks_up_each_shard():
         ClientShard(j, ids[end - n : end], np.zeros((n, 1)), np.zeros((n, 1)), 1.0)
         for j, (n, end) in enumerate(zip(sizes, np.cumsum(sizes)))
     ]
-    rows = fedcore._rows_by_client(shards, store)
-    assert list(rows) == [shard.client_id for shard in shards]
-    for shard in shards:
-        assert np.array_equal(rows[shard.client_id], store.rows(shard.ids))
-    assert fedcore._rows_by_client([], store) == {}
-    assert fedcore._rows_by_client(shards, None) is None
+    split = fedcore.build_split(shards, store)
+    stacked = [(pos, rows) for group in split.groups for pos, rows in zip(group.positions, group.x_global, strict=True)]
+    assert sorted(pos for pos, _ in stacked) == list(range(len(shards)))
+    for pos, rows in stacked:
+        assert np.array_equal(rows, store.rows(shards[pos].ids))
+    assert fedcore.build_split([], store).groups == ()
+    assert all(group.x_global is None for group in fedcore.build_split(shards, None).groups)
 
 
 # ----------------------------------------------------------- configuration

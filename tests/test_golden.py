@@ -284,11 +284,11 @@ MIXED_DIGESTS = {
 }
 
 
-def run_digest(center: fedcore.CenterState, trace: fedcore.TrainingTrace) -> str:
+def run_digest(center: fedcore.CenterState, trace: list[fedcore.TraceRow]) -> str:
     """sha256 over the trace rows, every float in hex, and the final nets' checkpoints."""
     rows = [
         f"{r.epoch},{r.train_mse.hex()},{r.test_mse.hex()},{r.test_error_ratio.hex()},{r.k_received}"
-        for r in trace.rows
+        for r in trace
     ]
     nets = [nnet.dumps_net(net) for net in (center.w0, center.wbar) if net is not None]
     return hashlib.sha256("\n".join(rows + nets).encode()).hexdigest()

@@ -168,12 +168,12 @@ def test_written_trace_holds_the_run(tmp_path):
     assert lines[0] == f"# config_hash={config.config_hash}"
     assert lines[1] == "epoch,mode,train_mse,test_mse,test_error_ratio,k_received,seed"
     assert len(lines) == 2 + 3
-    for line, row in zip(lines[2:], trace.rows):
+    for line, row in zip(lines[2:], trace):
         cells = line.split(",")
         assert cells[:2] == [str(row.epoch), "hfl"] and cells[6] == "2"
         assert [float(v) for v in cells[2:5]] == [row.train_mse, row.test_mse, row.test_error_ratio]
         assert int(cells[5]) == row.k_received <= 3
-    assert sum(row.k_received for row in trace.rows) < 3 * 3  # the channel drops uploads
+    assert sum(row.k_received for row in trace) < 3 * 3  # the channel drops uploads
 
 
 def test_channel_section_reads_into_the_channel_model(tmp_path):
@@ -185,7 +185,7 @@ def test_channel_section_reads_into_the_channel_model(tmp_path):
     path = write_config(tmp_path, data)
     assert '"t_p": Infinity' in path.read_text()
     _, trace = run_single(load_config(path), "hfl", 1)
-    assert [row.k_received for row in trace.rows] == [3, 3, 3]
+    assert [row.k_received for row in trace] == [3, 3, 3]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -266,7 +266,6 @@ def _training_sections(draw, mode):
         "local_hidden": st.lists(st.integers(1, 32), max_size=2),
         "u0_dim": st.integers(1, 8),
         "activation": st.sampled_from(("identity", "relu", "tanh")),
-        "center_frozen": st.booleans(),
     }
     for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
         federation[key] = draw(optional[key])
@@ -280,7 +279,6 @@ def _training_sections(draw, mode):
         "global_strength": draw(st.floats(0.0, 1.0)),
         "noniid_shift": draw(st.floats(0.0, 3.0)),
         "seed": draw(st.integers(0, 2**31)),
-        "public_fraction": draw(st.floats(0.0, 1.0)),
     }
     sections = {"federation": federation, "synth": synth}
     if draw(st.booleans()):
@@ -446,10 +444,9 @@ def test_k_el_sweep_csv_and_threshold_sentinel(tmp_path):
 
 
 def test_epochs_to_threshold_helper():
-    from vhfl_lab.fedcore import TraceRow, TrainingTrace
+    from vhfl_lab.fedcore import TraceRow
 
-    rows = [TraceRow(epoch, loss, loss, loss, 1) for epoch, loss in enumerate([0.9, 0.5, 0.2, 0.1])]
-    trace = TrainingTrace(rows=rows)
+    trace = [TraceRow(epoch, loss, loss, loss, 1) for epoch, loss in enumerate([0.9, 0.5, 0.2, 0.1])]
     assert epochs_to_threshold(trace, 0.5) == 2
     assert epochs_to_threshold(trace, 0.05) == -1
 
@@ -515,7 +512,8 @@ CONFIG_FAULTS = [
     (QUEUE_CONFIG, "queue.t_p_grid.start", -1.0, "queue: t_p_grid values must be non-negative"),
     (QUEUE_CONFIG, "queue.t_p_grid", [-1.0, 0.5], "queue: t_p_grid values must be non-negative, got -1.0"),
     (QUEUE_CONFIG, "delay_plan.tol", 0.0, "delay_plan: tol must be positive"),
-    (BASE_CONFIG, "federation.center_frozen", "false", "federation.center_frozen"),
+    (BASE_CONFIG, "federation.center_frozen", True, "federation: unknown keys ['center_frozen']"),
+    (BASE_CONFIG, "synth.public_fraction", 0.5, "synth: unknown keys ['public_fraction']"),
     (BASE_CONFIG, "federation.k", 2.7, "federation.k"),
     (BASE_CONFIG, "federation.selection", "uniform_without_replacement", "federation: unknown keys ['selection']"),
     (BASE_CONFIG, "synth.noise_std", float("nan"), "synth.noise_std"),

@@ -335,7 +335,7 @@ def test_client_and_central_update_leave_caller_arrays_unchanged():
     wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
     center = CenterState(w0=w0, wbar=wbar)
     w0_snap, wbar_snap = snapshot(w0), snapshot(wbar)
-    cohort = fedcore.build_split(ds.clients, fedcore._rows_by_client(ds.clients, ds.global_store))
+    cohort = fedcore.build_split(ds.clients, ds.global_store)
     u0 = center_broadcast(center, cohort)
     u0_snap = [rows.copy() for rows in u0]
     cohort_snap = [(group.x_local.copy(), group.y.copy()) for group in cohort.groups]

@@ -215,6 +215,32 @@ def test_equal_rates_degenerate_to_mm1_by_ks():
     assert ks < 0.01
 
 
+def lindley_sojourns(params: nq.He2Params, n_jobs: int, seed: int) -> np.ndarray:
+    """The sojourns of the first ``n_jobs`` jobs from the stream that
+    ``simulate_mg1`` draws, by the recursion w_{n+1} = max(0, w_n + s_n - a_{n+1})."""
+    rng = substream(seed, "mg1")
+    arrivals = rng.exponential(1.0 / params.lambda_n, size=n_jobs)
+    branch = rng.random(n_jobs) < params.alpha1
+    service = rng.exponential(1.0, size=n_jobs) / np.where(branch, params.mu1, params.mu2)
+    waits = [0.0]
+    for k in range(1, n_jobs):
+        waits.append(max(0.0, waits[-1] + service[k - 1] - arrivals[k]))
+    return np.array(waits) + service
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2, 3])
+def test_few_jobs_follow_the_lindley_recursion(n_jobs):
+    # no warm-up is dropped below 100 jobs; the seeds give both signs of the
+    # first increment, and with it both branches of the recursion
+    for seed in range(20):
+        samples = nq.simulate_mg1(BENCH, n_jobs, seed=seed)
+        expected = lindley_sojourns(BENCH, n_jobs, seed)
+        if n_jobs < 3:
+            assert np.array_equal(samples, expected)
+        else:  # the running minimum of prefix sums rounds apart from the recursion
+            assert np.allclose(samples, expected, rtol=0.0, atol=1e-12)
+
+
 def test_simulation_determinism():
     a = nq.simulate_mg1(BENCH, 20_000, seed=5)
     b = nq.simulate_mg1(BENCH, 20_000, seed=5)
@@ -252,6 +278,26 @@ def test_apply_channel_edges_and_mean_count():
     channel = nq.ChannelModel(**vars(BENCH), t_p=t_p, seed=9)
     counts = [len(deliver(channel, list(range(10)), e)) for e in range(4000)]
     assert abs(float(np.mean(counts)) - 7.0) < 0.1
+
+
+def test_apply_channel_returns_one_decision_per_stream():
+    keys = range(12)
+    channel = nq.ChannelModel(**vars(BENCH), t_p=1.0, seed=4)
+    rngs = [substream(4, "channel", 0, key) for key in keys]
+    mask = nq.apply_channel(channel, rngs)
+    assert mask.dtype == bool and mask.shape == (len(keys),)
+    assert 0 < mask.sum() < len(keys)
+    # decision i is stream i's one sojourn draw against the deadline
+    analysis = nq.analyze(channel)
+    alone = [nq.sample_sojourn(analysis, [substream(4, "channel", 0, key)], 1)[0, 0] <= 1.0 for key in keys]
+    assert mask.tolist() == alone
+    assert nq.apply_channel(channel, []).shape == (0,)
+    # an infinite deadline delivers every upload and advances no generator
+    lossless = nq.ChannelModel(**vars(BENCH), t_p=math.inf, seed=4)
+    before = [rng.bit_generator.state for rng in rngs]
+    mask = nq.apply_channel(lossless, rngs)
+    assert mask.dtype == bool and mask.shape == (len(keys),) and mask.all()
+    assert [rng.bit_generator.state for rng in rngs] == before
 
 
 def test_apply_channel_deterministic_and_order_independent():

@@ -4,9 +4,9 @@ Runs each config in ``configs/`` in its own mode, plus the ``queue_analyze``
 mode of ``queue_benchmark.json`` and ``delay_plan.json`` (the only way the
 shipped configs reach it), and ``compare_default.json`` behind a lossy He2
 upload channel (no shipped config has a ``channel`` section, so this run is
-the only one that reaches ``netqueue.apply_channel`` and aggregation over
-partial deliveries), each into its own temporary directory, with the
-``vhfl_lab`` of this checkout. Prints a first line ``# numpy <version>,
+the only one in which ``netqueue.apply_channel`` draws delays and
+aggregation runs over partial deliveries), each into its own temporary
+directory, with the ``vhfl_lab`` of this checkout. Prints a first line ``# numpy <version>,
 OpenBLAS <core>``, the BLAS kernel that numpy's bundled OpenBLAS picked on
 this host (the digests hold for that kernel; another one may round matrix
 products differently), then one ``sha256  label/relpath`` line per
