@@ -139,30 +139,34 @@ def required_deadline(analysis: QueueAnalysis, gamma_target: float, tol: float =
     raise ValueError(f"bisection failed to reach tolerance {tol}")
 
 
-def _service_draws(params: He2Params, n: int, rng: np.random.Generator) -> np.ndarray:
-    branch = rng.random(n) < params.alpha1
-    draws = rng.exponential(1.0, size=n)
-    rates = np.where(branch, params.mu1, params.mu2)
-    return draws / rates
-
-
 def simulate_mg1(params: He2Params, n_jobs: int, seed: int) -> np.ndarray:
     """Sojourn samples from a simulated queue; the first 1% is warm-up and dropped.
 
     Waiting times follow the recursion w_{n+1} = max(0, w_n + s_n - a_{n+1}),
-    vectorized as the running maximum of increment prefix sums.
+    vectorized as the running maximum of increment prefix sums. Three float64
+    buffers of ``n_jobs`` are reused: ``prefix`` (arrivals, then increments
+    and their prefix sums), ``service`` (unit draws, then service times) and
+    ``sojourn`` (rates, then the running minimum, waits and sojourns). With
+    the branch mask and the indices ``np.take`` casts it to, the peak is about
+    33 bytes a job. The samples equal those of the allocating form
+    (``np.where`` rates, a concatenated prefix) bit for bit: the same draws
+    and divisions, and sums and minima taken in the same order.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     rng = substream(seed, "mg1")
-    arrivals = rng.exponential(1.0 / params.lambda_n, size=n_jobs)
-    service = _service_draws(params, n_jobs, rng)
-    increments = service[:-1] - arrivals[1:]
-    prefix = np.concatenate(([0.0], np.cumsum(increments)))
-    waits = prefix - np.minimum.accumulate(prefix)
-    sojourn = waits + service
-    warmup = n_jobs // 100
-    return sojourn[warmup:]
+    prefix = rng.exponential(1.0 / params.lambda_n, size=n_jobs)
+    branch = rng.random(n_jobs) < params.alpha1
+    service = rng.exponential(1.0, size=n_jobs)
+    sojourn = np.take(np.array([params.mu2, params.mu1]), branch.view(np.uint8))
+    np.divide(service, sojourn, out=service)
+    np.subtract(service[:-1], prefix[1:], out=prefix[1:])
+    prefix[0] = 0.0
+    np.cumsum(prefix[1:], out=prefix[1:])
+    np.minimum.accumulate(prefix, out=sojourn)
+    np.subtract(prefix, sojourn, out=sojourn)
+    sojourn += service
+    return sojourn[n_jobs // 100 :]
 
 
 def empirical_gamma(samples: np.ndarray, t_p: float) -> float:

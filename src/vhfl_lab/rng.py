@@ -103,17 +103,24 @@ def _hash_states(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-class _SeedState:
-    """The ``generate_state(4, np.uint64)`` words, all ``PCG64`` asks of its
-    seed sequence, precomputed; it cannot spawn."""
+@functools.cache
+def _seed_state_type() -> type:
+    """The seed sequence class of :func:`generators`, made on first use:
+    deriving it needs ``numpy.random``, whose import takes about 10 ms."""
 
-    def __init__(self, state: np.ndarray) -> None:
-        self._state = state
+    class _SeedState(np.random.bit_generator.ISeedSequence):
+        """The ``generate_state(4, np.uint64)`` words, all ``PCG64`` asks of its
+        seed sequence, precomputed; it cannot spawn."""
 
-    def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
-        if n_words != _POOL or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"only generate_state(4, uint64) is precomputed, not ({n_words}, {dtype})")
-        return self._state
+        def __init__(self, state: np.ndarray) -> None:
+            self._state = state
+
+        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+            if n_words != _POOL or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"only generate_state(4, uint64) is precomputed, not ({n_words}, {dtype})")
+            return self._state
+
+    return _SeedState
 
 
 def _column_values(column: tuple[object, ...], value: Callable[[object], int]) -> np.ndarray:
@@ -164,6 +171,5 @@ def seed_states(keys: Sequence[tuple[object, ...]]) -> np.ndarray:
 def generators(states: np.ndarray) -> list[np.random.Generator]:
     """A fresh generator per row of :func:`seed_states`, bit for bit
     ``substream(*key)``; it cannot ``spawn``."""
-    # registered on use: importing numpy.random takes about 10 ms
-    np.random.bit_generator.ISeedSequence.register(_SeedState)
-    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
+    seed_state = _seed_state_type()
+    return [np.random.Generator(np.random.PCG64(seed_state(state))) for state in states]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,53 @@ def test_few_jobs_follow_the_lindley_recursion(n_jobs):
             assert np.array_equal(samples, expected)
         else:  # the running minimum of prefix sums rounds apart from the recursion
             assert np.allclose(samples, expected, rtol=0.0, atol=1e-12)
+
+
+def allocating_sojourns(params: nq.He2Params, n_jobs: int, seed: int) -> np.ndarray:
+    """The allocating form of ``simulate_mg1``, one new array for each step:
+    ``np.where`` rates and a concatenated prefix."""
+    rng = substream(seed, "mg1")
+    arrivals = rng.exponential(1.0 / params.lambda_n, size=n_jobs)
+    branch = rng.random(n_jobs) < params.alpha1
+    service = rng.exponential(1.0, size=n_jobs) / np.where(branch, params.mu1, params.mu2)
+    prefix = np.concatenate(([0.0], np.cumsum(service[:-1] - arrivals[1:])))
+    sojourn = prefix - np.minimum.accumulate(prefix) + service
+    return sojourn[n_jobs // 100 :]
+
+
+# three He2 points of the benchmark's queue_plan, Exp(mu1) service, and equal rates
+SIMULATED_POINTS = (
+    BENCH,
+    nq.He2Params(lambda_n=2.5, alpha1=0.7, alpha2=0.3, mu1=10.0, mu2=2.5),
+    nq.He2Params(lambda_n=4.0, alpha1=0.9, alpha2=0.1, mu1=16.0, mu2=4.0),
+    nq.He2Params(lambda_n=2.0, alpha1=1.0, alpha2=0.0, mu1=8.0, mu2=2.0),
+    nq.He2Params(lambda_n=2.0, alpha1=0.5, alpha2=0.5, mu1=3.0, mu2=3.0),
+)
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2, 3, 99, 100, 101, 200_000])
+@pytest.mark.parametrize("params", SIMULATED_POINTS)
+def test_simulation_in_reused_buffers_matches_the_allocating_form(params, n_jobs):
+    samples = nq.simulate_mg1(params, n_jobs, seed=11)
+    assert samples.dtype == np.float64
+    assert np.array_equal(samples, allocating_sojourns(params, n_jobs, seed=11))
+
+
+def test_simulation_peak_memory_is_about_four_buffers_of_the_jobs():
+    """Three float64 buffers, the branch mask and the indices ``np.take`` casts
+    it to: about 4.1 arrays of float64 per job at the peak, against 6.0 for
+    the allocating form; after the return only the sojourns stay allocated."""
+    n_jobs = 200_000
+    nq.simulate_mg1(BENCH, 1_000, seed=3)
+    tracemalloc.start()
+    try:
+        samples = nq.simulate_mg1(BENCH, n_jobs, seed=3)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert samples.size == n_jobs - n_jobs // 100
+    assert peak <= 4.5 * 8 * n_jobs
+    assert 8 * n_jobs <= current < 1.01 * 8 * n_jobs
 
 
 def test_simulation_determinism():

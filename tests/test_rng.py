@@ -4,12 +4,17 @@ and the generators of ``rng.seed_states`` against ``substream``."""
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vhfl_lab
 from vhfl_lab.rng import generators, seed_states, substream
 
 MASK64 = (1 << 64) - 1
@@ -80,10 +85,22 @@ def test_seed_states_of_no_keys():
 def test_batched_seed_words_serve_only_pcg64s_request():
     (gen,) = seeded([(7, "batches", 0, 3)])
     seed_seq = gen.bit_generator.seed_seq
+    # derived from ISeedSequence, not registered with it: numpy's isinstance test is faster
+    assert np.random.bit_generator.ISeedSequence in type(seed_seq).__mro__
     assert seed_seq.generate_state(4, np.uint64).shape == (4,)
     for request in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
         with pytest.raises(ValueError, match="only generate_state"):
             seed_seq.generate_state(*request)
+
+
+def test_importing_the_harness_leaves_numpy_random_unimported():
+    """The seed sequence class is made on first use, so a process that imports
+    the lab does not pay for importing ``numpy.random``."""
+    src = str(Path(vhfl_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, vhfl_lab.harness; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # the kinds of entry one key position may hold across the keys of a call:
