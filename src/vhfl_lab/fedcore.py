@@ -59,14 +59,22 @@ forward pass per group and sums each shard over its own slice, adding the
 shards up in their original order.
 
 The pooled phase cuts its batches from the pooled shard's one-shard
-stacks and steps the kernels on their 2-d views, as it trains nets it
+stacks and steps on their 2-d views, unchecked, as it trains nets it
 built itself from the config. Each round it concatenates ``wbar.params``
 and, when the center has it, ``w0.params`` into one fresh buffer, since
-both step at the same rate; each batch writes both nets' gradients into
-the one gradient buffer, and one SGD update steps them together. The
-round's nets are built from the buffer's two slices, and the next round
-concatenates a new one, so no round rewrites a net an earlier round handed
-to the center.
+both step at the same rate. It then emits each batch's step once, as a
+list of numpy operations over buffers the round allocates once (see
+``nnet``): w0's forward pass, whose u0 fills the first columns of the
+batch's input buffer under concat (its local columns are copied in once)
+or is added to wbar's output under additive; wbar's forward pass; the MSE
+gradient (2/b)·(out − y); wbar's backward pass; and w0's backward pass
+from the input gradient's u0 columns or from the loss gradient. Every
+local epoch replays the lists in batch order, and after each list one SGD
+update steps both nets' slices of the buffer at the epoch's rate. The
+operations are those of the direct kernels, in the same order, so the
+bits are theirs. The round's nets are built from the buffer's two slices,
+and the next round concatenates a new one, so no round rewrites a net an
+earlier round handed to the center.
 
 Each phase checks its results once, when it ends, with one ``isfinite``
 pass over its vectors. The local phase scans each size group's buffer and
@@ -674,31 +682,53 @@ def _cloud_round(
 ) -> int:
     """``local_epochs`` passes of mini-batch SGD on the pooled shard's
     one-shard stacks ``pooled``, through w0 too when it exists, on one buffer
-    of both nets' parameter vectors stepped with the unchecked kernels.
-    Nothing is uploaded: returns 0."""
-    # the kernels step the 2-d views [0]: on these shapes a stacked matmul
-    # or tanh costs more per call than a 2-d one
-    fields = (pooled.x_local, pooled.x_global, pooled.y)
-    cut = [
-        [None if f is None else f[0] for f in batch]
-        for _, batch in batches(plan.streams(t_g), fields, config.batch_size)
-    ]
+    of both nets' parameter vectors. Each batch's forward pass, MSE gradient
+    and backward pass are emitted once per round (``nnet._forward_ops``,
+    ``nnet._backward_ops``) over buffers the round allocates once, and
+    replayed every local epoch; only the SGD update, at the epoch's rate,
+    runs outside the list. Nothing is uploaded: returns 0."""
     # a fresh buffer every round: the nets of the last round hold views of theirs
     data = np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None])
-    grad = np.empty_like(data)
-    split = center.wbar.params.size
+    grad, scaled = np.empty_like(data), np.empty_like(data)
+    split, k = center.wbar.params.size, config.u0_dim
     wbar, wbar_grads = center.wbar.kernel_layers(data[:split]), center.wbar.views(grad[:split])
     if center.w0 is not None:
         w0, w0_grads = center.w0.kernel_layers(data[split:]), center.w0.views(grad[split:])
-    for eta_t in config.local_etas(t_g):
-        for x, x0, y in cut:
-            if center.w0 is not None:
-                pre0, post0 = nnet._forward(w0, x0)
-                side_grad = _kernel_step(wbar, wbar_grads, x, post0[-1], y, config.combine)
-                nnet._backward(w0, w0_grads, x0, pre0, post0, side_grad, False)
-            else:
-                _kernel_step(wbar, wbar_grads, x, None, y, config.combine)
-            nnet._sgd(data, grad, eta_t)
+    concat = center.w0 is not None and config.combine == "concat"
+    # each net's buffers, shared by the batches of one size: a list runs whole
+    # before the next one starts
+    pool, pool0 = {}, {}
+    batch_ops: list[nnet.Ops] = []
+    fields = (pooled.x_local, pooled.x_global, pooled.y)
+    for _, batch in batches(plan.streams(t_g), fields, config.batch_size):
+        # the 2-d views [0]: on these shapes a stacked matmul or tanh costs
+        # more per call than a 2-d one
+        x, x0, y = (None if f is None else f[0] for f in batch)
+        ops: nnet.Ops = []
+        if center.w0 is not None:
+            u0, trace0 = nnet._forward_ops(w0, x0, ops, pool0)
+        inp = x
+        if concat:
+            # the batch's rows are copied in once; every replay writes u0 beside them
+            inp = np.concatenate([np.empty((len(x), k)), x], axis=1)
+            ops.append((np.copyto, (inp[:, :k], u0)))
+        out, trace = nnet._forward_ops(wbar, inp, ops, pool)
+        lgrad = nnet._buffer(pool, ("loss",), out.shape)
+        if center.w0 is not None and not concat:
+            ops.append((np.add, (u0, out, lgrad)))
+            out = lgrad
+        # (2/b)(out - y), as nnet._mse_grad
+        ops += ((np.subtract, (out, y, lgrad)), (np.multiply, (np.array(2.0 / len(y)), lgrad, lgrad)))
+        side_grad = nnet._backward_ops(wbar, wbar_grads, trace, lgrad, ops, pool, concat)
+        if center.w0 is not None:
+            nnet._backward_ops(w0, w0_grads, trace0, side_grad[:, :k] if concat else lgrad, ops, pool0, False)
+        batch_ops.append(ops)
+    # each rate as a 0-d array, as 2/b above and nnet._ONE
+    for eta_t in map(np.array, config.local_etas(t_g)):
+        for ops in batch_ops:
+            for op, args in ops:
+                op(*args)
+            nnet._sgd(data, grad, eta_t, scaled)
     with _guard("run_cloud", t_g):
         # both nets are built before either is assigned
         wbar_net = nnet.DenseNet(center.wbar.layers, data[:split])

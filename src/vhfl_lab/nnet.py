@@ -49,13 +49,24 @@ slice's rows, so each net of the stack, and each batch through one net,
 gets the bits it would get alone. Rows of different slices are never
 pooled into one matrix: a BLAS kernel may round a row differently with the
 row count.
+
+A step that runs many times on the same arrays can be emitted once as a
+list of ``(ufunc, args)`` pairs and replayed. ``_forward_ops`` and
+``_backward_ops`` append the operations of ``_forward`` and ``_backward``,
+the same ones in the same order, with every result written into a buffer
+of a pool keyed by role and shape; the weights and gradients they name are
+views of the caller's buffers, so each replay reads the current parameters.
+An ``out=`` buffer gets the bits of the allocating form, as above. The
+pooled phase builds one list per batch and round and replays it every
+local epoch. The direct kernels stay beside the emitters for one-shot
+calls: building a list and running it once costs more than the call.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -241,9 +252,67 @@ def _backward(
     return da if want_input_grad else None
 
 
-def _sgd(data: np.ndarray, grad: np.ndarray, eta: float) -> None:
-    """p <- p - eta*g over a whole buffer, in place."""
-    np.subtract(data, eta * grad, out=data)
+# A step's operations as the emitters write them: (ufunc, positional args).
+Ops = list[tuple[Callable[..., object], tuple]]
+# The 1.0 of the tanh derivative as a 0-d float64 array, which a ufunc takes
+# faster than a Python float, with the same float64 loop and bits.
+_ONE = np.array(1.0)
+# An emitted forward pass's input and the buffers of its per-layer pre- and
+# post-activations.
+Trace = tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]
+
+
+def _buffer(pool: dict, role: tuple, shape: tuple[int, ...]) -> np.ndarray:
+    """The pool's float64 buffer of ``role`` and ``shape``, allocated on first use."""
+    if (role, shape) not in pool:
+        pool[role, shape] = np.empty(shape)
+    return pool[role, shape]
+
+
+def _forward_ops(layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict) -> tuple[np.ndarray, Trace]:
+    """Append :func:`_forward`'s operations on ``x`` to ``ops``, each result in
+    a buffer of ``pool``; returns the output's buffer and the trace that
+    :func:`_backward_ops` takes."""
+    pre: list[np.ndarray] = []
+    post: list[np.ndarray] = []
+    a = x
+    for i, layer in enumerate(layers):
+        z = _buffer(pool, ("pre", i), (*a.shape[:-1], layer.b.shape[-1]))
+        ops += ((np.matmul, (a, layer.w_t, z)), (np.add, (z, layer.b_row, z)))
+        a = z if layer.act == "identity" else _buffer(pool, ("post", i), z.shape)
+        if layer.act != "identity":
+            # numpy deprecates a positional out for np.maximum
+            ops.append((functools.partial(np.maximum, out=a), (z, 0.0)) if layer.act == "relu" else (np.tanh, (z, a)))
+        pre.append(z)
+        post.append(a)
+    return a, (x, pre, post)
+
+
+def _backward_ops(
+    layers: Sequence[Layer], grads: Grads, trace: Trace, da: np.ndarray, ops: Ops, pool: dict, want_input_grad: bool
+) -> np.ndarray | None:
+    """Append :func:`_backward`'s operations to ``ops``, each result in a
+    buffer of ``pool``; returns the buffer of d(loss)/d(x) if wanted."""
+    x, pre, post = trace
+    for i, layer in reversed(list(enumerate(layers))):
+        dz = da if layer.act == "identity" else _buffer(pool, ("dz", i), da.shape)
+        if layer.act == "relu":
+            # the mask as 1.0 or 0.0: da times it rounds as da times the bool
+            ops += ((np.greater, (pre[i], 0.0, dz)), (np.multiply, (da, dz, dz)))
+        elif layer.act == "tanh":
+            ops += ((np.multiply, (post[i], post[i], dz)), (np.subtract, (_ONE, dz, dz)), (np.multiply, (da, dz, dz)))
+        gw, gb = grads[i]
+        ops += ((np.matmul, (dz.mT, x if i == 0 else post[i - 1], gw)), (np.add.reduce, (dz, -2, None, gb)))
+        if i > 0 or want_input_grad:
+            da = _buffer(pool, ("da", i), (*da.shape[:-1], layer.w.shape[-1]))
+            ops.append((np.matmul, (dz, layer.w, da)))
+    return da if want_input_grad else None
+
+
+def _sgd(data: np.ndarray, grad: np.ndarray, eta: float | np.ndarray, out: np.ndarray | None = None) -> None:
+    """p <- p - eta*g over a whole buffer, in place, with eta*g in ``out`` if
+    given."""
+    np.subtract(data, np.multiply(eta, grad, out=out), out=data)
 
 
 def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, ForwardTrace]:

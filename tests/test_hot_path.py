@@ -2,15 +2,20 @@
 
 ``client_update``, ``central_update`` and ``run_cloud`` step private copies
 of their nets with the ``nnet`` kernels; ``client_update`` steps a cohort's
-clients of equal shard size as one stack. These tests pin that this gives
-each client the same bits as stepping it alone with the public functions,
-that the caller's arrays are never written, and that a diverging phase is
-reported by name.
+clients of equal shard size as one stack. ``run_cloud`` emits each pooled
+batch's step once a round as a list of numpy operations over reused
+buffers and replays it every local epoch. These tests pin that this gives
+each client, and the pooled nets, the same bits as stepping alone with the
+public functions, for every layer form and batch cut the op lists are built
+from; that the caller's arrays are never written; and that a diverging
+phase is reported by name, the reused buffers carrying its non-finite
+values to the guard.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -307,14 +312,34 @@ def reference_run_cloud(fed, ds, use_global):
     return wbar, w0
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-@pytest.mark.parametrize("combine", ["concat", "additive"])
-@pytest.mark.parametrize("use_global", [True, False])
-def test_run_cloud_matches_public_api_loop_bit_for_bit(use_global, combine, activation):
+# every layer form the pooled step's op lists are built from: one hidden layer
+# per net (FED's), none, or two; batches of 6 rows with a short tail of 2 (the
+# 80 pooled rows), of 8 rows with no tail, or one batch of all 80 rows
+FORMS = {
+    "one_hidden": {},
+    "no_hidden": {"w0_hidden": (), "local_hidden": ()},
+    "two_hidden": {"w0_hidden": (6, 4), "local_hidden": (6, 4)},
+    "batch_8": {"batch_size": 8},
+    "one_batch": {"batch_size": 100},
+}
+CLOUD_CASES = [
+    # FED's own form adds nothing to the case id
+    pytest.param(*case, id="-".join(map(str, case if FORMS[case[-1]] else case[:-1])))
+    for case in itertools.product([True, False], ["concat", "additive"], ["tanh", "relu", "identity"], FORMS)
+]
+
+
+@pytest.mark.parametrize("use_global, combine, activation, form", CLOUD_CASES)
+def test_run_cloud_matches_public_api_loop_bit_for_bit(use_global, combine, activation, form):
     ds = generate(SYNTH)
+    assert sum(shard.n for shard in ds.clients) == 80
     # additive combining needs u0_dim == d_label
     fed = dataclasses.replace(
-        FED, combine=combine, activation=activation, u0_dim=SYNTH.d_label if combine == "additive" else 3
+        FED,
+        combine=combine,
+        activation=activation,
+        u0_dim=SYNTH.d_label if combine == "additive" else 3,
+        **FORMS[form],
     )
     center, _ = fedcore.run_cloud(fed, ds, use_global)
     wbar, w0 = reference_run_cloud(fed, ds, use_global)
@@ -489,9 +514,12 @@ def test_guard_stops_a_diverging_run_at_its_first_client():
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match=rf"client_update at global epoch 0, client {first}$"):
                 run(DIVERGING, ds)
-    with np.errstate(all="ignore"):
-        with pytest.raises(ValueError, match=r"non-finite values after run_cloud at global epoch 0$"):
-            fedcore.run_cloud(DIVERGING, ds, use_global=True)
+    # the pooled phase reuses its buffers every step, and they must carry the
+    # non-finite values to the guard, with w0 and without it
+    for use_global in (True, False):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=r"non-finite values after run_cloud at global epoch 0$"):
+                fedcore.run_cloud(DIVERGING, ds, use_global=use_global)
 
 
 def test_guard_names_aggregation_and_central_step():
