@@ -25,13 +25,16 @@ Each round gathers its cohort once from the run's train split
 clients with n rows apiece as ``(G, n, d)`` stacks, taken with one fancy
 index per field from the train split's group of that size, with their
 global rows when the center has w0. The broadcast sends u0 as one
-``(G, n, u0_dim)`` stack per group, from one forward pass of w0. The local phase trains each group as one stack: the
-rows of one ``(G, P)`` buffer, each filled with ``wbar.params``. Every
-step runs on ``(G, b, in)`` batches, writes the gradients into the group's
-``(G, P)`` gradient buffer, and updates the stack with one in-place SGD
-step; every step but the first runs the unchecked ``nnet`` kernels. Equal
-sizes give every client the same batch sizes, so the stack needs no
-padding or mask, and a group of one is a client trained alone.
+``(G, n, u0_dim)`` stack per group, from one forward pass of w0. The local
+phase trains each group as one stack: the rows of one ``(G, P)`` buffer,
+each filled with ``wbar.params``. Every step runs on ``(G, b, in)``
+batches, writes the gradients into the group's ``(G, P)`` gradient buffer,
+and updates the stack with one in-place SGD step. Every step but the first
+runs its batch's op list, which :func:`_step_ops` emits the first time the
+list runs and later local epochs replay, so a batch that runs once is
+never emitted. Equal sizes give every client the same batch sizes, so the
+stack needs no padding or mask, and a group of one is a client trained
+alone.
 ``datagen.batches`` cuts every phase's batches: each client's sample order
 is the permutation of the substream (seed, "batches", client_id, t_g), and
 each batch gathers every field once from the stacks. :func:`plan_run`
@@ -39,9 +42,10 @@ writes the keys of every round's streams and seeds them before round 0;
 behind a finite deadline it also takes the channel's ``(T, K)`` delivery
 mask there: a delay does not depend on training, so a round keeps the
 uploads its row of the mask delivers. One step per group validates: the
-group's first step, which every client takes from ``wbar``, runs through the public ``nnet`` API on
-the whole ``(G, b, ·)`` stack, with ``wbar``'s weights broadcast over it. It checks the shapes that every
-step of the group reuses, as all its clients share n and the batch sizes.
+group's first step, which every client takes from ``wbar``, runs through
+the public ``nnet`` API on the whole ``(G, b, ·)`` stack, with ``wbar``'s
+weights broadcast over it. It checks the shapes that every step of the
+group reuses, as all its clients share n and the batch sizes.
 The stacked kernels issue one BLAS call and one reduction per client
 slice, with the slice's own shape, so a client gets the bits it would get
 alone, whether its weights are its row of the buffer or ``wbar``'s own.
@@ -65,29 +69,29 @@ and, when the center has it, ``w0.params`` into one fresh buffer, since
 both step at the same rate. It then emits each batch's step once, as a
 list of numpy operations over buffers the round allocates once (see
 ``nnet``): w0's forward pass, whose u0 fills the first columns of the
-batch's input buffer under concat (its local columns are copied in once)
-or is added to wbar's output under additive; wbar's forward pass; the MSE
-gradient (2/b)·(out − y); wbar's backward pass; and w0's backward pass
-from the input gradient's u0 columns or from the loss gradient. Every
-local epoch replays the lists in batch order, and after each list one SGD
-update steps both nets' slices of the buffer at the epoch's rate. The
-operations are those of the direct kernels, in the same order, so the
-bits are theirs. The round's nets are built from the buffer's two slices,
-and the next round concatenates a new one, so no round rewrites a net an
-earlier round handed to the center.
+batch's input buffer under concat (its local columns are copied in once);
+wbar's step from :func:`_step_ops`, which the local phase uses too and
+which adds u0 to wbar's output under additive; and w0's backward pass from
+the side gradient it returns. Every local epoch replays the lists in batch
+order, and after each list one SGD update steps both nets' slices of the
+buffer at the epoch's rate. The round's nets are built from the buffer's
+two slices, and the next round concatenates a new one, so no round
+rewrites a net an earlier round handed to the center.
 
 Each phase checks its results once, when it ends, with one ``isfinite``
 pass over its vectors. The local phase scans each size group's buffer and
 its vertical gradients, and names the first diverged client in cohort
 order; a group whose public first step meets non-finite values takes that
-step unchecked, so its clients are named the same way. The other phases
+step on its batch's op list, unchecked, so its clients are named the same
+way. The other phases
 build a net, whose finite check is the guard: ``_guard`` turns the build's
 ``nnet.NonFiniteError`` into an error naming the phase, the global epoch
 and the clients (the pooled phase trains no client and names none). A
 value that turns inf or nan stays non-finite under later steps, so this
 catches what per-step checks would. Evaluation is guarded on its losses,
-so the loop runs with numpy's overflow and invalid-value warnings off. Vertical gradients travel as one
-``(n_j, u0_dim)`` array per client in shard order.
+so the loop runs with numpy's overflow and invalid-value warnings off.
+Vertical gradients travel as one ``(n_j, u0_dim)`` array per client in
+shard order.
 
 ``FederationConfig`` is the one home of the round settings (K, E_L, B, the
 eta and eta0 schedules, the aggregator, the combine mode, the seed), and
@@ -380,53 +384,53 @@ def center_broadcast(center: CenterState, cohort: Split) -> list[np.ndarray]:
     return [nnet._output(center.w0, group.x_global) for group in cohort.groups]
 
 
-def _kernel_step(
+def _step_ops(
     layers: Sequence[nnet.Layer],
     grads: nnet.Grads,
-    batch_x: np.ndarray,
-    batch_side: np.ndarray | None,
-    batch_y: np.ndarray,
-    combine: str,
+    inp: np.ndarray,
+    side: np.ndarray | None,
+    y: np.ndarray,
+    concat: bool,
+    ops: nnet.Ops,
+    pool: dict,
 ) -> np.ndarray | None:
-    """One forward/backward of the local model on kernel layers, with nothing
-    checked: writes its gradients into ``grads`` and returns the gradient of
-    the batch-mean loss with respect to the side (centrally processed) rows,
-    None without them. The arrays may carry a leading stack axis (see
-    ``nnet``)."""
-    concat = batch_side is not None and combine == "concat"
-    inp = np.concatenate([batch_side, batch_x], axis=-1) if concat else batch_x
-    pre, post = nnet._forward(layers, inp)
-    out = post[-1] if batch_side is None or concat else batch_side + post[-1]
-    lgrad = nnet._mse_grad(out, batch_y)
-    input_grad = nnet._backward(layers, grads, inp, pre, post, lgrad, concat)
+    """Append one step of the local model on the input rows ``inp`` to
+    ``ops``: its forward pass, ``+ side`` under additive, the MSE gradient
+    (2/b)(out - y) and its backward pass, which writes the gradients into
+    ``grads``. Under concat ``inp`` holds the side rows in its first
+    columns. Returns the buffer of the gradient of the batch-mean loss with
+    respect to the side (centrally processed) rows, None without them. The
+    arrays may carry a leading stack axis (see ``nnet``)."""
+    out, trace = nnet._forward_ops(layers, inp, ops, pool)
+    lgrad = nnet._buffer(pool, ("loss",), out.shape)
+    if side is not None and not concat:
+        ops.append((np.add, (side, out, lgrad)))
+        out = lgrad
+    # (2/b)(out - y), as nnet.mse_loss; the factor as a 0-d array, as nnet._ONE
+    ops += ((np.subtract, (out, y, lgrad)), (np.multiply, (np.array(2.0 / y.shape[-2]), lgrad, lgrad)))
+    input_grad = nnet._backward_ops(layers, grads, trace, lgrad, ops, pool, concat)
     if concat:
-        return input_grad[..., : batch_side.shape[-1]]
-    return None if batch_side is None else lgrad
+        return input_grad[..., : side.shape[-1]]
+    return None if side is None else lgrad
 
 
 def _first_step(
     wbar: nnet.DenseNet,
-    data: np.ndarray,
     grad: np.ndarray,
     batch_x: np.ndarray,
     batch_side: np.ndarray | None,
     batch_y: np.ndarray,
-    combine: str,
+    concat: bool,
 ) -> np.ndarray | None:
-    """A size group's first step from ``wbar``: :func:`_kernel_step` through the
-    validating public ``nnet`` API, on the whole stack and with ``wbar``'s
-    weights, which checks the shapes every step of the group reuses, writing
-    the gradient vectors into ``grad``. A stack whose step is not finite takes
-    it unchecked on the layers and gradients of ``data`` and ``grad``, so that
-    its results stay non-finite and the phase guard names the first diverged
-    client in cohort order. Returns the ``(G, b, u0_dim)`` side-row gradients."""
-    concat = batch_side is not None and combine == "concat"
-    try:
-        out, trace = nnet.forward(wbar, np.concatenate([batch_side, batch_x], axis=-1) if concat else batch_x)
-        _, lgrad = nnet.mse_loss(out if batch_side is None or concat else batch_side + out, batch_y)
-        grad[...], input_grad = nnet.backward(wbar, trace, lgrad, concat)
-    except nnet.NonFiniteError:
-        return _kernel_step(wbar.kernel_layers(data), wbar.views(grad), batch_x, batch_side, batch_y, combine)
+    """A size group's first step from ``wbar`` through the validating public
+    ``nnet`` API, on the whole stack and with ``wbar``'s weights, which checks
+    the shapes every step of the group reuses, writing the gradient vectors
+    into ``grad``. Returns the ``(G, b, u0_dim)`` side-row gradients; raises
+    ``nnet.NonFiniteError`` if the step is not finite, before writing
+    ``grad``."""
+    out, trace = nnet.forward(wbar, np.concatenate([batch_side, batch_x], axis=-1) if concat else batch_x)
+    _, lgrad = nnet.mse_loss(out if batch_side is None or concat else batch_side + out, batch_y)
+    grad[...], input_grad = nnet.backward(wbar, trace, lgrad, concat)
     if concat:
         return input_grad[..., : batch_side.shape[-1]]
     return None if batch_side is None else lgrad
@@ -444,22 +448,44 @@ def _train_group(
     ``side`` of u0 (None without w0), shuffled by their streams ``rngs``: the
     ``(G, P)`` buffer of the trained parameter vectors, and the
     ``(G, n, u0_dim)`` vertical gradients. The group's first step is
-    :func:`_first_step`, one validating step for the whole group; every other
-    step is the stacked kernels."""
+    :func:`_first_step`, one validating step for the whole group. Every other
+    step runs its batch's op list (:func:`_step_ops`) over the stacked layers
+    and one pool of buffers: the list is emitted the first time it runs and
+    replayed in later local epochs. A stack whose first step is not finite
+    takes it on its batch's list instead, so that its results stay non-finite
+    and the phase guard names the first diverged client in cohort order."""
     n = group.x_local.shape[1]
     data = np.empty((len(rngs), wbar.params.size))
     data[...] = wbar.params
     grad = np.empty_like(data)
     layers, grads = wbar.kernel_layers(data), wbar.views(grad)
+    concat = side is not None and config.combine == "concat"
     vgrad_sum = None if side is None else np.empty(side.shape)
     clients = np.arange(len(rngs))[:, None]
     plan = batches(rngs, (group.x_local, side, group.y), config.batch_size)
+    # each batch's (ops, side-gradient buffer); the lists share one pool, as a
+    # list runs whole before the next one starts
+    steps: dict[int, tuple[nnet.Ops, np.ndarray | None]] = {}
+    pool: dict = {}
+
+    def replay(i: int, x: np.ndarray, batch_side: np.ndarray | None, batch_y: np.ndarray) -> np.ndarray | None:
+        if i not in steps:
+            ops: nnet.Ops = []
+            inp = np.concatenate([batch_side, x], axis=-1) if concat else x
+            steps[i] = ops, _step_ops(layers, grads, inp, batch_side, batch_y, concat, ops, pool)
+        ops, side_grad = steps[i]
+        nnet._run(ops)
+        return side_grad
+
     for epoch, eta_t in enumerate(config.local_etas(t_g)):
         for i, (index, (x, batch_side, batch_y)) in enumerate(plan):
             if epoch == 0 and i == 0:
-                side_grad = _first_step(wbar, data, grad, x, batch_side, batch_y, config.combine)
+                try:
+                    side_grad = _first_step(wbar, grad, x, batch_side, batch_y, concat)
+                except nnet.NonFiniteError:
+                    side_grad = replay(i, x, batch_side, batch_y)
             else:
-                side_grad = _kernel_step(layers, grads, x, batch_side, batch_y, config.combine)
+                side_grad = replay(i, x, batch_side, batch_y)
             if side_grad is not None:
                 # rescale batch-mean rows to client-mean units; each epoch
                 # visits every sample once, so epoch 0 writes every row
@@ -682,11 +708,13 @@ def _cloud_round(
 ) -> int:
     """``local_epochs`` passes of mini-batch SGD on the pooled shard's
     one-shard stacks ``pooled``, through w0 too when it exists, on one buffer
-    of both nets' parameter vectors. Each batch's forward pass, MSE gradient
-    and backward pass are emitted once per round (``nnet._forward_ops``,
-    ``nnet._backward_ops``) over buffers the round allocates once, and
-    replayed every local epoch; only the SGD update, at the epoch's rate,
-    runs outside the list. Nothing is uploaded: returns 0."""
+    of both nets' parameter vectors. Each batch's step is emitted once per
+    round, over buffers the round allocates once, and replayed every local
+    epoch: w0's forward pass (``nnet._forward_ops``), wbar's step on its u0
+    (:func:`_step_ops`, which the local phase builds its steps with too) and
+    w0's backward pass from the returned side gradient
+    (``nnet._backward_ops``). Only the SGD update, at the epoch's rate, runs
+    outside the list. Nothing is uploaded: returns 0."""
     # a fresh buffer every round: the nets of the last round hold views of theirs
     data = np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None])
     grad, scaled = np.empty_like(data), np.empty_like(data)
@@ -705,6 +733,7 @@ def _cloud_round(
         # more per call than a 2-d one
         x, x0, y = (None if f is None else f[0] for f in batch)
         ops: nnet.Ops = []
+        u0 = None
         if center.w0 is not None:
             u0, trace0 = nnet._forward_ops(w0, x0, ops, pool0)
         inp = x
@@ -712,22 +741,14 @@ def _cloud_round(
             # the batch's rows are copied in once; every replay writes u0 beside them
             inp = np.concatenate([np.empty((len(x), k)), x], axis=1)
             ops.append((np.copyto, (inp[:, :k], u0)))
-        out, trace = nnet._forward_ops(wbar, inp, ops, pool)
-        lgrad = nnet._buffer(pool, ("loss",), out.shape)
-        if center.w0 is not None and not concat:
-            ops.append((np.add, (u0, out, lgrad)))
-            out = lgrad
-        # (2/b)(out - y), as nnet._mse_grad
-        ops += ((np.subtract, (out, y, lgrad)), (np.multiply, (np.array(2.0 / len(y)), lgrad, lgrad)))
-        side_grad = nnet._backward_ops(wbar, wbar_grads, trace, lgrad, ops, pool, concat)
+        side_grad = _step_ops(wbar, wbar_grads, inp, u0, y, concat, ops, pool)
         if center.w0 is not None:
-            nnet._backward_ops(w0, w0_grads, trace0, side_grad[:, :k] if concat else lgrad, ops, pool0, False)
+            nnet._backward_ops(w0, w0_grads, trace0, side_grad, ops, pool0, False)
         batch_ops.append(ops)
-    # each rate as a 0-d array, as 2/b above and nnet._ONE
+    # each rate as a 0-d array, as 2/b in _step_ops and nnet._ONE
     for eta_t in map(np.array, config.local_etas(t_g)):
         for ops in batch_ops:
-            for op, args in ops:
-                op(*args)
+            nnet._run(ops)
             nnet._sgd(data, grad, eta_t, scaled)
     with _guard("run_cloud", t_g):
         # both nets are built before either is assigned

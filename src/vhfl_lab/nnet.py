@@ -16,7 +16,7 @@ a net from a vector checks it with one ``isfinite`` pass. The net gives the
 per-layer ``(w, b)`` views of any ``(*lead, P)`` buffer
 (:meth:`DenseNet.views`), and the kernels' :class:`Layer` views over one
 (:meth:`DenseNet.kernel_layers`), with the forward pass's transposed
-weights and bias row taken once. ``_backward`` writes each layer's
+weights and bias row taken once. The backward pass writes each layer's
 gradients into its views of the gradient buffer. A net's ``params`` is a
 read-only view, so nothing writes it through the net: a training phase
 copies the vectors it trains into a fresh buffer, and the nets it hands
@@ -24,9 +24,8 @@ out hold views of that buffer, which no later phase writes.
 
 Validate at the edges, run unchecked kernels inside the loop. The public
 ``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument
-and then call the private kernels ``_forward``/``_mse_grad``/
-``_backward``, which check nothing. Both paths run the same float64
-operations in the same order, so their results agree bit for bit.
+and then run the private kernels, which check nothing, so a training phase
+that runs the kernels itself gets the public functions' bits.
 ``forward``, ``mse_loss`` and ``backward`` take a batch or a ``(*lead, b,
 in)`` stack of batches through the one net; ``backward`` returns the
 ``(*lead, P)`` gradient vectors in the layout of ``params``, and
@@ -50,16 +49,25 @@ gets the bits it would get alone. Rows of different slices are never
 pooled into one matrix: a BLAS kernel may round a row differently with the
 row count.
 
-A step that runs many times on the same arrays can be emitted once as a
-list of ``(ufunc, args)`` pairs and replayed. ``_forward_ops`` and
-``_backward_ops`` append the operations of ``_forward`` and ``_backward``,
-the same ones in the same order, with every result written into a buffer
-of a pool keyed by role and shape; the weights and gradients they name are
-views of the caller's buffers, so each replay reads the current parameters.
-An ``out=`` buffer gets the bits of the allocating form, as above. The
-pooled phase builds one list per batch and round and replays it every
-local epoch. The direct kernels stay beside the emitters for one-shot
-calls: building a list and running it once costs more than the call.
+Each pass has one form, an emitter that appends its operations to a list
+of ``(ufunc, args)`` pairs. ``_forward_ops`` appends, per layer,
+``matmul(a, w_t)``, ``+ b_row`` and the activation, and returns the
+output's buffer and the :class:`Trace` that ``_backward_ops`` takes; that
+one appends, per layer from the last, the activation's derivative times
+d(loss)/d(outputs), ``dz.mT @ prev``, ``add.reduce(dz, axis=-2)`` and
+``dz @ w``. Every result is written into a buffer of a pool keyed by role
+and shape, and the weights and gradients a list names are views of the
+caller's buffers, so each replay reads the current parameters. An ``out=``
+buffer gets the bits of the allocating form, as above. A training phase
+emits a step once and replays it (see ``fedcore``). A one-shot call,
+``_output``, ``forward`` or ``backward``, emits into a fresh pool and runs
+the list once (``_run``), so no two calls share a buffer. Building the
+list costs a few microseconds a call: on a 2-vCPU Xeon with AVX-512 (numpy
+2.4.6), a one-shot forward pass of a 16-unit tanh net took 16.4 against
+18.9 µs on a ``(10, 16, 8)`` stack and 198 against 205 µs on ``(100, 16,
+8)`` (timeit minimum, the former direct form against the emitted one), and
+public ``forward``, ``mse_loss`` and ``backward`` on ``(25, 16, 8)`` 109
+against 112 µs.
 """
 
 from __future__ import annotations
@@ -84,14 +92,6 @@ def _as_batch(x: object, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite values")
     return arr
-
-
-def _activate(tag: str, z: np.ndarray) -> np.ndarray:
-    if tag == "identity":
-        return z
-    if tag == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
 
 
 @dataclass(frozen=True)
@@ -191,75 +191,19 @@ class DenseNet:
         return self.kernel_layers(self.params)
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Cached per-layer pre/post activations for one batch or stack."""
-
-    inputs: np.ndarray
-    pre: tuple[np.ndarray, ...]
-    post: tuple[np.ndarray, ...]
-
-
-def _forward(layers: Sequence[Layer], x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer pre- and post-activations; the output is ``post[-1]``."""
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = []
-    a = x
-    for layer in layers:
-        z = a @ layer.w_t + layer.b_row
-        a = _activate(layer.act, z)
-        pre.append(z)
-        post.append(a)
-    return pre, post
-
-
-def _output(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    """Unchecked forward pass of a validated net on validated rows."""
-    return _forward(net._own_layers, x)[1][-1]
-
-
-def _mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """d(mean squared L2 error)/d(pred)."""
-    return (2.0 / pred.shape[-2]) * (pred - target)
-
-
-def _backward(
-    layers: Sequence[Layer],
-    grads: Grads,
-    x: np.ndarray,
-    pre: Sequence[np.ndarray],
-    post: Sequence[np.ndarray],
-    da: np.ndarray,
-    want_input_grad: bool,
-) -> np.ndarray | None:
-    """Write each layer's parameter gradients into its entry of ``grads``,
-    given d(loss)/d(outputs); returns d(loss)/d(x) if wanted."""
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        if layer.act == "identity":
-            dz = da  # the derivative is 1, and x * 1.0 == x bit for bit
-        elif layer.act == "relu":
-            # subgradient at 0 fixed to 0
-            dz = da * (pre[i] > 0.0)
-        else:
-            # post[i] is tanh(pre[i]), and np.tanh is deterministic
-            dz = da * (1.0 - post[i] * post[i])
-        gw, gb = grads[i]
-        np.matmul(dz.mT, x if i == 0 else post[i - 1], out=gw)
-        np.add.reduce(dz, axis=-2, out=gb)
-        if i > 0 or want_input_grad:
-            da = dz @ layer.w
-    return da if want_input_grad else None
-
-
 # A step's operations as the emitters write them: (ufunc, positional args).
 Ops = list[tuple[Callable[..., object], tuple]]
 # The 1.0 of the tanh derivative as a 0-d float64 array, which a ufunc takes
 # faster than a Python float, with the same float64 loop and bits.
 _ONE = np.array(1.0)
-# An emitted forward pass's input and the buffers of its per-layer pre- and
-# post-activations.
-Trace = tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]
+
+
+class Trace(NamedTuple):
+    """A forward pass's input and its per-layer pre- and post-activations."""
+
+    inputs: np.ndarray
+    pre: tuple[np.ndarray, ...]
+    post: tuple[np.ndarray, ...]
 
 
 def _buffer(pool: dict, role: tuple, shape: tuple[int, ...]) -> np.ndarray:
@@ -270,8 +214,8 @@ def _buffer(pool: dict, role: tuple, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _forward_ops(layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict) -> tuple[np.ndarray, Trace]:
-    """Append :func:`_forward`'s operations on ``x`` to ``ops``, each result in
-    a buffer of ``pool``; returns the output's buffer and the trace that
+    """Append the forward pass on ``x`` to ``ops``, each result in a buffer of
+    ``pool``; returns the output's buffer and the trace that
     :func:`_backward_ops` takes."""
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = []
@@ -285,21 +229,26 @@ def _forward_ops(layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict) -
             ops.append((functools.partial(np.maximum, out=a), (z, 0.0)) if layer.act == "relu" else (np.tanh, (z, a)))
         pre.append(z)
         post.append(a)
-    return a, (x, pre, post)
+    return a, Trace(x, tuple(pre), tuple(post))
 
 
 def _backward_ops(
     layers: Sequence[Layer], grads: Grads, trace: Trace, da: np.ndarray, ops: Ops, pool: dict, want_input_grad: bool
 ) -> np.ndarray | None:
-    """Append :func:`_backward`'s operations to ``ops``, each result in a
-    buffer of ``pool``; returns the buffer of d(loss)/d(x) if wanted."""
+    """Append the backward pass from d(loss)/d(outputs) ``da`` to ``ops``,
+    writing each layer's parameter gradients into its entry of ``grads`` and
+    every other result into a buffer of ``pool``; returns the buffer of
+    d(loss)/d(x) if wanted."""
     x, pre, post = trace
     for i, layer in reversed(list(enumerate(layers))):
+        # identity: the derivative is 1, and da * 1.0 == da bit for bit
         dz = da if layer.act == "identity" else _buffer(pool, ("dz", i), da.shape)
         if layer.act == "relu":
-            # the mask as 1.0 or 0.0: da times it rounds as da times the bool
+            # the subgradient at 0 is 0; the mask as 1.0 or 0.0, and da times
+            # it rounds as da times the bool
             ops += ((np.greater, (pre[i], 0.0, dz)), (np.multiply, (da, dz, dz)))
         elif layer.act == "tanh":
+            # post[i] is tanh(pre[i]), and np.tanh is deterministic
             ops += ((np.multiply, (post[i], post[i], dz)), (np.subtract, (_ONE, dz, dz)), (np.multiply, (da, dz, dz)))
         gw, gb = grads[i]
         ops += ((np.matmul, (dz.mT, x if i == 0 else post[i - 1], gw)), (np.add.reduce, (dz, -2, None, gb)))
@@ -309,19 +258,36 @@ def _backward_ops(
     return da if want_input_grad else None
 
 
+def _run(ops: Ops) -> None:
+    """Run an emitted list of operations in order."""
+    for op, args in ops:
+        op(*args)
+
+
+def _output(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """Unchecked forward pass of a validated net on validated rows, emitted
+    into a fresh pool and run once."""
+    ops: Ops = []
+    out, _ = _forward_ops(net._own_layers, x, ops, {})
+    _run(ops)
+    return out
+
+
 def _sgd(data: np.ndarray, grad: np.ndarray, eta: float | np.ndarray, out: np.ndarray | None = None) -> None:
     """p <- p - eta*g over a whole buffer, in place, with eta*g in ``out`` if
     given."""
     np.subtract(data, np.multiply(eta, grad, out=out), out=data)
 
 
-def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, ForwardTrace]:
+def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, Trace]:
     """Run the net on a (*lead, batch, in_dim) stack; returns outputs and a trace."""
     x = _as_batch(batch, "batch")
     if x.shape[-1] != net.in_dim:
         raise ValueError(f"batch has {x.shape[-1]} columns, net expects {net.in_dim}")
-    pre, post = _forward(net._own_layers, x)
-    return post[-1], ForwardTrace(inputs=x, pre=tuple(pre), post=tuple(post))
+    ops: Ops = []
+    out, trace = _forward_ops(net._own_layers, x, ops, {})
+    _run(ops)
+    return out, trace
 
 
 def mse_loss(pred: object, target: object) -> tuple[float | np.ndarray, np.ndarray]:
@@ -332,10 +298,10 @@ def mse_loss(pred: object, target: object) -> tuple[float | np.ndarray, np.ndarr
     if p.shape != t.shape:
         raise ValueError(f"pred shape {p.shape} != target shape {t.shape}")
     diff = p - t
-    return np.sum(diff * diff, axis=(-2, -1)) / p.shape[-2], _mse_grad(p, t)
+    return np.sum(diff * diff, axis=(-2, -1)) / p.shape[-2], (2.0 / p.shape[-2]) * diff
 
 
-def _check_trace(net: DenseNet, trace: ForwardTrace) -> None:
+def _check_trace(net: DenseNet, trace: Trace) -> None:
     if len(trace.pre) != net.n_layers or len(trace.post) != net.n_layers:
         raise ValueError("trace does not match net layer count")
     if trace.inputs.shape[-1] != net.in_dim:
@@ -347,7 +313,7 @@ def _check_trace(net: DenseNet, trace: ForwardTrace) -> None:
 
 def backward(
     net: DenseNet,
-    trace: ForwardTrace,
+    trace: Trace,
     loss_grad: object,
     want_input_grad: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -359,7 +325,9 @@ def backward(
     if da.shape != trace.post[-1].shape:
         raise ValueError(f"loss_grad shape {da.shape} does not match outputs {trace.post[-1].shape}")
     grad = np.empty((*da.shape[:-2], net.params.size))
-    input_grad = _backward(net._own_layers, net.views(grad), trace.inputs, trace.pre, trace.post, da, want_input_grad)
+    ops: Ops = []
+    input_grad = _backward_ops(net._own_layers, net.views(grad), trace, da, ops, {}, want_input_grad)
+    _run(ops)
     return grad, input_grad
 
 

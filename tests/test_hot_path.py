@@ -1,15 +1,18 @@
 """The unchecked training loop against the validating public API.
 
-``client_update``, ``central_update`` and ``run_cloud`` step private copies
-of their nets with the ``nnet`` kernels; ``client_update`` steps a cohort's
-clients of equal shard size as one stack. ``run_cloud`` emits each pooled
-batch's step once a round as a list of numpy operations over reused
-buffers and replays it every local epoch. These tests pin that this gives
-each client, and the pooled nets, the same bits as stepping alone with the
-public functions, for every layer form and batch cut the op lists are built
-from; that the caller's arrays are never written; and that a diverging
-phase is reported by name, the reused buffers carrying its non-finite
-values to the guard.
+``client_update`` and ``run_cloud`` step private copies of their nets with
+lists of numpy operations over reused buffers, each batch's step emitted
+by one function, ``fedcore._step_ops``. ``client_update`` steps a cohort's
+clients of equal shard size as one stack: a size group takes its first
+step through the public functions, and every later step runs its batch's
+list, emitted the first time it runs and replayed in later local epochs.
+``run_cloud`` emits each pooled batch's list once a round and replays it
+every local epoch. These tests pin that this gives each client, and the
+pooled nets, the same bits as stepping alone with the public functions,
+for every layer form and batch cut the op lists are built from; that a
+list is emitted only where it runs; that the caller's arrays are never
+written; and that a diverging phase is reported by name, the reused
+buffers carrying its non-finite values to the guard.
 """
 
 from __future__ import annotations
@@ -253,6 +256,32 @@ def test_client_update_takes_one_public_step_per_size_group(monkeypatch):
     monkeypatch.setattr(fedcore, "batches", counting("batches", fedcore.batches))
     update(FED, cohort, wbar, u0, 0)
     assert calls == {"mse_loss": 2, "batches": 2}
+
+
+@pytest.mark.parametrize(
+    "n, local_epochs, lists", [(13, 2, 3), (13, 3, 3), (13, 1, 2), (6, 2, 1), (6, 1, 0)]
+)
+def test_local_phase_emits_a_batch_list_once_and_only_where_it_runs(n, local_epochs, lists, monkeypatch):
+    """A size group of B batches emits each batch's op list the first time it
+    runs and replays it after: B lists at E_L >= 2, B - 1 at E_L = 1, whose
+    first batch runs once, as the public first step, and none for one batch
+    at E_L = 1."""
+    ds = generate(SYNTH)
+    shards = [ClientShard(s.client_id, s.ids[:n], s.x_local[:n], s.y[:n], s.q) for s in ds.clients[:2]]
+    rng = substream(14, "emits", n)
+    wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
+    cohort, u0 = cohort_of(shards, {shard.client_id: rng.standard_normal((n, 3)) for shard in shards})
+    assert len(cohort.groups) == 1
+    calls = []
+    step_ops = fedcore._step_ops
+
+    def counted(layers, grads, inp, *rest):
+        calls.append(inp.shape)
+        return step_ops(layers, grads, inp, *rest)
+
+    monkeypatch.setattr(fedcore, "_step_ops", counted)
+    update(dataclasses.replace(FED, local_epochs=local_epochs), cohort, wbar, u0, 0)
+    assert len(calls) == lists
 
 
 def reference_or_none(fed, shard, wbar, u0, global_epoch):

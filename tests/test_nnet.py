@@ -322,11 +322,16 @@ def test_backward_into_flat_views_matches_allocating_reference(copies, rows):
             grad = np.empty_like(data)
             layers, grads = net.kernel_layers(data), net.views(grad)
             x = rng.standard_normal((*lead, rows, dims[0]))
-            pre, post = nnet._forward(layers, x)
-            da = rng.standard_normal(post[-1].shape)
-            input_grad = nnet._backward(layers, grads, x, pre, post, da, True)
+            # the emitted passes, each run once as a one-shot call runs them
+            ops = []
+            out, trace = nnet._forward_ops(layers, x, ops, {})
+            nnet._run(ops)
+            da = rng.standard_normal(out.shape)
+            ops = []
+            input_grad = nnet._backward_ops(layers, grads, trace, da, ops, {}, True)
+            nnet._run(ops)
             wgrads, bgrads, ref_input = allocating_backward(
-                [(layer.w.copy(), layer.act) for layer in layers], x, pre, post, da
+                [(layer.w.copy(), layer.act) for layer in layers], x, trace.pre, trace.post, da
             )
             assert same_bits(input_grad, ref_input)
             for (gw, gb), ref_gw, ref_gb in zip(grads, wgrads, bgrads):
@@ -383,6 +388,23 @@ def test_public_step_runs_the_flat_kernels_on_fresh_buffers():
         assert same_bits(new_w, old_w - 0.05 * gw) and same_bits(new_b, old_b - 0.05 * gb)
     assert not np.shares_memory(stepped.params, net.params)
     assert not np.shares_memory(stepped.params, grad)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_one_shot_passes_allocate_per_call(lead):
+    """Two one-shot calls on the same net and shape return arrays that share
+    no memory: no pool outlives a call, so none aliases u0 or a trace."""
+    rng = substream(18, "one-shot", len(lead))
+    net = nnet.random_net([4, 5, 3], ["relu", "tanh"], rng)
+    x = rng.standard_normal((*lead, 6, 4))
+    lgrad = rng.standard_normal((*lead, 6, 3))
+    first, second = (nnet.forward(net, x) for _ in range(2))
+    for a, b in zip((first[0], *first[1].pre, *first[1].post), (second[0], *second[1].pre, *second[1].post)):
+        assert not np.shares_memory(a, b)
+    grads = [nnet.backward(net, trace, lgrad, want_input_grad=True) for _, trace in (first, second)]
+    for a, b in zip(grads[0], grads[1]):
+        assert not np.shares_memory(a, b)
+    assert not np.shares_memory(nnet._output(net, x), nnet._output(net, x))
 
 
 # ------------------------------------------------------- the API on a stack
