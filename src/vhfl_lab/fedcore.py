@@ -425,10 +425,11 @@ def _first_step(
     """A size group's first step from ``wbar`` through the validating public
     ``nnet`` API, on the whole stack and with ``wbar``'s weights, which checks
     the shapes every step of the group reuses, writing the gradient vectors
-    into ``grad``. Returns the ``(G, b, u0_dim)`` side-row gradients; raises
-    ``nnet.NonFiniteError`` if the step is not finite, before writing
-    ``grad``."""
-    out, trace = nnet.forward(wbar, np.concatenate([batch_side, batch_x], axis=-1) if concat else batch_x)
+    into ``grad``. Under concat the input rows ``batch_x`` hold the side rows
+    in their first columns. Returns the ``(G, b, u0_dim)`` side-row
+    gradients; raises ``nnet.NonFiniteError`` if the step is not finite,
+    before writing ``grad``."""
+    out, trace = nnet.forward(wbar, batch_x)
     _, lgrad = nnet.mse_loss(out if batch_side is None or concat else batch_side + out, batch_y)
     grad[...], input_grad = nnet.backward(wbar, trace, lgrad, concat)
     if concat:
@@ -462,7 +463,9 @@ def _train_group(
     concat = side is not None and config.combine == "concat"
     vgrad_sum = None if side is None else np.empty(side.shape)
     clients = np.arange(len(rngs))[:, None]
-    plan = batches(rngs, (group.x_local, side, group.y), config.batch_size)
+    # under concat the local model's input rows are the side rows, then the local ones
+    inp = np.concatenate([side, group.x_local], axis=-1) if concat else group.x_local
+    plan = batches(rngs, (inp, side, group.y), config.batch_size)
     # each batch's (ops, side-gradient buffer); the lists share one pool, as a
     # list runs whole before the next one starts
     steps: dict[int, tuple[nnet.Ops, np.ndarray | None]] = {}
@@ -471,8 +474,7 @@ def _train_group(
     def replay(i: int, x: np.ndarray, batch_side: np.ndarray | None, batch_y: np.ndarray) -> np.ndarray | None:
         if i not in steps:
             ops: nnet.Ops = []
-            inp = np.concatenate([batch_side, x], axis=-1) if concat else x
-            steps[i] = ops, _step_ops(layers, grads, inp, batch_side, batch_y, concat, ops, pool)
+            steps[i] = ops, _step_ops(layers, grads, x, batch_side, batch_y, concat, ops, pool)
         ops, side_grad = steps[i]
         nnet._run(ops)
         return side_grad

@@ -1,11 +1,15 @@
 """Experiment orchestration: config parsing, runs, and CSV/plot-data emission.
 
-Configs are JSON documents with one section per subsystem. Each section
-is read from its dataclass (``_SECTIONS``): the field names are its keys,
-the field annotations their types, and the field defaults make a key
-optional; the dataclass's own checks reject out-of-range values. Unknown
-keys, missing keys, mistyped values and range faults all fail fast as a
-``ConfigError`` naming the section and key. Every run is a pure function
+Configs are JSON documents: the root keys ``mode``, ``seeds`` and
+``out_dir``, and one section per subsystem. The root
+(:class:`ExperimentConfig`) and each section are read from their
+dataclasses by one reader: the field names are the keys, the field
+annotations their types, and the field defaults make a key optional. Each
+dataclass's own checks reject out-of-range values, and the rules that span
+sections, such as the sections a mode requires or matching client counts,
+are ``ExperimentConfig``'s checks. Unknown keys, missing keys, mistyped
+values and range faults all fail fast as a ``ConfigError`` naming the
+section and key. Every run is a pure function
 of (config, seed): re-running with the same config and seeds rewrites
 byte-identical artifacts. Each output file carries the config hash in a
 header comment and the resolved config itself is written next to the
@@ -124,21 +128,20 @@ class KElSweepSpec:
                 raise ValueError(f"local_epochs={el} must be >= 1")
 
 
-# section name -> its dataclass and the fields the config does not set
-_SECTIONS: dict[str, tuple[type, dict[str, Any]]] = {
-    "federation": (fedcore.FederationConfig, {"seed": 0, "deadline_channel": None}),
-    "synth": (SynthConfig, {}),
-    "channel": (netqueue.ChannelModel, {}),
-    "queue": (QueueSpec, {}),
-    "delay_plan": (DelayPlanSpec, {}),
-    "bounds": (bounds_mod.BoundParams, {}),
-    "bounds_sweep": (BoundsSweepSpec, {}),
-    "k_el_sweep": (KElSweepSpec, {}),
+# the fields of a section's dataclass that the config does not set
+_FIXED: dict[type, dict[str, Any]] = {
+    fedcore.FederationConfig: {"seed": 0, "deadline_channel": None},
 }
+# the modes that train the global model w0 beside the local one
+_W0_MODES = ("vhfl", "cloud", "compare", "k_el_sweep")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The config root: its keys, then one optional section per subsystem.
+    ``raw`` is the JSON object it was read from, overrides applied; the
+    checks here are the rules that span sections."""
+
     mode: str
     seeds: tuple[int, ...]
     out_dir: Path
@@ -152,6 +155,34 @@ class ExperimentConfig:
     bounds_sweep: BoundsSweepSpec | None = None
     k_el_sweep: KElSweepSpec | None = None
 
+    def __post_init__(self) -> None:
+        if self.mode not in _MODES:
+            raise ValueError(f"unknown mode {self.mode!r}, expected one of {sorted(_MODES)}")
+        if not self.seeds:
+            raise ValueError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
+        for needed in _MODES[self.mode][0]:
+            if getattr(self, needed) is None:
+                raise ValueError(f"mode {self.mode!r} requires section {needed!r}")
+        fed, synth = self.federation, self.synth
+        if fed is not None and synth is not None:
+            if fed.n_clients != synth.n_clients:
+                raise ValueError(f"federation.n_clients {fed.n_clients} != synth.n_clients {synth.n_clients}")
+            if self.mode in _W0_MODES and fed.combine == "additive" and fed.u0_dim != synth.d_label:
+                raise ValueError(
+                    f"federation.u0_dim {fed.u0_dim} != synth.d_label {synth.d_label} under additive combining"
+                )
+        if self.k_el_sweep is not None and fed is not None:
+            for k in self.k_el_sweep.k_values:
+                if not 1 <= k <= fed.n_clients:
+                    raise ValueError(f"k_el_sweep: k={k} outside 1..{fed.n_clients}")
+        if self.bounds is not None and self.bounds_sweep is not None:
+            try:  # every swept value must make valid bounds
+                bounds_mod.sweep(self.bounds, self.bounds_sweep.param, self.bounds_sweep.values)
+            except ValueError as err:
+                raise ValueError(f"bounds_sweep: {err}") from None
+
     @property
     def config_hash(self) -> str:
         return config_hash(self.raw)
@@ -164,18 +195,6 @@ def config_hash(raw: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _section(obj: dict[str, Any], allowed: Iterable[str], where: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-
-
-def _need(obj: dict[str, Any], key: str, where: str) -> Any:
-    if key not in obj:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return obj[key]
-
-
 _KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 # resolving a dataclass's annotations compiles each one; there are few classes
 _hints = functools.cache(typing.get_type_hints)
@@ -183,11 +202,16 @@ _hints = functools.cache(typing.get_type_hints)
 
 def _value(tp: Any, value: Any, where: str) -> Any:
     """The JSON ``value`` as the field type ``tp``, or a ConfigError naming ``where``."""
-    if isinstance(tp, types.UnionType):  # a list or an object, told apart by the value
+    if isinstance(tp, types.UnionType):
+        # an optional section, or a list or an object told apart by the value;
+        # a value that fits no member is reported against the first
+        members = [t for t in typing.get_args(tp) if t is not type(None)]
         is_list = isinstance(value, list)
-        tp = next(t for t in typing.get_args(tp) if (typing.get_origin(t) is tuple) == is_list)
-    if dataclasses.is_dataclass(tp):
-        return _build(tp, value, where)
+        tp = next((t for t in members if (typing.get_origin(t) is tuple) == is_list), members[0])
+    if dataclasses.is_dataclass(tp):  # a section is named alone, as the config writes it
+        return _build(tp, value, where.removeprefix("config."), **_FIXED.get(tp, {}))
+    if tp is Path:
+        return Path(_value(str, value, where))
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
@@ -206,16 +230,18 @@ def _value(tp: Any, value: Any, where: str) -> Any:
 
 
 def _build(cls: type, obj: Any, where: str, **fixed: Any) -> Any:
-    """Read a ``cls`` from the config section ``obj`` at ``where``.
+    """Read a ``cls`` from the config object ``obj`` at ``where``.
 
     Every field of the dataclass except the ``fixed`` ones, which the
-    caller supplies, is a key of the section: typed as the field is
+    caller supplies, is a key of the object: typed as the field is
     annotated, and required unless the field has a default.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object, got {obj!r}")
     fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
-    _section(obj, [f.name for f in fields], where)
+    unknown = sorted(set(obj) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
     hints = _hints(cls)
     kwargs = dict(fixed)
     for f in fields:
@@ -237,8 +263,6 @@ def parse_config(
 ) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _section(raw, ("mode", "seeds", "out_dir", *_SECTIONS), "config")
-
     raw = dict(raw)
     if mode_override is not None:
         if "mode" in raw and raw["mode"] != mode_override:
@@ -250,45 +274,7 @@ def parse_config(
         raw["seeds"] = [int(seed_override)]
     if out_override is not None:
         raw["out_dir"] = str(out_override)
-
-    mode = _value(str, _need(raw, "mode", "config"), "config.mode")
-    if mode not in _MODES:
-        raise ConfigError(f"config: unknown mode {mode!r}, expected one of {sorted(_MODES)}")
-    seeds = _value(tuple[int, ...], _need(raw, "seeds", "config"), "config.seeds")
-    if not seeds:
-        raise ConfigError("config: seeds must be non-empty")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("config: seeds must be distinct")
-    out_dir = Path(_value(str, _need(raw, "out_dir", "config"), "config.out_dir"))
-
-    for needed in _MODES[mode][0]:
-        if needed not in raw:
-            raise ConfigError(f"config: mode {mode!r} requires section {needed!r}")
-    sections = {
-        name: _build(cls, raw[name], name, **fixed)
-        for name, (cls, fixed) in _SECTIONS.items()
-        if name in raw
-    }
-
-    federation, synth, k_el, bounds, sweep = (
-        sections.get(name) for name in ("federation", "synth", "k_el_sweep", "bounds", "bounds_sweep")
-    )
-    if federation is not None and synth is not None:
-        if federation.n_clients != synth.n_clients:
-            raise ConfigError(
-                f"federation.n_clients {federation.n_clients} != synth.n_clients {synth.n_clients}"
-            )
-    if k_el is not None and federation is not None:
-        for k in k_el.k_values:
-            if not 1 <= k <= federation.n_clients:
-                raise ConfigError(f"k_el_sweep: k={k} outside 1..{federation.n_clients}")
-    if bounds is not None and sweep is not None:
-        try:  # every swept value must make valid bounds
-            bounds_mod.sweep(bounds, sweep.param, sweep.values)
-        except ValueError as err:
-            raise ConfigError(f"bounds_sweep: {err}") from None
-
-    return ExperimentConfig(mode=mode, seeds=seeds, out_dir=out_dir, raw=raw, **sections)
+    return _build(ExperimentConfig, raw, "config", raw=raw)
 
 
 def load_config(
@@ -352,19 +338,13 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def run_single(
-    config: ExperimentConfig,
-    mode: str,
-    seed: int,
-    federation: fedcore.FederationConfig | None = None,
-) -> tuple[fedcore.CenterState, list[fedcore.TraceRow]]:
+def run_single(config: ExperimentConfig, mode: str, seed: int) -> tuple[fedcore.CenterState, list[fedcore.TraceRow]]:
     """Run one training mode for one seed; datasets and nets derive from the seed."""
     assert config.federation is not None and config.synth is not None
-    fed = federation if federation is not None else config.federation
     channel = config.channel if mode in ("vhfl", "hfl") else None
     if channel is not None:
         channel = dataclasses.replace(channel, seed=channel.seed + seed)
-    fed = dataclasses.replace(fed, seed=seed, deadline_channel=channel)
+    fed = dataclasses.replace(config.federation, seed=seed, deadline_channel=channel)
     dataset = generate(dataclasses.replace(config.synth, seed=config.synth.seed + seed))
     if mode == "vhfl":
         return fedcore.run_vhfl(fed, dataset)
@@ -489,7 +469,7 @@ def _run_k_el_sweep(config: ExperimentConfig, artifacts: _Artifacts) -> None:
     rows = []
     for param, value, seed in sorted(jobs):
         fed = dataclasses.replace(config.federation, **{param: value})
-        _, trace = run_single(config, "vhfl", seed, federation=fed)
+        _, trace = run_single(dataclasses.replace(config, federation=fed), "vhfl", seed)
         reached = epochs_to_threshold(trace, spec.loss_threshold)
         final = trace[-1]
         rows.append((param, value, seed, reached, int(reached > 0), final.train_mse, final.test_mse))

@@ -61,13 +61,7 @@ caller's buffers, so each replay reads the current parameters. An ``out=``
 buffer gets the bits of the allocating form, as above. A training phase
 emits a step once and replays it (see ``fedcore``). A one-shot call,
 ``_output``, ``forward`` or ``backward``, emits into a fresh pool and runs
-the list once (``_run``), so no two calls share a buffer. Building the
-list costs a few microseconds a call: on a 2-vCPU Xeon with AVX-512 (numpy
-2.4.6), a one-shot forward pass of a 16-unit tanh net took 16.4 against
-18.9 µs on a ``(10, 16, 8)`` stack and 198 against 205 µs on ``(100, 16,
-8)`` (timeit minimum, the former direct form against the emitted one), and
-public ``forward``, ``mse_loss`` and ``backward`` on ``(25, 16, 8)`` 109
-against 112 µs.
+the list once (``_run``), so no two calls share a buffer.
 """
 
 from __future__ import annotations

@@ -76,6 +76,11 @@ BOUNDS_CONFIG = {
 # gamma(1.0) is about 0.64 for this He2 network
 CHANNEL = {"lambda_n": 2.0, "alpha1": 0.5, "alpha2": 0.5, "mu1": 8.0, "mu2": 2.0, "t_p": 1.0, "seed": 4}
 LOSSY_CONFIG = {**BASE_CONFIG, "mode": "hfl", "channel": CHANNEL}
+K_EL_CONFIG = {
+    **BASE_CONFIG,
+    "mode": "k_el_sweep",
+    "k_el_sweep": {"k_values": [1, 3], "el_values": [1, 2], "loss_threshold": 1e-9},
+}
 
 
 def write_config(tmp_path: Path, data: dict, name: str = "config.json") -> Path:
@@ -110,6 +115,38 @@ def test_parse_requires_mode_sections(tmp_path):
     del data["synth"]
     with pytest.raises(ConfigError, match="synth"):
         parse_config(data)
+
+
+@pytest.mark.parametrize("key", ["mode", "seeds", "out_dir"])
+def test_parse_requires_root_keys(tmp_path, key):
+    data = config_with(tmp_path, BASE_CONFIG)
+    del data[key]
+    with pytest.raises(ConfigError, match=f"config: missing required key '{key}'"):
+        parse_config(data)
+
+
+def test_parse_rejects_unknown_mode(tmp_path):
+    # the command line rejects an unknown mode before the harness sees it
+    data = config_with(tmp_path, BASE_CONFIG, mode="vertical")
+    with pytest.raises(ConfigError, match="config: unknown mode 'vertical'"):
+        parse_config(data)
+
+
+@pytest.mark.parametrize("mode", ["vhfl", "cloud", "compare", "k_el_sweep"])
+def test_additive_combining_needs_u0_dim_of_the_label_with_w0(tmp_path, mode):
+    data = config_with(tmp_path, K_EL_CONFIG, mode=mode)
+    data["federation"]["combine"] = "additive"
+    with pytest.raises(ConfigError, match="federation.u0_dim 3 != synth.d_label 1"):
+        parse_config(data)
+    data["federation"]["u0_dim"] = 1
+    assert parse_config(data).federation.u0_dim == 1
+
+
+@pytest.mark.parametrize("mode", ["hfl", "cloud_local"])
+def test_additive_combining_without_w0_runs_at_any_u0_dim(tmp_path, mode):
+    data = config_with(tmp_path, BASE_CONFIG, mode=mode, seeds=[1])
+    data["federation"]["combine"] = "additive"
+    assert run(parse_config(data))
 
 
 def test_parse_rejects_inconsistent_client_counts(tmp_path):
@@ -280,6 +317,8 @@ def _training_sections(draw, mode):
         "noniid_shift": draw(st.floats(0.0, 3.0)),
         "seed": draw(st.integers(0, 2**31)),
     }
+    if federation.get("combine") == "additive" and mode not in ("hfl", "cloud_local"):
+        federation["u0_dim"] = synth["d_label"]  # w0's output is added to the local model's
     sections = {"federation": federation, "synth": synth}
     if draw(st.booleans()):
         t_p = draw(st.one_of(st.just(math.inf), st.floats(0.0, 10.0)))
@@ -428,9 +467,7 @@ def test_bounds_sweep_unknown_param_is_config_error(tmp_path):
 
 
 def test_k_el_sweep_csv_and_threshold_sentinel(tmp_path):
-    data = config_with(tmp_path, BASE_CONFIG, mode="k_el_sweep", seeds=[1])
-    data["k_el_sweep"] = {"k_values": [1, 3], "el_values": [1, 2], "loss_threshold": 1e-9}
-    config = parse_config(data)
+    config = parse_config(config_with(tmp_path, K_EL_CONFIG, seeds=[1]))
     run(config)
     lines = (config.out_dir / "k_el_sweep.csv").read_text().splitlines()
     assert lines[1] == (
@@ -503,7 +540,14 @@ def _set(data: dict, path: str, value) -> dict:
 
 
 CONFIG_FAULTS = [
+    (BASE_CONFIG, "federation.combine", "additive", "config: federation.u0_dim 3 != synth.d_label 1"),
     (BASE_CONFIG, "seeds", 5, "config.seeds"),
+    (BASE_CONFIG, "seeds", [], "config: seeds must be non-empty"),
+    (BASE_CONFIG, "seeds", [1, 1], "config: seeds must be distinct"),
+    (BASE_CONFIG, "out_dir", 5, "config.out_dir: expected a string"),
+    (BASE_CONFIG, "federation", [], "federation: expected an object, got []"),
+    (K_EL_CONFIG, "k_el_sweep.k_values", [0, 3], "k_el_sweep: k=0 outside 1..3"),
+    (K_EL_CONFIG, "k_el_sweep.k_values", [1, 4], "k_el_sweep: k=4 outside 1..3"),
     (QUEUE_CONFIG, "queue.n_jobs", "many", "queue.n_jobs"),
     (QUEUE_CONFIG, "queue.n_jobs", 0, "queue: n_jobs"),
     (QUEUE_CONFIG, "delay_plan.gamma_targets", 0.5, "delay_plan.gamma_targets"),
