@@ -134,6 +134,14 @@ class FederationDataset:
             raise ValueError("client weights must be positive")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"client weights must sum to 1, got {sum(weights)}")
+        # training stacks the shards, so each is 2-d with the first one's widths
+        widths = (self.clients[0].x_local.shape[-1], self.clients[0].y.shape[-1])
+        for shard in (*self.clients, *self.test_clients):
+            if shard.x_local.ndim != 2 or shard.y.ndim != 2 or (shard.x_local.shape[1], shard.y.shape[1]) != widths:
+                raise ValueError(
+                    f"client {shard.client_id} has features {shard.x_local.shape} and labels {shard.y.shape};"
+                    f" every shard needs 2-d features of {widths[0]} columns and labels of {widths[1]}"
+                )
         if any(len({s.client_id for s in split}) != len(split) for split in (self.clients, self.test_clients)):
             raise ValueError("client ids repeat within the training or the test shards")
         # ids are distinct within each shard, so a repeat is an overlap across shards
@@ -195,12 +203,12 @@ def generate(config: SynthConfig) -> FederationDataset:
 
     all_ids: list[np.ndarray] = []
     all_global: list[np.ndarray] = []
-    train_shards: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-    test_shards: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-    next_id = 0
+    clients: list[ClientShard] = []
+    test_clients: list[ClientShard] = []
+    # every client trains on the same number of rows, so each weighs 1/N
+    q = 1.0 / config.n_clients
     for j in range(config.n_clients):
-        ids = np.arange(next_id, next_id + n, dtype=np.int64)
-        next_id += n
+        ids = np.arange(j * n, (j + 1) * n, dtype=np.int64)
 
         rng = substream(config.seed, "client", j)
         x_local = rng.standard_normal((n, config.d_local))
@@ -214,27 +222,14 @@ def generate(config: SynthConfig) -> FederationDataset:
 
         n_train = int(round(0.8 * n))
         perm = rng.permutation(n)
-        train_idx = np.sort(perm[:n_train])
-        test_idx = np.sort(perm[n_train:])
-
+        for split, idx in ((clients, perm[:n_train]), (test_clients, perm[n_train:])):
+            idx = np.sort(idx)
+            split.append(ClientShard(client_id=j, ids=ids[idx], x_local=x_local[idx], y=y[idx], q=q))
         all_ids.append(ids)
         all_global.append(x_global)
-        train_shards.append((j, ids[train_idx], x_local[train_idx], y[train_idx]))
-        test_shards.append((j, ids[test_idx], x_local[test_idx], y[test_idx]))
 
-    counts = np.array([shard[1].shape[0] for shard in train_shards], dtype=np.float64)
-    weights = counts / counts.sum()
-
-    clients = tuple(
-        ClientShard(client_id=j, ids=i, x_local=x, y=y, q=float(weights[j]))
-        for (j, i, x, y) in train_shards
-    )
-    test_clients = tuple(
-        ClientShard(client_id=j, ids=i, x_local=x, y=y, q=float(weights[j]))
-        for (j, i, x, y) in test_shards
-    )
     store = GlobalStore(np.concatenate(all_ids), np.vstack(all_global))
-    return FederationDataset(clients=clients, test_clients=test_clients, global_store=store)
+    return FederationDataset(clients=tuple(clients), test_clients=tuple(test_clients), global_store=store)
 
 
 def estimate_lambda(

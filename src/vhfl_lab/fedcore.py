@@ -40,11 +40,11 @@ is the permutation of the substream (seed, "batches", client_id, t_g), and
 each batch gathers every field once from the stacks. :func:`plan_run`
 writes the keys of every round's streams and seeds them before round 0;
 behind a finite deadline it also takes the channel's ``(T, K)`` delivery
-mask there: a delay does not depend on training, so a round keeps the
-uploads its row of the mask delivers. One step per group validates: the
-group's first step, which every client takes from ``wbar``, runs through
-the public ``nnet`` API on the whole ``(G, b, ·)`` stack, with ``wbar``'s
-weights broadcast over it. It checks the shapes that every step of the
+mask there, from one ``netqueue.apply_channel`` call: a delay does not
+depend on training, so a round keeps the uploads its row of the mask
+delivers. One step per group validates: the group's first step, which
+every client takes from ``wbar``, runs through the public ``nnet`` API on
+the whole ``(G, b, ·)`` stack, with ``wbar``'s weights broadcast over it. It checks the shapes that every step of the
 group reuses, as all its clients share n and the batch sizes.
 The stacked kernels issue one BLAS call and one reduction per client
 slice, with the slice's own shape, so a client gets the bits it would get
@@ -189,8 +189,11 @@ class FederationConfig:
                 raise ValueError(
                     f"{name} values must lie in (0, {1.0 / self.l_est:g}], peak is {top:g}"
                 )
-        object.__setattr__(self, "w0_hidden", tuple(int(h) for h in self.w0_hidden))
-        object.__setattr__(self, "local_hidden", tuple(int(h) for h in self.local_hidden))
+        for name in ("w0_hidden", "local_hidden"):
+            widths = tuple(int(h) for h in getattr(self, name))
+            if any(h < 1 for h in widths):
+                raise ValueError(f"{name} widths must be >= 1, got {list(widths)}")
+            object.__setattr__(self, name, widths)
 
     def local_etas(self, t_g: int) -> list[float]:
         """The learning rate of each local epoch e of round ``t_g``, read at the
@@ -277,11 +280,6 @@ def select_clients(config: FederationConfig, rng: np.random.Generator) -> tuple[
     return tuple(sorted(int(i) for i in picks))
 
 
-# the most uploads one apply_channel call draws delays for, in whole rounds:
-# a call holds the generators of all its uploads at once
-_CHANNEL_BLOCK = 128
-
-
 class RunPlan(NamedTuple):
     """Each round's cohort, the ``rng.seed_states`` words of its clients' batch
     streams, ``(T, K, 4)``, and the channel's ``(T, K)`` delivery mask of their
@@ -300,7 +298,9 @@ def plan_run(config: FederationConfig, pooled: bool) -> RunPlan:
     """A run's cohorts, from :func:`select_clients` or the pooled shard 0 of a
     cloud mode, with the streams of all its rounds seeded in one pass per kind
     from the keys written here, and behind a finite deadline the channel's
-    delivery of every upload, decided before round 0."""
+    delivery of every upload, decided before round 0 by
+    :func:`netqueue.apply_channel` from the seed words of the delay streams.
+    A cloud mode uploads nothing and ignores the channel."""
     rounds = range(config.global_epochs)
     if pooled:
         cohorts = ((0,),) * len(rounds)
@@ -309,22 +309,12 @@ def plan_run(config: FederationConfig, pooled: bool) -> RunPlan:
         cohorts = tuple(select_clients(config, rng) for rng in select)
     uploads = [(t_g, client_id) for t_g, cohort in enumerate(cohorts) for client_id in cohort]
     batch_states = seed_states([(config.seed, "batches", c, t_g) for t_g, c in uploads]).reshape(len(cohorts), -1, 4)
+    delivered = np.ones(batch_states.shape[:2], dtype=bool)
     channel = None if pooled else config.deadline_channel
-    if channel is None or not np.isfinite(channel.t_p):
-        return RunPlan(cohorts, batch_states, np.ones(batch_states.shape[:2], dtype=bool))
-    delay_states = seed_states([(channel.seed, "channel", t_g, c) for t_g, c in uploads])
-    return RunPlan(cohorts, batch_states, _plan_channel(channel, delay_states.reshape(batch_states.shape)))
-
-
-def _plan_channel(channel: ChannelModel, states: np.ndarray) -> np.ndarray:
-    """The ``(T, K)`` delivery mask of a run's uploads, from the ``(T, K, 4)``
-    seed words of their delay streams: :func:`apply_channel`'s masks over
-    blocks of whole rounds of at most ``_CHANNEL_BLOCK`` uploads (or one
-    round), concatenated."""
-    rounds, k = states.shape[:2]
-    step = max(1, _CHANNEL_BLOCK // k)
-    masks = [apply_channel(channel, generators(states[t : t + step].reshape(-1, 4))) for t in range(0, rounds, step)]
-    return np.concatenate(masks).reshape(rounds, k)
+    if channel is not None and np.isfinite(channel.t_p):
+        delay_states = seed_states([(channel.seed, "channel", t_g, c) for t_g, c in uploads])
+        delivered = apply_channel(channel, delay_states).reshape(delivered.shape)
+    return RunPlan(cohorts, batch_states, delivered)
 
 
 def _diverged(phase: str, global_epoch: int, clients: Sequence[int] = ()) -> ValueError:
@@ -390,7 +380,7 @@ def _step_ops(
     inp: np.ndarray,
     side: np.ndarray | None,
     y: np.ndarray,
-    concat: bool,
+    width: int,
     ops: nnet.Ops,
     pool: dict,
 ) -> np.ndarray | None:
@@ -398,19 +388,20 @@ def _step_ops(
     ``ops``: its forward pass, ``+ side`` under additive, the MSE gradient
     (2/b)(out - y) and its backward pass, which writes the gradients into
     ``grads``. Under concat ``inp`` holds the side rows in its first
-    columns. Returns the buffer of the gradient of the batch-mean loss with
-    respect to the side (centrally processed) rows, None without them. The
-    arrays may carry a leading stack axis (see ``nnet``)."""
+    ``width`` columns and ``side`` is None; otherwise ``width`` is 0.
+    Returns the buffer of the gradient of the batch-mean loss with respect
+    to the side (centrally processed) rows, None without them. The arrays
+    may carry a leading stack axis (see ``nnet``)."""
     out, trace = nnet._forward_ops(layers, inp, ops, pool)
     lgrad = nnet._buffer(pool, ("loss",), out.shape)
-    if side is not None and not concat:
+    if side is not None:
         ops.append((np.add, (side, out, lgrad)))
         out = lgrad
     # (2/b)(out - y), as nnet.mse_loss; the factor as a 0-d array, as nnet._ONE
     ops += ((np.subtract, (out, y, lgrad)), (np.multiply, (np.array(2.0 / y.shape[-2]), lgrad, lgrad)))
-    input_grad = nnet._backward_ops(layers, grads, trace, lgrad, ops, pool, concat)
-    if concat:
-        return input_grad[..., : side.shape[-1]]
+    input_grad = nnet._backward_ops(layers, grads, trace, lgrad, ops, pool, width > 0)
+    if width:
+        return input_grad[..., :width]
     return None if side is None else lgrad
 
 
@@ -420,20 +411,21 @@ def _first_step(
     batch_x: np.ndarray,
     batch_side: np.ndarray | None,
     batch_y: np.ndarray,
-    concat: bool,
+    width: int,
 ) -> np.ndarray | None:
     """A size group's first step from ``wbar`` through the validating public
     ``nnet`` API, on the whole stack and with ``wbar``'s weights, which checks
     the shapes every step of the group reuses, writing the gradient vectors
     into ``grad``. Under concat the input rows ``batch_x`` hold the side rows
-    in their first columns. Returns the ``(G, b, u0_dim)`` side-row
-    gradients; raises ``nnet.NonFiniteError`` if the step is not finite,
-    before writing ``grad``."""
+    in their first ``width`` columns and ``batch_side`` is None; otherwise
+    ``width`` is 0. Returns the ``(G, b, u0_dim)`` side-row gradients;
+    raises ``nnet.NonFiniteError`` if the step is not finite, before writing
+    ``grad``."""
     out, trace = nnet.forward(wbar, batch_x)
-    _, lgrad = nnet.mse_loss(out if batch_side is None or concat else batch_side + out, batch_y)
-    grad[...], input_grad = nnet.backward(wbar, trace, lgrad, concat)
-    if concat:
-        return input_grad[..., : batch_side.shape[-1]]
+    _, lgrad = nnet.mse_loss(out if batch_side is None else batch_side + out, batch_y)
+    grad[...], input_grad = nnet.backward(wbar, trace, lgrad, width > 0)
+    if width:
+        return input_grad[..., :width]
     return None if batch_side is None else lgrad
 
 
@@ -460,12 +452,13 @@ def _train_group(
     data[...] = wbar.params
     grad = np.empty_like(data)
     layers, grads = wbar.kernel_layers(data), wbar.views(grad)
-    concat = side is not None and config.combine == "concat"
+    width = side.shape[-1] if side is not None and config.combine == "concat" else 0
     vgrad_sum = None if side is None else np.empty(side.shape)
     clients = np.arange(len(rngs))[:, None]
-    # under concat the local model's input rows are the side rows, then the local ones
-    inp = np.concatenate([side, group.x_local], axis=-1) if concat else group.x_local
-    plan = batches(rngs, (inp, side, group.y), config.batch_size)
+    # under concat the local model's input rows are the side rows, then the
+    # local ones, and the batches gather the side rows only as part of them
+    inp = np.concatenate([side, group.x_local], axis=-1) if width else group.x_local
+    plan = batches(rngs, (inp, None if width else side, group.y), config.batch_size)
     # each batch's (ops, side-gradient buffer); the lists share one pool, as a
     # list runs whole before the next one starts
     steps: dict[int, tuple[nnet.Ops, np.ndarray | None]] = {}
@@ -474,7 +467,7 @@ def _train_group(
     def replay(i: int, x: np.ndarray, batch_side: np.ndarray | None, batch_y: np.ndarray) -> np.ndarray | None:
         if i not in steps:
             ops: nnet.Ops = []
-            steps[i] = ops, _step_ops(layers, grads, x, batch_side, batch_y, concat, ops, pool)
+            steps[i] = ops, _step_ops(layers, grads, x, batch_side, batch_y, width, ops, pool)
         ops, side_grad = steps[i]
         nnet._run(ops)
         return side_grad
@@ -483,7 +476,7 @@ def _train_group(
         for i, (index, (x, batch_side, batch_y)) in enumerate(plan):
             if epoch == 0 and i == 0:
                 try:
-                    side_grad = _first_step(wbar, grad, x, batch_side, batch_y, concat)
+                    side_grad = _first_step(wbar, grad, x, batch_side, batch_y, width)
                 except nnet.NonFiniteError:
                     side_grad = replay(i, x, batch_side, batch_y)
             else:
@@ -720,11 +713,11 @@ def _cloud_round(
     # a fresh buffer every round: the nets of the last round hold views of theirs
     data = np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None])
     grad, scaled = np.empty_like(data), np.empty_like(data)
-    split, k = center.wbar.params.size, config.u0_dim
+    split = center.wbar.params.size
     wbar, wbar_grads = center.wbar.kernel_layers(data[:split]), center.wbar.views(grad[:split])
     if center.w0 is not None:
         w0, w0_grads = center.w0.kernel_layers(data[split:]), center.w0.views(grad[split:])
-    concat = center.w0 is not None and config.combine == "concat"
+    width = config.u0_dim if center.w0 is not None and config.combine == "concat" else 0
     # each net's buffers, shared by the batches of one size: a list runs whole
     # before the next one starts
     pool, pool0 = {}, {}
@@ -739,11 +732,11 @@ def _cloud_round(
         if center.w0 is not None:
             u0, trace0 = nnet._forward_ops(w0, x0, ops, pool0)
         inp = x
-        if concat:
+        if width:
             # the batch's rows are copied in once; every replay writes u0 beside them
-            inp = np.concatenate([np.empty((len(x), k)), x], axis=1)
-            ops.append((np.copyto, (inp[:, :k], u0)))
-        side_grad = _step_ops(wbar, wbar_grads, inp, u0, y, concat, ops, pool)
+            inp = np.concatenate([np.empty((len(x), width)), x], axis=1)
+            ops.append((np.copyto, (inp[:, :width], u0)))
+        side_grad = _step_ops(wbar, wbar_grads, inp, None if width else u0, y, width, ops, pool)
         if center.w0 is not None:
             nnet._backward_ops(w0, w0_grads, trace0, side_grad, ops, pool0, False)
         batch_ops.append(ops)

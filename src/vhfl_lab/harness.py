@@ -339,9 +339,10 @@ def _cell(value: Any) -> str:
 
 
 def run_single(config: ExperimentConfig, mode: str, seed: int) -> tuple[fedcore.CenterState, list[fedcore.TraceRow]]:
-    """Run one training mode for one seed; datasets and nets derive from the seed."""
+    """Run one training mode for one seed; datasets, nets and the channel's
+    delays derive from the seed."""
     assert config.federation is not None and config.synth is not None
-    channel = config.channel if mode in ("vhfl", "hfl") else None
+    channel = config.channel
     if channel is not None:
         channel = dataclasses.replace(channel, seed=channel.seed + seed)
     fed = dataclasses.replace(config.federation, seed=seed, deadline_channel=channel)

@@ -7,6 +7,11 @@ two-stage hyper-exponential time: rate ``mu1`` with probability
 is a two-exponential mixture whose rates are the roots ``s1``, ``s2`` of
 the transform denominator; the closed-form success rate gamma(t_p) is
 the probability a sojourn fits under the collection deadline ``t_p``.
+
+The lossy upload channel (:class:`ChannelModel`) is the one home of that
+decision for training runs: :func:`apply_channel` turns the seed words of
+a run's delay streams into its delivery mask, one sampled sojourn per
+upload, each kept when it fits under ``t_p``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import substream
+from .rng import generators, substream
 
 
 @dataclass(frozen=True)
@@ -179,50 +184,36 @@ def empirical_gamma(samples: np.ndarray, t_p: float) -> float:
     return int(np.count_nonzero(samples <= t_p)) / samples.size
 
 
-def sample_sojourn(
-    analysis: QueueAnalysis, rngs: Sequence[np.random.Generator], n: int
-) -> np.ndarray:
-    """Draw ``n`` i.i.d. sojourn times from each generator by
-    acceptance-rejection against W(t); row i holds the draws of ``rngs[i]``.
+def sample_sojourn(analysis: QueueAnalysis, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One sojourn time from each generator by acceptance-rejection against
+    W(t), as a ``(len(rngs),)`` array; entry i is the draw of ``rngs[i]``.
 
     Proposals come from the dominant exponential Exp(-s1); the envelope
     constant is max(W(0)/(-s1), a/(-s1)), covering both signs of the
-    second mixture coefficient. In each pass, every stream still short of
-    ``n`` draws takes ``exponential(draw)`` and then ``random(draw)`` from
-    its own generator, so its draws do not depend on the other streams; the
-    density, envelope and acceptance test, and the placing of each stream's
-    first accepted draws, then run once over the proposals of all streams.
+    second mixture coefficient. In each pass, every stream still without a
+    draw takes ``exponential(draw)`` and then ``random(draw)`` from its own
+    generator, so its draw does not depend on the other streams; the
+    density, envelope and acceptance test then run once over the
+    ``(pending, draw)`` proposals, and a stream's draw is its first
+    accepted proposal.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     a, b = analysis.a, analysis.b
     rate = -analysis.s1
-    w0 = a - b
-    envelope = max(w0 / rate, a / rate)
-    out = np.empty((len(rngs), n))
-    filled = np.zeros(len(rngs), dtype=np.intp)
+    envelope = max((a - b) / rate, a / rate)
+    draw = max(16, int(1.5 * envelope) + 1)
+    out = np.empty(len(rngs))
     pending = np.arange(len(rngs))
     while pending.size:
-        need = n - filled[pending]
-        draws = [max(16, int(1.5 * want * envelope) + 1) for want in need.tolist()]
-        proposals = []
-        uniforms = []
-        for i, draw in zip(pending.tolist(), draws):
-            proposals.append(rngs[i].exponential(1.0 / rate, size=draw))
-            uniforms.append(rngs[i].random(draw))
-        pooled = np.concatenate(proposals)
-        density = sojourn_pdf(analysis, pooled)
-        bound = envelope * rate * np.exp(-rate * pooled)
-        accept = np.concatenate(uniforms) * bound <= density
-        # rank accepted proposals 1, 2, ... within their stream; keep the first `need`
-        stream = np.repeat(np.arange(pending.size), draws)
-        ranks = np.cumsum(accept)
-        rank = ranks - np.concatenate(([0], ranks[np.cumsum(draws)[:-1] - 1]))[stream]
-        keep = accept & (rank <= need[stream])
-        rows = pending[stream[keep]]
-        out[rows, filled[rows] + rank[keep] - 1] = pooled[keep]
-        filled[pending] += np.bincount(stream[keep], minlength=pending.size)
-        pending = pending[filled[pending] < n]
+        proposals = np.empty((pending.size, draw))
+        uniforms = np.empty((pending.size, draw))
+        for row, i in enumerate(pending.tolist()):
+            proposals[row] = rngs[i].exponential(1.0 / rate, size=draw)
+            uniforms[row] = rngs[i].random(draw)
+        bound = envelope * rate * np.exp(-rate * proposals)
+        accept = uniforms * bound <= sojourn_pdf(analysis, proposals)
+        hit = accept.any(axis=1)
+        out[pending[hit]] = proposals[hit, accept[hit].argmax(axis=1)]
+        pending = pending[~hit]
     return out
 
 
@@ -240,16 +231,27 @@ class ChannelModel(He2Params):
             raise ValueError(f"t_p must be non-negative, got {self.t_p}")
 
 
-def apply_channel(channel: ChannelModel, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Whether each upload's sampled sojourn fits under the deadline, as a
-    ``(len(rngs),)`` bool array.
+# the most delay streams one sample_sojourn call draws from: a call holds
+# the generators of all its streams at once
+_CHANNEL_BLOCK = 128
 
-    Upload i gets one stationary sojourn draw from its own stream ``rngs[i]``,
-    so its delivery is reproducible and independent of the other uploads; all
-    draws come from one :func:`sample_sojourn` call, and none under an
-    infinite deadline, which delivers every upload. ``fedcore.plan_run``
-    seeds the streams and decides a run's deliveries before its first round.
+
+def apply_channel(channel: ChannelModel, states: np.ndarray) -> np.ndarray:
+    """Whether each upload's sampled sojourn fits under the deadline, as an
+    ``(M,)`` bool array, from the ``(M, 4)`` ``rng.seed_states`` rows of the
+    uploads' delay streams.
+
+    Upload i gets one stationary sojourn draw from a fresh generator seeded
+    with row i, so its delivery is reproducible and independent of the other
+    uploads. The generators are built and drawn from ``_CHANNEL_BLOCK`` rows
+    at a time, one :func:`sample_sojourn` call a block, in row order.
+    ``fedcore.plan_run`` seeds the rows and decides a run's deliveries
+    before its first round; it draws none under an infinite deadline, which
+    delivers every upload.
     """
-    if math.isinf(channel.t_p):
-        return np.ones(len(rngs), dtype=bool)
-    return sample_sojourn(analyze(channel), rngs, 1)[:, 0] <= channel.t_p
+    analysis = analyze(channel)
+    delays = np.empty(len(states))
+    for start in range(0, len(states), _CHANNEL_BLOCK):
+        block = slice(start, start + _CHANNEL_BLOCK)
+        delays[block] = sample_sojourn(analysis, generators(states[block]))
+    return delays <= channel.t_p

@@ -4,8 +4,9 @@
 processed rows u0 as one ``(G, n, u0_dim)`` stack per size group; a test
 writes u0 down per client, and reads stacks back the same way. A run seeds
 every round's streams before its first round and hands each phase its
-round's generators; ``update`` and ``deliver`` seed them from the same keys
-that ``fedcore.plan_run`` writes, for a phase called alone.
+round's generators, or the channel its delay streams' seed words;
+``update`` and ``deliver`` seed them from the same keys that
+``fedcore.plan_run`` writes, for a phase called alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def update(config, cohort, wbar, u0, t_g):
 def deliver(channel, uploads, epoch):
     """The upload keys ``netqueue.apply_channel`` delivers, each upload drawn
     from its delay stream (channel seed, "channel", epoch, key)."""
-    mask = netqueue.apply_channel(channel, streams([(channel.seed, "channel", epoch, key) for key in uploads]))
+    mask = netqueue.apply_channel(channel, rng.seed_states([(channel.seed, "channel", epoch, key) for key in uploads]))
     return [key for key, kept in zip(uploads, mask, strict=True) if kept]
 
 

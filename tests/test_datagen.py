@@ -268,6 +268,24 @@ def test_id_checks_of_store_shard_and_dataset():
             )
 
 
+def test_dataset_rejects_shards_of_other_widths():
+    """Training stacks the shards, so a dataset whose shards differ in their
+    feature or label widths, or are not 2-d, is rejected naming the client."""
+
+    def shard(j: int, ids: list[int], x_shape=(2,), y_shape=(1,)) -> datagen.ClientShard:
+        n = len(ids)
+        return datagen.ClientShard(j, np.array(ids), np.zeros((n, *x_shape)), np.zeros((n, *y_shape)), 0.5)
+
+    store = datagen.GlobalStore(np.arange(6), np.zeros((6, 2)))
+    for other in ({"x_shape": (3,)}, {"y_shape": (2,)}, {"x_shape": ()}, {"y_shape": ()}, {"y_shape": (1, 1)}):
+        with pytest.raises(ValueError, match="client 1 has features"):
+            datagen.FederationDataset((shard(0, [0, 1]), shard(1, [2, 3], **other)), (), store)
+        with pytest.raises(ValueError, match="client 5 has features"):
+            datagen.FederationDataset((shard(0, [0, 1]), shard(1, [2, 3])), (shard(5, [4], **other),), store)
+    with pytest.raises(ValueError, match=r"client 0 has features \(2,\) and labels \(2, 1\)"):
+        datagen.FederationDataset((shard(0, [0, 1], x_shape=()), shard(1, [2, 3], x_shape=())), (), store)
+
+
 def test_shard_rejects_non_finite_rows():
     ids = np.arange(3)
     good = np.zeros((3, 2))

@@ -23,7 +23,7 @@ from vhfl_lab.fedcore import (
     evaluate,
     select_clients,
 )
-from vhfl_lab.rng import substream
+from vhfl_lab.rng import generators, substream
 
 SYNTH = SynthConfig(
     n_clients=5,
@@ -179,11 +179,18 @@ def reference_delivered(channel, cohorts) -> np.ndarray:
 def test_plan_seeds_every_rounds_streams_as_substream(monkeypatch):
     k = 5
     # two full channel blocks and one round more
-    rounds = 2 * (fedcore._CHANNEL_BLOCK // k) + 1
+    rounds = 2 * netqueue._CHANNEL_BLOCK // k + 1
     fed = dataclasses.replace(FED, n_clients=8, k=k, global_epochs=rounds, deadline_channel=LOSSY)
-    select_states, calls = [], []
+    select_states, channels, calls = [], [], []
     recording(monkeypatch, "select_clients", lambda config, rng: select_states.append(rng.bit_generator.state))
-    recording(monkeypatch, "apply_channel", lambda channel, rngs: calls.append([r.bit_generator.state for r in rngs]))
+    recording(monkeypatch, "apply_channel", lambda channel, states: channels.append(states.shape))
+    sample_sojourn = netqueue.sample_sojourn
+
+    def recorded_sojourn(analysis, rngs):
+        calls.append([r.bit_generator.state for r in rngs])
+        return sample_sojourn(analysis, rngs)
+
+    monkeypatch.setattr(netqueue, "sample_sojourn", recorded_sojourn)
     plan = fedcore.plan_run(fed, pooled=False)
     # every round selects from its fresh stream (seed, "select", t_g), in round order
     assert select_states == [substream(fed.seed, "select", t_g).bit_generator.state for t_g in range(rounds)]
@@ -195,15 +202,18 @@ def test_plan_seeds_every_rounds_streams_as_substream(monkeypatch):
             assert same_state(batch_rng, (fed.seed, "batches", client_id, t_g))
     # a generator holds state: each round's are built afresh from its rows
     assert plan.streams(2)[0].random() == plan.streams(2)[0].random()
-    # the delays are drawn before round 0, in blocks of whole rounds, each
-    # upload (t_g, client_id) from a fresh stream (seed, "channel", t_g, client_id)
-    assert [len(block) for block in calls] == [fedcore._CHANNEL_BLOCK // k * k] * 2 + [k]
+    # the delays are drawn before round 0 by one apply_channel call, each
+    # upload (t_g, client_id) from a fresh stream (seed, "channel", t_g,
+    # client_id); its generators are built a block at a time, in upload order
+    assert channels == [(rounds * k, 4)]
+    block = netqueue._CHANNEL_BLOCK
+    assert [len(rngs) for rngs in calls] == [block, block, rounds * k - 2 * block]
     uploads = [(t_g, client_id) for t_g, cohort in enumerate(plan.cohorts) for client_id in cohort]
-    states = [state for block in calls for state in block]
+    states = [state for rngs in calls for state in rngs]
     assert states == [substream(LOSSY.seed, "channel", *upload).bit_generator.state for upload in uploads]
     assert np.array_equal(plan.delivered, reference_delivered(LOSSY, plan.cohorts))
     assert 0 < plan.delivered.sum() < plan.delivered.size
-    calls.clear()
+    channels.clear()
     pooled = fedcore.plan_run(fed, pooled=True)
     assert pooled.cohorts == ((0,),) * rounds and pooled.delivered.shape == (rounds, 1) and pooled.delivered.all()
     assert len(select_states) == rounds  # the pooled shard is not selected
@@ -212,7 +222,7 @@ def test_plan_seeds_every_rounds_streams_as_substream(monkeypatch):
     assert fedcore.plan_run(lossless, pooled=False).delivered.all()
     assert fedcore.plan_run(dataclasses.replace(fed, deadline_channel=None), pooled=False).delivered.all()
     # no delay is drawn without a lossy channel or for a cloud mode
-    assert calls == []
+    assert channels == []
 
 
 def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
@@ -231,10 +241,11 @@ def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
         assert tuple(ids) == selected(config, t_g)
         seen.extend(same_state(r, (config.seed, "batches", c, t_g)) for c, r in zip(ids, rngs, strict=True))
 
-    # the run decides every delivery in one block, in round and then cohort order
+    # the run decides every delivery in one call, in round and then cohort order
     uploads = [(t_g, client_id) for t_g, cohort in enumerate(plan.cohorts) for client_id in cohort]
 
-    def record_channel(channel, rngs):
+    def record_channel(channel, states):
+        rngs = generators(states)
         seen.extend(same_state(r, (channel.seed, "channel", *upload)) for upload, r in zip(uploads, rngs, strict=True))
 
     recording(monkeypatch, "client_update", record_update)

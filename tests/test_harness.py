@@ -225,6 +225,16 @@ def test_channel_section_reads_into_the_channel_model(tmp_path):
     assert [row.k_received for row in trace] == [3, 3, 3]
 
 
+def test_the_channel_leaves_the_cloud_modes_alone(tmp_path):
+    """Every training mode gets the channel; the cloud modes upload nothing."""
+    lossy = parse_config(config_with(tmp_path, LOSSY_CONFIG))
+    data = config_with(tmp_path, LOSSY_CONFIG)
+    del data["channel"]
+    lossless = parse_config(data)
+    for mode in ("cloud", "cloud_local"):
+        assert run_single(lossy, mode, 1)[1] == run_single(lossless, mode, 1)[1]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     data_a = config_with(tmp_path, BASE_CONFIG)
     data_a["out_dir"] = str(tmp_path / "a")
@@ -559,6 +569,8 @@ CONFIG_FAULTS = [
     (BASE_CONFIG, "federation.center_frozen", True, "federation: unknown keys ['center_frozen']"),
     (BASE_CONFIG, "synth.public_fraction", 0.5, "synth: unknown keys ['public_fraction']"),
     (BASE_CONFIG, "federation.k", 2.7, "federation.k"),
+    (BASE_CONFIG, "federation.local_hidden", [0], "federation: local_hidden widths must be >= 1, got [0]"),
+    (BASE_CONFIG, "federation.w0_hidden", [-3], "federation: w0_hidden widths must be >= 1, got [-3]"),
     (BASE_CONFIG, "federation.selection", "uniform_without_replacement", "federation: unknown keys ['selection']"),
     (BASE_CONFIG, "synth.noise_std", float("nan"), "synth.noise_std"),
     (BASE_CONFIG, "synth.samples_per_client", 2, "synth: samples_per_client"),

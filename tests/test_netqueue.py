@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cohorts import deliver
 from vhfl_lab import netqueue as nq
-from vhfl_lab.rng import substream
+from vhfl_lab.rng import seed_states, substream
 
 BENCH = nq.He2Params(lambda_n=2.0, alpha1=0.5, alpha2=0.5, mu1=8.0, mu2=2.0)
 
@@ -308,8 +308,7 @@ def test_empirical_gamma_edges():
 
 def test_sample_sojourn_matches_distribution():
     a = nq.analyze(BENCH)
-    rng = substream(3, "ar")
-    (samples,) = nq.sample_sojourn(a, [rng], 400_000)
+    samples, _ = reference_sojourns(a, substream(3, "ar"), 400_000)
     assert abs(float(samples.mean()) - pk_mean_sojourn(BENCH)) < 0.01
     for t_p in (0.5, 1.0, 2.0):
         assert abs(float(np.mean(samples <= t_p)) - nq.success_rate(a, t_p)) < 0.005
@@ -331,21 +330,19 @@ def test_apply_channel_edges_and_mean_count():
 def test_apply_channel_returns_one_decision_per_stream():
     keys = range(12)
     channel = nq.ChannelModel(**vars(BENCH), t_p=1.0, seed=4)
-    rngs = [substream(4, "channel", 0, key) for key in keys]
-    mask = nq.apply_channel(channel, rngs)
+    states = seed_states([(4, "channel", 0, key) for key in keys])
+    mask = nq.apply_channel(channel, states)
     assert mask.dtype == bool and mask.shape == (len(keys),)
     assert 0 < mask.sum() < len(keys)
     # decision i is stream i's one sojourn draw against the deadline
     analysis = nq.analyze(channel)
-    alone = [nq.sample_sojourn(analysis, [substream(4, "channel", 0, key)], 1)[0, 0] <= 1.0 for key in keys]
+    alone = [nq.sample_sojourn(analysis, [substream(4, "channel", 0, key)])[0] <= 1.0 for key in keys]
     assert mask.tolist() == alone
-    assert nq.apply_channel(channel, []).shape == (0,)
-    # an infinite deadline delivers every upload and advances no generator
+    assert nq.apply_channel(channel, seed_states([])).shape == (0,)
+    # every sojourn fits under an infinite deadline
     lossless = nq.ChannelModel(**vars(BENCH), t_p=math.inf, seed=4)
-    before = [rng.bit_generator.state for rng in rngs]
-    mask = nq.apply_channel(lossless, rngs)
+    mask = nq.apply_channel(lossless, states)
     assert mask.dtype == bool and mask.shape == (len(keys),) and mask.all()
-    assert [rng.bit_generator.state for rng in rngs] == before
 
 
 def test_apply_channel_deterministic_and_order_independent():
@@ -452,9 +449,9 @@ def test_success_rate_matches_the_simulated_queue(params, scale):
 
 
 def reference_sojourns(analysis: nq.QueueAnalysis, rng: np.random.Generator, n: int) -> tuple[np.ndarray, int]:
-    """``n`` sojourn draws by the one-stream acceptance-rejection loop that
-    ``sample_sojourn`` ran before it took many generators, and the number of
-    passes after the first."""
+    """``n`` sojourn draws from one stream by a plain acceptance-rejection
+    loop, and the number of passes after the first; ``sample_sojourn`` gives
+    each of its streams the bits of ``n = 1``."""
     a, b = analysis.a, analysis.b
     rate = -analysis.s1
     envelope = max((a - b) / rate, a / rate)
@@ -514,22 +511,22 @@ def test_apply_channel_matches_the_per_upload_loop():
         st.lists(st.integers(0, 10_000), max_size=30),
         st.integers(0, 2**32),
         st.integers(0, 1000),
-        st.integers(1, 40),
     )
-    @example(nq.He2Params(0.1, 0.9, 0.1, 15.0, 0.5), 2.0, list(range(40)), 3, 5, 7)
-    def check(params, t_p, keys, seed, epoch, n):
+    @example(nq.He2Params(0.1, 0.9, 0.1, 15.0, 0.5), 2.0, list(range(40)), 3, 5)
+    # more than two blocks of delay streams
+    @example(nq.He2Params(0.1, 0.9, 0.1, 15.0, 0.5), 2.0, list(range(2 * nq._CHANNEL_BLOCK + 5)), 8, 1)
+    def check(params, t_p, keys, seed, epoch):
         channel = nq.ChannelModel(**vars(params), t_p=t_p, seed=seed)
         delivered, passes = reference_apply_channel(channel, keys, epoch)
         assert deliver(channel, keys, epoch) == delivered
         redraws.append(passes)
-        # n draws per stream from fresh generators, stream by stream
+        # one draw per stream from fresh generators, stream by stream
         analysis = nq.analyze(params)
-        streams = [substream(seed, "draws", key) for key in keys]
-        rows = nq.sample_sojourn(analysis, streams, n)
-        assert rows.shape == (len(keys), n)
-        for key, row in zip(keys, rows):
-            expected, passes = reference_sojourns(analysis, substream(seed, "draws", key), n)
-            assert row.tobytes() == expected.tobytes()
+        draws = nq.sample_sojourn(analysis, [substream(seed, "draws", key) for key in keys])
+        assert draws.shape == (len(keys),)
+        for key, draw in zip(keys, draws):
+            expected, passes = reference_sojourns(analysis, substream(seed, "draws", key), 1)
+            assert draw.tobytes() == expected.tobytes()
             redraws.append(passes)
 
     check()
