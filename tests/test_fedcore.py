@@ -178,7 +178,7 @@ def reference_delivered(channel, cohorts) -> np.ndarray:
 
 def test_plan_seeds_every_rounds_streams_as_substream(monkeypatch):
     k = 5
-    # two full channel blocks and one round more
+    # more uploads than two channel blocks hold
     rounds = 2 * netqueue._CHANNEL_BLOCK // k + 1
     fed = dataclasses.replace(FED, n_clients=8, k=k, global_epochs=rounds, deadline_channel=LOSSY)
     select_states, channels, calls = [], [], []
