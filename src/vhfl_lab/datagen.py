@@ -109,8 +109,13 @@ class ClientShard:
     q: float
 
     def __post_init__(self) -> None:
+        # the rows align on each array's first axis; FederationDataset checks
+        # the widths that training's stacks need
+        for name in ("ids", "x_local", "y"):
+            if np.ndim(getattr(self, name)) == 0:
+                raise ValueError(f"client {self.client_id} has 0-d {name}, which holds no rows")
         if not (len(self.ids) == self.x_local.shape[0] == self.y.shape[0]):
-            raise ValueError("ids, features and labels must align")
+            raise ValueError(f"client {self.client_id} has ids, features and labels of unequal row counts")
         if _has_repeats(self.ids):
             raise ValueError(f"duplicate ids within client {self.client_id}")
         # training reads these rows unchecked, so they are checked here, once
@@ -264,6 +269,12 @@ def estimate_lambda(
     return numerator / denominator
 
 
+def permutations(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+    """The ``(G, n)`` index of G shuffled orders of n rows: row g is generator
+    g's permutation of the rows. Every training phase shuffles here."""
+    return np.stack([rng.permutation(n) for rng in rngs])
+
+
 def batches(
     rngs: Sequence[np.random.Generator],
     fields: Sequence[np.ndarray | None],
@@ -272,8 +283,8 @@ def batches(
     """Seeded shuffled mini-batches of G stacked shards of n rows each.
 
     Each field is a ``(G, n, d)`` stack in shard order, or None (no side
-    rows). Generator g draws the permutation of shard g's rows, and the
-    orders form one ``(G, n)`` index. Each batch is that index's slice and
+    rows). The shards' orders are the :func:`permutations` of their
+    streams, one ``(G, n)`` index. Each batch is that index's slice and
     every field gathered once with it as ``(G, b, d)``, aligned by id. The
     final short batch is kept.
     """
@@ -284,7 +295,7 @@ def batches(
     for f in present:
         if f.shape[:2] != (len(rngs), n):
             raise ValueError(f"a field has {f.shape[:2]} shards x rows, expected {(len(rngs), n)}")
-    orders = np.stack([rng.permutation(n) for rng in rngs])
+    orders = permutations(rngs, n)
     shards = np.arange(len(rngs))[:, None]
     out = []
     for start in range(0, n, batch_size):

@@ -35,8 +35,9 @@ list runs and later local epochs replay, so a batch that runs once is
 never emitted. Equal sizes give every client the same batch sizes, so the
 stack needs no padding or mask, and a group of one is a client trained
 alone.
-``datagen.batches`` cuts every phase's batches: each client's sample order
-is the permutation of the substream (seed, "batches", client_id, t_g), and
+``datagen.permutations`` shuffles every phase's rows: each client's sample
+order is the permutation of the substream (seed, "batches", client_id,
+t_g). The local phase cuts its batches with ``datagen.batches``, where
 each batch gathers every field once from the stacks. :func:`plan_run`
 writes the keys of every round's streams and seeds them before round 0;
 behind a finite deadline it also takes the channel's ``(T, K)`` delivery
@@ -62,21 +63,23 @@ and test splits once per run; each evaluation then runs one stacked
 forward pass per group and sums each shard over its own slice, adding the
 shards up in their original order.
 
-The pooled phase cuts its batches from the pooled shard's one-shard
-stacks and steps on their 2-d views, unchecked, as it trains nets it
-built itself from the config. Each round it concatenates ``wbar.params``
-and, when the center has it, ``w0.params`` into one fresh buffer, since
-both step at the same rate. It then emits each batch's step once, as a
-list of numpy operations over buffers the round allocates once (see
-``nnet``): w0's forward pass, whose u0 fills the first columns of the
-batch's input buffer under concat (its local columns are copied in once);
-wbar's step from :func:`_step_ops`, which the local phase uses too and
-which adds u0 to wbar's output under additive; and w0's backward pass from
-the side gradient it returns. Every local epoch replays the lists in batch
-order, and after each list one SGD update steps both nets' slices of the
-buffer at the epoch's rate. The round's nets are built from the buffer's
-two slices, and the next round concatenates a new one, so no round
-rewrites a net an earlier round handed to the center.
+The pooled phase steps on 2-d views of the pooled shard's one-shard
+stacks, unchecked, as it trains nets it built itself from the config. The
+shard is fixed, so its batches have the same sizes every round, and
+:func:`_cloud_phase` builds the phase once per run: one buffer of
+``wbar``'s and, when the center has it, ``w0``'s parameter vectors, which
+step at the same rate; each batch's input, label and global-row buffers;
+and each batch's step, emitted once as a list of numpy operations over
+those buffers (see ``nnet``): w0's forward pass, whose u0 fills the first
+columns of the input buffer under concat; wbar's step from
+:func:`_step_ops`, which the local phase uses too and which adds u0 to
+wbar's output under additive; and w0's backward pass from the side
+gradient it returns. Each round copies the center's vectors into the
+buffer, fills every batch's rows from the round's pooled order with one
+``np.take`` per field, and replays the lists in batch order every local
+epoch, with one SGD update of both nets' slices after each list at the
+epoch's rate. The round's nets are built from copies of the two slices, so
+no round rewrites a net an earlier round handed to the center.
 
 Each phase checks its results once, when it ends, with one ``isfinite``
 pass over its vectors. The local phase scans each size group's buffer and
@@ -106,12 +109,12 @@ import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import nnet
-from .datagen import ClientShard, FederationDataset, GlobalStore, batches
+from .datagen import ClientShard, FederationDataset, GlobalStore, batches, permutations
 from .netqueue import ChannelModel, apply_channel
 from .rng import generators, seed_states, substream
 
@@ -694,63 +697,80 @@ def _federated_round(
     return len(uploads)
 
 
-def _cloud_round(
+def _cloud_phase(
     config: FederationConfig,
     center: CenterState,
     pooled: SizeGroup,
     plan: RunPlan,
-    t_g: int,
-) -> int:
-    """``local_epochs`` passes of mini-batch SGD on the pooled shard's
-    one-shard stacks ``pooled``, through w0 too when it exists, on one buffer
-    of both nets' parameter vectors. Each batch's step is emitted once per
-    round, over buffers the round allocates once, and replayed every local
-    epoch: w0's forward pass (``nnet._forward_ops``), wbar's step on its u0
-    (:func:`_step_ops`, which the local phase builds its steps with too) and
-    w0's backward pass from the returned side gradient
-    (``nnet._backward_ops``). Only the SGD update, at the epoch's rate, runs
-    outside the list. Nothing is uploaded: returns 0."""
-    # a fresh buffer every round: the nets of the last round hold views of theirs
-    data = np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None])
-    grad, scaled = np.empty_like(data), np.empty_like(data)
+) -> Callable[[int], int]:
+    """Build the pooled phase once per run and return its round function:
+    ``local_epochs`` passes of mini-batch SGD on the pooled shard's one-shard
+    stacks ``pooled``, through w0 too when the center has it.
+
+    The shard is fixed, so every round cuts batches of the same sizes. This
+    allocates the parameter, gradient and scaled-gradient buffers, each
+    batch's input, label and global-row buffers, the index of the pooled
+    order and both nets' pools, and emits each batch's step once as a list
+    over them: w0's forward pass, wbar's step on its u0 (:func:`_step_ops`)
+    and w0's backward pass from the returned side gradient.
+
+    A round copies the center's vectors in, draws the pooled order from its
+    stream (``datagen.permutations``) and fills every batch's rows once with
+    ``np.take``, then replays the lists every local epoch, each followed by
+    an SGD update at the epoch's rate. It hands the center nets built from
+    copies of the buffer's slices, so no round rewrites a net an earlier
+    round handed out. Nothing is uploaded: a round returns 0."""
     split = center.wbar.params.size
+    data = np.empty(split + (0 if center.w0 is None else center.w0.params.size))
+    grad, scaled = np.empty_like(data), np.empty_like(data)
     wbar, wbar_grads = center.wbar.kernel_layers(data[:split]), center.wbar.views(grad[:split])
     if center.w0 is not None:
         w0, w0_grads = center.w0.kernel_layers(data[split:]), center.w0.views(grad[split:])
     width = config.u0_dim if center.w0 is not None and config.combine == "concat" else 0
+    # the 2-d views [0]: on these shapes a stacked matmul or tanh costs more
+    # per call than a 2-d one
+    x_local, x_global, y_all = (None if f is None else f[0] for f in (pooled.x_local, pooled.x_global, pooled.y))
+    index = np.empty(len(y_all), dtype=np.intp)
     # each net's buffers, shared by the batches of one size: a list runs whole
     # before the next one starts
     pool, pool0 = {}, {}
+    fill: nnet.Ops = []
     batch_ops: list[nnet.Ops] = []
-    fields = (pooled.x_local, pooled.x_global, pooled.y)
-    for _, batch in batches(plan.streams(t_g), fields, config.batch_size):
-        # the 2-d views [0]: on these shapes a stacked matmul or tanh costs
-        # more per call than a 2-d one
-        x, x0, y = (None if f is None else f[0] for f in batch)
+    for start in range(0, len(index), config.batch_size):
+        rows = index[start : start + config.batch_size]
+        # under concat u0 fills the input's first columns, the local rows the rest
+        inp, y = np.empty((len(rows), width + x_local.shape[1])), np.empty((len(rows), y_all.shape[1]))
+        fill += ((np.take, (x_local, rows, 0, inp[:, width:])), (np.take, (y_all, rows, 0, y)))
         ops: nnet.Ops = []
         u0 = None
         if center.w0 is not None:
+            x0 = np.empty((len(rows), x_global.shape[1]))
+            fill.append((np.take, (x_global, rows, 0, x0)))
             u0, trace0 = nnet._forward_ops(w0, x0, ops, pool0)
-        inp = x
         if width:
-            # the batch's rows are copied in once; every replay writes u0 beside them
-            inp = np.concatenate([np.empty((len(x), width)), x], axis=1)
             ops.append((np.copyto, (inp[:, :width], u0)))
         side_grad = _step_ops(wbar, wbar_grads, inp, None if width else u0, y, width, ops, pool)
         if center.w0 is not None:
             nnet._backward_ops(w0, w0_grads, trace0, side_grad, ops, pool0, False)
         batch_ops.append(ops)
-    # each rate as a 0-d array, as 2/b in _step_ops and nnet._ONE
-    for eta_t in map(np.array, config.local_etas(t_g)):
-        for ops in batch_ops:
-            nnet._run(ops)
-            nnet._sgd(data, grad, eta_t, scaled)
-    with _guard("run_cloud", t_g):
-        # both nets are built before either is assigned
-        wbar_net = nnet.DenseNet(center.wbar.layers, data[:split])
-        w0_net = None if center.w0 is None else nnet.DenseNet(center.w0.layers, data[split:])
-    center.wbar, center.w0 = wbar_net, w0_net
-    return 0
+
+    def train_round(t_g: int) -> int:
+        np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None], out=data)
+        index[...] = permutations(plan.streams(t_g), len(index))[0]
+        nnet._run(fill)
+        # each rate as a 0-d array, as 2/b in _step_ops and nnet._ONE
+        for eta_t in map(np.array, config.local_etas(t_g)):
+            for ops in batch_ops:
+                nnet._run(ops)
+                nnet._sgd(data, grad, eta_t, scaled)
+        with _guard("run_cloud", t_g):
+            # both nets are built before either is assigned
+            wbar_net = nnet.DenseNet(center.wbar.layers, data[:split].copy())
+            w0_net = None if center.w0 is None else nnet.DenseNet(center.w0.layers, data[split:].copy())
+        center.wbar, center.w0 = wbar_net, w0_net
+        return 0
+
+    return train_round
 
 
 def _run(
@@ -778,7 +798,7 @@ def _run(
     plan = plan_run(config, pooled)
     if pooled:
         (pooled,) = build_split([_pooled(dataset)], eval_store).groups
-        train_round = functools.partial(_cloud_round, config, center, pooled, plan)
+        train_round = _cloud_phase(config, center, pooled, plan)
     else:
         train_round = functools.partial(_federated_round, config, center, train_split, store, plan)
     trace: list[TraceRow] = []

@@ -19,8 +19,10 @@ per-layer ``(w, b)`` views of any ``(*lead, P)`` buffer
 weights and bias row taken once. The backward pass writes each layer's
 gradients into its views of the gradient buffer. A net's ``params`` is a
 read-only view, so nothing writes it through the net: a training phase
-copies the vectors it trains into a fresh buffer, and the nets it hands
-out hold views of that buffer, which no later phase writes.
+copies the vectors it trains into a buffer of its own, and no net it hands
+out views memory that a later step writes. The local phase trains in a
+fresh buffer each round and uploads views of it; the pooled phase keeps
+one buffer for the run and hands out copies.
 
 Validate at the edges, run unchecked kernels inside the loop. The public
 ``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument

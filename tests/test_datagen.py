@@ -286,6 +286,22 @@ def test_dataset_rejects_shards_of_other_widths():
         datagen.FederationDataset((shard(0, [0, 1], x_shape=()), shard(1, [2, 3], x_shape=())), (), store)
 
 
+@pytest.mark.parametrize("name", ["ids", "x_local", "y"])
+def test_shard_rejects_a_0d_array_naming_the_client(name):
+    """A shard's arrays align on their first axis, so a 0-d one is rejected
+    naming the client; 1-d features or labels are the dataset's check."""
+    rows = {"ids": np.arange(2), "x_local": np.zeros(2), "y": np.zeros(2)}
+    datagen.ClientShard(7, q=1.0, **rows)
+    flat = {"ids": np.array(0), "x_local": np.zeros(()), "y": np.zeros(())}
+    with pytest.raises(ValueError, match=f"^client 7 has 0-d {name}, which holds no rows$"):
+        datagen.ClientShard(7, q=1.0, **{**rows, name: flat[name]})
+
+
+def test_shard_rejects_misaligned_rows_naming_the_client():
+    with pytest.raises(ValueError, match="^client 3 has ids, features and labels of unequal row counts$"):
+        datagen.ClientShard(3, np.arange(2), np.zeros((3, 1)), np.zeros((2, 1)), 1.0)
+
+
 def test_shard_rejects_non_finite_rows():
     ids = np.arange(3)
     good = np.zeros((3, 2))

@@ -6,13 +6,14 @@ by one function, ``fedcore._step_ops``. ``client_update`` steps a cohort's
 clients of equal shard size as one stack: a size group takes its first
 step through the public functions, and every later step runs its batch's
 list, emitted the first time it runs and replayed in later local epochs.
-``run_cloud`` emits each pooled batch's list once a round and replays it
-every local epoch. These tests pin that this gives each client, and the
-pooled nets, the same bits as stepping alone with the public functions,
-for every layer form and batch cut the op lists are built from; that a
-list is emitted only where it runs; that the caller's arrays are never
-written; and that a diverging phase is reported by name, the reused
-buffers carrying its non-finite values to the guard.
+``run_cloud`` emits each pooled batch's list once a run and replays it
+every local epoch of every round. These tests pin that this gives each
+client, and the pooled nets, the same bits as stepping alone with the
+public functions, for every layer form, batch cut and rate schedule the op
+lists are built from; that a list is emitted only where it runs, and only
+once; that the caller's arrays are never written; and that a diverging
+phase is reported by name, the reused buffers carrying its non-finite
+values to the guard.
 """
 
 from __future__ import annotations
@@ -343,13 +344,16 @@ def reference_run_cloud(fed, ds, use_global):
 
 # every layer form the pooled step's op lists are built from: one hidden layer
 # per net (FED's), none, or two; batches of 6 rows with a short tail of 2 (the
-# 80 pooled rows), of 8 rows with no tail, or one batch of all 80 rows
+# 80 pooled rows), of 8 rows with no tail, or one batch of all 80 rows; and
+# FED's constant rate, or one that changes every local epoch and round while
+# the run-long lists replay
 FORMS = {
     "one_hidden": {},
     "no_hidden": {"w0_hidden": (), "local_hidden": ()},
     "two_hidden": {"w0_hidden": (6, 4), "local_hidden": (6, 4)},
     "batch_8": {"batch_size": 8},
     "one_batch": {"batch_size": 100},
+    "inverse_eta": {"eta": Schedule("inverse", 0.15, 2.0), "local_epochs": 3, "global_epochs": 4},
 }
 CLOUD_CASES = [
     # FED's own form adds nothing to the case id
@@ -377,6 +381,26 @@ def test_run_cloud_matches_public_api_loop_bit_for_bit(use_global, combine, acti
         assert nets_same_bits(center.w0, w0)
     else:
         assert center.w0 is None and w0 is None
+
+
+@pytest.mark.parametrize("use_global", [True, False])
+def test_pooled_phase_emits_each_batch_list_once_per_run(use_global, monkeypatch):
+    """The pooled shard is fixed, so its batches have the same sizes every
+    round: each batch's op list is emitted once per run and replayed every
+    local epoch of every round, 14 lists (80 pooled rows at B = 6) over
+    FED's 3 rounds."""
+    ds = generate(SYNTH)
+    calls = []
+    step_ops = fedcore._step_ops
+
+    def counted(layers, grads, inp, *rest):
+        calls.append(inp.shape)
+        return step_ops(layers, grads, inp, *rest)
+
+    monkeypatch.setattr(fedcore, "_step_ops", counted)
+    fedcore.run_cloud(FED, ds, use_global)
+    assert len(calls) == 14
+    assert [rows for rows, _ in calls] == [6] * 13 + [2]
 
 
 # --------------------------------------------------------------- no aliasing
