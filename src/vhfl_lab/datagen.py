@@ -279,14 +279,16 @@ def batches(
     rngs: Sequence[np.random.Generator],
     fields: Sequence[np.ndarray | None],
     batch_size: int,
+    out: Sequence[np.ndarray | None] | None = None,
 ) -> list[tuple[np.ndarray, list[np.ndarray | None]]]:
     """Seeded shuffled mini-batches of G stacked shards of n rows each.
 
     Each field is a ``(G, n, d)`` stack in shard order, or None (no side
     rows). The shards' orders are the :func:`permutations` of their
-    streams, one ``(G, n)`` index. Each batch is that index's slice and
-    every field gathered once with it as ``(G, b, d)``, aligned by id. The
-    final short batch is kept.
+    streams, one ``(G, n)`` index. Every field is gathered once along the
+    orders with ``np.take``, into its ``(G, n, d)`` buffer of ``out`` or a
+    fresh array. Each batch is the index's slice and the ``(G, b, d)`` views
+    of the gathered fields, aligned by id. The final short batch is kept.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -296,9 +298,12 @@ def batches(
         if f.shape[:2] != (len(rngs), n):
             raise ValueError(f"a field has {f.shape[:2]} shards x rows, expected {(len(rngs), n)}")
     orders = permutations(rngs, n)
-    shards = np.arange(len(rngs))[:, None]
-    out = []
-    for start in range(0, n, batch_size):
-        index = orders[:, start : start + batch_size]
-        out.append((index, [None if f is None else f[shards, index] for f in fields]))
-    return out
+    # each shard's order as rows of the fields' (G * n, d) forms; in range by
+    # construction, so "clip" spares the copy of ``out`` that "raise" makes
+    rows = orders + n * np.arange(len(rngs))[:, None]
+    shuffled = [
+        None if f is None else np.take(f.reshape(-1, f.shape[-1]), rows, 0, None if out is None else out[k], "clip")
+        for k, f in enumerate(fields)
+    ]
+    cuts = [slice(start, start + batch_size) for start in range(0, n, batch_size)]
+    return [(orders[:, cut], [None if f is None else f[:, cut] for f in shuffled]) for cut in cuts]

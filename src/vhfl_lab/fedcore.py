@@ -26,33 +26,43 @@ clients with n rows apiece as ``(G, n, d)`` stacks, taken with one fancy
 index per field from the train split's group of that size, with their
 global rows when the center has w0. The broadcast sends u0 as one
 ``(G, n, u0_dim)`` stack per group, from one forward pass of w0. The local
-phase trains each group as one stack: the rows of one ``(G, P)`` buffer,
-each filled with ``wbar.params``. Every step runs on ``(G, b, in)``
-batches, writes the gradients into the group's ``(G, P)`` gradient buffer,
-and updates the stack with one in-place SGD step. Every step but the first
-runs its batch's op list, which :func:`_step_ops` emits the first time the
-list runs and later local epochs replay, so a batch that runs once is
-never emitted. Equal sizes give every client the same batch sizes, so the
-stack needs no padding or mask, and a group of one is a client trained
-alone.
+phase trains each group as one stack. With equal shards a group's shape
+``(G, n)`` is the same every round, so a run keeps one local phase, which
+holds one state per shape (:func:`_group_phase`), built in the shape's
+first round (:func:`client_update`): the ``(G, P)`` parameter, gradient
+and scaled-gradient buffers, the input stack under concat, the shuffled
+stacks that each batch's op list names, and an epoch buffer of
+side-gradient rows. Each round copies ``wbar.params`` into every row of
+the parameter buffer, and under concat the group's u0 and local rows into
+the input stack; ``datagen.batches`` draws the clients' orders and gathers
+each field once, with ``np.take``, into the shuffled stacks. Every step
+runs on ``(G, b, in)`` views of them, writes the gradients into the
+gradient buffer and updates the stack with one in-place SGD step, and
+every step but a shape's first runs its batch's op list, which
+:func:`_step_ops` emits the first time the list runs and later epochs and
+rounds replay, so a batch that runs once in a run is never emitted. Equal
+sizes give every client the same batch sizes, so the stack needs no
+padding or mask, and a group of one is a client trained alone.
 ``datagen.permutations`` shuffles every phase's rows: each client's sample
 order is the permutation of the substream (seed, "batches", client_id,
-t_g). The local phase cuts its batches with ``datagen.batches``, where
-each batch gathers every field once from the stacks. :func:`plan_run`
-writes the keys of every round's streams and seeds them before round 0;
-behind a finite deadline it also takes the channel's ``(T, K)`` delivery
-mask there, from one ``netqueue.apply_channel`` call: a delay does not
-depend on training, so a round keeps the uploads its row of the mask
-delivers. One step per group validates: the group's first step, which
-every client takes from ``wbar``, runs through the public ``nnet`` API on
-the whole ``(G, b, ·)`` stack, with ``wbar``'s weights broadcast over it. It checks the shapes that every step of the
-group reuses, as all its clients share n and the batch sizes.
+t_g). :func:`plan_run` writes the keys of every round's streams and seeds
+them before round 0; behind a finite deadline it also takes the channel's
+``(T, K)`` delivery mask there, from one ``netqueue.apply_channel`` call: a
+delay does not depend on training, so a round keeps the uploads its row of
+the mask delivers. One step per shape and run validates: the shape's first
+step, in its first round, runs through the public ``nnet`` API on the
+whole ``(G, b, ·)`` stack, with ``wbar``'s weights broadcast over it. It
+checks the shapes that every step of the shape reuses, in every round, as
+all its clients share n and the batch sizes.
 The stacked kernels issue one BLAS call and one reduction per client
 slice, with the slice's own shape, so a client gets the bits it would get
 alone, whether its weights are its row of the buffer or ``wbar``'s own.
 Pooling the rows of different clients into one matrix would not: a BLAS
 kernel rounds the tail rows of an ``(M, 16) @ (16, 1)`` product
-differently as M changes. An upload's ``params`` is its client's row.
+differently as M changes. An upload's ``params`` and vertical gradients are
+views of its client's rows of the run-long buffers: the round uses them up
+in aggregation and the central step, which build the center's nets from
+fresh arrays, before the shape trains again.
 
 Aggregation adds each upload's ``coeff * params`` into one ``(P,)``
 accumulator, in upload order; the central step is a single step and runs
@@ -60,8 +70,9 @@ through the public API, where the uploads enter the center, stepping w0
 with its ``(P,)`` gradient vector. The shards are fixed, so ``_run``
 gathers their global rows, when the center has w0, and stacks the train
 and test splits once per run; each evaluation then runs one stacked
-forward pass per group and sums each shard over its own slice, adding the
-shards up in their original order.
+forward pass per group, in buffers the split keeps for the run, and sums
+each shard over its own slice, adding the shards up in their original
+order.
 
 The pooled phase steps on 2-d views of the pooled shard's one-shard
 stacks, unchecked, as it trains nets it built itself from the config. The
@@ -84,15 +95,15 @@ no round rewrites a net an earlier round handed to the center.
 Each phase checks its results once, when it ends, with one ``isfinite``
 pass over its vectors. The local phase scans each size group's buffer and
 its vertical gradients, and names the first diverged client in cohort
-order; a group whose public first step meets non-finite values takes that
+order; a shape whose public first step meets non-finite values takes that
 step on its batch's op list, unchecked, so its clients are named the same
-way. The other phases
-build a net, whose finite check is the guard: ``_guard`` turns the build's
-``nnet.NonFiniteError`` into an error naming the phase, the global epoch
-and the clients (the pooled phase trains no client and names none). A
-value that turns inf or nan stays non-finite under later steps, so this
-catches what per-step checks would. Evaluation is guarded on its losses,
-so the loop runs with numpy's overflow and invalid-value warnings off.
+way. The other phases build a net, whose finite check is the guard:
+``_guard`` turns the build's ``nnet.NonFiniteError`` into an error naming
+the phase, the global epoch and the clients (the pooled phase trains no
+client and names none). A value that turns inf or nan stays non-finite
+under later steps, so this catches what per-step checks would. Evaluation
+is guarded on its losses, so the loop runs with numpy's overflow and
+invalid-value warnings off.
 Vertical gradients travel as one ``(n_j, u0_dim)`` array per client in
 shard order.
 
@@ -249,6 +260,13 @@ class Split:
             for row, pos in enumerate(group.positions)
         }
 
+    @functools.cached_property
+    def _pools(self) -> list[tuple[dict, dict]]:
+        """Per size group, the buffer pools of w0's and wbar's passes in
+        :func:`evaluate` and :func:`weighted_train_loss`: a split stacked once
+        per run is evaluated in the same buffers every round."""
+        return [({}, {}) for _ in self.groups]
+
     def gather(self, client_ids: Sequence[int]) -> Split:
         """The split of the shards of ``client_ids``, in that order, bit for bit
         :func:`build_split` of those shards and the store this split was built
@@ -265,6 +283,16 @@ class Split:
             x_global = None if source.x_global is None else source.x_global[rows]
             groups.append(SizeGroup(positions, x_global, source.x_local[rows], source.y[rows]))
         return Split(shards=tuple(shards), groups=tuple(groups), q=self.q[at], n=self.n[at])
+
+
+# A local phase's round function for one size group: (group, the streams of
+# its clients, wbar, their u0 rows or None, t_g) -> the trained (G, P) buffer
+# and the vertical gradients, or None without u0; quoted, so that importing
+# this module does not import numpy.random
+_TrainGroup = Callable[
+    [SizeGroup, "Sequence[np.random.Generator]", nnet.DenseNet, "np.ndarray | None", int],
+    "tuple[np.ndarray, np.ndarray | None]",
+]
 
 
 @dataclass(frozen=True)
@@ -416,13 +444,14 @@ def _first_step(
     batch_y: np.ndarray,
     width: int,
 ) -> np.ndarray | None:
-    """A size group's first step from ``wbar`` through the validating public
-    ``nnet`` API, on the whole stack and with ``wbar``'s weights, which checks
-    the shapes every step of the group reuses, writing the gradient vectors
-    into ``grad``. Under concat the input rows ``batch_x`` hold the side rows
-    in their first ``width`` columns and ``batch_side`` is None; otherwise
-    ``width`` is 0. Returns the ``(G, b, u0_dim)`` side-row gradients;
-    raises ``nnet.NonFiniteError`` if the step is not finite, before writing
+    """A size-group shape's first step of the run, from ``wbar`` through the
+    validating public ``nnet`` API, on the whole stack and with ``wbar``'s
+    weights, which checks the shapes every step of the shape reuses in
+    every round, writing the gradient vectors into ``grad``. Under concat
+    the input rows ``batch_x`` hold the side rows in their first ``width``
+    columns and ``batch_side`` is None; otherwise ``width`` is 0. Returns
+    the ``(G, b, u0_dim)`` side-row gradients; raises
+    ``nnet.NonFiniteError`` if the step is not finite, before writing
     ``grad``."""
     out, trace = nnet.forward(wbar, batch_x)
     _, lgrad = nnet.mse_loss(out if batch_side is None else batch_side + out, batch_y)
@@ -432,68 +461,95 @@ def _first_step(
     return None if batch_side is None else lgrad
 
 
-def _train_group(
-    config: FederationConfig,
-    group: SizeGroup,
-    rngs: Sequence[np.random.Generator],
-    wbar: nnet.DenseNet,
-    side: np.ndarray | None,
-    t_g: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Local SGD of a size group's G clients as one stack, beside their rows
-    ``side`` of u0 (None without w0), shuffled by their streams ``rngs``: the
-    ``(G, P)`` buffer of the trained parameter vectors, and the
-    ``(G, n, u0_dim)`` vertical gradients. The group's first step is
-    :func:`_first_step`, one validating step for the whole group. Every other
-    step runs its batch's op list (:func:`_step_ops`) over the stacked layers
-    and one pool of buffers: the list is emitted the first time it runs and
-    replayed in later local epochs. A stack whose first step is not finite
-    takes it on its batch's list instead, so that its results stay non-finite
-    and the phase guard names the first diverged client in cohort order."""
-    n = group.x_local.shape[1]
-    data = np.empty((len(rngs), wbar.params.size))
-    data[...] = wbar.params
-    grad = np.empty_like(data)
+def _group_phase(
+    config: FederationConfig, wbar: nnet.DenseNet, group: SizeGroup, side: np.ndarray | None
+) -> _TrainGroup:
+    """Build the local phase of one size-group shape, G clients of n rows
+    each, once per run, and return its round function: local SGD of the
+    group's clients as one stack beside their rows ``side`` of u0 (None
+    without w0), shuffled by their streams, which returns the ``(G, P)``
+    buffer of trained parameter vectors and the ``(G, n, u0_dim)`` vertical
+    gradients, both run-long. Each batch's list (:func:`_step_ops`) is
+    emitted the first time it runs and ends by writing its side gradients
+    times b/n into its slice of an epoch buffer in shuffled order. A round's
+    epochs share one order, so the epoch buffers are added up in it and the
+    sum is put in shard order once per round. The shape's first step of the
+    run is :func:`_first_step`; a stack whose first step is not finite
+    takes it on its batch's list instead, so that its results stay
+    non-finite and the phase guard names the first diverged client in cohort
+    order."""
+    (g_count, n, _), x_local = group.y.shape, group.x_local
+    data = np.empty((g_count, wbar.params.size))
+    grad, scaled = np.empty_like(data), np.empty_like(data)
     layers, grads = wbar.kernel_layers(data), wbar.views(grad)
     width = side.shape[-1] if side is not None and config.combine == "concat" else 0
-    vgrad_sum = None if side is None else np.empty(side.shape)
-    clients = np.arange(len(rngs))[:, None]
-    # under concat the local model's input rows are the side rows, then the
-    # local ones, and the batches gather the side rows only as part of them
-    inp = np.concatenate([side, group.x_local], axis=-1) if width else group.x_local
-    plan = batches(rngs, (inp, None if width else side, group.y), config.batch_size)
-    # each batch's (ops, side-gradient buffer); the lists share one pool, as a
-    # list runs whole before the next one starts
-    steps: dict[int, tuple[nnet.Ops, np.ndarray | None]] = {}
+    inp = np.empty((g_count, n, width + x_local.shape[-1])) if width else None
+    shuffled = [
+        np.empty((g_count, n, width + x_local.shape[-1])),
+        None if side is None or width else np.empty(side.shape),
+        np.empty(group.y.shape),
+    ]
+    epoch_rows, total, vgrads = (None,) * 3 if side is None else (np.empty(side.shape) for _ in range(3))
+    clients = np.arange(g_count)[:, None]
+    cuts = [(start, min(start + config.batch_size, n)) for start in range(0, n, config.batch_size)]
+    views = [[None if f is None else f[:, start:stop] for f in shuffled] for start, stop in cuts]
+    # each batch's b/n, the factor from batch-mean to client-mean units, as a
+    # 0-d array like 2/b in _step_ops
+    scales = [np.array((stop - start) / n) for start, stop in cuts]
+    # the lists share one pool, as a list runs whole before the next one starts
+    steps: dict[int, nnet.Ops] = {}
     pool: dict = {}
+    checked = False
 
-    def replay(i: int, x: np.ndarray, batch_side: np.ndarray | None, batch_y: np.ndarray) -> np.ndarray | None:
+    def step(i: int) -> None:
         if i not in steps:
             ops: nnet.Ops = []
-            steps[i] = ops, _step_ops(layers, grads, x, batch_side, batch_y, width, ops, pool)
-        ops, side_grad = steps[i]
-        nnet._run(ops)
-        return side_grad
-
-    for epoch, eta_t in enumerate(config.local_etas(t_g)):
-        for i, (index, (x, batch_side, batch_y)) in enumerate(plan):
-            if epoch == 0 and i == 0:
-                try:
-                    side_grad = _first_step(wbar, grad, x, batch_side, batch_y, width)
-                except nnet.NonFiniteError:
-                    side_grad = replay(i, x, batch_side, batch_y)
-            else:
-                side_grad = replay(i, x, batch_side, batch_y)
+            side_grad = _step_ops(layers, grads, *views[i], width, ops, pool)
             if side_grad is not None:
-                # rescale batch-mean rows to client-mean units; each epoch
-                # visits every sample once, so epoch 0 writes every row
-                rows = side_grad * (index.shape[1] / n)
-                if epoch == 0:
-                    vgrad_sum[clients, index] = rows
+                ops.append((np.multiply, (side_grad, scales[i], epoch_rows[:, cuts[i][0] : cuts[i][1]])))
+            steps[i] = ops
+        nnet._run(steps[i])
+
+    def train(
+        group: SizeGroup,
+        rngs: Sequence[np.random.Generator],
+        wbar: nnet.DenseNet,
+        side: np.ndarray | None,
+        t_g: int,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        nonlocal checked
+        data[...] = wbar.params
+        if width:
+            inp[..., :width], inp[..., width:] = side, group.x_local
+        fields = (inp, None, group.y) if width else (group.x_local, side, group.y)
+        order = np.hstack([index for index, _ in batches(rngs, fields, config.batch_size, shuffled)])
+        for epoch, eta_t in enumerate(map(np.array, config.local_etas(t_g))):
+            for i in range(len(cuts)):
+                if checked:
+                    step(i)
                 else:
-                    vgrad_sum[clients, index] += rows
-            nnet._sgd(data, grad, eta_t)
-    return data, None if vgrad_sum is None else vgrad_sum / config.local_epochs
+                    checked = True
+                    try:
+                        side_grad = _first_step(wbar, grad, *views[0], width)
+                    except nnet.NonFiniteError:
+                        step(0)
+                    else:
+                        if side_grad is not None:
+                            np.multiply(side_grad, scales[0], out=epoch_rows[:, : cuts[0][1]])
+                nnet._sgd(data, grad, eta_t, scaled)
+            # every epoch visits each sample once, in the round's one order, so
+            # a sample's rows add up in the order of the epochs, as they would
+            # in shard order
+            if epoch_rows is not None and epoch == 0:
+                np.copyto(total, epoch_rows)
+            elif epoch_rows is not None:
+                np.add(total, epoch_rows, out=total)
+        if vgrads is not None:
+            vgrads[clients, order] = total
+            np.divide(vgrads, config.local_epochs, out=vgrads)
+        return data, vgrads
+
+    return train
 
 
 def client_update(
@@ -503,6 +559,7 @@ def client_update(
     u0: Sequence[np.ndarray] | None,
     rngs: Sequence[np.random.Generator],
     t_g: int,
+    phase: dict[tuple[int, ...], _TrainGroup] | None = None,
 ) -> list[Upload]:
     """Local training of a round's cohort from the downloaded federal weights.
 
@@ -516,9 +573,14 @@ def client_update(
     is recorded each epoch and averaged over epochs; the result, an
     ``(n_j, u0_dim)`` array in shard order (None without ``u0``), is
     uploaded alongside the updated parameter vector. Each size group trains
-    as one stack, and each upload holds views of its client's row. The
-    uploads come in cohort order; the guard scans each group's stacks once
-    and names the first client, in cohort order, whose results are not
+    as one stack, in the round function that ``phase`` holds for its shape
+    ``(G, n)``: a run keeps one local phase, and this builds a shape's round
+    function (:func:`_group_phase`) the first time the shape trains, in a
+    fresh phase when ``phase`` is None. Each upload holds views of its
+    client's rows of the shape's buffers, which it rewrites when the shape
+    trains again.
+    The uploads come in cohort order; the guard scans each group's stacks
+    once and names the first client, in cohort order, whose results are not
     finite.
     """
     shards = cohort.shards
@@ -528,11 +590,15 @@ def client_update(
     expected = [(len(group.positions), group.x_local.shape[1], config.u0_dim) for group in cohort.groups]
     if u0 is not None and [rows.shape for rows in u0] != expected:
         raise ValueError(f"u0 stacks have shapes {[rows.shape for rows in u0]}, the cohort needs {expected}")
+    phase = {} if phase is None else phase
     uploads: dict[int, Upload] = {}
     finite = np.empty(len(shards), dtype=bool)
     for g, group in enumerate(cohort.groups):
         side = None if u0 is None else u0[g]
-        data, vgrads = _train_group(config, group, [rngs[pos] for pos in group.positions], wbar, side, t_g)
+        shape = group.y.shape[:2]
+        if shape not in phase:
+            phase[shape] = _group_phase(config, wbar, group, side)
+        data, vgrads = phase[shape](group, [rngs[pos] for pos in group.positions], wbar, side, t_g)
         finite[group.positions] = np.isfinite(data).all(axis=1)
         if vgrads is not None:
             finite[group.positions] &= np.isfinite(vgrads).all(axis=(1, 2))
@@ -621,16 +687,20 @@ def _predict(
     center: CenterState,
     x_global: np.ndarray | None,
     x_local: np.ndarray,
+    pools: tuple[dict, dict] | None = None,
 ) -> np.ndarray:
     """Model output y_hat for validated rows, with the unchecked forward pass;
     ``x_global`` is used iff the center has w0. The rows may carry a leading
-    stack axis."""
+    stack axis. w0's and wbar's passes run in the two buffer pools of
+    ``pools``, or fresh ones, and the result may be a buffer of the second."""
+    pool0, pool = ({}, {}) if pools is None else pools
     if center.w0 is None:
-        return nnet._output(center.wbar, x_local)
-    u0 = nnet._output(center.w0, x_global)
+        return nnet._output(center.wbar, x_local, pool)
+    u0 = nnet._output(center.w0, x_global, pool0)
     if config.combine == "concat":
-        return nnet._output(center.wbar, np.concatenate([u0, x_local], axis=-1))
-    return u0 + nnet._output(center.wbar, x_local)
+        inp = nnet._buffer(pool0, ("concat",), (*u0.shape[:-1], u0.shape[-1] + x_local.shape[-1]))
+        return nnet._output(center.wbar, np.concatenate([u0, x_local], axis=-1, out=inp), pool)
+    return u0 + nnet._output(center.wbar, x_local, pool)
 
 
 def evaluate(config: FederationConfig, center: CenterState, split: Split) -> tuple[float, float]:
@@ -641,8 +711,8 @@ def evaluate(config: FederationConfig, center: CenterState, split: Split) -> tup
         raise ValueError("no samples to evaluate")
     sq = np.empty(len(split.shards))
     ratios = np.empty(len(split.shards))
-    for group in split.groups:
-        diff = _predict(config, center, group.x_global, group.x_local) - group.y
+    for group, pools in zip(split.groups, split._pools):
+        diff = _predict(config, center, group.x_global, group.x_local, pools) - group.y
         sq[group.positions] = np.sum(diff * diff, axis=(1, 2))
         scales = np.maximum(np.linalg.norm(group.y, axis=2), 1e-8)
         ratios[group.positions] = np.sum(np.linalg.norm(diff, axis=2) / scales, axis=1)
@@ -653,8 +723,8 @@ def evaluate(config: FederationConfig, center: CenterState, split: Split) -> tup
 def weighted_train_loss(config: FederationConfig, center: CenterState, split: Split) -> float:
     """Global objective: q-weighted sum of per-client mean losses, in shard order."""
     sq = np.empty(len(split.shards))
-    for group in split.groups:
-        diff = _predict(config, center, group.x_global, group.x_local) - group.y
+    for group, pools in zip(split.groups, split._pools):
+        diff = _predict(config, center, group.x_global, group.x_local, pools) - group.y
         sq[group.positions] = np.sum(diff * diff, axis=(1, 2))
     return float(np.add.accumulate(split.q * sq / split.n)[-1])
 
@@ -679,15 +749,17 @@ def _federated_round(
     train: Split,
     store: GlobalStore,
     plan: RunPlan,
+    phase: dict[tuple[int, ...], _TrainGroup],
     t_g: int,
 ) -> int:
-    """The planned cohort's broadcast (with w0), local updates, the uploads the
-    plan delivers, aggregation and the central step (with w0);
-    returns the number of delivered uploads."""
+    """The planned cohort's broadcast (with w0), local updates in the run's
+    local ``phase`` (see :func:`client_update`), the uploads the plan
+    delivers, aggregation and the central step (with w0); returns the number
+    of delivered uploads."""
     # the cohort is gathered once: the broadcast and the local phase share it
     cohort = train.gather(plan.cohorts[t_g])
     u0 = None if center.w0 is None else center_broadcast(center, cohort)
-    uploads = client_update(config, cohort, center.wbar, u0, plan.streams(t_g), t_g)
+    uploads = client_update(config, cohort, center.wbar, u0, plan.streams(t_g), t_g, phase)
     # the uploads come in cohort order, the order of the planned deliveries
     uploads = list(itertools.compress(uploads, plan.delivered[t_g]))
     if uploads:
@@ -800,7 +872,8 @@ def _run(
         (pooled,) = build_split([_pooled(dataset)], eval_store).groups
         train_round = _cloud_phase(config, center, pooled, plan)
     else:
-        train_round = functools.partial(_federated_round, config, center, train_split, store, plan)
+        # the local phase, filled as size-group shapes first train
+        train_round = functools.partial(_federated_round, config, center, train_split, store, plan, {})
     trace: list[TraceRow] = []
     for t_g in range(config.global_epochs):
         # a diverging phase ends in its guard, not in numpy warnings

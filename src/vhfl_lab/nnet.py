@@ -20,9 +20,10 @@ weights and bias row taken once. The backward pass writes each layer's
 gradients into its views of the gradient buffer. A net's ``params`` is a
 read-only view, so nothing writes it through the net: a training phase
 copies the vectors it trains into a buffer of its own, and no net it hands
-out views memory that a later step writes. The local phase trains in a
-fresh buffer each round and uploads views of it; the pooled phase keeps
-one buffer for the run and hands out copies.
+out views memory that a later step writes. Both training phases keep
+their buffers for the run: the local phase uploads views of its buffers,
+which the round uses up before they train again, and the pooled phase
+hands out copies.
 
 Validate at the edges, run unchecked kernels inside the loop. The public
 ``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument
@@ -63,7 +64,9 @@ caller's buffers, so each replay reads the current parameters. An ``out=``
 buffer gets the bits of the allocating form, as above. A training phase
 emits a step once and replays it (see ``fedcore``). A one-shot call,
 ``_output``, ``forward`` or ``backward``, emits into a fresh pool and runs
-the list once (``_run``), so no two calls share a buffer.
+the list once (``_run``), so no two calls share a buffer; evaluation hands
+``_output`` pools it keeps for the run, and reads each result before the
+next call.
 """
 
 from __future__ import annotations
@@ -260,11 +263,11 @@ def _run(ops: Ops) -> None:
         op(*args)
 
 
-def _output(net: DenseNet, x: np.ndarray) -> np.ndarray:
+def _output(net: DenseNet, x: np.ndarray, pool: dict | None = None) -> np.ndarray:
     """Unchecked forward pass of a validated net on validated rows, emitted
-    into a fresh pool and run once."""
+    into ``pool``, or a fresh pool, and run once."""
     ops: Ops = []
-    out, _ = _forward_ops(net._own_layers, x, ops, {})
+    out, _ = _forward_ops(net._own_layers, x, ops, {} if pool is None else pool)
     _run(ops)
     return out
 

@@ -235,7 +235,7 @@ def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
     plan = fedcore.plan_run(fed, pooled=False)
     seen, aggregated = [], []
 
-    def record_update(config, cohort, wbar, u0, rngs, t_g):
+    def record_update(config, cohort, wbar, u0, rngs, t_g, phase):
         assert len(fedcore._size_groups(cohort.shards)) > 1
         ids = [shard.client_id for shard in cohort.shards]
         assert tuple(ids) == selected(config, t_g)

@@ -3,17 +3,19 @@
 ``client_update`` and ``run_cloud`` step private copies of their nets with
 lists of numpy operations over reused buffers, each batch's step emitted
 by one function, ``fedcore._step_ops``. ``client_update`` steps a cohort's
-clients of equal shard size as one stack: a size group takes its first
-step through the public functions, and every later step runs its batch's
-list, emitted the first time it runs and replayed in later local epochs.
-``run_cloud`` emits each pooled batch's list once a run and replays it
-every local epoch of every round. These tests pin that this gives each
-client, and the pooled nets, the same bits as stepping alone with the
-public functions, for every layer form, batch cut and rate schedule the op
-lists are built from; that a list is emitted only where it runs, and only
-once; that the caller's arrays are never written; and that a diverging
-phase is reported by name, the reused buffers carrying its non-finite
-values to the guard.
+clients of equal shard size as one stack, in a local phase that a run
+builds once and keeps one state in per size-group shape: a shape takes its
+first step of the run through the public functions, and every later step
+runs its batch's list, emitted the first time it runs and replayed in
+later local epochs and rounds. ``run_cloud`` emits each pooled batch's
+list once a run and replays it every local epoch of every round. These
+tests pin that this gives each client, and the pooled nets, the same bits
+as stepping alone with the public functions, for every layer form, batch
+cut and rate schedule the op lists are built from, and the same bits as a
+fresh local phase every round; that a list is emitted only where it runs,
+and only once a run; that the caller's arrays are never written; and that
+a diverging phase is reported by name, the reused buffers carrying its
+non-finite values to the guard.
 """
 
 from __future__ import annotations
@@ -403,6 +405,92 @@ def test_pooled_phase_emits_each_batch_list_once_per_run(use_global, monkeypatch
     assert [rows for rows, _ in calls] == [6] * 13 + [2]
 
 
+# ------------------------------------------------------ run-long local phase
+
+
+def unequal_run(**changes):
+    """SYNTH's shards cut to 20, 13, 20 and 7 training rows, and FED over 6
+    rounds with ``changes``. Its cohorts of 3 of the 4 clients form size
+    groups whose shapes change from round to round, and repeat."""
+    ds = generate(SYNTH)
+    sizes = (20, 13, 20, 7)
+    shards = tuple(
+        ClientShard(s.client_id, s.ids[:n], s.x_local[:n], s.y[:n], n / sum(sizes)) for s, n in zip(ds.clients, sizes)
+    )
+    fed = dataclasses.replace(FED, global_epochs=6, **changes)
+    shapes = [
+        [(len(group), sizes[cohort[group[0]]]) for group in fedcore._size_groups([shards[c] for c in cohort])]
+        for cohort in fedcore.plan_run(fed, pooled=False).cohorts
+    ]
+    assert len({tuple(round_shapes) for round_shapes in shapes}) > 1
+    assert sum(len(round_shapes) for round_shapes in shapes) > len({s for r in shapes for s in r})
+    return fed, dataclasses.replace(ds, clients=shards), shapes
+
+
+@pytest.mark.parametrize("local_epochs", [1, 2, 3])
+@pytest.mark.parametrize("batch_size", [5, 20])
+@pytest.mark.parametrize("mode, combine", [("vhfl", "concat"), ("vhfl", "additive"), ("hfl", "concat")])
+def test_run_long_local_phase_matches_a_fresh_phase_every_round(mode, combine, batch_size, local_epochs, monkeypatch):
+    """A run keeps one local phase, whose state per size-group shape outlives
+    the round; every trace row and both final nets equal those of a run that
+    trains each round in a fresh phase, bit for bit."""
+    fed, ds, _ = unequal_run(
+        local_epochs=local_epochs,
+        batch_size=batch_size,
+        combine=combine,
+        u0_dim=SYNTH.d_label if combine == "additive" else 3,
+    )
+    run = fedcore.run_vhfl if mode == "vhfl" else fedcore.run_hfl
+    kept, kept_trace = run(fed, ds)
+    client_update = fedcore.client_update
+
+    def fresh_phase(config, cohort, wbar, u0, rngs, t_g, phase):
+        return client_update(config, cohort, wbar, u0, rngs, t_g)
+
+    monkeypatch.setattr(fedcore, "client_update", fresh_phase)
+    fresh, fresh_trace = run(fed, ds)
+    assert kept_trace == fresh_trace
+    assert nets_same_bits(kept.wbar, fresh.wbar)
+    if mode == "vhfl":
+        assert nets_same_bits(kept.w0, fresh.w0)
+    else:
+        assert kept.w0 is None and fresh.w0 is None
+
+
+@pytest.mark.parametrize("local_epochs", [1, 2])
+def test_run_long_local_phase_builds_each_shape_once_per_run(local_epochs, monkeypatch):
+    """Over a run, each (G, n, batch) list is emitted at most once, and at
+    E_L = 1 a shape's first batch gets a list only if the shape trains again;
+    the public first step runs once per shape, and the batches are cut once
+    per group and round."""
+    fed, ds, shapes = unequal_run(local_epochs=local_epochs)
+    emitted, calls = [], {"mse_loss": 0, "batches": 0}
+    step_ops = fedcore._step_ops
+
+    def recorded(layers, grads, inp, *rest):
+        # each shape's batch views a buffer of its own shuffled stack
+        emitted.append(inp.__array_interface__["data"][0])
+        return step_ops(layers, grads, inp, *rest)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(fedcore, "_step_ops", recorded)
+    monkeypatch.setattr(fedcore.nnet, "mse_loss", counting("mse_loss", nnet.mse_loss))
+    monkeypatch.setattr(fedcore, "batches", counting("batches", fedcore.batches))
+    fedcore.run_vhfl(fed, ds)
+    rounds = {shape: sum(shape in r for r in shapes) for shape in {s for r in shapes for s in r}}
+    lists = sum(
+        -(-n // fed.batch_size) - 1 + (local_epochs > 1 or count > 1) for (_, n), count in rounds.items()
+    )
+    assert len(emitted) == len(set(emitted)) == lists
+    assert calls == {"mse_loss": len(rounds), "batches": sum(len(r) for r in shapes)}
+
+
 # --------------------------------------------------------------- no aliasing
 
 
@@ -454,8 +542,11 @@ def test_run_cloud_leaves_its_initial_nets_unchanged(use_global, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["cloud", "cloud_local", "vhfl", "hfl"])
 def test_no_round_rewrites_a_net_an_earlier_round_handed_to_the_center(mode, monkeypatch):
-    """The nets of a round hold views of that round's buffers, so a later
-    round must train on fresh ones."""
+    """Every phase keeps its buffers for the run, so no net it hands the
+    center may view them: the pooled phase builds the center's nets from
+    copies, and the local phase's uploads, views of its run-long buffers,
+    are used up within their round by aggregation and the central step,
+    which build the center's nets from fresh arrays."""
     ds = generate(SYNTH)
     handed = []
     weighted_train_loss = fedcore.weighted_train_loss
@@ -467,8 +558,8 @@ def test_no_round_rewrites_a_net_an_earlier_round_handed_to_the_center(mode, mon
     started = []
     client_update = fedcore.client_update
 
-    def recording_update(config, cohort, wbar, u0, rngs, t_g):
-        uploads = client_update(config, cohort, wbar, u0, rngs, t_g)
+    def recording_update(config, cohort, wbar, u0, rngs, t_g, phase):
+        uploads = client_update(config, cohort, wbar, u0, rngs, t_g, phase)
         started.append((wbar, uploads))
         return uploads
 

@@ -20,7 +20,7 @@ its config, so two checkouts that print the same lines write the same bytes:
     (cd ../parent && python tools/artifact_digests.py) > before.txt
     diff before.txt after.txt
 
-A full run takes about 20 s on two cores, mostly ``k_el_sweep`` and
+A full run takes 10 to 16 s on two cores, mostly ``k_el_sweep`` and
 ``compare_default``.
 """
 
