@@ -24,8 +24,9 @@ class BoundParams:
     variances; ``g2``: gradient-norm bound; ``lambda_niid``: gradient
     divergence ratio (>= 1); ``f_init``/``f_star``: initial and optimal
     loss; ``f0``: initial-gradient factor in the convex bound. Every value
-    must be finite; the counts ``local_epochs``, ``k`` and ``global_epochs``
-    must also be integral, and are stored as ints.
+    must be finite, and so must ``mu_pl**2`` be and not 0; the counts
+    ``local_epochs``, ``k`` and ``global_epochs`` must also be integral, and
+    are stored as ints.
     """
 
     l_smooth: float
@@ -53,6 +54,9 @@ class BoundParams:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.l_smooth <= 0.0 or self.mu_pl <= 0.0:
             raise ValueError("smoothness and PL constants must be positive")
+        # the convex bound divides by mu_pl**2, which must neither underflow nor overflow
+        if not 0.0 < self.mu_pl * self.mu_pl < math.inf:
+            raise ValueError(f"mu_pl squared must be a positive finite float, got mu_pl={self.mu_pl}")
         if min(self.sigma2, self.sigma0_2, self.g2, self.f0) < 0.0:
             raise ValueError("variances, gradient bound and f0 must be non-negative")
         if self.lambda_niid < 1.0:
@@ -69,7 +73,8 @@ def evaluate(p: BoundParams) -> tuple[float, float]:
     """The (nonconvex, convex) bounds with the collected-model count at K*gamma.
 
     ``nonconvex`` bounds the averaged gradient norm over the global epochs,
-    ``convex`` the expected loss gap under the PL condition.
+    ``convex`` the expected loss gap under the PL condition. A bound that is
+    not finite raises ``ValueError``.
     """
     el, tg, l = p.local_epochs, p.global_epochs, p.l_smooth
     k_eff = p.k * p.gamma
@@ -81,6 +86,8 @@ def evaluate(p: BoundParams) -> tuple[float, float]:
     head = 2.0 * (p.f_init - p.f_star) / (math.sqrt(tg) * math.sqrt(el))
     nonconvex = head + (l * math.sqrt(el) / math.sqrt(tg)) * noise
     convex = (1.0 / tg) * (2.0 * l / p.mu_pl**2) * (noise + p.f0 * p.g2 / (4.0 * el))
+    if not (math.isfinite(nonconvex) and math.isfinite(convex)):
+        raise ValueError(f"the bounds are not finite: nonconvex {nonconvex}, convex {convex}")
     return nonconvex, convex
 
 

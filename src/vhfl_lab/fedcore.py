@@ -800,7 +800,9 @@ def _cloud_phase(
         w0, w0_grads = center.w0.kernel_layers(data[split:]), center.w0.views(grad[split:])
     width = config.u0_dim if center.w0 is not None and config.combine == "concat" else 0
     # the 2-d views [0]: on these shapes a stacked matmul or tanh costs more
-    # per call than a 2-d one
+    # per call than a 2-d one, and a 2-d product goes through np.dot but for
+    # w0's on the strided side gradient (nnet._product); np.dot writes
+    # np.matmul's bits under every OpenBLAS kernel tests/test_nnet.py forces
     x_local, x_global, y_all = (None if f is None else f[0] for f in (pooled.x_local, pooled.x_global, pooled.y))
     index = np.empty(len(y_all), dtype=np.intp)
     # each net's buffers, shared by the batches of one size: a list runs whole

@@ -52,8 +52,9 @@ class Grid:
     count: int
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        # the grid is built at parse time, so its size is capped
+        if not 1 <= self.count <= 10_000:
+            raise ValueError(f"count must lie in 1..10000, got {self.count}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError(f"start and stop must be finite, got {self.start} and {self.stop}")
 

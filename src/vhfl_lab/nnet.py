@@ -37,24 +37,36 @@ and is not raises :class:`NonFiniteError`.
 
 The layout leaves every bit as per-layer arrays would have it. The update
 is elementwise, so each parameter sees the same multiply and subtract
-whatever the buffer's shape. ``np.matmul(..., out=)`` and
-``np.add.reduce(..., out=)`` issue the same BLAS call and the same
-reduction per slice as their allocating forms, because a weight or bias
-view has the row-major strides of a fresh array of its shape; only where
-the result lands changes.
+whatever the buffer's shape. A product and ``np.add.reduce(..., out=)``
+issue the same BLAS call and the same reduction per slice as their
+allocating forms, because a weight or bias view has the row-major strides
+of a fresh array of its shape; only where the result lands changes.
+
+Every product enters numpy through one rule, ``_product``: ``np.dot`` when
+both operands are 2-d and each is C- or F-contiguous, ``np.matmul``
+otherwise. On such operands the two entry points make the same BLAS call,
+an F-ordered operand passed as a transposed matrix, and write the same
+bits; np.dot costs less per call. They part on one layout the kernels
+meet: under concat w0's backward pass starts from the side gradient
+``input_grad[..., :width]``, a strided view. np.matmul passes its transpose
+to BLAS in place, np.dot multiplies a row-major copy, and the kernels round
+the two calls differently, so the products on that view stay on np.matmul.
+The two agree on contiguous operands under the SkylakeX kernel and under
+``OPENBLAS_CORETYPE`` Haswell, Zen and Prescott, which ``tests/test_nnet.py``
+checks in child processes.
 
 The kernels also step a stack of G nets at once: batches of shape
 ``(G, b, in)``, weights ``(G, out, in)`` and biases ``(G, out)``, or one
-net's 2-d weights broadcast over the stack. np.matmul issues one BLAS call
-per slice with the slice's own shape, and every reduction runs over one
-slice's rows, so each net of the stack, and each batch through one net,
-gets the bits it would get alone. Rows of different slices are never
-pooled into one matrix: a BLAS kernel may round a row differently with the
-row count.
+net's 2-d weights broadcast over the stack. A stack's products stay on
+np.matmul, which issues one BLAS call per slice with the slice's own shape,
+and every reduction runs over one slice's rows, so each net of the stack,
+and each batch through one net, gets the bits it would get alone. Rows of
+different slices are never pooled into one matrix: a BLAS kernel may round
+a row differently with the row count.
 
 Each pass has one form, an emitter that appends its operations to a list
 of ``(ufunc, args)`` pairs. ``_forward_ops`` appends, per layer,
-``matmul(a, w_t)``, ``+ b_row`` and the activation, and returns the
+``a @ w_t``, ``+ b_row`` and the activation, and returns the
 output's buffer and the :class:`Trace` that ``_backward_ops`` takes; that
 one appends, per layer from the last, the activation's derivative times
 d(loss)/d(outputs), ``dz.mT @ prev``, ``add.reduce(dz, axis=-2)`` and
@@ -212,6 +224,14 @@ def _buffer(pool: dict, role: tuple, shape: tuple[int, ...]) -> np.ndarray:
     return pool[role, shape]
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> tuple[Callable[..., object], tuple]:
+    """The op ``a @ b`` into ``out``: ``np.dot`` when both operands are 2-d
+    and C- or F-contiguous, else ``np.matmul`` (see the module docstring);
+    np.dot also needs a C-contiguous ``out``, which every emitted one is."""
+    dot = a.ndim == b.ndim == 2 and a.flags.forc and b.flags.forc and out.flags.c_contiguous
+    return np.dot if dot else np.matmul, (a, b, out)
+
+
 def _forward_ops(layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict) -> tuple[np.ndarray, Trace]:
     """Append the forward pass on ``x`` to ``ops``, each result in a buffer of
     ``pool``; returns the output's buffer and the trace that
@@ -221,7 +241,7 @@ def _forward_ops(layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict) -
     a = x
     for i, layer in enumerate(layers):
         z = _buffer(pool, ("pre", i), (*a.shape[:-1], layer.b.shape[-1]))
-        ops += ((np.matmul, (a, layer.w_t, z)), (np.add, (z, layer.b_row, z)))
+        ops += (_product(a, layer.w_t, z), (np.add, (z, layer.b_row, z)))
         a = z if layer.act == "identity" else _buffer(pool, ("post", i), z.shape)
         if layer.act != "identity":
             # numpy deprecates a positional out for np.maximum
@@ -250,10 +270,10 @@ def _backward_ops(
             # post[i] is tanh(pre[i]), and np.tanh is deterministic
             ops += ((np.multiply, (post[i], post[i], dz)), (np.subtract, (_ONE, dz, dz)), (np.multiply, (da, dz, dz)))
         gw, gb = grads[i]
-        ops += ((np.matmul, (dz.mT, x if i == 0 else post[i - 1], gw)), (np.add.reduce, (dz, -2, None, gb)))
+        ops += (_product(dz.mT, x if i == 0 else post[i - 1], gw), (np.add.reduce, (dz, -2, None, gb)))
         if i > 0 or want_input_grad:
             da = _buffer(pool, ("da", i), (*da.shape[:-1], layer.w.shape[-1]))
-            ops.append((np.matmul, (dz, layer.w, da)))
+            ops.append(_product(dz, layer.w, da))
     return da if want_input_grad else None
 
 

@@ -1,0 +1,78 @@
+"""One layer's matrix products through both numpy entry points, for the tests.
+
+``nnet._product`` issues a 2-d product whose operands are C- or
+F-contiguous through ``np.dot`` and any other through ``np.matmul``. Run as
+a script, this module prints, as one JSON object, the kernel that numpy's
+bundled OpenBLAS runs and, per product, how many of a seeded sweep of
+draws write different bits through the two entry points:
+
+    OPENBLAS_CORETYPE=Haswell python tests/products.py
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+# the products that nnet._product sends to np.dot
+CONTIGUOUS = ("x @ w.mT", "xF @ w.mT", "dz.mT @ x", "dz @ w")
+# w0's backward under concat, on the side gradient's strided view: np.matmul
+SIDE = ("side.mT @ x", "side @ w")
+
+
+def layer_products(rng: np.random.Generator, rows: int, in_dim: int, out_dim: int) -> dict[str, tuple]:
+    """The (a, b) operands of one layer's products in the emitters' layouts:
+    the forward pass on C- and F-ordered rows ``x``, with ``w`` a view of a
+    flat parameter vector; the backward pass from a fresh output gradient
+    ``dz``; and the same from ``side``, the first ``out_dim`` columns of a
+    wider input gradient, as w0's backward takes it under concat."""
+    x = rng.standard_normal((rows, in_dim))
+    w = rng.standard_normal(out_dim * in_dim).reshape(out_dim, in_dim)
+    dz = rng.standard_normal((rows, out_dim))
+    side = rng.standard_normal((rows, out_dim + 4))[:, :out_dim]
+    return {
+        "x @ w.mT": (x, w.mT),
+        "xF @ w.mT": (np.asfortranarray(x), w.mT),
+        "dz.mT @ x": (dz.mT, x),
+        "dz @ w": (dz, w),
+        "side.mT @ x": (side.mT, x),
+        "side @ w": (side, w),
+    }
+
+
+def by_dot_and_matmul(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a @ b`` through ``np.dot`` and through ``np.matmul``, each into a
+    fresh C-ordered buffer as the emitters write it."""
+    by_dot, by_matmul = np.empty((a.shape[0], b.shape[1])), np.empty((a.shape[0], b.shape[1]))
+    np.dot(a, b, by_dot)
+    np.matmul(a, b, by_matmul)
+    return by_dot, by_matmul
+
+
+def sweep(seed: int, draws: int) -> dict[str, int]:
+    """Per product, how many of ``draws`` layers with 1 to 64 rows and widths
+    1 to 16 write different bits through the two entry points."""
+    rng = np.random.default_rng(seed)
+    differ = dict.fromkeys(CONTIGUOUS + SIDE, 0)
+    for _ in range(draws):
+        rows, in_dim, out_dim = rng.integers(1, 65), rng.integers(1, 17), rng.integers(1, 17)
+        for name, (a, b) in layer_products(rng, rows, in_dim, out_dim).items():
+            by_dot, by_matmul = by_dot_and_matmul(a, b)
+            differ[name] += by_dot.tobytes() != by_matmul.tobytes()
+    return differ
+
+
+def openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs, from ``tools/artifact_digests.py``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.openblas_core()
+
+
+if __name__ == "__main__":
+    print(json.dumps({"core": openblas_core(), "differ": sweep(0, 495)}))

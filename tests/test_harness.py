@@ -562,6 +562,8 @@ CONFIG_FAULTS = [
     (QUEUE_CONFIG, "queue.n_jobs", 0, "queue: n_jobs"),
     (QUEUE_CONFIG, "delay_plan.gamma_targets", 0.5, "delay_plan.gamma_targets"),
     (QUEUE_CONFIG, "queue.t_p_grid.count", -1, "queue.t_p_grid: count"),
+    (QUEUE_CONFIG, "queue.t_p_grid.count", 10_001, "queue.t_p_grid: count must lie in 1..10000, got 10001"),
+    (QUEUE_CONFIG, "queue.t_p_grid.count", 2**63, "queue.t_p_grid: count must lie in 1..10000"),
     (QUEUE_CONFIG, "queue.t_p_grid.stop", float("inf"), "queue.t_p_grid: start and stop must be finite"),
     (QUEUE_CONFIG, "queue.t_p_grid.start", -1.0, "queue: t_p_grid values must be non-negative"),
     (QUEUE_CONFIG, "queue.t_p_grid", [-1.0, 0.5], "queue: t_p_grid values must be non-negative, got -1.0"),
@@ -580,6 +582,10 @@ CONFIG_FAULTS = [
     (BOUNDS_CONFIG, "bounds_sweep.values", [2.0, 2.5], "bounds_sweep: k must be an integer, got 2.5"),
     (BOUNDS_CONFIG, "bounds_sweep.values", [0.0, 4.0], "bounds_sweep: epoch and client counts"),
     (BOUNDS_CONFIG, "bounds.sigma2", float("inf"), "bounds: sigma2 must be finite"),
+    # mu_pl**2 underflows to 0 or overflows
+    (BOUNDS_CONFIG, "bounds.mu_pl", 1e-320, "bounds: mu_pl squared must be a positive finite float"),
+    (BOUNDS_CONFIG, "bounds.mu_pl", 1e308, "bounds: mu_pl squared must be a positive finite float"),
+    (BOUNDS_CONFIG, "bounds.g2", 1e308, "bounds_sweep: the bounds are not finite"),
     (LOSSY_CONFIG, "channel.t_p", -1.0, "channel: t_p"),
     (LOSSY_CONFIG, "channel.lambda_n", 10.0, "channel: unstable queue"),
     (LOSSY_CONFIG, "channel.mu1", float("inf"), "channel: service rates need finite"),
@@ -596,6 +602,7 @@ def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, base, path, v
     assert main([data["mode"], "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

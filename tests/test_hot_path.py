@@ -12,8 +12,11 @@ list once a run and replays it every local epoch of every round. These
 tests pin that this gives each client, and the pooled nets, the same bits
 as stepping alone with the public functions, for every layer form, batch
 cut and rate schedule the op lists are built from, and the same bits as a
-fresh local phase every round; that a list is emitted only where it runs,
-and only once a run; that the caller's arrays are never written; and that
+fresh local phase every round; that a 2-d product enters numpy through
+np.dot where its operands are contiguous, and through np.matmul on stacks
+and on the side gradient's strided view, with the bits of a reference
+written with ``@``; that a list is emitted only where it runs, and only
+once a run; that the caller's arrays are never written; and that
 a diverging phase is reported by name, the reused buffers carrying its
 non-finite values to the guard.
 """
@@ -29,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohorts import cohort_of, update
-from nets import net_of
+from nets import allocating_backward, allocating_forward, arrays, net_of
 from vhfl_lab import fedcore, nnet
 from vhfl_lab.datagen import ClientShard, GlobalStore, SynthConfig, generate
 from vhfl_lab.fedcore import (
@@ -403,6 +406,81 @@ def test_pooled_phase_emits_each_batch_list_once_per_run(use_global, monkeypatch
     fedcore.run_cloud(FED, ds, use_global)
     assert len(calls) == 14
     assert [rows for rows, _ in calls] == [6] * 13 + [2]
+
+
+def allocating_run_cloud(fed, ds):
+    """``run_cloud`` with w0 under concat, written with ``@`` on fresh
+    arrays: each product's entry point is np.matmul, whatever its operands'
+    layout, so w0's backward takes the transposed side gradient view
+    ``input_grad[:, :u0_dim]`` through np.matmul."""
+    center = fedcore._new_center(fed, ds, True)
+    nets = [[(w, b, layer.activation) for layer, (w, b) in zip(net.layers, arrays(net))] for net in (center.wbar, center.w0)]
+    ids = np.concatenate([shard.ids for shard in ds.clients])
+    x_local, y = (np.vstack([getattr(shard, f) for shard in ds.clients]) for f in ("x_local", "y"))
+    x_global = ds.global_store.rows(ids)
+    for t_g in range(fed.global_epochs):
+        for epoch in range(fed.local_epochs):
+            eta = fed.eta.value(t_g * fed.local_epochs + epoch)
+            for idx in shuffled_batches(fed.seed, 0, t_g, len(ids), fed.batch_size):
+                wbar, w0 = nets
+                pre0, post0 = allocating_forward(w0, x_global[idx])
+                inp = np.hstack([post0[-1], x_local[idx]])
+                pre, post = allocating_forward(wbar, inp)
+                lgrad = (2.0 / len(idx)) * (post[-1] - y[idx])
+                *grads, input_grad = allocating_backward([(w, act) for w, _, act in wbar], inp, pre, post, lgrad)
+                side_grad = input_grad[:, : fed.u0_dim]
+                *grads0, _ = allocating_backward([(w, act) for w, _, act in w0], x_global[idx], pre0, post0, side_grad)
+                nets = [
+                    [(w - eta * gw, b - eta * gb, act) for (w, b, act), gw, gb in zip(net, *net_grads)]
+                    for net, net_grads in zip(nets, (grads, grads0))
+                ]
+    return [net_of(*net) for net in nets]
+
+
+def test_run_cloud_matches_a_reference_written_with_matmul_on_a_wide_side_gradient():
+    """With batches of 16 rows through a hidden layer of 4, w0's weight
+    gradient from the side gradient's strided view is a product that np.dot
+    rounds differently from np.matmul under SkylakeX: the pooled phase must
+    keep it on np.matmul, and every contiguous product it sends to np.dot
+    must get np.matmul's bits."""
+    ds = generate(SYNTH)
+    fed = dataclasses.replace(FED, u0_dim=16, w0_hidden=(4,), batch_size=16)
+    center, _ = fedcore.run_cloud(fed, ds, True)
+    wbar, w0 = allocating_run_cloud(fed, ds)
+    assert nets_same_bits(center.wbar, wbar) and nets_same_bits(center.w0, w0)
+
+
+@pytest.mark.parametrize("combine", ["concat", "additive"])
+def test_products_name_dot_where_contiguous_and_matmul_on_stacks_and_the_side_view(combine, monkeypatch):
+    """The pooled phase's 2-d lists issue every product through np.dot but
+    w0's two products on the side gradient's strided view under concat; the
+    local phase's lists, on stacks, issue every product through np.matmul."""
+    ds = generate(SYNTH)
+    fed = dataclasses.replace(FED, combine=combine, u0_dim=3 if combine == "concat" else SYNTH.d_label)
+    emitted = []
+    step_ops = fedcore._step_ops
+
+    def kept(*args):
+        side_grad = step_ops(*args)
+        emitted.append((args[2].ndim, args[-2], side_grad))
+        return side_grad
+
+    monkeypatch.setattr(fedcore, "_step_ops", kept)
+    fedcore.run_cloud(fed, ds, True)
+    fedcore.run_vhfl(fed, ds)
+    assert {ndim for ndim, _, _ in emitted} == {2, 3}
+    for ndim, ops, side_grad in emitted:
+        products = [(op, args) for op, args in ops if op in (np.dot, np.matmul)]
+        # per layer of one hidden layer's net, a forward product and two
+        # backward ones, but the first layer's input gradient: wbar's only
+        # under concat, and w0's, which the pooled lists step too, never
+        assert len(products) == (6 if combine == "concat" else 5) + (5 if ndim == 2 else 0)
+        if ndim == 3:
+            assert all(op is np.matmul for op, _ in products)
+            continue
+        on_side = [np.shares_memory(a, side_grad) and not a.flags.forc for _, (a, _, _) in products]
+        assert sum(on_side) == (2 if combine == "concat" else 0)
+        assert [op for op, _ in products] == [np.matmul if side else np.dot for side in on_side]
 
 
 # ------------------------------------------------------ run-long local phase

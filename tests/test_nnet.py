@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nets import arrays, net_of
+import products
+from nets import allocating_backward, arrays, net_of
 from vhfl_lab import nnet
 from vhfl_lab.rng import substream
 
@@ -290,25 +298,6 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def allocating_backward(params, x, pre, post, da):
-    """The backward pass written with fresh arrays: ``dz.mT @ x`` and
-    ``dz.sum(axis=-2)`` per layer, and the input gradient."""
-    wgrads, bgrads = [None] * len(params), [None] * len(params)
-    for i in range(len(params) - 1, -1, -1):
-        w, act = params[i]
-        if act == "identity":
-            dz = da
-        elif act == "relu":
-            dz = da * (pre[i] > 0.0)
-        else:
-            dz = da * (1.0 - post[i] * post[i])
-        layer_in = x if i == 0 else post[i - 1]
-        wgrads[i] = dz.mT @ layer_in
-        bgrads[i] = dz.sum(axis=-2)
-        da = dz @ w
-    return wgrads, bgrads, da
-
-
 @pytest.mark.parametrize("rows", [1, 3, 14, 16])
 @pytest.mark.parametrize("copies", [None, 1, 3, 10, 25])
 def test_backward_into_flat_views_matches_allocating_reference(copies, rows):
@@ -460,3 +449,47 @@ def test_public_api_checks_hold_on_a_stack():
             nnet.backward(net, trace, bad)
     with pytest.raises(nnet.NonFiniteError):
         nnet.backward(net, trace, np.full_like(out, np.inf))
+
+
+# ------------------------------------------------- the product's entry point
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 64),
+    in_dim=st.integers(1, 16),
+    out_dim=st.integers(1, 16),
+    seed=st.integers(0, 2**16),
+)
+def test_dot_writes_matmuls_bits_wherever_the_product_rule_sends_it(rows, in_dim, out_dim, seed):
+    """Every layout that ``_product`` issues through ``np.dot`` gets the bits
+    of ``np.matmul``; the side gradient's strided view stays on np.matmul,
+    where np.dot of its transpose rounds differently."""
+    layer = products.layer_products(np.random.default_rng(seed), rows, in_dim, out_dim)
+    for name, (a, b) in layer.items():
+        out = np.empty((a.shape[0], b.shape[1]))
+        op, args = nnet._product(a, b, out)
+        assert [id(arg) for arg in args] == [id(a), id(b), id(out)]
+        # the side gradient's view of one row is contiguous too
+        assert (op is np.dot) == (name in products.CONTIGUOUS or rows == 1), name
+        if op is np.dot:
+            assert same_bits(*products.by_dot_and_matmul(a, b)), name
+    # a stack of the same layers stays on np.matmul, one BLAS call per slice
+    x, w_t = layer["x @ w.mT"]
+    stack = np.stack([x, x])
+    assert nnet._product(stack, w_t, np.empty((2, rows, out_dim)))[0] is np.matmul
+
+
+@pytest.mark.skipif(products.openblas_core() == "unknown", reason="numpy has no bundled OpenBLAS to force a kernel on")
+def test_contiguous_products_agree_under_other_openblas_kernels():
+    """In a child process per forced OpenBLAS kernel, np.dot and np.matmul
+    write the same bits for every contiguous layer product of a seeded sweep."""
+    found = {}
+    for core in ("Haswell", "Zen", "Prescott"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core}
+        out = subprocess.run([sys.executable, products.__file__], env=env, capture_output=True, text=True, check=True)
+        found[core] = json.loads(out.stdout)
+    for core, report in found.items():
+        assert all(report["differ"][name] == 0 for name in products.CONTIGUOUS), (core, report)
+    # the forced kernels took effect: they are not all the one kernel
+    assert len({report["core"] for report in found.values()}) > 1, found
