@@ -20,77 +20,34 @@ A net is its layer shapes plus one ``(P,)`` parameter vector (see
 run unchecked kernels inside the loop. Data is checked where it enters
 (``ClientShard``, ``GlobalStore``, config parsing).
 
-Each round gathers its cohort once from the run's train split
-(``Split.gather``): the selected shards grouped by size, each group of G
-clients with n rows apiece as ``(G, n, d)`` stacks, taken with one fancy
-index per field from the train split's group of that size, with their
-global rows when the center has w0. The broadcast sends u0 as one
-``(G, n, u0_dim)`` stack per group, from one forward pass of w0. The local
-phase trains each group as one stack. With equal shards a group's shape
-``(G, n)`` is the same every round, so a run keeps one local phase, which
-holds one state per shape (:func:`_group_phase`), built in the shape's
-first round (:func:`client_update`): the ``(G, P)`` parameter, gradient
-and scaled-gradient buffers, the input stack under concat, the shuffled
-stacks that each batch's op list names, and an epoch buffer of
-side-gradient rows. Each round copies ``wbar.params`` into every row of
-the parameter buffer, and under concat the group's u0 and local rows into
-the input stack; ``datagen.batches`` draws the clients' orders and gathers
-each field once, with ``np.take``, into the shuffled stacks. Every step
-runs on ``(G, b, in)`` views of them, writes the gradients into the
-gradient buffer and updates the stack with one in-place SGD step, and
-every step but a shape's first runs its batch's op list, which
-:func:`_step_ops` emits the first time the list runs and later epochs and
-rounds replay, so a batch that runs once in a run is never emitted. Equal
-sizes give every client the same batch sizes, so the stack needs no
-padding or mask, and a group of one is a client trained alone.
-``datagen.permutations`` shuffles every phase's rows: each client's sample
-order is the permutation of the substream (seed, "batches", client_id,
-t_g). :func:`plan_run` writes the keys of every round's streams and seeds
-them before round 0; behind a finite deadline it also takes the channel's
-``(T, K)`` delivery mask there, from one ``netqueue.apply_channel`` call: a
-delay does not depend on training, so a round keeps the uploads its row of
-the mask delivers. One step per shape and run validates: the shape's first
-step, in its first round, runs through the public ``nnet`` API on the
-whole ``(G, b, ·)`` stack, with ``wbar``'s weights broadcast over it. It
-checks the shapes that every step of the shape reuses, in every round, as
-all its clients share n and the batch sizes.
+A run stacks its train and test shards once, grouped by size, with their
+global rows when the center has w0 (:func:`build_split`). Each round
+gathers its cohort from the train split (``Split.gather``); the broadcast
+takes the cohort's u0 from the train split's u0 of the current w0, which
+the last train loss computed (:func:`center_broadcast`); the local phase
+trains each size group as one stack (:func:`client_update`); aggregation
+adds the delivered uploads in upload order; and w0 steps once on their
+rows in id order (:func:`central_update`). Every phase is built once per
+run and replays emitted op lists over buffers it keeps for the run
+(:func:`_group_phase`, :func:`_central_phase`, :func:`_cloud_phase`; see
+``nnet``). :func:`plan_run` writes the keys of every round's streams and
+seeds them before round 0; behind a finite deadline it also takes the
+channel's ``(T, K)`` delivery mask there, from one
+``netqueue.apply_channel`` call: a delay does not depend on training, so a
+round keeps the uploads its row of the mask delivers. A client's sample
+order in round t_g is the permutation of the substream (seed, "batches",
+client_id, t_g) (``datagen.permutations``).
+
 The stacked kernels issue one BLAS call and one reduction per client
 slice, with the slice's own shape, so a client gets the bits it would get
-alone, whether its weights are its row of the buffer or ``wbar``'s own.
-Pooling the rows of different clients into one matrix would not: a BLAS
-kernel rounds the tail rows of an ``(M, 16) @ (16, 1)`` product
-differently as M changes. An upload's ``params`` and vertical gradients are
-views of its client's rows of the run-long buffers: the round uses them up
-in aggregation and the central step, which build the center's nets from
-fresh arrays, before the shape trains again.
-
-Aggregation adds each upload's ``coeff * params`` into one ``(P,)``
-accumulator, in upload order; the central step is a single step and runs
-through the public API, where the uploads enter the center, stepping w0
-with its ``(P,)`` gradient vector. The shards are fixed, so ``_run``
-gathers their global rows, when the center has w0, and stacks the train
-and test splits once per run; each evaluation then runs one stacked
-forward pass per group, in buffers the split keeps for the run, and sums
-each shard over its own slice, adding the shards up in their original
-order.
-
-The pooled phase steps on 2-d views of the pooled shard's one-shard
-stacks, unchecked, as it trains nets it built itself from the config. The
-shard is fixed, so its batches have the same sizes every round, and
-:func:`_cloud_phase` builds the phase once per run: one buffer of
-``wbar``'s and, when the center has it, ``w0``'s parameter vectors, which
-step at the same rate; each batch's input, label and global-row buffers;
-and each batch's step, emitted once as a list of numpy operations over
-those buffers (see ``nnet``): w0's forward pass, whose u0 fills the first
-columns of the input buffer under concat; wbar's step from
-:func:`_step_ops`, which the local phase uses too and which adds u0 to
-wbar's output under additive; and w0's backward pass from the side
-gradient it returns. Each round copies the center's vectors into the
-buffer, fills every batch's rows from the round's pooled order with one
-``np.take`` per field, and replays the lists in batch order every local
-epoch, with one SGD update of both nets' slices after each list at the
-epoch's rate. The round's nets are built from copies of the two slices, so
-no round rewrites a net an earlier round handed to the center.
+alone, and so does a shard's u0 and its evaluation, which adds the shards
+up in their original order. Pooling the rows of different clients into
+one matrix would not: a BLAS kernel rounds the tail rows of an ``(M, 16)
+@ (16, 1)`` product differently as M changes. An upload's ``params`` and
+vertical gradients are views of its client's rows of the run-long
+buffers: the round uses them up in aggregation and the central step,
+which build the center's nets from fresh arrays, before the shape trains
+again.
 
 Each phase checks its results once, when it ends, with one ``isfinite``
 pass over its vectors. The local phase scans each size group's buffer and
@@ -236,7 +193,7 @@ class SizeGroup:
     rows stacked as ``(G, n, d)`` arrays in that order."""
 
     positions: list[int]
-    x_global: np.ndarray | None  # None when the split was built without a store
+    x_global: np.ndarray | None  # None when the split was built without a store, and in a cohort
     x_local: np.ndarray
     y: np.ndarray
 
@@ -267,21 +224,29 @@ class Split:
         per run is evaluated in the same buffers every round."""
         return [({}, {}) for _ in self.groups]
 
+    @functools.cached_property
+    def _u0(self) -> list:
+        """The last w0 that :func:`_center_rows` ran on this split, and its u0."""
+        return [None, None]
+
+    def _locate(self, client_ids: Sequence[int]) -> tuple[int, list[int]]:
+        """The size group that holds the shards of ``client_ids``, all of one
+        size, and their rows in it."""
+        slots = [self._slots[client_id] for client_id in client_ids]
+        return slots[0][1], [row for _, _, row in slots]
+
     def gather(self, client_ids: Sequence[int]) -> Split:
         """The split of the shards of ``client_ids``, in that order, bit for bit
-        :func:`build_split` of those shards and the store this split was built
-        from: each size group takes its rows from this split's group of its
-        size, with one fancy index per field. The client ids must be distinct
-        here, as they are in a dataset's training shards."""
-        slots = [self._slots[client_id] for client_id in client_ids]
-        at = [pos for pos, _, _ in slots]
+        :func:`build_split` of those shards without a store: each size group
+        takes its rows from this split's group of its size, with one fancy
+        index per field. The client ids must be distinct here, as they are in
+        a dataset's training shards."""
+        at = [self._slots[client_id][0] for client_id in client_ids]
         shards = [self.shards[pos] for pos in at]
         groups = []
         for positions in _size_groups(shards):
-            source = self.groups[slots[positions[0]][1]]
-            rows = [slots[pos][2] for pos in positions]
-            x_global = None if source.x_global is None else source.x_global[rows]
-            groups.append(SizeGroup(positions, x_global, source.x_local[rows], source.y[rows]))
+            g, rows = self._locate([shards[pos].client_id for pos in positions])
+            groups.append(SizeGroup(positions, None, self.groups[g].x_local[rows], self.groups[g].y[rows]))
         return Split(shards=tuple(shards), groups=tuple(groups), q=self.q[at], n=self.n[at])
 
 
@@ -398,11 +363,24 @@ def build_split(shards: Sequence[ClientShard], store: GlobalStore | None) -> Spl
     return Split(shards=tuple(shards), groups=tuple(groups), q=q, n=n)
 
 
-def center_broadcast(center: CenterState, cohort: Split) -> list[np.ndarray]:
-    """Per size group of the cohort, the centrally processed rows u0 = w0(x0)
-    as one ``(G, n, u0_dim)`` stack, from one stacked forward pass; the
-    cohort holds its global rows, and the center must hold w0."""
-    return [nnet._output(center.w0, group.x_global) for group in cohort.groups]
+def _center_rows(center: CenterState, split: Split) -> list[np.ndarray]:
+    """w0's output u0 on each size group of the split, as one ``(G, n,
+    u0_dim)`` stack in w0's pool of the group, computed once per w0: nets are
+    immutable, so the stacks stay valid until the split meets another w0."""
+    if split._u0[0] is not center.w0:
+        stacks = [nnet._output(center.w0, g.x_global, pools[0]) for g, pools in zip(split.groups, split._pools)]
+        split._u0[:] = center.w0, stacks
+    return split._u0[1]
+
+
+def center_broadcast(center: CenterState, train: Split, cohort: Split) -> list[np.ndarray]:
+    """Per size group of a cohort gathered from ``train``, the centrally
+    processed rows u0 = w0(x0) as one ``(G, n, u0_dim)`` stack, taken with
+    one ``np.take`` from the train split's u0 (:func:`_center_rows`). The
+    center must hold w0 and ``train`` the global rows."""
+    stacks = _center_rows(center, train)
+    located = (train._locate([cohort.shards[pos].client_id for pos in group.positions]) for group in cohort.groups)
+    return [np.take(stacks[g], rows, 0) for g, rows in located]
 
 
 def _step_ops(
@@ -614,10 +592,10 @@ def aggregate_weights(
 ) -> nnet.DenseNet:
     """Weighted sum of the received parameter vectors, a net of ``wbar``'s layers.
 
-    The coefficient times each upload's vector is added into one ``(P,)``
-    accumulator, one upload at a time in upload order; the sum is
-    elementwise, so each parameter sees the operations a per-layer sum
-    would give it.
+    The vectors times their coefficients fill rows 1.. of a buffer whose
+    row 0 is zeros; a reduction over the leading axis of rows of two or more
+    parameters adds them one by one, so each parameter sees the adds of a
+    loop from +0.0 in upload order, as a per-layer loop would give it.
 
     ``renormalized`` rescales the received coefficients to sum to 1 (a
     convex combination even when uploads were lost); ``paper_unbiased``
@@ -627,18 +605,76 @@ def aggregate_weights(
     """
     if not uploads:
         raise ValueError("cannot aggregate an empty upload set")
+    if any(u.params.shape != wbar.params.shape for u in uploads):
+        raise ValueError("uploaded nets have mismatched shapes")
     if config.aggregator == "renormalized":
         total = sum(u.shard.q for u in uploads)
         coeffs = [u.shard.q / total for u in uploads]
     else:
         coeffs = [(config.n_clients / len(uploads)) * u.shard.q for u in uploads]
-    total = np.zeros_like(wbar.params)
-    for coeff, upload in zip(coeffs, uploads):
-        if upload.params.shape != total.shape:
-            raise ValueError("uploaded nets have mismatched shapes")
-        total += coeff * upload.params
+    terms = np.zeros((len(uploads) + 1, wbar.params.size))
+    np.multiply(np.array(coeffs)[:, None], [u.params for u in uploads], out=terms[1:])
     with _guard("aggregate_weights", t_g, [u.shard.client_id for u in uploads]):
-        return nnet.DenseNet(wbar.layers, total)
+        return nnet.DenseNet(wbar.layers, np.add.reduce(terms, axis=0))
+
+
+# The central step's round function: (w0, the delivered uploads, t_g) -> the stepped w0
+_StepCenter = Callable[[nnet.DenseNet, Sequence[Upload], int], nnet.DenseNet]
+
+
+def _central_phase(
+    config: FederationConfig, w0: nnet.DenseNet, shards: Sequence[ClientShard], store: GlobalStore, most: int
+) -> _StepCenter:
+    """Build the central step over ``shards``, of distinct ids, once per run
+    and return its round function for up to ``most`` uploads a round: w0's
+    step through ``nnet.sgd_step`` on their vertical gradients in ascending
+    id order, the order in which w0's backward pass sums the rows. The ids
+    are sorted and the global rows read here, with buffers for the rows of
+    the ``most`` largest shards; each delivered row count's list is emitted
+    when it first runs, over row slices of those buffers and of the largest
+    count's pool."""
+    ids = np.concatenate([shard.ids for shard in shards])
+    order = np.argsort(ids, kind="stable")
+    repeated = ids[order][1:][np.diff(ids[order]) == 0]
+    if repeated.size:
+        raise ValueError(f"duplicate vertical-gradient row for id {int(repeated[0])}")
+    slots = {shard.client_id: pos for pos, shard in enumerate(shards)}
+    starts = np.cumsum([0, *(shard.n for shard in shards)])
+    owner = np.repeat(np.arange(len(shards)), np.diff(starts))[order]
+    x0_all, vg_all = store.rows(ids), np.empty((len(ids), w0.layers[-1].out_dim))
+    capacity = sum(sorted((shard.n for shard in shards), reverse=True)[:most])
+    x0, vg = np.empty((capacity, x0_all.shape[1])), np.empty((capacity, vg_all.shape[1]))
+    data, grad = np.empty(w0.params.size), np.empty(w0.params.size)
+    layers, grads = w0.kernel_layers(data), w0.views(grad)
+
+    def emit(count: int, pool: dict) -> nnet.Ops:
+        ops: nnet.Ops = []
+        _, trace = nnet._forward_ops(layers, x0[:count], ops, pool)
+        nnet._backward_ops(layers, grads, trace, vg[:count], ops, pool, False)
+        return ops
+
+    pool: dict = {}
+    steps = {capacity: emit(capacity, pool)}
+
+    def step(w0: nnet.DenseNet, uploads: Sequence[Upload], t_g: int) -> nnet.DenseNet:
+        at = [slots[u.shard.client_id] for u in uploads]
+        live = np.zeros(len(shards), dtype=bool)
+        live[at] = True
+        rows = order[live[owner]]
+        for u, pos in zip(uploads, at):
+            vg_all[starts[pos] : starts[pos + 1]] = u.vgrads
+        count = len(rows)
+        np.take(x0_all, rows, 0, x0[:count], "clip")
+        np.take(vg_all, rows, 0, vg[:count], "clip")
+        if count not in steps:
+            # every buffer a row slice of the largest count's
+            steps[count] = emit(count, {(r, (count, *shape[1:])): buf[:count] for (r, shape), buf in pool.items()})
+        data[...] = w0.params
+        nnet._run(steps[count])
+        with _guard("central_update", t_g, [u.shard.client_id for u in uploads]):
+            return nnet.sgd_step(w0, grad, config.eta0.value(t_g))
+
+    return step
 
 
 def central_update(
@@ -647,60 +683,43 @@ def central_update(
     uploads: Sequence[Upload],
     global_store: GlobalStore,
     t_g: int,
+    phase: _StepCenter | None = None,
 ) -> nnet.DenseNet:
     """One SGD step on the global model from the returned vertical gradients.
 
     Each delivered upload carries its shard and the ``(n_j, u0_dim)``
-    gradient rows in shard order. The rows of all clients are
-    ordered by sample id and back-propagated through w0 as the output
-    gradient, which sums the chain rule over every received sample. The
-    step runs through the validating public ``nnet`` API, as the uploads
-    enter the center here.
+    gradient rows in shard order. The rows of all clients are ordered by
+    sample id and back-propagated through w0 as the output gradient, which
+    sums the chain rule over every received sample. A run passes its one
+    central step (:func:`_central_phase`) as ``phase``; without one, this
+    checks the uploads, where they enter the center, and builds a step over
+    their shards and the global rows of ``global_store``.
     """
-    for u in uploads:
-        if u.vgrads.ndim != 2 or u.vgrads.shape[0] != u.shard.n:
-            raise ValueError(
-                f"vertical gradients of client {u.shard.client_id} have shape {u.vgrads.shape}, "
-                f"expected {u.shard.n} rows"
-            )
-    if not uploads:
-        return w0
-    ids = np.concatenate([u.shard.ids for u in uploads])
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    repeated = ids[1:][ids[1:] == ids[:-1]]
-    if repeated.size:
-        raise ValueError(f"duplicate vertical-gradient row for id {int(repeated[0])}")
-    rows = np.concatenate([u.vgrads for u in uploads])[order]
-    x_global = global_store.rows(ids)
-    out, trace = nnet.forward(w0, x_global)
-    if rows.shape != out.shape:
-        raise ValueError(f"vertical gradients have shape {rows.shape}, expected {out.shape}")
-    grad, _ = nnet.backward(w0, trace, rows)
-    # backward fixed the shape, so only the stepped net's finite check can fail
-    with _guard("central_update", t_g, [u.shard.client_id for u in uploads]):
-        return nnet.sgd_step(w0, grad, config.eta0.value(t_g))
+    if uploads and phase is None:
+        for u in uploads:
+            if u.vgrads.shape != (u.shard.n, w0.layers[-1].out_dim):
+                raise ValueError(
+                    f"vertical gradients of client {u.shard.client_id} have shape {u.vgrads.shape}, "
+                    f"expected {(u.shard.n, w0.layers[-1].out_dim)}"
+                )
+        phase = _central_phase(config, w0, [u.shard for u in uploads], global_store, len(uploads))
+    return phase(w0, uploads, t_g) if uploads else w0
 
 
-def _predict(
-    config: FederationConfig,
-    center: CenterState,
-    x_global: np.ndarray | None,
-    x_local: np.ndarray,
-    pools: tuple[dict, dict] | None = None,
-) -> np.ndarray:
-    """Model output y_hat for validated rows, with the unchecked forward pass;
-    ``x_global`` is used iff the center has w0. The rows may carry a leading
-    stack axis. w0's and wbar's passes run in the two buffer pools of
-    ``pools``, or fresh ones, and the result may be a buffer of the second."""
-    pool0, pool = ({}, {}) if pools is None else pools
-    if center.w0 is None:
-        return nnet._output(center.wbar, x_local, pool)
-    u0 = nnet._output(center.w0, x_global, pool0)
-    if config.combine == "concat":
-        inp = nnet._buffer(pool0, ("concat",), (*u0.shape[:-1], u0.shape[-1] + x_local.shape[-1]))
-        return nnet._output(center.wbar, np.concatenate([u0, x_local], axis=-1, out=inp), pool)
-    return u0 + nnet._output(center.wbar, x_local, pool)
+def _residuals(config: FederationConfig, center: CenterState, split: Split) -> Iterator[tuple[SizeGroup, np.ndarray]]:
+    """Each size group of the split and its ``y_hat - y`` stack, from the
+    unchecked forward passes in the group's pools; w0's output is the
+    split's u0 (:func:`_center_rows`)."""
+    u0 = [None] * len(split.groups) if center.w0 is None else _center_rows(center, split)
+    for group, rows, (pool0, pool) in zip(split.groups, u0, split._pools):
+        if rows is None:
+            pred = nnet._output(center.wbar, group.x_local, pool)
+        elif config.combine == "concat":
+            inp = nnet._buffer(pool0, ("concat",), (*rows.shape[:-1], rows.shape[-1] + group.x_local.shape[-1]))
+            pred = nnet._output(center.wbar, np.concatenate([rows, group.x_local], axis=-1, out=inp), pool)
+        else:
+            pred = rows + nnet._output(center.wbar, group.x_local, pool)
+        yield group, pred - group.y
 
 
 def evaluate(config: FederationConfig, center: CenterState, split: Split) -> tuple[float, float]:
@@ -711,8 +730,7 @@ def evaluate(config: FederationConfig, center: CenterState, split: Split) -> tup
         raise ValueError("no samples to evaluate")
     sq = np.empty(len(split.shards))
     ratios = np.empty(len(split.shards))
-    for group, pools in zip(split.groups, split._pools):
-        diff = _predict(config, center, group.x_global, group.x_local, pools) - group.y
+    for group, diff in _residuals(config, center, split):
         sq[group.positions] = np.sum(diff * diff, axis=(1, 2))
         scales = np.maximum(np.linalg.norm(group.y, axis=2), 1e-8)
         ratios[group.positions] = np.sum(np.linalg.norm(diff, axis=2) / scales, axis=1)
@@ -721,10 +739,10 @@ def evaluate(config: FederationConfig, center: CenterState, split: Split) -> tup
 
 
 def weighted_train_loss(config: FederationConfig, center: CenterState, split: Split) -> float:
-    """Global objective: q-weighted sum of per-client mean losses, in shard order."""
+    """Global objective: q-weighted sum of per-client mean losses, in shard
+    order. Its u0 is the one the next round's broadcast takes its rows from."""
     sq = np.empty(len(split.shards))
-    for group, pools in zip(split.groups, split._pools):
-        diff = _predict(config, center, group.x_global, group.x_local, pools) - group.y
+    for group, diff in _residuals(config, center, split):
         sq[group.positions] = np.sum(diff * diff, axis=(1, 2))
     return float(np.add.accumulate(split.q * sq / split.n)[-1])
 
@@ -750,22 +768,22 @@ def _federated_round(
     store: GlobalStore,
     plan: RunPlan,
     phase: dict[tuple[int, ...], _TrainGroup],
+    central: _StepCenter | None,
     t_g: int,
 ) -> int:
     """The planned cohort's broadcast (with w0), local updates in the run's
     local ``phase`` (see :func:`client_update`), the uploads the plan
-    delivers, aggregation and the central step (with w0); returns the number
-    of delivered uploads."""
-    # the cohort is gathered once: the broadcast and the local phase share it
+    delivers, aggregation and the run's ``central`` step (with w0); returns
+    the number of delivered uploads."""
     cohort = train.gather(plan.cohorts[t_g])
-    u0 = None if center.w0 is None else center_broadcast(center, cohort)
+    u0 = None if center.w0 is None else center_broadcast(center, train, cohort)
     uploads = client_update(config, cohort, center.wbar, u0, plan.streams(t_g), t_g, phase)
     # the uploads come in cohort order, the order of the planned deliveries
     uploads = list(itertools.compress(uploads, plan.delivered[t_g]))
     if uploads:
         center.wbar = aggregate_weights(config, center.wbar, uploads, t_g)
         if center.w0 is not None:
-            center.w0 = central_update(config, center.w0, uploads, store, t_g)
+            center.w0 = central_update(config, center.w0, uploads, store, t_g, central)
     return len(uploads)
 
 
@@ -780,18 +798,20 @@ def _cloud_phase(
     stacks ``pooled``, through w0 too when the center has it.
 
     The shard is fixed, so every round cuts batches of the same sizes. This
-    allocates the parameter, gradient and scaled-gradient buffers, each
-    batch's input, label and global-row buffers, the index of the pooled
-    order and both nets' pools, and emits each batch's step once as a list
-    over them: w0's forward pass, wbar's step on its u0 (:func:`_step_ops`)
-    and w0's backward pass from the returned side gradient.
+    allocates the parameter, gradient and scaled-gradient buffers, one
+    run-long stack per field, whose row slices are each batch's input,
+    label and global rows, and both nets' pools, and emits each batch's step
+    once as a list over them: w0's forward pass, wbar's step on its u0
+    (:func:`_step_ops`) and w0's backward pass from the returned side
+    gradient.
 
     A round copies the center's vectors in, draws the pooled order from its
-    stream (``datagen.permutations``) and fills every batch's rows once with
-    ``np.take``, then replays the lists every local epoch, each followed by
-    an SGD update at the epoch's rate. It hands the center nets built from
-    copies of the buffer's slices, so no round rewrites a net an earlier
-    round handed out. Nothing is uploaded: a round returns 0."""
+    stream (``datagen.permutations``) and takes each field once, in that
+    order, into its stack with ``np.take``, then replays the lists every
+    local epoch, each followed by an SGD update at the epoch's rate. It
+    hands the center nets built from copies of the buffer's slices, so no
+    round rewrites a net an earlier round handed out. Nothing is uploaded: a
+    round returns 0."""
     split = center.wbar.params.size
     data = np.empty(split + (0 if center.w0 is None else center.w0.params.size))
     grad, scaled = np.empty_like(data), np.empty_like(data)
@@ -803,24 +823,24 @@ def _cloud_phase(
     # per call than a 2-d one, and a 2-d product goes through np.dot but for
     # w0's on the strided side gradient (nnet._product); np.dot writes
     # np.matmul's bits under every OpenBLAS kernel tests/test_nnet.py forces
-    x_local, x_global, y_all = (None if f is None else f[0] for f in (pooled.x_local, pooled.x_global, pooled.y))
-    index = np.empty(len(y_all), dtype=np.intp)
+    fields = [None if f is None else f[0] for f in (pooled.x_local, pooled.x_global, pooled.y)]
+    n = len(fields[2])
+    # under concat u0 fills the input's first columns, the local rows the rest;
+    # a batch's rows are C-contiguous row slices of these
+    inputs = np.empty((n, width + fields[0].shape[1]))
+    x0s, ys = (None if f is None else np.empty(f.shape) for f in fields[1:])
+    stacks = [inputs[:, width:], x0s, ys]
     # each net's buffers, shared by the batches of one size: a list runs whole
     # before the next one starts
     pool, pool0 = {}, {}
-    fill: nnet.Ops = []
     batch_ops: list[nnet.Ops] = []
-    for start in range(0, len(index), config.batch_size):
-        rows = index[start : start + config.batch_size]
-        # under concat u0 fills the input's first columns, the local rows the rest
-        inp, y = np.empty((len(rows), width + x_local.shape[1])), np.empty((len(rows), y_all.shape[1]))
-        fill += ((np.take, (x_local, rows, 0, inp[:, width:])), (np.take, (y_all, rows, 0, y)))
+    for start in range(0, n, config.batch_size):
+        cut = slice(start, start + config.batch_size)
+        inp, y = inputs[cut], ys[cut]
         ops: nnet.Ops = []
         u0 = None
         if center.w0 is not None:
-            x0 = np.empty((len(rows), x_global.shape[1]))
-            fill.append((np.take, (x_global, rows, 0, x0)))
-            u0, trace0 = nnet._forward_ops(w0, x0, ops, pool0)
+            u0, trace0 = nnet._forward_ops(w0, x0s[cut], ops, pool0)
         if width:
             ops.append((np.copyto, (inp[:, :width], u0)))
         side_grad = _step_ops(wbar, wbar_grads, inp, None if width else u0, y, width, ops, pool)
@@ -830,8 +850,10 @@ def _cloud_phase(
 
     def train_round(t_g: int) -> int:
         np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None], out=data)
-        index[...] = permutations(plan.streams(t_g), len(index))[0]
-        nnet._run(fill)
+        order = permutations(plan.streams(t_g), n)[0]
+        for field, stack in zip(fields, stacks):
+            if stack is not None:
+                np.take(field, order, 0, stack, "clip")
         # each rate as a 0-d array, as 2/b in _step_ops and nnet._ONE
         for eta_t in map(np.array, config.local_etas(t_g)):
             for ops in batch_ops:
@@ -874,8 +896,9 @@ def _run(
         (pooled,) = build_split([_pooled(dataset)], eval_store).groups
         train_round = _cloud_phase(config, center, pooled, plan)
     else:
-        # the local phase, filled as size-group shapes first train
-        train_round = functools.partial(_federated_round, config, center, train_split, store, plan, {})
+        # the local phase, filled as size-group shapes first train, and the central step
+        central = None if center.w0 is None else _central_phase(config, center.w0, dataset.clients, store, config.k)
+        train_round = functools.partial(_federated_round, config, center, train_split, store, plan, {}, central)
     trace: list[TraceRow] = []
     for t_g in range(config.global_epochs):
         # a diverging phase ends in its guard, not in numpy warnings

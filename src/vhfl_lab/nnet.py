@@ -51,9 +51,9 @@ meet: under concat w0's backward pass starts from the side gradient
 ``input_grad[..., :width]``, a strided view. np.matmul passes its transpose
 to BLAS in place, np.dot multiplies a row-major copy, and the kernels round
 the two calls differently, so the products on that view stay on np.matmul.
-The two agree on contiguous operands under the SkylakeX kernel and under
-``OPENBLAS_CORETYPE`` Haswell, Zen and Prescott, which ``tests/test_nnet.py``
-checks in child processes.
+The two agree on contiguous operands under the SkylakeX, Haswell and
+Katmai kernels, the last two forced in child processes by
+``tests/test_nnet.py``.
 
 The kernels also step a stack of G nets at once: batches of shape
 ``(G, b, in)``, weights ``(G, out, in)`` and biases ``(G, out)``, or one

@@ -1,0 +1,75 @@
+"""The in-process A/B tool's comparison and summary (``tools/ab_pair.py``),
+on toy output trees and toy times, not on a benchmark run."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("ab_pair", ROOT / "tools" / "ab_pair.py")
+ab_pair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab_pair)
+
+
+def write_tree(root: Path, files: dict[str, bytes]) -> Path:
+    for name, body in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(body)
+    return root
+
+
+TREE = {
+    "c0/trace_vhfl_seed1.csv": b"epoch,train_mse\n0,0.5\n",
+    "c0/summary.csv": b"mode\nvhfl\n",
+    "c1/gamma.csv": b"1\n",
+}
+
+
+def test_trees_that_differ_only_in_resolved_config_are_the_same(tmp_path):
+    a = write_tree(tmp_path / "a", {**TREE, "c0/resolved_config.json": b'{"out_dir": "a/c0"}'})
+    b = write_tree(tmp_path / "b", {**TREE, "c0/resolved_config.json": b'{"out_dir": "b/c0"}'})
+    assert ab_pair.same_artifacts(a, b)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"c0/summary.csv": b"mode\nhfl\n"},  # one byte differs
+        {"c1/extra.csv": b""},  # one side writes a file more
+    ],
+    ids=["bytes", "extra_file"],
+)
+def test_trees_that_differ_in_an_artifact_are_not_the_same(tmp_path, change):
+    a = write_tree(tmp_path / "a", TREE)
+    b = write_tree(tmp_path / "b", {**TREE, **change})
+    assert not ab_pair.same_artifacts(a, b)
+    assert not ab_pair.same_artifacts(b, a)
+
+
+def test_a_file_in_another_directory_is_another_artifact(tmp_path):
+    a = write_tree(tmp_path / "a", TREE)
+    moved = {("c2/gamma.csv" if name == "c1/gamma.csv" else name): body for name, body in TREE.items()}
+    assert not ab_pair.same_artifacts(a, write_tree(tmp_path / "b", moved))
+
+
+def test_summary_reads_medians_pair_ratios_and_wins():
+    times_a = [1.0, 2.0, 4.0, 1.0]
+    times_b = [0.5, 2.0, 3.0, 1.5]  # ratios 0.5, 1.0 (a tie), 0.75, 1.5
+    summary = ab_pair.summarize(times_a, times_b)
+    assert summary == {
+        "median_a_s": 1.5,
+        "median_b_s": 1.75,
+        "median_ratio": 0.875,
+        "a_won": 1,
+        "b_won": 2,
+        "pairs": 4,
+    }
+
+
+def test_summary_needs_one_time_per_side_and_pair():
+    with pytest.raises(ValueError):
+        ab_pair.summarize([1.0, 2.0], [1.0])

@@ -267,20 +267,21 @@ def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
 @given(st.permutations(range(8)), st.integers(1, 8), st.booleans())
 def test_gathered_cohort_is_the_stacked_cohort(order, k, with_store):
     """A cohort gathered from the run's train split is, stack for stack,
-    the cohort stacked from its own shards."""
+    the cohort stacked from its own shards, without their global rows
+    whether or not the train split holds them: the broadcast takes u0 from
+    the train split."""
     ds = UNEQUAL
-    store = ds.global_store if with_store else None
-    train = fedcore.build_split(ds.clients, store)
+    train = fedcore.build_split(ds.clients, ds.global_store if with_store else None)
     shards = [ds.clients[j] for j in order[:k]]
     got = train.gather([shard.client_id for shard in shards])
-    want = fedcore.build_split(shards, store)
+    want = fedcore.build_split(shards, None)
     assert all(a is b for a, b in zip(got.shards, want.shards, strict=True))
     assert len(got.groups) == len(want.groups)
     for a, b in zip(got.groups, want.groups):
         assert a.positions == b.positions
         for field in ("x_global", "x_local", "y"):
             x, y = getattr(a, field), getattr(b, field)
-            assert (x is None) == (y is None) == (field == "x_global" and store is None)
+            assert (x is None) == (y is None) == (field == "x_global")
             assert x is None or (x.dtype == y.dtype and x.flags.c_contiguous and np.array_equal(x, y))
     assert np.array_equal(got.q, want.q) and got.q.dtype == want.q.dtype
     assert np.array_equal(got.n, want.n) and got.n.dtype == want.n.dtype
@@ -296,7 +297,7 @@ def test_broadcast_identity_center():
         wbar=net_of(zero_layer(7, 2)),
     )
     cohort = fedcore.build_split(ds.clients[:2], ds.global_store)
-    tables = by_client(cohort, center_broadcast(center, cohort))
+    tables = by_client(cohort, center_broadcast(center, cohort, cohort))
     for shard in ds.clients[:2]:
         assert np.array_equal(tables[shard.client_id], ds.global_store.rows(shard.ids))
 
@@ -309,7 +310,7 @@ def test_broadcast_matches_per_sample_forward():
         wbar=net_of(zero_layer(7, 2)),
     )
     cohort = fedcore.build_split(ds.clients, ds.global_store)
-    stacks = center_broadcast(center, cohort)
+    stacks = center_broadcast(center, cohort, cohort)
     # one (G, n, u0_dim) stack per size group
     assert [stack.shape for stack in stacks] == [
         (len(group.positions), group.x_local.shape[1], 3) for group in cohort.groups
@@ -537,6 +538,49 @@ def test_aggregate_is_permutation_invariant(problem, aggregator):
     assert nets_equal(a, b, atol=1e-12)
 
 
+def scaled_uploads(fed, uploads) -> list[np.ndarray]:
+    """Each upload's vector times its aggregation coefficient."""
+    qs = [u.shard.q for u in uploads]
+    if fed.aggregator == "renormalized":
+        coeffs = [q / sum(qs) for q in qs]
+    else:
+        coeffs = [fed.n_clients / len(qs) * q for q in qs]
+    return [coeff * u.params for coeff, u in zip(coeffs, uploads)]
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (3, 4, 2)], ids=["two_params", "wide"])
+@pytest.mark.parametrize("aggregator", fedcore.AGGREGATORS)
+def test_aggregate_adds_the_uploads_in_upload_order(dims, aggregator):
+    """Eleven uploads whose vectors span eight orders of magnitude, on the
+    smallest net and a wider one: the aggregate has the bits of a loop that
+    adds them into zeros in upload order, and the data tells that loop from
+    a pairwise sum."""
+    rng = substream(24, "agg-order")
+    nets = [
+        net_of(*((scale * rng.standard_normal((o, i)), scale * rng.standard_normal(o)) for i, o in zip(dims, dims[1:])))
+        for scale in 10.0 ** rng.uniform(-4.0, 4.0, size=11)
+    ]
+    uploads = weight_uploads(rng.uniform(0.1, 1.0, size=11), nets)
+    fed = dataclasses.replace(FED, aggregator=aggregator)
+    terms = scaled_uploads(fed, uploads)
+    loop = np.zeros_like(nets[0].params)
+    for term in terms:
+        loop += term
+    assert aggregate_weights(fed, nets[0], uploads, 0).params.tobytes() == loop.tobytes()
+    # np.add.reduce over one contiguous row of terms adds pairwise
+    pairwise = np.add.reduce(np.array(terms).T.copy(), axis=1)
+    assert pairwise.tobytes() != loop.tobytes()
+
+
+def test_aggregate_starts_from_plus_zero():
+    """Every upload holds -0.0 in its first parameter: a sum from +0.0, as
+    the loop's, gives +0.0 there, where a sum of the terms alone keeps
+    -0.0."""
+    nets = [net_of((np.array([[-0.0]]), np.array([q]))) for q in (1.0, 2.0, 3.0)]
+    out = aggregate_weights(FED, nets[0], weight_uploads([0.2, 0.3, 0.5], nets), 0)
+    assert out.params[0] == 0.0 and not np.signbit(out.params[0])
+
+
 # ----------------------------------------------------------- central update
 
 
@@ -574,7 +618,7 @@ def test_central_update_matches_finite_differences_of_composed_loss():
     wbar = nnet.random_net([3 + 4, 8, 2], ["tanh", "identity"], rng)
     center = CenterState(w0=w0, wbar=wbar)
     cohort = fedcore.build_split(ds.clients, ds.global_store)
-    tables = center_broadcast(center, cohort)
+    tables = center_broadcast(center, cohort, cohort)
     eta0 = 1e-2
     fed = dataclasses.replace(
         FED, n_clients=2, k=2, local_epochs=1, batch_size=10_000, eta0=Schedule("constant", eta0)
@@ -604,6 +648,18 @@ def test_central_update_matches_finite_differences_of_composed_loss():
         assert np.max(rel) < 1e-3
 
 
+@pytest.mark.parametrize("rows, cols", [(2, 3), (1, 2)], ids=["rows", "columns"])
+def test_central_update_rejects_vertical_gradients_of_another_shape(rows, cols):
+    """A fresh central step checks each upload's rows against its shard and
+    w0's output width, naming the client."""
+    w0 = net_of((np.eye(3), np.zeros(3)))
+    store = GlobalStore(np.array([1]), np.ones((1, 3)))
+    upload = Upload(one_row_shard(1), STUB_PARAMS, np.ones((rows, cols)))
+    named = rf"^vertical gradients of client 1 have shape \({rows}, {cols}\), expected \(1, 3\)$"
+    with pytest.raises(ValueError, match=named):
+        central_update(FED, w0, [upload], store, 0)
+
+
 def test_central_update_rejects_duplicate_ids():
     w0 = net_of((np.eye(2), np.zeros(2)))
     store = GlobalStore(np.array([1]), np.ones((1, 2)))
@@ -628,9 +684,9 @@ def central_steps(monkeypatch) -> list[int]:
     epochs: list[int] = []
     step = fedcore.central_update
 
-    def counted(config, w0, uploads, store, t_g):
+    def counted(config, w0, uploads, store, t_g, phase):
         epochs.append(t_g)
-        return step(config, w0, uploads, store, t_g)
+        return step(config, w0, uploads, store, t_g, phase)
 
     monkeypatch.setattr(fedcore, "central_update", counted)
     return epochs
@@ -649,7 +705,7 @@ def test_run_vhfl_collapses_to_hfl_with_frozen_zero_center(monkeypatch):
     ds = generate(synth)
     fed = dataclasses.replace(FED, combine="additive", u0_dim=2, k=4, global_epochs=8)
     # a frozen center: the central step hands w0 back unchanged
-    monkeypatch.setattr(fedcore, "central_update", lambda config, w0, uploads, store, t_g: w0)
+    monkeypatch.setattr(fedcore, "central_update", lambda config, w0, uploads, store, t_g, phase: w0)
     w0 = net_of(zero_layer(3, 8, "tanh"), zero_layer(8, 2))
     wbar = nnet.random_net([4, 12, 2], ["tanh", "identity"], substream(FED.seed, "init", "wbar"))
     _, vhfl_trace = fedcore._run(fed, ds, CenterState(w0=w0, wbar=wbar), pooled=False)
@@ -821,9 +877,11 @@ def test_predict_and_evaluate_perfect_model():
     w0 = net_of((np.eye(2), np.zeros(2)))
     wbar = nnet.random_net([5, 2], ["identity"], substream(14, "ev"))
     center = CenterState(w0=w0, wbar=wbar)
-    y = fedcore._predict(FED, center, x0, xl)
-    shard = ClientShard(0, ids, xl, y, 1.0)
     store = GlobalStore(ids, x0)
+    # the predictions, as residuals against zero labels
+    zero_labels = fedcore.build_split([ClientShard(0, ids, xl, np.zeros((6, 2)), 1.0)], store)
+    ((_, y),) = fedcore._residuals(FED, center, zero_labels)
+    shard = ClientShard(0, ids, xl, y[0], 1.0)
     mse, ratio = evaluate(FED, center, fedcore.build_split([shard], store))
     assert mse == 0.0
     assert ratio == 0.0
@@ -852,14 +910,10 @@ def test_evaluate_equals_mean_of_per_sample_losses():
     mse, _ = evaluate(FED, center, split)
     losses = []
     for shard in ds.test_clients:
-        for k, sample_id in enumerate(shard.ids):
-            pred = fedcore._predict(
-                FED,
-                center,
-                ds.global_store.rows([sample_id]),
-                shard.x_local[k : k + 1],
-            )
-            losses.append(float(np.sum((pred[0] - shard.y[k]) ** 2)))
+        for k in range(shard.n):
+            one = slice(k, k + 1)
+            row = ClientShard(shard.client_id, shard.ids[one], shard.x_local[one], shard.y[one], 1.0)
+            losses.append(float(np.sum(reference_residuals(FED, center, row, ds.global_store) ** 2)))
     assert abs(mse - float(np.mean(losses))) < 1e-12
 
 
@@ -934,7 +988,7 @@ def test_grouped_evaluation_matches_per_shard_reference(combine):
     loss = fedcore.weighted_train_loss(fed, center, split)
     assert loss == reference_train_loss(fed, center, shards, store)
     if combine is not None:
-        stacks = center_broadcast(center, split)
+        stacks = center_broadcast(center, split, split)
         assert len(stacks) == len(split.groups)
         u0 = by_client(split, stacks)
         for shard in shards:

@@ -16,7 +16,10 @@ fresh local phase every round; that a 2-d product enters numpy through
 np.dot where its operands are contiguous, and through np.matmul on stacks
 and on the side gradient's strided view, with the bits of a reference
 written with ``@``; that a list is emitted only where it runs, and only
-once a run; that the caller's arrays are never written; and that
+once a run; that the broadcast's u0, taken from the train split, and the
+run-long central step, on rows in id order in buffers shared by every
+delivered count, get the bits of fresh public passes; that the caller's
+arrays are never written; and that
 a diverging phase is reported by name, the reused buffers carrying its
 non-finite values to the guard.
 """
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +38,8 @@ from hypothesis import strategies as st
 
 from cohorts import cohort_of, update
 from nets import allocating_backward, allocating_forward, arrays, net_of
-from vhfl_lab import fedcore, nnet
+from reference import interleaved_dataset, reference_client_update, shuffled_batches
+from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, GlobalStore, SynthConfig, generate
 from vhfl_lab.fedcore import (
     CenterState,
@@ -92,51 +98,6 @@ def unchanged(net: nnet.DenseNet, snap: np.ndarray) -> bool:
 
 
 # ------------------------------------------------- bit-exact client update
-
-
-def shuffled_batches(seed, client_id, t_g, n, batch_size):
-    """The row positions of each mini-batch of an n-row shard in round t_g:
-    the permutation of the substream (seed, "batches", client_id, t_g), cut
-    into batches with the short tail kept."""
-    order = substream(seed, "batches", client_id, t_g).permutation(n)
-    return [order[start : start + batch_size] for start in range(0, n, batch_size)]
-
-
-def reference_client_update(fed, shard, wbar, u0, global_epoch):
-    """One client's local SGD as a plain loop over the public nnet functions,
-    with the vertical gradients accumulated per sample in an id-keyed dict."""
-    table = None if u0 is None else {int(i): u0[k] for k, i in enumerate(shard.ids)}
-    net = wbar
-    batch_list = shuffled_batches(fed.seed, shard.client_id, global_epoch, shard.n, fed.batch_size)
-    vgrad_sum: dict[int, np.ndarray] = {}
-    for epoch in range(fed.local_epochs):
-        for idx in batch_list:
-            ids, x, y = shard.ids[idx], shard.x_local[idx], shard.y[idx]
-            side = None if table is None else np.vstack([table[int(i)] for i in ids])
-            if side is None:
-                out, trace = nnet.forward(net, x)
-                _, lgrad = nnet.mse_loss(out, y)
-                grad, _ = nnet.backward(net, trace, lgrad)
-                side_grad = None
-            elif fed.combine == "concat":
-                out, trace = nnet.forward(net, np.hstack([side, x]))
-                _, lgrad = nnet.mse_loss(out, y)
-                grad, input_grad = nnet.backward(net, trace, lgrad, want_input_grad=True)
-                side_grad = input_grad[:, : side.shape[1]]
-            else:
-                out, trace = nnet.forward(net, x)
-                _, lgrad = nnet.mse_loss(side + out, y)
-                grad, _ = nnet.backward(net, trace, lgrad)
-                side_grad = lgrad
-            if side_grad is not None:
-                scale = ids.shape[0] / shard.n
-                for k, sample_id in enumerate(ids):
-                    key = int(sample_id)
-                    row = side_grad[k] * scale
-                    vgrad_sum[key] = vgrad_sum[key] + row if key in vgrad_sum else row
-            net = nnet.sgd_step(net, grad, fed.eta.value(global_epoch * fed.local_epochs + epoch))
-    vgrads = {key: row / fed.local_epochs for key, row in vgrad_sum.items()}
-    return net, vgrads
 
 
 @st.composite
@@ -569,6 +530,122 @@ def test_run_long_local_phase_builds_each_shape_once_per_run(local_epochs, monke
     assert calls == {"mse_loss": len(rounds), "batches": sum(len(r) for r in shapes)}
 
 
+# --------------------------------------------- broadcast and central step
+
+# shards of five sizes whose ids interleave, so a cohort's rows in cohort
+# order are not in id order and most cohorts span several size groups
+INTERLEAVED = interleaved_dataset((5, 9, 2, 5, 7, 9, 3), (2,) * 7, 3, 2, 2, 4)
+LOSSY = netqueue.ChannelModel(2.0, 0.5, 0.5, 8.0, 2.0, t_p=0.5, seed=2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(1, 6), min_size=2, max_size=6),
+    st.sampled_from(fedcore.COMBINES),
+    st.sampled_from((0.02, 0.5, math.inf)),
+    st.integers(0, 2**16),
+)
+def test_broadcast_u0_is_a_fresh_pass_over_the_cohorts_global_rows(sizes, combine, t_p, seed):
+    """Every round's broadcast, whether it computes the train split's u0 or
+    takes the one the last train loss left, equals w0's pass over the
+    cohort's own global rows, stacked per size group; a short deadline makes
+    rounds that deliver nothing, after which w0 and its u0 are unchanged."""
+    ds = interleaved_dataset(sizes, (1,) * len(sizes), 2, 3, 2, seed)
+    fed = dataclasses.replace(
+        FED,
+        n_clients=len(sizes),
+        k=1 + seed % len(sizes),
+        global_epochs=4,
+        combine=combine,
+        u0_dim=2,
+        deadline_channel=dataclasses.replace(LOSSY, t_p=t_p, seed=seed),
+    )
+    calls = []
+    broadcast = fedcore.center_broadcast
+
+    def recorded(center, train, cohort):
+        stacks = broadcast(center, train, cohort)
+        calls.append((center.w0, cohort.shards, [stack.copy() for stack in stacks]))
+        return stacks
+
+    with mock.patch.object(fedcore, "center_broadcast", recorded):
+        fedcore.run_vhfl(fed, ds)
+    assert len(calls) == fed.global_epochs
+    for w0, shards, stacks in calls:
+        want = [nnet._output(w0, group.x_global) for group in fedcore.build_split(shards, ds.global_store).groups]
+        assert len(stacks) == len(want) and all(same_bits(a, b) for a, b in zip(stacks, want))
+
+
+def public_central_step(fed, w0, uploads, store, t_g):
+    """The central step through the public API on the uploads' rows sorted by id."""
+    rows = sorted(((int(i), row) for u in uploads for i, row in zip(u.shard.ids, u.vgrads)), key=lambda r: r[0])
+    _, trace = nnet.forward(w0, store.rows([i for i, _ in rows]))
+    grad, _ = nnet.backward(w0, trace, np.vstack([row for _, row in rows]))
+    return nnet.sgd_step(w0, grad, fed.eta0.value(t_g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.booleans(), min_size=7, max_size=7).filter(any), min_size=1, max_size=5),
+    st.sampled_from(((), (5,), (5, 3))),
+    st.sampled_from(nnet.ACTIVATIONS),
+    st.integers(0, 2**16),
+)
+def test_run_long_central_step_matches_the_public_step_bit_for_bit(rounds, hidden, act, seed):
+    """One central step per run, over the train split, steps w0 as the public
+    forward/backward/sgd_step do on the delivered rows sorted by id, round
+    after round with different delivered counts, on shards whose ids
+    interleave; so does a fresh step built from the uploads."""
+    rng = substream(seed, "central")
+    ds = INTERLEAVED
+    fed = dataclasses.replace(FED, n_clients=7, k=7, u0_dim=2, eta0=Schedule("inverse", 0.5, t0=1.0))
+    w0 = nnet.random_net([2, *hidden, 2], [act] * len(hidden) + ["identity"], rng)
+    phase = fedcore._central_phase(fed, w0, ds.clients, ds.global_store, fed.k)
+    for t_g, delivered in enumerate(rounds):
+        uploads = [
+            Upload(shard, w0.params, rng.standard_normal((shard.n, 2)))
+            for shard, kept in zip(ds.clients, delivered)
+            if kept
+        ]
+        want = public_central_step(fed, w0, uploads, ds.global_store, t_g)
+        assert nets_same_bits(central_update(fed, w0, uploads, ds.global_store, t_g, phase), want)
+        assert nets_same_bits(central_update(fed, w0, uploads, ds.global_store, t_g), want)
+        w0 = want
+
+
+def test_central_step_allocates_its_buffers_once_per_run():
+    """A run builds one central step, and no step of any delivered count
+    allocates a buffer: every count's lists run on row slices of the
+    buffers the step allocated for the largest count."""
+    fed = dataclasses.replace(FED, n_clients=7, k=4, u0_dim=2, global_epochs=12, deadline_channel=LOSSY)
+    allocated, built, counts = [], [], []
+    buffer, phase = nnet._buffer, fedcore._central_phase
+
+    def counting_buffer(pool, role, shape):
+        if (role, shape) not in pool:
+            allocated.append((role, shape))
+        return buffer(pool, role, shape)
+
+    def recording_phase(*args):
+        step = phase(*args)
+        built.append(args)
+
+        def recorded(w0, uploads, t_g):
+            before = len(allocated)
+            stepped = step(w0, uploads, t_g)
+            assert len(allocated) == before
+            counts.append(sum(u.shard.n for u in uploads))
+            return stepped
+
+        return recorded
+
+    with mock.patch.object(nnet, "_buffer", counting_buffer):
+        with mock.patch.object(fedcore, "_central_phase", recording_phase):
+            fedcore.run_vhfl(fed, INTERLEAVED)
+    assert len(built) == 1
+    assert len(set(counts)) >= 3
+
+
 # --------------------------------------------------------------- no aliasing
 
 
@@ -580,7 +657,7 @@ def test_client_and_central_update_leave_caller_arrays_unchanged():
     center = CenterState(w0=w0, wbar=wbar)
     w0_snap, wbar_snap = snapshot(w0), snapshot(wbar)
     cohort = fedcore.build_split(ds.clients, ds.global_store)
-    u0 = center_broadcast(center, cohort)
+    u0 = center_broadcast(center, cohort, cohort)
     u0_snap = [rows.copy() for rows in u0]
     cohort_snap = [(group.x_local.copy(), group.y.copy()) for group in cohort.groups]
     fed = dataclasses.replace(
