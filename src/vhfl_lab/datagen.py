@@ -7,6 +7,14 @@ global features plus Gaussian noise, so the usefulness of the central
 observation is a controllable knob. Client feature distributions can be
 mean-shifted to control how non-identical the shards are, and the
 divergence of client gradients is measured by ``estimate_lambda``.
+
+``generate`` builds a dataset in whole-array passes: one seeding pass for
+all client streams, each client's draws in its stream order into
+``(N, n, d)`` stacks, one pass of the truth maps over the stacks and one
+gather per field for the splits. Its bits are those of a loop that builds
+each client alone, as ``tests/test_datagen.py`` checks; the stacked map
+products give them under every OpenBLAS kernel ``tests/test_nnet.py``
+forces (SkylakeX, Haswell, Katmai).
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import substream
+from .rng import generators, seed_states, substream
 
 TRUTH_HIDDEN = 16
 
@@ -51,8 +59,12 @@ class SynthConfig:
 
 
 def _has_repeats(ids: np.ndarray) -> bool:
+    """Whether the 1-d ``ids`` hold a value twice; strictly increasing ids,
+    as generated shards hold, need no sort."""
+    if (ids[1:] > ids[:-1]).all():
+        return False
     ids = np.sort(ids, kind="stable")
-    return bool(np.any(ids[1:] == ids[:-1]))
+    return bool((ids[1:] == ids[:-1]).any())
 
 
 class GlobalStore:
@@ -61,9 +73,11 @@ class GlobalStore:
     def __init__(self, ids: Sequence[int], features: np.ndarray) -> None:
         self._ids = np.asarray(ids, dtype=np.int64)
         self._features = np.asarray(features, dtype=np.float64)
+        if self._ids.ndim != 1:
+            raise ValueError(f"global store ids must be 1-d, got shape {self._ids.shape}")
         if self._features.ndim != 2 or self._features.shape[0] != self._ids.shape[0]:
             raise ValueError("features must be one row per id")
-        if not np.all(np.isfinite(self._features)):
+        if not np.isfinite(self._features).all():
             raise ValueError("global features must be finite")
         # sorted ids and their row positions, for lookups with one searchsorted
         self._order = np.argsort(self._ids, kind="stable")
@@ -114,12 +128,14 @@ class ClientShard:
         for name in ("ids", "x_local", "y"):
             if np.ndim(getattr(self, name)) == 0:
                 raise ValueError(f"client {self.client_id} has 0-d {name}, which holds no rows")
+        if np.ndim(self.ids) != 1:
+            raise ValueError(f"client {self.client_id} has ids of shape {np.shape(self.ids)}; ids must be 1-d")
         if not (len(self.ids) == self.x_local.shape[0] == self.y.shape[0]):
             raise ValueError(f"client {self.client_id} has ids, features and labels of unequal row counts")
         if _has_repeats(self.ids):
             raise ValueError(f"duplicate ids within client {self.client_id}")
         # training reads these rows unchecked, so they are checked here, once
-        if not (np.all(np.isfinite(self.x_local)) and np.all(np.isfinite(self.y))):
+        if not (np.isfinite(self.x_local).all() and np.isfinite(self.y).all()):
             raise ValueError(f"client {self.client_id} has non-finite features or labels")
 
     @property
@@ -202,39 +218,46 @@ def truth_maps(config: SynthConfig) -> tuple[FeatureMap, FeatureMap]:
 
 
 def generate(config: SynthConfig) -> FederationDataset:
-    """Generate a seeded federation dataset with an 80/20 train/test split by id."""
+    """Generate a seeded federation dataset with an 80/20 train/test split by id.
+
+    Client j holds ids j*n to (j+1)*n - 1 and draws from its stream (seed,
+    "client", j), in this order: its ``(n, d_local)`` local features; under
+    a non-iid shift, a direction, scaled to unit ``np.linalg.norm``, whose
+    ``noniid_shift`` multiple moves them; its ``(n, d_global)`` global
+    features; its ``(n, d_label)`` noise, scaled by ``noise_std``; and the
+    permutation of its rows whose first ``round(0.8 n)`` train. Each split
+    holds its rows in id order, and its shards are views of the split's
+    ``(N, rows, d)`` stacks.
+    """
     g_map, h_map = truth_maps(config)
-    n = config.samples_per_client
-
-    all_ids: list[np.ndarray] = []
-    all_global: list[np.ndarray] = []
-    clients: list[ClientShard] = []
-    test_clients: list[ClientShard] = []
-    # every client trains on the same number of rows, so each weighs 1/N
-    q = 1.0 / config.n_clients
-    for j in range(config.n_clients):
-        ids = np.arange(j * n, (j + 1) * n, dtype=np.int64)
-
-        rng = substream(config.seed, "client", j)
-        x_local = rng.standard_normal((n, config.d_local))
+    count, n = config.n_clients, config.samples_per_client
+    rngs = generators(seed_states([(config.seed, "client", j) for j in range(count)]))
+    x_local, x_global, noise = (np.empty((count, n, d)) for d in (config.d_local, config.d_global, config.d_label))
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=x_local[j])
         if config.noniid_shift > 0.0:
             direction = rng.standard_normal(config.d_local)
             direction /= np.linalg.norm(direction)
-            x_local += config.noniid_shift * direction
-        x_global = rng.standard_normal((n, config.d_global))
-        noise = rng.standard_normal((n, config.d_label)) * config.noise_std
-        y = g_map(x_local) + config.global_strength * h_map(x_global) + noise
+            x_local[j] += config.noniid_shift * direction
+        rng.standard_normal(out=x_global[j])
+        rng.standard_normal(out=noise[j])
+    order = permutations(rngs, n)
+    y = g_map(x_local) + config.global_strength * h_map(x_global) + noise * config.noise_std
 
-        n_train = int(round(0.8 * n))
-        perm = rng.permutation(n)
-        for split, idx in ((clients, perm[:n_train]), (test_clients, perm[n_train:])):
-            idx = np.sort(idx)
-            split.append(ClientShard(client_id=j, ids=ids[idx], x_local=x_local[idx], y=y[idx], q=q))
-        all_ids.append(ids)
-        all_global.append(x_global)
-
-    store = GlobalStore(np.concatenate(all_ids), np.vstack(all_global))
-    return FederationDataset(clients=tuple(clients), test_clients=tuple(test_clients), global_store=store)
+    # each split's rows in id order
+    n_train = int(round(0.8 * n))
+    order[:, :n_train].sort()
+    order[:, n_train:].sort()
+    ids = order + n * np.arange(count)[:, None]
+    x_local, y = (np.take_along_axis(f, order[..., None], axis=1) for f in (x_local, y))
+    # every client trains on the same number of rows, so each weighs 1/N
+    q = 1.0 / count
+    clients, test_clients = (
+        tuple(ClientShard(j, ids[j, rows], x_local[j, rows], y[j, rows], q) for j in range(count))
+        for rows in (slice(n_train), slice(n_train, n))
+    )
+    store = GlobalStore(np.arange(count * n), x_global.reshape(count * n, config.d_global))
+    return FederationDataset(clients=clients, test_clients=test_clients, global_store=store)
 
 
 def estimate_lambda(
@@ -271,8 +294,12 @@ def estimate_lambda(
 
 def permutations(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
     """The ``(G, n)`` index of G shuffled orders of n rows: row g is generator
-    g's permutation of the rows. Every training phase shuffles here."""
-    return np.stack([rng.permutation(n) for rng in rngs])
+    g's permutation of the rows, ``arange(n)`` shuffled in place, as
+    ``Generator.permutation(n)`` draws it. Every training phase shuffles here."""
+    orders = np.repeat(np.arange(n)[None], len(rngs), axis=0)
+    for rng, row in zip(rngs, orders):
+        rng.shuffle(row)
+    return orders
 
 
 def batches(

@@ -347,14 +347,17 @@ def _size_groups(shards: Sequence[ClientShard]) -> list[list[int]]:
 def build_split(shards: Sequence[ClientShard], store: GlobalStore | None) -> Split:
     """Stack the shards by size, for training and for :func:`evaluate` and
     :func:`weighted_train_loss`, with each shard's global rows read from
-    ``store``; it is None for a center without w0, and the split holds none."""
+    ``store``; it is None for a center without w0, and the split holds none.
+    A size group reads its global rows in one ``store.rows`` call."""
     groups = []
     for positions in _size_groups(shards):
         members = [shards[pos] for pos in positions]
+        # the explicit shape holds for 0-row shards too, where -1 is ambiguous
+        shape = (len(members), members[0].n, None if store is None else store.dim)
         groups.append(
             SizeGroup(
                 positions=positions,
-                x_global=None if store is None else np.stack([store.rows(s.ids) for s in members]),
+                x_global=None if store is None else store.rows(np.concatenate([s.ids for s in members])).reshape(shape),
                 x_local=np.stack([shard.x_local for shard in members]),
                 y=np.stack([shard.y for shard in members]),
             )

@@ -191,11 +191,14 @@ def sample_sojourn(analysis: QueueAnalysis, rngs: Sequence[np.random.Generator])
     Proposals come from the dominant exponential Exp(-s1); the envelope
     constant is max(W(0)/(-s1), a/(-s1)), covering both signs of the
     second mixture coefficient. In each pass, every stream still without a
-    draw takes ``exponential(draw)`` and then ``random(draw)`` from its own
-    generator, so its draw does not depend on the other streams; the
-    density, envelope and acceptance test then run once over the
-    ``(pending, draw)`` proposals, and a stream's draw is its first
-    accepted proposal.
+    draw takes ``draw`` standard exponentials and then ``random(draw)``
+    from its own generator, each into its row of the pass's proposals and
+    uniforms, so its draw does not depend on the other streams. The
+    proposals are then scaled by 1/(-s1) at once: numpy's
+    ``exponential(scale)`` is ``scale * standard_exponential()``, so they
+    are the bits of ``exponential(1/(-s1), draw)``. The density, envelope
+    and acceptance test run once over the ``(pending, draw)`` proposals,
+    and a stream's draw is its first accepted proposal.
     """
     a, b = analysis.a, analysis.b
     rate = -analysis.s1
@@ -207,8 +210,9 @@ def sample_sojourn(analysis: QueueAnalysis, rngs: Sequence[np.random.Generator])
         proposals = np.empty((pending.size, draw))
         uniforms = np.empty((pending.size, draw))
         for row, i in enumerate(pending.tolist()):
-            proposals[row] = rngs[i].exponential(1.0 / rate, size=draw)
-            uniforms[row] = rngs[i].random(draw)
+            rngs[i].standard_exponential(out=proposals[row])
+            rngs[i].random(out=uniforms[row])
+        proposals *= 1.0 / rate
         bound = envelope * rate * np.exp(-rate * proposals)
         accept = uniforms * bound <= sojourn_pdf(analysis, proposals)
         hit = accept.any(axis=1)

@@ -1,10 +1,15 @@
-"""One layer's matrix products through both numpy entry points, for the tests.
+"""One layer's matrix products through both numpy entry points, and the
+stacked label maps of ``datagen.generate``, for the tests.
 
 ``nnet._product`` issues a 2-d product whose operands are C- or
-F-contiguous through ``np.dot`` and any other through ``np.matmul``. Run as
-a script, this module prints, as one JSON object, the kernel that numpy's
-bundled OpenBLAS runs and, per product, how many of a seeded sweep of
-draws write different bits through the two entry points:
+F-contiguous through ``np.dot`` and any other through ``np.matmul``.
+``datagen.generate`` runs the truth maps over ``(N, n, d)`` stacks, where
+the per-client loop of ``tests/reference.py`` runs them on each client's
+2-d rows. Run as a script, this module prints, as one JSON object, the
+kernel that numpy's bundled OpenBLAS runs, per product how many of a
+seeded sweep of draws write different bits through the two entry points,
+and how many of a seeded sweep of small configs ``generate`` builds with
+other bits than the loop:
 
     OPENBLAS_CORETYPE=Haswell python tests/products.py
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +71,30 @@ def sweep(seed: int, draws: int) -> dict[str, int]:
     return differ
 
 
+def generate_sweep(seed: int, draws: int) -> int:
+    """How many of ``draws`` configs of 1 to 12 clients of 3 to 40 rows,
+    widths 1 to 5 and 1 to 3 labels, with and without noise and shift,
+    ``datagen.generate`` builds with other bits than ``reference_generate``."""
+    from reference import dataset_bits, reference_generate
+    from vhfl_lab.datagen import SynthConfig, generate
+
+    rng = np.random.default_rng(seed)
+    differ = 0
+    for _ in range(draws):
+        config = SynthConfig(
+            n_clients=int(rng.integers(1, 13)),
+            samples_per_client=int(rng.integers(3, 41)),
+            d_local=int(rng.integers(1, 6)),
+            d_global=int(rng.integers(1, 6)),
+            d_label=int(rng.integers(1, 4)),
+            noise_std=float(rng.choice([0.0, 0.1])),
+            noniid_shift=float(rng.choice([0.0, 1.0])),
+            seed=int(rng.integers(2**16)),
+        )
+        differ += dataset_bits(generate(config)) != dataset_bits(reference_generate(config))
+    return differ
+
+
 def openblas_core() -> str:
     """The kernel numpy's bundled OpenBLAS runs, from ``tools/artifact_digests.py``."""
     path = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
@@ -75,4 +105,5 @@ def openblas_core() -> str:
 
 
 if __name__ == "__main__":
-    print(json.dumps({"core": openblas_core(), "differ": sweep(0, 495)}))
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    print(json.dumps({"core": openblas_core(), "differ": sweep(0, 495), "generate": generate_sweep(0, 60)}))

@@ -1,8 +1,12 @@
-"""A plain reference of the training engines, for the tests.
+"""A plain reference of the dataset generator and the training engines, for the tests.
 
-``reference_run`` trains vhfl or hfl the way the paper describes a round,
-one client at a time and one 2-d step at a time through the public
-``nnet`` functions:
+``reference_generate`` is ``datagen.generate`` as a loop that builds each
+client alone, from its own ``substream``, and ``dataset_bits`` lists what
+two datasets must share to hold the same bits.
+
+``reference_run`` trains any of the four modes the way the paper
+describes a round, one client at a time and one 2-d step at a time
+through the public ``nnet`` functions. vhfl and hfl run federated rounds:
 
 - the cohort is K distinct client ids drawn from the stream (seed,
   "select", t), in ascending order;
@@ -16,6 +20,12 @@ one client at a time and one 2-d step at a time through the public
 - w0 steps once on the delivered vertical-gradient rows sorted by sample
   id, through ``forward``, ``backward`` and ``sgd_step``;
 - evaluation runs each shard alone and adds the shards up in order.
+
+cloud and cloud_local train the pooled shard, every client's training
+rows in client order, as client 0: each local epoch takes one 2-d step a
+batch in the order of the stream (seed, "batches", 0, t), through w0 and
+wbar end to end under cloud, where w0 steps on the side gradient at the
+epoch's rate. They upload nothing, so no channel draws.
 
 Every stream is a fresh ``rng.substream``, never a seeded plan, and
 nothing is stacked, gathered or kept between rounds, so the engine pins
@@ -38,9 +48,61 @@ import math
 import numpy as np
 
 from vhfl_lab import netqueue, nnet
-from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore
+from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, truth_maps
 from vhfl_lab.fedcore import CenterState, TraceRow
 from vhfl_lab.rng import substream
+
+
+def reference_generate(config: SynthConfig) -> FederationDataset:
+    """Generate a seeded federation dataset with an 80/20 train/test split by id."""
+    g_map, h_map = truth_maps(config)
+    n = config.samples_per_client
+
+    all_ids: list[np.ndarray] = []
+    all_global: list[np.ndarray] = []
+    clients: list[ClientShard] = []
+    test_clients: list[ClientShard] = []
+    # every client trains on the same number of rows, so each weighs 1/N
+    q = 1.0 / config.n_clients
+    for j in range(config.n_clients):
+        ids = np.arange(j * n, (j + 1) * n, dtype=np.int64)
+
+        rng = substream(config.seed, "client", j)
+        x_local = rng.standard_normal((n, config.d_local))
+        if config.noniid_shift > 0.0:
+            direction = rng.standard_normal(config.d_local)
+            direction /= np.linalg.norm(direction)
+            x_local += config.noniid_shift * direction
+        x_global = rng.standard_normal((n, config.d_global))
+        noise = rng.standard_normal((n, config.d_label)) * config.noise_std
+        y = g_map(x_local) + config.global_strength * h_map(x_global) + noise
+
+        n_train = int(round(0.8 * n))
+        perm = rng.permutation(n)
+        for split, idx in ((clients, perm[:n_train]), (test_clients, perm[n_train:])):
+            idx = np.sort(idx)
+            split.append(ClientShard(client_id=j, ids=ids[idx], x_local=x_local[idx], y=y[idx], q=q))
+        all_ids.append(ids)
+        all_global.append(x_global)
+
+    store = GlobalStore(np.concatenate(all_ids), np.vstack(all_global))
+    return FederationDataset(clients=tuple(clients), test_clients=tuple(test_clients), global_store=store)
+
+
+def dataset_bits(dataset: FederationDataset) -> list:
+    """Each training shard's, then each test shard's client id, weight, ids,
+    local features and labels, then the store's ids and rows; every array as
+    its dtype, shape and bytes. Two datasets with equal lists hold the same
+    bits in the same order."""
+
+    def bits(a: np.ndarray) -> tuple:
+        return a.dtype.str, a.shape, a.tobytes()
+
+    store = dataset.global_store
+    shards = [
+        (s.client_id, s.q, bits(s.ids), bits(s.x_local), bits(s.y)) for s in (*dataset.clients, *dataset.test_clients)
+    ]
+    return [len(dataset.clients), *shards, bits(store.ids), bits(store.rows(store.ids))]
 
 
 def shuffled_batches(seed, client_id, t_g, n, batch_size):
@@ -49,6 +111,26 @@ def shuffled_batches(seed, client_id, t_g, n, batch_size):
     into batches with the short tail kept."""
     order = substream(seed, "batches", client_id, t_g).permutation(n)
     return [order[start : start + batch_size] for start in range(0, n, batch_size)]
+
+
+def local_step(fed, net, x, side, y):
+    """One 2-d step's gradient of the local model on rows ``x`` beside the
+    ``side`` rows of w0's output, or None, and the gradient with respect to
+    the side rows (None without them)."""
+    if side is None:
+        out, trace = nnet.forward(net, x)
+        _, lgrad = nnet.mse_loss(out, y)
+        grad, _ = nnet.backward(net, trace, lgrad)
+        return grad, None
+    if fed.combine == "concat":
+        out, trace = nnet.forward(net, np.hstack([side, x]))
+        _, lgrad = nnet.mse_loss(out, y)
+        grad, input_grad = nnet.backward(net, trace, lgrad, want_input_grad=True)
+        return grad, input_grad[:, : side.shape[1]]
+    out, trace = nnet.forward(net, x)
+    _, lgrad = nnet.mse_loss(side + out, y)
+    grad, _ = nnet.backward(net, trace, lgrad)
+    return grad, lgrad
 
 
 def reference_client_update(fed, shard, wbar, u0, global_epoch):
@@ -62,21 +144,7 @@ def reference_client_update(fed, shard, wbar, u0, global_epoch):
         for idx in batch_list:
             ids, x, y = shard.ids[idx], shard.x_local[idx], shard.y[idx]
             side = None if table is None else np.vstack([table[int(i)] for i in ids])
-            if side is None:
-                out, trace = nnet.forward(net, x)
-                _, lgrad = nnet.mse_loss(out, y)
-                grad, _ = nnet.backward(net, trace, lgrad)
-                side_grad = None
-            elif fed.combine == "concat":
-                out, trace = nnet.forward(net, np.hstack([side, x]))
-                _, lgrad = nnet.mse_loss(out, y)
-                grad, input_grad = nnet.backward(net, trace, lgrad, want_input_grad=True)
-                side_grad = input_grad[:, : side.shape[1]]
-            else:
-                out, trace = nnet.forward(net, x)
-                _, lgrad = nnet.mse_loss(side + out, y)
-                grad, _ = nnet.backward(net, trace, lgrad)
-                side_grad = lgrad
+            grad, side_grad = local_step(fed, net, x, side, y)
             if side_grad is not None:
                 scale = ids.shape[0] / shard.n
                 for k, sample_id in enumerate(ids):
@@ -86,6 +154,25 @@ def reference_client_update(fed, shard, wbar, u0, global_epoch):
             net = nnet.sgd_step(net, grad, fed.eta.value(global_epoch * fed.local_epochs + epoch))
     vgrads = {key: row / fed.local_epochs for key, row in vgrad_sum.items()}
     return net, vgrads
+
+
+def reference_pooled_round(fed, pooled, store, w0, wbar, global_epoch):
+    """One round of a cloud mode on the pooled shard: every local epoch steps
+    w0 (when given) and wbar once a batch, both at the epoch's rate."""
+    batch_list = shuffled_batches(fed.seed, 0, global_epoch, pooled.n, fed.batch_size)
+    for epoch in range(fed.local_epochs):
+        eta = fed.eta.value(global_epoch * fed.local_epochs + epoch)
+        for idx in batch_list:
+            x, y = pooled.x_local[idx], pooled.y[idx]
+            if w0 is None:
+                grad, _ = local_step(fed, wbar, x, None, y)
+            else:
+                u0, w0_trace = nnet.forward(w0, store.rows(pooled.ids[idx]))
+                grad, side_grad = local_step(fed, wbar, x, u0, y)
+                grad0, _ = nnet.backward(w0, w0_trace, side_grad)
+                w0 = nnet.sgd_step(w0, grad0, eta)
+            wbar = nnet.sgd_step(wbar, grad, eta)
+    return w0, wbar
 
 
 def interleaved_dataset(sizes, test_sizes, d_local, d_global, d_label, seed) -> FederationDataset:
@@ -127,8 +214,9 @@ def _delivered(channel, t_g, client_id) -> bool:
     return bool(delay <= channel.t_p)
 
 
-def reference_run(fed, dataset, use_global) -> tuple[CenterState, list[TraceRow]]:
-    """A vhfl run with ``use_global``, else an hfl run, written out plainly."""
+def reference_run(fed, dataset, mode) -> tuple[CenterState, list[TraceRow]]:
+    """A run of ``mode``, one of vhfl, hfl, cloud and cloud_local, written out plainly."""
+    use_global = mode in ("vhfl", "cloud")
 
     def net(dims, name):
         acts = [fed.activation] * (len(dims) - 2) + ["identity"]
@@ -139,8 +227,15 @@ def reference_run(fed, dataset, use_global) -> tuple[CenterState, list[TraceRow]
     local_in = dataset.d_local + (fed.u0_dim if use_global and fed.combine == "concat" else 0)
     wbar = net([local_in, *fed.local_hidden, dataset.d_label], "wbar")
     shards = {shard.client_id: shard for shard in dataset.clients}
+    pooled = ClientShard(
+        0, *(np.concatenate([getattr(s, name) for s in dataset.clients]) for name in ("ids", "x_local", "y")), 1.0
+    )
     trace = []
     for t_g in range(fed.global_epochs):
+        if mode.startswith("cloud"):
+            w0, wbar = reference_pooled_round(fed, pooled, store, w0, wbar, t_g)
+            trace.append(_trace_row(fed, dataset, w0, wbar, t_g, 0))
+            continue
         picks = substream(fed.seed, "select", t_g).choice(fed.n_clients, size=fed.k, replace=False)
         uploads = []
         for client_id in sorted(int(c) for c in picks):
@@ -163,17 +258,24 @@ def reference_run(fed, dataset, use_global) -> tuple[CenterState, list[TraceRow]
                 out, w0_trace = nnet.forward(w0, store.rows([sample_id for sample_id, _ in rows]))
                 grad, _ = nnet.backward(w0, w0_trace, np.vstack([row for _, row in rows]))
                 w0 = nnet.sgd_step(w0, grad, fed.eta0.value(t_g))
-        train = 0.0
-        for shard in dataset.clients:
-            diff = _residuals(fed, w0, wbar, shard, store)
-            train += shard.q * float(np.sum(diff * diff)) / shard.n
-        sq = ratio = 0.0
-        for shard in dataset.test_clients:
-            diff = _residuals(fed, w0, wbar, shard, store)
-            sq += float(np.sum(diff * diff))
-            ratio += float(np.sum(np.linalg.norm(diff, axis=1) / np.maximum(np.linalg.norm(shard.y, axis=1), 1e-8)))
-        count = sum(shard.n for shard in dataset.test_clients)
-        if not (math.isfinite(train) and math.isfinite(sq)):
-            raise ValueError(f"non-finite losses at global epoch {t_g}")
-        trace.append(TraceRow(t_g, train, sq / count, ratio / count, len(uploads)))
+        trace.append(_trace_row(fed, dataset, w0, wbar, t_g, len(uploads)))
     return CenterState(w0, wbar), trace
+
+
+def _trace_row(fed, dataset, w0, wbar, t_g, k_received) -> TraceRow:
+    """Round t_g's trace row: the train loss and test errors, each shard run
+    alone and the shards added up in order."""
+    store = dataset.global_store
+    train = 0.0
+    for shard in dataset.clients:
+        diff = _residuals(fed, w0, wbar, shard, store)
+        train += shard.q * float(np.sum(diff * diff)) / shard.n
+    sq = ratio = 0.0
+    for shard in dataset.test_clients:
+        diff = _residuals(fed, w0, wbar, shard, store)
+        sq += float(np.sum(diff * diff))
+        ratio += float(np.sum(np.linalg.norm(diff, axis=1) / np.maximum(np.linalg.norm(shard.y, axis=1), 1e-8)))
+    count = sum(shard.n for shard in dataset.test_clients)
+    if not (math.isfinite(train) and math.isfinite(sq)):
+        raise ValueError(f"non-finite losses at global epoch {t_g}")
+    return TraceRow(t_g, train, sq / count, ratio / count, k_received)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import dataset_bits, reference_generate
 from vhfl_lab import datagen
-from vhfl_lab.datagen import SynthConfig, batches, estimate_lambda, generate, truth_maps
+from vhfl_lab.datagen import SynthConfig, batches, estimate_lambda, generate, permutations, truth_maps
 from vhfl_lab.rng import substream
 
 SMALL = SynthConfig(
@@ -62,6 +63,35 @@ def test_generate_structure_invariants():
     # 80/20 split by id
     for train, test in zip(ds.clients, ds.test_clients):
         assert train.n == 24 and test.n == 6
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_clients=st.integers(1, 12),
+    samples_per_client=st.integers(3, 40),
+    d_local=st.integers(1, 5),
+    d_global=st.integers(1, 5),
+    d_label=st.integers(1, 3),
+    noise_std=st.sampled_from((0.0, 0.1)),
+    noniid_shift=st.sampled_from((0.0, 1.0)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_generate_matches_the_per_client_loop_bit_for_bit(**fields):
+    """The whole-array generator draws each client's fields in the loop's
+    stream order and splits them as the loop does: every shard's ids,
+    features, labels and weight, the shard order and the store's ids and
+    rows are the loop's bits."""
+    config = SynthConfig(**fields)
+    assert dataset_bits(generate(config)) == dataset_bits(reference_generate(config))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 40), st.integers(0, 2**16))
+def test_permutations_are_each_streams_own_permutation(count, n, seed):
+    orders = permutations([substream(seed, "orders", g) for g in range(count)], n)
+    want = np.stack([substream(seed, "orders", g).permutation(n) for g in range(count)])
+    assert orders.dtype == want.dtype and orders.shape == want.shape == (count, n)
+    assert orders.tobytes() == want.tobytes()
 
 
 def test_zero_global_strength_decorrelates_labels():
@@ -266,6 +296,21 @@ def test_id_checks_of_store_shard_and_dataset():
                 tuple(shard(j, [4 + k]) for k, j in enumerate(test)),
                 store,
             )
+
+
+def test_ids_must_be_1d_in_a_shard_and_in_the_store():
+    """A column of ids is rejected, not read: sorted along its last axis it
+    would hide a repeat in a shard and invent one in the store."""
+    with pytest.raises(ValueError, match=r"^client 5 has ids of shape \(3, 1\); ids must be 1-d$"):
+        datagen.ClientShard(5, np.array([[1], [2], [1]]), np.zeros((3, 2)), np.zeros((3, 1)), 1.0)
+    with pytest.raises(ValueError, match=r"^client 5 has ids of shape \(3, 1\); ids must be 1-d$"):
+        datagen.ClientShard(5, np.array([[1], [2], [3]]), np.zeros((3, 2)), np.zeros((3, 1)), 1.0)
+    with pytest.raises(ValueError, match=r"^global store ids must be 1-d, got shape \(3, 1\)$"):
+        datagen.GlobalStore(np.array([[1], [2], [3]]), np.zeros((3, 2)))
+    # ids out of order still meet the repeat check's sort
+    with pytest.raises(ValueError, match="duplicate ids within client 0"):
+        datagen.ClientShard(0, np.array([1, 3, 2, 1]), np.zeros((4, 2)), np.zeros((4, 1)), 1.0)
+    assert datagen.ClientShard(0, np.array([3, 1, 2]), np.zeros((3, 2)), np.zeros((3, 1)), 1.0).n == 3
 
 
 def test_dataset_rejects_shards_of_other_widths():

@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 
 from cohorts import cohort_of, update
 from nets import allocating_backward, allocating_forward, arrays, net_of
-from reference import interleaved_dataset, reference_client_update, shuffled_batches
+from reference import interleaved_dataset, reference_client_update, reference_run, shuffled_batches
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, GlobalStore, SynthConfig, generate
 from vhfl_lab.fedcore import (
@@ -266,48 +266,6 @@ def reference_or_none(fed, shard, wbar, u0, global_epoch):
 # ---------------------------------------------------- bit-exact pooled phase
 
 
-def reference_run_cloud(fed, ds, use_global):
-    """The pooled phase as a plain loop over the public nnet functions: every
-    training row in client order, batches shuffled by the substream
-    (seed, "batches", 0, t_g), the global rows looked up by id per batch, and
-    both nets stepped at the rate of the local epoch."""
-    center = fedcore._new_center(fed, ds, use_global)
-    wbar, w0 = center.wbar, center.w0
-    pooled = ClientShard(
-        client_id=0,
-        ids=np.concatenate([shard.ids for shard in ds.clients]),
-        x_local=np.vstack([shard.x_local for shard in ds.clients]),
-        y=np.vstack([shard.y for shard in ds.clients]),
-        q=1.0,
-    )
-    for t_g in range(fed.global_epochs):
-        batch_list = shuffled_batches(fed.seed, 0, t_g, pooled.n, fed.batch_size)
-        for epoch in range(fed.local_epochs):
-            eta = fed.eta.value(t_g * fed.local_epochs + epoch)
-            for idx in batch_list:
-                x, y = pooled.x_local[idx], pooled.y[idx]
-                if w0 is None:
-                    out, trace = nnet.forward(wbar, x)
-                    _, lgrad = nnet.mse_loss(out, y)
-                    wbar = nnet.sgd_step(wbar, nnet.backward(wbar, trace, lgrad)[0], eta)
-                    continue
-                u0, trace0 = nnet.forward(w0, ds.global_store.rows(pooled.ids[idx]))
-                if fed.combine == "concat":
-                    out, trace = nnet.forward(wbar, np.hstack([u0, x]))
-                    _, lgrad = nnet.mse_loss(out, y)
-                    grad, input_grad = nnet.backward(wbar, trace, lgrad, want_input_grad=True)
-                    side_grad = input_grad[:, : u0.shape[1]]
-                else:
-                    out, trace = nnet.forward(wbar, x)
-                    _, lgrad = nnet.mse_loss(u0 + out, y)
-                    grad, _ = nnet.backward(wbar, trace, lgrad)
-                    side_grad = lgrad
-                grad0, _ = nnet.backward(w0, trace0, side_grad)
-                wbar = nnet.sgd_step(wbar, grad, eta)
-                w0 = nnet.sgd_step(w0, grad0, eta)
-    return wbar, w0
-
-
 # every layer form the pooled step's op lists are built from: one hidden layer
 # per net (FED's), none, or two; batches of 6 rows with a short tail of 2 (the
 # 80 pooled rows), of 8 rows with no tail, or one batch of all 80 rows; and
@@ -341,7 +299,9 @@ def test_run_cloud_matches_public_api_loop_bit_for_bit(use_global, combine, acti
         **FORMS[form],
     )
     center, _ = fedcore.run_cloud(fed, ds, use_global)
-    wbar, w0 = reference_run_cloud(fed, ds, use_global)
+    # the pooled phase as a plain loop over the public nnet functions
+    reference, _ = reference_run(fed, ds, "cloud" if use_global else "cloud_local")
+    wbar, w0 = reference.wbar, reference.w0
     assert nets_same_bits(center.wbar, wbar)
     if use_global:
         assert nets_same_bits(center.w0, w0)

@@ -483,7 +483,9 @@ def test_dot_writes_matmuls_bits_wherever_the_product_rule_sends_it(rows, in_dim
 @pytest.mark.skipif(products.openblas_core() == "unknown", reason="numpy has no bundled OpenBLAS to force a kernel on")
 def test_contiguous_products_agree_under_other_openblas_kernels():
     """In a child process per forced OpenBLAS kernel, np.dot and np.matmul
-    write the same bits for every contiguous layer product of a seeded sweep."""
+    write the same bits for every contiguous layer product of a seeded sweep,
+    and ``datagen.generate``'s stacked label maps give the bits of the
+    per-client loop on every config of a seeded sweep."""
     found = {}
     for core in ("Haswell", "Zen", "Prescott"):
         env = {**os.environ, "OPENBLAS_CORETYPE": core}
@@ -491,5 +493,6 @@ def test_contiguous_products_agree_under_other_openblas_kernels():
         found[core] = json.loads(out.stdout)
     for core, report in found.items():
         assert all(report["differ"][name] == 0 for name in products.CONTIGUOUS), (core, report)
+        assert report["generate"] == 0, (core, report)
     # the forced kernels took effect: they are not all the one kernel
     assert len({report["core"] for report in found.values()}) > 1, found

@@ -1,12 +1,13 @@
-"""Whole vhfl and hfl runs against the plain reference engine of
+"""Whole runs of the four modes against the plain reference engine of
 ``tests/reference.py``, bit for bit, over drawn small configs.
 
 The rewritten round stacks clients and shards, plans every stream and the
 channel before round 0, takes the broadcast's u0 from the train split and
-replays run-long op lists; the reference does none of that. The bits agree
-where a stacked product rounds each slice as the slice alone: under the
-SkylakeX and Haswell OpenBLAS kernels, not under Katmai (see the reference
-module).
+replays run-long op lists; the pooled phase replays op lists over the
+pooled rows gathered in each round's order; the reference does none of
+that. The bits agree where a stacked product rounds each slice as the
+slice alone: under the SkylakeX and Haswell OpenBLAS kernels, not under
+Katmai (see the reference module).
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ from vhfl_lab.fedcore import FederationConfig, Schedule
 
 # gamma(t_p) is about 0.13 at t_p = 0.1 and 0.64 at t_p = 1.0
 CHANNEL = netqueue.ChannelModel(2.0, 0.5, 0.5, 8.0, 2.0, t_p=math.inf, seed=3)
+# the engine of each mode
+ENGINES = {
+    "vhfl": fedcore.run_vhfl,
+    "hfl": fedcore.run_hfl,
+    "cloud": lambda fed, dataset: fedcore.run_cloud(fed, dataset, use_global=True),
+    "cloud_local": lambda fed, dataset: fedcore.run_cloud(fed, dataset, use_global=False),
+}
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -36,7 +44,7 @@ def runs(draw):
     """A small dataset of unequal shards with interleaved ids, and a config
     over every K, 1 to 3 local epochs, both combines and aggregators, the
     three activations, three hidden forms and finite and infinite
-    deadlines."""
+    deadlines, for one of the four modes."""
     count = draw(st.integers(1, 6))
     sizes = draw(st.lists(st.integers(1, 9), min_size=count, max_size=count))
     test_sizes = draw(st.lists(st.integers(1, 4), min_size=count, max_size=count))
@@ -62,17 +70,18 @@ def runs(draw):
         activation=draw(st.sampled_from(("identity", "relu", "tanh"))),
         deadline_channel=dataclasses.replace(CHANNEL, t_p=t_p),
     )
-    return fed, dataset, draw(st.booleans())
+    return fed, dataset, draw(st.sampled_from(tuple(ENGINES)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(runs())
 def test_runs_match_the_plain_reference_engine_bit_for_bit(run):
-    fed, dataset, use_global = run
-    engine = fedcore.run_vhfl if use_global else fedcore.run_hfl
+    fed, dataset, mode = run
+    engine, use_global = ENGINES[mode], mode in ("vhfl", "cloud")
+    event(mode)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            want_center, want = reference_run(fed, dataset, use_global)
+            want_center, want = reference_run(fed, dataset, mode)
     except ValueError:
         event("diverged")
         # the reference diverged: a public step met non-finite values
