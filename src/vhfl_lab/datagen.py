@@ -307,29 +307,35 @@ def batches(
     fields: Sequence[np.ndarray | None],
     batch_size: int,
     out: Sequence[np.ndarray | None] | None = None,
+    rows: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, list[np.ndarray | None]]]:
     """Seeded shuffled mini-batches of G stacked shards of n rows each.
 
-    Each field is a ``(G, n, d)`` stack in shard order, or None (no side
-    rows). The shards' orders are the :func:`permutations` of their
-    streams, one ``(G, n)`` index. Every field is gathered once along the
-    orders with ``np.take``, into its ``(G, n, d)`` buffer of ``out`` or a
-    fresh array. Each batch is the index's slice and the ``(G, b, d)`` views
-    of the gathered fields, aligned by id. The final short batch is kept.
+    Each field is an ``(S, n, d)`` stack of shards, or None (no side rows).
+    ``rows`` holds the positions in the stacks of the G shards that train,
+    one per stream; when None, every shard trains, in stack order. The
+    shards' orders are the :func:`permutations` of their streams, one
+    ``(G, n)`` index. Every field is taken once through ``rows * n + order``
+    with one ``np.take``, into its ``(G, n, d)`` buffer of ``out`` or a fresh
+    array. Each batch is the index's slice and the ``(G, b, d)`` views of the
+    shuffled fields, aligned by id. The final short batch is kept.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     present = [f for f in fields if f is not None]
-    n = present[0].shape[1]
+    shards, n = present[0].shape[:2]
     for f in present:
-        if f.shape[:2] != (len(rngs), n):
-            raise ValueError(f"a field has {f.shape[:2]} shards x rows, expected {(len(rngs), n)}")
+        if f.shape[:2] != (shards, n):
+            raise ValueError(f"a field has {f.shape[:2]} shards x rows, expected {(shards, n)}")
+    rows = np.arange(shards) if rows is None else np.asarray(rows)
+    if rows.shape != (len(rngs),) or (rows.size and not 0 <= rows.min() <= rows.max() < shards):
+        raise ValueError(f"{len(rngs)} streams need as many rows of {shards} shards, got {rows.tolist()}")
     orders = permutations(rngs, n)
-    # each shard's order as rows of the fields' (G * n, d) forms; in range by
-    # construction, so "clip" spares the copy of ``out`` that "raise" makes
-    rows = orders + n * np.arange(len(rngs))[:, None]
+    # each shard's order as rows of the fields' (S * n, d) forms; in range by
+    # the checks above, so "clip" spares the copy of ``out`` that "raise" makes
+    index = orders + n * rows[:, None]
     shuffled = [
-        None if f is None else np.take(f.reshape(-1, f.shape[-1]), rows, 0, None if out is None else out[k], "clip")
+        None if f is None else np.take(f.reshape(-1, f.shape[-1]), index, 0, None if out is None else out[k], "clip")
         for k, f in enumerate(fields)
     ]
     cuts = [slice(start, start + batch_size) for start in range(0, n, batch_size)]

@@ -21,46 +21,37 @@ run unchecked kernels inside the loop. Data is checked where it enters
 (``ClientShard``, ``GlobalStore``, config parsing).
 
 A run stacks its train and test shards once, grouped by size, with their
-global rows when the center has w0 (:func:`build_split`). Each round
-gathers its cohort from the train split (``Split.gather``); the broadcast
-takes the cohort's u0 from the train split's u0 of the current w0, which
-the last train loss computed (:func:`center_broadcast`); the local phase
-trains each size group as one stack (:func:`client_update`); aggregation
-adds the delivered uploads in upload order; and w0 steps once on their
-rows in id order (:func:`central_update`). Every phase is built once per
-run and replays emitted op lists over buffers it keeps for the run
-(:func:`_group_phase`, :func:`_central_phase`, :func:`_cloud_phase`; see
-``nnet``). :func:`plan_run` writes the keys of every round's streams and
-seeds them before round 0; behind a finite deadline it also takes the
-channel's ``(T, K)`` delivery mask there, from one
-``netqueue.apply_channel`` call: a delay does not depend on training, so a
-round keeps the uploads its row of the mask delivers. A client's sample
-order in round t_g is the permutation of the substream (seed, "batches",
-client_id, t_g) (``datagen.permutations``).
+global rows when the center has w0 (:func:`build_split`). A round's cohort
+is client ids of the train split: the broadcast sends wbar's inputs for
+the train split, u0 = w0(x0) beside the local rows as the combine mode puts
+them (:func:`center_broadcast`); each cohort client trains on its rows of
+them (:func:`client_update`); aggregation adds the delivered uploads in
+upload order; and w0 steps once on their rows in id order
+(:func:`central_update`). A federated run selects client ids from
+0..N-1, and rejects training shards with other ids. :func:`plan_run`
+writes the keys of every round's streams and seeds them before round 0;
+behind a finite deadline it also takes the channel's ``(T, K)`` delivery
+mask there, from one ``netqueue.apply_channel`` call: a delay does not
+depend on training, so a round keeps the uploads its row of the mask
+delivers. A client's sample order in round t_g is the permutation of the
+substream (seed, "batches", client_id, t_g) (``datagen.permutations``).
 
 The stacked kernels issue one BLAS call and one reduction per client
 slice, with the slice's own shape, so a client gets the bits it would get
 alone, and so does a shard's u0 and its evaluation, which adds the shards
 up in their original order. Pooling the rows of different clients into
 one matrix would not: a BLAS kernel rounds the tail rows of an ``(M, 16)
-@ (16, 1)`` product differently as M changes. An upload's ``params`` and
-vertical gradients are views of its client's rows of the run-long
-buffers: the round uses them up in aggregation and the central step,
-which build the center's nets from fresh arrays, before the shape trains
-again.
+@ (16, 1)`` product differently as M changes.
 
 Each phase checks its results once, when it ends, with one ``isfinite``
-pass over its vectors. The local phase scans each size group's buffer and
-its vertical gradients, and names the first diverged client in cohort
-order; a shape whose public first step meets non-finite values takes that
-step on its batch's op list, unchecked, so its clients are named the same
-way. The other phases build a net, whose finite check is the guard:
-``_guard`` turns the build's ``nnet.NonFiniteError`` into an error naming
-the phase, the global epoch and the clients (the pooled phase trains no
-client and names none). A value that turns inf or nan stays non-finite
-under later steps, so this catches what per-step checks would. Evaluation
-is guarded on its losses, so the loop runs with numpy's overflow and
-invalid-value warnings off.
+pass over its vectors. The local phase names the first diverged client in
+cohort order. The other phases build a net, whose finite check is the
+guard: ``_guard`` turns the build's ``nnet.NonFiniteError`` into an error
+naming the phase, the global epoch and the clients (the pooled phase
+trains no client and names none). A value that turns inf or nan stays
+non-finite under later steps, so this catches what per-step checks would.
+Evaluation is guarded on its losses, so the loop runs with numpy's
+overflow and invalid-value warnings off.
 Vertical gradients travel as one ``(n_j, u0_dim)`` array per client in
 shard order.
 
@@ -193,7 +184,7 @@ class SizeGroup:
     rows stacked as ``(G, n, d)`` arrays in that order."""
 
     positions: list[int]
-    x_global: np.ndarray | None  # None when the split was built without a store, and in a cohort
+    x_global: np.ndarray | None  # None when the split was built without a store
     x_local: np.ndarray
     y: np.ndarray
 
@@ -201,7 +192,7 @@ class SizeGroup:
 @dataclass(frozen=True)
 class Split:
     """Shards grouped by size and stacked once per run; a round's cohort is
-    gathered from the train split's stacks (:meth:`gather`)."""
+    a selection of the train split's shards (:func:`client_update`)."""
 
     shards: tuple[ClientShard, ...]
     groups: tuple[SizeGroup, ...]
@@ -225,37 +216,19 @@ class Split:
         return [({}, {}) for _ in self.groups]
 
     @functools.cached_property
-    def _u0(self) -> list:
-        """The last w0 that :func:`_center_rows` ran on this split, and its u0."""
-        return [None, None]
-
-    def _locate(self, client_ids: Sequence[int]) -> tuple[int, list[int]]:
-        """The size group that holds the shards of ``client_ids``, all of one
-        size, and their rows in it."""
-        slots = [self._slots[client_id] for client_id in client_ids]
-        return slots[0][1], [row for _, _, row in slots]
-
-    def gather(self, client_ids: Sequence[int]) -> Split:
-        """The split of the shards of ``client_ids``, in that order, bit for bit
-        :func:`build_split` of those shards without a store: each size group
-        takes its rows from this split's group of its size, with one fancy
-        index per field. The client ids must be distinct here, as they are in
-        a dataset's training shards."""
-        at = [self._slots[client_id][0] for client_id in client_ids]
-        shards = [self.shards[pos] for pos in at]
-        groups = []
-        for positions in _size_groups(shards):
-            g, rows = self._locate([shards[pos].client_id for pos in positions])
-            groups.append(SizeGroup(positions, None, self.groups[g].x_local[rows], self.groups[g].y[rows]))
-        return Split(shards=tuple(shards), groups=tuple(groups), q=self.q[at], n=self.n[at])
+    def _inputs(self) -> list:
+        """The last w0 and combine mode that :func:`_wbar_inputs` ran on this
+        split, and its stacks."""
+        return [None, None, None]
 
 
-# A local phase's round function for one size group: (group, the streams of
-# its clients, wbar, their u0 rows or None, t_g) -> the trained (G, P) buffer
-# and the vertical gradients, or None without u0; quoted, so that importing
-# this module does not import numpy.random
+# A local phase's round function for one size-group shape: (the train
+# group's input, side and label stacks, the rows of its clients that train,
+# their streams, wbar, t_g) -> the trained (G, P) buffer and the vertical
+# gradients, or None without u0; quoted, so that importing this module does
+# not import numpy.random
 _TrainGroup = Callable[
-    [SizeGroup, "Sequence[np.random.Generator]", nnet.DenseNet, "np.ndarray | None", int],
+    [tuple, np.ndarray, "Sequence[np.random.Generator]", nnet.DenseNet, int],
     "tuple[np.ndarray, np.ndarray | None]",
 ]
 
@@ -366,24 +339,39 @@ def build_split(shards: Sequence[ClientShard], store: GlobalStore | None) -> Spl
     return Split(shards=tuple(shards), groups=tuple(groups), q=q, n=n)
 
 
-def _center_rows(center: CenterState, split: Split) -> list[np.ndarray]:
-    """w0's output u0 on each size group of the split, as one ``(G, n,
-    u0_dim)`` stack in w0's pool of the group, computed once per w0: nets are
-    immutable, so the stacks stay valid until the split meets another w0."""
-    if split._u0[0] is not center.w0:
-        stacks = [nnet._output(center.w0, g.x_global, pools[0]) for g, pools in zip(split.groups, split._pools)]
-        split._u0[:] = center.w0, stacks
-    return split._u0[1]
+def _wbar_inputs(
+    config: FederationConfig, center: CenterState, split: Split
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The combine rule: per size group of the split, wbar's input stack and
+    the side stack added to its output. With w0, u0 = w0(x0) of the group's
+    global rows, computed once per w0; under concat the input is
+    ``[u0 | x_local]``, in w0's pool of the group, and the side None, under
+    additive the input is ``x_local`` and the side u0. Without w0 the input
+    is ``x_local`` and the side None. Nets are immutable, so the stacks stay
+    valid until the split meets another w0."""
+    if center.w0 is None:
+        return [(group.x_local, None) for group in split.groups]
+    if split._inputs[0] is not center.w0 or split._inputs[1] != config.combine:
+        stacks = []
+        for group, (pool0, _) in zip(split.groups, split._pools):
+            u0 = nnet._output(center.w0, group.x_global, pool0)
+            if config.combine == "concat":
+                inp = nnet._buffer(pool0, ("concat",), (*u0.shape[:-1], u0.shape[-1] + group.x_local.shape[-1]))
+                stacks.append((np.concatenate([u0, group.x_local], axis=-1, out=inp), None))
+            else:
+                stacks.append((group.x_local, u0))
+        split._inputs[:] = center.w0, config.combine, stacks
+    return split._inputs[2]
 
 
-def center_broadcast(center: CenterState, train: Split, cohort: Split) -> list[np.ndarray]:
-    """Per size group of a cohort gathered from ``train``, the centrally
-    processed rows u0 = w0(x0) as one ``(G, n, u0_dim)`` stack, taken with
-    one ``np.take`` from the train split's u0 (:func:`_center_rows`). The
-    center must hold w0 and ``train`` the global rows."""
-    stacks = _center_rows(center, train)
-    located = (train._locate([cohort.shards[pos].client_id for pos in group.positions]) for group in cohort.groups)
-    return [np.take(stacks[g], rows, 0) for g, rows in located]
+def center_broadcast(
+    config: FederationConfig, center: CenterState, train: Split
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The centrally processed rows u0 = w0(x0) of the train split, combined
+    with its local rows into wbar's inputs (:func:`_wbar_inputs`); a round's
+    cohort trains on its rows of them. The center must hold w0 and ``train``
+    the global rows."""
+    return _wbar_inputs(config, center, train)
 
 
 def _step_ops(
@@ -443,34 +431,30 @@ def _first_step(
 
 
 def _group_phase(
-    config: FederationConfig, wbar: nnet.DenseNet, group: SizeGroup, side: np.ndarray | None
+    config: FederationConfig, wbar: nnet.DenseNet, g_count: int, group: SizeGroup, fields: tuple
 ) -> _TrainGroup:
     """Build the local phase of one size-group shape, G clients of n rows
-    each, once per run, and return its round function: local SGD of the
-    group's clients as one stack beside their rows ``side`` of u0 (None
-    without w0), shuffled by their streams, which returns the ``(G, P)``
-    buffer of trained parameter vectors and the ``(G, n, u0_dim)`` vertical
-    gradients, both run-long. Each batch's list (:func:`_step_ops`) is
-    emitted the first time it runs and ends by writing its side gradients
-    times b/n into its slice of an epoch buffer in shuffled order. A round's
-    epochs share one order, so the epoch buffers are added up in it and the
-    sum is put in shard order once per round. The shape's first step of the
-    run is :func:`_first_step`; a stack whose first step is not finite
-    takes it on its batch's list instead, so that its results stay
-    non-finite and the phase guard names the first diverged client in cohort
-    order."""
-    (g_count, n, _), x_local = group.y.shape, group.x_local
+    each, once per run, and return its round function: local SGD of G
+    clients of the train split's size group ``group`` as one stack, on their
+    rows of its input, side and label stacks ``fields`` (wbar's inputs from
+    :func:`_wbar_inputs`, and ``group.y``), shuffled by their streams, which
+    returns the ``(G, P)`` buffer of trained parameter vectors and the
+    ``(G, n, u0_dim)`` vertical gradients, both run-long. Each batch's list
+    (:func:`_step_ops`) is emitted the first time it runs and ends by
+    writing its side gradients times b/n into its slice of an epoch buffer
+    in shuffled order. A round's epochs share one order, so the epoch
+    buffers are added up in it and the sum is put in shard order once per
+    round. The shape's first step of the run is :func:`_first_step`; a stack
+    whose first step is not finite takes it on its batch's list instead, so
+    that its results stay non-finite and the phase guard names the first
+    diverged client in cohort order."""
+    n, width = group.y.shape[1], fields[0].shape[-1] - group.x_local.shape[-1]
     data = np.empty((g_count, wbar.params.size))
     grad, scaled = np.empty_like(data), np.empty_like(data)
     layers, grads = wbar.kernel_layers(data), wbar.views(grad)
-    width = side.shape[-1] if side is not None and config.combine == "concat" else 0
-    inp = np.empty((g_count, n, width + x_local.shape[-1])) if width else None
-    shuffled = [
-        np.empty((g_count, n, width + x_local.shape[-1])),
-        None if side is None or width else np.empty(side.shape),
-        np.empty(group.y.shape),
-    ]
-    epoch_rows, total, vgrads = (None,) * 3 if side is None else (np.empty(side.shape) for _ in range(3))
+    shuffled = [None if f is None else np.empty((g_count, n, f.shape[-1])) for f in fields]
+    u0_dim = width or (0 if fields[1] is None else fields[1].shape[-1])
+    epoch_rows, total, vgrads = (np.empty((g_count, n, u0_dim)) if u0_dim else None for _ in range(3))
     clients = np.arange(g_count)[:, None]
     cuts = [(start, min(start + config.batch_size, n)) for start in range(0, n, config.batch_size)]
     views = [[None if f is None else f[:, start:stop] for f in shuffled] for start, stop in cuts]
@@ -492,18 +476,15 @@ def _group_phase(
         nnet._run(steps[i])
 
     def train(
-        group: SizeGroup,
+        fields: tuple,
+        rows: np.ndarray,
         rngs: Sequence[np.random.Generator],
         wbar: nnet.DenseNet,
-        side: np.ndarray | None,
         t_g: int,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         nonlocal checked
         data[...] = wbar.params
-        if width:
-            inp[..., :width], inp[..., width:] = side, group.x_local
-        fields = (inp, None, group.y) if width else (group.x_local, side, group.y)
-        order = np.hstack([index for index, _ in batches(rngs, fields, config.batch_size, shuffled)])
+        order = np.hstack([index for index, _ in batches(rngs, fields, config.batch_size, shuffled, rows)])
         for epoch, eta_t in enumerate(map(np.array, config.local_etas(t_g))):
             for i in range(len(cuts)):
                 if checked:
@@ -535,59 +516,66 @@ def _group_phase(
 
 def client_update(
     config: FederationConfig,
-    cohort: Split,
+    train: Split,
+    cohort: Sequence[int],
     wbar: nnet.DenseNet,
-    u0: Sequence[np.ndarray] | None,
+    inputs: Sequence[tuple[np.ndarray, np.ndarray | None]],
     rngs: Sequence[np.random.Generator],
     t_g: int,
     phase: dict[tuple[int, ...], _TrainGroup] | None = None,
 ) -> list[Upload]:
-    """Local training of a round's cohort from the downloaded federal weights.
+    """Local training of a round's cohort, client ids of the ``train``
+    split, from the downloaded federal weights.
 
     Each client initializes at ``wbar``, splits its samples (with its fixed
     centrally processed rows, one per sample) into batches once, shuffled by
     its stream ``rngs[i]`` (seed, "batches", client_id, t_g), then runs
     ``local_epochs`` passes of mini-batch SGD at the learning rates of round
-    ``t_g``. ``u0`` holds those rows as :func:`center_broadcast` sends them
-    (None without w0), one ``(G, n, u0_dim)`` stack per size group. For every
-    sample the gradient of the client loss with respect to its central row
-    is recorded each epoch and averaged over epochs; the result, an
-    ``(n_j, u0_dim)`` array in shard order (None without ``u0``), is
-    uploaded alongside the updated parameter vector. Each size group trains
-    as one stack, in the round function that ``phase`` holds for its shape
-    ``(G, n)``: a run keeps one local phase, and this builds a shape's round
-    function (:func:`_group_phase`) the first time the shape trains, in a
-    fresh phase when ``phase`` is None. Each upload holds views of its
-    client's rows of the shape's buffers, which it rewrites when the shape
-    trains again.
+    ``t_g``. ``inputs`` holds wbar's input and side stacks per size group of
+    ``train``, as :func:`center_broadcast` sends them (:func:`_wbar_inputs`).
+    For every sample the gradient of the client loss with respect to its
+    central row is recorded each epoch and averaged over epochs; the result,
+    an ``(n_j, u0_dim)`` array in shard order (None without u0), is uploaded
+    alongside the updated parameter vector. The cohort's clients of each
+    size group train as one stack, in the round function that ``phase``
+    holds for its shape ``(G, n)``: a run keeps one local phase, and this
+    builds a shape's round function (:func:`_group_phase`) the first time
+    the shape trains, in a fresh phase when ``phase`` is None. Each upload
+    holds views of its client's rows of the shape's buffers, which it
+    rewrites when the shape trains again.
     The uploads come in cohort order; the guard scans each group's stacks
     once and names the first client, in cohort order, whose results are not
     finite.
     """
-    shards = cohort.shards
-    for shard in shards:
-        if shard.n == 0:
-            raise ValueError(f"client {shard.client_id} has no samples")
-    expected = [(len(group.positions), group.x_local.shape[1], config.u0_dim) for group in cohort.groups]
-    if u0 is not None and [rows.shape for rows in u0] != expected:
-        raise ValueError(f"u0 stacks have shapes {[rows.shape for rows in u0]}, the cohort needs {expected}")
+    slots = [train._slots[client_id] for client_id in cohort]
+    sizes = train.n[[pos for pos, _, _ in slots]]
+    if not sizes.all():
+        raise ValueError(f"client {cohort[int(np.argmin(sizes))]} has no samples")
+    # the phase reads its rows of these stacks through a clipped index
+    shapes = [(inp.shape, None if side is None else side.shape) for inp, side in inputs]
+    labels = [group.y.shape for group in train.groups]
+    if len(shapes) != len(labels) or any(i[:2] != y[:2] or s not in (None, y) for (i, s), y in zip(shapes, labels)):
+        raise ValueError(f"input stacks have shapes {shapes}, the train split's labels {labels}")
     phase = {} if phase is None else phase
-    uploads: dict[int, Upload] = {}
-    finite = np.empty(len(shards), dtype=bool)
-    for g, group in enumerate(cohort.groups):
-        side = None if u0 is None else u0[g]
-        shape = group.y.shape[:2]
+    uploads: list[Upload] = [None] * len(cohort)
+    finite = np.empty(len(cohort), dtype=bool)
+    # the size groups in the order of their first client in the cohort
+    for g in dict.fromkeys(g for _, g, _ in slots):
+        positions = [k for k, (_, h, _) in enumerate(slots) if h == g]
+        group, fields = train.groups[g], (*inputs[g], train.groups[g].y)
+        shape = (len(positions), group.y.shape[1])
         if shape not in phase:
-            phase[shape] = _group_phase(config, wbar, group, side)
-        data, vgrads = phase[shape](group, [rngs[pos] for pos in group.positions], wbar, side, t_g)
-        finite[group.positions] = np.isfinite(data).all(axis=1)
+            phase[shape] = _group_phase(config, wbar, len(positions), group, fields)
+        rows = np.array([slots[k][2] for k in positions])
+        data, vgrads = phase[shape](fields, rows, [rngs[k] for k in positions], wbar, t_g)
+        finite[positions] = np.isfinite(data).all(axis=1)
         if vgrads is not None:
-            finite[group.positions] &= np.isfinite(vgrads).all(axis=(1, 2))
-        for k, pos in enumerate(group.positions):
-            uploads[pos] = Upload(shards[pos], data[k], None if vgrads is None else vgrads[k])
+            finite[positions] &= np.isfinite(vgrads).all(axis=(1, 2))
+        for j, k in enumerate(positions):
+            uploads[k] = Upload(train.shards[slots[k][0]], data[j], None if vgrads is None else vgrads[j])
     if not finite.all():
-        raise _diverged("client_update", t_g, (shards[int(np.argmin(finite))].client_id,))
-    return [uploads[pos] for pos in range(len(shards))]
+        raise _diverged("client_update", t_g, (cohort[int(np.argmin(finite))],))
+    return uploads
 
 
 def aggregate_weights(
@@ -595,10 +583,10 @@ def aggregate_weights(
 ) -> nnet.DenseNet:
     """Weighted sum of the received parameter vectors, a net of ``wbar``'s layers.
 
-    The vectors times their coefficients fill rows 1.. of a buffer whose
-    row 0 is zeros; a reduction over the leading axis of rows of two or more
-    parameters adds them one by one, so each parameter sees the adds of a
-    loop from +0.0 in upload order, as a per-layer loop would give it.
+    The vectors times their coefficients fill a ``(k, P)`` buffer; a
+    reduction over the leading axis of rows of two or more parameters starts
+    from +0.0 and adds the rows one by one, so each parameter sees the adds
+    of a loop from +0.0 in upload order, as a per-layer loop would give it.
 
     ``renormalized`` rescales the received coefficients to sum to 1 (a
     convex combination even when uploads were lost); ``paper_unbiased``
@@ -615,8 +603,8 @@ def aggregate_weights(
         coeffs = [u.shard.q / total for u in uploads]
     else:
         coeffs = [(config.n_clients / len(uploads)) * u.shard.q for u in uploads]
-    terms = np.zeros((len(uploads) + 1, wbar.params.size))
-    np.multiply(np.array(coeffs)[:, None], [u.params for u in uploads], out=terms[1:])
+    terms = np.empty((len(uploads), wbar.params.size))
+    np.multiply(np.array(coeffs)[:, None], [u.params for u in uploads], out=terms)
     with _guard("aggregate_weights", t_g, [u.shard.client_id for u in uploads]):
         return nnet.DenseNet(wbar.layers, np.add.reduce(terms, axis=0))
 
@@ -711,18 +699,11 @@ def central_update(
 
 def _residuals(config: FederationConfig, center: CenterState, split: Split) -> Iterator[tuple[SizeGroup, np.ndarray]]:
     """Each size group of the split and its ``y_hat - y`` stack, from the
-    unchecked forward passes in the group's pools; w0's output is the
-    split's u0 (:func:`_center_rows`)."""
-    u0 = [None] * len(split.groups) if center.w0 is None else _center_rows(center, split)
-    for group, rows, (pool0, pool) in zip(split.groups, u0, split._pools):
-        if rows is None:
-            pred = nnet._output(center.wbar, group.x_local, pool)
-        elif config.combine == "concat":
-            inp = nnet._buffer(pool0, ("concat",), (*rows.shape[:-1], rows.shape[-1] + group.x_local.shape[-1]))
-            pred = nnet._output(center.wbar, np.concatenate([rows, group.x_local], axis=-1, out=inp), pool)
-        else:
-            pred = rows + nnet._output(center.wbar, group.x_local, pool)
-        yield group, pred - group.y
+    unchecked forward passes in the group's pools on wbar's inputs
+    (:func:`_wbar_inputs`)."""
+    for group, (inp, side), (_, pool) in zip(split.groups, _wbar_inputs(config, center, split), split._pools):
+        pred = nnet._output(center.wbar, inp, pool)
+        yield group, (pred if side is None else side + pred) - group.y
 
 
 def evaluate(config: FederationConfig, center: CenterState, split: Split) -> tuple[float, float]:
@@ -743,7 +724,7 @@ def evaluate(config: FederationConfig, center: CenterState, split: Split) -> tup
 
 def weighted_train_loss(config: FederationConfig, center: CenterState, split: Split) -> float:
     """Global objective: q-weighted sum of per-client mean losses, in shard
-    order. Its u0 is the one the next round's broadcast takes its rows from."""
+    order. Its inputs of wbar are the ones the next round's broadcast sends."""
     sq = np.empty(len(split.shards))
     for group, diff in _residuals(config, center, split):
         sq[group.positions] = np.sum(diff * diff, axis=(1, 2))
@@ -778,9 +759,9 @@ def _federated_round(
     local ``phase`` (see :func:`client_update`), the uploads the plan
     delivers, aggregation and the run's ``central`` step (with w0); returns
     the number of delivered uploads."""
-    cohort = train.gather(plan.cohorts[t_g])
-    u0 = None if center.w0 is None else center_broadcast(center, train, cohort)
-    uploads = client_update(config, cohort, center.wbar, u0, plan.streams(t_g), t_g, phase)
+    cohort = plan.cohorts[t_g]
+    inputs = _wbar_inputs(config, center, train) if center.w0 is None else center_broadcast(config, center, train)
+    uploads = client_update(config, train, cohort, center.wbar, inputs, plan.streams(t_g), t_g, phase)
     # the uploads come in cohort order, the order of the planned deliveries
     uploads = list(itertools.compress(uploads, plan.delivered[t_g]))
     if uploads:
@@ -885,6 +866,10 @@ def _run(
         raise ValueError(
             f"config expects {config.n_clients} clients, dataset has {dataset.n_clients}"
         )
+    outside = sorted(shard.client_id for shard in dataset.clients if not 0 <= shard.client_id < config.n_clients)
+    if outside and not pooled:
+        # a federated round selects its cohort from range(n_clients)
+        raise ValueError(f"federated training needs client ids 0..{config.n_clients - 1}, the dataset has {outside}")
     if center.w0 is not None and config.combine == "additive" and config.u0_dim != dataset.d_label:
         raise ValueError(
             f"additive combining needs u0_dim == d_label, got {config.u0_dim} != {dataset.d_label}"

@@ -72,13 +72,18 @@ class QueueSpec(netqueue.He2Params):
         super().__post_init__()
         if isinstance(self.t_p_grid, Grid):
             grid = self.t_p_grid
-            values = np.linspace(grid.start, grid.stop, grid.count)
+            # near the float limit linspace overflows at the endpoint, which it
+            # then sets to stop; a grid that overflows elsewhere holds a value
+            # that is negative or NaN, which the check below rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.linspace(grid.start, grid.stop, grid.count)
             object.__setattr__(self, "t_p_grid", tuple(float(v) for v in values))
         if not self.t_p_grid:
             raise ValueError("t_p_grid is empty")
-        # an infinite deadline is valid: no upload is late
+        # an infinite deadline is valid: no upload is late; written so that
+        # NaN fails
         for t_p in self.t_p_grid:
-            if t_p < 0.0:
+            if not t_p >= 0.0:
                 raise ValueError(f"t_p_grid values must be non-negative, got {t_p}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")

@@ -1,8 +1,10 @@
 """A round's cohort and streams for the tests.
 
-``client_update`` takes the cohort as a ``fedcore.Split`` and the centrally
-processed rows u0 as one ``(G, n, u0_dim)`` stack per size group; a test
-writes u0 down per client, and reads stacks back the same way. A run seeds
+``client_update`` takes the run's train split, the round's cohort as client
+ids of that split, and wbar's input and side stacks per size group of the
+split, as ``fedcore.center_broadcast`` sends them. A test writes u0 down
+per client and combines it with the local rows here (``split_of``), and
+reads stacks back per client the same way (``by_client``). A run seeds
 every round's streams before its first round and hands each phase its
 round's generators, or the channel its delay streams' seed words;
 ``update`` and ``deliver`` seed them from the same keys that
@@ -21,10 +23,13 @@ def streams(keys):
     return rng.generators(rng.seed_states(keys))
 
 
-def update(config, cohort, wbar, u0, t_g):
-    """``fedcore.client_update`` with the cohort's batch streams of round ``t_g``."""
-    keys = [(config.seed, "batches", shard.client_id, t_g) for shard in cohort.shards]
-    return fedcore.client_update(config, cohort, wbar, u0, streams(keys), t_g)
+def update(config, train, wbar, inputs, t_g, cohort=None):
+    """``fedcore.client_update`` of ``cohort``, client ids of ``train`` (all
+    its shards in split order when None), with their batch streams of round
+    ``t_g``."""
+    cohort = [shard.client_id for shard in train.shards] if cohort is None else cohort
+    keys = [(config.seed, "batches", client_id, t_g) for client_id in cohort]
+    return fedcore.client_update(config, train, cohort, wbar, inputs, streams(keys), t_g)
 
 
 def deliver(channel, uploads, epoch):
@@ -34,19 +39,23 @@ def deliver(channel, uploads, epoch):
     return [key for key, kept in zip(uploads, mask, strict=True) if kept]
 
 
-def cohort_of(shards, u0=None):
-    """The cohort of ``shards``, and ``u0`` (client id -> rows in shard order,
-    or None) stacked per size group."""
-    cohort = fedcore.build_split(shards, None)
+def split_of(config, shards, u0=None):
+    """The train split of ``shards``, and wbar's input and side stacks per
+    size group: ``u0`` (client id -> rows in shard order, or None) combined
+    with the local rows under ``config.combine``."""
+    train = fedcore.build_split(shards, None)
     if u0 is None:
-        return cohort, None
-    return cohort, [np.stack([u0[shards[pos].client_id] for pos in group.positions]) for group in cohort.groups]
+        return train, [(group.x_local, None) for group in train.groups]
+    sides = [np.stack([u0[shards[pos].client_id] for pos in group.positions]) for group in train.groups]
+    if config.combine == "concat":
+        return train, [(np.concatenate([side, g.x_local], axis=-1), None) for side, g in zip(sides, train.groups)]
+    return train, [(group.x_local, side) for group, side in zip(train.groups, sides)]
 
 
-def by_client(cohort, stacks):
+def by_client(split, stacks):
     """Per-group stacks read back per client: client id -> its rows."""
     return {
-        cohort.shards[pos].client_id: rows
-        for group, stack in zip(cohort.groups, stacks)
+        split.shards[pos].client_id: rows
+        for group, stack in zip(split.groups, stacks)
         for pos, rows in zip(group.positions, stack)
     }

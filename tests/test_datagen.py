@@ -235,25 +235,34 @@ def test_batches_missing_global_entry():
         store.rows(shard.ids)
     with pytest.raises(ValueError, match=r"^a field has \(1, 23\) shards x rows, expected \(1, 24\)$"):
         batches([substream(0, "batches")], one_shard(shard, np.zeros((shard.n - 1, 2))), batch_size=8)
+    # the rows are read through a clipped index, so they are checked first
+    for rows in ([1], [-1], [0, 0]):
+        with pytest.raises(ValueError, match=rf"^1 streams need as many rows of 1 shards, got \{rows}$"):
+            batches([substream(0, "batches")], one_shard(shard), batch_size=8, rows=np.array(rows))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**16))
 def test_batches_of_a_stack_match_each_shard_alone(size, n, batch_size, seed):
     """Each shard of a stack gets the index and rows of a one-shard call with
-    its own generator seed, bit for bit: no order is shared across shards."""
+    its own generator seed, bit for bit: no order is shared across shards.
+    So does each of some of the stack's shards, picked by ``rows`` in an
+    order of their own."""
     rng = substream(seed, "stack")
     x, y = rng.standard_normal((size, n, 3)), rng.standard_normal((size, n, 1))
-    stacked = batches([substream(seed, "batches", j) for j in range(size)], [x, None, y], batch_size)
-    for j in range(size):
-        alone = batches([substream(seed, "batches", j)], [x[j : j + 1], None, y[j : j + 1]], batch_size)
-        assert len(alone) == len(stacked)
-        for (index, fields), (index_alone, fields_alone) in zip(stacked, alone):
-            assert index[j].tobytes() == index_alone[0].tobytes()
-            assert fields[1] is None and fields_alone[1] is None
-            for field, field_alone in ((fields[0], fields_alone[0]), (fields[2], fields_alone[2])):
-                assert field[j].shape == field_alone[0].shape
-                assert field[j].tobytes() == field_alone[0].tobytes()
+    picked = rng.permutation(size)[: rng.integers(1, size + 1)]
+    for rows in (None, picked):
+        shards = range(size) if rows is None else picked
+        stacked = batches([substream(seed, "batches", j) for j in shards], [x, None, y], batch_size, rows=rows)
+        for k, j in enumerate(shards):
+            alone = batches([substream(seed, "batches", j)], [x[j : j + 1], None, y[j : j + 1]], batch_size)
+            assert len(alone) == len(stacked)
+            for (index, fields), (index_alone, fields_alone) in zip(stacked, alone):
+                assert index[k].tobytes() == index_alone[0].tobytes()
+                assert fields[1] is None and fields_alone[1] is None
+                for field, field_alone in ((fields[0], fields_alone[0]), (fields[2], fields_alone[2])):
+                    assert field[k].shape == field_alone[0].shape
+                    assert field[k].tobytes() == field_alone[0].tobytes()
 
 
 def test_global_store_rows_gather_by_id():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohorts import by_client, cohort_of, deliver, streams, update
+from cohorts import by_client, deliver, split_of, streams, update
 from nets import arrays, net_of
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, generate
@@ -235,11 +235,10 @@ def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
     plan = fedcore.plan_run(fed, pooled=False)
     seen, aggregated = [], []
 
-    def record_update(config, cohort, wbar, u0, rngs, t_g, phase):
-        assert len(fedcore._size_groups(cohort.shards)) > 1
-        ids = [shard.client_id for shard in cohort.shards]
-        assert tuple(ids) == selected(config, t_g)
-        seen.extend(same_state(r, (config.seed, "batches", c, t_g)) for c, r in zip(ids, rngs, strict=True))
+    def record_update(config, train, cohort, wbar, inputs, rngs, t_g, phase):
+        assert len({train._slots[client_id][1] for client_id in cohort}) > 1
+        assert tuple(cohort) == selected(config, t_g)
+        seen.extend(same_state(r, (config.seed, "batches", c, t_g)) for c, r in zip(cohort, rngs, strict=True))
 
     # the run decides every delivery in one call, in round and then cohort order
     uploads = [(t_g, client_id) for t_g, cohort in enumerate(plan.cohorts) for client_id in cohort]
@@ -263,30 +262,6 @@ def test_rounds_hand_each_client_its_planned_streams(monkeypatch):
     assert aggregated == [(t_g, ids) for t_g, ids in kept if ids]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.permutations(range(8)), st.integers(1, 8), st.booleans())
-def test_gathered_cohort_is_the_stacked_cohort(order, k, with_store):
-    """A cohort gathered from the run's train split is, stack for stack,
-    the cohort stacked from its own shards, without their global rows
-    whether or not the train split holds them: the broadcast takes u0 from
-    the train split."""
-    ds = UNEQUAL
-    train = fedcore.build_split(ds.clients, ds.global_store if with_store else None)
-    shards = [ds.clients[j] for j in order[:k]]
-    got = train.gather([shard.client_id for shard in shards])
-    want = fedcore.build_split(shards, None)
-    assert all(a is b for a, b in zip(got.shards, want.shards, strict=True))
-    assert len(got.groups) == len(want.groups)
-    for a, b in zip(got.groups, want.groups):
-        assert a.positions == b.positions
-        for field in ("x_global", "x_local", "y"):
-            x, y = getattr(a, field), getattr(b, field)
-            assert (x is None) == (y is None) == (field == "x_global")
-            assert x is None or (x.dtype == y.dtype and x.flags.c_contiguous and np.array_equal(x, y))
-    assert np.array_equal(got.q, want.q) and got.q.dtype == want.q.dtype
-    assert np.array_equal(got.n, want.n) and got.n.dtype == want.n.dtype
-
-
 # ---------------------------------------------------------------- broadcast
 
 
@@ -296,8 +271,8 @@ def test_broadcast_identity_center():
         w0=net_of((np.eye(3), np.zeros(3))),
         wbar=net_of(zero_layer(7, 2)),
     )
-    cohort = fedcore.build_split(ds.clients[:2], ds.global_store)
-    tables = by_client(cohort, center_broadcast(center, cohort, cohort))
+    split = fedcore.build_split(ds.clients[:2], ds.global_store)
+    tables = by_client(split, [inp[..., :3] for inp, _ in center_broadcast(FED, center, split)])
     for shard in ds.clients[:2]:
         assert np.array_equal(tables[shard.client_id], ds.global_store.rows(shard.ids))
 
@@ -309,13 +284,14 @@ def test_broadcast_matches_per_sample_forward():
         w0=nnet.random_net([3, 6, 3], ["tanh", "identity"], rng),
         wbar=net_of(zero_layer(7, 2)),
     )
-    cohort = fedcore.build_split(ds.clients, ds.global_store)
-    stacks = center_broadcast(center, cohort, cohort)
-    # one (G, n, u0_dim) stack per size group
-    assert [stack.shape for stack in stacks] == [
-        (len(group.positions), group.x_local.shape[1], 3) for group in cohort.groups
+    split = fedcore.build_split(ds.clients, ds.global_store)
+    inputs = center_broadcast(FED, center, split)
+    # under concat, one (G, n, u0_dim + d_local) input stack per size group
+    assert [(inp.shape, side) for inp, side in inputs] == [
+        ((len(group.positions), group.x_local.shape[1], 3 + 4), None) for group in split.groups
     ]
-    tables = by_client(cohort, stacks)
+    assert all(np.array_equal(inp[..., 3:], group.x_local) for (inp, _), group in zip(inputs, split.groups))
+    tables = by_client(split, [inp[..., :3] for inp, _ in inputs])
     assert set(tables) == {shard.client_id for shard in ds.clients}
     for shard in ds.clients:
         assert tables[shard.client_id].shape == (shard.n, 3)
@@ -351,8 +327,8 @@ def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
     wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
     u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     fed = dataclasses.replace(FED, local_epochs=1, batch_size=10_000)
-    cohort, stacks = cohort_of([shard], {shard.client_id: u0})
-    (upload,) = update(fed, cohort, wbar, stacks, 0)
+    train, inputs = split_of(fed, [shard], {shard.client_id: u0})
+    (upload,) = update(fed, train, wbar, inputs, 0)
     assert upload.shard is shard
     expected = manual_full_batch_vgrads(wbar, shard, u0, u0_dim=3)
     for k, row in enumerate(expected):
@@ -364,28 +340,43 @@ def test_client_update_one_full_batch_steps_once_from_the_initial_vgrads():
 
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_client_update_rejects_u0_with_the_wrong_row_count(extra):
+    """Input or side stacks whose row count is not the train split's would
+    be read through a clipped index: they are rejected up front."""
     ds = generate(SYNTH)
     shards = list(ds.clients[:2])
     rng = substream(3, "cu-rows")
     wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
     n = shards[0].n
-    cohort, stacks = cohort_of(shards, {shard.client_id: rng.standard_normal((n + extra, 3)) for shard in shards})
-    named = rf"^u0 stacks have shapes \[\(2, {n + extra}, 3\)\], the cohort needs \[\(2, {n}, 3\)\]$"
+    train, _ = split_of(FED, shards)
+    concat = [(rng.standard_normal((2, n + extra, 7)), None)]
+    labels = rf"the train split's labels \[\(2, {n}, 2\)\]$"
+    named = rf"^input stacks have shapes \[\(\(2, {n + extra}, 7\), None\)\], {labels}"
     with pytest.raises(ValueError, match=named):
-        update(FED, cohort, wbar, stacks, 0)
+        update(FED, train, wbar, concat, 0)
+    additive = dataclasses.replace(FED, combine="additive", u0_dim=2)
+    _, inputs = split_of(additive, shards, {shard.client_id: rng.standard_normal((n + extra, 2)) for shard in shards})
+    with pytest.raises(ValueError, match=rf"\(\(2, {n}, 4\), \(2, {n + extra}, 2\)\)\], the train split's labels"):
+        update(additive, train, net_of(zero_layer(4, 2)), inputs, 0)
 
 
 def test_client_update_rejects_u0_stacks_that_do_not_match_the_cohort():
+    """A side stack must have the labels' shape, and the stacks must be one
+    pair per size group of the train split."""
     ds = generate(SYNTH)
     shards = list(ds.clients[:2])
     rng = substream(3, "cu-stacks")
-    wbar = nnet.random_net([3 + 4, 12, 2], ["tanh", "identity"], rng)
+    wbar = net_of(zero_layer(4, 2))
     n = shards[0].n
-    cohort, stacks = cohort_of(shards, {shard.client_id: rng.standard_normal((n, 4)) for shard in shards})
-    with pytest.raises(ValueError, match=rf"^u0 stacks have shapes \[\(2, {n}, 4\)\], the cohort needs \[\(2, {n}, 3\)\]$"):
-        update(FED, cohort, wbar, stacks, 0)
-    with pytest.raises(ValueError, match=rf"shapes \[\(2, {n}, 3\), \(2, {n}, 3\)\], the cohort needs \[\(2, {n}, 3\)\]$"):
-        update(FED, cohort, wbar, [stacks[0][..., :3]] * 2, 0)
+    fed = dataclasses.replace(FED, combine="additive", u0_dim=2)
+    train, inputs = split_of(fed, shards, {shard.client_id: rng.standard_normal((n, 3)) for shard in shards})
+    labels = rf"the train split's labels \[\(2, {n}, 2\)\]$"
+    with pytest.raises(ValueError, match=rf"^input stacks have shapes \[\(\(2, {n}, 4\), \(2, {n}, 3\)\)\], {labels}"):
+        update(fed, train, wbar, inputs, 0)
+    x_local = inputs[0][0]
+    with pytest.raises(ValueError, match=rf"shapes \[\(\(2, {n}, 4\), None\), \(\(2, {n}, 4\), None\)\], {labels}"):
+        update(fed, train, wbar, [(x_local, None)] * 2, 0)
+    with pytest.raises(ValueError, match=rf"^input stacks have shapes \[\], {labels}"):
+        update(fed, train, wbar, [], 0)
 
 
 def test_client_update_rejects_a_client_without_samples():
@@ -394,7 +385,8 @@ def test_client_update_rejects_a_client_without_samples():
     wbar = net_of(zero_layer(2, 1))
     empty = ClientShard(3, np.array([], dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 1)), 1.0)
     with pytest.raises(ValueError, match="^client 3 has no samples$"):
-        update(FED, fedcore.build_split([empty], None), wbar, None, 0)
+        train, inputs = split_of(FED, [empty])
+        update(FED, train, wbar, inputs, 0)
 
 
 def test_client_update_perfect_fit_returns_zero_vgrads():
@@ -408,8 +400,8 @@ def test_client_update_perfect_fit_returns_zero_vgrads():
         client_id=shard.client_id, ids=shard.ids, x_local=shard.x_local, y=fitted_y, q=shard.q
     )
     fed = dataclasses.replace(FED, batch_size=16)
-    cohort, stacks = cohort_of([fitted], {fitted.client_id: u0})
-    (upload,) = update(fed, cohort, wbar, stacks, 0)
+    train, inputs = split_of(fed, [fitted], {fitted.client_id: u0})
+    (upload,) = update(fed, train, wbar, inputs, 0)
     assert nets_equal(nnet.DenseNet(wbar.layers, upload.params), wbar)
     for row in upload.vgrads:
         assert np.array_equal(row, np.zeros_like(row))
@@ -422,8 +414,8 @@ def test_client_vertical_gradient_matches_finite_differences():
     wbar = nnet.random_net([3 + 4, 10, 2], ["tanh", "identity"], rng)
     u0 = np.vstack([rng.standard_normal(3) for _ in shard.ids])
     fed = dataclasses.replace(FED, local_epochs=1, batch_size=10_000)
-    cohort, stacks = cohort_of([shard], {shard.client_id: u0})
-    vgrads = update(fed, cohort, wbar, stacks, 0)[0].vgrads
+    train, inputs = split_of(fed, [shard], {shard.client_id: u0})
+    vgrads = update(fed, train, wbar, inputs, 0)[0].vgrads
 
     def client_loss(rows):
         out, _ = nnet.forward(wbar, np.hstack([rows, shard.x_local]))
@@ -575,10 +567,11 @@ def test_aggregate_adds_the_uploads_in_upload_order(dims, aggregator):
 def test_aggregate_starts_from_plus_zero():
     """Every upload holds -0.0 in its first parameter: a sum from +0.0, as
     the loop's, gives +0.0 there, where a sum of the terms alone keeps
-    -0.0."""
-    nets = [net_of((np.array([[-0.0]]), np.array([q]))) for q in (1.0, 2.0, 3.0)]
-    out = aggregate_weights(FED, nets[0], weight_uploads([0.2, 0.3, 0.5], nets), 0)
-    assert out.params[0] == 0.0 and not np.signbit(out.params[0])
+    -0.0; one upload too."""
+    for k in (1, 3, 9):
+        nets = [net_of((np.array([[-0.0]]), np.array([1.0 + j]))) for j in range(k)]
+        out = aggregate_weights(FED, nets[0], weight_uploads([1.0 / k] * k, nets), 0)
+        assert out.params[0] == 0.0 and not np.signbit(out.params[0]), k
 
 
 # ----------------------------------------------------------- central update
@@ -617,13 +610,12 @@ def test_central_update_matches_finite_differences_of_composed_loss():
     w0 = nnet.random_net([3, 4, 3], ["tanh", "identity"], rng)
     wbar = nnet.random_net([3 + 4, 8, 2], ["tanh", "identity"], rng)
     center = CenterState(w0=w0, wbar=wbar)
-    cohort = fedcore.build_split(ds.clients, ds.global_store)
-    tables = center_broadcast(center, cohort, cohort)
+    train = fedcore.build_split(ds.clients, ds.global_store)
     eta0 = 1e-2
     fed = dataclasses.replace(
         FED, n_clients=2, k=2, local_epochs=1, batch_size=10_000, eta0=Schedule("constant", eta0)
     )
-    uploads = update(fed, cohort, wbar, tables, 0)
+    uploads = update(fed, train, wbar, center_broadcast(fed, center, train), 0)
     stepped = central_update(fed, w0, uploads, ds.global_store, 0)
 
     def composed_loss(w0_variant):
@@ -754,6 +746,27 @@ def test_run_hfl_deterministic_and_single_client_matches_cloud():
         assert ra.test_error_ratio == rc.test_error_ratio
 
 
+def test_federated_runs_need_client_ids_0_to_n_minus_1():
+    """A round selects its cohort from range(N), so a federated run rejects
+    other training client ids by name before it trains; the same ids in
+    another order run, and so do the cloud modes, which pool the shards."""
+    ds = generate(SynthConfig(3, 10, 2, 2, 1, seed=1))
+    fed = dataclasses.replace(FED, n_clients=3, k=2, global_epochs=2)
+
+    def relabelled(ids):
+        clients = tuple(dataclasses.replace(shard, client_id=c) for shard, c in zip(ds.clients, ids))
+        return dataclasses.replace(ds, clients=clients)
+
+    shifted = relabelled([10, 11, 12])
+    named = r"^federated training needs client ids 0\.\.2, the dataset has \[10, 11, 12\]$"
+    for run in (fedcore.run_vhfl, fedcore.run_hfl):
+        with pytest.raises(ValueError, match=named):
+            run(fed, shifted)
+    assert len(fedcore.run_cloud(fed, shifted, use_global=True)[1]) == 2
+    for run in (fedcore.run_vhfl, fedcore.run_hfl):
+        assert len(run(fed, relabelled([2, 1, 0]))[1]) == 2
+
+
 def test_run_hfl_single_step_equals_pooled_sgd():
     ds = generate(SYNTH)
     fed = dataclasses.replace(FED, k=5, local_epochs=1, batch_size=10_000, global_epochs=1)
@@ -826,8 +839,8 @@ def test_run_cloud_global_fits_linear_realizable_task():
     # one full batch: the gradients are taken before the step
     u0 = nnet.forward(center.w0, x0)[0]
     fed = dataclasses.replace(fed, local_epochs=1, batch_size=10_000)
-    cohort, stacks = cohort_of(ds.clients[:1], {0: u0})
-    vgrads = update(fed, cohort, center.wbar, stacks, 0)[0].vgrads
+    train, inputs = split_of(fed, ds.clients[:1], {0: u0})
+    vgrads = update(fed, train, center.wbar, inputs, 0)[0].vgrads
     assert max(float(np.linalg.norm(v)) for v in vgrads) < 1e-4
 
 
@@ -988,9 +1001,9 @@ def test_grouped_evaluation_matches_per_shard_reference(combine):
     loss = fedcore.weighted_train_loss(fed, center, split)
     assert loss == reference_train_loss(fed, center, shards, store)
     if combine is not None:
-        stacks = center_broadcast(center, split, split)
-        assert len(stacks) == len(split.groups)
-        u0 = by_client(split, stacks)
+        inputs = center_broadcast(fed, center, split)
+        assert len(inputs) == len(split.groups)
+        u0 = by_client(split, [inp[..., :u0_dim] if side is None else side for inp, side in inputs])
         for shard in shards:
             assert u0[shard.client_id].tobytes() == plain_output(w0, store.rows(shard.ids)).tobytes()
     with pytest.raises(ValueError, match="^no samples to evaluate$"):

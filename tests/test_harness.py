@@ -613,3 +613,56 @@ SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"
 def test_shipped_configs_parse(path):
     mode = json.loads(path.read_text(encoding="utf-8"))["mode"]
     assert load_config(path, mode_override=mode).mode == mode
+
+
+def test_grid_near_the_float_limit_parses_or_names_the_grid():
+    """linspace overflows on a grid from the largest float: its values stay
+    exact, and a grid whose span overflows, which it fills with NaN, is a
+    ConfigError."""
+    raw = copy.deepcopy(QUEUE_CONFIG)
+    raw["queue"]["t_p_grid"]["start"] = 1.7976931348623157e308
+    grid = parse_config(raw).queue.t_p_grid
+    assert grid[0] == 1.7976931348623157e308 and grid[-1] == 4.0 and all(map(math.isfinite, grid))
+    raw["queue"]["t_p_grid"] = {"start": -1e308, "stop": 1e308, "count": 3}
+    with pytest.raises(ConfigError, match="^queue: t_p_grid values must be non-negative, got nan$"):
+        parse_config(raw)
+
+
+def _leaves(node, path=()):
+    """The paths to a JSON value's leaves: its scalars and empty containers."""
+    if isinstance(node, (dict, list)) and node:
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path
+
+
+SHIPPED_RAW = [json.loads(path.read_text(encoding="utf-8")) for path in SHIPPED]
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([1e-320, 1e308, 10**9, 10_001, "", "concat", "inverse"]),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_leaf_mutations_of_shipped_configs_parse_or_name_a_key(data):
+    """A shipped config with one leaf replaced by any JSON value either
+    parses or raises ConfigError naming a key on the leaf's path: no other
+    exception escapes the parser."""
+    raw = copy.deepcopy(data.draw(st.sampled_from(SHIPPED_RAW)))
+    path = data.draw(st.sampled_from(list(_leaves(raw))))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(JSON_LEAVES)
+    try:
+        parse_config(raw)
+    except ConfigError as err:
+        assert any(key in str(err) for key in path if isinstance(key, str)), (path, str(err))

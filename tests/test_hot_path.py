@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohorts import cohort_of, update
+from cohorts import split_of, update
 from nets import allocating_backward, allocating_forward, arrays, net_of
 from reference import interleaved_dataset, reference_client_update, reference_run, shuffled_batches
 from vhfl_lab import fedcore, netqueue, nnet
@@ -138,8 +138,9 @@ def local_problems(draw):
 @settings(max_examples=80, deadline=None)
 @given(local_problems())
 def test_client_update_matches_public_api_loop_bit_for_bit(problem):
-    """Each upload of a cohort equals its client trained alone by the
-    reference; where some client diverges, the first in cohort order is named."""
+    """Each upload of a cohort, some of the train split's clients in an order
+    of their own, equals its client trained alone by the reference; where
+    some client diverges, the first in cohort order is named."""
     rng = substream(problem["seed"], "prop")
     combine, sizes = problem["combine"], problem["sizes"]
     ids = rng.permutation(1000)
@@ -175,20 +176,22 @@ def test_client_update_matches_public_api_loop_bit_for_bit(problem):
         u0_dim=problem["u0_dim"],
     )
     global_epoch = problem["global_epoch"]
+    picked = [shards[k] for k in rng.permutation(len(shards))[: rng.integers(1, len(shards) + 1)]]
+    cohort = [shard.client_id for shard in picked]
     with np.errstate(all="ignore"):
         refs = [
             reference_or_none(fed, shard, wbar, None if u0 is None else u0[shard.client_id], global_epoch)
-            for shard in shards
+            for shard in picked
         ]
-        diverged = [shard.client_id for shard, ref in zip(shards, refs) if ref is None]
-        cohort, stacks = cohort_of(shards, u0)
+        diverged = [shard.client_id for shard, ref in zip(picked, refs) if ref is None]
+        train, inputs = split_of(fed, shards, u0)
         if diverged:
             named = rf"after client_update at global epoch {global_epoch}, client {diverged[0]}$"
             with pytest.raises(ValueError, match=named):
-                update(fed, cohort, wbar, stacks, global_epoch)
+                update(fed, train, wbar, inputs, global_epoch, cohort)
             return
-    uploads = update(fed, cohort, wbar, stacks, global_epoch)
-    assert [upload.shard for upload in uploads] == shards
+    uploads = update(fed, train, wbar, inputs, global_epoch, cohort)
+    assert [upload.shard for upload in uploads] == picked
     for upload, (ref_net, ref_vgrads) in zip(uploads, refs):
         assert nets_same_bits(nnet.DenseNet(wbar.layers, upload.params), ref_net)
         if u0 is None:
@@ -209,7 +212,7 @@ def test_client_update_takes_one_public_step_per_size_group(monkeypatch):
     assert fedcore._size_groups(shards) == [[0, 2], [1]]
     rng = substream(13, "counts")
     wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
-    cohort, u0 = cohort_of(shards, {shard.client_id: rng.standard_normal((shard.n, 3)) for shard in shards})
+    train, inputs = split_of(FED, shards, {shard.client_id: rng.standard_normal((shard.n, 3)) for shard in shards})
     calls = {"mse_loss": 0, "batches": 0}
 
     def counting(name, fn):
@@ -221,7 +224,7 @@ def test_client_update_takes_one_public_step_per_size_group(monkeypatch):
 
     monkeypatch.setattr(fedcore.nnet, "mse_loss", counting("mse_loss", nnet.mse_loss))
     monkeypatch.setattr(fedcore, "batches", counting("batches", fedcore.batches))
-    update(FED, cohort, wbar, u0, 0)
+    update(FED, train, wbar, inputs, 0)
     assert calls == {"mse_loss": 2, "batches": 2}
 
 
@@ -237,8 +240,8 @@ def test_local_phase_emits_a_batch_list_once_and_only_where_it_runs(n, local_epo
     shards = [ClientShard(s.client_id, s.ids[:n], s.x_local[:n], s.y[:n], s.q) for s in ds.clients[:2]]
     rng = substream(14, "emits", n)
     wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
-    cohort, u0 = cohort_of(shards, {shard.client_id: rng.standard_normal((n, 3)) for shard in shards})
-    assert len(cohort.groups) == 1
+    train, inputs = split_of(FED, shards, {shard.client_id: rng.standard_normal((n, 3)) for shard in shards})
+    assert len(train.groups) == 1
     calls = []
     step_ops = fedcore._step_ops
 
@@ -247,7 +250,7 @@ def test_local_phase_emits_a_batch_list_once_and_only_where_it_runs(n, local_epo
         return step_ops(layers, grads, inp, *rest)
 
     monkeypatch.setattr(fedcore, "_step_ops", counted)
-    update(dataclasses.replace(FED, local_epochs=local_epochs), cohort, wbar, u0, 0)
+    update(dataclasses.replace(FED, local_epochs=local_epochs), train, wbar, inputs, 0)
     assert len(calls) == lists
 
 
@@ -443,8 +446,8 @@ def test_run_long_local_phase_matches_a_fresh_phase_every_round(mode, combine, b
     kept, kept_trace = run(fed, ds)
     client_update = fedcore.client_update
 
-    def fresh_phase(config, cohort, wbar, u0, rngs, t_g, phase):
-        return client_update(config, cohort, wbar, u0, rngs, t_g)
+    def fresh_phase(config, train, cohort, wbar, inputs, rngs, t_g, phase):
+        return client_update(config, train, cohort, wbar, inputs, rngs, t_g)
 
     monkeypatch.setattr(fedcore, "client_update", fresh_phase)
     fresh, fresh_trace = run(fed, ds)
@@ -498,6 +501,55 @@ INTERLEAVED = interleaved_dataset((5, 9, 2, 5, 7, 9, 3), (2,) * 7, 3, 2, 2, 4)
 LOSSY = netqueue.ChannelModel(2.0, 0.5, 0.5, 8.0, 2.0, t_p=0.5, seed=2)
 
 
+@pytest.mark.parametrize("combine", fedcore.COMBINES)
+def test_a_round_takes_its_cohorts_rows_from_the_train_split(combine, monkeypatch):
+    """A run stacks its train and test splits and no other split: a round's
+    cohort is rows of the train split. Each round's local phase shuffles
+    each client's rows through the order of its stream (seed, "batches",
+    client_id, t_g), so its shuffled stacks hold the shard's local rows,
+    labels and u0 rows of the round's w0 in that order."""
+    ds = INTERLEAVED
+    fed = dataclasses.replace(FED, n_clients=7, k=3, global_epochs=6, combine=combine, u0_dim=2)
+    built, rounds = [], []
+    split, broadcast, batches = fedcore.Split, fedcore.center_broadcast, fedcore.batches
+
+    def counted(*args, **kwargs):
+        built.append(kwargs["shards"])
+        return split(*args, **kwargs)
+
+    def recorded_broadcast(config, center, train):
+        rounds.append((center.w0, []))
+        return broadcast(config, center, train)
+
+    def recorded_batches(rngs, fields, batch_size, out, rows):
+        cut = batches(rngs, fields, batch_size, out, rows)
+        rounds[-1][1].append((rows.tolist(), [None if f is None else f.copy() for f in out]))
+        return cut
+
+    monkeypatch.setattr(fedcore, "Split", counted)
+    monkeypatch.setattr(fedcore, "center_broadcast", recorded_broadcast)
+    monkeypatch.setattr(fedcore, "batches", recorded_batches)
+    fedcore.run_vhfl(fed, ds)
+    assert built == [ds.clients, ds.test_clients]
+    groups = fedcore.build_split(ds.clients, ds.global_store).groups
+    width = 2 if combine == "concat" else 0
+    assert len(rounds) == fed.global_epochs
+    # some cohort takes rows of a size group other than its first ones
+    assert any(rows != list(range(len(rows))) for _, stacks in rounds for rows, _ in stacks)
+    for t_g, (cohort, (w0, stacks)) in enumerate(zip(fedcore.plan_run(fed, pooled=False).cohorts, rounds)):
+        assert len(stacks) == len({ds.clients[c].n for c in cohort})
+        for _, (inp, side, y) in stacks:
+            members = [c for c in cohort if ds.clients[c].n == y.shape[1]]
+            assert len(members) == len(y)
+            for k, c in enumerate(members):
+                shard = ds.clients[c]
+                order = substream(fed.seed, "batches", c, t_g).permutation(shard.n)
+                group = next(group for group in groups if c in group.positions)
+                u0 = nnet._output(w0, group.x_global)[group.positions.index(c)]
+                assert same_bits(y[k], shard.y[order]) and same_bits(inp[k, :, width:], shard.x_local[order])
+                assert same_bits(inp[k, :, :width] if side is None else side[k], u0[order])
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(st.integers(1, 6), min_size=2, max_size=6),
@@ -508,8 +560,9 @@ LOSSY = netqueue.ChannelModel(2.0, 0.5, 0.5, 8.0, 2.0, t_p=0.5, seed=2)
 def test_broadcast_u0_is_a_fresh_pass_over_the_cohorts_global_rows(sizes, combine, t_p, seed):
     """Every round's broadcast, whether it computes the train split's u0 or
     takes the one the last train loss left, equals w0's pass over the
-    cohort's own global rows, stacked per size group; a short deadline makes
-    rounds that deliver nothing, after which w0 and its u0 are unchanged."""
+    shards' own global rows, stacked per size group, beside their local rows
+    as the combine mode puts them; a short deadline makes rounds that
+    deliver nothing, after which w0 and its u0 are unchanged."""
     ds = interleaved_dataset(sizes, (1,) * len(sizes), 2, 3, 2, seed)
     fed = dataclasses.replace(
         FED,
@@ -523,17 +576,23 @@ def test_broadcast_u0_is_a_fresh_pass_over_the_cohorts_global_rows(sizes, combin
     calls = []
     broadcast = fedcore.center_broadcast
 
-    def recorded(center, train, cohort):
-        stacks = broadcast(center, train, cohort)
-        calls.append((center.w0, cohort.shards, [stack.copy() for stack in stacks]))
-        return stacks
+    def recorded(config, center, train):
+        inputs = broadcast(config, center, train)
+        calls.append((center.w0, [(inp.copy(), None if side is None else side.copy()) for inp, side in inputs]))
+        return inputs
 
     with mock.patch.object(fedcore, "center_broadcast", recorded):
         fedcore.run_vhfl(fed, ds)
     assert len(calls) == fed.global_epochs
-    for w0, shards, stacks in calls:
-        want = [nnet._output(w0, group.x_global) for group in fedcore.build_split(shards, ds.global_store).groups]
-        assert len(stacks) == len(want) and all(same_bits(a, b) for a, b in zip(stacks, want))
+    groups = fedcore.build_split(ds.clients, ds.global_store).groups
+    for w0, inputs in calls:
+        assert len(inputs) == len(groups)
+        for (inp, side), group in zip(inputs, groups):
+            want = nnet._output(w0, group.x_global)
+            if combine == "concat":
+                assert side is None and same_bits(inp, np.concatenate([want, group.x_local], axis=-1))
+            else:
+                assert same_bits(side, want) and same_bits(inp, group.x_local)
 
 
 def public_central_step(fed, w0, uploads, store, t_g):
@@ -616,19 +675,19 @@ def test_client_and_central_update_leave_caller_arrays_unchanged():
     wbar = nnet.random_net([3 + 3, 6, 2], ["tanh", "identity"], rng)
     center = CenterState(w0=w0, wbar=wbar)
     w0_snap, wbar_snap = snapshot(w0), snapshot(wbar)
-    cohort = fedcore.build_split(ds.clients, ds.global_store)
-    u0 = center_broadcast(center, cohort, cohort)
-    u0_snap = [rows.copy() for rows in u0]
-    cohort_snap = [(group.x_local.copy(), group.y.copy()) for group in cohort.groups]
+    train = fedcore.build_split(ds.clients, ds.global_store)
     fed = dataclasses.replace(
         FED, local_epochs=3, eta=Schedule("constant", 0.1), eta0=Schedule("constant", 0.1)
     )
-    uploads = update(fed, cohort, wbar, u0, 0)
+    inputs = center_broadcast(fed, center, train)
+    inputs_snap = [inp.copy() for inp, _ in inputs]
+    train_snap = [(group.x_local.copy(), group.y.copy()) for group in train.groups]
+    uploads = update(fed, train, wbar, inputs, 0)
     for upload in uploads:
         assert not np.shares_memory(upload.params, wbar.params)
     assert unchanged(wbar, wbar_snap)
-    assert all(same_bits(rows, snap) for rows, snap in zip(u0, u0_snap))
-    for group, (x_local, y) in zip(cohort.groups, cohort_snap):
+    assert all(side is None and same_bits(inp, snap) for (inp, side), snap in zip(inputs, inputs_snap))
+    for group, (x_local, y) in zip(train.groups, train_snap):
         assert same_bits(group.x_local, x_local) and same_bits(group.y, y)
     stepped = central_update(fed, w0, uploads, ds.global_store, 0)
     assert not nets_same_bits(stepped, w0)
@@ -673,8 +732,8 @@ def test_no_round_rewrites_a_net_an_earlier_round_handed_to_the_center(mode, mon
     started = []
     client_update = fedcore.client_update
 
-    def recording_update(config, cohort, wbar, u0, rngs, t_g, phase):
-        uploads = client_update(config, cohort, wbar, u0, rngs, t_g, phase)
+    def recording_update(config, train, cohort, wbar, inputs, rngs, t_g, phase):
+        uploads = client_update(config, train, cohort, wbar, inputs, rngs, t_g, phase)
         started.append((wbar, uploads))
         return uploads
 
@@ -718,11 +777,11 @@ def test_guard_names_client_update_epoch_and_client():
     ds = generate(SYNTH)
     shard = ds.clients[2]
     wbar = nnet.random_net([3 + 3, 6, 2], ["identity", "identity"], substream(11, "guard"))
-    cohort, u0 = cohort_of([shard], {2: substream(11, "u0").standard_normal((shard.n, 3))})
+    fed = dataclasses.replace(DIVERGING, local_epochs=3, batch_size=4)
+    train, inputs = split_of(fed, [shard], {2: substream(11, "u0").standard_normal((shard.n, 3))})
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"non-finite values after client_update at global epoch 7, client 2$"):
-            fed = dataclasses.replace(DIVERGING, local_epochs=3, batch_size=4)
-            update(fed, cohort, wbar, u0, 7)
+            update(fed, train, wbar, inputs, 7)
 
 
 def test_guard_names_the_first_diverging_client_in_cohort_order():
@@ -739,9 +798,13 @@ def test_guard_names_the_first_diverging_client_in_cohort_order():
     assert fedcore._size_groups(shards) == [[0, 2], [1]]
     wbar = nnet.random_net([2, 3, 1], ["identity", "identity"], rng)
     fed = dataclasses.replace(FED, activation="identity", batch_size=2, local_epochs=3)
+    train, inputs = split_of(fed, shards)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"after client_update at global epoch 1, client 4$"):
-            update(fed, fedcore.build_split(shards, None), wbar, None, 1)
+            update(fed, train, wbar, inputs, 1)
+        # the cohort's order names the client, not the train split's
+        with pytest.raises(ValueError, match=r"after client_update at global epoch 1, client 9$"):
+            update(fed, train, wbar, inputs, 1, [9, 4, 5])
 
 
 @pytest.mark.parametrize("diverged_first", [True, False], ids=["diverged_first", "diverged_second"])
@@ -754,16 +817,19 @@ def test_guard_names_a_diverged_client_in_either_place_of_its_size_group(diverge
     finite = ClientShard(3, np.array([2, 3]), np.ones((2, 2)), np.zeros((2, 1)), 0.5)
     shards = [diverging, finite] if diverged_first else [finite, diverging]
     fed = dataclasses.replace(FED, activation="identity", batch_size=2)
+    train, inputs = split_of(fed, shards)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match=r"^non-finite values after client_update at global epoch 0, client 7$"):
-            update(fed, fedcore.build_split(shards, None), wbar, None, 0)
+            update(fed, train, wbar, inputs, 0)
 
 
 def test_client_update_keeps_the_first_steps_shape_errors():
     wbar = net_of((np.ones((1, 3)), np.ones(1)))
     shards = [ClientShard(j, np.array([2 * j, 2 * j + 1]), np.ones((2, 2)), np.zeros((2, 1)), 0.5) for j in (0, 1)]
+    fed = dataclasses.replace(FED, batch_size=2)
+    train, inputs = split_of(fed, shards)
     with pytest.raises(ValueError, match=r"^batch has 2 columns, net expects 3$"):
-        update(dataclasses.replace(FED, batch_size=2), fedcore.build_split(shards, None), wbar, None, 0)
+        update(fed, train, wbar, inputs, 0)
 
 
 def test_guard_stops_a_diverging_run_at_its_first_client():

@@ -485,14 +485,15 @@ def test_contiguous_products_agree_under_other_openblas_kernels():
     """In a child process per forced OpenBLAS kernel, np.dot and np.matmul
     write the same bits for every contiguous layer product of a seeded sweep,
     and ``datagen.generate``'s stacked label maps give the bits of the
-    per-client loop on every config of a seeded sweep."""
+    per-client loop on every config of a seeded sweep. ``Zen`` is not
+    forced: this numpy's OpenBLAS runs ``Haswell`` for it."""
     found = {}
-    for core in ("Haswell", "Zen", "Prescott"):
+    for core in ("Haswell", "Prescott"):
         env = {**os.environ, "OPENBLAS_CORETYPE": core}
         out = subprocess.run([sys.executable, products.__file__], env=env, capture_output=True, text=True, check=True)
         found[core] = json.loads(out.stdout)
     for core, report in found.items():
         assert all(report["differ"][name] == 0 for name in products.CONTIGUOUS), (core, report)
         assert report["generate"] == 0, (core, report)
-    # the forced kernels took effect: they are not all the one kernel
-    assert len({report["core"] for report in found.values()}) > 1, found
+    # each child runs the kernel it forced; Prescott's is named Katmai
+    assert {core: report["core"] for core, report in found.items()} == {"Haswell": "Haswell", "Prescott": "Katmai"}
