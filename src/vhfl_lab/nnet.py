@@ -20,15 +20,14 @@ weights and bias row taken once. The backward pass writes each layer's
 gradients into its views of the gradient buffer. A net's ``params`` is a
 read-only view, so nothing writes it through the net: a training phase
 copies the vectors it trains into a buffer of its own, and no net it hands
-out views memory that a later step writes. Both training phases keep
-their buffers for the run: the local phase uploads views of its buffers,
-which the round uses up before they train again, and the pooled phase
-hands out copies.
+out views memory that a later step writes.
 
 Validate at the edges, run unchecked kernels inside the loop. The public
 ``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument
 and then run the private kernels, which check nothing, so a training phase
-that runs the kernels itself gets the public functions' bits.
+that runs the kernels itself gets the public functions' bits; ``fedcore``
+checks each local-phase shape once through ``forward``, ``mse_loss`` and
+``backward``, where it builds the phase.
 ``forward``, ``mse_loss`` and ``backward`` take a batch or a ``(*lead, b,
 in)`` stack of batches through the one net; ``backward`` returns the
 ``(*lead, P)`` gradient vectors in the layout of ``params``, and
@@ -75,10 +74,8 @@ and shape, and the weights and gradients a list names are views of the
 caller's buffers, so each replay reads the current parameters. An ``out=``
 buffer gets the bits of the allocating form, as above. A training phase
 emits a step once and replays it (see ``fedcore``). A one-shot call,
-``_output``, ``forward`` or ``backward``, emits into a fresh pool and runs
-the list once (``_run``), so no two calls share a buffer; evaluation hands
-``_output`` pools it keeps for the run, and reads each result before the
-next call.
+``_output``, ``forward`` or ``backward``, emits into a pool, fresh unless
+the caller passes one to ``_output``, and runs the list once (``_run``).
 """
 
 from __future__ import annotations

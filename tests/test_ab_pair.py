@@ -60,13 +60,32 @@ def test_summary_reads_medians_pair_ratios_and_wins():
     times_a = [1.0, 2.0, 4.0, 1.0]
     times_b = [0.5, 2.0, 3.0, 1.5]  # ratios 0.5, 1.0 (a tie), 0.75, 1.5
     summary = ab_pair.summarize(times_a, times_b)
+    # quartiles by statistics.quantiles' exclusive method: sorted a is
+    # 1, 1, 2, 4, so q1 = 1 and q3 = 2 + 0.75 * (4 - 2)
     assert summary == {
         "median_a_s": 1.5,
+        "q1_a_s": 1.0,
+        "q3_a_s": 3.5,
         "median_b_s": 1.75,
+        "q1_b_s": 0.75,
+        "q3_b_s": 2.75,
         "median_ratio": 0.875,
         "a_won": 1,
         "b_won": 2,
         "pairs": 4,
+    }
+    # one pair has one time a side, its own median and quartiles
+    assert ab_pair.summarize([2.0], [1.0]) == {
+        "median_a_s": 2.0,
+        "q1_a_s": 2.0,
+        "q3_a_s": 2.0,
+        "median_b_s": 1.0,
+        "q1_b_s": 1.0,
+        "q3_b_s": 1.0,
+        "median_ratio": 0.5,
+        "a_won": 0,
+        "b_won": 1,
+        "pairs": 1,
     }
 
 

@@ -379,6 +379,39 @@ def test_client_update_rejects_u0_stacks_that_do_not_match_the_cohort():
         update(fed, train, wbar, [], 0)
 
 
+def cohort_case():
+    """FED for a train split of four 10-row clients, ids 0 to 3, the split,
+    wbar's inputs without u0 and a wbar of their shapes."""
+    ds = generate(SynthConfig(4, 10, 2, 2, 1, seed=1))
+    fed = dataclasses.replace(FED, n_clients=4, k=2)
+    train, inputs = split_of(fed, ds.clients)
+    return fed, train, inputs, net_of(zero_layer(2, 1))
+
+
+def test_client_update_rejects_a_cohort_id_outside_the_train_split():
+    fed, train, inputs, wbar = cohort_case()
+    with pytest.raises(ValueError, match=r"^cohort ids \[7, 9\] are not in the train split$"):
+        update(fed, train, wbar, inputs, 0, [9, 1, 7])
+
+
+def test_client_update_rejects_a_cohort_that_names_a_client_twice():
+    # trained twice, a client would upload twice, and aggregation and the
+    # run-long central step would count both uploads
+    fed, train, inputs, wbar = cohort_case()
+    with pytest.raises(ValueError, match=r"^cohort names ids \[1\] more than once$"):
+        update(fed, train, wbar, inputs, 0, [1, 1])
+    with pytest.raises(ValueError, match=r"^cohort names ids \[0, 3\] more than once$"):
+        update(fed, train, wbar, inputs, 0, [3, 0, 2, 3, 0])
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_client_update_needs_one_stream_per_cohort_client(count):
+    fed, train, inputs, wbar = cohort_case()
+    rngs = streams([(fed.seed, "batches", client_id, 0) for client_id in range(count)])
+    with pytest.raises(ValueError, match=rf"^2 cohort clients need as many batch streams, got {count}$"):
+        fedcore.client_update(fed, train, [0, 1], wbar, inputs, rngs, 0)
+
+
 def test_client_update_rejects_a_client_without_samples():
     # the batcher cuts no batch from 0 rows, so only this check stops the
     # client from uploading wbar unchanged

@@ -4,24 +4,23 @@
 lists of numpy operations over reused buffers, each batch's step emitted
 by one function, ``fedcore._step_ops``. ``client_update`` steps a cohort's
 clients of equal shard size as one stack, in a local phase that a run
-builds once and keeps one state in per size-group shape: a shape takes its
-first step of the run through the public functions, and every later step
-runs its batch's list, emitted the first time it runs and replayed in
-later local epochs and rounds. ``run_cloud`` emits each pooled batch's
-list once a run and replays it every local epoch of every round. These
-tests pin that this gives each client, and the pooled nets, the same bits
-as stepping alone with the public functions, for every layer form, batch
-cut and rate schedule the op lists are built from, and the same bits as a
-fresh local phase every round; that a 2-d product enters numpy through
-np.dot where its operands are contiguous, and through np.matmul on stacks
-and on the side gradient's strided view, with the bits of a reference
-written with ``@``; that a list is emitted only where it runs, and only
-once a run; that the broadcast's u0, taken from the train split, and the
+builds once and keeps one state in per size-group shape: a shape is
+checked once, when it is built, by a step through the public functions
+whose results are dropped, and every step runs its batch's list, emitted
+then and replayed every local epoch and round. ``run_cloud`` emits each
+pooled batch's list once a run and replays it every local epoch of every
+round. These tests pin that this gives each client, and the pooled nets,
+the same bits as stepping alone with the public functions, for every layer
+form, batch cut and rate schedule the op lists are built from, and the
+same bits as a fresh local phase every round; that a 2-d product enters
+numpy through np.dot where its operands are contiguous, and through
+np.matmul on stacks and on the side gradient's strided view, with the bits
+of a reference written with ``@``; that each batch's list is emitted once
+a run; that the broadcast's u0, taken from the train split, and the
 run-long central step, on rows in id order in buffers shared by every
 delivered count, get the bits of fresh public passes; that the caller's
-arrays are never written; and that
-a diverging phase is reported by name, the reused buffers carrying its
-non-finite values to the guard.
+arrays are never written; and that a diverging phase is reported by name,
+the reused buffers carrying its non-finite values to the guard.
 """
 
 from __future__ import annotations
@@ -202,7 +201,7 @@ def test_client_update_matches_public_api_loop_bit_for_bit(problem):
 
 
 def test_client_update_takes_one_public_step_per_size_group(monkeypatch):
-    """Only the first client of each size group takes a step through the
+    """Each size group's shape is checked once, by one step through the
     validating public API, and the local phase cuts one set of batches per
     size group."""
     ds = generate(SYNTH)
@@ -229,13 +228,12 @@ def test_client_update_takes_one_public_step_per_size_group(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, local_epochs, lists", [(13, 2, 3), (13, 3, 3), (13, 1, 2), (6, 2, 1), (6, 1, 0)]
+    "n, local_epochs, lists", [(13, 2, 3), (13, 3, 3), (13, 1, 3), (6, 2, 1), (6, 1, 1)]
 )
 def test_local_phase_emits_a_batch_list_once_and_only_where_it_runs(n, local_epochs, lists, monkeypatch):
-    """A size group of B batches emits each batch's op list the first time it
-    runs and replays it after: B lists at E_L >= 2, B - 1 at E_L = 1, whose
-    first batch runs once, as the public first step, and none for one batch
-    at E_L = 1."""
+    """A size group of B batches emits each batch's op list once, when its
+    shape is built, and replays it every local epoch: B lists at every E_L,
+    and none for the public check."""
     ds = generate(SYNTH)
     shards = [ClientShard(s.client_id, s.ids[:n], s.x_local[:n], s.y[:n], s.q) for s in ds.clients[:2]]
     rng = substream(14, "emits", n)
@@ -461,10 +459,9 @@ def test_run_long_local_phase_matches_a_fresh_phase_every_round(mode, combine, b
 
 @pytest.mark.parametrize("local_epochs", [1, 2])
 def test_run_long_local_phase_builds_each_shape_once_per_run(local_epochs, monkeypatch):
-    """Over a run, each (G, n, batch) list is emitted at most once, and at
-    E_L = 1 a shape's first batch gets a list only if the shape trains again;
-    the public first step runs once per shape, and the batches are cut once
-    per group and round."""
+    """Over a run, each (G, n, batch) list is emitted once, when its shape is
+    built; the public check runs once per shape, and the batches are cut
+    once per group and round."""
     fed, ds, shapes = unequal_run(local_epochs=local_epochs)
     emitted, calls = [], {"mse_loss": 0, "batches": 0}
     step_ops = fedcore._step_ops
@@ -485,12 +482,9 @@ def test_run_long_local_phase_builds_each_shape_once_per_run(local_epochs, monke
     monkeypatch.setattr(fedcore.nnet, "mse_loss", counting("mse_loss", nnet.mse_loss))
     monkeypatch.setattr(fedcore, "batches", counting("batches", fedcore.batches))
     fedcore.run_vhfl(fed, ds)
-    rounds = {shape: sum(shape in r for r in shapes) for shape in {s for r in shapes for s in r}}
-    lists = sum(
-        -(-n // fed.batch_size) - 1 + (local_epochs > 1 or count > 1) for (_, n), count in rounds.items()
-    )
-    assert len(emitted) == len(set(emitted)) == lists
-    assert calls == {"mse_loss": len(rounds), "batches": sum(len(r) for r in shapes)}
+    built = {s for r in shapes for s in r}
+    assert len(emitted) == len(set(emitted)) == sum(-(-n // fed.batch_size) for _, n in built)
+    assert calls == {"mse_loss": len(built), "batches": sum(len(r) for r in shapes)}
 
 
 # --------------------------------------------- broadcast and central step

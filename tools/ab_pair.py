@@ -7,10 +7,11 @@ alternates from pair to pair. A side's time is the wall time of
 ``harness.run`` over all the configs, which run into temporary
 directories. Both sides share the process, its heap and the host's
 moment, so the pair ratio is freer of the bias between two processes than
-two ``bench/run.py`` runs are. Prints each side's median, the median of
-the pair ratios B/A, how many pairs each side won, and whether the last
-pair's artifacts are byte-identical, ``resolved_config.json`` left out as
-it records the output directory; the last line is one JSON object:
+two ``bench/run.py`` runs are. Prints each side's median and quartiles,
+the median of the pair ratios B/A, how many pairs each side won, and
+whether the last pair's artifacts are byte-identical,
+``resolved_config.json`` left out as it records the output directory; the
+last line is one JSON object:
 
     python tools/ab_pair.py ../parent . --workload vhfl_dense --pairs 10
 """
@@ -74,12 +75,17 @@ def same_artifacts(a: Path, b: Path) -> bool:
 
 
 def summarize(times_a: Sequence[float], times_b: Sequence[float]) -> dict[str, Any]:
-    """Each side's median time, the median pair ratio B/A, and the pairs
-    each side won (a tie counts for neither)."""
+    """Each side's median time and quartiles, as ``statistics.quantiles(n=4)``
+    gives them (the median for one pair), the median pair ratio B/A, and the
+    pairs each side won (a tie counts for neither)."""
     ratios = [b / a for a, b in zip(times_a, times_b, strict=True)]
+    summary: dict[str, Any] = {}
+    for side, times in (("a", times_a), ("b", times_b)):
+        median = statistics.median(times)
+        q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else (median,) * 3
+        summary |= {f"median_{side}_s": median, f"q1_{side}_s": q1, f"q3_{side}_s": q3}
     return {
-        "median_a_s": statistics.median(times_a),
-        "median_b_s": statistics.median(times_b),
+        **summary,
         "median_ratio": statistics.median(ratios),
         "a_won": sum(r > 1.0 for r in ratios),
         "b_won": sum(r < 1.0 for r in ratios),
@@ -114,7 +120,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     result = {"workload": args.workload, "seed": args.seed, **summarize(times["a"], times["b"])}
     result["artifacts_identical"] = identical
     print(
-        f"median a {result['median_a_s']:.3f} s, b {result['median_b_s']:.3f} s, "
+        f"median a {result['median_a_s']:.3f} s (q1-q3 {result['q1_a_s']:.3f}-{result['q3_a_s']:.3f}), "
+        f"b {result['median_b_s']:.3f} s ({result['q1_b_s']:.3f}-{result['q3_b_s']:.3f}), "
         f"ratio b/a {result['median_ratio']:.3f}; b faster in {result['b_won']} of {result['pairs']} pairs; "
         f"artifacts {'identical' if identical else 'DIFFER'}"
     )
