@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import generators, seed_states, substream
+from .rng import check_seed, generators, seed_states, substream
 
 TRUTH_HIDDEN = 16
 
@@ -56,6 +56,7 @@ class SynthConfig:
             raise ValueError(f"global_strength must lie in [0, 1], got {self.global_strength}")
         if not (math.isfinite(self.noniid_shift) and self.noniid_shift >= 0.0):
             raise ValueError(f"noniid_shift must be finite and >= 0, got {self.noniid_shift}")
+        check_seed(self.seed, "seed")
 
 
 def _has_repeats(ids: np.ndarray) -> bool:

@@ -210,9 +210,9 @@ class Split:
 
     @functools.cached_property
     def _pools(self) -> list[tuple[dict, dict]]:
-        """Per size group, the buffer pools of w0's and wbar's passes in
-        :func:`evaluate` and :func:`weighted_train_loss`: a split stacked once
-        per run is evaluated in the same buffers every round."""
+        """Per size group, the buffer pools of w0's and wbar's inputs and
+        passes in :func:`evaluate` and :func:`weighted_train_loss`: a split
+        stacked once per run is evaluated in the same buffers every round."""
         return [({}, {}) for _ in self.groups]
 
     @functools.cached_property
@@ -342,24 +342,25 @@ def build_split(shards: Sequence[ClientShard], store: GlobalStore | None) -> Spl
 def _wbar_inputs(
     config: FederationConfig, center: CenterState, split: Split
 ) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """The combine rule: per size group of the split, wbar's input stack and
-    the side stack added to its output. With w0, u0 = w0(x0) of the group's
-    global rows, computed once per w0; under concat the input is
-    ``[u0 | x_local]``, in w0's pool of the group, and the side None, under
-    additive the input is ``x_local`` and the side u0. Without w0 the input
-    is ``x_local`` and the side None. Nets are immutable, so the stacks stay
-    valid until the split meets another w0."""
-    if center.w0 is None:
-        return [(group.x_local, None) for group in split.groups]
+    """The combine rule: per size group of the split, wbar's input stack,
+    with its ones column, and the side stack added to its output. With w0,
+    u0 = w0(x0) of the group's global rows, computed once per w0; under
+    concat the input is ``[u0 | x_local | 1]``, whose first columns w0's
+    last product writes, and the side None, under additive the input is
+    ``[x_local | 1]`` and the side u0. Without w0 the input is ``[x_local |
+    1]`` and the side None. The inputs and w0's ``[x0 | 1]`` live in the
+    group's pools, their rows and ones written once per split. Nets are
+    immutable, so the stacks stay valid until the split meets another w0."""
     if split._inputs[0] is not center.w0 or split._inputs[1] != config.combine:
+        width = 0 if center.w0 is None or config.combine == "additive" else center.w0.layers[-1].out_dim
         stacks = []
-        for group, (pool0, _) in zip(split.groups, split._pools):
-            u0 = nnet._output(center.w0, group.x_global, pool0)
-            if config.combine == "concat":
-                inp = nnet._buffer(pool0, ("concat",), (*u0.shape[:-1], u0.shape[-1] + group.x_local.shape[-1]))
-                stacks.append((np.concatenate([u0, group.x_local], axis=-1, out=inp), None))
-            else:
-                stacks.append((group.x_local, u0))
+        for group, (pool0, pool) in zip(split.groups, split._pools):
+            inp, side = nnet.with_ones(group.x_local, pool, width), None
+            if center.w0 is not None:
+                x0 = nnet.with_ones(group.x_global, pool0)
+                u0 = nnet._output(center.w0, x0, pool0, inp[..., :width] if width else None)
+                side = None if width else u0
+            stacks.append((inp, side))
         split._inputs[:] = center.w0, config.combine, stacks
     return split._inputs[2]
 
@@ -384,21 +385,22 @@ def _step_ops(
     ops: nnet.Ops,
     pool: dict,
 ) -> np.ndarray | None:
-    """Append one step of the local model on the input rows ``inp`` to
-    ``ops``: its forward pass, ``+ side`` under additive, the MSE gradient
-    (2/b)(out - y) and its backward pass, which writes the gradients into
-    ``grads``. Under concat ``inp`` holds the side rows in its first
-    ``width`` columns and ``side`` is None; otherwise ``width`` is 0.
-    Returns the buffer of the gradient of the batch-mean loss with respect
-    to the side (centrally processed) rows, None without them. The arrays
-    may carry a leading stack axis (see ``nnet``)."""
+    """Append one step of the local model on the input rows ``inp = [... |
+    1]`` to ``ops``: its forward pass, ``+ side`` under additive, the
+    residual out - y and its backward pass from it, which writes the
+    gradients into ``grads``. The residual is the MSE gradient without its
+    factor 2/b, which the step's rate takes (see ``nnet``). Under concat
+    ``inp`` holds the side rows in its first ``width`` columns and ``side``
+    is None; otherwise ``width`` is 0. Returns the buffer of the residual's
+    gradient with respect to the side (centrally processed) rows, None
+    without them. The arrays may carry a leading stack axis (see
+    ``nnet``)."""
     out, trace = nnet._forward_ops(layers, inp, ops, pool)
     lgrad = nnet._buffer(pool, ("loss",), out.shape)
     if side is not None:
         ops.append((np.add, (side, out, lgrad)))
         out = lgrad
-    # (2/b)(out - y), as nnet.mse_loss; the factor as a 0-d array, as nnet._ONE
-    ops += ((np.subtract, (out, y, lgrad)), (np.multiply, (np.array(2.0 / y.shape[-2]), lgrad, lgrad)))
+    ops.append((np.subtract, (out, y, lgrad)))
     input_grad = nnet._backward_ops(layers, grads, trace, lgrad, ops, pool, width > 0)
     if width:
         return input_grad[..., :width]
@@ -419,10 +421,12 @@ def _group_phase(
     first batch of rows of the stacks and their results are dropped; a step
     that is not finite is left to the phase guard. Each batch's list
     (:func:`_step_ops`) is emitted here and ends by writing its side
-    gradients times b/n into its slice of an epoch buffer in shuffled order.
-    A round's epochs share one order, so the epoch buffers are added up in
-    it and the sum is put in shard order once per round."""
-    n, width = group.y.shape[1], fields[0].shape[-1] - group.x_local.shape[-1]
+    gradients times 2/n into its slice of an epoch buffer in shuffled order;
+    the batch steps at the epoch's rate times its 2/b. The shuffled input
+    stack takes the input's ones with its rows. A round's epochs share one
+    order, so the epoch buffers are added up in it and the sum is put in
+    shard order once per round."""
+    n, width = group.y.shape[1], fields[0].shape[-1] - 1 - group.x_local.shape[-1]
     data = np.empty((g_count, wbar.params.size))
     grad, scaled = np.empty_like(data), np.empty_like(data)
     layers, grads = wbar.kernel_layers(data), wbar.views(grad)
@@ -430,8 +434,9 @@ def _group_phase(
     u0_dim = width or (0 if fields[1] is None else fields[1].shape[-1])
     epoch_rows, total, vgrads = (np.empty((g_count, n, u0_dim)) if u0_dim else None for _ in range(3))
     clients = np.arange(g_count)[:, None]
-    # the lists share one pool, as a list runs whole before the next one starts
-    steps: list[nnet.Ops] = []
+    # the lists share one pool, as a list runs whole before the next one
+    # starts; each is kept with its batch's 2/b
+    steps: list[tuple[nnet.Ops, float]] = []
     pool: dict = {}
     for start in range(0, n, config.batch_size):
         stop = min(start + config.batch_size, n)
@@ -439,16 +444,17 @@ def _group_phase(
         batch = [None if f is None else f[:, start:stop] for f in shuffled]
         side_grad = _step_ops(layers, grads, *batch, width, ops, pool)
         if side_grad is not None:
-            # b/n, the factor from batch-mean to client-mean units, as a 0-d
-            # array like 2/b in _step_ops
-            ops.append((np.multiply, (side_grad, np.array((stop - start) / n), epoch_rows[:, start:stop])))
-        steps.append(ops)
+            # 2/n, the factor from the residual's gradient to client-mean
+            # loss units, as a 0-d array like nnet._ONE
+            ops.append((np.multiply, (side_grad, np.array(2.0 / n), epoch_rows[:, start:stop])))
+        steps.append((ops, 2.0 / (stop - start)))
+    scales = {scale for _, scale in steps}
     # the shape's check, after the buffers: run before them, its temporaries
     # raised vhfl_dense's peak RSS by about 1%. Emitting computes nothing, so
     # no shape error comes before the check's
     first = [None if f is None else f[:g_count, : config.batch_size] for f in fields]
     with contextlib.suppress(nnet.NonFiniteError):
-        out, trace = nnet.forward(wbar, first[0])
+        out, trace = nnet.forward(wbar, first[0][..., :-1])
         _, lgrad = nnet.mse_loss(out if first[1] is None else first[1] + out, first[2])
         nnet.backward(wbar, trace, lgrad, width > 0)
 
@@ -461,10 +467,12 @@ def _group_phase(
     ) -> tuple[np.ndarray, np.ndarray | None]:
         data[...] = wbar.params
         order = np.hstack([index for index, _ in batches(rngs, fields, config.batch_size, shuffled, rows)])
-        for epoch, eta_t in enumerate(map(np.array, config.local_etas(t_g))):
-            for ops in steps:
+        for epoch, eta_t in enumerate(config.local_etas(t_g)):
+            # each batch's rate eta_t * 2/b as a 0-d array, as nnet._ONE
+            rates = {scale: np.array(eta_t * scale) for scale in scales}
+            for ops, scale in steps:
                 nnet._run(ops)
-                nnet._sgd(data, grad, eta_t, scaled)
+                nnet._sgd(data, grad, rates[scale], scaled)
             # every epoch visits each sample once, in the round's one order, so
             # a sample's rows add up in the order of the epochs, as they would
             # in shard order
@@ -607,7 +615,7 @@ def _central_phase(
     slots = {shard.client_id: pos for pos, shard in enumerate(shards)}
     starts = np.cumsum([0, *(shard.n for shard in shards)])
     owner = np.repeat(np.arange(len(shards)), np.diff(starts))[order]
-    x0_all, vg_all = store.rows(ids), np.empty((len(ids), w0.layers[-1].out_dim))
+    x0_all, vg_all = nnet.with_ones(store.rows(ids)), np.empty((len(ids), w0.layers[-1].out_dim))
     capacity = sum(sorted((shard.n for shard in shards), reverse=True)[:most])
     x0, vg = np.empty((capacity, x0_all.shape[1])), np.empty((capacity, vg_all.shape[1]))
     data, grad = np.empty(w0.params.size), np.empty(w0.params.size)
@@ -757,17 +765,19 @@ def _cloud_phase(
     stacks ``pooled``, through w0 too when the center has it.
 
     The shard is fixed, so every round cuts batches of the same sizes. This
-    allocates the parameter, gradient and scaled-gradient buffers, one
-    run-long stack per field, whose row slices are each batch's input,
-    label and global rows, and both nets' pools, and emits each batch's step
-    once as a list over them: w0's forward pass, wbar's step on its u0
-    (:func:`_step_ops`) and w0's backward pass from the returned side
-    gradient.
+    allocates the parameter, gradient and scaled-gradient buffers, the
+    local and global rows with their ones columns, one run-long stack per
+    field, whose row slices are each batch's input, label and global rows,
+    and both nets' pools, and emits each batch's step once as a list over
+    them: w0's forward pass, which under concat writes u0 into the input's
+    first columns, wbar's step on its u0 (:func:`_step_ops`) and w0's
+    backward pass from the returned side gradient.
 
     A round copies the center's vectors in, draws the pooled order from its
-    stream (``datagen.permutations``) and takes each field once, in that
-    order, into its stack with ``np.take``, then replays the lists every
-    local epoch, each followed by an SGD update at the epoch's rate. It
+    stream (``datagen.permutations``) and takes each field's rows once, in
+    that order and with their ones, into its stack with ``np.take``, then
+    replays the lists every local epoch, each followed by an SGD update of
+    both nets at the epoch's rate times the batch's 2/b. It
     hands the center nets built from copies of the buffer's slices, so no
     round rewrites a net an earlier round handed out. Nothing is uploaded: a
     round returns 0."""
@@ -780,32 +790,33 @@ def _cloud_phase(
     width = config.u0_dim if center.w0 is not None and config.combine == "concat" else 0
     # the 2-d views [0]: on these shapes a stacked matmul or tanh costs more
     # per call than a 2-d one, and a 2-d product goes through np.dot but for
-    # w0's on the strided side gradient (nnet._product); np.dot writes
-    # np.matmul's bits under every OpenBLAS kernel tests/test_nnet.py forces
-    fields = [None if f is None else f[0] for f in (pooled.x_local, pooled.x_global, pooled.y)]
-    n = len(fields[2])
-    # under concat u0 fills the input's first columns, the local rows the rest;
-    # a batch's rows are C-contiguous row slices of these
+    # w0's on the strided side gradient and, under concat, its last one, into
+    # the input's first columns (nnet._product); np.dot writes np.matmul's
+    # bits under every OpenBLAS kernel tests/test_nnet.py forces
+    x_local, x_global, y = (None if f is None else f[0] for f in (pooled.x_local, pooled.x_global, pooled.y))
+    fields = [nnet.with_ones(x_local), None if x_global is None else nnet.with_ones(x_global), y]
+    n = len(y)
+    # under concat u0 fills the input's first columns, the local rows and
+    # their ones the rest; a batch's rows are C-contiguous row slices of these
     inputs = np.empty((n, width + fields[0].shape[1]))
     x0s, ys = (None if f is None else np.empty(f.shape) for f in fields[1:])
     stacks = [inputs[:, width:], x0s, ys]
     # each net's buffers, shared by the batches of one size: a list runs whole
     # before the next one starts
     pool, pool0 = {}, {}
-    batch_ops: list[nnet.Ops] = []
+    batch_ops: list[tuple[nnet.Ops, float]] = []
     for start in range(0, n, config.batch_size):
         cut = slice(start, start + config.batch_size)
-        inp, y = inputs[cut], ys[cut]
+        inp = inputs[cut]
         ops: nnet.Ops = []
         u0 = None
         if center.w0 is not None:
-            u0, trace0 = nnet._forward_ops(w0, x0s[cut], ops, pool0)
-        if width:
-            ops.append((np.copyto, (inp[:, :width], u0)))
-        side_grad = _step_ops(wbar, wbar_grads, inp, None if width else u0, y, width, ops, pool)
+            u0, trace0 = nnet._forward_ops(w0, x0s[cut], ops, pool0, inp[:, :width] if width else None)
+        side_grad = _step_ops(wbar, wbar_grads, inp, None if width else u0, ys[cut], width, ops, pool)
         if center.w0 is not None:
             nnet._backward_ops(w0, w0_grads, trace0, side_grad, ops, pool0, False)
-        batch_ops.append(ops)
+        batch_ops.append((ops, 2.0 / len(inp)))
+    scales = {scale for _, scale in batch_ops}
 
     def train_round(t_g: int) -> int:
         np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None], out=data)
@@ -813,11 +824,12 @@ def _cloud_phase(
         for field, stack in zip(fields, stacks):
             if stack is not None:
                 np.take(field, order, 0, stack, "clip")
-        # each rate as a 0-d array, as 2/b in _step_ops and nnet._ONE
-        for eta_t in map(np.array, config.local_etas(t_g)):
-            for ops in batch_ops:
+        for eta_t in config.local_etas(t_g):
+            # each batch's rate eta_t * 2/b as a 0-d array, as nnet._ONE
+            rates = {scale: np.array(eta_t * scale) for scale in scales}
+            for ops, scale in batch_ops:
                 nnet._run(ops)
-                nnet._sgd(data, grad, eta_t, scaled)
+                nnet._sgd(data, grad, rates[scale], scaled)
         with _guard("run_cloud", t_g):
             # both nets are built before either is assigned
             wbar_net = nnet.DenseNet(center.wbar.layers, data[:split].copy())

@@ -35,6 +35,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import fedcore, netqueue, nnet
 from .datagen import SynthConfig, generate
+from .rng import check_seed
 
 TRAINING_MODES = ("vhfl", "hfl", "cloud", "cloud_local")
 
@@ -87,6 +88,7 @@ class QueueSpec(netqueue.He2Params):
                 raise ValueError(f"t_p_grid values must be non-negative, got {t_p}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
+        check_seed(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,10 @@ class DelayPlanSpec:
         for g in self.gamma_targets:
             if not 0.0 < g < 1.0:
                 raise ValueError(f"gamma target {g} outside (0, 1)")
-        if not (0.0 < self.tol < math.inf):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        # a success rate is known to about 1e-16 near its target, so the
+        # deadline's bisection may never get within a finer tolerance
+        if not (1e-12 <= self.tol < math.inf):
+            raise ValueError(f"tol must be positive and finite, at least 1e-12, got {self.tol}")
 
 
 # the deadline plan a queue report lists when the config has no delay_plan
@@ -168,6 +172,13 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        for i, seed in enumerate(self.seeds):
+            check_seed(seed, f"seeds[{i}]")
+        # a training run seeds its data and its channel with the section's
+        # seed plus the run's (run_single)
+        for name in ("synth", "channel"):
+            if getattr(self, name) is not None:
+                check_seed(getattr(self, name).seed + max(self.seeds), f"{name}.seed + the largest of seeds")
         for needed in _MODES[self.mode][0]:
             if getattr(self, needed) is None:
                 raise ValueError(f"mode {self.mode!r} requires section {needed!r}")

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import generators, substream
+from .rng import check_seed, generators, substream
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,10 @@ class He2Params:
             raise ValueError(f"service rates need finite mu1 >= mu2 > 0, got {self.mu1}, {self.mu2}")
         if self.rho >= 1.0:
             raise ValueError(f"unstable queue: utilization rho = {self.rho:.6g} >= 1")
+        # analyze's discriminant squares the rates; rho < 1 makes lambda_n <
+        # mu1, which keeps it below 5 * mu1**2
+        if not math.isfinite(8.0 * self.mu1 * self.mu1):
+            raise ValueError(f"mu1 = {self.mu1:g} overflows the squares of the queue analysis")
 
     @property
     def rho(self) -> float:
@@ -233,6 +237,7 @@ class ChannelModel(He2Params):
         super().__post_init__()
         if not self.t_p >= 0.0:
             raise ValueError(f"t_p must be non-negative, got {self.t_p}")
+        check_seed(self.seed, "seed")
 
 
 # the most delay streams one sample_sojourn call draws from: a call holds

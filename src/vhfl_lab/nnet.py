@@ -8,19 +8,36 @@ functions are pure; nets are immutable and all arithmetic is float64.
 A net is its layer shapes plus one parameter vector. A :class:`DenseLayer`
 is a layer's ``in_dim``, ``out_dim`` and activation; a :class:`DenseNet`
 chains its layers and holds ``params``, one finite float64 vector of shape
-``(P,)``: layer by layer, the weights row-major and then the bias. So every
+``(P,)``: layer by layer, one ``(in + 1, out)`` block ``[Wᵀ; b]``
+row-major, the transposed weights with the bias as the last row. So every
 operation on parameters is one vector operation. A stack of G nets is a
 ``(G, P)`` buffer, a gradient buffer of the same layout sits beside it, an
 SGD step is the one update ``data -= eta * grad`` (``_sgd``), and building
 a net from a vector checks it with one ``isfinite`` pass. The net gives the
-per-layer ``(w, b)`` views of any ``(*lead, P)`` buffer
+per-layer block views of any ``(*lead, P)`` buffer
 (:meth:`DenseNet.views`), and the kernels' :class:`Layer` views over one
-(:meth:`DenseNet.kernel_layers`), with the forward pass's transposed
-weights and bias row taken once. The backward pass writes each layer's
+(:meth:`DenseNet.kernel_layers`). The backward pass writes each layer's
 gradients into its views of the gradient buffer. A net's ``params`` is a
 read-only view, so nothing writes it through the net: a training phase
 copies the vectors it trains into a buffer of its own, and no net it hands
 out views memory that a later step writes.
+
+Every layer input carries a ones column as its last, ``[a | 1]``
+(:func:`with_ones`), so one product ``[a | 1] @ [Wᵀ; b]`` is the affine
+map, and in the backward pass one product ``[a | 1]ᵀ @ dz`` writes the
+weight and bias gradients into the block. The kernels take their inputs
+with that column. The forward pass writes the ones of each hidden layer's
+output buffer when it emits its list, and a training phase writes the
+ones of its input stacks with their rows, so a replayed step writes none;
+the public ``forward`` adds the column to a copy of the batch.
+``dumps_net`` writes each layer's weight rows and bias, so the checkpoint
+text does not depend on the layout.
+
+The public ``mse_loss`` returns d(loss)/d(pred) = (2/b)(pred - y). A
+training phase steps on the unscaled ``out - y`` instead and folds the 2/b
+into the rate that its SGD update multiplies by, ``eta * (2/b)``
+(``fedcore``), one multiply a step fewer; the two round differently in
+the last place.
 
 Validate at the edges, run unchecked kernels inside the loop. The public
 ``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument
@@ -36,40 +53,41 @@ and is not raises :class:`NonFiniteError`.
 
 The layout leaves every bit as per-layer arrays would have it. The update
 is elementwise, so each parameter sees the same multiply and subtract
-whatever the buffer's shape. A product and ``np.add.reduce(..., out=)``
-issue the same BLAS call and the same reduction per slice as their
-allocating forms, because a weight or bias view has the row-major strides
-of a fresh array of its shape; only where the result lands changes.
+whatever the buffer's shape. A product issues the same BLAS call as its
+allocating form, because a block view has the row-major strides of a
+fresh array of its shape; only where the result lands changes.
 
 Every product enters numpy through one rule, ``_product``: ``np.dot`` when
 both operands are 2-d and each is C- or F-contiguous, ``np.matmul``
 otherwise. On such operands the two entry points make the same BLAS call,
 an F-ordered operand passed as a transposed matrix, and write the same
-bits; np.dot costs less per call. They part on one layout the kernels
-meet: under concat w0's backward pass starts from the side gradient
-``input_grad[..., :width]``, a strided view. np.matmul passes its transpose
-to BLAS in place, np.dot multiplies a row-major copy, and the kernels round
-the two calls differently, so the products on that view stay on np.matmul.
-The two agree on contiguous operands under the SkylakeX, Haswell and
-Katmai kernels, the last two forced in child processes by
-``tests/test_nnet.py``.
+bits; np.dot costs less per call. np.dot takes a strided operand as a
+row-major copy, where np.matmul passes it to BLAS in place. Under concat
+w0's backward pass starts from the side gradient ``input_grad[...,
+:width]``, a strided view, and the products on it stay on np.matmul: the
+two rounded differently when the weight gradient took the view's
+transpose, and ``tests/products.py`` measures both on it. A product into
+the first columns of a wider buffer, as an identity hidden layer writes
+beside its ones and w0's last layer writes u0 into wbar's input, has a
+strided ``out``, which np.dot does not take; np.matmul writes it with the
+bits of a product into a fresh buffer. The two agree on contiguous
+operands under the SkylakeX, Haswell and Katmai kernels, the last two
+forced in child processes by ``tests/test_nnet.py``.
 
-The kernels also step a stack of G nets at once: batches of shape
-``(G, b, in)``, weights ``(G, out, in)`` and biases ``(G, out)``, or one
-net's 2-d weights broadcast over the stack. A stack's products stay on
-np.matmul, which issues one BLAS call per slice with the slice's own shape,
-and every reduction runs over one slice's rows, so each net of the stack,
-and each batch through one net, gets the bits it would get alone. Rows of
-different slices are never pooled into one matrix: a BLAS kernel may round
-a row differently with the row count.
+The kernels also step a stack of G nets at once: batches of shape ``(G,
+b, in + 1)`` and blocks ``(G, in + 1, out)``, or one net's 2-d blocks
+broadcast over the stack. A stack's products stay on np.matmul, which
+issues one BLAS call per slice with the slice's own shape, so each net of
+the stack, and each batch through one net, gets the bits it would get
+alone. Rows of different slices are never pooled into one matrix: a BLAS
+kernel may round a row differently with the row count.
 
 Each pass has one form, an emitter that appends its operations to a list
-of ``(ufunc, args)`` pairs. ``_forward_ops`` appends, per layer,
-``a @ w_t``, ``+ b_row`` and the activation, and returns the
-output's buffer and the :class:`Trace` that ``_backward_ops`` takes; that
-one appends, per layer from the last, the activation's derivative times
-d(loss)/d(outputs), ``dz.mT @ prev``, ``add.reduce(dz, axis=-2)`` and
-``dz @ w``. Every result is written into a buffer of a pool keyed by role
+of ``(ufunc, args)`` pairs. ``_forward_ops`` appends, per layer, ``[a |
+1] @ [Wᵀ; b]`` and the activation, and returns the output's buffer and
+the :class:`Trace` that ``_backward_ops`` takes; that one appends, per layer from the last, the activation's derivative times
+d(loss)/d(outputs), ``[a | 1]ᵀ @ dz`` into the layer's gradient block and
+``dz @ W``. Every result is written into a buffer of a pool keyed by role
 and shape, and the weights and gradients a list names are views of the
 caller's buffers, so each replay reads the current parameters. An ``out=``
 buffer gets the bits of the allocating form, as above. A training phase
@@ -105,7 +123,8 @@ def _as_batch(x: object, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class DenseLayer:
     """The shape of one affine map plus pointwise activation: its weights are
-    (out_dim, in_dim) and its bias out_dim values."""
+    (out_dim, in_dim) and its bias out_dim values, held as one (in_dim + 1,
+    out_dim) block [Wᵀ; b]."""
 
     in_dim: int
     out_dim: int
@@ -119,19 +138,17 @@ class DenseLayer:
 
 
 class Layer(NamedTuple):
-    """One layer as the kernels see it: its parameters ``w``/``b``, with an
-    optional leading stack axis, and the forward pass's ``w_t = w.mT`` and
-    ``b_row = b[..., None, :]``, taken once."""
+    """One layer as the kernels see it, with an optional leading stack axis:
+    its ``(in + 1, out)`` block [Wᵀ; b] and its ``(out, in)`` weights W, the
+    view ``block[..., :-1, :].mT`` that the input gradient's product takes."""
 
-    w: np.ndarray
-    b: np.ndarray
+    block: np.ndarray
+    weights: np.ndarray
     act: str
-    w_t: np.ndarray
-    b_row: np.ndarray
 
 
-# One layer's gradients as the kernels write them: (weights, bias).
-Grads = list[tuple[np.ndarray, np.ndarray]]
+# Each layer's gradient block, as the kernels write it.
+Grads = list[np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,24 +189,22 @@ class DenseNet:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    def views(self, buf: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per layer, the (weights, bias) views of a ``(*lead, P)`` buffer in
-        the net's layout."""
+    def views(self, buf: np.ndarray) -> list[np.ndarray]:
+        """Per layer, the ``(*lead, in + 1, out)`` block view [Wᵀ; b] of a
+        ``(*lead, P)`` buffer in the net's layout."""
         lead = buf.shape[:-1]
         views = []
         start = 0
         for layer in self.layers:
-            mid = start + layer.out_dim * layer.in_dim
-            stop = mid + layer.out_dim
-            views.append((buf[..., start:mid].reshape(*lead, layer.out_dim, layer.in_dim), buf[..., mid:stop]))
+            stop = start + (layer.in_dim + 1) * layer.out_dim
+            views.append(buf[..., start:stop].reshape(*lead, layer.in_dim + 1, layer.out_dim))
             start = stop
         return views
 
     def kernel_layers(self, buf: np.ndarray) -> tuple[Layer, ...]:
         """The kernels' :class:`Layer` views of a ``(*lead, P)`` buffer."""
         return tuple(
-            Layer(w, b, layer.activation, w.mT, b[..., None, :])
-            for layer, (w, b) in zip(self.layers, self.views(buf))
+            Layer(block, block[..., :-1, :].mT, layer.activation) for layer, block in zip(self.layers, self.views(buf))
         )
 
     @functools.cached_property
@@ -207,11 +222,27 @@ _ONE = np.array(1.0)
 
 
 class Trace(NamedTuple):
-    """A forward pass's input and its per-layer pre- and post-activations."""
+    """A forward pass's per-layer inputs, each ``[a | 1]``, and its per-layer
+    pre- and post-activations."""
 
-    inputs: np.ndarray
+    inputs: tuple[np.ndarray, ...]
     pre: tuple[np.ndarray, ...]
     post: tuple[np.ndarray, ...]
+
+
+def with_ones(x: np.ndarray, pool: dict | None = None, start: int = 0) -> np.ndarray:
+    """A layer input ``[a | 1]``: ``x`` in the columns from ``start`` of a
+    fresh array of ``start + d + 1`` columns, and ones in its last column;
+    the first ``start`` columns are left to the caller. With a pool, the
+    pool's buffer of that shape, written when it is allocated: a pool holds
+    the rows of one ``x`` per shape."""
+    shape = (*x.shape[:-1], start + x.shape[-1] + 1)
+    if pool is not None and (("ones", start), shape) in pool:
+        return pool[("ones", start), shape]
+    out = np.empty(shape) if pool is None else _buffer(pool, ("ones", start), shape)
+    out[..., start:-1] = x
+    out[..., -1] = 1.0
+    return out
 
 
 def _buffer(pool: dict, role: tuple, shape: tuple[int, ...]) -> np.ndarray:
@@ -229,23 +260,31 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> tuple[Callable[..
     return np.dot if dot else np.matmul, (a, b, out)
 
 
-def _forward_ops(layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict) -> tuple[np.ndarray, Trace]:
-    """Append the forward pass on ``x`` to ``ops``, each result in a buffer of
-    ``pool``; returns the output's buffer and the trace that
-    :func:`_backward_ops` takes."""
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = []
-    a = x
+def _forward_ops(
+    layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict, out: np.ndarray | None = None
+) -> tuple[np.ndarray, Trace]:
+    """Append the forward pass on the rows ``x = [a | 1]`` to ``ops``, each
+    result in a buffer of ``pool`` and the output in ``out`` if given; a
+    hidden layer's output lands in the first columns of the next layer's
+    input, whose ones are written here, once per list. Returns the output's
+    buffer and the trace that :func:`_backward_ops` takes."""
+    inputs, pre, post = [x], [], []
     for i, layer in enumerate(layers):
-        z = _buffer(pool, ("pre", i), (*a.shape[:-1], layer.b.shape[-1]))
-        ops += (_product(a, layer.w_t, z), (np.add, (z, layer.b_row, z)))
-        a = z if layer.act == "identity" else _buffer(pool, ("post", i), z.shape)
+        shape = (*x.shape[:-1], layer.block.shape[-1])
+        if i + 1 < len(layers):
+            inputs.append(_buffer(pool, ("post", i), (*shape[:-1], shape[-1] + 1)))
+            inputs[-1][..., -1] = 1.0
+            a = inputs[-1][..., :-1]
+        else:
+            a = _buffer(pool, ("post", i), shape) if out is None else out
+        z = a if layer.act == "identity" else _buffer(pool, ("pre", i), shape)
+        ops.append(_product(inputs[i], layer.block, z))
         if layer.act != "identity":
             # numpy deprecates a positional out for np.maximum
             ops.append((functools.partial(np.maximum, out=a), (z, 0.0)) if layer.act == "relu" else (np.tanh, (z, a)))
         pre.append(z)
         post.append(a)
-    return a, Trace(x, tuple(pre), tuple(post))
+    return post[-1], Trace(tuple(inputs), tuple(pre), tuple(post))
 
 
 def _backward_ops(
@@ -255,7 +294,7 @@ def _backward_ops(
     writing each layer's parameter gradients into its entry of ``grads`` and
     every other result into a buffer of ``pool``; returns the buffer of
     d(loss)/d(x) if wanted."""
-    x, pre, post = trace
+    inputs, pre, post = trace
     for i, layer in reversed(list(enumerate(layers))):
         # identity: the derivative is 1, and da * 1.0 == da bit for bit
         dz = da if layer.act == "identity" else _buffer(pool, ("dz", i), da.shape)
@@ -266,11 +305,10 @@ def _backward_ops(
         elif layer.act == "tanh":
             # post[i] is tanh(pre[i]), and np.tanh is deterministic
             ops += ((np.multiply, (post[i], post[i], dz)), (np.subtract, (_ONE, dz, dz)), (np.multiply, (da, dz, dz)))
-        gw, gb = grads[i]
-        ops += (_product(dz.mT, x if i == 0 else post[i - 1], gw), (np.add.reduce, (dz, -2, None, gb)))
+        ops.append(_product(inputs[i].mT, dz, grads[i]))
         if i > 0 or want_input_grad:
-            da = _buffer(pool, ("da", i), (*da.shape[:-1], layer.w.shape[-1]))
-            ops.append(_product(dz, layer.w, da))
+            da = _buffer(pool, ("da", i), (*da.shape[:-1], layer.weights.shape[-1]))
+            ops.append(_product(dz, layer.weights, da))
     return da if want_input_grad else None
 
 
@@ -280,11 +318,12 @@ def _run(ops: Ops) -> None:
         op(*args)
 
 
-def _output(net: DenseNet, x: np.ndarray, pool: dict | None = None) -> np.ndarray:
-    """Unchecked forward pass of a validated net on validated rows, emitted
-    into ``pool``, or a fresh pool, and run once."""
+def _output(net: DenseNet, x: np.ndarray, pool: dict | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Unchecked forward pass of a validated net on validated rows ``[a | 1]``,
+    emitted into ``pool``, or a fresh pool, and run once; the output lands in
+    ``out`` if given."""
     ops: Ops = []
-    out, _ = _forward_ops(net._own_layers, x, ops, {} if pool is None else pool)
+    out, _ = _forward_ops(net._own_layers, x, ops, {} if pool is None else pool, out)
     _run(ops)
     return out
 
@@ -301,7 +340,7 @@ def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, Trace]:
     if x.shape[-1] != net.in_dim:
         raise ValueError(f"batch has {x.shape[-1]} columns, net expects {net.in_dim}")
     ops: Ops = []
-    out, trace = _forward_ops(net._own_layers, x, ops, {})
+    out, trace = _forward_ops(net._own_layers, with_ones(x), ops, {})
     _run(ops)
     return out, trace
 
@@ -318,12 +357,12 @@ def mse_loss(pred: object, target: object) -> tuple[float | np.ndarray, np.ndarr
 
 
 def _check_trace(net: DenseNet, trace: Trace) -> None:
-    if len(trace.pre) != net.n_layers or len(trace.post) != net.n_layers:
+    if not len(trace.inputs) == len(trace.pre) == len(trace.post) == net.n_layers:
         raise ValueError("trace does not match net layer count")
-    if trace.inputs.shape[-1] != net.in_dim:
+    if trace.inputs[0].shape[-1] != net.in_dim + 1:
         raise ValueError("trace inputs do not match net input dim")
     for i, layer in enumerate(net.layers):
-        if trace.pre[i].shape != (*trace.inputs.shape[:-1], layer.out_dim):
+        if trace.pre[i].shape != (*trace.inputs[0].shape[:-1], layer.out_dim):
             raise ValueError(f"trace pre-activation {i} has stale shape")
 
 
@@ -378,16 +417,18 @@ def random_net(
         fan_in, fan_out = int(dims[i]), int(dims[i + 1])
         layers.append(DenseLayer(fan_in, fan_out, act))
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        params += [rng.uniform(-limit, limit, size=fan_out * fan_in), np.zeros(fan_out)]
+        # drawn as (out, in) weight rows, laid out as the block's Wᵀ rows
+        params += [rng.uniform(-limit, limit, size=(fan_out, fan_in)).T.ravel(), np.zeros(fan_out)]
     return DenseNet(tuple(layers), np.concatenate(params))
 
 
 def dumps_net(net: DenseNet) -> str:
     """Serialize to the text checkpoint format (17 significant digits)."""
     lines = ["densenet 1", f"layers {net.n_layers}"]
-    for layer, (weights, bias) in zip(net.layers, net.views(net.params)):
+    for layer, block in zip(net.layers, net.views(net.params)):
         lines.append(f"layer {layer.in_dim} {layer.out_dim} {layer.activation}")
-        for row in weights:
+        # the (out, in) weight rows, then the bias
+        for row in block[:-1].T:
             lines.append(" ".join(f"{v:.17g}" for v in row))
-        lines.append(" ".join(f"{v:.17g}" for v in bias))
+        lines.append(" ".join(f"{v:.17g}" for v in block[-1]))
     return "\n".join(lines) + "\n"

@@ -6,11 +6,13 @@ draws other components consume.
 
 Each entry of a key becomes a 64-bit word: the seed and an int tag modulo
 2**64, any other tag the first 8 bytes of the sha256 of its ``str`` (cached
-per str). The words enter ``SeedSequence`` as one ``uint32`` array of their
-little-endian 32-bit halves, where a word below 2**32, zero too, gives one
-half. That is the array numpy itself builds from a list of the 64-bit
-words, so the streams are the same as from such a list. But numpy takes a
-``uint32`` array as it is, and converts a list int by int in Python.
+per str). So a configured seed must lie in 0..2**64 - 1, where no two
+seeds share a word (:func:`check_seed`). The words enter ``SeedSequence``
+as one ``uint32`` array of their little-endian 32-bit halves, where a word
+below 2**32, zero too, gives one half. That is the array numpy itself
+builds from a list of the 64-bit words, so the streams are the same as
+from such a list. But numpy takes a ``uint32`` array as it is, and
+converts a list int by int in Python.
 
 ``seed_states`` seeds many keys bit for bit as ``substream``, its reference
 and the single-key API. It builds the halves one key position at a time, a
@@ -34,6 +36,14 @@ import numpy as np
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed: int, name: str) -> None:
+    """Reject a seed outside 0..2**64 - 1, as ``ValueError`` naming it: a key
+    takes its seed modulo 2**64, so it would draw the streams of a seed in
+    range."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"{name} must lie in 0..2**64 - 1, got {seed}")
 
 
 def _words(value: int) -> tuple[int, ...]:

@@ -2,9 +2,10 @@
 
 ``client_update`` takes the run's train split, the round's cohort as client
 ids of that split, and wbar's input and side stacks per size group of the
-split, as ``fedcore.center_broadcast`` sends them. A test writes u0 down
-per client and combines it with the local rows here (``split_of``), and
-reads stacks back per client the same way (``by_client``). A run seeds
+split, as ``fedcore.center_broadcast`` sends them, each input with its
+ones column. A test writes u0 down per client and combines it with the
+local rows here (``split_of``), and reads stacks back per client the same
+way (``by_client``). A run seeds
 every round's streams before its first round and hands each phase its
 round's generators, or the channel its delay streams' seed words;
 ``update`` and ``deliver`` seed them from the same keys that
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from vhfl_lab import fedcore, netqueue, rng
+from vhfl_lab import fedcore, netqueue, nnet, rng
 
 
 def streams(keys):
@@ -42,14 +43,17 @@ def deliver(channel, uploads, epoch):
 def split_of(config, shards, u0=None):
     """The train split of ``shards``, and wbar's input and side stacks per
     size group: ``u0`` (client id -> rows in shard order, or None) combined
-    with the local rows under ``config.combine``."""
+    with the local rows under ``config.combine``, each input with its ones
+    column, as ``nnet`` takes a layer input."""
     train = fedcore.build_split(shards, None)
     if u0 is None:
-        return train, [(group.x_local, None) for group in train.groups]
+        return train, [(nnet.with_ones(group.x_local), None) for group in train.groups]
     sides = [np.stack([u0[shards[pos].client_id] for pos in group.positions]) for group in train.groups]
     if config.combine == "concat":
-        return train, [(np.concatenate([side, g.x_local], axis=-1), None) for side, g in zip(sides, train.groups)]
-    return train, [(group.x_local, side) for group, side in zip(train.groups, sides)]
+        return train, [
+            (nnet.with_ones(np.concatenate([side, g.x_local], axis=-1)), None) for side, g in zip(sides, train.groups)
+        ]
+    return train, [(nnet.with_ones(group.x_local), side) for group, side in zip(train.groups, sides)]
 
 
 def by_client(split, stacks):

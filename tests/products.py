@@ -24,28 +24,30 @@ from pathlib import Path
 import numpy as np
 
 # the products that nnet._product sends to np.dot
-CONTIGUOUS = ("x @ w.mT", "xF @ w.mT", "dz.mT @ x", "dz @ w")
+CONTIGUOUS = ("x @ w", "xF @ w", "x.mT @ dz", "dz @ W")
 # w0's backward under concat, on the side gradient's strided view: np.matmul
-SIDE = ("side.mT @ x", "side @ w")
+SIDE = ("x.mT @ side", "side @ W")
 
 
 def layer_products(rng: np.random.Generator, rows: int, in_dim: int, out_dim: int) -> dict[str, tuple]:
     """The (a, b) operands of one layer's products in the emitters' layouts:
-    the forward pass on C- and F-ordered rows ``x``, with ``w`` a view of a
-    flat parameter vector; the backward pass from a fresh output gradient
-    ``dz``; and the same from ``side``, the first ``out_dim`` columns of a
-    wider input gradient, as w0's backward takes it under concat."""
-    x = rng.standard_normal((rows, in_dim))
-    w = rng.standard_normal(out_dim * in_dim).reshape(out_dim, in_dim)
+    the forward pass on C- and F-ordered rows ``x = [a | 1]``, with ``w`` the
+    layer's ``(in_dim + 1, out_dim)`` block [Wᵀ; b], a view of a flat
+    parameter vector, and ``W = w[:-1].mT``; the backward pass from a fresh
+    output gradient ``dz``; and the same from ``side``, the first
+    ``out_dim`` columns of a wider input gradient, as w0's backward takes it
+    under concat."""
+    x = np.concatenate([rng.standard_normal((rows, in_dim)), np.ones((rows, 1))], axis=1)
+    w = rng.standard_normal((in_dim + 1) * out_dim).reshape(in_dim + 1, out_dim)
     dz = rng.standard_normal((rows, out_dim))
     side = rng.standard_normal((rows, out_dim + 4))[:, :out_dim]
     return {
-        "x @ w.mT": (x, w.mT),
-        "xF @ w.mT": (np.asfortranarray(x), w.mT),
-        "dz.mT @ x": (dz.mT, x),
-        "dz @ w": (dz, w),
-        "side.mT @ x": (side.mT, x),
-        "side @ w": (side, w),
+        "x @ w": (x, w),
+        "xF @ w": (np.asfortranarray(x), w),
+        "x.mT @ dz": (x.mT, dz),
+        "dz @ W": (dz, w[:-1].mT),
+        "x.mT @ side": (x.mT, side),
+        "side @ W": (side, w[:-1].mT),
     }
 
 

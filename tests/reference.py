@@ -12,7 +12,10 @@ through the public ``nnet`` functions. vhfl and hfl run federated rounds:
   "select", t), in ascending order;
 - each client trains from wbar on its rows shuffled by its stream (seed,
   "batches", client_id, t), beside its u0 rows, w0's output on its own
-  global rows;
+  global rows; a step backpropagates the unscaled residual ``out - y``
+  and steps at the epoch's rate times 2/b, the factor of the MSE
+  gradient (2/b)(out - y), and a sample's vertical gradient is its
+  residual's times 2/n;
 - behind a finite deadline an upload arrives when its one sojourn draw,
   from the stream (channel seed, "channel", t, client_id), is at most t_p;
 - aggregation is a loop that adds coefficient times vector, upload by
@@ -24,8 +27,9 @@ through the public ``nnet`` functions. vhfl and hfl run federated rounds:
 cloud and cloud_local train the pooled shard, every client's training
 rows in client order, as client 0: each local epoch takes one 2-d step a
 batch in the order of the stream (seed, "batches", 0, t), through w0 and
-wbar end to end under cloud, where w0 steps on the side gradient at the
-epoch's rate. They upload nothing, so no channel draws.
+wbar end to end under cloud, where w0 steps on the side gradient, both
+nets at the epoch's rate times 2/b. They upload nothing, so no channel
+draws.
 
 Every stream is a fresh ``rng.substream``, never a seeded plan, and
 nothing is stacked, gathered or kept between rounds, so the engine pins
@@ -116,21 +120,21 @@ def shuffled_batches(seed, client_id, t_g, n, batch_size):
 def local_step(fed, net, x, side, y):
     """One 2-d step's gradient of the local model on rows ``x`` beside the
     ``side`` rows of w0's output, or None, and the gradient with respect to
-    the side rows (None without them)."""
+    the side rows (None without them), both from the unscaled residual
+    ``out - y``: the caller steps at ``eta * (2 / b)``, where the MSE
+    gradient is ``(2 / b)(out - y)``."""
     if side is None:
         out, trace = nnet.forward(net, x)
-        _, lgrad = nnet.mse_loss(out, y)
-        grad, _ = nnet.backward(net, trace, lgrad)
+        grad, _ = nnet.backward(net, trace, out - y)
         return grad, None
     if fed.combine == "concat":
         out, trace = nnet.forward(net, np.hstack([side, x]))
-        _, lgrad = nnet.mse_loss(out, y)
-        grad, input_grad = nnet.backward(net, trace, lgrad, want_input_grad=True)
+        grad, input_grad = nnet.backward(net, trace, out - y, want_input_grad=True)
         return grad, input_grad[:, : side.shape[1]]
     out, trace = nnet.forward(net, x)
-    _, lgrad = nnet.mse_loss(side + out, y)
-    grad, _ = nnet.backward(net, trace, lgrad)
-    return grad, lgrad
+    residual = (side + out) - y
+    grad, _ = nnet.backward(net, trace, residual)
+    return grad, residual
 
 
 def reference_client_update(fed, shard, wbar, u0, global_epoch):
@@ -146,23 +150,24 @@ def reference_client_update(fed, shard, wbar, u0, global_epoch):
             side = None if table is None else np.vstack([table[int(i)] for i in ids])
             grad, side_grad = local_step(fed, net, x, side, y)
             if side_grad is not None:
-                scale = ids.shape[0] / shard.n
+                scale = 2.0 / shard.n
                 for k, sample_id in enumerate(ids):
                     key = int(sample_id)
                     row = side_grad[k] * scale
                     vgrad_sum[key] = vgrad_sum[key] + row if key in vgrad_sum else row
-            net = nnet.sgd_step(net, grad, fed.eta.value(global_epoch * fed.local_epochs + epoch))
+            net = nnet.sgd_step(net, grad, fed.eta.value(global_epoch * fed.local_epochs + epoch) * (2.0 / len(idx)))
     vgrads = {key: row / fed.local_epochs for key, row in vgrad_sum.items()}
     return net, vgrads
 
 
 def reference_pooled_round(fed, pooled, store, w0, wbar, global_epoch):
     """One round of a cloud mode on the pooled shard: every local epoch steps
-    w0 (when given) and wbar once a batch, both at the epoch's rate."""
+    w0 (when given) and wbar once a batch, both at the epoch's rate times
+    the batch's 2/b."""
     batch_list = shuffled_batches(fed.seed, 0, global_epoch, pooled.n, fed.batch_size)
     for epoch in range(fed.local_epochs):
-        eta = fed.eta.value(global_epoch * fed.local_epochs + epoch)
         for idx in batch_list:
+            eta = fed.eta.value(global_epoch * fed.local_epochs + epoch) * (2.0 / len(idx))
             x, y = pooled.x_local[idx], pooled.y[idx]
             if w0 is None:
                 grad, _ = local_step(fed, wbar, x, None, y)

@@ -89,6 +89,21 @@ def test_summary_reads_medians_pair_ratios_and_wins():
     }
 
 
+def test_clock_summary_puts_the_cpu_summary_beside_the_wall_one():
+    """A host stall that lands on one side's wall time decides the wall
+    summary; the CPU summary, under keys of its own, reads the work."""
+    wall_a, wall_b = [1.0, 1.0, 1.0], [0.8, 3.0, 3.0]  # b stalled in two pairs
+    cpu_a, cpu_b = [0.9, 1.0, 0.95], [0.7, 0.75, 0.8]
+    summary = ab_pair.summarize_clocks(wall_a, wall_b, cpu_a, cpu_b)
+    wall, cpu = ab_pair.summarize(wall_a, wall_b), ab_pair.summarize(cpu_a, cpu_b)
+    assert summary == {**wall, **{f"cpu_{key}": value for key, value in cpu.items()}}
+    assert (summary["median_ratio"], summary["a_won"], summary["b_won"]) == (3.0, 2, 1)
+    assert (summary["cpu_median_a_s"], summary["cpu_median_b_s"]) == (0.95, 0.75)
+    # pair ratios 0.7 / 0.9, 0.75 and 0.8 / 0.95
+    assert summary["cpu_median_ratio"] == pytest.approx(0.7 / 0.9)
+    assert (summary["cpu_a_won"], summary["cpu_b_won"], summary["cpu_pairs"]) == (0, 3, 3)
+
+
 def test_summary_needs_one_time_per_side_and_pair():
     with pytest.raises(ValueError):
         ab_pair.summarize([1.0, 2.0], [1.0])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohorts import by_client, deliver, split_of, streams, update
-from nets import arrays, net_of
+from nets import arrays, net_of, ones_column
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, FederationDataset, GlobalStore, SynthConfig, generate
 from vhfl_lab.fedcore import (
@@ -286,11 +286,12 @@ def test_broadcast_matches_per_sample_forward():
     )
     split = fedcore.build_split(ds.clients, ds.global_store)
     inputs = center_broadcast(FED, center, split)
-    # under concat, one (G, n, u0_dim + d_local) input stack per size group
+    # under concat, one (G, n, u0_dim + d_local + 1) input stack [u0 | x_local | 1] per size group
     assert [(inp.shape, side) for inp, side in inputs] == [
-        ((len(group.positions), group.x_local.shape[1], 3 + 4), None) for group in split.groups
+        ((len(group.positions), group.x_local.shape[1], 3 + 4 + 1), None) for group in split.groups
     ]
-    assert all(np.array_equal(inp[..., 3:], group.x_local) for (inp, _), group in zip(inputs, split.groups))
+    assert all(np.array_equal(inp[..., 3:-1], group.x_local) for (inp, _), group in zip(inputs, split.groups))
+    assert all(np.all(inp[..., -1] == 1.0) for inp, _ in inputs)
     tables = by_client(split, [inp[..., :3] for inp, _ in inputs])
     assert set(tables) == {shard.client_id for shard in ds.clients}
     for shard in ds.clients:
@@ -355,7 +356,7 @@ def test_client_update_rejects_u0_with_the_wrong_row_count(extra):
         update(FED, train, wbar, concat, 0)
     additive = dataclasses.replace(FED, combine="additive", u0_dim=2)
     _, inputs = split_of(additive, shards, {shard.client_id: rng.standard_normal((n + extra, 2)) for shard in shards})
-    with pytest.raises(ValueError, match=rf"\(\(2, {n}, 4\), \(2, {n + extra}, 2\)\)\], the train split's labels"):
+    with pytest.raises(ValueError, match=rf"\(\(2, {n}, 5\), \(2, {n + extra}, 2\)\)\], the train split's labels"):
         update(additive, train, net_of(zero_layer(4, 2)), inputs, 0)
 
 
@@ -370,10 +371,10 @@ def test_client_update_rejects_u0_stacks_that_do_not_match_the_cohort():
     fed = dataclasses.replace(FED, combine="additive", u0_dim=2)
     train, inputs = split_of(fed, shards, {shard.client_id: rng.standard_normal((n, 3)) for shard in shards})
     labels = rf"the train split's labels \[\(2, {n}, 2\)\]$"
-    with pytest.raises(ValueError, match=rf"^input stacks have shapes \[\(\(2, {n}, 4\), \(2, {n}, 3\)\)\], {labels}"):
+    with pytest.raises(ValueError, match=rf"^input stacks have shapes \[\(\(2, {n}, 5\), \(2, {n}, 3\)\)\], {labels}"):
         update(fed, train, wbar, inputs, 0)
     x_local = inputs[0][0]
-    with pytest.raises(ValueError, match=rf"shapes \[\(\(2, {n}, 4\), None\), \(\(2, {n}, 4\), None\)\], {labels}"):
+    with pytest.raises(ValueError, match=rf"shapes \[\(\(2, {n}, 5\), None\), \(\(2, {n}, 5\), None\)\], {labels}"):
         update(fed, train, wbar, [(x_local, None)] * 2, 0)
     with pytest.raises(ValueError, match=rf"^input stacks have shapes \[\], {labels}"):
         update(fed, train, wbar, [], 0)
@@ -661,12 +662,13 @@ def test_central_update_matches_finite_differences_of_composed_loss():
 
     step = 1e-5
     analytic_grads = w0.views((w0.params - stepped.params) / eta0)
-    for li, ((weights, _), (analytic, _)) in enumerate(zip(arrays(w0), analytic_grads)):
-        fd = np.zeros_like(weights)
-        for (r, c), _ in np.ndenumerate(weights):
+    for li, (block, analytic) in enumerate(zip(w0.views(w0.params), analytic_grads)):
+        # every weight and bias of the layer's block
+        fd = np.zeros_like(block)
+        for (r, c), _ in np.ndenumerate(block):
             for sign in (+1.0, -1.0):
                 params = w0.params.copy()
-                w0.views(params)[li][0][r, c] += sign * step
+                w0.views(params)[li][r, c] += sign * step
                 fd[r, c] += sign * composed_loss(nnet.DenseNet(w0.layers, params))
         fd /= 2.0 * step
         rel = np.abs(fd - analytic) / np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-3)
@@ -964,10 +966,11 @@ def test_evaluate_equals_mean_of_per_sample_losses():
 
 
 def plain_output(net: nnet.DenseNet, x: np.ndarray) -> np.ndarray:
-    """A net's output on 2-d rows, layer by layer, as a reference."""
+    """A net's output on 2-d rows, layer by layer on fresh arrays, each
+    layer's rows with a ones column times its block [Wᵀ; b], as a reference."""
     a = x
-    for layer, (weights, bias) in zip(net.layers, arrays(net)):
-        z = a @ weights.T + bias
+    for layer, block in zip(net.layers, net.views(net.params)):
+        z = ones_column(a) @ block
         if layer.activation == "tanh":
             a = np.tanh(z)
         elif layer.activation == "relu":

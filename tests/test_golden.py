@@ -16,6 +16,10 @@ config, with the same Python, numpy and OpenBLAS. Its five vhfl and hfl
 digests were renewed when ``paper_unbiased`` began to scale by the number
 of delivered uploads instead of K; as the clients weigh the same, the
 renewed traces hold the rows the config gives under ``renormalized``.
+Every training digest here, the unequal-shard ones too, was renewed when
+each layer became one ``[Wᵀ; b]`` block of the parameter vector, whose
+input carries a ones column, and the MSE gradient's 2/b moved into the
+step's rate, with the same Python, numpy and OpenBLAS (SkylakeX kernel).
 
 The analytic digests pin every artifact of tiny ``queue_analyze``,
 ``queue_simulate``, ``delay_plan`` and ``bounds_sweep`` runs: the gamma
@@ -92,22 +96,22 @@ CONFIGS = {
 
 DIGESTS = {
     "vhfl": {
-        "trace_vhfl_seed3.csv": "2c97c0581097fb419fd246069940beb532481947f6ec333effc5104e4c827259",
-        "w0_vhfl_seed3.txt": "b7e42f813271e4677e03932977ac3ead7c03e10f1602e8810632bfee10f785ee",
-        "wbar_vhfl_seed3.txt": "1c217360eefb87b8b5c18a7a5e3726d9cdae262abd3d3dd4ad03437f739d1d1d",
+        "trace_vhfl_seed3.csv": "f021fecc7c82ebf7c4c2f277f9be237d871d7a84b9e1df5c5a885cbcce5c17a5",
+        "w0_vhfl_seed3.txt": "37a47f704f1361126d3e3c89df46b44f6c490f1c2968e78f14bdc4f6772a0058",
+        "wbar_vhfl_seed3.txt": "7bb4ec8fa2e49b6f75f664a3bca45041e991045d2894c4d6d22de91a26cf7417",
     },
     "hfl": {
-        "trace_hfl_seed3.csv": "f3b77f46cad00edc55218acf28aadea7db8c0e4f7b803a51e099b896ac114c87",
-        "wbar_hfl_seed3.txt": "cd6c7a64d6e41252165c3714fc15796a103cab20f56a55bb1c7ee0b7b9d807e4",
+        "trace_hfl_seed3.csv": "433cef08e8254ce0988d25305d9d3bb710f6e8778f71e21368007db25eed45bf",
+        "wbar_hfl_seed3.txt": "43a3fcecb335d67d31544a225251e57e53f76b13d015163dc5126c43b15a0501",
     },
     "cloud": {
-        "trace_cloud_seed3.csv": "7364c8e5968fc6e29a6785e4b31c1366fb15ecca7e70b92fb46a6333d83acf64",
-        "w0_cloud_seed3.txt": "36598ea701b8286400d4a107717dbd10d470a0817809d9fc46e36021ad67fa4b",
-        "wbar_cloud_seed3.txt": "7d0d8e7522f014bdd64a24119ee88aa1615e343ff3d759399e188569fa84d3e9",
+        "trace_cloud_seed3.csv": "370d95dcf0786425fea7119f44b5227f53c45ca9e84df0a74b973b4f2e08e7c2",
+        "w0_cloud_seed3.txt": "22d21f3ea9cece6816c1aa2d292c12af15813cec42628a39a720d7f637d6d492",
+        "wbar_cloud_seed3.txt": "2fd0f4887b6041b0b309acf0f07d46b4dcdfdd834b26df8ac07744769e53eb18",
     },
     "cloud_local": {
-        "trace_cloud_local_seed3.csv": "d0d9b59a91a42a955c475a59efd28f20388694002c7ae4bbe6577f1068bb2026",
-        "wbar_cloud_local_seed3.txt": "066acee0b8904f66add97da6e5b6461b2503be0e5cd8e2b8af5c38052bb900c8",
+        "trace_cloud_local_seed3.csv": "710c0d2b187d84f70ca21ae6d3b834354fcb91508199e06983cfb258a845f446",
+        "wbar_cloud_local_seed3.txt": "efac970d99ea6335e05fcc9eb18039ca64904750e9c740a2daee8332dbb57ee1",
     },
 }
 
@@ -132,16 +136,16 @@ OFF_DEFAULT = {
 CONFIGS["off_default"] = OFF_DEFAULT
 
 DIGESTS["off_default"] = {
-    "trace_cloud_local_seed3.csv": "fa8715327188b13fcb103806f4977ca5ab9ce73a9e19da80676d22330343cff1",
-    "trace_cloud_seed3.csv": "5ee62df75112d76d2760c7f8786a5c0feaf538bb1f564bd38b2c5c53f2e3f646",
-    "trace_hfl_seed3.csv": "b81ae5c0fc849b793aed4bfb89c07f38f0b58d32884437b154a4ad08608ba901",
-    "trace_vhfl_seed3.csv": "a3afa1f98c4d51c6afaa0610024d938b6c69c35aecc2ba532f01357983ad9a42",
-    "w0_cloud_seed3.txt": "6dc64c5e774df7e898a8a584bacc2581212f0755432abc0fcab07e6663d32f3c",
-    "w0_vhfl_seed3.txt": "93a1f605be11f78716cabee097083f39399b343190bf19c0fa3404a3ad0488a4",
-    "wbar_cloud_local_seed3.txt": "91c9abe2e64e53f56a480dea8941589e7033f509ca0d5c0889978fc8cb516c04",
-    "wbar_cloud_seed3.txt": "b78db65de2d5fcfe9af5476147ebc00d81602c69de3ae141c20c01ac3f75ba37",
-    "wbar_hfl_seed3.txt": "bd92ab2aca17db8be18f2379f774df17dd8a1e57f4f7961175bf8422c82b5dc8",
-    "wbar_vhfl_seed3.txt": "3659e95da5ffd2963ea5cfc50748a33836c44badb80fae8b6c90e743df48f2ec",
+    "trace_cloud_local_seed3.csv": "98c067f359b9bb8eb9bd4b70b0b0bd7e915bcbb7f2628af43ea8a884fefa3dc0",
+    "trace_cloud_seed3.csv": "0b3af9684eb63eb5dea075dc8e3e13c0bd45846c97569f6d2a666a43a5d08487",
+    "trace_hfl_seed3.csv": "684934d1d76110644336e4c9e8b1af0d3a45ebddcf3d156c1683daa03ee6db77",
+    "trace_vhfl_seed3.csv": "318fd545e9b30961d035e9c530f1e6c552721519811509276cb02c07467520c6",
+    "w0_cloud_seed3.txt": "65ed270e05b725727efd619ca03c4b42312a5000d4cd73c4fe9ef11f48bef661",
+    "w0_vhfl_seed3.txt": "3575360fbd0bbd3e8487772dba6d239e43d36269cefa8bf300c105bfd07dd2bd",
+    "wbar_cloud_local_seed3.txt": "f8709dfa803adeee4007c568d5a90dc6ac7c6b711ccfdbd671d8e4c4a27a79fd",
+    "wbar_cloud_seed3.txt": "573e7474e7e7be682dbd083c09a5471c612ec3feaf88eb07d8985b01ce3d41ab",
+    "wbar_hfl_seed3.txt": "541d95691193bb32b418f1c88f20a279e0a87a028c6d51579d1af73802883734",
+    "wbar_vhfl_seed3.txt": "1888972d45923700103b7abf5b8301c102c850c43456164e6a6c4d54ca35feba",
 }
 
 
@@ -278,9 +282,9 @@ MIXED_RUNS = {
     ),
 }
 MIXED_DIGESTS = {
-    "vhfl": "cde78168d22ab2fb9a59b967ca8f901d54716223f94c07b512d105822076de7e",
-    "hfl": "bf827af372a8d61555865a75a17bfd9581d1299ca10e076390fd222922965354",
-    "vhfl_additive": "55b4f5ac9116e04b3d78618244f5c3b04e53946402cfb4cdc90561948d4637b3",
+    "vhfl": "1d497649a59efab5878ea9b7e7cbce95a40cedc490c4887aa207bef8cf161a96",
+    "hfl": "7c6cdf1346b17f84724e19b4faf32237d01999a18bb293627f6f9c165222bb3b",
+    "vhfl_additive": "5aebe9debe3bef566bb9786408a840aa0e8470fa1c5a6593e0f8ee2268ebac87",
 }
 
 

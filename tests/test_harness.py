@@ -590,6 +590,20 @@ CONFIG_FAULTS = [
     (LOSSY_CONFIG, "channel.lambda_n", 10.0, "channel: unstable queue"),
     (LOSSY_CONFIG, "channel.mu1", float("inf"), "channel: service rates need finite"),
     (LOSSY_CONFIG, "channel.params", {"lambda_n": 2.0}, "channel: unknown keys ['params']"),
+    # a stream takes its seed modulo 2**64: these would alias seeds in range,
+    # and 1e308 would be written into every trace's file name
+    (BASE_CONFIG, "seeds", [1e308], "config: seeds[0] must lie in 0..2**64 - 1, got 1000000000000000010979063629440"),
+    (BASE_CONFIG, "seeds", [1, 1 + 2**64], "config: seeds[1] must lie in 0..2**64 - 1, got 18446744073709551617"),
+    (BASE_CONFIG, "seeds", [-(2**64 - 1)], "config: seeds[0] must lie in 0..2**64 - 1, got -18446744073709551615"),
+    (BASE_CONFIG, "synth.seed", 2**64, "synth: seed must lie in 0..2**64 - 1"),
+    (BASE_CONFIG, "synth.seed", 2**64 - 2, "config: synth.seed + the largest of seeds must lie in 0..2**64 - 1"),
+    (LOSSY_CONFIG, "channel.seed", -1, "channel: seed must lie in 0..2**64 - 1, got -1"),
+    (LOSSY_CONFIG, "channel.seed", 2**64 - 1, "config: channel.seed + the largest of seeds must lie"),
+    (QUEUE_CONFIG, "queue.seed", 2**64, "queue: seed must lie in 0..2**64 - 1"),
+    # analyze squares the rates; 1e308 raised OverflowError at run time
+    (QUEUE_CONFIG, "queue.mu1", 1e308, "queue: mu1 = 1e+308 overflows the squares of the queue analysis"),
+    # below the floor the bisection could not reach the tolerance at run time
+    (QUEUE_CONFIG, "delay_plan.tol", 1e-320, "delay_plan: tol must be positive and finite, at least 1e-12, got 1e-320"),
 ]
 
 
@@ -604,6 +618,33 @@ def test_cli_config_faults_exit_2_naming_the_key(tmp_path, capsys, base, path, v
     assert err.startswith("config error: ") and named in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_seed_override_outside_the_seed_range_exits_2(tmp_path, capsys):
+    config_path = write_config(tmp_path, config_with(tmp_path, BASE_CONFIG))
+    assert main(["compare", "--config", str(config_path), "--seed", str(2**64)]) == 2
+    err = capsys.readouterr().err
+    assert "config: seeds[0] must lie in 0..2**64 - 1, got 18446744073709551616" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seeds_at_the_ends_of_their_range_parse():
+    raw = copy.deepcopy(BASE_CONFIG)
+    raw["seeds"], raw["synth"]["seed"] = [0, 2**64 - 1], 0
+    assert parse_config(raw).seeds == (0, 2**64 - 1)
+    raw = copy.deepcopy(LOSSY_CONFIG)
+    raw["seeds"], raw["synth"]["seed"], raw["channel"] = [0], 2**64 - 1, {**CHANNEL, "seed": 2**64 - 1}
+    config = parse_config(raw)
+    assert config.synth.seed == config.channel.seed == 2**64 - 1
+
+
+def test_delay_plan_tolerance_floor():
+    raw = copy.deepcopy(QUEUE_CONFIG)
+    raw["delay_plan"]["tol"] = 1e-12
+    assert parse_config(raw).delay_plan.tol == 1e-12
+    raw["delay_plan"]["tol"] = 9.9e-13
+    with pytest.raises(ConfigError, match=r"^delay_plan: tol must be positive and finite, at least 1e-12, got 9.9e-13$"):
+        parse_config(raw)
 
 
 SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))

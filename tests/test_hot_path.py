@@ -10,12 +10,14 @@ whose results are dropped, and every step runs its batch's list, emitted
 then and replayed every local epoch and round. ``run_cloud`` emits each
 pooled batch's list once a run and replays it every local epoch of every
 round. These tests pin that this gives each client, and the pooled nets,
-the same bits as stepping alone with the public functions, for every layer
-form, batch cut and rate schedule the op lists are built from, and the
-same bits as a fresh local phase every round; that a 2-d product enters
-numpy through np.dot where its operands are contiguous, and through
-np.matmul on stacks and on the side gradient's strided view, with the bits
-of a reference written with ``@``; that each batch's list is emitted once
+the same bits as stepping alone with the public functions, from the
+residual out - y at the epoch's rate times 2/b, for every layer form,
+batch cut and rate schedule the op lists are built from, and the same
+bits as a fresh local phase every round; that a 2-d product enters numpy
+through np.dot where its operands and output are contiguous, and through
+np.matmul on stacks, on the side gradient's strided view and into the
+first columns of a wider buffer, with the bits of a reference written
+with ``@``; that each batch's list is emitted once
 a run; that the broadcast's u0, taken from the train split, and the
 run-long central step, on rows in id order in buffers shared by every
 delivered count, get the bits of fresh public passes; that the caller's
@@ -36,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohorts import split_of, update
-from nets import allocating_backward, allocating_forward, arrays, net_of
+from nets import allocating_backward, allocating_forward, net_of
 from reference import interleaved_dataset, reference_client_update, reference_run, shuffled_batches
 from vhfl_lab import fedcore, netqueue, nnet
 from vhfl_lab.datagen import ClientShard, GlobalStore, SynthConfig, generate
@@ -332,39 +334,41 @@ def test_pooled_phase_emits_each_batch_list_once_per_run(use_global, monkeypatch
 
 def allocating_run_cloud(fed, ds):
     """``run_cloud`` with w0 under concat, written with ``@`` on fresh
-    arrays: each product's entry point is np.matmul, whatever its operands'
-    layout, so w0's backward takes the transposed side gradient view
-    ``input_grad[:, :u0_dim]`` through np.matmul."""
+    arrays over each layer's block: each product's entry point is
+    np.matmul, whatever its operands' layout, so w0's backward takes the
+    transposed side gradient view ``input_grad[:, :u0_dim]`` through
+    np.matmul. Both nets step on the residual's gradients at the epoch's
+    rate times 2/b."""
     center = fedcore._new_center(fed, ds, True)
-    nets = [[(w, b, layer.activation) for layer, (w, b) in zip(net.layers, arrays(net))] for net in (center.wbar, center.w0)]
+    nets = [[(block, layer.activation) for layer, block in zip(net.layers, net.views(net.params))] for net in (center.wbar, center.w0)]
     ids = np.concatenate([shard.ids for shard in ds.clients])
     x_local, y = (np.vstack([getattr(shard, f) for shard in ds.clients]) for f in ("x_local", "y"))
     x_global = ds.global_store.rows(ids)
     for t_g in range(fed.global_epochs):
         for epoch in range(fed.local_epochs):
-            eta = fed.eta.value(t_g * fed.local_epochs + epoch)
             for idx in shuffled_batches(fed.seed, 0, t_g, len(ids), fed.batch_size):
+                eta = fed.eta.value(t_g * fed.local_epochs + epoch) * (2.0 / len(idx))
                 wbar, w0 = nets
-                pre0, post0 = allocating_forward(w0, x_global[idx])
-                inp = np.hstack([post0[-1], x_local[idx]])
-                pre, post = allocating_forward(wbar, inp)
-                lgrad = (2.0 / len(idx)) * (post[-1] - y[idx])
-                *grads, input_grad = allocating_backward([(w, act) for w, _, act in wbar], inp, pre, post, lgrad)
+                inputs0, pre0, post0 = allocating_forward(w0, x_global[idx])
+                inputs, pre, post = allocating_forward(wbar, np.hstack([post0[-1], x_local[idx]]))
+                grads, input_grad = allocating_backward(wbar, inputs, pre, post, post[-1] - y[idx])
                 side_grad = input_grad[:, : fed.u0_dim]
-                *grads0, _ = allocating_backward([(w, act) for w, _, act in w0], x_global[idx], pre0, post0, side_grad)
+                grads0, _ = allocating_backward(w0, inputs0, pre0, post0, side_grad)
                 nets = [
-                    [(w - eta * gw, b - eta * gb, act) for (w, b, act), gw, gb in zip(net, *net_grads)]
+                    [(block - eta * gblock, act) for (block, act), gblock in zip(net, net_grads)]
                     for net, net_grads in zip(nets, (grads, grads0))
                 ]
-    return [net_of(*net) for net in nets]
+    shapes = [net.layers for net in (center.wbar, center.w0)]
+    return [nnet.DenseNet(layers, np.concatenate([block.ravel() for block, _ in net])) for layers, net in zip(shapes, nets)]
 
 
 def test_run_cloud_matches_a_reference_written_with_matmul_on_a_wide_side_gradient():
     """With batches of 16 rows through a hidden layer of 4, w0's weight
-    gradient from the side gradient's strided view is a product that np.dot
-    rounds differently from np.matmul under SkylakeX: the pooled phase must
-    keep it on np.matmul, and every contiguous product it sends to np.dot
-    must get np.matmul's bits."""
+    gradient from the side gradient's strided view was a product that np.dot
+    rounded differently from np.matmul under SkylakeX while it took the
+    view's transpose: the pooled phase keeps the view's products on
+    np.matmul, and every contiguous product it sends to np.dot must get
+    np.matmul's bits."""
     ds = generate(SYNTH)
     fed = dataclasses.replace(FED, u0_dim=16, w0_hidden=(4,), batch_size=16)
     center, _ = fedcore.run_cloud(fed, ds, True)
@@ -374,9 +378,11 @@ def test_run_cloud_matches_a_reference_written_with_matmul_on_a_wide_side_gradie
 
 @pytest.mark.parametrize("combine", ["concat", "additive"])
 def test_products_name_dot_where_contiguous_and_matmul_on_stacks_and_the_side_view(combine, monkeypatch):
-    """The pooled phase's 2-d lists issue every product through np.dot but
-    w0's two products on the side gradient's strided view under concat; the
-    local phase's lists, on stacks, issue every product through np.matmul."""
+    """The pooled phase's 2-d lists issue every product through np.dot but,
+    under concat, w0's two products on the side gradient's strided view and
+    its last forward product, which writes u0 into the input's first
+    columns; the local phase's lists, on stacks, issue every product through
+    np.matmul."""
     ds = generate(SYNTH)
     fed = dataclasses.replace(FED, combine=combine, u0_dim=3 if combine == "concat" else SYNTH.d_label)
     emitted = []
@@ -400,9 +406,13 @@ def test_products_name_dot_where_contiguous_and_matmul_on_stacks_and_the_side_vi
         if ndim == 3:
             assert all(op is np.matmul for op, _ in products)
             continue
-        on_side = [np.shares_memory(a, side_grad) and not a.flags.forc for _, (a, _, _) in products]
+        on_side = [
+            any(np.shares_memory(x, side_grad) and not x.flags.forc for x in (a, b)) for _, (a, b, _) in products
+        ]
+        into_input = [not out.flags.c_contiguous for _, (_, _, out) in products]
         assert sum(on_side) == (2 if combine == "concat" else 0)
-        assert [op for op, _ in products] == [np.matmul if side else np.dot for side in on_side]
+        assert sum(into_input) == (1 if combine == "concat" else 0)
+        assert [op for op, _ in products] == [np.matmul if s or i else np.dot for s, i in zip(on_side, into_input)]
 
 
 # ------------------------------------------------------ run-long local phase
@@ -539,8 +549,9 @@ def test_a_round_takes_its_cohorts_rows_from_the_train_split(combine, monkeypatc
                 shard = ds.clients[c]
                 order = substream(fed.seed, "batches", c, t_g).permutation(shard.n)
                 group = next(group for group in groups if c in group.positions)
-                u0 = nnet._output(w0, group.x_global)[group.positions.index(c)]
-                assert same_bits(y[k], shard.y[order]) and same_bits(inp[k, :, width:], shard.x_local[order])
+                u0 = nnet.forward(w0, group.x_global)[0][group.positions.index(c)]
+                assert same_bits(y[k], shard.y[order]) and same_bits(inp[k, :, width:-1], shard.x_local[order])
+                assert np.all(inp[k, :, -1] == 1.0)
                 assert same_bits(inp[k, :, :width] if side is None else side[k], u0[order])
 
 
@@ -582,11 +593,11 @@ def test_broadcast_u0_is_a_fresh_pass_over_the_cohorts_global_rows(sizes, combin
     for w0, inputs in calls:
         assert len(inputs) == len(groups)
         for (inp, side), group in zip(inputs, groups):
-            want = nnet._output(w0, group.x_global)
+            want, _ = nnet.forward(w0, group.x_global)
             if combine == "concat":
-                assert side is None and same_bits(inp, np.concatenate([want, group.x_local], axis=-1))
+                assert side is None and same_bits(inp, nnet.with_ones(np.concatenate([want, group.x_local], axis=-1)))
             else:
-                assert same_bits(side, want) and same_bits(inp, group.x_local)
+                assert same_bits(side, want) and same_bits(inp, nnet.with_ones(group.x_local))
 
 
 def public_central_step(fed, w0, uploads, store, t_g):
@@ -804,8 +815,7 @@ def test_guard_names_the_first_diverging_client_in_cohort_order():
 @pytest.mark.parametrize("diverged_first", [True, False], ids=["diverged_first", "diverged_second"])
 def test_guard_names_a_diverged_client_in_either_place_of_its_size_group(diverged_first):
     # a 2 -> 1 identity net of ones sums each row's features, so rows of 1e308
-    # overflow on the first step. The two 2-row shards train as one stack,
-    # whose first client takes that step through the validating public API
+    # overflow on the first step. The two 2-row shards train as one stack
     wbar = net_of((np.ones((1, 2)), np.ones(1)))
     diverging = ClientShard(7, np.array([0, 1]), np.full((2, 2), 1e308), np.zeros((2, 1)), 0.5)
     finite = ClientShard(3, np.array([2, 3]), np.ones((2, 2)), np.zeros((2, 1)), 0.5)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import products
-from nets import allocating_backward, arrays, net_of
+from nets import allocating_backward, allocating_forward, arrays, net_of
 from vhfl_lab import nnet
 from vhfl_lab.rng import substream
 
@@ -313,21 +313,23 @@ def test_backward_into_flat_views_matches_allocating_reference(copies, rows):
             x = rng.standard_normal((*lead, rows, dims[0]))
             # the emitted passes, each run once as a one-shot call runs them
             ops = []
-            out, trace = nnet._forward_ops(layers, x, ops, {})
+            out, trace = nnet._forward_ops(layers, nnet.with_ones(x), ops, {})
             nnet._run(ops)
+            blocks = [(layer.block.copy(), layer.act) for layer in layers]
+            ref_inputs, ref_pre, ref_post = allocating_forward(blocks, x)
+            for got, want in zip(trace.inputs + trace.pre + trace.post, ref_inputs + ref_pre + ref_post):
+                assert same_bits(np.ascontiguousarray(got), want)
             da = rng.standard_normal(out.shape)
             ops = []
             input_grad = nnet._backward_ops(layers, grads, trace, da, ops, {}, True)
             nnet._run(ops)
-            wgrads, bgrads, ref_input = allocating_backward(
-                [(layer.w.copy(), layer.act) for layer in layers], x, trace.pre, trace.post, da
-            )
+            ref_grads, ref_input = allocating_backward(blocks, trace.inputs, trace.pre, trace.post, da)
             assert same_bits(input_grad, ref_input)
-            for (gw, gb), ref_gw, ref_gb in zip(grads, wgrads, bgrads):
-                assert np.shares_memory(gw, grad) and np.shares_memory(gb, grad)
-                assert same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
+            for block, ref_block in zip(grads, ref_grads):
+                assert np.shares_memory(block, grad)
+                assert same_bits(block, ref_block)
             # the gradient views tile the buffer: every value was written
-            assert grad.size == sum(gw.size + gb.size for gw, gb in zip(wgrads, bgrads))
+            assert grad.size == sum(block.size for block in ref_grads)
 
 
 @pytest.mark.parametrize("copies", [None, 1, 3, 25])
@@ -345,18 +347,18 @@ def test_flat_sgd_matches_per_layer_step(copies):
     for net, net_layers in zip(nets, per_net):
         for layer, (w, b) in zip(net_layers, arrays(net)):
             # every slice holds a copy of the net, in memory of its own
-            assert np.array_equal(layer.w, np.broadcast_to(w, layer.w.shape))
-            assert np.array_equal(layer.b, np.broadcast_to(b, layer.b.shape))
+            assert np.array_equal(layer.weights, np.broadcast_to(w, layer.weights.shape))
+            assert np.array_equal(layer.block[..., -1, :], np.broadcast_to(b, layer.block.shape[:-2] + b.shape))
             assert not np.shares_memory(data, w)
     data[...] = rng.standard_normal(data.shape)
     layers = [layer for net_layers in per_net for layer in net_layers]
-    grads = [pair for net, part in parts for pair in net.views(grad[..., part])]
+    grads = [block for net, part in parts for block in net.views(grad[..., part])]
     for eta in (0.05, 0.3):
         grad[...] = rng.standard_normal(grad.shape)
-        before = [(layer.w.copy(), layer.b.copy()) for layer in layers]
+        before = [layer.block.copy() for layer in layers]
         nnet._sgd(data, grad, eta)
-        for layer, (w, b), (gw, gb) in zip(layers, before, grads):
-            assert same_bits(layer.w, w - eta * gw) and same_bits(layer.b, b - eta * gb)
+        for layer, block, gblock in zip(layers, before, grads):
+            assert same_bits(layer.block, block - eta * gblock)
 
 
 def test_public_step_runs_the_flat_kernels_on_fresh_buffers():
@@ -366,15 +368,16 @@ def test_public_step_runs_the_flat_kernels_on_fresh_buffers():
     out, trace = nnet.forward(net, x)
     _, lgrad = nnet.mse_loss(out, rng.standard_normal((14, 1)))
     grad, _ = nnet.backward(net, trace, lgrad)
-    wgrads, bgrads, _ = allocating_backward(
-        [(w, layer.activation) for layer, (w, _) in zip(net.layers, arrays(net))], x, trace.pre, trace.post, lgrad
-    )
+    blocks = [(block, layer.activation) for layer, block in zip(net.layers, net.views(net.params))]
+    inputs, pre, post = allocating_forward(blocks, x)
+    ref_grads, _ = allocating_backward(blocks, inputs, pre, post, lgrad)
+    assert same_bits(out, post[-1])
     assert grad.shape == net.params.shape
-    for (gw, gb), ref_gw, ref_gb in zip(net.views(grad), wgrads, bgrads):
-        assert same_bits(gw, ref_gw) and same_bits(gb, ref_gb)
+    for block, ref_block in zip(net.views(grad), ref_grads):
+        assert same_bits(block, ref_block)
     stepped = nnet.sgd_step(net, grad, 0.05)
-    for (new_w, new_b), (old_w, old_b), gw, gb in zip(arrays(stepped), arrays(net), wgrads, bgrads):
-        assert same_bits(new_w, old_w - 0.05 * gw) and same_bits(new_b, old_b - 0.05 * gb)
+    for new, old, gblock in zip(stepped.views(stepped.params), net.views(net.params), ref_grads):
+        assert same_bits(new, old - 0.05 * gblock)
     assert not np.shares_memory(stepped.params, net.params)
     assert not np.shares_memory(stepped.params, grad)
 
@@ -393,6 +396,7 @@ def test_one_shot_passes_allocate_per_call(lead):
     grads = [nnet.backward(net, trace, lgrad, want_input_grad=True) for _, trace in (first, second)]
     for a, b in zip(grads[0], grads[1]):
         assert not np.shares_memory(a, b)
+    x = nnet.with_ones(x)
     assert not np.shares_memory(nnet._output(net, x), nnet._output(net, x))
 
 
@@ -464,7 +468,7 @@ def test_public_api_checks_hold_on_a_stack():
 def test_dot_writes_matmuls_bits_wherever_the_product_rule_sends_it(rows, in_dim, out_dim, seed):
     """Every layout that ``_product`` issues through ``np.dot`` gets the bits
     of ``np.matmul``; the side gradient's strided view stays on np.matmul,
-    where np.dot of its transpose rounds differently."""
+    where np.dot takes a row-major copy of it."""
     layer = products.layer_products(np.random.default_rng(seed), rows, in_dim, out_dim)
     for name, (a, b) in layer.items():
         out = np.empty((a.shape[0], b.shape[1]))
@@ -475,9 +479,9 @@ def test_dot_writes_matmuls_bits_wherever_the_product_rule_sends_it(rows, in_dim
         if op is np.dot:
             assert same_bits(*products.by_dot_and_matmul(a, b)), name
     # a stack of the same layers stays on np.matmul, one BLAS call per slice
-    x, w_t = layer["x @ w.mT"]
+    x, block = layer["x @ w"]
     stack = np.stack([x, x])
-    assert nnet._product(stack, w_t, np.empty((2, rows, out_dim)))[0] is np.matmul
+    assert nnet._product(stack, block, np.empty((2, rows, out_dim)))[0] is np.matmul
 
 
 @pytest.mark.skipif(products.openblas_core() == "unknown", reason="numpy has no bundled OpenBLAS to force a kernel on")

@@ -5,13 +5,17 @@ a benchmark workload's configs (``bench/workloads.py`` of this checkout)
 with each side in turn, for a number of pairs; the side that goes first
 alternates from pair to pair. A side's time is the wall time of
 ``harness.run`` over all the configs, which run into temporary
-directories. Both sides share the process, its heap and the host's
+directories, and its CPU time is the process time (``time.process_time``)
+over the same runs. Both sides share the process, its heap and the host's
 moment, so the pair ratio is freer of the bias between two processes than
-two ``bench/run.py`` runs are. Prints each side's median and quartiles,
-the median of the pair ratios B/A, how many pairs each side won, and
-whether the last pair's artifacts are byte-identical,
-``resolved_config.json`` left out as it records the output directory; the
-last line is one JSON object:
+two ``bench/run.py`` runs are. A host stall lands on one side's wall time
+and moves its pair's ratio; the process does not run while the host takes
+its core away, so its CPU time leaves the stall out. Prints, for the wall and the CPU clock,
+each side's median and quartiles, the median of the pair ratios B/A and
+how many pairs each side won, and whether the last pair's artifacts are
+byte-identical, ``resolved_config.json`` left out as it records the output
+directory; the last line is one JSON object, whose CPU keys carry the
+prefix ``cpu_``:
 
     python tools/ab_pair.py ../parent . --workload vhfl_dense --pairs 10
 """
@@ -47,16 +51,17 @@ def load_harness(checkout: Path, name: str) -> Any:
     return importlib.import_module(f"{name}.harness")
 
 
-def run_side(harness: Any, raws: Sequence[dict], out: Path) -> float:
-    """Run every config into its own directory under ``out``; the wall time
-    of the runs, parsing left out."""
-    elapsed = 0.0
+def run_side(harness: Any, raws: Sequence[dict], out: Path) -> tuple[float, float]:
+    """Run every config into its own directory under ``out``; the wall and
+    the process CPU time of the runs, parsing left out."""
+    wall = cpu = 0.0
     for j, raw in enumerate(raws):
         config = harness.parse_config(raw, out_override=str(out / f"c{j}"))
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         harness.run(config)
-        elapsed += time.perf_counter() - start
-    return elapsed
+        wall += time.perf_counter() - start
+        cpu += time.process_time() - start_cpu
+    return wall, cpu
 
 
 def artifacts(out: Path) -> dict[str, bytes]:
@@ -93,6 +98,14 @@ def summarize(times_a: Sequence[float], times_b: Sequence[float]) -> dict[str, A
     }
 
 
+def summarize_clocks(
+    wall_a: Sequence[float], wall_b: Sequence[float], cpu_a: Sequence[float], cpu_b: Sequence[float]
+) -> dict[str, Any]:
+    """:func:`summarize` of the wall times, beside that of the CPU times with
+    each key prefixed ``cpu_``."""
+    return {**summarize(wall_a, wall_b), **{f"cpu_{k}": v for k, v in summarize(cpu_a, cpu_b).items()}}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="checkout A, the baseline")
@@ -105,7 +118,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--pairs must be >= 1")
     sides = {"a": load_harness(args.a, "vhfl_lab_a"), "b": load_harness(args.b, "vhfl_lab_b")}
     raws = workloads.configs(args.workload, args.seed)
-    times: dict[str, list[float]] = {"a": [], "b": []}
+    # per side, its (wall, CPU) times
+    times: dict[str, list[tuple[float, float]]] = {"a": [], "b": []}
     with tempfile.TemporaryDirectory() as work:
         # one warm-up run a side, so that neither pays for first imports and caches
         for side, harness in sides.items():
@@ -115,16 +129,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             for side in order:
                 out = Path(work) / side
                 times[side].append(run_side(sides[side], raws, out))
-            print(f"pair {pair + 1}: a {times['a'][-1]:.3f} s, b {times['b'][-1]:.3f} s", flush=True)
+            (wall_a, cpu_a), (wall_b, cpu_b) = times["a"][-1], times["b"][-1]
+            print(f"pair {pair + 1}: a {wall_a:.3f} s (cpu {cpu_a:.3f}), b {wall_b:.3f} s (cpu {cpu_b:.3f})", flush=True)
         identical = same_artifacts(Path(work) / "a", Path(work) / "b")
-    result = {"workload": args.workload, "seed": args.seed, **summarize(times["a"], times["b"])}
+    (wall_a, cpu_a), (wall_b, cpu_b) = (zip(*times[side]) for side in ("a", "b"))
+    result = {"workload": args.workload, "seed": args.seed, **summarize_clocks(wall_a, wall_b, cpu_a, cpu_b)}
     result["artifacts_identical"] = identical
-    print(
-        f"median a {result['median_a_s']:.3f} s (q1-q3 {result['q1_a_s']:.3f}-{result['q3_a_s']:.3f}), "
-        f"b {result['median_b_s']:.3f} s ({result['q1_b_s']:.3f}-{result['q3_b_s']:.3f}), "
-        f"ratio b/a {result['median_ratio']:.3f}; b faster in {result['b_won']} of {result['pairs']} pairs; "
-        f"artifacts {'identical' if identical else 'DIFFER'}"
-    )
+    for clock, key in (("wall", ""), ("cpu", "cpu_")):
+        print(
+            f"{clock}: median a {result[key + 'median_a_s']:.3f} s "
+            f"(q1-q3 {result[key + 'q1_a_s']:.3f}-{result[key + 'q3_a_s']:.3f}), "
+            f"b {result[key + 'median_b_s']:.3f} s ({result[key + 'q1_b_s']:.3f}-{result[key + 'q3_b_s']:.3f}), "
+            f"ratio b/a {result[key + 'median_ratio']:.3f}; b faster in {result[key + 'b_won']} of {result['pairs']} pairs"
+        )
+    print(f"artifacts {'identical' if identical else 'DIFFER'}")
     print(json.dumps(result))
     return 0
 
