@@ -131,8 +131,10 @@ class FederationConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.k <= self.n_clients:
             raise ValueError(f"need 1 <= k <= n_clients, got k={self.k}, n={self.n_clients}")
-        if self.local_epochs < 1 or self.global_epochs < 1:
-            raise ValueError("local_epochs and global_epochs must be >= 1")
+        # capped: a run seeds and builds per epoch, and sizes arrays by width
+        for name in ("local_epochs", "global_epochs", "u0_dim"):
+            if not 1 <= getattr(self, name) <= 10_000:
+                raise ValueError(f"{name} must lie in 1..10000, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.combine not in COMBINES:
@@ -141,8 +143,6 @@ class FederationConfig:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.activation not in nnet.ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.u0_dim < 1:
-            raise ValueError(f"u0_dim must be >= 1, got {self.u0_dim}")
         if not self.l_est > 0.0:
             raise ValueError(f"l_est must be positive, got {self.l_est}")
         for name, sched in (("eta", self.eta), ("eta0", self.eta0)):
@@ -153,8 +153,8 @@ class FederationConfig:
                 )
         for name in ("w0_hidden", "local_hidden"):
             widths = tuple(int(h) for h in getattr(self, name))
-            if any(h < 1 for h in widths):
-                raise ValueError(f"{name} widths must be >= 1, got {list(widths)}")
+            if not all(1 <= h <= 10_000 for h in widths):
+                raise ValueError(f"{name} widths must lie in 1..10000, got {list(widths)}")
             object.__setattr__(self, name, widths)
 
     def local_etas(self, t_g: int) -> list[float]:
@@ -420,12 +420,14 @@ def _group_phase(
     checked once, here: the public ``nnet`` functions step ``wbar`` on the
     first batch of rows of the stacks and their results are dropped; a step
     that is not finite is left to the phase guard. Each batch's list
-    (:func:`_step_ops`) is emitted here and ends by writing its side
-    gradients times 2/n into its slice of an epoch buffer in shuffled order;
-    the batch steps at the epoch's rate times its 2/b. The shuffled input
-    stack takes the input's ones with its rows. A round's epochs share one
-    order, so the epoch buffers are added up in it and the sum is put in
-    shard order once per round."""
+    (:func:`_step_ops`) is emitted here. It writes its side gradients times
+    2/n into its slice of an epoch buffer in shuffled order, and ends with
+    the SGD update of the ``(G, P)`` buffer (``nnet._sgd_ops``) at its batch
+    size's run-long 0-d rate, which each epoch sets to the epoch's rate
+    times the batch's 2/b; a step is one replay of its list. The shuffled
+    input stack takes the input's ones with its rows. A round's epochs
+    share one order, so the epoch buffers are added up in it and the sum is
+    put in shard order once per round."""
     n, width = group.y.shape[1], fields[0].shape[-1] - 1 - group.x_local.shape[-1]
     data = np.empty((g_count, wbar.params.size))
     grad, scaled = np.empty_like(data), np.empty_like(data)
@@ -435,8 +437,9 @@ def _group_phase(
     epoch_rows, total, vgrads = (np.empty((g_count, n, u0_dim)) if u0_dim else None for _ in range(3))
     clients = np.arange(g_count)[:, None]
     # the lists share one pool, as a list runs whole before the next one
-    # starts; each is kept with its batch's 2/b
-    steps: list[tuple[nnet.Ops, float]] = []
+    # starts; a batch steps at its size's run-long 0-d rate, eta_t * 2/b
+    steps: list[nnet.Ops] = []
+    rates: dict[float, np.ndarray] = {}
     pool: dict = {}
     for start in range(0, n, config.batch_size):
         stop = min(start + config.batch_size, n)
@@ -447,8 +450,8 @@ def _group_phase(
             # 2/n, the factor from the residual's gradient to client-mean
             # loss units, as a 0-d array like nnet._ONE
             ops.append((np.multiply, (side_grad, np.array(2.0 / n), epoch_rows[:, start:stop])))
-        steps.append((ops, 2.0 / (stop - start)))
-    scales = {scale for _, scale in steps}
+        nnet._sgd_ops(data, grad, rates.setdefault(2.0 / (stop - start), np.empty(())), scaled, ops)
+        steps.append(ops)
     # the shape's check, after the buffers: run before them, its temporaries
     # raised vhfl_dense's peak RSS by about 1%. Emitting computes nothing, so
     # no shape error comes before the check's
@@ -468,11 +471,10 @@ def _group_phase(
         data[...] = wbar.params
         order = np.hstack([index for index, _ in batches(rngs, fields, config.batch_size, shuffled, rows)])
         for epoch, eta_t in enumerate(config.local_etas(t_g)):
-            # each batch's rate eta_t * 2/b as a 0-d array, as nnet._ONE
-            rates = {scale: np.array(eta_t * scale) for scale in scales}
-            for ops, scale in steps:
+            for scale, rate in rates.items():
+                rate[...] = eta_t * scale
+            for ops in steps:
                 nnet._run(ops)
-                nnet._sgd(data, grad, rates[scale], scaled)
             # every epoch visits each sample once, in the round's one order, so
             # a sample's rows add up in the order of the epochs, as they would
             # in shard order
@@ -770,14 +772,15 @@ def _cloud_phase(
     field, whose row slices are each batch's input, label and global rows,
     and both nets' pools, and emits each batch's step once as a list over
     them: w0's forward pass, which under concat writes u0 into the input's
-    first columns, wbar's step on its u0 (:func:`_step_ops`) and w0's
-    backward pass from the returned side gradient.
+    first columns, wbar's step on its u0 (:func:`_step_ops`), w0's backward
+    pass from the returned side gradient, and the SGD update of both nets'
+    buffer (``nnet._sgd_ops``) at the batch size's run-long 0-d rate.
 
     A round copies the center's vectors in, draws the pooled order from its
     stream (``datagen.permutations``) and takes each field's rows once, in
-    that order and with their ones, into its stack with ``np.take``, then
-    replays the lists every local epoch, each followed by an SGD update of
-    both nets at the epoch's rate times the batch's 2/b. It
+    that order and with their ones, into its stack with ``np.take``. Every
+    local epoch it sets each rate to the epoch's rate times the batch's
+    2/b and replays the lists, one replay a step. It
     hands the center nets built from copies of the buffer's slices, so no
     round rewrites a net an earlier round handed out. Nothing is uploaded: a
     round returns 0."""
@@ -804,7 +807,9 @@ def _cloud_phase(
     # each net's buffers, shared by the batches of one size: a list runs whole
     # before the next one starts
     pool, pool0 = {}, {}
-    batch_ops: list[tuple[nnet.Ops, float]] = []
+    # a batch steps at its size's run-long 0-d rate, eta_t * 2/b
+    batch_ops: list[nnet.Ops] = []
+    rates: dict[float, np.ndarray] = {}
     for start in range(0, n, config.batch_size):
         cut = slice(start, start + config.batch_size)
         inp = inputs[cut]
@@ -815,8 +820,8 @@ def _cloud_phase(
         side_grad = _step_ops(wbar, wbar_grads, inp, None if width else u0, ys[cut], width, ops, pool)
         if center.w0 is not None:
             nnet._backward_ops(w0, w0_grads, trace0, side_grad, ops, pool0, False)
-        batch_ops.append((ops, 2.0 / len(inp)))
-    scales = {scale for _, scale in batch_ops}
+        nnet._sgd_ops(data, grad, rates.setdefault(2.0 / len(inp), np.empty(())), scaled, ops)
+        batch_ops.append(ops)
 
     def train_round(t_g: int) -> int:
         np.concatenate([net.params for net in (center.wbar, center.w0) if net is not None], out=data)
@@ -825,11 +830,10 @@ def _cloud_phase(
             if stack is not None:
                 np.take(field, order, 0, stack, "clip")
         for eta_t in config.local_etas(t_g):
-            # each batch's rate eta_t * 2/b as a 0-d array, as nnet._ONE
-            rates = {scale: np.array(eta_t * scale) for scale in scales}
-            for ops, scale in batch_ops:
+            for scale, rate in rates.items():
+                rate[...] = eta_t * scale
+            for ops in batch_ops:
                 nnet._run(ops)
-                nnet._sgd(data, grad, rates[scale], scaled)
         with _guard("run_cloud", t_g):
             # both nets are built before either is assigned
             wbar_net = nnet.DenseNet(center.wbar.layers, data[:split].copy())

@@ -134,8 +134,8 @@ class KElSweepSpec:
         if self.loss_threshold <= 0.0:
             raise ValueError("loss_threshold must be positive")
         for el in self.el_values:
-            if el < 1:
-                raise ValueError(f"local_epochs={el} must be >= 1")
+            if not 1 <= el <= 10_000:
+                raise ValueError(f"el_values: local_epochs={el} must lie in 1..10000")
 
 
 # the fields of a section's dataclass that the config does not set

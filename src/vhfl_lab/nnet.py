@@ -12,8 +12,9 @@ chains its layers and holds ``params``, one finite float64 vector of shape
 row-major, the transposed weights with the bias as the last row. So every
 operation on parameters is one vector operation. A stack of G nets is a
 ``(G, P)`` buffer, a gradient buffer of the same layout sits beside it, an
-SGD step is the one update ``data -= eta * grad`` (``_sgd``), and building
-a net from a vector checks it with one ``isfinite`` pass. The net gives the
+SGD step is the one update ``data -= rate * grad``, which a training phase
+appends to each step's list as two ops (``_sgd_ops``), and building a net
+from a vector checks it with one ``isfinite`` pass. The net gives the
 per-layer block views of any ``(*lead, P)`` buffer
 (:meth:`DenseNet.views`), and the kernels' :class:`Layer` views over one
 (:meth:`DenseNet.kernel_layers`). The backward pass writes each layer's
@@ -26,10 +27,20 @@ Every layer input carries a ones column as its last, ``[a | 1]``
 (:func:`with_ones`), so one product ``[a | 1] @ [Wᵀ; b]`` is the affine
 map, and in the backward pass one product ``[a | 1]ᵀ @ dz`` writes the
 weight and bias gradients into the block. The kernels take their inputs
-with that column. The forward pass writes the ones of each hidden layer's
-output buffer when it emits its list, and a training phase writes the
-ones of its input stacks with their rows, so a replayed step writes none;
-the public ``forward`` adds the column to a copy of the batch.
+with that column. A hidden layer's output is the first columns of the
+next layer's input buffer, whose ones the forward pass writes when it
+emits its list, and a training phase writes the ones of its input stacks
+with their rows, so a replayed step writes none; the public ``forward``
+adds the column to a copy of the batch. Those columns are a strided view.
+Where a backward pass follows, a hidden tanh layer writes a contiguous
+buffer of its own instead, the trace's post-activation that the
+derivative's ``post * post`` reads, and one ``np.copyto`` puts it in the
+columns: numpy runs both elementwise ops faster on contiguous memory than
+through its buffered iterator on the view, and an elementwise op writes
+the same bits whatever the strides. A forward-only pass (``_output``)
+writes tanh into the view, where the copy would cost more than it saves,
+and so do relu and identity layers, whose backward pass never reads their
+output.
 ``dumps_net`` writes each layer's weight rows and bias, so the checkpoint
 text does not depend on the layout.
 
@@ -37,7 +48,9 @@ The public ``mse_loss`` returns d(loss)/d(pred) = (2/b)(pred - y). A
 training phase steps on the unscaled ``out - y`` instead and folds the 2/b
 into the rate that its SGD update multiplies by, ``eta * (2/b)``
 (``fedcore``), one multiply a step fewer; the two round differently in
-the last place.
+the last place. The rate is a run-long 0-d array per batch size, named
+by the update's ops and rewritten once an epoch, so each step is one
+replayed list.
 
 Validate at the edges, run unchecked kernels inside the loop. The public
 ``forward``/``mse_loss``/``backward``/``sgd_step`` check every argument
@@ -91,7 +104,8 @@ d(loss)/d(outputs), ``[a | 1]ᵀ @ dz`` into the layer's gradient block and
 and shape, and the weights and gradients a list names are views of the
 caller's buffers, so each replay reads the current parameters. An ``out=``
 buffer gets the bits of the allocating form, as above. A training phase
-emits a step once and replays it (see ``fedcore``). A one-shot call,
+emits a step once, its SGD update last (``_sgd_ops``), and replays it
+(see ``fedcore``). A one-shot call,
 ``_output``, ``forward`` or ``backward``, emits into a pool, fresh unless
 the caller passes one to ``_output``, and runs the list once (``_run``).
 """
@@ -261,17 +275,21 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> tuple[Callable[..
 
 
 def _forward_ops(
-    layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict, out: np.ndarray | None = None
+    layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict, out: np.ndarray | None = None, backward: bool = True
 ) -> tuple[np.ndarray, Trace]:
     """Append the forward pass on the rows ``x = [a | 1]`` to ``ops``, each
     result in a buffer of ``pool`` and the output in ``out`` if given; a
     hidden layer's output lands in the first columns of the next layer's
-    input, whose ones are written here, once per list. Returns the output's
-    buffer and the trace that :func:`_backward_ops` takes."""
+    input, whose ones are written here, once per list. Where a backward pass
+    follows (``backward``), a hidden tanh layer writes a contiguous buffer
+    of its own, the trace's post-activation, and one copy puts it in those
+    columns. Returns the output's buffer and the trace that
+    :func:`_backward_ops` takes."""
     inputs, pre, post = [x], [], []
     for i, layer in enumerate(layers):
         shape = (*x.shape[:-1], layer.block.shape[-1])
-        if i + 1 < len(layers):
+        hidden = i + 1 < len(layers)
+        if hidden:
             inputs.append(_buffer(pool, ("post", i), (*shape[:-1], shape[-1] + 1)))
             inputs[-1][..., -1] = 1.0
             a = inputs[-1][..., :-1]
@@ -279,9 +297,15 @@ def _forward_ops(
             a = _buffer(pool, ("post", i), shape) if out is None else out
         z = a if layer.act == "identity" else _buffer(pool, ("pre", i), shape)
         ops.append(_product(inputs[i], layer.block, z))
-        if layer.act != "identity":
+        if layer.act == "relu":
             # numpy deprecates a positional out for np.maximum
-            ops.append((functools.partial(np.maximum, out=a), (z, 0.0)) if layer.act == "relu" else (np.tanh, (z, a)))
+            ops.append((functools.partial(np.maximum, out=a), (z, 0.0)))
+        elif layer.act == "tanh" and hidden and backward:
+            act = _buffer(pool, ("tanh", i), shape)
+            ops += ((np.tanh, (z, act)), (np.copyto, (a, act)))
+            a = act
+        elif layer.act == "tanh":
+            ops.append((np.tanh, (z, a)))
         pre.append(z)
         post.append(a)
     return post[-1], Trace(tuple(inputs), tuple(pre), tuple(post))
@@ -323,15 +347,17 @@ def _output(net: DenseNet, x: np.ndarray, pool: dict | None = None, out: np.ndar
     emitted into ``pool``, or a fresh pool, and run once; the output lands in
     ``out`` if given."""
     ops: Ops = []
-    out, _ = _forward_ops(net._own_layers, x, ops, {} if pool is None else pool, out)
+    # forward only: a hidden tanh layer writes the next input's columns
+    out, _ = _forward_ops(net._own_layers, x, ops, {} if pool is None else pool, out, backward=False)
     _run(ops)
     return out
 
 
-def _sgd(data: np.ndarray, grad: np.ndarray, eta: float | np.ndarray, out: np.ndarray | None = None) -> None:
-    """p <- p - eta*g over a whole buffer, in place, with eta*g in ``out`` if
-    given."""
-    np.subtract(data, np.multiply(eta, grad, out=out), out=data)
+def _sgd_ops(data: np.ndarray, grad: np.ndarray, rate: np.ndarray, scaled: np.ndarray, ops: Ops) -> None:
+    """Append the update p <- p - rate*g over a whole buffer to ``ops``:
+    ``rate * grad`` into ``scaled``, then ``data - scaled`` into ``data``.
+    ``rate`` is a 0-d array, which the caller may rewrite between replays."""
+    ops += ((np.multiply, (rate, grad, scaled)), (np.subtract, (data, scaled, data)))
 
 
 def forward(net: DenseNet, batch: object) -> tuple[np.ndarray, Trace]:

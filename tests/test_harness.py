@@ -571,8 +571,19 @@ CONFIG_FAULTS = [
     (BASE_CONFIG, "federation.center_frozen", True, "federation: unknown keys ['center_frozen']"),
     (BASE_CONFIG, "synth.public_fraction", 0.5, "synth: unknown keys ['public_fraction']"),
     (BASE_CONFIG, "federation.k", 2.7, "federation.k"),
-    (BASE_CONFIG, "federation.local_hidden", [0], "federation: local_hidden widths must be >= 1, got [0]"),
-    (BASE_CONFIG, "federation.w0_hidden", [-3], "federation: w0_hidden widths must be >= 1, got [-3]"),
+    (BASE_CONFIG, "federation.local_hidden", [0], "federation: local_hidden widths must lie in 1..10000, got [0]"),
+    (BASE_CONFIG, "federation.w0_hidden", [-3], "federation: w0_hidden widths must lie in 1..10000, got [-3]"),
+    # a width of 1e308 parsed, then numpy refused the array at run time
+    (BASE_CONFIG, "federation.local_hidden", [16, 1e308], "federation: local_hidden widths must lie in 1..10000"),
+    (BASE_CONFIG, "federation.w0_hidden", [10_001], "federation: w0_hidden widths must lie in 1..10000, got [10001]"),
+    (BASE_CONFIG, "federation.u0_dim", 1e308, "federation: u0_dim must lie in 1..10000, got 1000000000000000010979063629440"),
+    (BASE_CONFIG, "federation.u0_dim", 0, "federation: u0_dim must lie in 1..10000, got 0"),
+    # a run builds a rate per local epoch and seeds T * K streams before round 0
+    (BASE_CONFIG, "federation.local_epochs", 1e308, "federation: local_epochs must lie in 1..10000"),
+    (BASE_CONFIG, "federation.global_epochs", 10_001, "federation: global_epochs must lie in 1..10000, got 10001"),
+    (BASE_CONFIG, "federation.global_epochs", 0, "federation: global_epochs must lie in 1..10000, got 0"),
+    (K_EL_CONFIG, "k_el_sweep.el_values", [1, 1e308], "k_el_sweep: el_values: local_epochs=1000000000000000010979063629440"),
+    (K_EL_CONFIG, "k_el_sweep.el_values", [0], "k_el_sweep: el_values: local_epochs=0 must lie in 1..10000"),
     (BASE_CONFIG, "federation.selection", "uniform_without_replacement", "federation: unknown keys ['selection']"),
     (BASE_CONFIG, "synth.noise_std", float("nan"), "synth.noise_std"),
     (BASE_CONFIG, "synth.samples_per_client", 2, "synth: samples_per_client"),

@@ -17,7 +17,9 @@ bits as a fresh local phase every round; that a 2-d product enters numpy
 through np.dot where its operands and output are contiguous, and through
 np.matmul on stacks, on the side gradient's strided view and into the
 first columns of a wider buffer, with the bits of a reference written
-with ``@``; that each batch's list is emitted once
+with ``@``; that a hidden tanh layer of a step writes a contiguous buffer,
+copied once into the next layer's input, and that each step's list ends
+with its SGD update; that each batch's list is emitted once
 a run; that the broadcast's u0, taken from the train split, and the
 run-long central step, on rows in id order in buffers shared by every
 delivered count, get the bits of fresh public passes; that the caller's
@@ -413,6 +415,54 @@ def test_products_name_dot_where_contiguous_and_matmul_on_stacks_and_the_side_vi
         assert sum(on_side) == (2 if combine == "concat" else 0)
         assert sum(into_input) == (1 if combine == "concat" else 0)
         assert [op for op, _ in products] == [np.matmul if s or i else np.dot for s, i in zip(on_side, into_input)]
+
+
+@pytest.mark.parametrize("combine", ["concat", "additive"])
+def test_step_lists_keep_tanh_contiguous_and_end_with_the_sgd_update(combine, monkeypatch):
+    """In the pooled 2-d lists and the local phase's stacked ones, a hidden
+    tanh layer writes a C-contiguous buffer, which its derivative's post *
+    post reads, and one np.copyto puts it in the next layer's input; each
+    list ends with the update rate * grad into a scaled buffer and data -
+    scaled into the buffer its layers view. A forward-only ``_output``
+    pass writes tanh into the next input's columns and copies nothing."""
+    ds = generate(SYNTH)
+    fed = dataclasses.replace(FED, combine=combine, u0_dim=3 if combine == "concat" else SYNTH.d_label)
+    emitted, outputs = [], []
+    step_ops, output = fedcore._step_ops, nnet._output
+
+    def kept(*args):
+        emitted.append((args[2].ndim, args[0], args[1], args[-2]))
+        return step_ops(*args)
+
+    def recorded(*args, **kwargs):
+        run = nnet._run
+        with mock.patch.object(nnet, "_run", lambda ops: (outputs.append(ops), run(ops))):
+            return output(*args, **kwargs)
+
+    monkeypatch.setattr(fedcore, "_step_ops", kept)
+    monkeypatch.setattr(nnet, "_output", recorded)
+    fedcore.run_cloud(fed, ds, True)
+    fedcore.run_vhfl(fed, ds)
+    assert {ndim for ndim, *_ in emitted} == {2, 3}
+    for ndim, layers, grads, ops in emitted:
+        tanhs = [args for op, args in ops if op is np.tanh]
+        copies = [args for op, args in ops if op is np.copyto]
+        squares = [args for op, args in ops if op is np.multiply and args[0] is args[1]]
+        # wbar's hidden layer, and w0's, which the pooled lists step too
+        assert len(tanhs) == len(copies) == len(squares) == (2 if ndim == 2 else 1)
+        assert all(out.flags.c_contiguous for _, out in tanhs)
+        assert [src for _, src in copies] == [out for _, out in tanhs]
+        assert all(not dst.flags.c_contiguous for dst, _ in copies)
+        assert all(a.flags.c_contiguous for a, _, _ in squares)
+        assert {id(a) for a, _, _ in squares} == {id(out) for _, out in tanhs}
+        (mul, (rate, grad, scaled)), (sub, (data, scaled_again, into)) = ops[-2:]
+        assert mul is np.multiply and sub is np.subtract
+        assert rate.ndim == 0 and scaled_again is scaled and into is data
+        assert data.shape == grad.shape == scaled.shape and data.ndim == ndim - 1
+        assert all(np.shares_memory(data, layer.block) for layer in layers)
+        assert all(np.shares_memory(grad, block) for block in grads)
+    assert outputs and all(any(op is np.tanh for op, _ in ops) for ops in outputs)
+    assert not any(op is np.copyto for ops in outputs for op, _ in ops)
 
 
 # ------------------------------------------------------ run-long local phase

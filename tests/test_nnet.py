@@ -353,10 +353,14 @@ def test_flat_sgd_matches_per_layer_step(copies):
     data[...] = rng.standard_normal(data.shape)
     layers = [layer for net_layers in per_net for layer in net_layers]
     grads = [block for net, part in parts for block in net.views(grad[..., part])]
+    # the update as a training phase emits it, replayed at each rate
+    rate, ops = np.empty(()), []
+    nnet._sgd_ops(data, grad, rate, np.empty_like(data), ops)
     for eta in (0.05, 0.3):
         grad[...] = rng.standard_normal(grad.shape)
         before = [layer.block.copy() for layer in layers]
-        nnet._sgd(data, grad, eta)
+        rate[...] = eta
+        nnet._run(ops)
         for layer, block, gblock in zip(layers, before, grads):
             assert same_bits(layer.block, block - eta * gblock)
 
@@ -372,6 +376,11 @@ def test_public_step_runs_the_flat_kernels_on_fresh_buffers():
     inputs, pre, post = allocating_forward(blocks, x)
     ref_grads, _ = allocating_backward(blocks, inputs, pre, post, lgrad)
     assert same_bits(out, post[-1])
+    # the hidden tanh layer writes a buffer of its own, which backward reads,
+    # and its copy in the next layer's input holds the same bits
+    for own, inp in zip(trace.post[:-1], trace.inputs[1:]):
+        assert own.flags.c_contiguous and not np.shares_memory(own, inp)
+        assert same_bits(own, np.ascontiguousarray(inp[..., :-1]))
     assert grad.shape == net.params.shape
     for block, ref_block in zip(net.views(grad), ref_grads):
         assert same_bits(block, ref_block)
