@@ -32,15 +32,13 @@ next layer's input buffer, whose ones the forward pass writes when it
 emits its list, and a training phase writes the ones of its input stacks
 with their rows, so a replayed step writes none; the public ``forward``
 adds the column to a copy of the batch. Those columns are a strided view.
-Where a backward pass follows, a hidden tanh layer writes a contiguous
-buffer of its own instead, the trace's post-activation that the
-derivative's ``post * post`` reads, and one ``np.copyto`` puts it in the
-columns: numpy runs both elementwise ops faster on contiguous memory than
-through its buffered iterator on the view, and an elementwise op writes
-the same bits whatever the strides. A forward-only pass (``_output``)
-writes tanh into the view, where the copy would cost more than it saves,
-and so do relu and identity layers, whose backward pass never reads their
-output.
+A hidden tanh layer writes a contiguous buffer of its own instead, the
+trace's post-activation that the derivative's ``post * post`` reads, and
+one ``np.copyto`` puts it in the columns: numpy runs both elementwise ops
+faster on contiguous memory than through its buffered iterator on the
+view, and an elementwise op writes the same bits whatever the strides.
+relu and identity layers write the view, as their backward pass never
+reads their output.
 ``dumps_net`` writes each layer's weight rows and bias, so the checkpoint
 text does not depend on the layout.
 
@@ -275,16 +273,15 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> tuple[Callable[..
 
 
 def _forward_ops(
-    layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict, out: np.ndarray | None = None, backward: bool = True
+    layers: Sequence[Layer], x: np.ndarray, ops: Ops, pool: dict, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, Trace]:
     """Append the forward pass on the rows ``x = [a | 1]`` to ``ops``, each
     result in a buffer of ``pool`` and the output in ``out`` if given; a
     hidden layer's output lands in the first columns of the next layer's
-    input, whose ones are written here, once per list. Where a backward pass
-    follows (``backward``), a hidden tanh layer writes a contiguous buffer
-    of its own, the trace's post-activation, and one copy puts it in those
-    columns. Returns the output's buffer and the trace that
-    :func:`_backward_ops` takes."""
+    input, whose ones are written here, once per list. A hidden tanh layer
+    writes a contiguous buffer of its own, the trace's post-activation, and
+    one copy puts it in those columns. Returns the output's buffer and the
+    trace that :func:`_backward_ops` takes."""
     inputs, pre, post = [x], [], []
     for i, layer in enumerate(layers):
         shape = (*x.shape[:-1], layer.block.shape[-1])
@@ -300,7 +297,7 @@ def _forward_ops(
         if layer.act == "relu":
             # numpy deprecates a positional out for np.maximum
             ops.append((functools.partial(np.maximum, out=a), (z, 0.0)))
-        elif layer.act == "tanh" and hidden and backward:
+        elif layer.act == "tanh" and hidden:
             act = _buffer(pool, ("tanh", i), shape)
             ops += ((np.tanh, (z, act)), (np.copyto, (a, act)))
             a = act
@@ -347,8 +344,7 @@ def _output(net: DenseNet, x: np.ndarray, pool: dict | None = None, out: np.ndar
     emitted into ``pool``, or a fresh pool, and run once; the output lands in
     ``out`` if given."""
     ops: Ops = []
-    # forward only: a hidden tanh layer writes the next input's columns
-    out, _ = _forward_ops(net._own_layers, x, ops, {} if pool is None else pool, out, backward=False)
+    out, _ = _forward_ops(net._own_layers, x, ops, {} if pool is None else pool, out)
     _run(ops)
     return out
 

@@ -17,8 +17,8 @@ bits as a fresh local phase every round; that a 2-d product enters numpy
 through np.dot where its operands and output are contiguous, and through
 np.matmul on stacks, on the side gradient's strided view and into the
 first columns of a wider buffer, with the bits of a reference written
-with ``@``; that a hidden tanh layer of a step writes a contiguous buffer,
-copied once into the next layer's input, and that each step's list ends
+with ``@``; that a hidden tanh layer writes a contiguous buffer, copied
+once into the next layer's input, and that each step's list ends
 with its SGD update; that each batch's list is emitted once
 a run; that the broadcast's u0, taken from the train split, and the
 run-long central step, on rows in id order in buffers shared by every
@@ -424,7 +424,8 @@ def test_step_lists_keep_tanh_contiguous_and_end_with_the_sgd_update(combine, mo
     post reads, and one np.copyto puts it in the next layer's input; each
     list ends with the update rate * grad into a scaled buffer and data -
     scaled into the buffer its layers view. A forward-only ``_output``
-    pass writes tanh into the next input's columns and copies nothing."""
+    pass keeps the same layout: one copy per hidden tanh layer, from the
+    buffer that np.tanh writes."""
     ds = generate(SYNTH)
     fed = dataclasses.replace(FED, combine=combine, u0_dim=3 if combine == "concat" else SYNTH.d_label)
     emitted, outputs = [], []
@@ -461,8 +462,12 @@ def test_step_lists_keep_tanh_contiguous_and_end_with_the_sgd_update(combine, mo
         assert data.shape == grad.shape == scaled.shape and data.ndim == ndim - 1
         assert all(np.shares_memory(data, layer.block) for layer in layers)
         assert all(np.shares_memory(grad, block) for block in grads)
-    assert outputs and all(any(op is np.tanh for op, _ in ops) for ops in outputs)
-    assert not any(op is np.copyto for ops in outputs for op, _ in ops)
+    assert outputs
+    for ops in outputs:
+        # w0's or wbar's one hidden tanh layer
+        ((_, act),) = [args for op, args in ops if op is np.tanh]
+        ((dst, src),) = [args for op, args in ops if op is np.copyto]
+        assert src is act and act.flags.c_contiguous and not dst.flags.c_contiguous
 
 
 # ------------------------------------------------------ run-long local phase
